@@ -1,11 +1,12 @@
 """Reference and comparison packers.
 
 Three packers live here: a sequential row packer that places boxes one at a
-time and never overflows (the semantics the prefix-sum fold approximates),
-a superblock grid packer in the style of earlier atlasing systems (boxes
-are capped to a fixed block size, allocated into power-of-two shelf rows
-inside a block grid, with block halving as a fallback), and an exhaustive
-optimal packer for tiny instances used as a test oracle.
+time and never overflows (it gives the same rows as the prefix-sum fold and
+serves as its per-box reference), a superblock grid packer in the style of
+earlier atlasing systems (boxes are capped to a fixed block size, allocated
+into power-of-two shelf rows inside a block grid, with block halving as a
+fallback), and an exhaustive optimal packer for tiny instances used as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ from .packing import (
     ChartBox,
     FoldResult,
     OrientedBox,
+    PackFailure,
     Placement,
+    _DIRECTION_PERIOD,
     _check_omega,
+    _scaled_dims,
     orient,
     order,
     push_up,
@@ -54,8 +58,8 @@ def sequential_fold(widths: Sequence[int], omega: int) -> FoldResult:
     """Row assignment by walking boxes one at a time, never overflowing.
 
     A box that would cross the atlas edge starts the next row instead, so
-    the overflow is zero by construction. Row directions follow the same
-    one-left, two-right pattern as the prefix-sum fold.
+    the overflow is zero by construction. Rows and directions match the
+    prefix-sum fold, which applies the same rule one row at a time.
     """
     _check_omega(omega)
     n = len(widths)
@@ -70,9 +74,9 @@ def sequential_fold(widths: Sequence[int], omega: int) -> FoldResult:
             row += 1
             used = 0
         rows[i] = row
-        xs[i] = used if row % 3 == 0 else omega - used - w
+        xs[i] = used if row % _DIRECTION_PERIOD == 0 else omega - used - w
         used += w
-    left = (np.arange(row + 1, dtype=np.int64) % 3) == 0
+    left = (np.arange(row + 1, dtype=np.int64) % _DIRECTION_PERIOD) == 0
     return FoldResult(row_of_box=rows, x_of_box=xs, row_direction_left=left, overflow_m=0)
 
 
@@ -80,8 +84,8 @@ def sequential_pack(ordered_boxes: Sequence[OrientedBox], omega: int) -> AtlasLa
     """Place ordered boxes sequentially, then push up; None on overflow.
 
     Boxes are used at their stated dimensions (the caller scales them).
-    On instances where the prefix-sum fold has zero overflow this produces
-    placements identical to the parallel path.
+    Both folds give the same rows, so this produces placements identical
+    to the vectorised path.
     """
     if not ordered_boxes:
         return AtlasLayout(omega=omega, scale=Fraction(1), placements=())
@@ -115,8 +119,6 @@ def sequential_scale_search(
     padding: int = 0,
 ) -> AtlasLayout:
     """Full sequential packer: scale grid search over sequential_pack."""
-    from .packing import PackFailure, _scaled_dims
-
     _check_omega(omega)
     box_list = list(boxes)
     if not box_list:

@@ -538,6 +538,9 @@ def _cmd_pack_boxes(args) -> int:
     packer_fn = make_packer(args.packer, args.scales, args.min_dim, args.padding, args.block_size)
     try:
         layout = packer_fn(boxes, args.omega)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except PackFailure as exc:
         print(f"pack failure: {exc}", file=sys.stderr)
         return EXIT_PACK_FAILURE
@@ -651,6 +654,9 @@ def _cmd_compare(args) -> int:
                     layout = packer_fn(boxes, omega)
                     stretch = _box_stretch_report(layout, args.padding)
                     n_boxes = len(boxes)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_BAD_INPUT
             except (PackFailure, NothingVisible) as exc:
                 print(f"{name}@{omega}: {exc}", file=sys.stderr)
                 rows.append([name, omega, "failed", "", "", "", "", "", "", ""])
@@ -765,7 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--min-dim", type=int, default=1)
     cp.add_argument("--padding", type=int, default=0)
     cp.add_argument("--block-size", type=int, default=None)
-    cp.add_argument("--seed", type=int, default=0, help="seed echoed for reproducibility")
     cp.add_argument("--out", default="compare.csv")
     cp.set_defaults(func=_cmd_compare)
 

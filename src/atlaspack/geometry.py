@@ -175,13 +175,6 @@ def project_vertex(p: Sequence[float], cam: CameraFrame) -> HPoint:
     return HPoint(h[0], h[1], h[2], h[3])
 
 
-def project_points(points: np.ndarray, cam: CameraFrame) -> np.ndarray:
-    """Project an (n, 3) array of world points to (n, 4) clip coordinates."""
-    pts = np.asarray(points, dtype=np.float64)
-    ones = np.ones((pts.shape[0], 1))
-    return np.hstack([pts, ones]) @ cam.view_proj.T
-
-
 def blinn_clamped_ndc(p) -> tuple[float, float]:
     """Clamp a clip-space vertex to the screen square and divide.
 

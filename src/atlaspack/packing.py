@@ -2,19 +2,19 @@
 
 The packer orients boxes taller-than-wide, orders them (height descending,
 owning-triangle index ascending), and for each candidate scale folds the
-ordered strip into atlas-width rows with a prefix sum, corrects horizontal
-overflow by shrinking the scale, and compacts rows upward against an
-advancing frontline. Candidate scales are evaluated independently and the
-largest accepted one wins.
+ordered strip into atlas-width rows and compacts the rows upward against an
+advancing frontline. The fold cuts the strip's prefix sum into rows with
+the next-fit shelf rule: a box that would cross the atlas edge starts the
+next row, so no box ever sticks out. Candidate scales i/n_scales are tried
+from largest to smallest and the first accepted one wins.
 
 All scale arithmetic is exact rational (integer numerators/denominators),
 so identical box multisets produce bit-identical layouts regardless of
-input order, platform, or worker count.
+input order or platform.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -24,14 +24,8 @@ import numpy as np
 # Structural cap on box dimensions; keeps 64-bit prefix sums safe.
 MAX_BOX_DIM = 1 << 23
 
-# Overflow-corrected scales snap down to this grid so the integer ceil
-# division below never leaves 64 bits.
-_SCALE_GRID_BITS = 24
-
 # Row direction pattern: one left-starting row, then two right-starting.
 _DIRECTION_PERIOD = 3
-
-_MAX_OVERFLOW_ITERATIONS = 8
 
 
 class PackingError(Exception):
@@ -133,11 +127,12 @@ def order(boxes: Sequence[OrientedBox], max_h: int = MAX_BOX_DIM) -> list[Orient
 def fold(widths, omega: int) -> FoldResult:
     """Fold an ordered strip of widths into atlas rows via a prefix sum.
 
-    With omega = 2^k, the exclusive prefix sum p_i of the widths gives row
-    r_i = p_i >> k and in-row offset q_i = p_i & (omega - 1). Left-starting
-    rows place at x = q; right-starting rows mirror to x = omega - q - w.
-    The overflow m is the largest amount any box sticks out past omega,
-    measured from the pre-mirroring offset.
+    With box ends e_i = w_0 + ... + w_i and starts p_i = e_i - w_i, the row
+    that starts at box s holds every following box with e_i <= p_s + omega:
+    the next-fit shelf rule, found with one binary search per row. The
+    in-row offset is q_i = p_i - p_s. Left-starting rows place at x = q;
+    right-starting rows mirror to x = omega - q - w. The overflow m, the
+    largest amount any box sticks out past omega, is therefore always 0.
     """
     _check_omega(omega)
     w = np.asarray(widths, dtype=np.int64)
@@ -147,24 +142,21 @@ def fold(widths, omega: int) -> FoldResult:
         raise ValueError("widths must be >= 1")
     if np.any(w > omega):
         raise ValueError("fold requires every width <= omega")
-    k = omega.bit_length() - 1
-    p = np.concatenate([[0], np.cumsum(w[:-1], dtype=np.int64)])
-    rows = p >> k
-    q = p & (omega - 1)
-    n_rows = int(rows[-1]) + 1
-    left = (np.arange(n_rows, dtype=np.int64) % _DIRECTION_PERIOD) == 0
+    ends = np.cumsum(w, dtype=np.int64)
+    p = ends - w
+    row_starts = [0]
+    while True:
+        s = int(np.searchsorted(ends, p[row_starts[-1]] + omega, side="right"))
+        if s == w.size:
+            break
+        row_starts.append(s)
+    starts = np.array(row_starts, dtype=np.int64)
+    rows = np.searchsorted(starts, np.arange(w.size), side="right") - 1
+    q = p - p[starts][rows]
+    left = (np.arange(starts.size, dtype=np.int64) % _DIRECTION_PERIOD) == 0
     x = np.where(left[rows], q, omega - q - w)
     m = int(max(0, int((q + w - omega).max())))
     return FoldResult(row_of_box=rows, x_of_box=x, row_direction_left=left, overflow_m=m)
-
-
-def correct_overflow(scale: Fraction, m: int, omega: int) -> Fraction:
-    """Shrink the scale so the worst horizontal overflow m fits."""
-    if m < 0:
-        raise ValueError("overflow must be non-negative")
-    if m == 0:
-        return scale
-    return scale * Fraction(omega, omega + m)
 
 
 def push_up(fold_result: FoldResult, dims, omega: int) -> tuple[np.ndarray, int]:
@@ -190,7 +182,7 @@ def push_up(fold_result: FoldResult, dims, omega: int) -> tuple[np.ndarray, int]
     front = np.zeros(omega + 1, dtype=np.int64)
     starts = x
     ends = x + widths
-    # Boxes arrive grouped by row because prefix sums are nondecreasing.
+    # Boxes arrive grouped by row because fold rows are nondecreasing.
     row_breaks = np.flatnonzero(np.diff(rows)) + 1
     segments = np.split(np.arange(n), row_breaks)
     for seg in segments:
@@ -225,10 +217,10 @@ def pack_at_scale(
     """Attempt a packing at one candidate scale; None when rejected.
 
     Box dimensions become max(min_dim, ceil(scale * target)) + 2 * padding
-    per axis. Horizontal overflow shrinks the scale (at most eight times)
-    before the attempt is rejected; a successful fold is then compacted and
-    accepted iff the used height fits in the atlas. The returned layout
-    records the final effective scale.
+    per axis. The attempt is rejected when a box is wider than the atlas or
+    the total box area exceeds it; otherwise the boxes are folded into rows,
+    compacted, and accepted iff the used height fits in the atlas. The
+    returned layout records the candidate scale unchanged.
     """
     _check_omega(omega)
     if not (0 < scale <= 1):
@@ -251,27 +243,15 @@ def _pack_arrays(
     min_dim: int,
     padding: int,
 ) -> AtlasLayout | None:
-    num, den = scale.numerator, scale.denominator
-    fold_result = None
-    widths = heights = None
-    for _ in range(_MAX_OVERFLOW_ITERATIONS + 1):
-        widths = _scaled_dims(tw, num, den, min_dim, padding)
-        heights = _scaled_dims(th, num, den, min_dim, padding)
-        if widths.max() > omega:
-            m = int(widths.max() - omega)
-        else:
-            fold_result = fold(widths, omega)
-            m = fold_result.overflow_m
-        if m == 0:
-            break
-        fold_result = None
-        num, den = _snap_scale(num * omega, den * (omega + m))
-    if fold_result is None or fold_result.overflow_m != 0:
+    widths = _scaled_dims(tw, scale.numerator, scale.denominator, min_dim, padding)
+    heights = _scaled_dims(th, scale.numerator, scale.denominator, min_dim, padding)
+    if widths.max() > omega:
         return None
     # Pigeonhole: total box area beyond the atlas area cannot push into
     # omega rows, so the vertical rejection is decided already.
     if int(np.sum(widths * heights)) > omega * omega:
         return None
+    fold_result = fold(widths, omega)
     dims = np.stack([widths, heights], axis=1)
     y, height_used = push_up(fold_result, dims, omega)
     if height_used > omega:
@@ -289,7 +269,7 @@ def _pack_arrays(
         )
         for i, b in enumerate(ordered_boxes)
     )
-    return AtlasLayout(omega=omega, scale=Fraction(num, den), placements=placements)
+    return AtlasLayout(omega=omega, scale=scale, placements=placements)
 
 
 def pack(
@@ -298,14 +278,12 @@ def pack(
     n_scales: int = 64,
     min_dim: int = 1,
     padding: int = 0,
-    workers: int = 1,
 ) -> AtlasLayout:
     """Pack boxes at the largest feasible scale from a uniform candidate grid.
 
-    Candidates i/n_scales for i = 1..n_scales are evaluated independently
-    (optionally across worker threads); the accepted layout with the largest
-    candidate scale is returned. The selection depends only on the
-    accept/reject vector, so results are schedule-independent.
+    Candidates i/n_scales are tried from i = n_scales down to 1, and the
+    first accepted layout is returned: the one with the largest accepted
+    candidate scale.
 
     Raises PackFailure when every candidate rejects, including the case of
     a box still wider than the atlas at the smallest candidate scale.
@@ -331,15 +309,8 @@ def pack(
             f"the smallest candidate scale 1/{n_scales}"
         )
 
-    def attempt(i: int) -> AtlasLayout | None:
-        return _pack_arrays(ordered, tw, th, Fraction(i, n_scales), omega, min_dim, padding)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(attempt, range(1, n_scales + 1)))
-    else:
-        results = [attempt(i) for i in range(1, n_scales + 1)]
-    for layout in reversed(results):
+    for i in range(n_scales, 0, -1):
+        layout = _pack_arrays(ordered, tw, th, Fraction(i, n_scales), omega, min_dim, padding)
         if layout is not None:
             return layout
     raise PackFailure("every candidate scale was rejected")
@@ -348,18 +319,6 @@ def pack(
 def _scaled_dims(targets: np.ndarray, num: int, den: int, min_dim: int, padding: int) -> np.ndarray:
     scaled = -((-num * targets) // den)  # exact ceil(num * t / den)
     return np.maximum(scaled, min_dim) + 2 * padding
-
-
-def _snap_scale(num: int, den: int) -> tuple[int, int]:
-    """Round a corrected scale down onto a fixed dyadic grid.
-
-    Keeps numerators bounded so the vectorized int64 ceil division in
-    _scaled_dims cannot overflow, at the cost of shrinking the corrected
-    scale by less than 2^-24.
-    """
-    grid = 1 << _SCALE_GRID_BITS
-    snapped = Fraction((num * grid) // den, grid)
-    return snapped.numerator, snapped.denominator
 
 
 def _check_omega(omega: int) -> None:

@@ -132,18 +132,21 @@ def fold_line_reference(widths, omega: int):
     """Walk boxes along the folded line one at a time.
 
     Returns (rows, xs, m) like the prefix-sum fold, computed with a plain
-    running cursor and no bit tricks.
+    running cursor that starts a new row when the next box would cross the
+    atlas edge.
     """
     rows, xs = [], []
+    row = 0
     cursor = 0
     m = 0
     for w in widths:
-        row = cursor // omega
-        q = cursor - row * omega
-        x = q if row % 3 == 0 else omega - q - w
+        if cursor + w > omega:
+            row += 1
+            cursor = 0
+        x = cursor if row % 3 == 0 else omega - cursor - w
         rows.append(row)
         xs.append(x)
-        m = max(m, q + w - omega)
+        m = max(m, cursor + w - omega)
         cursor += w
     return np.array(rows), np.array(xs), max(0, m)
 

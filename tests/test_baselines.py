@@ -5,6 +5,7 @@ import pytest
 
 from atlaspack import (
     ChartBox,
+    PackFailure,
     SuperblockConfig,
     exhaustive_optimal,
     layout_digest,
@@ -70,6 +71,21 @@ class TestSequentialPack:
                 assert a.placements == b.placements
                 agreements += 1
         assert agreements > 20
+
+    def test_pack_matches_scale_search_on_random_sets(self):
+        for seed in range(200):
+            local = np.random.default_rng(seed)
+            omega = int(2 ** local.integers(5, 10))
+            boxes = generate_boxes(int(local.integers(1, 81)), omega, local)
+            try:
+                fast = layout_digest(pack(boxes, omega))
+            except PackFailure:
+                fast = None
+            try:
+                reference = layout_digest(sequential_scale_search(boxes, omega))
+            except PackFailure:
+                reference = None
+            assert fast == reference, f"seed {seed}, omega {omega}"
 
     def test_scale_search_returns_valid_layout(self):
         boxes = [box(100, 120, i) for i in range(6)]

@@ -151,6 +151,23 @@ class TestPackBoxesCommand:
         path.write_text("0 0 999999 999999\n")
         assert main(["pack-boxes", str(path), "--omega", "64"]) == EXIT_PACK_FAILURE
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--omega", "1000"],
+            ["--omega", "64", "--scales", "0"],
+            ["--omega", "64", "--packer", "superblock", "--block-size", "3"],
+        ],
+        ids=["omega", "scales", "block_size"],
+    )
+    def test_bad_flag_exits_1(self, tmp_path, capsys, flags):
+        path = tmp_path / "boxes.txt"
+        path.write_text("0 0 4 4\n")
+        assert main(["pack-boxes", str(path), *flags]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_identical_runs_identical_outputs(self, tmp_path, rng):
         path = tmp_path / "boxes.txt"
         write_box_file(generate_boxes(30, 256, rng), path)
@@ -228,6 +245,13 @@ class TestCompareCommand:
             return rows
 
         assert strip_wall(a) == strip_wall(b)
+
+    def test_bad_omega_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "boxes.txt"
+        path.write_text("0 0 4 4\n")
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", str(path), "--omega", "1000", "--out", str(out)]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_scene_input(self, tmp_path):
         scene = write_scene(tmp_path, TWO_QUADS_OBJ)

@@ -5,10 +5,10 @@ import pytest
 
 from atlaspack import (
     ChartBox,
+    FoldResult,
     HeightOverflow,
     OrientedBox,
     PackFailure,
-    correct_overflow,
     fold,
     layout_digest,
     orient,
@@ -78,10 +78,11 @@ class TestFold:
         assert list(f.row_direction_left) == [True, False]
 
     def test_overflow_is_recorded(self):
+        # the second box would cross the edge, so it starts a mirrored row
         f = fold([5, 5], 8)
-        assert list(f.row_of_box) == [0, 0]
-        assert list(f.x_of_box) == [0, 5]
-        assert f.overflow_m == 2
+        assert list(f.row_of_box) == [0, 1]
+        assert list(f.x_of_box) == [0, 3]
+        assert f.overflow_m == 0
 
     def test_single_full_width_box(self):
         f = fold([8], 8)
@@ -105,21 +106,16 @@ class TestFold:
             assert f.overflow_m == m
 
 
-class TestCorrectOverflow:
-    def test_no_overflow_keeps_scale(self):
-        assert correct_overflow(Fraction(3, 4), 0, 2048) == Fraction(3, 4)
-
-    def test_ratio_applied(self):
-        assert correct_overflow(Fraction(1), 512, 2048) == Fraction(2048, 2560)
-
-    def test_iterated_correction_terminates(self):
-        # pack_at_scale applies the correction at most eight times; a width
-        # that only fits after shrinking must still converge within that.
+class TestOversizedBox:
+    def test_wider_than_atlas_is_rejected_at_scale(self):
         boxes = order(orient([box(1000, 1000, 0)]))
-        layout = pack_at_scale(boxes, Fraction(1), 64)
-        assert layout is not None
-        assert layout.placements[0].w <= 64
-        assert layout.scale < Fraction(1)
+        assert pack_at_scale(boxes, Fraction(1), 64) is None
+
+    def test_pack_scans_down_to_first_fitting_scale(self):
+        # ceil(1000 * 4/64) = 63 fits in 64; ceil(1000 * 5/64) = 79 does not
+        layout = pack([box(1000, 1000, 0)], 64)
+        assert layout.scale == Fraction(1, 16)
+        assert layout.placements[0].w == 63
 
 
 class TestPushUp:
@@ -146,7 +142,12 @@ class TestPushUp:
         assert used == 10
 
     def test_rejects_overflowing_fold(self):
-        f = fold([5, 5], 8)
+        f = FoldResult(
+            row_of_box=np.array([0, 0]),
+            x_of_box=np.array([0, 5]),
+            row_direction_left=np.array([True]),
+            overflow_m=2,
+        )
         with pytest.raises(ValueError):
             push_up(f, [(5, 1), (5, 1)], 8)
 
@@ -225,14 +226,13 @@ class TestPack:
         with pytest.raises(ValueError):
             pack(boxes, 64)
 
-    def test_determinism_across_permutations_and_workers(self, rng):
+    def test_determinism_across_permutations(self, rng):
         boxes = generate_boxes(40, 128, np.random.default_rng(5))
         reference = layout_digest(pack(boxes, 128))
         for _ in range(5):
             shuffled = list(boxes)
             rng.shuffle(shuffled)
             assert layout_digest(pack(shuffled, 128)) == reference
-        assert layout_digest(pack(boxes, 128, workers=4)) == reference
 
     def test_random_layouts_valid_and_tight(self):
         for seed in range(40):
