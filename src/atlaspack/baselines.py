@@ -1,12 +1,11 @@
 """Reference and comparison packers.
 
-Three packers live here: a sequential row packer that places boxes one at a
+Two packers live here: a sequential row packer that places boxes one at a
 time and never overflows (it gives the same rows as the prefix-sum fold and
-serves as its per-box reference), a superblock grid packer in the style of
-earlier atlasing systems (boxes are capped to a fixed block size, allocated
-into power-of-two shelf rows inside a block grid, with block halving as a
-fallback), and an exhaustive optimal packer for tiny instances used as a
-test oracle.
+serves as its per-box reference), and a superblock grid packer in the style
+of earlier atlasing systems (boxes are capped to a fixed block size and
+allocated into power-of-two shelf rows inside a block grid, halving the
+block size when they do not fit).
 """
 
 from __future__ import annotations
@@ -33,18 +32,6 @@ from .packing import (
 )
 
 SUPERBLOCK_FLOOR = 16
-
-
-@dataclass(frozen=True)
-class SuperblockConfig:
-    """Block size for grid allocation, plus the halving fallback switch."""
-
-    block_size: int
-    halving_enabled: bool = True
-
-    def __post_init__(self):
-        if self.block_size < 1 or (self.block_size & (self.block_size - 1)) != 0:
-            raise ValueError("block_size must be a power of two")
 
 
 @dataclass(frozen=True)
@@ -187,7 +174,7 @@ def _next_pow2(v: int) -> int:
 
 
 def superblock_pack(
-    boxes: Sequence[ChartBox], omega: int, cfg: SuperblockConfig
+    boxes: Sequence[ChartBox], omega: int, block_size: int
 ) -> SuperblockLayout | None:
     """Allocate boxes into a grid of fixed-size superblocks.
 
@@ -195,29 +182,27 @@ def superblock_pack(
     (the per-box downscale is visible in the placement target vs placed
     dimensions). Inside each block, boxes go first-fit onto shelf rows of
     power-of-two height, scanning blocks in row-major order. If any box
-    cannot be placed and halving is enabled, the whole allocation restarts
-    at half the block size, down to a 16-texel floor; otherwise None.
+    cannot be placed, the whole allocation restarts at half the block
+    size; below the SUPERBLOCK_FLOOR block size it gives up with None.
     """
     _check_omega(omega)
-    if cfg.block_size > omega:
+    if block_size < 1 or (block_size & (block_size - 1)) != 0:
+        raise ValueError("block_size must be a power of two")
+    if block_size > omega:
         raise ValueError("block_size must not exceed omega")
-    if omega % cfg.block_size != 0:
-        raise ValueError("omega must be divisible by block_size")
     box_list = order(orient(list(boxes)))
-    block = cfg.block_size
     while True:
-        result = _try_superblock(box_list, omega, block)
+        result = _try_superblock(box_list, omega, block_size)
         if result is not None:
             return SuperblockLayout(
                 omega=omega,
                 scale=_min_box_scale(result),
                 placements=result,
-                block_size=block,
+                block_size=block_size,
             )
-        if cfg.halving_enabled and block // 2 >= SUPERBLOCK_FLOOR:
-            block //= 2
-            continue
-        return None
+        if block_size // 2 < SUPERBLOCK_FLOOR:
+            return None
+        block_size //= 2
 
 
 def _try_superblock(
@@ -261,86 +246,3 @@ def _min_box_scale(placements: Sequence[Placement]) -> Fraction:
         tw = p.target_h if p.rotated else p.target_w
         worst = min(worst, Fraction(p.w, tw))
     return worst
-
-
-# --- exhaustive optimal (tiny instances) ------------------------------------
-
-
-def exhaustive_optimal(
-    boxes: Sequence[ChartBox],
-    omega: int,
-    candidate_scales: Sequence[Fraction],
-    max_boxes: int = 6,
-    max_omega: int = 32,
-) -> Fraction | None:
-    """Exact best candidate scale for which any placement exists.
-
-    Feasibility is checked by exhaustive backtracking over corner-anchored
-    positions with optional 90-degree rotation per box; shrinking every box
-    keeps a feasible placement feasible, so candidates are scanned in
-    descending order and the first feasible one is exact. Instances are
-    limited to ``max_boxes`` boxes and ``max_omega`` atlas size. Returns
-    None when no candidate is feasible.
-    """
-    _check_omega(omega)
-    box_list = list(boxes)
-    if len(box_list) > max_boxes:
-        raise ValueError(f"exhaustive search limited to {max_boxes} boxes")
-    if omega > max_omega:
-        raise ValueError(f"exhaustive search limited to omega <= {max_omega}")
-    if not box_list:
-        return max(candidate_scales, default=None)
-    targets = [(b.target_w, b.target_h) for b in box_list]
-    for s in sorted(set(candidate_scales), reverse=True):
-        dims = [
-            (max(1, -((-w * s.numerator) // s.denominator)),
-             max(1, -((-h * s.numerator) // s.denominator)))
-            for w, h in targets
-        ]
-        if _placement_exists(dims, omega):
-            return s
-    return None
-
-
-def _placement_exists(dims: list[tuple[int, int]], omega: int) -> bool:
-    if sum(w * h for w, h in dims) > omega * omega:
-        return False
-    # Largest-area first cuts the search fast on infeasible instances.
-    dims = sorted(dims, key=lambda d: (-d[0] * d[1], -max(d), d))
-    # Any feasible packing can be slid left/down until every box rests on
-    # the atlas edge or another box, so coordinates can be restricted to
-    # subset sums of box extents ("normal patterns"); rotation makes both
-    # extents of every box eligible contributors.
-    sums = {0}
-    for w, h in dims:
-        sums |= {s + d for s in sums for d in (w, h) if s + d < omega}
-    coords = sorted(sums)
-    placed: list[tuple[int, int, int, int]] = []
-
-    def overlaps(x: int, y: int, w: int, h: int) -> bool:
-        for px, py, pw, ph in placed:
-            if x < px + pw and px < x + w and y < py + ph and py < y + h:
-                return True
-        return False
-
-    def rec(i: int) -> bool:
-        if i == len(dims):
-            return True
-        w0, h0 = dims[i]
-        orientations = ((w0, h0),) if w0 == h0 else ((w0, h0), (h0, w0))
-        for w, h in orientations:
-            for x in coords:
-                if x + w > omega:
-                    break
-                for y in coords:
-                    if y + h > omega:
-                        break
-                    if overlaps(x, y, w, h):
-                        continue
-                    placed.append((x, y, w, h))
-                    if rec(i + 1):
-                        return True
-                    placed.pop()
-        return False
-
-    return rec(0)

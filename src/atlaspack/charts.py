@@ -13,12 +13,12 @@ keeps the visibility predicate self-consistent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraFrame, W_EPSILON
+from .geometry import FRUSTUM_PLANES, W_EPSILON, CameraFrame, clip_halfspace, plane_distances
 
 # Depth comparison slack, relative to the unit NDC depth range. The two
 # passes share all arithmetic, so any value >= 0 gives identical results;
@@ -81,7 +81,10 @@ def load_obj(path) -> Mesh:
     """Load positions and faces from a Wavefront OBJ file.
 
     Polygons are fan-triangulated; normals, texture coordinates, and
-    materials are ignored. Negative (relative) indices are supported.
+    materials are ignored. Negative (relative) indices are supported. A
+    non-numeric or non-finite coordinate, a non-numeric face index, and a
+    face index of 0 or past the vertices read so far raise ValueError
+    naming the file and line.
     """
     positions: list[list[float]] = []
     faces: list[tuple[int, int, int]] = []
@@ -94,12 +97,28 @@ def load_obj(path) -> Mesh:
             if parts[0] == "v":
                 if len(parts) < 4:
                     raise ValueError(f"{path}:{lineno}: vertex needs 3 coordinates")
-                positions.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                try:
+                    x, y, z = float(parts[1]), float(parts[2]), float(parts[3])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: vertex coordinates must be numbers"
+                    ) from None
+                if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                    raise ValueError(f"{path}:{lineno}: vertex coordinates must be finite")
+                positions.append([x, y, z])
             elif parts[0] == "f":
+                n = len(positions)
                 idx = []
                 for token in parts[1:]:
-                    i = int(token.split("/", 1)[0])
-                    idx.append(i - 1 if i > 0 else len(positions) + i)
+                    try:
+                        i = int(token.split("/", 1)[0])
+                    except ValueError:
+                        raise ValueError(f"{path}:{lineno}: bad face index '{token}'") from None
+                    if i == 0 or not -n <= i <= n:
+                        raise ValueError(
+                            f"{path}:{lineno}: face index {i} out of range for {n} vertices"
+                        )
+                    idx.append(i - 1 if i > 0 else n + i)
                 if len(idx) < 3:
                     raise ValueError(f"{path}:{lineno}: face needs >= 3 vertices")
                 for k in range(1, len(idx) - 1):
@@ -119,10 +138,6 @@ class VisibilityBuffer:
 
     def __post_init__(self):
         self.flags = np.asarray(self.flags, dtype=bool)
-
-    @property
-    def visible_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.flags)
 
 
 @dataclass
@@ -147,16 +162,6 @@ class ChartSet:
 
 # --- rasterization ---------------------------------------------------------
 
-_FRUSTUM_PLANES = (
-    (0, 1.0),   # w + x >= 0   (left)
-    (0, -1.0),  # w - x >= 0   (right)
-    (1, 1.0),   # w + y >= 0   (bottom)
-    (1, -1.0),  # w - y >= 0   (top)
-    (2, 1.0),   # w + z >= 0   (near)
-    (2, -1.0),  # w - z >= 0   (far)
-)
-
-
 def _clip_triangle_frustum(clip: np.ndarray) -> np.ndarray:
     """Sutherland-Hodgman clip of one homogeneous triangle to the frustum."""
     poly = clip
@@ -164,29 +169,16 @@ def _clip_triangle_frustum(clip: np.ndarray) -> np.ndarray:
     if not np.any(d > 0):
         return np.empty((0, 4))
     if np.any(d <= 0):
-        poly = _clip_halfspace(poly, d)
-    for axis, sign in _FRUSTUM_PLANES:
+        poly = clip_halfspace(poly, d, d >= 0)
+    for plane in FRUSTUM_PLANES:
         if len(poly) == 0:
             break
-        d = poly[:, 3] + sign * poly[:, axis]
-        if np.all(d >= 0):
+        d = plane_distances(poly, plane)
+        keep = d >= 0
+        if np.all(keep):
             continue
-        poly = _clip_halfspace(poly, d)
+        poly = clip_halfspace(poly, d, keep)
     return poly
-
-
-def _clip_halfspace(poly: np.ndarray, d: np.ndarray) -> np.ndarray:
-    out = []
-    n = len(poly)
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        da, db = d[i], d[(i + 1) % n]
-        if da >= 0:
-            out.append(a)
-        if (da >= 0) != (db >= 0):
-            t = da / (da - db)
-            out.append(a + t * (b - a))
-    return np.array(out).reshape(-1, 4)
 
 
 def _polygon_to_screen(poly: np.ndarray, width: int, height: int) -> np.ndarray:

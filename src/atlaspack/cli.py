@@ -32,7 +32,6 @@ import numpy as np
 from . import __version__
 from .baselines import (
     SUPERBLOCK_FLOOR,
-    SuperblockConfig,
     SuperblockLayout,
     sequential_scale_search,
     superblock_pack,
@@ -62,7 +61,7 @@ from .metrics import (
     packing_efficiency,
     scene_stretch,
 )
-from .packing import AtlasLayout, ChartBox, PackFailure, Placement, pack
+from .packing import AtlasLayout, ChartBox, PackFailure, Placement, _check_omega, pack
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -163,8 +162,12 @@ def write_layout_file(layout: AtlasLayout, path) -> None:
 
 
 def parse_layout_file(path) -> AtlasLayout:
+    """Read a layout file, checking omega, containment, count and digest.
+
+    Raises InputError naming the file (and line, for a placement).
+    """
     header: dict[str, str] = {}
-    placements: list[Placement] = []
+    placements: list[tuple[int, Placement]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -180,24 +183,29 @@ def parse_layout_file(path) -> AtlasLayout:
                 cid, x, y, w, h, rot, tw, th = (int(p) for p in parts)
             except ValueError:
                 raise InputError(f"{path}:{lineno}: placement fields must be integers") from None
-            placements.append(
-                Placement(
-                    chart_id=cid, x=x, y=y, w=w, h=h, rotated=bool(rot), target_w=tw, target_h=th
-                )
+            placement = Placement(
+                chart_id=cid, x=x, y=y, w=w, h=h, rotated=bool(rot), target_w=tw, target_h=th
             )
+            placements.append((lineno, placement))
     for key in ("omega", "scale", "count"):
         if key not in header:
             raise InputError(f"{path}: missing header key '{key}'")
-    if len(placements) != int(header["count"]):
-        raise InputError(
-            f"{path}: count says {header['count']} placements, found {len(placements)}"
-        )
-    num, _, den = header["scale"].partition("/")
-    layout = AtlasLayout(
-        omega=int(header["omega"]),
-        scale=Fraction(int(num), int(den or "1")),
-        placements=tuple(placements),
-    )
+    try:
+        omega = int(header["omega"])
+        _check_omega(omega)
+        scale = Fraction(header["scale"])
+        count = int(header["count"])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{path}: bad header value: {exc}") from None
+    for lineno, p in placements:
+        if min(p.x, p.y) < 0 or min(p.w, p.h) < 1 or max(p.x + p.w, p.y + p.h) > omega:
+            raise InputError(
+                f"{path}:{lineno}: placement {p.w}x{p.h} at ({p.x}, {p.y}) is not "
+                f"inside [0, {omega}]^2"
+            )
+    if len(placements) != count:
+        raise InputError(f"{path}: count says {count} placements, found {len(placements)}")
+    layout = AtlasLayout(omega=omega, scale=scale, placements=tuple(p for _, p in placements))
     if "digest" in header and layout_digest(layout).digest != header["digest"]:
         raise InputError(f"{path}: digest mismatch, file corrupted or edited")
     return layout
@@ -239,6 +247,26 @@ class SceneConfig:
         )
 
 
+# Scene file key -> (SceneConfig field, value count, converter), in the
+# order the values are converted.
+_SCENE_KEYS = {
+    "fov_y": ("fov_y_deg", 1, float),
+    "aspect": ("aspect", 1, float),
+    "near": ("near", 1, float),
+    "far": ("far", 1, float),
+    "position": ("position", 3, float),
+    "look_at": ("look_at", 3, float),
+    "up": ("up", 3, float),
+    "screen": ("screen", 2, int),
+    "omega": ("omega", 1, int),
+    "scales": ("n_scales", 1, int),
+    "min_dim": ("min_dim", 1, int),
+    "padding": ("padding", 1, int),
+    "backface_cull": ("backface_cull", 1, lambda v: v.lower() in ("1", "true", "yes", "on")),
+    "prescale": ("prescale", 1, float),
+}
+
+
 def parse_scene_config(path) -> SceneConfig:
     """Key-value scene file; unknown keys are rejected with their line."""
     path = Path(path)
@@ -255,52 +283,26 @@ def parse_scene_config(path) -> SceneConfig:
                 raise InputError(f"{path}:{lineno}: duplicate key '{key}'")
             values[key] = rest
 
-    def take(key, n, conv):
+    if "mesh" not in values:
+        raise InputError(f"{path}: missing required key 'mesh'")
+    cfg = SceneConfig(mesh_path=(path.parent / values.pop("mesh")[0]).resolve())
+    for key, (name, n, conv) in _SCENE_KEYS.items():
+        if key not in values:
+            continue
         rest = values.pop(key)
         if len(rest) != n:
             raise InputError(f"{path}: key '{key}' expects {n} values")
-        out = tuple(conv(v) for v in rest)
-        return out[0] if n == 1 else out
-
-    try:
-        if "mesh" not in values:
-            raise InputError(f"{path}: missing required key 'mesh'")
-        mesh_rel = values.pop("mesh")[0]
-        cfg = SceneConfig(mesh_path=(path.parent / mesh_rel).resolve())
-        if "fov_y" in values:
-            cfg.fov_y_deg = take("fov_y", 1, float)
-        if "aspect" in values:
-            cfg.aspect = take("aspect", 1, float)
-        if "near" in values:
-            cfg.near = take("near", 1, float)
-        if "far" in values:
-            cfg.far = take("far", 1, float)
-        if "position" in values:
-            cfg.position = take("position", 3, float)
-        if "look_at" in values:
-            cfg.look_at = take("look_at", 3, float)
-        if "up" in values:
-            cfg.up = take("up", 3, float)
-        if "screen" in values:
-            cfg.screen = take("screen", 2, int)
-        if "omega" in values:
-            cfg.omega = take("omega", 1, int)
-        if "scales" in values:
-            cfg.n_scales = take("scales", 1, int)
-        if "min_dim" in values:
-            cfg.min_dim = take("min_dim", 1, int)
-        if "padding" in values:
-            cfg.padding = take("padding", 1, int)
-        if "backface_cull" in values:
-            cfg.backface_cull = take("backface_cull", 1, str).lower() in ("1", "true", "yes", "on")
-        if "prescale" in values:
-            cfg.prescale = take("prescale", 1, float)
-    except (ValueError, KeyError) as exc:
-        raise InputError(f"{path}: {exc}") from None
+        try:
+            out = tuple(conv(v) for v in rest)
+        except ValueError as exc:
+            raise InputError(f"{path}: {exc}") from None
+        setattr(cfg, name, out[0] if n == 1 else out)
     if values:
         raise InputError(f"{path}: unknown keys: {', '.join(sorted(values))}")
-    if cfg.omega & (cfg.omega - 1) or cfg.omega < 1:
-        raise InputError(f"{path}: omega must be a power of two")
+    try:
+        _check_omega(cfg.omega)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
     if cfg.screen[0] < 1 or cfg.screen[1] < 1:
         raise InputError(f"{path}: screen must be at least 1x1")
     if not cfg.near < cfg.far:
@@ -329,8 +331,7 @@ def make_packer(
     if name == "superblock":
 
         def run(boxes, omega):
-            cfg = SuperblockConfig(block_size=block_size or default_block_size(omega))
-            layout = superblock_pack(boxes, omega, cfg)
+            layout = superblock_pack(boxes, omega, block_size or default_block_size(omega))
             if layout is None:
                 raise PackFailure("superblock allocation failed at the halving floor")
             return layout

@@ -1,45 +1,43 @@
-"""Homogeneous projection, single-plane clipping, and conservative NDC boxes.
+"""Homogeneous projection, frustum-plane clipping, and conservative NDC boxes.
 
 Conventions: right-handed view space looking down -z, NDC z in [-1, 1].
-All clipping here happens in homogeneous clip space, before the perspective
+All clipping happens in homogeneous clip space, before the perspective
 divide; interpolation is linear in (x, y, z, w). A vertex counts as being in
 front of the camera iff w > W_EPSILON, which sidesteps division instability
 at w == 0.
+
+``clip_halfspace`` is the one Sutherland-Hodgman step of the package and
+``FRUSTUM_PLANES`` its one plane table: the rasterizer clips each triangle
+against all six planes with them, and ``chart_bbox`` clips against the near
+plane or one side plane. Each caller passes its own boundary rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 # Vertices with w at or below this are treated as behind the camera plane.
 W_EPSILON = 1e-9
 
+# Plane name -> (axis, sign): the plane keeps w + sign * v[axis] >= 0.
+FRUSTUM_PLANES = {
+    "left": (0, 1.0),
+    "right": (0, -1.0),
+    "bottom": (1, 1.0),
+    "top": (1, -1.0),
+    "near": (2, 1.0),
+    "far": (2, -1.0),
+}
+
 SIDE_PLANES = ("left", "right", "bottom", "top")
 
 
-class GeometryError(Exception):
-    pass
-
-
-class AllClipped(GeometryError):
-    """No vertex of the triangle passes the near half-space test."""
-
-
-class DegenerateChart(GeometryError):
+class DegenerateChart(Exception):
     """No triangle of the chart survives clipping."""
-
-
-class HPoint(NamedTuple):
-    """Homogeneous clip-space coordinates (post-projection, pre-divide)."""
-
-    x: float
-    y: float
-    z: float
-    w: float
 
 
 @dataclass
@@ -141,39 +139,6 @@ class NdcBox:
     def area(self) -> float:
         return (self.max_x - self.min_x) * (self.max_y - self.min_y)
 
-    def contains(self, other: "NdcBox", tol: float = 0.0) -> bool:
-        return (
-            self.min_x <= other.min_x + tol
-            and self.min_y <= other.min_y + tol
-            and self.max_x >= other.max_x - tol
-            and self.max_y >= other.max_y - tol
-        )
-
-
-@dataclass(frozen=True)
-class ClipPolygon:
-    """Convex polygon produced by clipping a triangle against one plane."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] != 4 or v.shape[0] not in (3, 4):
-            raise ValueError("ClipPolygon holds 3 or 4 homogeneous vertices")
-        object.__setattr__(self, "vertices", v)
-
-    def __len__(self) -> int:
-        return self.vertices.shape[0]
-
-
-def project_vertex(p: Sequence[float], cam: CameraFrame) -> HPoint:
-    """Project a world point to homogeneous clip space (no divide)."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (3,) or not np.all(np.isfinite(p)):
-        raise ValueError("expected a finite 3D point")
-    h = cam.view_proj @ np.array([p[0], p[1], p[2], 1.0])
-    return HPoint(h[0], h[1], h[2], h[3])
-
 
 def blinn_clamped_ndc(p) -> tuple[float, float]:
     """Clamp a clip-space vertex to the screen square and divide.
@@ -193,51 +158,31 @@ def blinn_clamped_ndc(p) -> tuple[float, float]:
     return cx, cy
 
 
-def _clip_poly_halfspace(vertices: np.ndarray, dists: np.ndarray) -> np.ndarray:
+def plane_distances(v: np.ndarray, plane: str) -> np.ndarray:
+    """Signed distance w + sign * v[axis] of each homogeneous vertex to a plane."""
+    axis, sign = FRUSTUM_PLANES[plane]
+    return v[:, 3] + sign * v[:, axis]
+
+
+def clip_halfspace(vertices: np.ndarray, d: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Clip a convex homogeneous polygon against one half-space.
 
-    ``dists`` holds the signed distance of each vertex; points with d > 0
-    are kept and crossing edges get a vertex interpolated at d == 0.
-    Returns an (m, 4) array, possibly empty.
+    ``d`` holds the signed distance of each vertex and ``keep`` the
+    caller's boundary rule on it (``d > 0`` or ``d >= 0``). Kept vertices
+    stay; each edge between a kept and a dropped vertex gets a vertex
+    interpolated at d == 0. Returns an (m, 4) array, possibly empty.
     """
     n = len(vertices)
     out: list[np.ndarray] = []
     for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        da, db = dists[i], dists[(i + 1) % n]
-        if da > 0:
+        j = (i + 1) % n
+        a = vertices[i]
+        if keep[i]:
             out.append(a)
-        if (da > 0) != (db > 0):
-            t = da / (da - db)
-            out.append(a + t * (b - a))
+        if keep[i] != keep[j]:
+            t = d[i] / (d[i] - d[j])
+            out.append(a + t * (vertices[j] - a))
     return np.array(out, dtype=np.float64).reshape(-1, 4)
-
-
-def clip_near(tri) -> ClipPolygon:
-    """Clip a homogeneous triangle against the near half-space w > W_EPSILON.
-
-    Returns the triangle unchanged when all vertices pass; otherwise the 3-
-    or 4-vertex intersection polygon with vertices interpolated linearly in
-    homogeneous coordinates. Raises AllClipped when no vertex passes.
-    """
-    v = np.asarray(tri, dtype=np.float64).reshape(3, 4)
-    d = v[:, 3] - W_EPSILON
-    if np.all(d > 0):
-        return ClipPolygon(v)
-    if not np.any(d > 0):
-        raise AllClipped("triangle lies entirely behind the camera")
-    return ClipPolygon(_clip_poly_halfspace(v, d))
-
-
-def _side_plane_distances(v: np.ndarray, plane: str) -> np.ndarray:
-    x, y, w = v[:, 0], v[:, 1], v[:, 3]
-    if plane == "left":
-        return w + x
-    if plane == "right":
-        return w - x
-    if plane == "bottom":
-        return w + y
-    return w - y  # top
 
 
 def _blinn_box_of(vertices: np.ndarray) -> NdcBox:
@@ -259,10 +204,10 @@ def select_side_plane(tri) -> str | None:
     best: tuple[float, int] | None = None
     best_plane: str | None = None
     for idx, plane in enumerate(SIDE_PLANES):
-        d = _side_plane_distances(v, plane)
+        d = plane_distances(v, plane)
         if not (np.any(d > 0) and np.any(d < 0)):
             continue
-        clipped = _clip_poly_halfspace(v, d)
+        clipped = clip_halfspace(v, d, d > 0)
         area = _blinn_box_of(clipped).area
         key = (area, idx)
         if best is None or key < best:
@@ -298,9 +243,10 @@ def chart_bbox(triangles, cam: CameraFrame) -> NdcBox:
             if plane is None:
                 poly = clip
             else:
-                poly = _clip_poly_halfspace(clip, _side_plane_distances(clip, plane))
+                d = plane_distances(clip, plane)
+                poly = clip_halfspace(clip, d, d > 0)
         elif np.any(d > 0):
-            poly = _clip_poly_halfspace(clip, d)
+            poly = clip_halfspace(clip, d, d > 0)
         else:
             continue
         survived = True
@@ -312,33 +258,6 @@ def chart_bbox(triangles, cam: CameraFrame) -> NdcBox:
             max_y = max(max_y, cy)
     if not survived:
         raise DegenerateChart("no triangle survives clipping")
-    return NdcBox(min_x, min_y, max_x, max_y)
-
-
-def conservative_blinn_box(triangles, cam: CameraFrame) -> NdcBox:
-    """Clamp-only reference box: no clipping at all.
-
-    Vertices behind the camera plane (w <= W_EPSILON) may wrap around the
-    screen in any direction, so the only clamp-only bound that still covers
-    the visible extent is the full square; such vertices expand the box to
-    [-1, 1]^2. Used as the no-clip baseline when measuring how much the
-    clipping passes tighten chart boxes.
-    """
-    tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 3)
-    min_x = min_y = math.inf
-    max_x = max_y = -math.inf
-    for tri in tris:
-        clip = np.hstack([tri, np.ones((3, 1))]) @ cam.view_proj.T
-        for v in clip:
-            if v[3] <= W_EPSILON:
-                return NdcBox(-1.0, -1.0, 1.0, 1.0)
-            cx, cy = blinn_clamped_ndc(v)
-            min_x = min(min_x, cx)
-            min_y = min(min_y, cy)
-            max_x = max(max_x, cx)
-            max_y = max(max_y, cy)
-    if not math.isfinite(min_x):
-        raise DegenerateChart("chart has no triangles")
     return NdcBox(min_x, min_y, max_x, max_y)
 
 

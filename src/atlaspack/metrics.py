@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class NoValidTriangles(MetricsError):
 class StretchReport:
     l2: float
     linf: float
-    per_triangle: tuple[tuple[float, float], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def _screen_area(tri: np.ndarray) -> float:
     return abs(e1[0] * e2[1] - e1[1] * e2[0]) / 2.0
 
 
-def scene_stretch(pairs: Iterable[tuple], keep_per_triangle: bool = False) -> StretchReport:
+def scene_stretch(pairs: Iterable[tuple]) -> StretchReport:
     """Aggregate stretch over (screen_tri, atlas_tri) pairs.
 
     L2 is weighted by screen-space triangle area; Linf is the maximum
@@ -91,7 +90,6 @@ def scene_stretch(pairs: Iterable[tuple], keep_per_triangle: bool = False) -> St
     weighted = 0.0
     total_area = 0.0
     linf = 0.0
-    per: list[tuple[float, float]] = []
     valid = 0
     for screen_tri, atlas_tri in pairs:
         try:
@@ -103,28 +101,10 @@ def scene_stretch(pairs: Iterable[tuple], keep_per_triangle: bool = False) -> St
         weighted += area * (big * big + small * small) / 2.0
         total_area += area
         linf = max(linf, big)
-        if keep_per_triangle:
-            per.append((big, small))
     if valid == 0:
         raise NoValidTriangles("no valid triangle pairs")
     l2 = float(np.sqrt(weighted / total_area)) if total_area > 0 else 0.0
-    return StretchReport(l2=l2, linf=linf, per_triangle=tuple(per) if keep_per_triangle else None)
-
-
-def effective_shading_rate(
-    layout: AtlasLayout, screen_fragments: int, texels_read: int | None = None
-) -> float:
-    """Texels consumed per shaded screen fragment.
-
-    When ``texels_read`` is omitted, the texel count defaults to the summed
-    placement areas of the layout. Raises MetricsError for a frame with no
-    visible fragments, where the ratio is undefined.
-    """
-    if screen_fragments <= 0:
-        raise MetricsError("effective shading rate undefined: no visible fragments")
-    if texels_read is None:
-        texels_read = sum(p.w * p.h for p in layout.placements)
-    return texels_read / float(screen_fragments)
+    return StretchReport(l2=l2, linf=linf)
 
 
 def layout_digest(layout: AtlasLayout) -> LayoutDigest:

@@ -24,6 +24,9 @@ import numpy as np
 # Structural cap on box dimensions; keeps 64-bit prefix sums safe.
 MAX_BOX_DIM = 1 << 23
 
+# Largest atlas side; push_up allocates omega + 1 frontline columns.
+MAX_OMEGA = 1 << 16
+
 # Row direction pattern: one left-starting row, then two right-starting.
 _DIRECTION_PERIOD = 3
 
@@ -111,16 +114,16 @@ def orient(boxes: Iterable[ChartBox]) -> list[OrientedBox]:
     return out
 
 
-def order(boxes: Sequence[OrientedBox], max_h: int = MAX_BOX_DIM) -> list[OrientedBox]:
+def order(boxes: Sequence[OrientedBox]) -> list[OrientedBox]:
     """Sort boxes by height descending, owning-triangle index ascending.
 
     The key depends only on box content, so any permutation of the same
     multiset yields the identical sequence. Raises HeightOverflow when a
-    box exceeds ``max_h``.
+    box is taller than MAX_BOX_DIM.
     """
     for b in boxes:
-        if b.h > max_h:
-            raise HeightOverflow(f"box height {b.h} exceeds capacity {max_h}")
+        if b.h > MAX_BOX_DIM:
+            raise HeightOverflow(f"box height {b.h} exceeds capacity {MAX_BOX_DIM}")
     return sorted(boxes, key=lambda b: (-b.h, b.source.min_tri))
 
 
@@ -322,5 +325,5 @@ def _scaled_dims(targets: np.ndarray, num: int, den: int, min_dim: int, padding:
 
 
 def _check_omega(omega: int) -> None:
-    if omega < 1 or (omega & (omega - 1)) != 0:
-        raise ValueError("omega must be a power of two >= 1")
+    if not 1 <= omega <= MAX_OMEGA or (omega & (omega - 1)) != 0:
+        raise ValueError(f"omega must be a power of two in [1, {MAX_OMEGA}], got {omega}")

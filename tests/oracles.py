@@ -1,19 +1,26 @@
 """Independent reference implementations used to check the library.
 
 Everything here deliberately avoids the code paths under test: the frustum
-clipper is a plain Sutherland-Hodgman loop over all six planes, components
-come from breadth-first search, the fold reference walks boxes one at a
-time along the folded line, and layout validity is checked by occupancy
-grids or pairwise interval arithmetic.
+clipper is a plain Sutherland-Hodgman loop over all six planes, the
+clamp-only box skips clipping altogether, components come from
+breadth-first search, the fold reference walks boxes one at a time along
+the folded line, the exhaustive packer backtracks over every placement of
+a tiny instance, and layout validity is checked by occupancy grids or
+pairwise interval arithmetic. Only tests call this code, so it lives here
+rather than in the package.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from atlaspack import AtlasLayout, Mesh, NdcBox
+from atlaspack import AtlasLayout, ChartBox, DegenerateChart, Mesh, NdcBox, blinn_clamped_ndc
+from atlaspack.geometry import W_EPSILON
 
 _PLANES = (
     (0, 1.0),
@@ -70,6 +77,42 @@ def chart_frustum_box(world_tris: np.ndarray, cam) -> NdcBox | None:
         max(b.max_x for b in boxes),
         max(b.max_y for b in boxes),
     )
+
+
+def box_contains(outer: NdcBox, inner: NdcBox, tol: float = 0.0) -> bool:
+    return (
+        outer.min_x <= inner.min_x + tol
+        and outer.min_y <= inner.min_y + tol
+        and outer.max_x >= inner.max_x - tol
+        and outer.max_y >= inner.max_y - tol
+    )
+
+
+def conservative_blinn_box(triangles, cam) -> NdcBox:
+    """Clamp-only reference box: no clipping at all.
+
+    Vertices behind the camera plane (w <= W_EPSILON) may wrap around the
+    screen in any direction, so the only clamp-only bound that still covers
+    the visible extent is the full square; such vertices expand the box to
+    [-1, 1]^2. The no-clip baseline that the clipped chart boxes must never
+    be larger than.
+    """
+    tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 3)
+    min_x = min_y = math.inf
+    max_x = max_y = -math.inf
+    for tri in tris:
+        clip = np.hstack([tri, np.ones((3, 1))]) @ cam.view_proj.T
+        for v in clip:
+            if v[3] <= W_EPSILON:
+                return NdcBox(-1.0, -1.0, 1.0, 1.0)
+            cx, cy = blinn_clamped_ndc(v)
+            min_x = min(min_x, cx)
+            min_y = min(min_y, cy)
+            max_x = max(max_x, cx)
+            max_y = max(max_y, cy)
+    if not math.isfinite(min_x):
+        raise DegenerateChart("chart has no triangles")
+    return NdcBox(min_x, min_y, max_x, max_y)
 
 
 def bfs_chart_labels(mesh: Mesh, flags: np.ndarray) -> np.ndarray:
@@ -149,6 +192,85 @@ def fold_line_reference(widths, omega: int):
         m = max(m, cursor + w - omega)
         cursor += w
     return np.array(rows), np.array(xs), max(0, m)
+
+
+def exhaustive_optimal(
+    boxes: Sequence[ChartBox],
+    omega: int,
+    candidate_scales: Sequence[Fraction],
+    max_boxes: int = 6,
+    max_omega: int = 32,
+) -> Fraction | None:
+    """Exact best candidate scale for which any placement exists.
+
+    Feasibility is checked by exhaustive backtracking over corner-anchored
+    positions with optional 90-degree rotation per box; shrinking every box
+    keeps a feasible placement feasible, so candidates are scanned in
+    descending order and the first feasible one is exact. Instances are
+    limited to ``max_boxes`` boxes and ``max_omega`` atlas size. Returns
+    None when no candidate is feasible.
+    """
+    box_list = list(boxes)
+    if len(box_list) > max_boxes:
+        raise ValueError(f"exhaustive search limited to {max_boxes} boxes")
+    if omega > max_omega:
+        raise ValueError(f"exhaustive search limited to omega <= {max_omega}")
+    if not box_list:
+        return max(candidate_scales, default=None)
+    targets = [(b.target_w, b.target_h) for b in box_list]
+    for s in sorted(set(candidate_scales), reverse=True):
+        dims = [
+            (max(1, -((-w * s.numerator) // s.denominator)),
+             max(1, -((-h * s.numerator) // s.denominator)))
+            for w, h in targets
+        ]
+        if _placement_exists(dims, omega):
+            return s
+    return None
+
+
+def _placement_exists(dims: list[tuple[int, int]], omega: int) -> bool:
+    if sum(w * h for w, h in dims) > omega * omega:
+        return False
+    # Largest-area first cuts the search fast on infeasible instances.
+    dims = sorted(dims, key=lambda d: (-d[0] * d[1], -max(d), d))
+    # Any feasible packing can be slid left/down until every box rests on
+    # the atlas edge or another box, so coordinates can be restricted to
+    # subset sums of box extents ("normal patterns"); rotation makes both
+    # extents of every box eligible contributors.
+    sums = {0}
+    for w, h in dims:
+        sums |= {s + d for s in sums for d in (w, h) if s + d < omega}
+    coords = sorted(sums)
+    placed: list[tuple[int, int, int, int]] = []
+
+    def overlaps(x: int, y: int, w: int, h: int) -> bool:
+        for px, py, pw, ph in placed:
+            if x < px + pw and px < x + w and y < py + ph and py < y + h:
+                return True
+        return False
+
+    def rec(i: int) -> bool:
+        if i == len(dims):
+            return True
+        w0, h0 = dims[i]
+        orientations = ((w0, h0),) if w0 == h0 else ((w0, h0), (h0, w0))
+        for w, h in orientations:
+            for x in coords:
+                if x + w > omega:
+                    break
+                for y in coords:
+                    if y + h > omega:
+                        break
+                    if overlaps(x, y, w, h):
+                        continue
+                    placed.append((x, y, w, h))
+                    if rec(i + 1):
+                        return True
+                    placed.pop()
+        return False
+
+    return rec(0)
 
 
 def layout_valid(layout: AtlasLayout, grid_limit: int = 256) -> bool:

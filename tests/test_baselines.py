@@ -6,8 +6,6 @@ import pytest
 from atlaspack import (
     ChartBox,
     PackFailure,
-    SuperblockConfig,
-    exhaustive_optimal,
     layout_digest,
     orient,
     order,
@@ -21,7 +19,7 @@ from atlaspack import (
 )
 from atlaspack.cli import generate_boxes
 
-from oracles import layout_valid
+from oracles import exhaustive_optimal, layout_valid
 
 
 def box(w, h, ident):
@@ -97,7 +95,7 @@ class TestSequentialPack:
 class TestSuperblockPack:
     def test_small_boxes_placed_unscaled(self):
         boxes = [box(10, 12, i) for i in range(5)]
-        layout = superblock_pack(boxes, 256, SuperblockConfig(block_size=32))
+        layout = superblock_pack(boxes, 256, 32)
         assert layout is not None
         assert layout.block_size == 32
         for p in layout.placements:
@@ -107,9 +105,7 @@ class TestSuperblockPack:
         assert layout_valid(layout)
 
     def test_oversized_box_downscaled_to_block(self):
-        layout = superblock_pack(
-            [box(64, 64, 0)], 256, SuperblockConfig(block_size=32, halving_enabled=False)
-        )
+        layout = superblock_pack([box(64, 64, 0)], 256, 32)
         p = layout.placements[0]
         assert (p.w, p.h) == (32, 32)
         assert layout.scale == Fraction(1, 2)
@@ -118,20 +114,21 @@ class TestSuperblockPack:
         # 128-blocks hold one 100-wide shelf each; 5 such boxes exceed the
         # four blocks of a 256 atlas, forcing a halve to 64
         boxes = [box(100, 100, i) for i in range(5)]
-        layout = superblock_pack(boxes, 256, SuperblockConfig(block_size=128))
+        layout = superblock_pack(boxes, 256, 128)
         assert layout is not None
         assert layout.block_size == 64
         assert layout_valid(layout)
 
     def test_reject_when_halving_disabled(self):
+        # Halving stops at the 16 floor: a 32 atlas holds one 32-block,
+        # then four 16-blocks, and five boxes capped to a block fit neither
         boxes = [box(100, 100, i) for i in range(5)]
-        cfg = SuperblockConfig(block_size=128, halving_enabled=False)
-        assert superblock_pack(boxes, 256, cfg) is None
+        assert superblock_pack(boxes, 32, 32) is None
 
     def test_random_layouts_valid(self):
         for seed in range(30):
             boxes = generate_boxes(20, 256, np.random.default_rng(seed))
-            layout = superblock_pack(boxes, 256, SuperblockConfig(block_size=32))
+            layout = superblock_pack(boxes, 256, 32)
             if layout is not None:
                 assert layout_valid(layout)
 
@@ -173,6 +170,6 @@ class TestEfficiencyDominance:
         for seed in range(60):
             boxes = generate_boxes(25, 256, np.random.default_rng(1000 + seed))
             fast.append(packing_efficiency(pack(boxes, 256)))
-            sb = superblock_pack(boxes, 256, SuperblockConfig(block_size=32))
+            sb = superblock_pack(boxes, 256, 32)
             block.append(packing_efficiency(sb) if sb is not None else 0.0)
         assert np.mean(fast) >= np.mean(block)

@@ -117,6 +117,27 @@ class TestLayoutFiles:
         with pytest.raises(InputError, match="count"):
             parse_layout_file(path)
 
+    @pytest.mark.parametrize(
+        "header, placement",
+        [
+            ("omega abc\nscale 1/1", "0 0 0 8 8 0 8 8"),
+            ("omega 64\nscale 1/0", "0 0 0 8 8 0 8 8"),
+            ("omega 100\nscale 1/1", "0 0 0 8 8 0 8 8"),
+            ("omega 131072\nscale 1/1", "0 0 0 8 8 0 8 8"),
+            ("omega 100\nscale 1/1", "0 0 0 500 8 0 500 8"),
+            ("omega 64\nscale 1/1", "0 60 0 8 8 0 8 8"),
+            ("omega 64\nscale 1/1", "0 -1 0 8 8 0 8 8"),
+            ("omega 64\nscale 1/1", "0 0 0 0 8 0 0 8"),
+        ],
+        ids=["omega_not_int", "scale_zero_den", "omega_not_pow2", "omega_too_big",
+             "wider_than_atlas", "past_right_edge", "negative_x", "zero_width"],
+    )
+    def test_invalid_layout_names_the_file(self, tmp_path, header, placement):
+        path = tmp_path / "bad.layout.txt"
+        path.write_text(f"{header}\ncount 1\n{placement}\n")
+        with pytest.raises(InputError, match="bad.layout.txt"):
+            parse_layout_file(path)
+
 
 class TestPackBoxesCommand:
     def test_four_half_boxes(self, tmp_path, capsys):
@@ -155,10 +176,11 @@ class TestPackBoxesCommand:
         "flags",
         [
             ["--omega", "1000"],
+            ["--omega", "131072"],
             ["--omega", "64", "--scales", "0"],
             ["--omega", "64", "--packer", "superblock", "--block-size", "3"],
         ],
-        ids=["omega", "scales", "block_size"],
+        ids=["omega", "omega_above_bound", "scales", "block_size"],
     )
     def test_bad_flag_exits_1(self, tmp_path, capsys, flags):
         path = tmp_path / "boxes.txt"
@@ -214,6 +236,26 @@ class TestAtlasSceneCommand:
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         scene = write_scene(tmp_path, QUAD_OBJ, wibble="3")
         assert main(["atlas-scene", str(scene)]) == EXIT_BAD_INPUT
+
+    def test_omega_above_bound_exits_1(self, tmp_path, capsys):
+        scene = write_scene(tmp_path, QUAD_OBJ, omega="131072")
+        assert main(["atlas-scene", str(scene)]) == EXIT_BAD_INPUT
+        assert "65536" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        ["v 0 0 nan", "v 0 1 abc", "f 0 2 3", "f 1 2 x", "f 1 2 9", "f 1 2 -9"],
+        ids=["nan_coordinate", "non_numeric_coordinate", "zero_index", "non_numeric_index",
+             "index_past_end", "relative_index_past_start"],
+    )
+    def test_malformed_obj_names_file_and_line(self, tmp_path, capsys, bad_line):
+        lines = QUAD_OBJ.splitlines()
+        lines.insert(4, bad_line)  # line 5, after the four vertices
+        scene = write_scene(tmp_path, "\n".join(lines) + "\n")
+        assert main(["atlas-scene", str(scene)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "scene.obj:5:" in err
+        assert "Traceback" not in err
 
 
 class TestCompareCommand:

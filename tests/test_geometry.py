@@ -4,31 +4,38 @@ import numpy as np
 import pytest
 
 from atlaspack import (
-    AllClipped,
     CameraFrame,
     DegenerateChart,
     NdcBox,
     blinn_clamped_ndc,
     chart_bbox,
-    clip_near,
-    conservative_blinn_box,
-    project_vertex,
     select_side_plane,
     viewport_box,
 )
-from atlaspack.geometry import W_EPSILON
+from atlaspack.geometry import W_EPSILON, clip_halfspace
 
-from oracles import chart_frustum_box
+from oracles import box_contains, chart_frustum_box, conservative_blinn_box
+
+
+def project(p, cam):
+    """Homogeneous clip-space coordinates (x, y, z, w) of a world point."""
+    return cam.view_proj @ np.array([*p, 1.0])
 
 
 def ndc(h):
-    return (h.x / h.w, h.y / h.w, h.z / h.w)
+    return (h[0] / h[3], h[1] / h[3], h[2] / h[3])
+
+
+def clip_near(tri):
+    """Clip a homogeneous triangle against the near half-space w > W_EPSILON."""
+    d = tri[:, 3] - W_EPSILON
+    return clip_halfspace(tri, d, d > 0)
 
 
 class TestCameraFrame:
     def test_near_far_map_to_unit_depth(self, cam90):
-        hn = project_vertex((0, 0, -cam90.near), cam90)
-        hf = project_vertex((0, 0, -cam90.far), cam90)
+        hn = project((0, 0, -cam90.near), cam90)
+        hf = project((0, 0, -cam90.far), cam90)
         assert ndc(hn)[2] == pytest.approx(-1.0, abs=1e-12)
         assert ndc(hf)[2] == pytest.approx(1.0, abs=1e-12)
 
@@ -38,7 +45,7 @@ class TestCameraFrame:
         )
         for _ in range(200):
             p = rng.normal(scale=50.0, size=3)
-            h = project_vertex(p, cam)
+            h = project(p, cam)
             assert all(math.isfinite(v) for v in h)
 
     def test_invalid_parameters(self):
@@ -50,17 +57,13 @@ class TestCameraFrame:
 
 class TestProjectVertex:
     def test_view_axis_point_hits_screen_center(self, cam90):
-        h = project_vertex((0, 0, -1), cam90)
+        h = project((0, 0, -1), cam90)
         assert ndc(h)[0] == pytest.approx(0.0, abs=1e-12)
         assert ndc(h)[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_camera_origin_degenerates_to_zero_w(self, cam90):
-        h = project_vertex((0, 0, 0), cam90)
-        assert h.w == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_non_finite(self, cam90):
-        with pytest.raises(ValueError):
-            project_vertex((0.0, math.nan, 1.0), cam90)
+        h = project((0, 0, 0), cam90)
+        assert h[3] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBlinnClampedNdc:
@@ -90,30 +93,31 @@ class TestClipNear:
     def test_fully_in_front_is_identity(self):
         tri = np.array([[0, 0, 0.5, 1], [1, 0, 0.5, 1], [0, 1, 0.5, 1]], float)
         poly = clip_near(tri)
-        assert len(poly) == 3
-        np.testing.assert_allclose(poly.vertices, tri)
+        assert poly.shape == (3, 4)
+        np.testing.assert_array_equal(poly, tri)
 
     def test_one_vertex_behind_gives_quad(self):
         tri = np.array([[0, 0, 0.5, 1], [1, 0, 0.5, 1], [0, 1, -0.5, -1]], float)
         poly = clip_near(tri)
-        assert len(poly) == 4
-        assert np.all(poly.vertices[:, 3] >= W_EPSILON - 1e-15)
+        assert poly.shape == (4, 4)
+        assert np.all(poly[:, 3] >= W_EPSILON - 1e-15)
 
     def test_two_vertices_behind_gives_triangle(self):
         tri = np.array([[0, 0, 0.5, 1], [1, 0, -0.5, -1], [0, 1, -0.5, -1]], float)
         poly = clip_near(tri)
-        assert len(poly) == 3
+        assert poly.shape == (3, 4)
 
     def test_all_behind_raises(self):
+        # Nothing survives: an empty polygon, where chart_bbox then skips
+        # the triangle (and raises DegenerateChart if no other survives).
         tri = np.array([[0, 0, 0, -1], [1, 0, 0, -2], [0, 1, 0, -0.5]], float)
-        with pytest.raises(AllClipped):
-            clip_near(tri)
+        assert clip_near(tri).shape == (0, 4)
 
     def test_interpolation_is_homogeneous_linear(self):
         a = np.array([0.0, 0.0, 0.5, 1.0])
         b = np.array([1.0, 0.5, -0.5, -1.0])
         c = np.array([-1.0, 0.2, 0.5, 2.0])
-        poly = clip_near(np.array([a, b, c])).vertices
+        poly = clip_near(np.array([a, b, c]))
         for v in poly:
             if abs(v[3] - W_EPSILON) > 1e-12:
                 continue
@@ -158,8 +162,8 @@ class TestChartBbox:
         pts = []
         for tri in tris:
             for p in tri:
-                h = project_vertex(p, cam90)
-                pts.append((h.x / h.w, h.y / h.w))
+                h = project(p, cam90)
+                pts.append((h[0] / h[3], h[1] / h[3]))
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
         assert box.min_x == pytest.approx(min(xs), abs=1e-9)
@@ -192,7 +196,7 @@ class TestChartBbox:
             if oracle is None:
                 continue
             checked += 1
-            assert box.contains(oracle, tol=1e-9)
+            assert box_contains(box, oracle, tol=1e-9)
         assert checked > 300
 
     def test_clipping_never_beats_clamp_only_area(self, cam90, rng):

@@ -9,13 +9,11 @@ from atlaspack import (
     DegenerateTriangle,
     NoValidTriangles,
     Placement,
-    effective_shading_rate,
     layout_digest,
     packing_efficiency,
     scene_stretch,
     triangle_stretch,
 )
-from atlaspack.metrics import MetricsError
 
 from oracles import numeric_map_singular_values
 
@@ -123,24 +121,6 @@ class TestSceneStretch:
     def test_empty_raises(self):
         with pytest.raises(NoValidTriangles):
             scene_stretch([(TRI, np.zeros((3, 2)))])
-
-
-class TestEffectiveShadingRate:
-    def test_one_to_one(self):
-        layout = layout_of(64, place(0, 0, 0, 10, 10))
-        assert effective_shading_rate(layout, screen_fragments=100) == 1.0
-
-    def test_half_scale_per_axis(self):
-        layout = layout_of(64, place(0, 0, 0, 5, 5))
-        assert effective_shading_rate(layout, screen_fragments=100) == pytest.approx(0.25)
-
-    def test_explicit_texel_count(self):
-        layout = layout_of(64, place(0, 0, 0, 5, 5))
-        assert effective_shading_rate(layout, 50, texels_read=100) == 2.0
-
-    def test_zero_fragments_is_an_error(self):
-        with pytest.raises(MetricsError):
-            effective_shading_rate(layout_of(64), screen_fragments=0)
 
 
 class TestLayoutDigest:

@@ -18,6 +18,7 @@ from atlaspack import (
     push_up,
 )
 from atlaspack.cli import generate_boxes
+from atlaspack.packing import MAX_BOX_DIM
 
 from oracles import fold_line_reference, layout_valid, push_tightness_ok
 
@@ -64,9 +65,10 @@ class TestOrder:
             assert order(shuffled) == reference
 
     def test_height_overflow(self):
-        boxes = [OrientedBox(w=1, h=100, rotated=False, source=box(1, 100, 0))]
+        h = MAX_BOX_DIM + 1
+        boxes = [OrientedBox(w=1, h=h, rotated=False, source=box(1, h, 0))]
         with pytest.raises(HeightOverflow):
-            order(boxes, max_h=50)
+            order(boxes)
 
 
 class TestFold:
