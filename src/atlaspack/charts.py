@@ -6,9 +6,17 @@ then grouped into charts: connected components over shared edges, followed
 by transitive merging of charts that share any vertex, so every vertex of a
 visible triangle maps to exactly one chart.
 
-Both rasterization passes clip against the full frustum and sample pixel
-centers with a top-left fill rule; identical arithmetic in both passes
-keeps the visibility predicate self-consistent.
+Both passes draw their samples from one batched sampler, ``_samples``. It
+projects every triangle with one matmul, clips only the triangles that leave
+the frustum, and evaluates top-left edge functions (Pineda 1988) over
+groups of polygons at once, in chunks of at most max(_CHUNK, width)
+candidate samples, so memory stays bounded whatever the screen size. The
+depth pass keeps the minimum depth per pixel; the visibility pass reruns
+the sampler and flags each triangle with a sample at or in front of the
+stored depth. Identical arithmetic in both passes keeps the visibility
+predicate self-consistent, and every sample is computed with the same
+operations as a one-triangle-at-a-time rasterizer, so results do not
+depend on batching.
 """
 
 from __future__ import annotations
@@ -18,7 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FRUSTUM_PLANES, W_EPSILON, CameraFrame, clip_halfspace, plane_distances
+from .geometry import (
+    FRUSTUM_PLANES,
+    W_EPSILON,
+    CameraFrame,
+    clip_coords,
+    clip_halfspace,
+    plane_distances,
+)
 
 # Depth comparison slack, relative to the unit NDC depth range. The two
 # passes share all arithmetic, so any value >= 0 gives identical results;
@@ -162,6 +177,12 @@ class ChartSet:
 
 # --- rasterization ---------------------------------------------------------
 
+# Candidate pixel-center samples evaluated at once. A polygon is split into
+# row bands that fit, except that one row is never split, so a chunk holds
+# at most max(_CHUNK, width) candidates.
+_CHUNK = 1 << 14
+
+
 def _clip_triangle_frustum(clip: np.ndarray) -> np.ndarray:
     """Sutherland-Hodgman clip of one homogeneous triangle to the frustum."""
     poly = clip
@@ -181,97 +202,177 @@ def _clip_triangle_frustum(clip: np.ndarray) -> np.ndarray:
     return poly
 
 
-def _polygon_to_screen(poly: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Perspective divide plus viewport transform; returns (n, 3) x, y, z.
+def _samples(mesh: Mesh, cam: CameraFrame, width: int, height: int, cull: bool):
+    """Yield chunks of covered pixel-center samples as (t, iy, ix, z) arrays.
 
-    Pixel x in [0, width], pixel y in [0, height] with row 0 at NDC y = -1.
+    Each sample is a triangle id, a pixel row and column, and an NDC depth.
+    Every polygon group is set up before the first chunk, so only what the
+    chunks read stays alive while they are generated.
     """
-    ndc = poly[:, :3] / poly[:, 3:4]
-    out = np.empty((len(poly), 3))
-    out[:, 0] = (ndc[:, 0] + 1.0) * 0.5 * width
-    out[:, 1] = (ndc[:, 1] + 1.0) * 0.5 * height
-    out[:, 2] = ndc[:, 2]
-    return out
+    groups = [
+        _screen_polygons(t, poly, width, height, cull) for t, poly in _clip_groups(mesh, cam)
+    ]
+    for group in groups:
+        yield from _chunks(*group)
 
 
-def _raster_samples(screen_poly: np.ndarray, width: int, height: int, cull: bool):
-    """Yield (ys, xs, zs) covered pixel-center samples of a convex polygon.
+def _clip_groups(mesh: Mesh, cam: CameraFrame) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Frustum-clipped triangles: (triangle ids, (G, n, 4) polygons) per vertex count n.
+
+    All triangles are projected with one matmul. Those inside every frustum
+    plane are used as they are; only the rest are clipped, one at a time.
+    """
+    clip = clip_coords(mesh.triangle_corners(), cam)
+    inside = np.all(clip[:, :, 3] - W_EPSILON > 0, axis=1)
+    for plane in FRUSTUM_PLANES:
+        inside &= np.all(plane_distances(clip, plane) >= 0, axis=1)
+    groups = {3: ([np.flatnonzero(inside)], [clip[inside]])}
+    for t in np.flatnonzero(~inside):
+        poly = _clip_triangle_frustum(clip[t])
+        if len(poly) >= 3:
+            ts, polys = groups.setdefault(len(poly), ([], []))
+            ts.append([t])
+            polys.append(poly[None])
+    return [(np.concatenate(ts), np.concatenate(polys)) for ts, polys in groups.values()]
+
+
+def _screen_polygons(t, poly, width: int, height: int, cull: bool):
+    """Project, cull, flip and box convex homogeneous polygons, shape (G, n, 4).
 
     Counter-clockwise polygons (in y-up pixel coordinates) are front-facing;
-    with culling disabled, clockwise polygons are flipped and rasterized.
-    Boundary samples follow a top-left rule so triangles meeting along an
-    edge never both claim the shared samples.
+    with culling disabled, clockwise polygons are flipped. Returns the
+    triangle ids and (n, 3) screen polygons that survive, their pixel boxes,
+    edge vectors, top-left flags and depth planes.
     """
-    area2 = _signed_area2(screen_poly)
-    if area2 == 0.0:
-        return None
-    if area2 < 0.0:
-        if cull:
-            return None
-        screen_poly = screen_poly[::-1]
-    min_x = max(0, int(np.floor(screen_poly[:, 0].min() - 0.5)))
-    max_x = min(width - 1, int(np.ceil(screen_poly[:, 0].max())))
-    min_y = max(0, int(np.floor(screen_poly[:, 1].min() - 0.5)))
-    max_y = min(height - 1, int(np.ceil(screen_poly[:, 1].max())))
-    if min_x > max_x or min_y > max_y:
-        return None
-    xs = np.arange(min_x, max_x + 1) + 0.5
-    ys = np.arange(min_y, max_y + 1) + 0.5
-    px, py = np.meshgrid(xs, ys)
-    inside = np.ones(px.shape, dtype=bool)
-    n = len(screen_poly)
-    for i in range(n):
-        ax, ay = screen_poly[i, 0], screen_poly[i, 1]
-        bx, by = screen_poly[(i + 1) % n, 0], screen_poly[(i + 1) % n, 1]
-        e = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        dy = by - ay
-        # In y-up coordinates the interior lies below edges running left,
-        # so "top-left" means edges going up or exactly-horizontal-left.
-        if dy > 0 or (dy == 0 and bx - ax < 0):
-            inside &= e >= 0
-        else:
-            inside &= e > 0
-    if not inside.any():
-        return None
-    iy, ix = np.nonzero(inside)
-    sx = px[iy, ix]
-    sy = py[iy, ix]
-    zs = _interp_depth(screen_poly, sx, sy)
-    return iy + min_y, ix + min_x, zs
+    screen = poly[:, :, :3] / poly[:, :, 3:4]  # NDC, then x and y to pixels
+    screen[:, :, 0] = (screen[:, :, 0] + 1.0) * 0.5 * width
+    screen[:, :, 1] = (screen[:, :, 1] + 1.0) * 0.5 * height
+    area2 = _orientation(screen)
+    keep = area2 > 0.0 if cull else area2 != 0.0
+    t, screen, flip = t[keep], screen[keep], area2[keep] < 0.0
+    screen[flip] = screen[flip, ::-1]
+
+    x, y = screen[:, :, 0], screen[:, :, 1]
+    x0 = np.maximum(0, np.floor(x.min(axis=1) - 0.5).astype(np.int64))
+    x1 = np.minimum(width - 1, np.ceil(x.max(axis=1)).astype(np.int64))
+    y0 = np.maximum(0, np.floor(y.min(axis=1) - 0.5).astype(np.int64))
+    y1 = np.minimum(height - 1, np.ceil(y.max(axis=1)).astype(np.int64))
+    keep = (x0 <= x1) & (y0 <= y1)
+    t, screen, x0, x1, y0, y1 = t[keep], screen[keep], x0[keep], x1[keep], y0[keep], y1[keep]
+
+    # Edge i runs from vertex i to vertex i + 1. In y-up coordinates the
+    # interior lies below edges running left, so "top-left" means edges
+    # going up or exactly-horizontal-left; samples on them are covered.
+    ex = np.roll(screen[:, :, 0], -1, axis=1) - screen[:, :, 0]
+    ey = np.roll(screen[:, :, 1], -1, axis=1) - screen[:, :, 1]
+    top_left = (ey > 0) | ((ey == 0) & (ex < 0))
+    return t, screen, (x0, x1, y0, y1), (ex, ey, top_left), _depth_planes(screen)
 
 
-def _signed_area2(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _chunks(t, screen, box, edges, planes):
+    """Covered samples of screen polygons, in chunks of at most _CHUNK candidates.
+
+    Boundary samples follow the top-left rule, so polygons meeting along an
+    edge never both claim the shared samples. Every per-sample value is
+    computed with the same operations, in the same order, as a
+    one-polygon-at-a-time rasterizer would use, so results do not depend on
+    how polygons are batched.
+    """
+    x0, x1, y0, y1 = box
+    ex, ey, top_left = edges
+    z0, gx, gy, flat = planes
+    # Bands of whole rows of each polygon's box, each of at most _CHUNK
+    # candidates unless one row alone is wider; chunks are runs of bands.
+    nx = x1 - x0 + 1
+    rows = np.maximum(1, _CHUNK // nx)
+    n_bands = -(-(y1 - y0 + 1) // rows)
+    band_g = np.repeat(np.arange(len(t)), n_bands)
+    band_y0 = y0[band_g] + _ranks(n_bands) * rows[band_g]
+    band_rows = np.minimum(rows[band_g], y1[band_g] + 1 - band_y0)
+    band_end = np.cumsum(band_rows * nx[band_g])
+    start = 0
+    while start < len(band_end):
+        base = band_end[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(band_end, base + _CHUNK, side="right")))
+        bands = slice(start, stop)
+        g_b, rows_b, cols_b = band_g[bands], band_rows[bands], nx[band_g[bands]]
+        # The edge function (bx - ax) * (py - ay) - (by - ay) * (px - ax) is
+        # a row term minus a column term: evaluate each once per band row or
+        # band column, then form every candidate's difference.
+        row_b = np.repeat(np.arange(len(g_b)), rows_b)
+        row_g, row_y = g_b[row_b], band_y0[bands][row_b] + _ranks(rows_b)
+        col_b = np.repeat(np.arange(len(g_b)), cols_b)
+        col_g, col_x = g_b[col_b], x0[g_b][col_b] + _ranks(cols_b)
+        row_len = cols_b[row_b]
+        col_of = _ranks(row_len) + np.repeat((np.cumsum(cols_b) - cols_b)[row_b], row_len)
+        py, px = row_y + 0.5, col_x + 0.5
+        covered = np.ones(len(col_of), dtype=bool)
+        for i in range(screen.shape[1]):
+            row_term = ex[row_g, i] * (py - screen[row_g, i, 1])
+            col_term = ey[col_g, i] * (px - screen[col_g, i, 0])
+            e = np.repeat(row_term, row_len) - col_term[col_of]
+            covered &= (e > 0) | ((e == 0) & np.repeat(top_left[row_g, i], row_len))
+        row = np.repeat(np.arange(len(row_g)), row_len)[covered]
+        g, iy, ix = row_g[row], row_y[row], col_x[col_of[covered]]
+        z = z0[g] + gx[g] * (ix + 0.5 - screen[g, 0, 0]) + gy[g] * (iy + 0.5 - screen[g, 0, 1])
+        # Flat polygons take z0 as it is: adding the zero terms could
+        # change the sign of a zero depth.
+        on_flat = flat[g]
+        z[on_flat] = z0[g[on_flat]]
+        yield t[g], iy, ix, z
+        start = stop
 
 
-def _interp_depth(poly: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """Affine NDC depth at sample points (NDC z is screen-affine)."""
-    p0 = poly[0]
-    for j in range(1, len(poly) - 1):
-        p1, p2 = poly[j], poly[j + 1]
-        det = (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1])
-        if abs(det) > 1e-12:
-            gx = ((p1[2] - p0[2]) * (p2[1] - p0[1]) - (p2[2] - p0[2]) * (p1[1] - p0[1])) / det
-            gy = ((p2[2] - p0[2]) * (p1[0] - p0[0]) - (p1[2] - p0[2]) * (p2[0] - p0[0])) / det
-            return p0[2] + gx * (sx - p0[0]) + gy * (sy - p0[1])
-    return np.full(len(sx), poly[:, 2].mean())
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _each_screen_polygon(mesh: Mesh, cam: CameraFrame, width: int, height: int, cull: bool):
-    corners = mesh.triangle_corners()
-    if len(corners) == 0:
-        return
-    homo = np.concatenate([corners, np.ones((len(corners), 3, 1))], axis=2)
-    clip_all = homo @ cam.view_proj.T
-    for t in range(len(corners)):
-        poly = _clip_triangle_frustum(clip_all[t])
-        if len(poly) < 3:
-            continue
-        screen = _polygon_to_screen(poly, width, height)
-        samples = _raster_samples(screen, width, height, cull)
-        if samples is not None:
-            yield t, samples
+def _orientation(screen: np.ndarray) -> np.ndarray:
+    """Twice the signed screen area of each polygon; only its sign is used.
+
+    Where the summation order could decide the sign, the polygon's area is
+    recomputed with np.dot, as the per-triangle rasterizer computed it, so
+    culling and flipping do not depend on the batch.
+    """
+    x, y = screen[:, :, 0], screen[:, :, 1]
+    xy = x * np.roll(y, -1, axis=1)
+    yx = y * np.roll(x, -1, axis=1)
+    area2 = xy.sum(axis=1) - yx.sum(axis=1)
+    # Any evaluation order of the two sums of n <= 9 products, fused or
+    # not, lies within 9 * 2^-53 of the sum of their magnitudes from the
+    # exact value, so beyond 1e-12 of that sum the order cannot flip the
+    # sign. np.dot's order depends on the strides, so each recomputation
+    # reads the columns of an (n, 3) polygon, as the per-triangle code did.
+    close = np.abs(area2) <= 1e-12 * (np.abs(xy).sum(axis=1) + np.abs(yx).sum(axis=1))
+    for g in np.flatnonzero(close):
+        px, py = screen[g, :, 0], screen[g, :, 1]
+        area2[g] = np.dot(px, np.roll(py, -1)) - np.dot(py, np.roll(px, -1))
+    return area2
+
+
+def _depth_planes(screen: np.ndarray):
+    """Affine NDC depth z0 + gx * (x - x0) + gy * (y - y0) of each polygon.
+
+    NDC z is screen-affine. The plane is solved on the first fan triangle
+    (0, j, j + 1) with |det| > 1e-12. Polygons with none are ``flat``: their
+    depth is the mean vertex depth, returned in z0.
+    """
+    p0 = screen[:, 0]
+    z0 = p0[:, 2].copy()
+    gx = np.zeros(len(screen))
+    gy = np.zeros(len(screen))
+    flat = np.ones(len(screen), dtype=bool)
+    for j in range(1, screen.shape[1] - 1):
+        d1, d2 = screen[:, j] - p0, screen[:, j + 1] - p0
+        det = d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1]
+        solve = flat & (np.abs(det) > 1e-12)
+        gx[solve] = (d1[solve, 2] * d2[solve, 1] - d2[solve, 2] * d1[solve, 1]) / det[solve]
+        gy[solve] = (d2[solve, 2] * d1[solve, 0] - d1[solve, 2] * d2[solve, 0]) / det[solve]
+        flat &= ~solve
+    for g in np.flatnonzero(flat):
+        z0[g] = screen[g, :, 2].mean()
+    return z0, gx, gy, flat
 
 
 def depth_prepass(
@@ -286,8 +387,8 @@ def depth_prepass(
     if width < 1 or height < 1:
         raise ValueError("resolution must be at least 1x1")
     depth = np.full((height, width), np.inf)
-    for _, (iy, ix, zs) in _each_screen_polygon(mesh, cam, width, height, backface_cull):
-        np.minimum.at(depth, (iy, ix), zs)
+    for _, iy, ix, z in _samples(mesh, cam, width, height, backface_cull):
+        np.minimum.at(depth, (iy, ix), z)
     return depth
 
 
@@ -297,11 +398,10 @@ def mark_visible(
     """Flag triangles covering at least one depth-passing pixel-center sample."""
     height, width = depth.shape
     flags = np.zeros(mesh.n_triangles, dtype=bool)
-    for t, (iy, ix, zs) in _each_screen_polygon(mesh, cam, width, height, backface_cull):
+    for t, iy, ix, z in _samples(mesh, cam, width, height, backface_cull):
         stored = depth[iy, ix]
         slack = DEPTH_EPSILON * np.maximum(1.0, np.abs(stored))
-        if np.any(zs <= stored + slack):
-            flags[t] = True
+        flags[t[z <= stored + slack]] = True
     return VisibilityBuffer(flags=flags, sample_res=(width, height))
 
 

@@ -51,6 +51,7 @@ from .geometry import (
     NdcBox,
     W_EPSILON,
     chart_bbox,
+    clip_coords,
     viewport_box,
 )
 from .metrics import (
@@ -61,7 +62,17 @@ from .metrics import (
     packing_efficiency,
     scene_stretch,
 )
-from .packing import AtlasLayout, ChartBox, PackFailure, Placement, _check_omega, pack
+from .packing import (
+    MAX_BOX_DIM,
+    MAX_SCALES,
+    AtlasLayout,
+    ChartBox,
+    PackFailure,
+    PackingError,
+    Placement,
+    _check_omega,
+    pack,
+)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -69,6 +80,12 @@ EXIT_PACK_FAILURE = 2
 EXIT_NOTHING_VISIBLE = 3
 
 PACKER_NAMES = ("fastatlas", "sequential", "superblock")
+
+# Largest screen side; the depth buffer is a height x width float64 array.
+MAX_SCREEN = 1 << 14
+
+# Placement fields are hashed as signed 64-bit integers.
+_INT64_RANGE = range(-(1 << 63), 1 << 63)
 
 
 class InputError(Exception):
@@ -83,7 +100,11 @@ class NothingVisible(Exception):
 
 
 def parse_box_file(path) -> list[ChartBox]:
-    """Read (chart_id, min_tri, w, h) records, one per line."""
+    """Read (chart_id, min_tri, w, h) records, one per line.
+
+    Box sides must be in [1, MAX_BOX_DIM]; raises InputError naming the
+    file and line of the first bad record.
+    """
     boxes: list[ChartBox] = []
     seen_ids: set[int] = set()
     seen_tris: set[int] = set()
@@ -101,9 +122,10 @@ def parse_box_file(path) -> list[ChartBox]:
                 raise InputError(f"{path}:{lineno}: fields must be unsigned integers") from None
             if min(chart_id, min_tri) < 0:
                 raise InputError(f"{path}:{lineno}: ids must be non-negative")
-            if w < 1 or h < 1:
+            if not (1 <= w <= MAX_BOX_DIM and 1 <= h <= MAX_BOX_DIM):
                 raise InputError(
-                    f"{path}:{lineno}: box dimensions must be >= 1 (chart {chart_id}: {w}x{h})"
+                    f"{path}:{lineno}: box dimensions must be in [1, {MAX_BOX_DIM}] "
+                    f"(chart {chart_id}: {w}x{h})"
                 )
             if chart_id in seen_ids:
                 raise InputError(f"{path}:{lineno}: duplicate chart_id {chart_id}")
@@ -183,6 +205,8 @@ def parse_layout_file(path) -> AtlasLayout:
                 cid, x, y, w, h, rot, tw, th = (int(p) for p in parts)
             except ValueError:
                 raise InputError(f"{path}:{lineno}: placement fields must be integers") from None
+            if not all(v in _INT64_RANGE for v in (cid, x, y, w, h, rot, tw, th)):
+                raise InputError(f"{path}:{lineno}: placement field outside the int64 range")
             placement = Placement(
                 chart_id=cid, x=x, y=y, w=w, h=h, rotated=bool(rot), target_w=tw, target_h=th
             )
@@ -267,8 +291,36 @@ _SCENE_KEYS = {
 }
 
 
+def scene_config_problem(cfg: SceneConfig) -> tuple[str, str] | None:
+    """First out-of-range value of ``cfg`` as (scene file key, message), or None.
+
+    Run before any raster work, so a bad value costs no depth pass.
+    """
+    try:
+        _check_omega(cfg.omega)
+    except ValueError as exc:
+        return "omega", str(exc)
+    if not 1 <= cfg.n_scales <= MAX_SCALES:
+        return "scales", f"scales must be in [1, {MAX_SCALES}], got {cfg.n_scales}"
+    if not 1 <= cfg.min_dim <= MAX_BOX_DIM:
+        return "min_dim", f"min_dim must be in [1, {MAX_BOX_DIM}], got {cfg.min_dim}"
+    if not 0 <= cfg.padding <= MAX_BOX_DIM:
+        return "padding", f"padding must be in [0, {MAX_BOX_DIM}], got {cfg.padding}"
+    if not (math.isfinite(cfg.prescale) and cfg.prescale > 0):
+        return "prescale", f"prescale must be a positive number, got {cfg.prescale}"
+    w, h = cfg.screen
+    if not (1 <= w <= MAX_SCREEN and 1 <= h <= MAX_SCREEN):
+        return "screen", f"screen sides must be in [1, {MAX_SCREEN}], got {w}x{h}"
+    if not cfg.near < cfg.far:
+        return "near", "near must be less than far"
+    return None
+
+
 def parse_scene_config(path) -> SceneConfig:
-    """Key-value scene file; unknown keys are rejected with their line."""
+    """Key-value scene file; unknown keys are rejected with their line.
+
+    Values are range-checked with scene_config_problem.
+    """
     path = Path(path)
     values: dict[str, list[str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -299,14 +351,9 @@ def parse_scene_config(path) -> SceneConfig:
         setattr(cfg, name, out[0] if n == 1 else out)
     if values:
         raise InputError(f"{path}: unknown keys: {', '.join(sorted(values))}")
-    try:
-        _check_omega(cfg.omega)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    if cfg.screen[0] < 1 or cfg.screen[1] < 1:
-        raise InputError(f"{path}: screen must be at least 1x1")
-    if not cfg.near < cfg.far:
-        raise InputError(f"{path}: near must be less than far")
+    problem = scene_config_problem(cfg)
+    if problem is not None:
+        raise InputError(f"{path}: {problem[1]}")
     return cfg
 
 
@@ -417,11 +464,9 @@ def _scene_stretch_report(cfg, mesh, cam, cs, layout, chart_ndc, chart_px) -> St
     w_screen, h_screen = cfg.screen
     pad = cfg.padding
     pairs = []
-    corners = mesh.triangle_corners()
-    if len(corners) == 0:
+    clip = clip_coords(mesh.triangle_corners(), cam)
+    if len(clip) == 0:
         return None
-    homo = np.concatenate([corners, np.ones((len(corners), 3, 1))], axis=2)
-    clip = homo @ cam.view_proj.T
     for root, members in cs.charts.items():
         p = placements.get(root)
         if p is None or root not in chart_ndc:
@@ -542,7 +587,7 @@ def _cmd_pack_boxes(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except PackFailure as exc:
+    except PackingError as exc:
         print(f"pack failure: {exc}", file=sys.stderr)
         return EXIT_PACK_FAILURE
     prefix = Path(args.out or Path(args.input).with_suffix(""))
@@ -570,24 +615,28 @@ def _cmd_atlas_scene(args) -> int:
     except (OSError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.omega:
-        cfg.omega = args.omega
-    if args.scales:
-        cfg.n_scales = args.scales
-    if args.min_dim:
-        cfg.min_dim = args.min_dim
-    if args.padding is not None:
-        cfg.padding = args.padding
-    if args.res:
-        cfg.screen = args.res
-    if args.prescale:
-        cfg.prescale = args.prescale
+    # Scene file key -> (flag, value given or None).
+    overrides = {
+        "omega": ("--omega", args.omega),
+        "scales": ("--scales", args.scales),
+        "min_dim": ("--min-dim", args.min_dim),
+        "padding": ("--padding", args.padding),
+        "screen": ("--res", args.res),
+        "prescale": ("--prescale", args.prescale),
+    }
+    given = {key: flag for key, (flag, value) in overrides.items() if value is not None}
+    cfg = replace(cfg, **{_SCENE_KEYS[key][0]: overrides[key][1] for key in given})
+    problem = scene_config_problem(cfg)
+    if problem is not None:
+        key, message = problem
+        print(f"error: {given.get(key, args.scene)}: {message}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         result = run_scene_pipeline(cfg, packer=args.packer)
     except (OSError, InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except PackFailure as exc:
+    except PackingError as exc:
         print(f"pack failure: {exc}", file=sys.stderr)
         return EXIT_PACK_FAILURE
     except NothingVisible as exc:
@@ -645,6 +694,9 @@ def _cmd_compare(args) -> int:
                         cfg, omega=omega, n_scales=args.scales,
                         min_dim=args.min_dim, padding=args.padding,
                     )
+                    problem = scene_config_problem(run_cfg)
+                    if problem is not None:
+                        raise ValueError(problem[1])
                     result = run_scene_pipeline(run_cfg, packer=name)
                     layout, stretch = result.layout, result.stretch
                     n_boxes = len(result.boxes)
@@ -658,7 +710,7 @@ def _cmd_compare(args) -> int:
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_BAD_INPUT
-            except (PackFailure, NothingVisible) as exc:
+            except (PackingError, NothingVisible) as exc:
                 print(f"{name}@{omega}: {exc}", file=sys.stderr)
                 rows.append([name, omega, "failed", "", "", "", "", "", "", ""])
                 continue

@@ -7,9 +7,12 @@ front of the camera iff w > W_EPSILON, which sidesteps division instability
 at w == 0.
 
 ``clip_halfspace`` is the one Sutherland-Hodgman step of the package and
-``FRUSTUM_PLANES`` its one plane table: the rasterizer clips each triangle
-against all six planes with them, and ``chart_bbox`` clips against the near
-plane or one side plane. Each caller passes its own boundary rule.
+``FRUSTUM_PLANES`` its one plane table. Both the rasterizer and
+``chart_bbox`` test all triangles against the planes at once and clip only
+those that need it: the rasterizer clips a triangle leaving the frustum
+against all six planes, and ``chart_bbox`` clips one crossing the near
+plane or a side plane against that plane. Each caller passes its own
+boundary rule.
 """
 
 from __future__ import annotations
@@ -140,6 +143,12 @@ class NdcBox:
         return (self.max_x - self.min_x) * (self.max_y - self.min_y)
 
 
+def clip_coords(triangles, cam: CameraFrame) -> np.ndarray:
+    """Homogeneous clip coordinates of (n, 3, 3) world-space triangles: (n, 3, 4)."""
+    tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 3)
+    return np.concatenate([tris, np.ones((len(tris), 3, 1))], axis=2) @ cam.view_proj.T
+
+
 def blinn_clamped_ndc(p) -> tuple[float, float]:
     """Clamp a clip-space vertex to the screen square and divide.
 
@@ -159,9 +168,13 @@ def blinn_clamped_ndc(p) -> tuple[float, float]:
 
 
 def plane_distances(v: np.ndarray, plane: str) -> np.ndarray:
-    """Signed distance w + sign * v[axis] of each homogeneous vertex to a plane."""
+    """Signed distance w + sign * v[axis] of each homogeneous vertex to a plane.
+
+    ``v`` holds vertices along its last axis: one polygon (m, 4) or a batch
+    of them (n, m, 4).
+    """
     axis, sign = FRUSTUM_PLANES[plane]
-    return v[:, 3] + sign * v[:, axis]
+    return v[..., 3] + sign * v[..., axis]
 
 
 def clip_halfspace(vertices: np.ndarray, d: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -219,46 +232,44 @@ def select_side_plane(tri) -> str | None:
 def chart_bbox(triangles, cam: CameraFrame) -> NdcBox:
     """Conservative NDC bounding box of a chart's visible sub-region.
 
-    ``triangles`` is an (n, 3, 3) array of world-space triangles. Each
-    triangle crossing the near half-space is clipped against it; triangles
-    fully in front are clipped against the one best side plane, if any.
-    The clamped divide then runs on every surviving polygon vertex and the
-    box is the componentwise min/max. The result contains the exact NDC
+    ``triangles`` is an (n, 3, 3) array of world-space triangles. All are
+    projected at once. A triangle fully in front of the camera plane that
+    crosses no side plane takes the fast path: the clamped divide of its
+    three vertices, for all such triangles in one step. The rest take the
+    per-triangle path: a triangle crossing the near half-space is clipped
+    against it, and one fully in front is clipped against the one best side
+    plane; the clamped divide then runs on the clipped polygon. The box is
+    the componentwise min/max over every point and contains the exact NDC
     projection of the in-frustum portion of the chart.
 
     Raises DegenerateChart when no triangle survives clipping.
     """
-    tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 3)
-    if tris.shape[0] == 0:
+    clip = clip_coords(triangles, cam)
+    if len(clip) == 0:
         raise DegenerateChart("chart has no triangles")
-    min_x = min_y = math.inf
-    max_x = max_y = -math.inf
-    survived = False
-    vp = cam.view_proj.T
-    for tri in tris:
-        clip = np.hstack([tri, np.ones((3, 1))]) @ vp
-        d = clip[:, 3] - W_EPSILON
-        if np.all(d > 0):
-            plane = select_side_plane(clip)
-            if plane is None:
-                poly = clip
-            else:
-                d = plane_distances(clip, plane)
-                poly = clip_halfspace(clip, d, d > 0)
-        elif np.any(d > 0):
-            poly = clip_halfspace(clip, d, d > 0)
-        else:
+    in_front = np.all(clip[:, :, 3] - W_EPSILON > 0, axis=1)
+    side = np.stack([plane_distances(clip, plane) for plane in SIDE_PLANES], axis=2)
+    crosses = np.any(side > 0, axis=1) & np.any(side < 0, axis=1)
+    fast = in_front & ~np.any(crosses, axis=1)
+    # w > W_EPSILON > 0 on the fast path, so |w| = w in the clamped divide.
+    xy, w = clip[fast, :, :2], clip[fast, :, 3:]
+    np.maximum(xy, -w, out=xy)
+    np.minimum(xy, w, out=xy)
+    xy /= w
+    points = [xy.reshape(-1, 2)]
+    for clip_tri, front in zip(clip[~fast], in_front[~fast]):
+        d = clip_tri[:, 3] - W_EPSILON
+        if front:
+            d = plane_distances(clip_tri, select_side_plane(clip_tri))
+        elif not np.any(d > 0):
             continue
-        survived = True
-        for v in poly:
-            cx, cy = blinn_clamped_ndc(v)
-            min_x = min(min_x, cx)
-            min_y = min(min_y, cy)
-            max_x = max(max_x, cx)
-            max_y = max(max_y, cy)
-    if not survived:
+        poly = clip_halfspace(clip_tri, d, d > 0)
+        points.append(np.array([blinn_clamped_ndc(p) for p in poly]).reshape(-1, 2))
+    points = np.concatenate(points)
+    if len(points) == 0:
         raise DegenerateChart("no triangle survives clipping")
-    return NdcBox(min_x, min_y, max_x, max_y)
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    return NdcBox(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
 
 
 def viewport_box(box: NdcBox, screen_w: int, screen_h: int) -> tuple[int, int]:

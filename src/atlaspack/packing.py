@@ -27,6 +27,9 @@ MAX_BOX_DIM = 1 << 23
 # Largest atlas side; push_up allocates omega + 1 frontline columns.
 MAX_OMEGA = 1 << 16
 
+# Most candidate scales pack may try.
+MAX_SCALES = 1 << 20
+
 # Row direction pattern: one left-starting row, then two right-starting.
 _DIRECTION_PERIOD = 3
 
@@ -292,8 +295,8 @@ def pack(
     a box still wider than the atlas at the smallest candidate scale.
     """
     _check_omega(omega)
-    if not (1 <= n_scales <= 1 << 20):
-        raise ValueError("n_scales must be in [1, 2^20]")
+    if not (1 <= n_scales <= MAX_SCALES):
+        raise ValueError(f"n_scales must be in [1, {MAX_SCALES}], got {n_scales}")
     box_list = list(boxes)
     if not box_list:
         return AtlasLayout(omega=omega, scale=Fraction(1), placements=())

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: the frustum
 clipper is a plain Sutherland-Hodgman loop over all six planes, the
-clamp-only box skips clipping altogether, components come from
+clamp-only box skips clipping altogether, the reference rasterizer and the
+per-triangle chart box are the package's earlier one-triangle-at-a-time
+loops, which the batched code must match bit for bit, components come from
 breadth-first search, the fold reference walks boxes one at a time along
 the folded line, the exhaustive packer backtracks over every placement of
 a tiny instance, and layout validity is checked by occupancy grids or
@@ -19,8 +21,17 @@ from typing import Sequence
 
 import numpy as np
 
-from atlaspack import AtlasLayout, ChartBox, DegenerateChart, Mesh, NdcBox, blinn_clamped_ndc
-from atlaspack.geometry import W_EPSILON
+from atlaspack import (
+    AtlasLayout,
+    ChartBox,
+    DegenerateChart,
+    Mesh,
+    NdcBox,
+    blinn_clamped_ndc,
+    select_side_plane,
+)
+from atlaspack.charts import DEPTH_EPSILON, _clip_triangle_frustum
+from atlaspack.geometry import W_EPSILON, clip_halfspace, plane_distances
 
 _PLANES = (
     (0, 1.0),
@@ -113,6 +124,160 @@ def conservative_blinn_box(triangles, cam) -> NdcBox:
     if not math.isfinite(min_x):
         raise DegenerateChart("chart has no triangles")
     return NdcBox(min_x, min_y, max_x, max_y)
+
+
+def per_triangle_chart_bbox(triangles, cam) -> NdcBox:
+    """chart_bbox one triangle at a time: near clip, else best side plane.
+
+    Every triangle takes the per-triangle branch that the package keeps only
+    for triangles crossing the near plane or a side plane.
+    """
+    tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 3)
+    if tris.shape[0] == 0:
+        raise DegenerateChart("chart has no triangles")
+    min_x = min_y = math.inf
+    max_x = max_y = -math.inf
+    survived = False
+    vp = cam.view_proj.T
+    for tri in tris:
+        clip = np.hstack([tri, np.ones((3, 1))]) @ vp
+        d = clip[:, 3] - W_EPSILON
+        if np.all(d > 0):
+            plane = select_side_plane(clip)
+            if plane is None:
+                poly = clip
+            else:
+                d = plane_distances(clip, plane)
+                poly = clip_halfspace(clip, d, d > 0)
+        elif np.any(d > 0):
+            poly = clip_halfspace(clip, d, d > 0)
+        else:
+            continue
+        survived = True
+        for v in poly:
+            cx, cy = blinn_clamped_ndc(v)
+            min_x = min(min_x, cx)
+            min_y = min(min_y, cy)
+            max_x = max(max_x, cx)
+            max_y = max(max_y, cy)
+    if not survived:
+        raise DegenerateChart("no triangle survives clipping")
+    return NdcBox(min_x, min_y, max_x, max_y)
+
+
+# --- reference rasterizer: one triangle at a time ---------------------------
+
+
+def _polygon_to_screen(poly: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Perspective divide plus viewport transform; returns (n, 3) x, y, z.
+
+    Pixel x in [0, width], pixel y in [0, height] with row 0 at NDC y = -1.
+    """
+    ndc = poly[:, :3] / poly[:, 3:4]
+    out = np.empty((len(poly), 3))
+    out[:, 0] = (ndc[:, 0] + 1.0) * 0.5 * width
+    out[:, 1] = (ndc[:, 1] + 1.0) * 0.5 * height
+    out[:, 2] = ndc[:, 2]
+    return out
+
+
+def _raster_samples(screen_poly: np.ndarray, width: int, height: int, cull: bool):
+    """Yield (ys, xs, zs) covered pixel-center samples of a convex polygon.
+
+    Counter-clockwise polygons (in y-up pixel coordinates) are front-facing;
+    with culling disabled, clockwise polygons are flipped and rasterized.
+    Boundary samples follow a top-left rule so triangles meeting along an
+    edge never both claim the shared samples.
+    """
+    area2 = _signed_area2(screen_poly)
+    if area2 == 0.0:
+        return None
+    if area2 < 0.0:
+        if cull:
+            return None
+        screen_poly = screen_poly[::-1]
+    min_x = max(0, int(np.floor(screen_poly[:, 0].min() - 0.5)))
+    max_x = min(width - 1, int(np.ceil(screen_poly[:, 0].max())))
+    min_y = max(0, int(np.floor(screen_poly[:, 1].min() - 0.5)))
+    max_y = min(height - 1, int(np.ceil(screen_poly[:, 1].max())))
+    if min_x > max_x or min_y > max_y:
+        return None
+    xs = np.arange(min_x, max_x + 1) + 0.5
+    ys = np.arange(min_y, max_y + 1) + 0.5
+    px, py = np.meshgrid(xs, ys)
+    inside = np.ones(px.shape, dtype=bool)
+    n = len(screen_poly)
+    for i in range(n):
+        ax, ay = screen_poly[i, 0], screen_poly[i, 1]
+        bx, by = screen_poly[(i + 1) % n, 0], screen_poly[(i + 1) % n, 1]
+        e = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        dy = by - ay
+        # In y-up coordinates the interior lies below edges running left,
+        # so "top-left" means edges going up or exactly-horizontal-left.
+        if dy > 0 or (dy == 0 and bx - ax < 0):
+            inside &= e >= 0
+        else:
+            inside &= e > 0
+    if not inside.any():
+        return None
+    iy, ix = np.nonzero(inside)
+    sx = px[iy, ix]
+    sy = py[iy, ix]
+    zs = _interp_depth(screen_poly, sx, sy)
+    return iy + min_y, ix + min_x, zs
+
+
+def _signed_area2(poly: np.ndarray) -> float:
+    x, y = poly[:, 0], poly[:, 1]
+    return float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def _interp_depth(poly: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """Affine NDC depth at sample points (NDC z is screen-affine)."""
+    p0 = poly[0]
+    for j in range(1, len(poly) - 1):
+        p1, p2 = poly[j], poly[j + 1]
+        det = (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1])
+        if abs(det) > 1e-12:
+            gx = ((p1[2] - p0[2]) * (p2[1] - p0[1]) - (p2[2] - p0[2]) * (p1[1] - p0[1])) / det
+            gy = ((p2[2] - p0[2]) * (p1[0] - p0[0]) - (p1[2] - p0[2]) * (p2[0] - p0[0])) / det
+            return p0[2] + gx * (sx - p0[0]) + gy * (sy - p0[1])
+    return np.full(len(sx), poly[:, 2].mean())
+
+
+def _each_screen_polygon(mesh: Mesh, cam, width: int, height: int, cull: bool):
+    corners = mesh.triangle_corners()
+    if len(corners) == 0:
+        return
+    homo = np.concatenate([corners, np.ones((len(corners), 3, 1))], axis=2)
+    clip_all = homo @ cam.view_proj.T
+    for t in range(len(corners)):
+        poly = _clip_triangle_frustum(clip_all[t])
+        if len(poly) < 3:
+            continue
+        screen = _polygon_to_screen(poly, width, height)
+        samples = _raster_samples(screen, width, height, cull)
+        if samples is not None:
+            yield t, samples
+
+
+def reference_depth_and_flags(mesh: Mesh, cam, res, cull: bool):
+    """Depth buffer and visibility flags from the per-triangle sampler.
+
+    The depth pass and the visibility pass of the package before batching:
+    each triangle is clipped, projected and rasterized on its own.
+    """
+    width, height = int(res[0]), int(res[1])
+    depth = np.full((height, width), np.inf)
+    for _, (iy, ix, zs) in _each_screen_polygon(mesh, cam, width, height, cull):
+        np.minimum.at(depth, (iy, ix), zs)
+    flags = np.zeros(mesh.n_triangles, dtype=bool)
+    for t, (iy, ix, zs) in _each_screen_polygon(mesh, cam, width, height, cull):
+        stored = depth[iy, ix]
+        slack = DEPTH_EPSILON * np.maximum(1.0, np.abs(stored))
+        if np.any(zs <= stored + slack):
+            flags[t] = True
+    return depth, flags
 
 
 def bfs_chart_labels(mesh: Mesh, flags: np.ndarray) -> np.ndarray:

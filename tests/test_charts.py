@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from atlaspack import (
+    CameraFrame,
     Mesh,
     VisibilityBuffer,
     connected_charts,
@@ -11,7 +14,15 @@ from atlaspack import (
     merge_shared_vertices,
 )
 
-from oracles import bfs_chart_labels, delaunay_mesh, vertex_merge_labels
+from atlaspack.charts import _CHUNK, _samples
+from atlaspack.geometry import clip_coords, perspective_matrix
+
+from oracles import (
+    bfs_chart_labels,
+    delaunay_mesh,
+    reference_depth_and_flags,
+    vertex_merge_labels,
+)
 
 
 def flat_mesh(tris, z=-2.0, coords=None):
@@ -140,6 +151,113 @@ class TestMarkVisible:
         assert not mark_visible(mesh, cam90, depth).flags[0]
         depth_nc = depth_prepass(mesh, cam90, (16, 16), backface_cull=False)
         assert mark_visible(mesh, cam90, depth_nc, backface_cull=False).flags[0]
+
+
+def exact_camera():
+    """fov 90, square aspect, identity view, with x_clip = x and y_clip = y.
+
+    A world point (X, Y, Z) with Z < 0 lands at NDC (X / -Z, Y / -Z), so
+    points built on a dyadic pixel lattice project onto it exactly.
+    """
+    proj = perspective_matrix(math.radians(90), 1.0, 0.1, 100.0)
+    proj[0, 0] = proj[1, 1] = 1.0
+    return CameraFrame(math.radians(90), 1.0, 0.1, 100.0, view=np.eye(4), proj=proj)
+
+
+def at_pixel(px, py, depth, res):
+    """World points that exact_camera projects to pixel (px, py) at a depth.
+
+    Exact for a power-of-two resolution and dyadic pixel coordinates.
+    """
+    w, h = res
+    depth = np.broadcast_to(depth, np.shape(px))
+    return np.stack([(px / w * 2.0 - 1.0) * depth, (py / h * 2.0 - 1.0) * depth, -depth], axis=-1)
+
+
+def random_soup(rng, res):
+    """Triangles inside, across the near and side planes, and slivers.
+
+    A quarter of the soups snap their vertices to the half-pixel lattice at
+    dyadic depths, so samples fall exactly on edges and top-left ties decide
+    them. Slivers have a third vertex within ~1e-9 of the first edge's
+    midpoint or first vertex. Row slivers lie on a pixel-center row with
+    their third vertex a few ulps off it: they cover samples on that row
+    only through a top-left edge, and rounding alone decides their
+    orientation.
+    """
+    n = int(rng.integers(1, 40))
+    w, h = res
+    if rng.random() < 0.25:
+        px = rng.integers(-2, 2 * w + 3, size=(n, 3)) / 2.0
+        py = rng.integers(-2, 2 * h + 3, size=(n, 3)) / 2.0
+        tris = at_pixel(px, py, rng.choice([1.0, 2.0, 4.0], size=(n, 3)), res)
+    else:
+        center = rng.uniform([-3.0, -3.0, -8.0], [3.0, 3.0, 1.0], size=(n, 1, 3))
+        spread = rng.choice([0.05, 0.5, 2.0, 6.0], size=(n, 1, 1))
+        tris = center + rng.normal(size=(n, 3, 3)) * spread
+    rows = rng.random(n) < 0.15
+    px = rng.uniform(-2.0, w + 2.0, size=(n, 3))
+    py = np.repeat(rng.integers(0, h, size=(n, 1)) + 0.5, 3, axis=1)
+    py[:, 2] += rng.integers(-8, 9, size=n) * 2.0**-50
+    tris[rows] = at_pixel(px, py, 1.0, res)[rows]
+    slivers = ~rows & (rng.random(n) < 0.2)
+    base = np.where(rng.random((n, 1)) < 0.5, tris[:, 0], 0.5 * (tris[:, 0] + tris[:, 1]))
+    tris[slivers, 2] = (base + rng.normal(scale=1e-9, size=(n, 3)))[slivers]
+    positions = tris.reshape(-1, 3)
+    return Mesh(positions=positions, triangles=np.arange(len(positions)).reshape(-1, 3))
+
+
+class TestBatchedSampler:
+    RESOLUTIONS = [(1, 1), (1, 7), (5, 1), (8, 8), (16, 8), (13, 29), (32, 16), (48, 27)]
+
+    def test_matches_per_triangle_reference_on_random_soups(self, cam90):
+        rng = np.random.default_rng(5)
+        cams = [cam90, exact_camera()]
+        for case in range(200):
+            res = self.RESOLUTIONS[case % len(self.RESOLUTIONS)]
+            mesh = random_soup(rng, res)
+            cam = cams[case % 2]
+            for cull in (True, False):
+                ref_depth, ref_flags = reference_depth_and_flags(mesh, cam, res, cull)
+                depth = depth_prepass(mesh, cam, res, backface_cull=cull)
+                flags = mark_visible(mesh, cam, depth, backface_cull=cull).flags
+                assert np.array_equal(depth, ref_depth), (case, cull)
+                assert np.array_equal(flags, ref_flags), (case, cull)
+
+    def test_flat_polygon_takes_mean_depth(self):
+        # Screen triangle (3.5, 0.5), (0.5, 0.5), (2, 0.5 - 1e-13) at 8x8: its
+        # top edge runs left along the pixel-center row y = 0.5, so it
+        # covers samples although |det| < 1e-12 leaves no depth plane.
+        px = np.array([3.5, 0.5, 2.0])
+        py = np.array([0.5, 0.5, 0.5 - 1e-13])
+        positions = at_pixel(px, py, np.array([1.0, 2.0, 4.0]), (8, 8))
+        mesh = Mesh(positions=positions, triangles=[[0, 1, 2]])
+        cam = exact_camera()
+        depth = depth_prepass(mesh, cam, (8, 8))
+        ref_depth, ref_flags = reference_depth_and_flags(mesh, cam, (8, 8), True)
+        clip = clip_coords(positions[None], cam)[0]
+        covered = np.isfinite(depth)
+        assert covered.sum() >= 2
+        assert np.all(depth[covered] == (clip[:, 2] / clip[:, 3]).mean())
+        assert np.array_equal(depth, ref_depth)
+        assert np.array_equal(mark_visible(mesh, cam, depth).flags, ref_flags)
+
+    @pytest.mark.parametrize(
+        "mesh, res",
+        [
+            (screen_quad(z=-1.0), (512, 512)),
+            # Clipped to the screen square, it covers every candidate sample.
+            (flat_mesh([(0, 1, 2)], z=-1.0, coords=[(-9, -9), (30, -9), (-9, 30)]), (512, 512)),
+            (screen_quad(z=-1.0), (1 << 15, 2)),
+        ],
+        ids=["quad_512x512", "big_triangle_512x512", "quad_wide_rows"],
+    )
+    def test_chunks_stay_within_bound(self, cam90, mesh, res):
+        # Either mesh covers every pixel exactly once.
+        sizes = [len(t) for t, _, _, _ in _samples(mesh, cam90, *res, True)]
+        assert len(sizes) > 1
+        assert max(sizes) <= max(_CHUNK, res[0])
+        assert sum(sizes) == res[0] * res[1]
 
 
 def all_visible(mesh):

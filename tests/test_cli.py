@@ -64,6 +64,10 @@ def write_scene(tmp_path, obj_text, **overrides):
     return path
 
 
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("the depth pass ran before the input was checked")
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -128,9 +132,12 @@ class TestLayoutFiles:
             ("omega 64\nscale 1/1", "0 60 0 8 8 0 8 8"),
             ("omega 64\nscale 1/1", "0 -1 0 8 8 0 8 8"),
             ("omega 64\nscale 1/1", "0 0 0 0 8 0 0 8"),
+            ("omega 64\nscale 1/1\ndigest 0", "9223372036854775808 0 0 8 8 0 8 8"),
+            ("omega 64\nscale 1/1\ndigest 0", "0 0 0 8 8 0 8 99999999999999999999"),
         ],
         ids=["omega_not_int", "scale_zero_den", "omega_not_pow2", "omega_too_big",
-             "wider_than_atlas", "past_right_edge", "negative_x", "zero_width"],
+             "wider_than_atlas", "past_right_edge", "negative_x", "zero_width",
+             "chart_id_past_int64", "target_past_int64"],
     )
     def test_invalid_layout_names_the_file(self, tmp_path, header, placement):
         path = tmp_path / "bad.layout.txt"
@@ -166,6 +173,14 @@ class TestPackBoxesCommand:
         path.write_text("0 0 0 4\n")
         assert main(["pack-boxes", str(path), "--omega", "64"]) == EXIT_BAD_INPUT
         assert "bad.txt:1" in capsys.readouterr().err
+
+    def test_box_above_max_dim_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "tall.txt"
+        path.write_text("0 0 1 99999999999\n")
+        assert main(["pack-boxes", str(path), "--omega", "64"]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "tall.txt:1" in err
+        assert "Traceback" not in err
 
     def test_unpackable_exits_2(self, tmp_path, capsys):
         path = tmp_path / "big.txt"
@@ -243,6 +258,41 @@ class TestAtlasSceneCommand:
         assert "65536" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--omega", "1000"], "--omega"),
+            (["--scales", "0"], "--scales"),
+            (["--min-dim", "0"], "--min-dim"),
+            (["--padding", "-1"], "--padding"),
+            (["--padding", "5000000000000000000"], "--padding"),
+            (["--prescale", "0"], "--prescale"),
+            (["--prescale", "nan"], "--prescale"),
+            (["--res", "16385x8"], "--res"),
+            (["--res", "8x0"], "--res"),
+        ],
+        ids=["omega", "scales", "min_dim", "padding", "padding_above_bound", "prescale_zero",
+             "prescale_nan", "res_above_bound", "res_zero"],
+    )
+    def test_bad_override_exits_1_before_raster(self, tmp_path, capsys, monkeypatch, flags, named):
+        monkeypatch.setattr("atlaspack.cli.depth_prepass", fail_if_called)
+        scene = write_scene(tmp_path, QUAD_OBJ)
+        assert main(["atlas-scene", str(scene), *flags]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}: ")
+        assert "Traceback" not in err
+
+    def test_screen_above_bound_in_file_exits_1_before_raster(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("atlaspack.cli.depth_prepass", fail_if_called)
+        scene = write_scene(tmp_path, QUAD_OBJ, screen="8 16385")
+        assert main(["atlas-scene", str(scene)]) == EXIT_BAD_INPUT
+        assert "scene.cfg: screen sides must be in [1, 16384]" in capsys.readouterr().err
+
+    def test_box_taller_than_packer_capacity_exits_2(self, tmp_path, capsys):
+        scene = write_scene(tmp_path, QUAD_OBJ)
+        assert main(["atlas-scene", str(scene), "--prescale", "1e9"]) == EXIT_PACK_FAILURE
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "bad_line",
         ["v 0 0 nan", "v 0 1 abc", "f 0 2 3", "f 1 2 x", "f 1 2 9", "f 1 2 -9"],
         ids=["nan_coordinate", "non_numeric_coordinate", "zero_index", "non_numeric_index",
@@ -295,6 +345,22 @@ class TestCompareCommand:
         assert main(["compare", str(path), "--omega", "1000", "--out", str(out)]) == EXIT_BAD_INPUT
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_box_above_max_dim_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "tall.txt"
+        path.write_text("0 0 1 99999999999\n")
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", str(path), "--omega", "64", "--out", str(out)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "tall.txt:1" in err
+        assert "Traceback" not in err
+
+    def test_bad_scene_omega_exits_1_before_raster(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("atlaspack.cli.depth_prepass", fail_if_called)
+        scene = write_scene(tmp_path, QUAD_OBJ)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", str(scene), "--omega", "1000", "--out", str(out)]) == EXIT_BAD_INPUT
+        assert "power of two" in capsys.readouterr().err
+
     def test_scene_input(self, tmp_path):
         scene = write_scene(tmp_path, TWO_QUADS_OBJ)
         out = tmp_path / "cmp.csv"
@@ -330,4 +396,15 @@ class TestSceneConfig:
     def test_bad_omega_rejected(self, tmp_path):
         scene = write_scene(tmp_path, QUAD_OBJ, omega="100")
         with pytest.raises(InputError, match="power of two"):
+            parse_scene_config(scene)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("screen", "16385 8"), ("screen", "8 0"), ("scales", "0"), ("min_dim", "0"),
+         ("padding", "-1"), ("prescale", "-1")],
+        ids=["screen_above_bound", "screen_zero", "scales", "min_dim", "padding", "prescale"],
+    )
+    def test_out_of_range_value_names_the_file(self, tmp_path, key, value):
+        scene = write_scene(tmp_path, QUAD_OBJ, **{key: value})
+        with pytest.raises(InputError, match=rf"scene\.cfg: {key}"):
             parse_scene_config(scene)

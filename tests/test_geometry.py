@@ -12,9 +12,14 @@ from atlaspack import (
     select_side_plane,
     viewport_box,
 )
-from atlaspack.geometry import W_EPSILON, clip_halfspace
+from atlaspack.geometry import SIDE_PLANES, W_EPSILON, clip_halfspace, plane_distances
 
-from oracles import box_contains, chart_frustum_box, conservative_blinn_box
+from oracles import (
+    box_contains,
+    chart_frustum_box,
+    conservative_blinn_box,
+    per_triangle_chart_bbox,
+)
 
 
 def project(p, cam):
@@ -208,6 +213,40 @@ class TestChartBbox:
                 continue
             reference = conservative_blinn_box(tri, cam90)
             assert box.area <= reference.area + 1e-12
+
+    def test_matches_per_triangle_path(self, cam90, rng):
+        # Each chart mixes triangles well inside the frustum, across a side
+        # plane, grazing the right plane, across the near plane and behind
+        # the camera.
+        kinds = {"inside": 0, "side": 0, "near": 0, "behind": 0}
+        centers = np.array(
+            [[0.0, 0.0, -5.0], [4.0, 0.0, -4.0], [5.0, 0.0, -5.0], [0.0, 0.0, 0.0], [0.0, 0.0, 3.0]]
+        )
+        spreads = np.array([0.5, 2.0, 0.002, 1.0, 0.5])
+        for _ in range(200):
+            n = int(rng.integers(1, 10))
+            kind = rng.integers(0, len(centers), size=n)
+            tris = centers[kind, None] + rng.normal(size=(n, 3, 3)) * spreads[kind, None, None]
+            homo = np.concatenate([tris, np.ones((n, 3, 1))], axis=2) @ cam90.view_proj.T
+            w = homo[:, :, 3]
+            front = np.all(w > W_EPSILON, axis=1)
+            kinds["behind"] += int(np.sum(np.all(w <= W_EPSILON, axis=1)))
+            kinds["near"] += int(np.sum(~front & np.any(w > W_EPSILON, axis=1)))
+            for plane in SIDE_PLANES:
+                d = plane_distances(homo, plane)
+                kinds["side"] += int(np.sum(front & np.any(d > 0, axis=1) & np.any(d < 0, axis=1)))
+            inside = np.all(np.abs(homo[:, :, :2]) < w[:, :, None], axis=(1, 2))
+            kinds["inside"] += int(np.sum(front & inside))
+            try:
+                expected = per_triangle_chart_bbox(tris, cam90)
+            except DegenerateChart:
+                with pytest.raises(DegenerateChart):
+                    chart_bbox(tris, cam90)
+                continue
+            box = chart_bbox(tris, cam90)
+            assert box == expected
+            assert all(type(v) is float for v in (box.min_x, box.min_y, box.max_x, box.max_y))
+        assert min(kinds.values()) > 50, kinds
 
     def test_all_behind_raises(self, cam90):
         tri = np.array([[[0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [0.0, 1.0, 1.5]]])
