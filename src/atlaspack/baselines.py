@@ -24,6 +24,7 @@ from .packing import (
     PackFailure,
     Placement,
     _DIRECTION_PERIOD,
+    _check_knobs,
     _check_omega,
     _scaled_dims,
     orient,
@@ -107,6 +108,7 @@ def sequential_scale_search(
 ) -> AtlasLayout:
     """Full sequential packer: scale grid search over sequential_pack."""
     _check_omega(omega)
+    _check_knobs(min_dim, padding, n_scales)
     box_list = list(boxes)
     if not box_list:
         return AtlasLayout(omega=omega, scale=Fraction(1), placements=())

@@ -48,7 +48,6 @@ from .charts import (
 from .geometry import (
     CameraFrame,
     DegenerateChart,
-    NdcBox,
     W_EPSILON,
     chart_bbox,
     clip_coords,
@@ -398,7 +397,6 @@ class SceneResult:
     boxes: list[ChartBox]
     layout: AtlasLayout
     stretch: StretchReport | None
-    chart_ndc: dict[int, NdcBox]
     chart_px: dict[int, tuple[int, int]]
     screen_fragments: int
     texels_allocated: int
@@ -417,7 +415,6 @@ def run_scene_pipeline(cfg: SceneConfig, packer: str = "fastatlas") -> SceneResu
     cs = merge_shared_vertices(connected_charts(mesh, vis), mesh)
 
     boxes: list[ChartBox] = []
-    chart_ndc: dict[int, NdcBox] = {}
     chart_px: dict[int, tuple[int, int]] = {}
     for root, members in cs.charts.items():
         try:
@@ -427,18 +424,15 @@ def run_scene_pipeline(cfg: SceneConfig, packer: str = "fastatlas") -> SceneResu
         w_px, h_px = viewport_box(box, cfg.screen[0], cfg.screen[1])
         tw = max(1, math.ceil(cfg.prescale * w_px))
         th = max(1, math.ceil(cfg.prescale * h_px))
-        chart_ndc[root] = box
         chart_px[root] = (w_px, h_px)
         boxes.append(ChartBox(target_w=tw, target_h=th, chart_id=root, min_tri=root))
 
     packer_fn = make_packer(packer, cfg.n_scales, cfg.min_dim, cfg.padding)
     layout = packer_fn(boxes, cfg.omega)
 
-    stretch = _scene_stretch_report(cfg, mesh, cam, cs, layout, chart_ndc, chart_px)
+    stretch = _scene_stretch_report(cfg, mesh, cam, cs, layout, chart_px)
     screen_fragments = int(np.isfinite(depth).sum())
-    texels = sum(
-        max(0, p.w - 2 * cfg.padding) * max(0, p.h - 2 * cfg.padding) for p in layout.placements
-    )
+    texels = int(np.prod(_content_sides(layout, cfg.padding), axis=1).sum())
     return SceneResult(
         config=cfg,
         mesh=mesh,
@@ -446,7 +440,6 @@ def run_scene_pipeline(cfg: SceneConfig, packer: str = "fastatlas") -> SceneResu
         boxes=boxes,
         layout=layout,
         stretch=stretch,
-        chart_ndc=chart_ndc,
         chart_px=chart_px,
         screen_fragments=screen_fragments,
         texels_allocated=texels,
@@ -454,48 +447,41 @@ def run_scene_pipeline(cfg: SceneConfig, packer: str = "fastatlas") -> SceneResu
     )
 
 
-def _scene_stretch_report(cfg, mesh, cam, cs, layout, chart_ndc, chart_px) -> StretchReport | None:
-    """Per-triangle screen-vs-atlas stretch over fully-projectable triangles.
+def _content_sides(layout: AtlasLayout, padding: int) -> np.ndarray:
+    """(n, 2) int64 sides of each placement inside its padding, unrotated.
 
-    Triangles with any vertex at or behind the camera plane are skipped;
-    their screen vertices have no well-defined projection.
+    Superblock layouts are never padded, whatever padding was asked for.
     """
-    placements = {p.chart_id: p for p in layout.placements}
-    w_screen, h_screen = cfg.screen
-    pad = cfg.padding
-    pairs = []
-    clip = clip_coords(mesh.triangle_corners(), cam)
-    if len(clip) == 0:
-        return None
-    for root, members in cs.charts.items():
-        p = placements.get(root)
-        if p is None or root not in chart_ndc:
-            continue
-        box = chart_ndc[root]
-        w_px, h_px = chart_px[root]
-        cw = p.w - 2 * pad
-        ch = p.h - 2 * pad
-        for t in members:
-            v = clip[t]
-            if np.any(v[:, 3] <= W_EPSILON):
-                continue
-            ndc = v[:, :2] / v[:, 3:4]
-            screen_tri = np.column_stack(
-                [(ndc[:, 0] + 1.0) * 0.5 * w_screen, (ndc[:, 1] + 1.0) * 0.5 * h_screen]
-            )
-            u = (ndc[:, 0] - box.min_x) * 0.5 * w_screen
-            vv = (ndc[:, 1] - box.min_y) * 0.5 * h_screen
-            if p.rotated:
-                atlas_tri = np.column_stack(
-                    [p.x + pad + vv * (cw / h_px), p.y + pad + u * (ch / w_px)]
-                )
-            else:
-                atlas_tri = np.column_stack(
-                    [p.x + pad + u * (cw / w_px), p.y + pad + vv * (ch / h_px)]
-                )
-            pairs.append((screen_tri, atlas_tri))
+    if isinstance(layout, SuperblockLayout):
+        padding = 0
+    sides = [(p.h, p.w) if p.rotated else (p.w, p.h) for p in layout.placements]
+    return np.array(sides, dtype=np.int64).reshape(-1, 2) - 2 * padding
+
+
+def _scene_stretch_report(cfg, mesh, cam, cs, layout, chart_px) -> StretchReport | None:
+    """Stretch of each placed chart's atlas-to-screen scaling.
+
+    A chart of w_px x h_px screen pixels fills its placement's content
+    rectangle by one axis-aligned scaling, so all of its triangles share
+    the two singular values. Each chart is weighted by the screen area of
+    its triangles that lie fully in front of the camera plane; a triangle
+    with a vertex at or behind it has no well-defined projection.
+    """
+    tris = np.flatnonzero(cs.chart_of_triangle >= 0)
+    clip = clip_coords(mesh.triangle_corners(tris), cam)
+    front = np.all(clip[:, :, 3] > W_EPSILON, axis=1)
+    screen = (clip[front, :, :2] / clip[front, :, 3:4] + 1.0) * 0.5 * np.array(cfg.screen)
+    e1 = screen[:, 1] - screen[:, 0]
+    e2 = screen[:, 2] - screen[:, 0]
+    area = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]) / 2.0
+    chart_area = np.bincount(
+        cs.chart_of_triangle[tris[front]], weights=area, minlength=len(cs.chart_of_triangle)
+    )
+    ids = [p.chart_id for p in layout.placements]
     try:
-        return scene_stretch(pairs)
+        return scene_stretch(
+            [chart_px[i] for i in ids], _content_sides(layout, cfg.padding), chart_area[ids]
+        )
     except NoValidTriangles:
         return None
 
@@ -575,6 +561,18 @@ def _scale_fields(layout: AtlasLayout):
 # --- subcommands ------------------------------------------------------------
 
 
+def _check_pack_flags(args) -> None:
+    """Raise ValueError naming the first out-of-range --scales, --min-dim or --padding.
+
+    The flags are checked by scene_config_problem on an otherwise default
+    config, whose other values are all in range.
+    """
+    cfg = SceneConfig(Path(), n_scales=args.scales, min_dim=args.min_dim, padding=args.padding)
+    problem = scene_config_problem(cfg)
+    if problem is not None:
+        raise ValueError(f"--{problem[0].replace('_', '-')}: {problem[1]}")
+
+
 def _cmd_pack_boxes(args) -> int:
     try:
         boxes = parse_box_file(args.input)
@@ -583,6 +581,7 @@ def _cmd_pack_boxes(args) -> int:
         return EXIT_BAD_INPUT
     packer_fn = make_packer(args.packer, args.scales, args.min_dim, args.padding, args.block_size)
     try:
+        _check_pack_flags(args)
         layout = packer_fn(boxes, args.omega)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -675,12 +674,18 @@ def _cmd_compare(args) -> int:
         if p not in PACKER_NAMES:
             print(f"error: unknown packer '{p}'", file=sys.stderr)
             return EXIT_BAD_INPUT
-    omegas = [int(o) for o in str(args.omega).split(",")]
+    try:
+        omegas = [int(o) for o in args.omega.split(",")]
+    except ValueError:
+        print(f"error: --omega: expected comma-separated integers, got {args.omega!r}",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
     is_scene = _looks_like_scene(args.input)
     try:
+        _check_pack_flags(args)
         boxes = None if is_scene else parse_box_file(args.input)
         cfg = parse_scene_config(args.input) if is_scene else None
-    except (OSError, InputError) as exc:
+    except (OSError, InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     rows = []
@@ -734,18 +739,13 @@ def _cmd_compare(args) -> int:
 
 
 def _box_stretch_report(layout: AtlasLayout, padding: int) -> StretchReport | None:
-    """Stretch of box-list packs: target rectangle vs placed content rectangle."""
-    pairs = []
-    for p in layout.placements:
-        cw = p.w - 2 * padding
-        ch = p.h - 2 * padding
-        if p.rotated:
-            cw, ch = ch, cw
-        screen = np.array([[0.0, 0.0], [p.target_w, 0.0], [0.0, p.target_h]])
-        atlas = np.array([[0.0, 0.0], [cw, 0.0], [0.0, ch]])
-        pairs.append((screen, atlas))
+    """Stretch of box-list packs: each target rectangle vs its placed content.
+
+    Each box is weighted by the area of half its target rectangle.
+    """
+    target = np.array([(p.target_w, p.target_h) for p in layout.placements]).reshape(-1, 2)
     try:
-        return scene_stretch(pairs)
+        return scene_stretch(target, _content_sides(layout, padding), target.prod(axis=1) / 2.0)
     except NoValidTriangles:
         return None
 

@@ -1,11 +1,13 @@
 """Atlas quality measurement: packing efficiency, texture stretch, digests.
 
-Stretch follows the singular-value formulation: for each triangle pair the
+Stretch follows the singular-value formulation (Sander et al. 2001): the
 affine map from atlas texels to screen pixels has singular values
 (Gamma, gamma); values above 1 mean the screen samples the atlas more
-densely than it was shaded (undersampling). The scene L2 metric is the
-screen-area-weighted RMS of sqrt((Gamma^2 + gamma^2) / 2) and Linf is the
-worst Gamma over all triangles.
+densely than it was shaded (undersampling). Each placed chart is mapped by
+one axis-aligned scaling from its atlas rectangle to its screen rectangle,
+so its singular values are the two side ratios and every triangle of the
+chart shares them. The scene L2 metric is the screen-area-weighted RMS of
+sqrt((Gamma^2 + gamma^2) / 2) and Linf is the worst Gamma over all charts.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 from .packing import AtlasLayout
@@ -31,7 +31,7 @@ class DegenerateTriangle(MetricsError):
 
 
 class NoValidTriangles(MetricsError):
-    """No triangle pair survived validation."""
+    """No chart covers any screen area."""
 
 
 @dataclass(frozen=True)
@@ -74,37 +74,24 @@ def triangle_stretch(screen_tri, atlas_tri) -> tuple[float, float]:
     return float(sv[0]), float(sv[1])
 
 
-def _screen_area(tri: np.ndarray) -> float:
-    e1 = tri[1] - tri[0]
-    e2 = tri[2] - tri[0]
-    return abs(e1[0] * e2[1] - e1[1] * e2[0]) / 2.0
+def scene_stretch(screen_wh, atlas_wh, area) -> StretchReport:
+    """Aggregate stretch over charts, one (n, 2) row of sides per chart.
 
-
-def scene_stretch(pairs: Iterable[tuple]) -> StretchReport:
-    """Aggregate stretch over (screen_tri, atlas_tri) pairs.
-
-    L2 is weighted by screen-space triangle area; Linf is the maximum
-    singular value over all pairs. Pairs with a degenerate atlas triangle
-    are skipped; raises NoValidTriangles when nothing remains.
+    Row i scales an atlas rectangle of ``atlas_wh[i]`` texels (all sides
+    positive) onto a screen rectangle of ``screen_wh[i]`` pixels, so its
+    singular values are the side ratios rx and ry. L2 weights each row's
+    (rx^2 + ry^2) / 2 by its screen ``area[i]``; Linf is the largest ratio.
+    Rows of zero area are skipped; raises NoValidTriangles when none is left.
     """
-    weighted = 0.0
-    total_area = 0.0
-    linf = 0.0
-    valid = 0
-    for screen_tri, atlas_tri in pairs:
-        try:
-            big, small = triangle_stretch(screen_tri, atlas_tri)
-        except DegenerateTriangle:
-            continue
-        valid += 1
-        area = _screen_area(np.asarray(screen_tri, dtype=np.float64).reshape(3, 2))
-        weighted += area * (big * big + small * small) / 2.0
-        total_area += area
-        linf = max(linf, big)
-    if valid == 0:
-        raise NoValidTriangles("no valid triangle pairs")
-    l2 = float(np.sqrt(weighted / total_area)) if total_area > 0 else 0.0
-    return StretchReport(l2=l2, linf=linf)
+    area = np.asarray(area, dtype=np.float64)
+    keep = area > 0
+    if not keep.any():
+        raise NoValidTriangles("no chart covers any screen area")
+    screen = np.asarray(screen_wh, dtype=np.float64).reshape(-1, 2)[keep]
+    ratios = screen / np.asarray(atlas_wh, dtype=np.float64).reshape(-1, 2)[keep]
+    weighted = np.sum(area[keep] * np.sum(ratios * ratios, axis=1) / 2.0)
+    l2 = float(np.sqrt(weighted / np.sum(area[keep])))
+    return StretchReport(l2=l2, linf=float(ratios.max()))
 
 
 def layout_digest(layout: AtlasLayout) -> LayoutDigest:

@@ -231,8 +231,7 @@ def pack_at_scale(
     _check_omega(omega)
     if not (0 < scale <= 1):
         raise ValueError("scale must be in (0, 1]")
-    if min_dim < 1 or padding < 0:
-        raise ValueError("min_dim must be >= 1 and padding >= 0")
+    _check_knobs(min_dim, padding)
     if not ordered_boxes:
         return AtlasLayout(omega=omega, scale=Fraction(scale), placements=())
     tw = np.array([b.w for b in ordered_boxes], dtype=np.int64)
@@ -295,8 +294,7 @@ def pack(
     a box still wider than the atlas at the smallest candidate scale.
     """
     _check_omega(omega)
-    if not (1 <= n_scales <= MAX_SCALES):
-        raise ValueError(f"n_scales must be in [1, {MAX_SCALES}], got {n_scales}")
+    _check_knobs(min_dim, padding, n_scales)
     box_list = list(boxes)
     if not box_list:
         return AtlasLayout(omega=omega, scale=Fraction(1), placements=())
@@ -325,6 +323,15 @@ def pack(
 def _scaled_dims(targets: np.ndarray, num: int, den: int, min_dim: int, padding: int) -> np.ndarray:
     scaled = -((-num * targets) // den)  # exact ceil(num * t / den)
     return np.maximum(scaled, min_dim) + 2 * padding
+
+
+def _check_knobs(min_dim: int, padding: int, n_scales: int = 1) -> None:
+    if not 1 <= n_scales <= MAX_SCALES:
+        raise ValueError(f"n_scales must be in [1, {MAX_SCALES}], got {n_scales}")
+    if not 1 <= min_dim <= MAX_BOX_DIM:
+        raise ValueError(f"min_dim must be in [1, {MAX_BOX_DIM}], got {min_dim}")
+    if not 0 <= padding <= MAX_BOX_DIM:
+        raise ValueError(f"padding must be in [0, {MAX_BOX_DIM}], got {padding}")
 
 
 def _check_omega(omega: int) -> None:

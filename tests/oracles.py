@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths under test: the frustum
 clipper is a plain Sutherland-Hodgman loop over all six planes, the
 clamp-only box skips clipping altogether, the reference rasterizer and the
 per-triangle chart box are the package's earlier one-triangle-at-a-time
-loops, which the batched code must match bit for bit, components come from
+loops, which the batched code must match bit for bit, the stretch report
+is the earlier per-triangle pair loop with one SVD per triangle, which the
+per-chart rule must match to rounding, components come from
 breadth-first search, the fold reference walks boxes one at a time along
 the folded line, the exhaustive packer backtracks over every placement of
 a tiny instance, and layout validity is checked by occupancy grids or
@@ -25,13 +27,17 @@ from atlaspack import (
     AtlasLayout,
     ChartBox,
     DegenerateChart,
+    DegenerateTriangle,
     Mesh,
     NdcBox,
+    NoValidTriangles,
+    StretchReport,
     blinn_clamped_ndc,
     select_side_plane,
+    triangle_stretch,
 )
 from atlaspack.charts import DEPTH_EPSILON, _clip_triangle_frustum
-from atlaspack.geometry import W_EPSILON, clip_halfspace, plane_distances
+from atlaspack.geometry import W_EPSILON, clip_coords, clip_halfspace, plane_distances
 
 _PLANES = (
     (0, 1.0),
@@ -496,6 +502,85 @@ def numeric_map_singular_values(screen_tri, atlas_tri, eps: float = 1e-6):
     jy = (to_screen(center + [0.0, eps]) - to_screen(center - [0.0, eps])) / (2 * eps)
     sv = np.linalg.svd(np.column_stack([jx, jy]), compute_uv=False)
     return float(sv[0]), float(sv[1])
+
+
+def _screen_area(tri: np.ndarray) -> float:
+    e1 = tri[1] - tri[0]
+    e2 = tri[2] - tri[0]
+    return abs(e1[0] * e2[1] - e1[1] * e2[0]) / 2.0
+
+
+def per_triangle_scene_stretch(pairs) -> StretchReport:
+    """Aggregate stretch over (screen_tri, atlas_tri) pairs.
+
+    L2 is weighted by screen-space triangle area; Linf is the maximum
+    singular value over all pairs. Pairs with a degenerate atlas triangle
+    are skipped; raises NoValidTriangles when nothing remains.
+    """
+    weighted = 0.0
+    total_area = 0.0
+    linf = 0.0
+    valid = 0
+    for screen_tri, atlas_tri in pairs:
+        try:
+            big, small = triangle_stretch(screen_tri, atlas_tri)
+        except DegenerateTriangle:
+            continue
+        valid += 1
+        area = _screen_area(np.asarray(screen_tri, dtype=np.float64).reshape(3, 2))
+        weighted += area * (big * big + small * small) / 2.0
+        total_area += area
+        linf = max(linf, big)
+    if valid == 0:
+        raise NoValidTriangles("no valid triangle pairs")
+    l2 = float(np.sqrt(weighted / total_area)) if total_area > 0 else 0.0
+    return StretchReport(l2=l2, linf=linf)
+
+
+def per_triangle_stretch_report(cfg, mesh, cam, cs, layout, chart_ndc, chart_px):
+    """Per-triangle screen-vs-atlas stretch over fully-projectable triangles.
+
+    Triangles with any vertex at or behind the camera plane are skipped;
+    their screen vertices have no well-defined projection.
+    """
+    placements = {p.chart_id: p for p in layout.placements}
+    w_screen, h_screen = cfg.screen
+    pad = cfg.padding
+    pairs = []
+    clip = clip_coords(mesh.triangle_corners(), cam)
+    if len(clip) == 0:
+        return None
+    for root, members in cs.charts.items():
+        p = placements.get(root)
+        if p is None or root not in chart_ndc:
+            continue
+        box = chart_ndc[root]
+        w_px, h_px = chart_px[root]
+        cw = p.w - 2 * pad
+        ch = p.h - 2 * pad
+        for t in members:
+            v = clip[t]
+            if np.any(v[:, 3] <= W_EPSILON):
+                continue
+            ndc = v[:, :2] / v[:, 3:4]
+            screen_tri = np.column_stack(
+                [(ndc[:, 0] + 1.0) * 0.5 * w_screen, (ndc[:, 1] + 1.0) * 0.5 * h_screen]
+            )
+            u = (ndc[:, 0] - box.min_x) * 0.5 * w_screen
+            vv = (ndc[:, 1] - box.min_y) * 0.5 * h_screen
+            if p.rotated:
+                atlas_tri = np.column_stack(
+                    [p.x + pad + vv * (cw / h_px), p.y + pad + u * (ch / w_px)]
+                )
+            else:
+                atlas_tri = np.column_stack(
+                    [p.x + pad + u * (cw / w_px), p.y + pad + vv * (ch / h_px)]
+                )
+            pairs.append((screen_tri, atlas_tri))
+    try:
+        return per_triangle_scene_stretch(pairs)
+    except NoValidTriangles:
+        return None
 
 
 def delaunay_mesh(rng: np.random.Generator, n_points: int, z: float = -5.0) -> Mesh:

@@ -30,6 +30,15 @@ GRID64 = [Fraction(i, 64) for i in range(1, 65)]
 
 
 class TestSequentialPack:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"n_scales": 0}, {"min_dim": 0}, {"padding": -3}, {"padding": 5_000_000_000_000_000_000}],
+        ids=["n_scales_zero", "min_dim_zero", "padding_negative", "padding_above_bound"],
+    )
+    def test_out_of_range_knob_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            sequential_scale_search([box(4, 4, 0)], 64, **kwargs)
+
     def test_never_overflows_where_fold_does(self):
         f = sequential_fold([5, 5], 8)
         assert f.overflow_m == 0

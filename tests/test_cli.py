@@ -6,21 +6,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atlaspack import AtlasLayout, Placement, layouts_equal, pack
+from atlaspack import AtlasLayout, PackFailure, Placement, chart_bbox, layouts_equal, pack
 from atlaspack.cli import (
     EXIT_BAD_INPUT,
     EXIT_NOTHING_VISIBLE,
     EXIT_OK,
     EXIT_PACK_FAILURE,
     InputError,
+    NothingVisible,
+    SceneConfig,
     generate_boxes,
     main,
     parse_box_file,
     parse_layout_file,
     parse_scene_config,
+    run_scene_pipeline,
     write_box_file,
     write_layout_file,
 )
+from atlaspack.geometry import W_EPSILON, clip_coords
+
+from oracles import per_triangle_stretch_report
 
 QUAD_OBJ = """\
 v -2 -2 -2
@@ -62,6 +68,43 @@ def write_scene(tmp_path, obj_text, **overrides):
     path = tmp_path / "scene.cfg"
     path.write_text(text)
     return path
+
+
+# Out-of-range --min-dim and --padding values, with the error's expected start.
+BAD_PACK_FLAGS = [
+    (["--omega", "64", "--padding", "5000000000000000000"], "error: --padding: "),
+    (["--omega", "64", "--padding", "-3"], "error: --padding: "),
+    (["--omega", "64", "--min-dim", "99999999999999999999"], "error: --min-dim: "),
+    (["--omega", "64", "--min-dim", "0"], "error: --min-dim: "),
+]
+BAD_PACK_FLAG_IDS = ["padding_above_bound", "padding_negative", "min_dim_above_bound",
+                     "min_dim_zero"]
+
+
+def patches_obj(rng, n_patches):
+    """Bumpy, randomly turned patches of 2*k*k triangles; some reach behind the camera."""
+    lines, base = [], 1
+    for i in range(n_patches):
+        k = int(rng.integers(1, 4))
+        half = rng.uniform(0.1, 1.5, size=2)
+        u, v = np.meshgrid(np.linspace(-1, 1, k + 1), np.linspace(-1, 1, k + 1))
+        pts = np.column_stack([u.ravel() * half[0], v.ravel() * half[1],
+                               rng.uniform(-0.1, 0.1, size=u.size)])
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        if i % 4 == 0:  # near the camera and tilted: crosses the near plane
+            center = [rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), -0.4]
+            pts[:, 2] += u.ravel() * 1.5
+        else:
+            center = [rng.uniform(-3, 3), rng.uniform(-2, 2), rng.uniform(-8, -1)]
+        for x, y, z in pts @ q.T + center:
+            lines.append(f"v {x:.9f} {y:.9f} {z:.9f}")
+        for r in range(k):
+            for c in range(k):
+                a = base + r * (k + 1) + c
+                lines.append(f"f {a} {a + 1} {a + k + 2}")
+                lines.append(f"f {a} {a + k + 2} {a + k + 1}")
+        base += (k + 1) ** 2
+    return "\n".join(lines) + "\n"
 
 
 def fail_if_called(*args, **kwargs):
@@ -188,21 +231,22 @@ class TestPackBoxesCommand:
         assert main(["pack-boxes", str(path), "--omega", "64"]) == EXIT_PACK_FAILURE
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, start",
         [
-            ["--omega", "1000"],
-            ["--omega", "131072"],
-            ["--omega", "64", "--scales", "0"],
-            ["--omega", "64", "--packer", "superblock", "--block-size", "3"],
+            (["--omega", "1000"], "error: "),
+            (["--omega", "131072"], "error: "),
+            (["--omega", "64", "--scales", "0"], "error: --scales: "),
+            (["--omega", "64", "--packer", "superblock", "--block-size", "3"], "error: "),
+            *BAD_PACK_FLAGS,
         ],
-        ids=["omega", "omega_above_bound", "scales", "block_size"],
+        ids=["omega", "omega_above_bound", "scales", "block_size", *BAD_PACK_FLAG_IDS],
     )
-    def test_bad_flag_exits_1(self, tmp_path, capsys, flags):
+    def test_bad_flag_exits_1(self, tmp_path, capsys, flags, start):
         path = tmp_path / "boxes.txt"
         path.write_text("0 0 4 4\n")
         assert main(["pack-boxes", str(path), *flags]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith(start)
         assert "Traceback" not in err
 
     def test_identical_runs_identical_outputs(self, tmp_path, rng):
@@ -243,6 +287,17 @@ class TestAtlasSceneCommand:
         assert rows[0]["n_charts"] == "2"
         layout = parse_layout_file(tmp_path / "scene.layout.txt")
         assert len(layout.placements) == 2
+
+    def test_superblock_texels_ignore_padding(self, tmp_path):
+        scene = write_scene(tmp_path, TWO_QUADS_OBJ)
+        texels = []
+        for padding in ("0", "2"):
+            out = tmp_path / f"pad{padding}"
+            argv = ["atlas-scene", str(scene), "--packer", "superblock", "--padding", padding,
+                    "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            texels.append(read_csv(tmp_path / f"pad{padding}.metrics.csv")[0]["texels_allocated"])
+        assert texels[0] == texels[1]
 
     def test_camera_facing_away_exits_3(self, tmp_path, capsys):
         scene = write_scene(tmp_path, QUAD_OBJ, look_at="0 0 1")
@@ -345,6 +400,40 @@ class TestCompareCommand:
         assert main(["compare", str(path), "--omega", "1000", "--out", str(out)]) == EXIT_BAD_INPUT
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "flags, start",
+        [(["--omega", "abc"], "error: --omega: "), *BAD_PACK_FLAGS],
+        ids=["omega_not_int", *BAD_PACK_FLAG_IDS],
+    )
+    @pytest.mark.parametrize("input_kind", ["boxes", "scene"])
+    def test_bad_flag_exits_1(self, tmp_path, capsys, monkeypatch, flags, start, input_kind):
+        monkeypatch.setattr("atlaspack.cli.depth_prepass", fail_if_called)
+        if input_kind == "boxes":
+            path = tmp_path / "boxes.txt"
+            path.write_text("0 0 4 4\n")
+        else:
+            path = write_scene(tmp_path, QUAD_OBJ)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", str(path), *flags, "--out", str(out)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(start)
+        assert "Traceback" not in err
+
+    def test_superblock_row_ignores_padding(self, tmp_path, rng):
+        path = tmp_path / "boxes.txt"
+        write_box_file(generate_boxes(60, 256, rng), path)
+        rows = []
+        for padding in ("0", "1"):
+            out = tmp_path / f"cmp{padding}.csv"
+            argv = ["compare", str(path), "--omega", "256", "--packer", "superblock",
+                    "--padding", padding, "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            (row,) = read_csv(out)
+            row.pop("wall_ms")
+            rows.append(row)
+        assert rows[0]["status"] == "ok"
+        assert rows[0] == rows[1]
+
     def test_box_above_max_dim_exits_1(self, tmp_path, capsys):
         path = tmp_path / "tall.txt"
         path.write_text("0 0 1 99999999999\n")
@@ -374,6 +463,60 @@ class TestCompareCommand:
         for r in rows:
             assert r["status"] == "ok"
             assert float(r["l2_stretch"]) == pytest.approx(1.0, abs=0.05)
+
+
+class TestStretchReport:
+    def test_matches_per_triangle_reference_on_random_scenes(self, tmp_path):
+        seen = {"rotated": 0, "padded": 0, "prescaled": 0, "scale_below_1": 0, "near": 0}
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            mesh_path = tmp_path / f"s{seed}.obj"
+            mesh_path.write_text(patches_obj(rng, int(rng.integers(3, 12))))
+            cfg = SceneConfig(
+                mesh_path=mesh_path,
+                fov_y_deg=float(rng.uniform(50, 90)),
+                screen=(160, 120),
+                omega=int(rng.choice([64, 128, 256])),
+                padding=int(rng.integers(0, 3)),
+                prescale=float(rng.choice([1.0, 1.7, 0.6])),
+                backface_cull=bool(seed % 2),
+            )
+            try:
+                result = run_scene_pipeline(cfg)
+            except (NothingVisible, PackFailure):
+                continue
+            cam, charts = cfg.camera(), result.chart_set.charts
+            chart_ndc = {c: chart_bbox(result.mesh.triangle_corners(charts[c]), cam)
+                         for c in result.chart_px}
+            want = per_triangle_stretch_report(
+                cfg, result.mesh, cam, result.chart_set, result.layout, chart_ndc,
+                result.chart_px,
+            )
+            got = result.stretch
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            assert got.l2 == pytest.approx(want.l2, rel=1e-9)
+            assert got.linf == pytest.approx(want.linf, rel=1e-9)
+            clip = clip_coords(result.mesh.triangle_corners(), cam)
+            placed = [p.chart_id for p in result.layout.placements]
+            seen["rotated"] += any(p.rotated for p in result.layout.placements)
+            seen["padded"] += cfg.padding > 0
+            seen["prescaled"] += cfg.prescale != 1.0
+            seen["scale_below_1"] += result.layout.scale < 1
+            seen["near"] += any(
+                np.any(clip[charts[c], :, 3] <= W_EPSILON) for c in placed
+            )
+        assert min(seen.values()) >= 3, seen
+
+    def test_unscaled_scene_reads_exactly_one(self, tmp_path):
+        scene = write_scene(tmp_path, TWO_QUADS_OBJ)
+        assert main(["atlas-scene", str(scene)]) == EXIT_OK
+        layout = parse_layout_file(tmp_path / "scene.layout.txt")
+        assert layout.scale == 1
+        row = read_csv(tmp_path / "scene.metrics.csv")[0]
+        assert float(row["l2_stretch"]) == 1.0
+        assert float(row["linf_stretch"]) == 1.0
 
 
 class TestGenBoxesCommand:

@@ -92,35 +92,39 @@ class TestTriangleStretch:
 
 class TestSceneStretch:
     def test_identity_pairs(self):
-        report = scene_stretch([(TRI, TRI), (TRI * 2, TRI * 2)])
+        report = scene_stretch([(4, 3), (8, 6)], [(4, 3), (8, 6)], [6.0, 24.0])
         assert report.l2 == pytest.approx(1.0)
         assert report.linf == pytest.approx(1.0)
 
     def test_uniform_global_scale(self):
-        pairs = [(TRI, TRI / 3.0), (TRI @ np.array([[0, 1], [1, 0]]), (TRI / 3.0) @ np.array([[0, 1], [1, 0]]))]
-        report = scene_stretch(pairs)
+        report = scene_stretch([(4, 3), (3, 4)], [(4 / 3, 1), (1, 4 / 3)], [6.0, 6.0])
         assert report.l2 == pytest.approx(3.0)
         assert report.linf == pytest.approx(3.0)
 
     def test_one_bad_triangle_moves_linf_not_l2(self):
-        tiny = TRI * 0.01
-        pairs = [(TRI * 10, TRI * 10)] * 50 + [(tiny, tiny * 0.1)]
-        report = scene_stretch(pairs)
+        screen = [(40, 30)] * 50 + [(0.04, 0.03)]
+        atlas = [(40, 30)] * 50 + [(0.004, 0.003)]
+        report = scene_stretch(screen, atlas, [600.0] * 50 + [6e-4])
         assert report.linf == pytest.approx(10.0)
         assert report.l2 == pytest.approx(1.0, abs=0.01)
 
     def test_linf_never_below_l2(self, rng):
-        pairs = []
-        for _ in range(60):
-            screen = rng.normal(scale=10.0, size=(3, 2))
-            atlas = rng.normal(scale=10.0, size=(3, 2))
-            pairs.append((screen, atlas))
-        report = scene_stretch(pairs)
+        screen = rng.uniform(0.1, 20.0, size=(60, 2))
+        atlas = rng.uniform(0.1, 20.0, size=(60, 2))
+        report = scene_stretch(screen, atlas, rng.uniform(0.0, 50.0, size=60))
         assert report.linf >= report.l2 - 1e-12
 
     def test_empty_raises(self):
         with pytest.raises(NoValidTriangles):
-            scene_stretch([(TRI, np.zeros((3, 2)))])
+            scene_stretch([(4, 3)], [(4, 3)], [0.0])
+
+    def test_matches_triangle_stretch(self, rng):
+        for _ in range(100):
+            (sw, sh), (aw, ah) = rng.uniform(0.5, 50.0, size=(2, 2))
+            report = scene_stretch([(sw, sh)], [(aw, ah)], [1.0])
+            big, small = triangle_stretch(TRI * [sw, sh], TRI * [aw, ah])
+            assert report.linf == pytest.approx(big, rel=1e-12)
+            assert report.l2 == pytest.approx(math.sqrt((big**2 + small**2) / 2), rel=1e-12)
 
 
 class TestLayoutDigest:

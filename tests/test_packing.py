@@ -228,6 +228,16 @@ class TestPack:
         with pytest.raises(ValueError):
             pack(boxes, 64)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"min_dim": 0}, {"min_dim": MAX_BOX_DIM + 1}, {"padding": -3},
+         {"padding": 5_000_000_000_000_000_000}],
+        ids=["min_dim_zero", "min_dim_above_bound", "padding_negative", "padding_above_bound"],
+    )
+    def test_out_of_range_knob_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            pack([box(4, 4, 0)], 64, **kwargs)
+
     def test_determinism_across_permutations(self, rng):
         boxes = generate_boxes(40, 128, np.random.default_rng(5))
         reference = layout_digest(pack(boxes, 128))
