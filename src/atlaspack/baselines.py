@@ -5,12 +5,12 @@ time and never overflows (it gives the same rows as the prefix-sum fold and
 serves as its per-box reference), and a superblock grid packer in the style
 of earlier atlasing systems (boxes are capped to a fixed block size and
 allocated into power-of-two shelf rows inside a block grid, halving the
-block size when they do not fit).
+block size when they do not fit). Both take a box table or a ChartBox
+sequence and orient and order the boxes as ``packing.pack`` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,28 +18,27 @@ import numpy as np
 
 from .packing import (
     AtlasLayout,
-    ChartBox,
     FoldResult,
-    OrientedBox,
     PackFailure,
-    Placement,
     _DIRECTION_PERIOD,
     _check_knobs,
     _check_omega,
     _scaled_dims,
-    orient,
-    order,
+    box_table,
+    layout_table,
+    oriented_order,
     push_up,
 )
 
 SUPERBLOCK_FLOOR = 16
 
 
-@dataclass(frozen=True)
 class SuperblockLayout(AtlasLayout):
     """Superblock packing result; records the block size actually used."""
 
-    block_size: int = 0
+    def __init__(self, omega, scale, placements=(), table=None, block_size: int = 0):
+        super().__init__(omega, scale, placements, table)
+        self.block_size = block_size
 
 
 def sequential_fold(widths: Sequence[int], omega: int) -> FoldResult:
@@ -68,67 +67,35 @@ def sequential_fold(widths: Sequence[int], omega: int) -> FoldResult:
     return FoldResult(row_of_box=rows, x_of_box=xs, row_direction_left=left, overflow_m=0)
 
 
-def sequential_pack(ordered_boxes: Sequence[OrientedBox], omega: int) -> AtlasLayout | None:
-    """Place ordered boxes sequentially, then push up; None on overflow.
-
-    Boxes are used at their stated dimensions (the caller scales them).
-    Both folds give the same rows, so this produces placements identical
-    to the vectorised path.
-    """
-    if not ordered_boxes:
-        return AtlasLayout(omega=omega, scale=Fraction(1), placements=())
-    widths = [b.w for b in ordered_boxes]
-    fold_result = sequential_fold(widths, omega)
-    dims = np.array([[b.w, b.h] for b in ordered_boxes], dtype=np.int64)
-    y, height_used = push_up(fold_result, dims, omega)
-    if height_used > omega:
-        return None
-    placements = tuple(
-        Placement(
-            chart_id=b.source.chart_id,
-            x=int(fold_result.x_of_box[i]),
-            y=int(y[i]),
-            w=b.w,
-            h=b.h,
-            rotated=b.rotated,
-            target_w=b.source.target_w,
-            target_h=b.source.target_h,
-        )
-        for i, b in enumerate(ordered_boxes)
-    )
-    return AtlasLayout(omega=omega, scale=Fraction(1), placements=placements)
-
-
 def sequential_scale_search(
-    boxes: Sequence[ChartBox],
+    boxes,
     omega: int,
     n_scales: int = 64,
     min_dim: int = 1,
     padding: int = 0,
 ) -> AtlasLayout:
-    """Full sequential packer: scale grid search over sequential_pack."""
+    """Full sequential packer: a scale grid search over sequential_fold.
+
+    Candidates i/n_scales are tried from the top down; each scales the
+    ordered boxes, walks them into rows with sequential_fold, pushes the
+    rows up, and is accepted when the used height fits the atlas.
+    """
     _check_omega(omega)
     _check_knobs(min_dim, padding, n_scales)
-    box_list = list(boxes)
-    if not box_list:
-        return AtlasLayout(omega=omega, scale=Fraction(1), placements=())
-    ordered = order(orient(box_list))
-    tw = np.array([b.w for b in ordered], dtype=np.int64)
-    th = np.array([b.h for b in ordered], dtype=np.int64)
+    table = box_table(boxes)
+    if len(table) == 0:
+        return AtlasLayout(omega=omega, scale=Fraction(1))
+    idx, w, h, rotated = oriented_order(table)
     for i in range(n_scales, 0, -1):
-        widths = _scaled_dims(tw, i, n_scales, min_dim, padding)
-        heights = _scaled_dims(th, i, n_scales, min_dim, padding)
+        widths = _scaled_dims(w, i, n_scales, min_dim, padding)
+        heights = _scaled_dims(h, i, n_scales, min_dim, padding)
         if widths.max() > omega:
             continue
-        scaled = [
-            OrientedBox(w=int(widths[j]), h=int(heights[j]), rotated=b.rotated, source=b.source)
-            for j, b in enumerate(ordered)
-        ]
-        layout = sequential_pack(scaled, omega)
-        if layout is not None:
-            return AtlasLayout(
-                omega=omega, scale=Fraction(i, n_scales), placements=layout.placements
-            )
+        fold_result = sequential_fold(widths.tolist(), omega)
+        y, height_used = push_up(fold_result, np.stack([widths, heights], axis=1), omega)
+        if height_used <= omega:
+            rows = layout_table(table, idx, rotated, fold_result.x_of_box, y, widths, heights)
+            return AtlasLayout(omega=omega, scale=Fraction(i, n_scales), table=rows)
     raise PackFailure("every candidate scale was rejected")
 
 
@@ -175,9 +142,7 @@ def _next_pow2(v: int) -> int:
     return 1 << (v - 1).bit_length() if v > 1 else 1
 
 
-def superblock_pack(
-    boxes: Sequence[ChartBox], omega: int, block_size: int
-) -> SuperblockLayout | None:
+def superblock_pack(boxes, omega: int, block_size: int) -> SuperblockLayout | None:
     """Allocate boxes into a grid of fixed-size superblocks.
 
     Boxes larger than the block are uniformly downscaled until they fit
@@ -192,14 +157,16 @@ def superblock_pack(
         raise ValueError("block_size must be a power of two")
     if block_size > omega:
         raise ValueError("block_size must not exceed omega")
-    box_list = order(orient(list(boxes)))
+    table = box_table(boxes)
+    idx, w, h, rotated = oriented_order(table)
     while True:
-        result = _try_superblock(box_list, omega, block_size)
-        if result is not None:
+        spots = _try_superblock(w.tolist(), h.tolist(), omega, block_size)
+        if spots is not None:
+            x, y, pw, ph = np.array(spots, dtype=np.int64).reshape(-1, 4).T
             return SuperblockLayout(
                 omega=omega,
-                scale=_min_box_scale(result),
-                placements=result,
+                scale=min([Fraction(1), *map(Fraction, pw.tolist(), w.tolist())]),
+                table=layout_table(table, idx, rotated, x, y, pw, ph),
                 block_size=block_size,
             )
         if block_size // 2 < SUPERBLOCK_FLOOR:
@@ -208,13 +175,13 @@ def superblock_pack(
 
 
 def _try_superblock(
-    ordered: Sequence[OrientedBox], omega: int, block: int
-) -> tuple[Placement, ...] | None:
+    widths: Sequence[int], heights: Sequence[int], omega: int, block: int
+) -> list[tuple[int, int, int, int]] | None:
+    """(x, y, w, h) of each ordered box in a grid of ``block`` blocks, or None."""
     grid = omega // block
     blocks = [_Block(bx * block, by * block, block) for by in range(grid) for bx in range(grid)]
-    placements = []
-    for b in ordered:
-        w, h = b.w, b.h
+    spots = []
+    for w, h in zip(widths, heights):
         if w > block or h > block:
             f = min(Fraction(block, w), Fraction(block, h))
             w = max(1, -((-w * f.numerator) // f.denominator))
@@ -226,25 +193,5 @@ def _try_superblock(
                 break
         if spot is None:
             return None
-        placements.append(
-            Placement(
-                chart_id=b.source.chart_id,
-                x=spot[0],
-                y=spot[1],
-                w=int(w),
-                h=int(h),
-                rotated=b.rotated,
-                target_w=b.source.target_w,
-                target_h=b.source.target_h,
-            )
-        )
-    return tuple(placements)
-
-
-def _min_box_scale(placements: Sequence[Placement]) -> Fraction:
-    """Worst per-box downscale, as the layout's reported scale."""
-    worst = Fraction(1)
-    for p in placements:
-        tw = p.target_h if p.rotated else p.target_w
-        worst = min(worst, Fraction(p.w, tw))
-    return worst
+        spots.append((spot[0], spot[1], w, h))
+    return spots

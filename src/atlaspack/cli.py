@@ -55,6 +55,7 @@ from .geometry import (
 )
 from .metrics import (
     DIGEST_ALGORITHM,
+    LayoutDigest,
     NoValidTriangles,
     StretchReport,
     layout_digest,
@@ -66,11 +67,12 @@ from .packing import (
     MAX_SCALES,
     AtlasLayout,
     ChartBox,
+    HeightOverflow,
     PackFailure,
     PackingError,
-    Placement,
     _check_omega,
     pack,
+    repeated,
 )
 
 EXIT_OK = 0
@@ -83,7 +85,8 @@ PACKER_NAMES = ("fastatlas", "sequential", "superblock")
 # Largest screen side; the depth buffer is a height x width float64 array.
 MAX_SCREEN = 1 << 14
 
-# Placement fields are hashed as signed 64-bit integers.
+# Box ids, layout fields and scale terms are stored or hashed as signed
+# 64-bit integers.
 _INT64_RANGE = range(-(1 << 63), 1 << 63)
 
 
@@ -98,42 +101,66 @@ class NothingVisible(Exception):
 # --- box list files ---------------------------------------------------------
 
 
-def parse_box_file(path) -> list[ChartBox]:
-    """Read (chart_id, min_tri, w, h) records, one per line.
+def parse_box_file(path) -> np.ndarray:
+    """Read a box file into an (n, 4) int64 box table, ``chart_id min_tri w h``.
 
-    Box sides must be in [1, MAX_BOX_DIM]; raises InputError naming the
-    file and line of the first bad record.
+    One record per line, in file order; '#' starts a comment. Ids must be
+    distinct and in [0, 2^63), sides in [1, MAX_BOX_DIM]. The records are
+    parsed as whole columns and each rule is checked on a whole column.
+    Raises InputError naming the file and line of the first bad record in
+    file order, with the first rule that record breaks.
     """
-    boxes: list[ChartBox] = []
-    seen_ids: set[int] = set()
-    seen_tris: set[int] = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise InputError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+        fields = [line.partition("#")[0].split() for line in fh.read().split("\n")]
+    linenos = [n for n, f in enumerate(fields, start=1) if f]
+    fields = [f for f in fields if f]
+    # (record index, rule rank, message): the earliest record wins, then the
+    # rule listed first. Records from the first one that cannot be parsed
+    # on are not checked further.
+    problems = []
+    limit = next((i for i, f in enumerate(fields) if len(f) != 4), len(fields))
+    if limit < len(fields):
+        problems.append((limit, 0, f"expected 4 fields, got {len(fields[limit])}"))
+    tokens = [v for f in fields[:limit] for v in f]
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        values = []
+        for v in tokens:
             try:
-                chart_id, min_tri, w, h = (int(p) for p in parts)
+                values.append(int(v))
             except ValueError:
-                raise InputError(f"{path}:{lineno}: fields must be unsigned integers") from None
-            if min(chart_id, min_tri) < 0:
-                raise InputError(f"{path}:{lineno}: ids must be non-negative")
-            if not (1 <= w <= MAX_BOX_DIM and 1 <= h <= MAX_BOX_DIM):
-                raise InputError(
-                    f"{path}:{lineno}: box dimensions must be in [1, {MAX_BOX_DIM}] "
-                    f"(chart {chart_id}: {w}x{h})"
-                )
-            if chart_id in seen_ids:
-                raise InputError(f"{path}:{lineno}: duplicate chart_id {chart_id}")
-            if min_tri in seen_tris:
-                raise InputError(f"{path}:{lineno}: duplicate min_tri {min_tri}")
-            seen_ids.add(chart_id)
-            seen_tris.add(min_tri)
-            boxes.append(ChartBox(target_w=w, target_h=h, chart_id=chart_id, min_tri=min_tri))
-    return boxes
+                break
+        limit = len(values) // 4
+        del values[4 * limit :]
+        problems.append((limit, 1, "fields must be unsigned integers"))
+    try:
+        table = np.array(values, dtype=np.int64).reshape(-1, 4)
+    except OverflowError:  # checked as Python ints, then rejected below
+        table = np.array(values, dtype=object).reshape(-1, 4)
+    cid, tri, w, h = table.T
+    rules = (
+        ((cid < 0) | (tri < 0), lambda i: "ids must be non-negative"),
+        (
+            (cid >= _INT64_RANGE.stop) | (tri >= _INT64_RANGE.stop),
+            lambda i: "ids must be below 2^63",
+        ),
+        (
+            (w < 1) | (w > MAX_BOX_DIM) | (h < 1) | (h > MAX_BOX_DIM),
+            lambda i: f"box dimensions must be in [1, {MAX_BOX_DIM}] "
+            f"(chart {cid[i]}: {w[i]}x{h[i]})",
+        ),
+        (repeated(cid), lambda i: f"duplicate chart_id {cid[i]}"),
+        (repeated(tri), lambda i: f"duplicate min_tri {tri[i]}"),
+    )
+    for rank, (bad, message) in enumerate(rules, start=2):
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            problems.append((int(hits[0]), rank, message(int(hits[0]))))
+    if problems:
+        i, _, message = min(problems)
+        raise InputError(f"{path}:{linenos[i]}: {message}")
+    return table
 
 
 def write_box_file(boxes: Sequence[ChartBox], path) -> None:
@@ -162,24 +189,26 @@ def generate_boxes(count: int, omega: int, rng: np.random.Generator) -> list[Cha
 # --- layout files -----------------------------------------------------------
 
 
-def write_layout_file(layout: AtlasLayout, path) -> None:
-    """Canonical text serialization: header keys, then sorted placements."""
-    digest = layout_digest(layout)
-    lines = [
+def write_layout_file(layout: AtlasLayout, path, digest: LayoutDigest | None = None) -> None:
+    """Canonical text serialization: header keys, then the table rows in chart-id order.
+
+    ``digest`` is the layout's digest, computed here when not given.
+    """
+    if digest is None:
+        digest = layout_digest(layout)
+    table = layout.table
+    header = [
         "# atlaspack layout v1",
         f"version {__version__}",
         f"omega {layout.omega}",
         f"scale {layout.scale.numerator}/{layout.scale.denominator}",
         f"digest_algorithm {DIGEST_ALGORITHM}",
         f"digest {digest.digest}",
-        f"count {len(layout.placements)}",
+        f"count {len(table)}",
         "# chart_id x y w h rotated target_w target_h",
     ]
-    for p in layout.placements_by_chart_id():
-        lines.append(
-            f"{p.chart_id} {p.x} {p.y} {p.w} {p.h} {int(p.rotated)} {p.target_w} {p.target_h}"
-        )
-    _write_atomic(path, "\n".join(lines) + "\n")
+    rows = ("%d %d %d %d %d %d %d %d\n" * len(table)) % tuple(table.ravel().tolist())
+    _write_atomic(path, "\n".join(header) + "\n" + rows)
 
 
 def parse_layout_file(path) -> AtlasLayout:
@@ -188,7 +217,8 @@ def parse_layout_file(path) -> AtlasLayout:
     Raises InputError naming the file (and line, for a placement).
     """
     header: dict[str, str] = {}
-    placements: list[tuple[int, Placement]] = []
+    rows: list[tuple[int, ...]] = []
+    linenos: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -201,15 +231,13 @@ def parse_layout_file(path) -> AtlasLayout:
             if len(parts) != 8:
                 raise InputError(f"{path}:{lineno}: expected 8 placement fields")
             try:
-                cid, x, y, w, h, rot, tw, th = (int(p) for p in parts)
+                row = tuple(int(p) for p in parts)
             except ValueError:
                 raise InputError(f"{path}:{lineno}: placement fields must be integers") from None
-            if not all(v in _INT64_RANGE for v in (cid, x, y, w, h, rot, tw, th)):
+            if not all(v in _INT64_RANGE for v in row):
                 raise InputError(f"{path}:{lineno}: placement field outside the int64 range")
-            placement = Placement(
-                chart_id=cid, x=x, y=y, w=w, h=h, rotated=bool(rot), target_w=tw, target_h=th
-            )
-            placements.append((lineno, placement))
+            rows.append(row)
+            linenos.append(lineno)
     for key in ("omega", "scale", "count"):
         if key not in header:
             raise InputError(f"{path}: missing header key '{key}'")
@@ -217,18 +245,26 @@ def parse_layout_file(path) -> AtlasLayout:
         omega = int(header["omega"])
         _check_omega(omega)
         scale = Fraction(header["scale"])
+        if not (scale.numerator in _INT64_RANGE and scale.denominator in _INT64_RANGE):
+            raise ValueError(f"scale {scale} has a term outside the int64 range")
         count = int(header["count"])
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{path}: bad header value: {exc}") from None
-    for lineno, p in placements:
-        if min(p.x, p.y) < 0 or min(p.w, p.h) < 1 or max(p.x + p.w, p.y + p.h) > omega:
-            raise InputError(
-                f"{path}:{lineno}: placement {p.w}x{p.h} at ({p.x}, {p.y}) is not "
-                f"inside [0, {omega}]^2"
-            )
-    if len(placements) != count:
-        raise InputError(f"{path}: count says {count} placements, found {len(placements)}")
-    layout = AtlasLayout(omega=omega, scale=scale, placements=tuple(p for _, p in placements))
+    table = np.array(rows, dtype=np.int64).reshape(-1, 8)
+    table[:, 5] = table[:, 5] != 0
+    x, y, w, h = table[:, 1:5].T
+    # omega - w cannot wrap where w >= 1, and a row with w < 1 is bad anyway.
+    outside = (x < 0) | (y < 0) | (w < 1) | (h < 1) | (x > omega - w) | (y > omega - h)
+    bad = np.flatnonzero(outside)
+    if bad.size:
+        i = bad[0]
+        raise InputError(
+            f"{path}:{linenos[i]}: placement {w[i]}x{h[i]} at ({x[i]}, {y[i]}) is not "
+            f"inside [0, {omega}]^2"
+        )
+    if len(table) != count:
+        raise InputError(f"{path}: count says {count} placements, found {len(table)}")
+    layout = AtlasLayout(omega=omega, scale=scale, table=table)
     if "digest" in header and layout_digest(layout).digest != header["digest"]:
         raise InputError(f"{path}: digest mismatch, file corrupted or edited")
     return layout
@@ -390,21 +426,37 @@ def make_packer(
 
 
 @dataclass
-class SceneResult:
+class Frame:
+    """One frame's work before packing: visible charts and one box per chart.
+
+    ``boxes`` is the (n, 4) box table of the charts with a screen box, in
+    chart order; ``chart_px`` maps each of their ids to its box in pixels.
+    """
+
     config: SceneConfig
     mesh: Mesh
     chart_set: ChartSet
-    boxes: list[ChartBox]
-    layout: AtlasLayout
-    stretch: StretchReport | None
+    boxes: np.ndarray
     chart_px: dict[int, tuple[int, int]]
     screen_fragments: int
-    texels_allocated: int
     n_visible: int
 
 
-def run_scene_pipeline(cfg: SceneConfig, packer: str = "fastatlas") -> SceneResult:
-    """Depth prepass, visibility, chartification, boxes, pack, stretch."""
+@dataclass
+class SceneResult(Frame):
+    """A packed frame, with its stretch and allocated texels."""
+
+    layout: AtlasLayout
+    stretch: StretchReport | None
+    texels_allocated: int
+
+
+def frame_charts(cfg: SceneConfig) -> Frame:
+    """Depth prepass, visibility, chartification and chart boxes.
+
+    Raises NothingVisible when no triangle passes the depth test, and
+    HeightOverflow when a chart box is taller than any packer takes.
+    """
     mesh = load_obj(cfg.mesh_path)
     cam = cfg.camera()
     depth = depth_prepass(mesh, cam, cfg.screen, backface_cull=cfg.backface_cull)
@@ -414,7 +466,7 @@ def run_scene_pipeline(cfg: SceneConfig, packer: str = "fastatlas") -> SceneResu
         raise NothingVisible("no triangle covers a depth-passing sample")
     cs = merge_shared_vertices(connected_charts(mesh, vis), mesh)
 
-    boxes: list[ChartBox] = []
+    rows: list[tuple[int, int, int, int]] = []
     chart_px: dict[int, tuple[int, int]] = {}
     for root, members in cs.charts.items():
         try:
@@ -424,27 +476,36 @@ def run_scene_pipeline(cfg: SceneConfig, packer: str = "fastatlas") -> SceneResu
         w_px, h_px = viewport_box(box, cfg.screen[0], cfg.screen[1])
         tw = max(1, math.ceil(cfg.prescale * w_px))
         th = max(1, math.ceil(cfg.prescale * h_px))
+        if max(tw, th) > MAX_BOX_DIM:
+            raise HeightOverflow(f"box height {max(tw, th)} exceeds capacity {MAX_BOX_DIM}")
         chart_px[root] = (w_px, h_px)
-        boxes.append(ChartBox(target_w=tw, target_h=th, chart_id=root, min_tri=root))
-
-    packer_fn = make_packer(packer, cfg.n_scales, cfg.min_dim, cfg.padding)
-    layout = packer_fn(boxes, cfg.omega)
-
-    stretch = _scene_stretch_report(cfg, mesh, cam, cs, layout, chart_px)
-    screen_fragments = int(np.isfinite(depth).sum())
-    texels = int(np.prod(_content_sides(layout, cfg.padding), axis=1).sum())
-    return SceneResult(
+        rows.append((root, root, tw, th))
+    return Frame(
         config=cfg,
         mesh=mesh,
         chart_set=cs,
-        boxes=boxes,
-        layout=layout,
-        stretch=stretch,
+        boxes=np.array(rows, dtype=np.int64).reshape(-1, 4),
         chart_px=chart_px,
-        screen_fragments=screen_fragments,
-        texels_allocated=texels,
+        screen_fragments=int(np.isfinite(depth).sum()),
         n_visible=n_visible,
     )
+
+
+def pack_frame(frame: Frame, packer: str = "fastatlas") -> SceneResult:
+    """Pack a frame's boxes with its config's knobs, then report stretch and texels."""
+    cfg = frame.config
+    packer_fn = make_packer(packer, cfg.n_scales, cfg.min_dim, cfg.padding)
+    layout = packer_fn(frame.boxes, cfg.omega)
+    stretch = _scene_stretch_report(
+        cfg, frame.mesh, cfg.camera(), frame.chart_set, layout, frame.chart_px
+    )
+    texels = int(np.prod(_content_sides(layout, cfg.padding), axis=1).sum())
+    return SceneResult(**vars(frame), layout=layout, stretch=stretch, texels_allocated=texels)
+
+
+def run_scene_pipeline(cfg: SceneConfig, packer: str = "fastatlas") -> SceneResult:
+    """Depth prepass, visibility, chartification, boxes, pack, stretch."""
+    return pack_frame(frame_charts(cfg), packer)
 
 
 def _content_sides(layout: AtlasLayout, padding: int) -> np.ndarray:
@@ -454,8 +515,9 @@ def _content_sides(layout: AtlasLayout, padding: int) -> np.ndarray:
     """
     if isinstance(layout, SuperblockLayout):
         padding = 0
-    sides = [(p.h, p.w) if p.rotated else (p.w, p.h) for p in layout.placements]
-    return np.array(sides, dtype=np.int64).reshape(-1, 2) - 2 * padding
+    t = layout.table
+    sides = np.where(t[:, 5:6] == 1, t[:, [4, 3]], t[:, [3, 4]])
+    return sides - 2 * padding
 
 
 def _scene_stretch_report(cfg, mesh, cam, cs, layout, chart_px) -> StretchReport | None:
@@ -477,10 +539,12 @@ def _scene_stretch_report(cfg, mesh, cam, cs, layout, chart_px) -> StretchReport
     chart_area = np.bincount(
         cs.chart_of_triangle[tris[front]], weights=area, minlength=len(cs.chart_of_triangle)
     )
-    ids = [p.chart_id for p in layout.placements]
+    ids = layout.table[:, 0]
     try:
         return scene_stretch(
-            [chart_px[i] for i in ids], _content_sides(layout, cfg.padding), chart_area[ids]
+            [chart_px[i] for i in ids.tolist()],
+            _content_sides(layout, cfg.padding),
+            chart_area[ids],
         )
     except NoValidTriangles:
         return None
@@ -507,10 +571,10 @@ def render_svg(layout: AtlasLayout, path) -> None:
         f'<rect x="0" y="0" width="{om}" height="{om}" fill="#181818"/>',
     ]
     stroke = max(om / 800.0, 0.5)
-    for p in layout.placements_by_chart_id():
+    for chart_id, x, y, w, h, *_ in layout.table.tolist():
         parts.append(
-            f'<rect x="{p.x}" y="{p.y}" width="{p.w}" height="{p.h}" '
-            f'fill="{_chart_color(p.chart_id)}" stroke="#000" stroke-width="{stroke:g}"/>'
+            f'<rect x="{x}" y="{y}" width="{w}" height="{h}" '
+            f'fill="{_chart_color(chart_id)}" stroke="#000" stroke-width="{stroke:g}"/>'
         )
     parts.append("</svg>")
     _write_atomic(path, "\n".join(parts) + "\n")
@@ -590,20 +654,21 @@ def _cmd_pack_boxes(args) -> int:
         print(f"pack failure: {exc}", file=sys.stderr)
         return EXIT_PACK_FAILURE
     prefix = Path(args.out or Path(args.input).with_suffix(""))
-    write_layout_file(layout, _out_path(prefix, ".layout.txt"))
+    digest = layout_digest(layout)
+    efficiency = packing_efficiency(layout)
+    write_layout_file(layout, _out_path(prefix, ".layout.txt"), digest)
     _write_csv(
         _out_path(prefix, ".metrics.csv"),
         ["tool_version", "packer", "omega", "n_boxes", "scale_num", "scale_den", "scale",
          "efficiency", "digest_algorithm", "digest"],
-        [[__version__, args.packer, layout.omega, len(layout.placements),
-          *_scale_fields(layout), packing_efficiency(layout), DIGEST_ALGORITHM,
-          layout_digest(layout).digest]],
+        [[__version__, args.packer, layout.omega, len(layout.table),
+          *_scale_fields(layout), efficiency, DIGEST_ALGORITHM, digest.digest]],
     )
     if args.svg:
         render_svg(layout, _out_path(prefix, ".atlas.svg"))
     print(
-        f"packed {len(layout.placements)} boxes into {layout.omega}x{layout.omega} "
-        f"at scale {layout.scale} (efficiency {packing_efficiency(layout):.4f})"
+        f"packed {len(layout.table)} boxes into {layout.omega}x{layout.omega} "
+        f"at scale {layout.scale} (efficiency {efficiency:.4f})"
     )
     return EXIT_OK
 
@@ -643,7 +708,9 @@ def _cmd_atlas_scene(args) -> int:
         return EXIT_NOTHING_VISIBLE
     prefix = Path(args.out or Path(args.scene).with_suffix(""))
     layout = result.layout
-    write_layout_file(layout, _out_path(prefix, ".layout.txt"))
+    digest = layout_digest(layout)
+    efficiency = packing_efficiency(layout)
+    write_layout_file(layout, _out_path(prefix, ".layout.txt"), digest)
     write_charts_file(result.chart_set, _out_path(prefix, ".charts.txt"))
     stretch = result.stretch
     _write_csv(
@@ -652,18 +719,18 @@ def _cmd_atlas_scene(args) -> int:
          "scale", "efficiency", "l2_stretch", "linf_stretch", "screen_fragments",
          "texels_allocated", "texels_per_fragment", "fragments_per_texel", "digest"],
         [[__version__, layout.omega, result.chart_set.n_charts, result.n_visible,
-          *_scale_fields(layout), packing_efficiency(layout),
+          *_scale_fields(layout), efficiency,
           stretch.l2 if stretch else "", stretch.linf if stretch else "",
           result.screen_fragments, result.texels_allocated,
           result.texels_allocated / result.screen_fragments,
           result.screen_fragments / result.texels_allocated if result.texels_allocated else "",
-          layout_digest(layout).digest]],
+          digest.digest]],
     )
     if args.svg:
         render_svg(layout, _out_path(prefix, ".atlas.svg"))
     print(
         f"{result.chart_set.n_charts} charts from {result.n_visible} visible triangles; "
-        f"scale {layout.scale}, efficiency {packing_efficiency(layout):.4f}"
+        f"scale {layout.scale}, efficiency {efficiency:.4f}"
     )
     return EXIT_OK
 
@@ -681,10 +748,24 @@ def _cmd_compare(args) -> int:
               file=sys.stderr)
         return EXIT_BAD_INPUT
     is_scene = _looks_like_scene(args.input)
+    frame = frame_error = None
     try:
         _check_pack_flags(args)
-        boxes = None if is_scene else parse_box_file(args.input)
-        cfg = parse_scene_config(args.input) if is_scene else None
+        if is_scene:
+            cfg = replace(
+                parse_scene_config(args.input),
+                n_scales=args.scales, min_dim=args.min_dim, padding=args.padding,
+            )
+            for omega in omegas:
+                problem = scene_config_problem(replace(cfg, omega=omega))
+                if problem is not None:
+                    raise ValueError(problem[1])
+            try:
+                frame = frame_charts(cfg)
+            except (PackingError, NothingVisible) as exc:
+                frame_error = exc
+        else:
+            boxes = parse_box_file(args.input)
     except (OSError, InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -694,17 +775,12 @@ def _cmd_compare(args) -> int:
         for name in packers:
             t0 = time.perf_counter()
             try:
+                if frame_error is not None:
+                    raise frame_error
                 if is_scene:
-                    run_cfg = replace(
-                        cfg, omega=omega, n_scales=args.scales,
-                        min_dim=args.min_dim, padding=args.padding,
-                    )
-                    problem = scene_config_problem(run_cfg)
-                    if problem is not None:
-                        raise ValueError(problem[1])
-                    result = run_scene_pipeline(run_cfg, packer=name)
+                    result = pack_frame(replace(frame, config=replace(cfg, omega=omega)), name)
                     layout, stretch = result.layout, result.stretch
-                    n_boxes = len(result.boxes)
+                    n_boxes = len(frame.boxes)
                 else:
                     packer_fn = make_packer(
                         name, args.scales, args.min_dim, args.padding, args.block_size
@@ -743,7 +819,7 @@ def _box_stretch_report(layout: AtlasLayout, padding: int) -> StretchReport | No
 
     Each box is weighted by the area of half its target rectangle.
     """
-    target = np.array([(p.target_w, p.target_h) for p in layout.placements]).reshape(-1, 2)
+    target = layout.table[:, 6:8]
     try:
         return scene_stretch(target, _content_sides(layout, padding), target.prod(axis=1) / 2.0)
     except NoValidTriangles:

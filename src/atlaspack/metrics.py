@@ -21,6 +21,12 @@ from .packing import AtlasLayout
 
 DIGEST_ALGORITHM = "sha256"
 
+# One layout table row as the digest packs it: struct format "<qqqqqBqq".
+_DIGEST_ROW = np.dtype(
+    [("chart_id", "<i8"), ("x", "<i8"), ("y", "<i8"), ("w", "<i8"), ("h", "<i8"),
+     ("rotated", "u1"), ("target_w", "<i8"), ("target_h", "<i8")]
+)
+
 
 class MetricsError(Exception):
     pass
@@ -50,7 +56,7 @@ class LayoutDigest:
 
 def packing_efficiency(layout: AtlasLayout) -> float:
     """Fraction of the atlas area covered by placements."""
-    area = sum(p.w * p.h for p in layout.placements)
+    area = int(np.sum(layout.table[:, 3] * layout.table[:, 4]))
     return area / float(layout.omega * layout.omega)
 
 
@@ -97,32 +103,25 @@ def scene_stretch(screen_wh, atlas_wh, area) -> StretchReport:
 def layout_digest(layout: AtlasLayout) -> LayoutDigest:
     """Hash the canonical serialization of a layout.
 
-    Placements are ordered by chart id and packed little-endian, so equal
-    layouts digest equally no matter how their placements were stored or
-    on which platform the layout was computed.
+    A little-endian header (struct "<QqqQ": omega, the scale's numerator
+    and denominator, the row count) is followed by every row of the layout
+    table in its chart-id order, packed as "<qqqqqBqq" with rotated as one
+    byte. The rows are hashed as one packed structured array, so equal
+    layouts digest equally no matter how they were built or on which
+    platform.
     """
-    h = hashlib.sha256()
-    h.update(
+    table = layout.table
+    rows = np.empty(len(table), dtype=_DIGEST_ROW)
+    for i, name in enumerate(_DIGEST_ROW.names):
+        rows[name] = table[:, i]
+    h = hashlib.sha256(
         struct.pack(
-            "<QqqQ",
-            layout.omega,
-            layout.scale.numerator,
-            layout.scale.denominator,
-            len(layout.placements),
+            "<QqqQ", layout.omega, layout.scale.numerator, layout.scale.denominator, len(table)
         )
     )
-    for p in layout.placements_by_chart_id():
-        h.update(
-            struct.pack(
-                "<qqqqqBqq", p.chart_id, p.x, p.y, p.w, p.h, int(p.rotated), p.target_w, p.target_h
-            )
-        )
+    h.update(rows.tobytes())
     return LayoutDigest(digest=h.hexdigest())
 
 
 def layouts_equal(a: AtlasLayout, b: AtlasLayout) -> bool:
-    return (
-        a.omega == b.omega
-        and a.scale == b.scale
-        and a.placements_by_chart_id() == b.placements_by_chart_id()
-    )
+    return a.omega == b.omega and a.scale == b.scale and np.array_equal(a.table, b.table)

@@ -1,12 +1,17 @@
 """Deterministic tight packing of chart boxes into a fixed square atlas.
 
-The packer orients boxes taller-than-wide, orders them (height descending,
-owning-triangle index ascending), and for each candidate scale folds the
-ordered strip into atlas-width rows and compacts the rows upward against an
-advancing frontline. The fold cuts the strip's prefix sum into rows with
-the next-fit shelf rule: a box that would cross the atlas edge starts the
-next row, so no box ever sticks out. Candidate scales i/n_scales are tried
-from largest to smallest and the first accepted one wins.
+Boxes and layouts are int64 tables. A box table has one row per box,
+``chart_id min_tri w h``; a layout table has one row per placed box,
+``chart_id x y w h rotated target_w target_h``, sorted by chart id.
+
+The packer orients every box taller-than-wide, orders the boxes (height
+descending, owning-triangle index ascending), and for each candidate scale
+folds the ordered strip into atlas-width rows and compacts the rows upward
+against an advancing frontline. The fold cuts the strip's prefix sum into
+rows with the next-fit shelf rule: a box that would cross the atlas edge
+starts the next row, so no box ever sticks out. Candidate scales
+i/n_scales are tried from largest to smallest; the first accepted one wins
+and only its placements are written into a layout table.
 
 All scale arithmetic is exact rational (integer numerators/denominators),
 so identical box multisets produce bit-identical layouts regardless of
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -61,16 +66,6 @@ class ChartBox:
 
 
 @dataclass(frozen=True)
-class OrientedBox:
-    """A chart box rotated so it is at least as tall as it is wide."""
-
-    w: int
-    h: int
-    rotated: bool
-    source: ChartBox
-
-
-@dataclass(frozen=True)
 class Placement:
     """One placed box: top-left corner and final dimensions in texels."""
 
@@ -84,16 +79,49 @@ class Placement:
     target_h: int
 
 
-@dataclass(frozen=True)
 class AtlasLayout:
-    """A packed atlas: global scale plus one placement per input box."""
+    """A packed atlas: side ``omega``, global ``scale`` and a layout table.
 
-    omega: int
-    scale: Fraction
-    placements: tuple[Placement, ...]
+    ``table`` is an (n, 8) int64 array, read-only, with one row
+    ``chart_id x y w h rotated target_w target_h`` per placed box, sorted
+    by chart id (a stable sort, so rows of equal id keep the order they
+    were given in). x, y, w and h are the placed rectangle in texels,
+    rotated is 1 when the box was turned by 90 degrees, and target_w and
+    target_h are the box as requested. ``placements`` gives the same rows
+    as Placement objects, built on first use.
 
-    def placements_by_chart_id(self) -> tuple[Placement, ...]:
-        return tuple(sorted(self.placements, key=lambda p: p.chart_id))
+    A layout is built from a table or from Placement objects; either is
+    stored as a table in chart-id order.
+    """
+
+    def __init__(
+        self,
+        omega: int,
+        scale: Fraction,
+        placements: Iterable[Placement] = (),
+        table: np.ndarray | None = None,
+    ):
+        if table is None:
+            table = [
+                (p.chart_id, p.x, p.y, p.w, p.h, int(p.rotated), p.target_w, p.target_h)
+                for p in placements
+            ]
+        table = np.array(table, dtype=np.int64).reshape(-1, 8)
+        table = table[np.argsort(table[:, 0], kind="stable")]
+        table.flags.writeable = False
+        self.omega = omega
+        self.scale = scale
+        self.table = table
+        self._placements: tuple[Placement, ...] | None = None
+
+    @property
+    def placements(self) -> tuple[Placement, ...]:
+        if self._placements is None:
+            self._placements = tuple(
+                Placement(cid, x, y, w, h, bool(rot), tw, th)
+                for cid, x, y, w, h, rot, tw, th in self.table.tolist()
+            )
+        return self._placements
 
 
 @dataclass(frozen=True)
@@ -106,28 +134,59 @@ class FoldResult:
     overflow_m: int
 
 
-def orient(boxes: Iterable[ChartBox]) -> list[OrientedBox]:
-    """Rotate wider-than-tall boxes by 90 degrees; squares stay put."""
-    out = []
-    for b in boxes:
-        if b.target_w > b.target_h:
-            out.append(OrientedBox(w=b.target_h, h=b.target_w, rotated=True, source=b))
-        else:
-            out.append(OrientedBox(w=b.target_w, h=b.target_h, rotated=False, source=b))
-    return out
+def box_table(boxes) -> np.ndarray:
+    """(n, 4) int64 box table, ``chart_id min_tri w h``, in the given order.
 
-
-def order(boxes: Sequence[OrientedBox]) -> list[OrientedBox]:
-    """Sort boxes by height descending, owning-triangle index ascending.
-
-    The key depends only on box content, so any permutation of the same
-    multiset yields the identical sequence. Raises HeightOverflow when a
-    box is taller than MAX_BOX_DIM.
+    Takes a ChartBox sequence or an (n, 4) integer array; raises ValueError
+    for another shape or a side below 1.
     """
-    for b in boxes:
-        if b.h > MAX_BOX_DIM:
-            raise HeightOverflow(f"box height {b.h} exceeds capacity {MAX_BOX_DIM}")
-    return sorted(boxes, key=lambda b: (-b.h, b.source.min_tri))
+    if isinstance(boxes, np.ndarray):
+        table = boxes.astype(np.int64)
+    else:
+        table = np.array(
+            [(b.chart_id, b.min_tri, b.target_w, b.target_h) for b in boxes], dtype=np.int64
+        )
+    table = table.reshape(-1, 4) if table.size == 0 else table
+    if table.ndim != 2 or table.shape[1] != 4:
+        raise ValueError(f"a box table has 4 columns, got shape {table.shape}")
+    small = np.flatnonzero((table[:, 2:] < 1).any(axis=1))
+    if small.size:
+        raise ValueError(f"box {table[small[0], 0]}: target dims must be >= 1")
+    return table
+
+
+def repeated(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries equal to an earlier entry."""
+    mask = np.ones(len(values), dtype=bool)
+    mask[np.unique(values, return_index=True)[1]] = False
+    return mask
+
+
+def oriented_order(boxes: np.ndarray):
+    """Orient a box table taller-than-wide and put it in pack order.
+
+    Wider-than-tall boxes turn by 90 degrees; squares stay put. The order
+    is height descending, owning-triangle index ascending (a stable sort),
+    so any permutation of the same rows gives the same sequence. Returns
+    the row indices in pack order with the oriented widths, heights and
+    rotation flags in that order. Raises HeightOverflow when a box is
+    taller than MAX_BOX_DIM.
+    """
+    tw, th = boxes[:, 2], boxes[:, 3]
+    rotated = tw > th
+    w = np.where(rotated, th, tw)
+    h = np.where(rotated, tw, th)
+    tall = np.flatnonzero(h > MAX_BOX_DIM)
+    if tall.size:
+        raise HeightOverflow(f"box height {h[tall[0]]} exceeds capacity {MAX_BOX_DIM}")
+    idx = np.lexsort((boxes[:, 1], -h))
+    return idx, w[idx], h[idx], rotated[idx]
+
+
+def layout_table(boxes, idx, rotated, x, y, w, h) -> np.ndarray:
+    """Layout rows of box rows ``idx`` placed at (x, y) with sides (w, h), in that order."""
+    placed = boxes[idx]
+    return np.column_stack([placed[:, 0], x, y, w, h, rotated, placed[:, 2], placed[:, 3]])
 
 
 def fold(widths, omega: int) -> FoldResult:
@@ -213,43 +272,16 @@ def push_up(fold_result: FoldResult, dims, omega: int) -> tuple[np.ndarray, int]
     return y, int(front.max())
 
 
-def pack_at_scale(
-    ordered_boxes: Sequence[OrientedBox],
-    scale: Fraction,
-    omega: int,
-    min_dim: int = 1,
-    padding: int = 0,
-) -> AtlasLayout | None:
-    """Attempt a packing at one candidate scale; None when rejected.
+def _place(w, h, scale: Fraction, omega: int, min_dim: int, padding: int):
+    """Place the ordered boxes at one candidate scale: (x, y, w, h) arrays, or None.
 
-    Box dimensions become max(min_dim, ceil(scale * target)) + 2 * padding
-    per axis. The attempt is rejected when a box is wider than the atlas or
-    the total box area exceeds it; otherwise the boxes are folded into rows,
-    compacted, and accepted iff the used height fits in the atlas. The
-    returned layout records the candidate scale unchanged.
+    Box dimensions become max(min_dim, ceil(scale * side)) + 2 * padding
+    per axis. The candidate is rejected when a box is wider than the atlas
+    or the total box area exceeds it; otherwise the boxes are folded into
+    rows, compacted, and accepted iff the used height fits in the atlas.
     """
-    _check_omega(omega)
-    if not (0 < scale <= 1):
-        raise ValueError("scale must be in (0, 1]")
-    _check_knobs(min_dim, padding)
-    if not ordered_boxes:
-        return AtlasLayout(omega=omega, scale=Fraction(scale), placements=())
-    tw = np.array([b.w for b in ordered_boxes], dtype=np.int64)
-    th = np.array([b.h for b in ordered_boxes], dtype=np.int64)
-    return _pack_arrays(ordered_boxes, tw, th, Fraction(scale), omega, min_dim, padding)
-
-
-def _pack_arrays(
-    ordered_boxes: Sequence[OrientedBox],
-    tw: np.ndarray,
-    th: np.ndarray,
-    scale: Fraction,
-    omega: int,
-    min_dim: int,
-    padding: int,
-) -> AtlasLayout | None:
-    widths = _scaled_dims(tw, scale.numerator, scale.denominator, min_dim, padding)
-    heights = _scaled_dims(th, scale.numerator, scale.denominator, min_dim, padding)
+    widths = _scaled_dims(w, scale.numerator, scale.denominator, min_dim, padding)
+    heights = _scaled_dims(h, scale.numerator, scale.denominator, min_dim, padding)
     if widths.max() > omega:
         return None
     # Pigeonhole: total box area beyond the atlas area cannot push into
@@ -257,28 +289,14 @@ def _pack_arrays(
     if int(np.sum(widths * heights)) > omega * omega:
         return None
     fold_result = fold(widths, omega)
-    dims = np.stack([widths, heights], axis=1)
-    y, height_used = push_up(fold_result, dims, omega)
+    y, height_used = push_up(fold_result, np.stack([widths, heights], axis=1), omega)
     if height_used > omega:
         return None
-    placements = tuple(
-        Placement(
-            chart_id=b.source.chart_id,
-            x=int(fold_result.x_of_box[i]),
-            y=int(y[i]),
-            w=int(widths[i]),
-            h=int(heights[i]),
-            rotated=b.rotated,
-            target_w=b.source.target_w,
-            target_h=b.source.target_h,
-        )
-        for i, b in enumerate(ordered_boxes)
-    )
-    return AtlasLayout(omega=omega, scale=scale, placements=placements)
+    return fold_result.x_of_box, y, widths, heights
 
 
 def pack(
-    boxes: Iterable[ChartBox],
+    boxes,
     omega: int,
     n_scales: int = 64,
     min_dim: int = 1,
@@ -286,27 +304,24 @@ def pack(
 ) -> AtlasLayout:
     """Pack boxes at the largest feasible scale from a uniform candidate grid.
 
-    Candidates i/n_scales are tried from i = n_scales down to 1, and the
-    first accepted layout is returned: the one with the largest accepted
-    candidate scale.
+    ``boxes`` is a box table or a ChartBox sequence (see box_table); the
+    owning-triangle indices must be distinct. Candidates i/n_scales are
+    tried from i = n_scales down to 1, and the first accepted layout is
+    returned: the one with the largest accepted candidate scale.
 
     Raises PackFailure when every candidate rejects, including the case of
     a box still wider than the atlas at the smallest candidate scale.
     """
     _check_omega(omega)
     _check_knobs(min_dim, padding, n_scales)
-    box_list = list(boxes)
-    if not box_list:
-        return AtlasLayout(omega=omega, scale=Fraction(1), placements=())
-    seen = set()
-    for b in box_list:
-        if b.min_tri in seen:
-            raise ValueError(f"duplicate min_tri {b.min_tri} in pack request")
-        seen.add(b.min_tri)
-    ordered = order(orient(box_list))
-    tw = np.array([b.w for b in ordered], dtype=np.int64)
-    th = np.array([b.h for b in ordered], dtype=np.int64)
-    floor_w = _scaled_dims(tw, 1, n_scales, min_dim, padding)
+    table = box_table(boxes)
+    if len(table) == 0:
+        return AtlasLayout(omega=omega, scale=Fraction(1))
+    dup = np.flatnonzero(repeated(table[:, 1]))
+    if dup.size:
+        raise ValueError(f"duplicate min_tri {table[dup[0], 1]} in pack request")
+    idx, w, h, rotated = oriented_order(table)
+    floor_w = _scaled_dims(w, 1, n_scales, min_dim, padding)
     if int(floor_w.max()) > omega:
         raise PackFailure(
             f"a box is wider than the atlas ({floor_w.max()} > {omega}) even at "
@@ -314,9 +329,11 @@ def pack(
         )
 
     for i in range(n_scales, 0, -1):
-        layout = _pack_arrays(ordered, tw, th, Fraction(i, n_scales), omega, min_dim, padding)
-        if layout is not None:
-            return layout
+        scale = Fraction(i, n_scales)
+        placed = _place(w, h, scale, omega, min_dim, padding)
+        if placed is not None:
+            rows = layout_table(table, idx, rotated, *placed)
+            return AtlasLayout(omega=omega, scale=scale, table=rows)
     raise PackFailure("every candidate scale was rejected")
 
 

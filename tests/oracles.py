@@ -9,15 +9,20 @@ is the earlier per-triangle pair loop with one SVD per triangle, which the
 per-chart rule must match to rounding, components come from
 breadth-first search, the fold reference walks boxes one at a time along
 the folded line, the exhaustive packer backtracks over every placement of
-a tiny instance, and layout validity is checked by occupancy grids or
+a tiny instance, the object packer orients, orders and places one
+ChartBox object at a time as the package did before its box and layout
+tables, and layout validity is checked by occupancy grids or
 pairwise interval arithmetic. Only tests call this code, so it lives here
 rather than in the package.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,16 +33,22 @@ from atlaspack import (
     ChartBox,
     DegenerateChart,
     DegenerateTriangle,
+    HeightOverflow,
     Mesh,
     NdcBox,
     NoValidTriangles,
+    Placement,
     StretchReport,
     blinn_clamped_ndc,
+    fold,
+    push_up,
     select_side_plane,
+    sequential_fold,
     triangle_stretch,
 )
 from atlaspack.charts import DEPTH_EPSILON, _clip_triangle_frustum
 from atlaspack.geometry import W_EPSILON, clip_coords, clip_halfspace, plane_distances
+from atlaspack.packing import MAX_BOX_DIM
 
 _PLANES = (
     (0, 1.0),
@@ -365,6 +376,100 @@ def fold_line_reference(widths, omega: int):
     return np.array(rows), np.array(xs), max(0, m)
 
 
+@dataclass(frozen=True)
+class OrientedBox:
+    """A chart box rotated so it is at least as tall as it is wide."""
+
+    w: int
+    h: int
+    rotated: bool
+    source: ChartBox
+
+
+def orient(boxes: Sequence[ChartBox]) -> list[OrientedBox]:
+    """Rotate wider-than-tall boxes by 90 degrees; squares stay put."""
+    out = []
+    for b in boxes:
+        if b.target_w > b.target_h:
+            out.append(OrientedBox(w=b.target_h, h=b.target_w, rotated=True, source=b))
+        else:
+            out.append(OrientedBox(w=b.target_w, h=b.target_h, rotated=False, source=b))
+    return out
+
+
+def order(boxes: Sequence[OrientedBox]) -> list[OrientedBox]:
+    """Sort boxes by height descending, owning-triangle index ascending.
+
+    Raises HeightOverflow when a box is taller than MAX_BOX_DIM.
+    """
+    for b in boxes:
+        if b.h > MAX_BOX_DIM:
+            raise HeightOverflow(f"box height {b.h} exceeds capacity {MAX_BOX_DIM}")
+    return sorted(boxes, key=lambda b: (-b.h, b.source.min_tri))
+
+
+def _placed(ordered_boxes, xs, ys, widths, heights, omega, scale) -> AtlasLayout:
+    placements = tuple(
+        Placement(
+            chart_id=b.source.chart_id,
+            x=int(x),
+            y=int(y),
+            w=int(w),
+            h=int(h),
+            rotated=b.rotated,
+            target_w=b.source.target_w,
+            target_h=b.source.target_h,
+        )
+        for b, x, y, w, h in zip(ordered_boxes, xs, ys, widths, heights)
+    )
+    return AtlasLayout(omega=omega, scale=scale, placements=placements)
+
+
+def pack_at_scale(
+    ordered_boxes: Sequence[OrientedBox],
+    scale: Fraction,
+    omega: int,
+    min_dim: int = 1,
+    padding: int = 0,
+) -> AtlasLayout | None:
+    """One candidate scale of the packer on ordered box objects; None when rejected.
+
+    Each side becomes max(min_dim, ceil(scale * side)) + 2 * padding. The
+    candidate is rejected when a box is wider than the atlas or the boxes'
+    area exceeds it; otherwise the boxes are folded, pushed up, and
+    accepted iff the used height fits in the atlas.
+    """
+    scale = Fraction(scale)
+    if not ordered_boxes:
+        return AtlasLayout(omega=omega, scale=scale)
+
+    def side(t: int) -> int:
+        return max(min_dim, -((-t * scale.numerator) // scale.denominator)) + 2 * padding
+
+    widths = [side(b.w) for b in ordered_boxes]
+    heights = [side(b.h) for b in ordered_boxes]
+    if max(widths) > omega or sum(w * h for w, h in zip(widths, heights)) > omega * omega:
+        return None
+    f = fold(widths, omega)
+    ys, used = push_up(f, list(zip(widths, heights)), omega)
+    if used > omega:
+        return None
+    return _placed(ordered_boxes, f.x_of_box, ys, widths, heights, omega, scale)
+
+
+def sequential_pack(ordered_boxes: Sequence[OrientedBox], omega: int) -> AtlasLayout | None:
+    """Place ordered boxes at their stated sides with sequential_fold; None on overflow."""
+    if not ordered_boxes:
+        return AtlasLayout(omega=omega, scale=Fraction(1))
+    widths = [b.w for b in ordered_boxes]
+    heights = [b.h for b in ordered_boxes]
+    f = sequential_fold(widths, omega)
+    ys, used = push_up(f, list(zip(widths, heights)), omega)
+    if used > omega:
+        return None
+    return _placed(ordered_boxes, f.x_of_box, ys, widths, heights, omega, Fraction(1))
+
+
 def exhaustive_optimal(
     boxes: Sequence[ChartBox],
     omega: int,
@@ -442,6 +547,18 @@ def _placement_exists(dims: list[tuple[int, int]], omega: int) -> bool:
         return False
 
     return rec(0)
+
+
+def struct_layout_digest(layout: AtlasLayout) -> str:
+    """The layout digest packed one placement at a time with struct."""
+    h = hashlib.sha256()
+    scale = layout.scale
+    h.update(struct.pack("<QqqQ", layout.omega, scale.numerator, scale.denominator,
+                         len(layout.placements)))
+    for p in sorted(layout.placements, key=lambda p: p.chart_id):
+        h.update(struct.pack("<qqqqqBqq", p.chart_id, p.x, p.y, p.w, p.h, int(p.rotated),
+                             p.target_w, p.target_h))
+    return h.hexdigest()
 
 
 def layout_valid(layout: AtlasLayout, grid_limit: int = 256) -> bool:

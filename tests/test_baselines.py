@@ -6,20 +6,24 @@ import pytest
 from atlaspack import (
     ChartBox,
     PackFailure,
+    box_table,
     layout_digest,
-    orient,
-    order,
     pack,
-    pack_at_scale,
     packing_efficiency,
     sequential_fold,
-    sequential_pack,
     sequential_scale_search,
     superblock_pack,
 )
 from atlaspack.cli import generate_boxes
 
-from oracles import exhaustive_optimal, layout_valid
+from oracles import (
+    exhaustive_optimal,
+    layout_valid,
+    order,
+    orient,
+    pack_at_scale,
+    sequential_pack,
+)
 
 
 def box(w, h, ident):
@@ -80,19 +84,19 @@ class TestSequentialPack:
         assert agreements > 20
 
     def test_pack_matches_scale_search_on_random_sets(self):
-        for seed in range(200):
+        def digest(packer, boxes, omega):
+            try:
+                return layout_digest(packer(boxes, omega))
+            except PackFailure:
+                return None
+
+        for seed in range(300):
             local = np.random.default_rng(seed)
             omega = int(2 ** local.integers(5, 10))
             boxes = generate_boxes(int(local.integers(1, 81)), omega, local)
-            try:
-                fast = layout_digest(pack(boxes, omega))
-            except PackFailure:
-                fast = None
-            try:
-                reference = layout_digest(sequential_scale_search(boxes, omega))
-            except PackFailure:
-                reference = None
-            assert fast == reference, f"seed {seed}, omega {omega}"
+            reference = digest(sequential_scale_search, boxes, omega)
+            assert digest(pack, boxes, omega) == reference, f"seed {seed}, omega {omega}"
+            assert digest(pack, box_table(boxes), omega) == reference, f"seed {seed}, table"
 
     def test_scale_search_returns_valid_layout(self):
         boxes = [box(100, 120, i) for i in range(6)]

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atlaspack import AtlasLayout, PackFailure, Placement, chart_bbox, layouts_equal, pack
+from atlaspack import PackFailure, box_table, chart_bbox, layouts_equal, pack
 from atlaspack.cli import (
     EXIT_BAD_INPUT,
     EXIT_NOTHING_VISIBLE,
@@ -24,6 +24,7 @@ from atlaspack.cli import (
     write_box_file,
     write_layout_file,
 )
+from atlaspack.charts import depth_prepass
 from atlaspack.geometry import W_EPSILON, clip_coords
 
 from oracles import per_triangle_stretch_report
@@ -121,7 +122,40 @@ class TestBoxFiles:
         boxes = generate_boxes(17, 128, rng)
         path = tmp_path / "boxes.txt"
         write_box_file(boxes, path)
-        assert parse_box_file(path) == boxes
+        assert np.array_equal(parse_box_file(path), box_table(boxes))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 1 4\n", "1: expected 4 fields, got 3"),
+            ("1 1 4 x\n", "1: fields must be unsigned integers"),
+            ("1 -1 4 4\n", "1: ids must be non-negative"),
+            ("9223372036854775808 1 4 4\n", "1: ids must be below 2^63"),
+            ("1 99999999999999999999 4 4\n", "1: ids must be below 2^63"),
+            ("1 1 4 8388609\n",
+             "1: box dimensions must be in [1, 8388608] (chart 1: 4x8388609)"),
+            ("1 1 4 4\n1 2 5 5\n", "2: duplicate chart_id 1"),
+            ("1 1 4 4\n2 1 5 5\n", "2: duplicate min_tri 1"),
+            ("# c\n1 1 4 4\n\n2 2 5 5 # c\n3 3 0 5\n4 4 1\n",
+             "5: box dimensions must be in [1, 8388608] (chart 3: 0x5)"),
+            ("1 1 4 4\n1 1 4\n", "2: expected 4 fields, got 3"),
+            ("1 1 4 4\n2 2 4 4.0\n2 2 4 4\n", "2: fields must be unsigned integers"),
+            ("1 1 0 4\n2 2 x 4\n", "1: box dimensions must be in [1, 8388608] (chart 1: 0x4)"),
+            ("1 1 4 4\n1 1 5 5\n", "2: duplicate chart_id 1"),
+            ("-99999999999999999999 1 4 4\n", "1: ids must be non-negative"),
+        ],
+        ids=["field_count", "non_integer", "negative_id", "chart_id_past_int64",
+             "min_tri_past_int64", "side_above_max_dim", "duplicate_chart_id",
+             "duplicate_min_tri", "bad_line_after_good", "field_count_after_good",
+             "non_integer_before_duplicate", "bad_side_before_non_integer",
+             "duplicate_chart_id_before_min_tri", "negative_past_int64"],
+    )
+    def test_malformed_message_is_pinned(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(InputError) as info:
+            parse_box_file(path)
+        assert str(info.value) == f"{path}:{message}"
 
     def test_zero_width_names_the_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -177,10 +211,11 @@ class TestLayoutFiles:
             ("omega 64\nscale 1/1", "0 0 0 0 8 0 0 8"),
             ("omega 64\nscale 1/1\ndigest 0", "9223372036854775808 0 0 8 8 0 8 8"),
             ("omega 64\nscale 1/1\ndigest 0", "0 0 0 8 8 0 8 99999999999999999999"),
+            ("omega 64\nscale 1/99999999999999999999\ndigest 0", "0 0 0 8 8 0 8 8"),
         ],
         ids=["omega_not_int", "scale_zero_den", "omega_not_pow2", "omega_too_big",
              "wider_than_atlas", "past_right_edge", "negative_x", "zero_width",
-             "chart_id_past_int64", "target_past_int64"],
+             "chart_id_past_int64", "target_past_int64", "scale_past_int64"],
     )
     def test_invalid_layout_names_the_file(self, tmp_path, header, placement):
         path = tmp_path / "bad.layout.txt"
@@ -223,6 +258,14 @@ class TestPackBoxesCommand:
         assert main(["pack-boxes", str(path), "--omega", "64"]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert "tall.txt:1" in err
+        assert "Traceback" not in err
+
+    def test_chart_id_past_int64_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("0 0 3 4\n99999999999999999999 1 2 2\n")
+        assert main(["pack-boxes", str(path), "--omega", "64"]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "huge.txt:2: ids must be below 2^63" in err
         assert "Traceback" not in err
 
     def test_unpackable_exits_2(self, tmp_path, capsys):
@@ -347,6 +390,13 @@ class TestAtlasSceneCommand:
         assert main(["atlas-scene", str(scene), "--prescale", "1e9"]) == EXIT_PACK_FAILURE
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_box_side_past_int64_exits_2(self, tmp_path, capsys):
+        scene = write_scene(tmp_path, QUAD_OBJ)
+        assert main(["atlas-scene", str(scene), "--prescale", "1e300"]) == EXIT_PACK_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("pack failure: box height ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "bad_line",
         ["v 0 0 nan", "v 0 1 abc", "f 0 2 3", "f 1 2 x", "f 1 2 9", "f 1 2 -9"],
@@ -450,6 +500,28 @@ class TestCompareCommand:
         assert main(["compare", str(scene), "--omega", "1000", "--out", str(out)]) == EXIT_BAD_INPUT
         assert "power of two" in capsys.readouterr().err
 
+    def test_scene_frame_work_runs_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return depth_prepass(*args, **kwargs)
+
+        monkeypatch.setattr("atlaspack.cli.depth_prepass", counting)
+        scene = write_scene(tmp_path, TWO_QUADS_OBJ)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", str(scene), "--omega", "1024,2048", "--out", str(out)]) == EXIT_OK
+        assert len(read_csv(out)) == 6  # 3 packers x 2 omegas
+        assert len(calls) == 1
+
+    def test_scene_with_nothing_visible_fails_every_row(self, tmp_path, capsys):
+        scene = write_scene(tmp_path, QUAD_OBJ, look_at="0 0 1")
+        out = tmp_path / "cmp.csv"
+        argv = ["compare", str(scene), "--omega", "64,128", "--out", str(out)]
+        assert main(argv) == EXIT_PACK_FAILURE
+        assert [r["status"] for r in read_csv(out)] == ["failed"] * 6
+        assert capsys.readouterr().err.count("no triangle covers a depth-passing sample") == 6
+
     def test_scene_input(self, tmp_path):
         scene = write_scene(tmp_path, TWO_QUADS_OBJ)
         out = tmp_path / "cmp.csv"
@@ -526,8 +598,8 @@ class TestGenBoxesCommand:
         main(["gen-boxes", "--count", "40", "--omega", "512", "--seed", "7", "--out", str(b)])
         assert a.read_text() == b.read_text()
         boxes = parse_box_file(a)
-        assert len(boxes) == 40
-        assert all(1 <= x.target_w <= 512 and 1 <= x.target_h <= 512 for x in boxes)
+        assert boxes.shape == (40, 4)
+        assert ((boxes[:, 2:] >= 1) & (boxes[:, 2:] <= 512)).all()
 
 
 class TestSceneConfig:

@@ -10,12 +10,15 @@ from atlaspack import (
     NoValidTriangles,
     Placement,
     layout_digest,
+    pack,
     packing_efficiency,
     scene_stretch,
     triangle_stretch,
 )
 
-from oracles import numeric_map_singular_values
+from atlaspack.cli import generate_boxes
+
+from oracles import numeric_map_singular_values, struct_layout_digest
 
 
 def place(cid, x, y, w, h, rotated=False):
@@ -140,8 +143,15 @@ class TestLayoutDigest:
         assert layout_digest(a) != layout_digest(b)
         assert layout_digest(a) != layout_digest(c)
 
+    def test_matches_struct_reference(self):
+        layouts = [layout_of(64, place((1 << 63) - 1, 0, 0, 8, 8, rotated=True))]
+        layouts += [pack(generate_boxes(50, 256, np.random.default_rng(s)), 512) for s in range(20)]
+        for layout in layouts:
+            assert layout_digest(layout).digest == struct_layout_digest(layout)
+
     def test_storage_order_is_canonicalized(self):
         p0, p1 = place(0, 0, 0, 8, 8), place(1, 8, 0, 8, 8)
         a = layout_of(64, p0, p1)
         b = layout_of(64, p1, p0)
         assert layout_digest(a) == layout_digest(b)
+        assert b.placements == (p0, p1)

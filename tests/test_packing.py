@@ -7,20 +7,24 @@ from atlaspack import (
     ChartBox,
     FoldResult,
     HeightOverflow,
-    OrientedBox,
     PackFailure,
     fold,
     layout_digest,
-    orient,
-    order,
     pack,
-    pack_at_scale,
     push_up,
 )
 from atlaspack.cli import generate_boxes
 from atlaspack.packing import MAX_BOX_DIM
 
-from oracles import fold_line_reference, layout_valid, push_tightness_ok
+from oracles import (
+    OrientedBox,
+    fold_line_reference,
+    layout_valid,
+    order,
+    orient,
+    pack_at_scale,
+    push_tightness_ok,
+)
 
 
 def box(w, h, ident):
@@ -245,6 +249,31 @@ class TestPack:
             shuffled = list(boxes)
             rng.shuffle(shuffled)
             assert layout_digest(pack(shuffled, 128)) == reference
+
+    def test_matches_object_reference_on_random_sets(self):
+        # The array orientation, order and placement against the object versions.
+        for seed in range(100):
+            local = np.random.default_rng(seed)
+            omega = int(2 ** local.integers(4, 9))
+            boxes = generate_boxes(int(local.integers(1, 60)), omega, local)
+            knobs = {"min_dim": int(local.integers(1, 3)), "padding": int(local.integers(0, 2))}
+            ordered = order(orient(boxes))
+            candidates = (pack_at_scale(ordered, Fraction(i, 64), omega, **knobs)
+                          for i in range(64, 0, -1))
+            want = next((layout for layout in candidates if layout is not None), None)
+            try:
+                got = pack(boxes, omega, **knobs)
+            except PackFailure:
+                got = None
+            assert (got is None) == (want is None), f"seed {seed}"
+            if got is not None:
+                assert got.scale == want.scale and got.placements == want.placements
+
+    def test_box_table_checked(self):
+        with pytest.raises(ValueError, match="4 columns"):
+            pack(np.array([0, 0, 4, 4]), 64)
+        with pytest.raises(ValueError, match="box 7: target dims"):
+            pack(np.array([[0, 0, 4, 4], [7, 1, 0, 4]]), 64)
 
     def test_random_layouts_valid_and_tight(self):
         for seed in range(40):

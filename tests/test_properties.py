@@ -1,4 +1,4 @@
-"""Property tests of the packer, the chart box and the layout files.
+"""Property tests of the packer, the chart box, and the box and layout files.
 
 Examples are derived from the test source (``derandomize``) and no example
 database is kept, so every run checks the same bounded set of inputs.
@@ -21,9 +21,11 @@ from atlaspack import (
     chart_bbox,
     layout_digest,
     layouts_equal,
+    box_table,
     pack,
 )
-from atlaspack.cli import parse_layout_file, write_layout_file
+from atlaspack.cli import parse_box_file, parse_layout_file, write_box_file, write_layout_file
+from atlaspack.packing import MAX_BOX_DIM
 
 from oracles import box_contains, chart_frustum_box, exhaustive_optimal, layout_valid
 
@@ -93,6 +95,41 @@ def test_layout_file_round_trips(boxes, omega):
         parsed = parse_layout_file(path)
     assert layouts_equal(parsed, layout)
     assert parsed.scale == layout.scale
+
+
+@st.composite
+def box_files(draw):
+    """Boxes with ids anywhere in int64 and sides anywhere in [1, MAX_BOX_DIM]."""
+    n = draw(st.integers(0, 30))
+    ids = st.integers(0, (1 << 63) - 1)
+    chart_ids = draw(st.lists(ids, min_size=n, max_size=n, unique=True))
+    tris = draw(st.lists(ids, min_size=n, max_size=n, unique=True))
+    sides = st.integers(1, MAX_BOX_DIM)
+    return [ChartBox(target_w=draw(sides), target_h=draw(sides), chart_id=c, min_tri=t)
+            for c, t in zip(chart_ids, tris)]
+
+
+noise = st.sampled_from(["", "   ", "# note", "  # 1 2 3 4", "#"])
+
+
+@PROPERTY
+@given(box_files(), st.randoms(use_true_random=False),
+       st.lists(st.tuples(st.integers(0, 40), noise)), st.lists(st.booleans()))
+def test_box_file_round_trips(boxes, random, comments, tails):
+    shuffled = list(boxes)
+    random.shuffle(shuffled)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "boxes.txt"
+        write_box_file(shuffled, path)
+        lines = path.read_text().splitlines()
+        for k, tail in enumerate(tails[: len(lines)]):
+            if tail:
+                lines[k] += " # tail"
+        for at, text in comments:
+            lines.insert(min(at, len(lines)), text)
+        path.write_text("\n".join(lines) + "\n")
+        parsed = parse_box_file(path)
+    assert np.array_equal(parsed, box_table(shuffled))
 
 
 @PROPERTY
