@@ -136,15 +136,15 @@ def parse_box_file(path) -> np.ndarray:
         problems.append((limit, 1, "fields must be unsigned integers"))
     try:
         table = np.array(values, dtype=np.int64).reshape(-1, 4)
+        too_big = np.zeros(len(table), dtype=bool)
     except OverflowError:  # checked as Python ints, then rejected below
         table = np.array(values, dtype=object).reshape(-1, 4)
+        # Compared as Python ints: NumPy 1.x compares int64 with 2^63 in float64.
+        too_big = np.array([max(ids) >= 1 << 63 for ids in table[:, :2].tolist()], dtype=bool)
     cid, tri, w, h = table.T
     rules = (
         ((cid < 0) | (tri < 0), lambda i: "ids must be non-negative"),
-        (
-            (cid >= _INT64_RANGE.stop) | (tri >= _INT64_RANGE.stop),
-            lambda i: "ids must be below 2^63",
-        ),
+        (too_big, lambda i: "ids must be below 2^63"),
         (
             (w < 1) | (w > MAX_BOX_DIM) | (h < 1) | (h > MAX_BOX_DIM),
             lambda i: f"box dimensions must be in [1, {MAX_BOX_DIM}] "
@@ -189,13 +189,12 @@ def generate_boxes(count: int, omega: int, rng: np.random.Generator) -> list[Cha
 # --- layout files -----------------------------------------------------------
 
 
-def write_layout_file(layout: AtlasLayout, path, digest: LayoutDigest | None = None) -> None:
+def write_layout_file(layout: AtlasLayout, path) -> LayoutDigest:
     """Canonical text serialization: header keys, then the table rows in chart-id order.
 
-    ``digest`` is the layout's digest, computed here when not given.
+    Returns the layout's digest, as written in the header.
     """
-    if digest is None:
-        digest = layout_digest(layout)
+    digest = layout_digest(layout)
     table = layout.table
     header = [
         "# atlaspack layout v1",
@@ -209,6 +208,7 @@ def write_layout_file(layout: AtlasLayout, path, digest: LayoutDigest | None = N
     ]
     rows = ("%d %d %d %d %d %d %d %d\n" * len(table)) % tuple(table.ravel().tolist())
     _write_atomic(path, "\n".join(header) + "\n" + rows)
+    return digest
 
 
 def parse_layout_file(path) -> AtlasLayout:
@@ -654,9 +654,8 @@ def _cmd_pack_boxes(args) -> int:
         print(f"pack failure: {exc}", file=sys.stderr)
         return EXIT_PACK_FAILURE
     prefix = Path(args.out or Path(args.input).with_suffix(""))
-    digest = layout_digest(layout)
+    digest = write_layout_file(layout, _out_path(prefix, ".layout.txt"))
     efficiency = packing_efficiency(layout)
-    write_layout_file(layout, _out_path(prefix, ".layout.txt"), digest)
     _write_csv(
         _out_path(prefix, ".metrics.csv"),
         ["tool_version", "packer", "omega", "n_boxes", "scale_num", "scale_den", "scale",
@@ -708,9 +707,8 @@ def _cmd_atlas_scene(args) -> int:
         return EXIT_NOTHING_VISIBLE
     prefix = Path(args.out or Path(args.scene).with_suffix(""))
     layout = result.layout
-    digest = layout_digest(layout)
+    digest = write_layout_file(layout, _out_path(prefix, ".layout.txt"))
     efficiency = packing_efficiency(layout)
-    write_layout_file(layout, _out_path(prefix, ".layout.txt"), digest)
     write_charts_file(result.chart_set, _out_path(prefix, ".charts.txt"))
     stretch = result.stretch
     _write_csv(

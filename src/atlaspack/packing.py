@@ -272,14 +272,30 @@ def push_up(fold_result: FoldResult, dims, omega: int) -> tuple[np.ndarray, int]
     return y, int(front.max())
 
 
-def _place(w, h, scale: Fraction, omega: int, min_dim: int, padding: int):
-    """Place the ordered boxes at one candidate scale: (x, y, w, h) arrays, or None.
+def pack_at_scale(
+    boxes: np.ndarray,
+    ordered,
+    scale: Fraction,
+    omega: int,
+    min_dim: int = 1,
+    padding: int = 0,
+) -> AtlasLayout | None:
+    """Pack a box table at one candidate scale; None when rejected.
 
-    Box dimensions become max(min_dim, ceil(scale * side)) + 2 * padding
-    per axis. The candidate is rejected when a box is wider than the atlas
-    or the total box area exceeds it; otherwise the boxes are folded into
-    rows, compacted, and accepted iff the used height fits in the atlas.
+    ``ordered`` is ``oriented_order(boxes)``. Box dimensions become
+    max(min_dim, ceil(scale * side)) + 2 * padding per axis. The candidate
+    is rejected when a box is wider than the atlas or the total box area
+    exceeds it; otherwise the boxes are folded into rows, compacted, and
+    accepted iff the used height fits in the atlas. The returned layout
+    records the candidate scale unchanged.
     """
+    _check_omega(omega)
+    if not 0 < scale.numerator <= scale.denominator:
+        raise ValueError("scale must be in (0, 1]")
+    _check_knobs(min_dim, padding)
+    if len(boxes) == 0:
+        return AtlasLayout(omega=omega, scale=scale)
+    idx, w, h, rotated = ordered
     widths = _scaled_dims(w, scale.numerator, scale.denominator, min_dim, padding)
     heights = _scaled_dims(h, scale.numerator, scale.denominator, min_dim, padding)
     if widths.max() > omega:
@@ -292,7 +308,8 @@ def _place(w, h, scale: Fraction, omega: int, min_dim: int, padding: int):
     y, height_used = push_up(fold_result, np.stack([widths, heights], axis=1), omega)
     if height_used > omega:
         return None
-    return fold_result.x_of_box, y, widths, heights
+    rows = layout_table(boxes, idx, rotated, fold_result.x_of_box, y, widths, heights)
+    return AtlasLayout(omega=omega, scale=scale, table=rows)
 
 
 def pack(
@@ -320,8 +337,8 @@ def pack(
     dup = np.flatnonzero(repeated(table[:, 1]))
     if dup.size:
         raise ValueError(f"duplicate min_tri {table[dup[0], 1]} in pack request")
-    idx, w, h, rotated = oriented_order(table)
-    floor_w = _scaled_dims(w, 1, n_scales, min_dim, padding)
+    ordered = oriented_order(table)
+    floor_w = _scaled_dims(ordered[1], 1, n_scales, min_dim, padding)
     if int(floor_w.max()) > omega:
         raise PackFailure(
             f"a box is wider than the atlas ({floor_w.max()} > {omega}) even at "
@@ -329,11 +346,9 @@ def pack(
         )
 
     for i in range(n_scales, 0, -1):
-        scale = Fraction(i, n_scales)
-        placed = _place(w, h, scale, omega, min_dim, padding)
-        if placed is not None:
-            rows = layout_table(table, idx, rotated, *placed)
-            return AtlasLayout(omega=omega, scale=scale, table=rows)
+        layout = pack_at_scale(table, ordered, Fraction(i, n_scales), omega, min_dim, padding)
+        if layout is not None:
+            return layout
     raise PackFailure("every candidate scale was rejected")
 
 

@@ -43,7 +43,6 @@ from atlaspack import (
     fold,
     push_up,
     select_side_plane,
-    sequential_fold,
     triangle_stretch,
 )
 from atlaspack.charts import DEPTH_EPSILON, _clip_triangle_frustum
@@ -455,19 +454,6 @@ def pack_at_scale(
     if used > omega:
         return None
     return _placed(ordered_boxes, f.x_of_box, ys, widths, heights, omega, scale)
-
-
-def sequential_pack(ordered_boxes: Sequence[OrientedBox], omega: int) -> AtlasLayout | None:
-    """Place ordered boxes at their stated sides with sequential_fold; None on overflow."""
-    if not ordered_boxes:
-        return AtlasLayout(omega=omega, scale=Fraction(1))
-    widths = [b.w for b in ordered_boxes]
-    heights = [b.h for b in ordered_boxes]
-    f = sequential_fold(widths, omega)
-    ys, used = push_up(f, list(zip(widths, heights)), omega)
-    if used > omega:
-        return None
-    return _placed(ordered_boxes, f.x_of_box, ys, widths, heights, omega, Fraction(1))
 
 
 def exhaustive_optimal(

@@ -7,27 +7,31 @@ from atlaspack import (
     ChartBox,
     PackFailure,
     box_table,
+    fold,
     layout_digest,
     pack,
+    pack_at_scale,
     packing_efficiency,
     sequential_fold,
     sequential_scale_search,
     superblock_pack,
 )
 from atlaspack.cli import generate_boxes
+from atlaspack.packing import oriented_order
 
-from oracles import (
-    exhaustive_optimal,
-    layout_valid,
-    order,
-    orient,
-    pack_at_scale,
-    sequential_pack,
-)
+from oracles import exhaustive_optimal, layout_valid
 
 
 def box(w, h, ident):
     return ChartBox(target_w=w, target_h=h, chart_id=ident, min_tri=ident)
+
+
+def sequential_at_full_scale(boxes, omega):
+    """The sequential packer held to scale 1: its layout, or None when rejected."""
+    try:
+        return sequential_scale_search(boxes, omega, n_scales=1)
+    except PackFailure:
+        return None
 
 
 GRID64 = [Fraction(i, 64) for i in range(1, 65)]
@@ -50,17 +54,16 @@ class TestSequentialPack:
         assert list(f.x_of_box) == [0, 3]  # row 1 starts right
 
     def test_single_box_at_origin(self):
-        ordered = order(orient([box(5, 7, 0)]))
-        layout = sequential_pack(ordered, 16)
+        layout = sequential_at_full_scale([box(5, 7, 0)], 16)
         p = layout.placements[0]
         assert (p.x, p.y) == (0, 0)
 
     def test_matches_fold_path_when_no_overflow(self):
         # widths tuned so the prefix-sum fold has m = 0
         boxes = [box(32, 32, 0), box(32, 32, 1), box(31, 31, 2), box(30, 30, 3)]
-        ordered = order(orient(boxes))
-        a = pack_at_scale(ordered, Fraction(1), 64)
-        b = sequential_pack(ordered, 64)
+        table = box_table(boxes)
+        a = pack_at_scale(table, oriented_order(table), Fraction(1), 64)
+        b = sequential_at_full_scale(boxes, 64)
         assert a is not None and b is not None
         assert a.placements == b.placements
 
@@ -69,14 +72,13 @@ class TestSequentialPack:
         for seed in range(200):
             local = np.random.default_rng(seed)
             boxes = generate_boxes(int(local.integers(1, 25)), 64, local)
-            ordered = order(orient(boxes))
-            from atlaspack import fold
-
-            widths = [b.w for b in ordered]
+            table = box_table(boxes)
+            ordered = oriented_order(table)
+            widths = ordered[1]
             if max(widths) > 64 or fold(widths, 64).overflow_m != 0:
                 continue
-            a = pack_at_scale(ordered, Fraction(1), 64)
-            b = sequential_pack(ordered, 64)
+            a = pack_at_scale(table, ordered, Fraction(1), 64)
+            b = sequential_at_full_scale(boxes, 64)
             assert (a is None) == (b is None)
             if a is not None:
                 assert a.placements == b.placements

@@ -157,6 +157,12 @@ class TestBoxFiles:
             parse_box_file(path)
         assert str(info.value) == f"{path}:{message}"
 
+    def test_largest_ids_accepted(self, tmp_path):
+        top = (1 << 63) - 1
+        path = tmp_path / "top.txt"
+        path.write_text(f"{top} {top - 1} 4 4\n{top - 1} {top} 5 5\n")
+        assert parse_box_file(path).tolist() == [[top, top - 1, 4, 4], [top - 1, top, 5, 5]]
+
     def test_zero_width_names_the_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# header\n1 1 4 4\n2 2 0 5\n")

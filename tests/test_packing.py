@@ -8,71 +8,85 @@ from atlaspack import (
     FoldResult,
     HeightOverflow,
     PackFailure,
+    box_table,
     fold,
     layout_digest,
     pack,
+    pack_at_scale,
     push_up,
+    sequential_scale_search,
+    superblock_pack,
 )
 from atlaspack.cli import generate_boxes
-from atlaspack.packing import MAX_BOX_DIM
+from atlaspack.packing import MAX_BOX_DIM, oriented_order
 
-from oracles import (
-    OrientedBox,
-    fold_line_reference,
-    layout_valid,
-    order,
-    orient,
-    pack_at_scale,
-    push_tightness_ok,
-)
+from oracles import fold_line_reference, layout_valid, push_tightness_ok
+from oracles import order as object_order
+from oracles import orient as object_orient
+from oracles import pack_at_scale as object_pack_at_scale
 
 
 def box(w, h, ident):
     return ChartBox(target_w=w, target_h=h, chart_id=ident, min_tri=ident)
 
 
+def at_scale(boxes, scale, omega, **knobs):
+    table = box_table(boxes)
+    return pack_at_scale(table, oriented_order(table), scale, omega, **knobs)
+
+
 class TestOrient:
+    def oriented(self, w, h):
+        idx, ws, hs, rotated = oriented_order(box_table([box(w, h, 0)]))
+        assert list(idx) == [0]
+        return int(ws[0]), int(hs[0]), bool(rotated[0])
+
     def test_tall_box_passes_through(self):
-        (o,) = orient([box(3, 5, 0)])
-        assert (o.w, o.h, o.rotated) == (3, 5, False)
+        assert self.oriented(3, 5) == (3, 5, False)
 
     def test_wide_box_rotates(self):
-        (o,) = orient([box(7, 2, 0)])
-        assert (o.w, o.h, o.rotated) == (2, 7, True)
+        assert self.oriented(7, 2) == (2, 7, True)
 
     def test_square_does_not_rotate(self):
-        (o,) = orient([box(4, 4, 0)])
-        assert (o.w, o.h, o.rotated) == (4, 4, False)
+        assert self.oriented(4, 4) == (4, 4, False)
 
 
 class TestOrder:
     def test_height_desc_then_min_tri_asc(self):
-        boxes = [
-            OrientedBox(w=1, h=7, rotated=False, source=box(1, 7, 40)),
-            OrientedBox(w=1, h=5, rotated=False, source=box(1, 5, 10)),
-            OrientedBox(w=1, h=7, rotated=False, source=box(1, 7, 3)),
-        ]
-        got = [(b.h, b.source.min_tri) for b in order(boxes)]
-        assert got == [(7, 3), (7, 40), (5, 10)]
+        table = box_table([box(1, 7, 40), box(5, 1, 10), box(1, 7, 3)])
+        idx, w, h, rotated = oriented_order(table)
+        assert list(idx) == [2, 0, 1]
+        assert list(zip(h.tolist(), table[idx, 1].tolist())) == [(7, 3), (7, 40), (5, 10)]
+        assert (w.tolist(), rotated.tolist()) == ([1, 1, 1], [False, False, True])
 
     def test_single_box(self):
-        boxes = orient([box(2, 3, 9)])
-        assert order(boxes) == boxes
+        idx, w, h, rotated = oriented_order(box_table([box(2, 3, 9)]))
+        assert (idx.tolist(), w.tolist(), h.tolist(), rotated.tolist()) == ([0], [2], [3], [False])
 
     def test_permutation_invariance(self, rng):
-        boxes = orient([box(int(w), int(h), i) for i, (w, h) in
-                        enumerate(rng.integers(1, 50, size=(30, 2)))])
-        reference = order(boxes)
+        table = box_table([box(int(w), int(h), i) for i, (w, h) in
+                           enumerate(rng.integers(1, 50, size=(30, 2)))])
+
+        def ordered_rows(t):
+            idx, w, h, rotated = oriented_order(t)
+            return np.column_stack([t[idx], w, h, rotated])
+
+        reference = ordered_rows(table)
         for _ in range(10):
-            shuffled = list(boxes)
-            rng.shuffle(shuffled)
-            assert order(shuffled) == reference
+            assert np.array_equal(ordered_rows(rng.permutation(table)), reference)
 
     def test_height_overflow(self):
-        h = MAX_BOX_DIM + 1
-        boxes = [OrientedBox(w=1, h=h, rotated=False, source=box(1, h, 0))]
-        with pytest.raises(HeightOverflow):
-            order(boxes)
+        # A wide box is turned first, so its width counts as its height.
+        for sides in ((1, MAX_BOX_DIM + 1), (MAX_BOX_DIM + 1, 1)):
+            boxes = [box(4, 4, 1), box(*sides, 0)]
+            with pytest.raises(HeightOverflow):
+                oriented_order(box_table(boxes))
+            with pytest.raises(HeightOverflow):
+                pack(boxes, 64)
+            with pytest.raises(HeightOverflow):
+                sequential_scale_search(boxes, 64)
+            with pytest.raises(HeightOverflow):
+                superblock_pack(boxes, 64, 64)
 
 
 class TestFold:
@@ -114,8 +128,7 @@ class TestFold:
 
 class TestOversizedBox:
     def test_wider_than_atlas_is_rejected_at_scale(self):
-        boxes = order(orient([box(1000, 1000, 0)]))
-        assert pack_at_scale(boxes, Fraction(1), 64) is None
+        assert at_scale([box(1000, 1000, 0)], Fraction(1), 64) is None
 
     def test_pack_scans_down_to_first_fitting_scale(self):
         # ceil(1000 * 4/64) = 63 fits in 64; ceil(1000 * 5/64) = 79 does not
@@ -160,39 +173,40 @@ class TestPushUp:
 
 class TestPackAtScale:
     def test_full_atlas_box(self):
-        boxes = order(orient([box(64, 64, 0)]))
-        layout = pack_at_scale(boxes, Fraction(1), 64)
+        layout = at_scale([box(64, 64, 0)], Fraction(1), 64)
         assert layout is not None
         p = layout.placements[0]
         assert (p.x, p.y, p.w, p.h) == (0, 0, 64, 64)
 
     def test_area_pigeonhole_rejects(self):
-        boxes = order(orient([box(64, 64, i) for i in range(2)]))
-        assert pack_at_scale(boxes, Fraction(1), 64) is None
+        assert at_scale([box(64, 64, i) for i in range(2)], Fraction(1), 64) is None
 
     def test_four_half_boxes_fill_atlas(self):
-        boxes = order(orient([box(32, 32, i) for i in range(4)]))
-        layout = pack_at_scale(boxes, Fraction(1), 64)
+        layout = at_scale([box(32, 32, i) for i in range(4)], Fraction(1), 64)
         assert layout is not None
         spots = sorted((p.x, p.y) for p in layout.placements)
         assert spots == [(0, 0), (0, 32), (32, 0), (32, 32)]
 
     def test_min_dim_and_padding_applied(self):
-        boxes = order(orient([box(10, 10, 0)]))
-        layout = pack_at_scale(boxes, Fraction(1, 10), 64, min_dim=2, padding=3)
+        layout = at_scale([box(10, 10, 0)], Fraction(1, 10), 64, min_dim=2, padding=3)
         p = layout.placements[0]
         assert (p.w, p.h) == (2 + 6, 2 + 6)
+
+    def test_empty_table_and_scale_bounds(self):
+        assert at_scale([], Fraction(1, 2), 64).table.shape == (0, 8)
+        for scale in (Fraction(0), Fraction(3, 2)):
+            with pytest.raises(ValueError, match="scale"):
+                at_scale([box(4, 4, 0)], scale, 64)
 
     def test_monotone_safety(self, rng):
         # growing padding or min_dim may reject, never corrupt
         for seed in range(30):
             boxes = generate_boxes(12, 64, np.random.default_rng(seed))
-            ordered = order(orient(boxes))
-            base = pack_at_scale(ordered, Fraction(1, 2), 64)
+            base = at_scale(boxes, Fraction(1, 2), 64)
             if base is None:
                 continue
             for kwargs in ({"padding": 1}, {"min_dim": 2}, {"padding": 2, "min_dim": 2}):
-                bumped = pack_at_scale(ordered, Fraction(1, 2), 64, **kwargs)
+                bumped = at_scale(boxes, Fraction(1, 2), 64, **kwargs)
                 assert bumped is None or layout_valid(bumped)
 
 
@@ -211,15 +225,10 @@ class TestPack:
         omega = 256
         boxes = [box(omega, omega, i) for i in range(16)]
         layout = pack(boxes, omega, n_scales=64)
-        ordered = order(orient(boxes))
-        accepted = [
-            i
-            for i in range(1, 65)
-            if pack_at_scale(ordered, Fraction(i, 64), omega) is not None
-        ]
+        accepted = [i for i in range(1, 65) if at_scale(boxes, Fraction(i, 64), omega) is not None]
         assert accepted, "some candidate must fit"
         chosen = max(accepted)
-        relayout = pack_at_scale(ordered, Fraction(chosen, 64), omega)
+        relayout = at_scale(boxes, Fraction(chosen, 64), omega)
         assert layout_digest(layout) == layout_digest(relayout)
         assert layout_valid(layout)
 
@@ -257,8 +266,8 @@ class TestPack:
             omega = int(2 ** local.integers(4, 9))
             boxes = generate_boxes(int(local.integers(1, 60)), omega, local)
             knobs = {"min_dim": int(local.integers(1, 3)), "padding": int(local.integers(0, 2))}
-            ordered = order(orient(boxes))
-            candidates = (pack_at_scale(ordered, Fraction(i, 64), omega, **knobs)
+            ordered = object_order(object_orient(boxes))
+            candidates = (object_pack_at_scale(ordered, Fraction(i, 64), omega, **knobs)
                           for i in range(64, 0, -1))
             want = next((layout for layout in candidates if layout is not None), None)
             try:
