@@ -10,8 +10,9 @@ folds the ordered strip into atlas-width rows and compacts the rows upward
 against an advancing frontline. The fold cuts the strip's prefix sum into
 rows with the next-fit shelf rule: a box that would cross the atlas edge
 starts the next row, so no box ever sticks out. Candidate scales
-i/n_scales are tried from largest to smallest; the first accepted one wins
-and only its placements are written into a layout table.
+i/n_scales are tried from largest to smallest, skipping by bisection those
+whose box widths or area cannot fit; the first accepted one wins and only
+its placements are written into a layout table.
 
 All scale arithmetic is exact rational (integer numerators/denominators),
 so identical box multisets produce bit-identical layouts regardless of
@@ -20,6 +21,7 @@ input order or platform.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -296,14 +298,10 @@ def pack_at_scale(
     if len(boxes) == 0:
         return AtlasLayout(omega=omega, scale=scale)
     idx, w, h, rotated = ordered
-    widths = _scaled_dims(w, scale.numerator, scale.denominator, min_dim, padding)
-    heights = _scaled_dims(h, scale.numerator, scale.denominator, min_dim, padding)
-    if widths.max() > omega:
+    dims = _fitting_dims(w, h, scale.numerator, scale.denominator, omega, min_dim, padding)
+    if dims is None:
         return None
-    # Pigeonhole: total box area beyond the atlas area cannot push into
-    # omega rows, so the vertical rejection is decided already.
-    if int(np.sum(widths * heights)) > omega * omega:
-        return None
+    widths, heights = dims
     fold_result = fold(widths, omega)
     y, height_used = push_up(fold_result, np.stack([widths, heights], axis=1), omega)
     if height_used > omega:
@@ -345,11 +343,24 @@ def pack(
             f"the smallest candidate scale 1/{n_scales}"
         )
 
-    for i in range(n_scales, 0, -1):
+    # Boxes grow with i, so _fitting_dims passes i = 1..top only: bisect.
+    def fails(i: int) -> bool:
+        return _fitting_dims(*ordered[1:3], i, n_scales, omega, min_dim, padding) is None
+    for i in range(bisect.bisect_left(range(1, n_scales + 1), True, key=fails), 0, -1):
         layout = pack_at_scale(table, ordered, Fraction(i, n_scales), omega, min_dim, padding)
         if layout is not None:
             return layout
     raise PackFailure("every candidate scale was rejected")
+
+
+def _fitting_dims(w, h, num: int, den: int, omega: int, min_dim: int, padding: int):
+    """Scaled (widths, heights) of oriented boxes; None when a box is wider
+    than the atlas or, by pigeonhole, their area exceeds the atlas area."""
+    widths = _scaled_dims(w, num, den, min_dim, padding)
+    heights = _scaled_dims(h, num, den, min_dim, padding)
+    if widths.max() > omega or int(np.sum(widths * heights)) > omega * omega:
+        return None
+    return widths, heights
 
 
 def _scaled_dims(targets: np.ndarray, num: int, den: int, min_dim: int, padding: int) -> np.ndarray:

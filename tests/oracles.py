@@ -7,13 +7,13 @@ per-triangle chart box are the package's earlier one-triangle-at-a-time
 loops, which the batched code must match bit for bit, the stretch report
 is the earlier per-triangle pair loop with one SVD per triangle, which the
 per-chart rule must match to rounding, components come from
-breadth-first search, the fold reference walks boxes one at a time along
-the folded line, the exhaustive packer backtracks over every placement of
-a tiny instance, the object packer orients, orders and places one
-ChartBox object at a time as the package did before its box and layout
-tables, and layout validity is checked by occupancy grids or
-pairwise interval arithmetic. Only tests call this code, so it lives here
-rather than in the package.
+breadth-first search over an edge adjacency built with a dict, the fold
+reference walks boxes one at a time along the folded line, the exhaustive
+packer backtracks over every placement of a tiny instance, the object
+packer orients, orders and places one ChartBox object at a time as the
+package did before its box and layout tables, and layout validity is
+checked by occupancy grids or pairwise interval arithmetic. Only tests
+call this code, so it lives here rather than in the package.
 """
 
 from __future__ import annotations
@@ -296,9 +296,30 @@ def reference_depth_and_flags(mesh: Mesh, cam, res, cull: bool):
     return depth, flags
 
 
+def dict_adjacency(triangles) -> np.ndarray:
+    """Edge adjacency as Mesh defines it, from a dict of each edge's users."""
+    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    adjacency = np.full((len(tris), 3), -1, dtype=np.int64)
+    edge_map: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for t, (a, b, c) in enumerate(tris):
+        for e, (u, v) in enumerate(((a, b), (b, c), (c, a))):
+            key = (u, v) if u < v else (v, u)
+            edge_map.setdefault(key, []).append((t, e))
+    for users in edge_map.values():
+        if len(users) == 2:
+            (t0, e0), (t1, e1) = users
+            adjacency[t0, e0] = t1
+            adjacency[t1, e1] = t0
+    return adjacency
+
+
 def bfs_chart_labels(mesh: Mesh, flags: np.ndarray) -> np.ndarray:
-    """Connected components over visible edge adjacency, labeled by minimum."""
+    """Connected components over visible edge adjacency, labeled by minimum.
+
+    The adjacency comes from dict_adjacency, not from the mesh.
+    """
     n = mesh.n_triangles
+    adjacency = dict_adjacency(mesh.triangles)
     labels = np.full(n, -1, dtype=np.int64)
     for start in range(n):
         if not flags[start] or labels[start] >= 0:
@@ -308,7 +329,7 @@ def bfs_chart_labels(mesh: Mesh, flags: np.ndarray) -> np.ndarray:
         queue = deque([start])
         while queue:
             t = queue.popleft()
-            for nb in mesh.adjacency[t]:
+            for nb in adjacency[t]:
                 if nb >= 0 and flags[nb] and labels[nb] < 0:
                     labels[nb] = start
                     comp.append(int(nb))

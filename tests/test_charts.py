@@ -5,6 +5,7 @@ import pytest
 
 from atlaspack import (
     CameraFrame,
+    ChartSet,
     Mesh,
     VisibilityBuffer,
     connected_charts,
@@ -20,6 +21,7 @@ from atlaspack.geometry import clip_coords, perspective_matrix
 from oracles import (
     bfs_chart_labels,
     delaunay_mesh,
+    dict_adjacency,
     reference_depth_and_flags,
     vertex_merge_labels,
 )
@@ -30,6 +32,31 @@ def flat_mesh(tris, z=-2.0, coords=None):
     coords = np.asarray(coords, dtype=np.float64)
     positions = np.column_stack([coords, np.full(len(coords), z)])
     return Mesh(positions=positions, triangles=np.asarray(tris))
+
+
+def soup_mesh(rng, n_vertices, n_triangles):
+    """Random triangles over a small vertex pool, for chartification.
+
+    A small pool makes edges shared by three or more triangles and charts
+    that touch at a single vertex common. About one triangle in ten repeats
+    a vertex index (as in ``f 1 1 2``), a few vertices duplicate another's
+    position under their own index, and three vertices are never used.
+    """
+    tris = rng.integers(0, n_vertices, size=(n_triangles, 3))
+    repeat = rng.random(n_triangles) < 0.1
+    tris[repeat, 1] = tris[repeat, 0]
+    positions = rng.random((n_vertices + 3, 3))
+    positions[rng.integers(0, n_vertices, size=2)] = positions[0]
+    return Mesh(positions=positions, triangles=tris)
+
+
+def soup_cases(seed, count=150):
+    """Seeded soups of varied density, each with random visibility flags."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        mesh = soup_mesh(rng, int(rng.integers(3, 60)), int(rng.integers(1, 120)))
+        flags = rng.random(mesh.n_triangles) < rng.random()
+        yield mesh, VisibilityBuffer(flags=flags, sample_res=(8, 8))
 
 
 def screen_quad(z=-1.0, half=2.0):
@@ -54,6 +81,34 @@ class TestMesh:
         coords = [(0, 0), (1, 0), (0, 1), (1, 1), (0.5, -1)]
         mesh = flat_mesh([(0, 1, 2), (0, 1, 3), (0, 1, 4)], coords=coords)
         assert np.all(mesh.adjacency == -1)
+
+    def test_adjacency_matches_dict_oracle(self, rng):
+        shared_by_three = 0
+        for mesh, _ in soup_cases(1):
+            assert np.array_equal(mesh.adjacency, dict_adjacency(mesh.triangles))
+            edges = np.sort(np.stack([mesh.triangles, np.roll(mesh.triangles, -1, 1)], 2), 2)
+            users = np.unique(edges.reshape(-1, 2), axis=0, return_counts=True)[1]
+            shared_by_three += users.max() >= 3
+        assert shared_by_three
+        mesh = delaunay_mesh(rng, 200)
+        assert np.array_equal(mesh.adjacency, dict_adjacency(mesh.triangles))
+
+    def test_repeated_vertex_links_a_triangle_to_itself(self):
+        # f 1 1 2: edges (0, 0), (0, 1) and (1, 0), so edge (0, 1) has two users
+        mesh = flat_mesh([(0, 0, 1)], coords=[(0, 0), (1, 0)])
+        assert mesh.adjacency.tolist() == [[-1, 0, 0]]
+
+    @pytest.mark.parametrize(
+        "adjacency",
+        [np.full((1, 3), -1), np.full(6, -1), [[-1, -1, 5], [-1, -1, -1]],
+         [[-1, -1, -5], [-1, -1, -1]]],
+        ids=["one_row_for_two", "flat", "neighbour_past_end", "negative_neighbour"],
+    )
+    def test_mismatched_adjacency_rejected(self, adjacency):
+        coords = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        positions = np.column_stack([coords, np.full(4, -2.0)])
+        with pytest.raises(ValueError, match="adjacency"):
+            Mesh(positions=positions, triangles=[(0, 1, 2), (1, 3, 2)], adjacency=adjacency)
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -274,6 +329,28 @@ class TestConnectedCharts:
             oracle = bfs_chart_labels(mesh, flags)
             assert np.array_equal(cs.chart_of_triangle, oracle)
 
+    def test_matches_bfs_oracle_on_soups(self):
+        for mesh, vis in soup_cases(2):
+            cs = connected_charts(mesh, vis)
+            assert np.array_equal(cs.chart_of_triangle, bfs_chart_labels(mesh, vis.flags))
+            assert list(cs.charts) == sorted(set(cs.chart_of_triangle[vis.flags].tolist()))
+            for root, members in cs.charts.items():
+                assert members.tolist() == np.flatnonzero(cs.chart_of_triangle == root).tolist()
+
+    def test_randomly_numbered_strip_is_one_chart(self):
+        # Triangle i of the strip uses vertices i, i + 1 and i + 2, so the
+        # edge graph is a path of 20,000 triangles; both are renumbered at
+        # random. Hooking every node under its smallest neighbouring label
+        # would need thousands of rounds here; hooking roots needs a few.
+        rng = np.random.default_rng(3)
+        n = 20_000
+        strip = rng.permutation(n + 2)[np.arange(n)[:, None] + np.arange(3)]
+        mesh = Mesh(positions=np.zeros((n + 2, 3)), triangles=strip[rng.permutation(n)])
+        cs = connected_charts(mesh, all_visible(mesh))
+        assert list(cs.charts) == [0] and len(cs.charts[0]) == n
+        merged = merge_shared_vertices(cs, mesh)
+        assert list(merged.charts) == [0] and set(merged.vertex_to_chart.values()) == {0}
+
     def test_nothing_visible_gives_empty_set(self, rng):
         mesh = delaunay_mesh(rng, 20)
         vis = VisibilityBuffer(flags=np.zeros(mesh.n_triangles, bool), sample_res=(8, 8))
@@ -334,6 +411,47 @@ class TestMergeSharedVertices:
             merged = merge_shared_vertices(connected_charts(mesh, vis), mesh)
             oracle = vertex_merge_labels(mesh, bfs_chart_labels(mesh, flags))
             assert np.array_equal(merged.chart_of_triangle, oracle)
+
+    def test_matches_oracles_on_soups(self):
+        touching = 0
+        for mesh, vis in soup_cases(3):
+            edge = connected_charts(mesh, vis)
+            merged = merge_shared_vertices(edge, mesh)
+            oracle = vertex_merge_labels(mesh, bfs_chart_labels(mesh, vis.flags))
+            assert np.array_equal(merged.chart_of_triangle, oracle)
+            touching += merged.n_charts < edge.n_charts
+            for root, members in merged.charts.items():
+                assert members.tolist() == np.flatnonzero(oracle == root).tolist()
+            visible = mesh.triangles[vis.flags]
+            assert sorted(merged.vertex_to_chart) == np.unique(visible).tolist()
+            for tri, chart in zip(visible, merged.chart_of_triangle[vis.flags]):
+                assert {merged.vertex_to_chart[int(v)] for v in tri} == {chart}
+        assert touching
+
+    def test_non_canonical_chart_set_takes_minimum_member(self):
+        # Three apart triangles listed as one chart under the id 2.
+        coords = [(0, 0), (1, 0), (0, 1), (3, 3), (4, 3), (3, 4), (6, 6), (7, 6), (6, 7)]
+        mesh = flat_mesh([(0, 1, 2), (3, 4, 5), (6, 7, 8)], coords=coords)
+        cs = ChartSet(np.array([-1, 2, 2]), {2: np.array([2, 1])}, {})
+        merged = merge_shared_vertices(cs, mesh)
+        assert merged.chart_of_triangle.tolist() == [-1, 1, 1]
+        assert list(merged.charts) == [1] and merged.charts[1].tolist() == [1, 2]
+        assert merged.vertex_to_chart == {v: 1 for v in range(3, 9)}
+        for charts in ({2: np.array([0, 1, 2])}, {0: np.array([1, 2])}):
+            with pytest.raises(ValueError, match="does not match"):
+                merge_shared_vertices(ChartSet(np.array([-1, 2, 2]), charts, {}), mesh)
+
+    def test_chart_set_of_another_mesh_rejected(self):
+        coords = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        small = flat_mesh([(0, 1, 2), (1, 3, 2)], coords=coords)
+        large = flat_mesh([(0, 1, 2), (1, 3, 2), (0, 1, 3)], coords=coords)
+        for built, used in ((large, small), (small, large)):
+            with pytest.raises(ValueError, match="does not match"):
+                merge_shared_vertices(connected_charts(built, all_visible(built)), used)
+        for member in (5, -1):
+            cs = ChartSet(np.array([0, 0]), {0: np.array([0, member])}, {})
+            with pytest.raises(ValueError, match="does not match"):
+                merge_shared_vertices(cs, small)
 
     def test_rerun_is_identical(self, rng):
         mesh = delaunay_mesh(rng, 80)

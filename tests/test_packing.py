@@ -17,6 +17,7 @@ from atlaspack import (
     sequential_scale_search,
     superblock_pack,
 )
+from atlaspack import packing
 from atlaspack.cli import generate_boxes
 from atlaspack.packing import MAX_BOX_DIM, oriented_order
 
@@ -277,6 +278,45 @@ class TestPack:
             assert (got is None) == (want is None), f"seed {seed}"
             if got is not None:
                 assert got.scale == want.scale and got.placements == want.placements
+
+    def test_bisection_folds_what_the_top_down_scan_folds(self, monkeypatch):
+        # pack bisects past the candidates that the width and area tests
+        # reject; it must return the top-down scan's layout after the same
+        # folds.
+        folds = []
+        real_fold = packing.fold
+        monkeypatch.setattr(packing, "fold", lambda *args: folds.append(1) or real_fold(*args))
+        cases = []
+        for seed in range(80):
+            local = np.random.default_rng(seed)
+            omega = int(2 ** local.integers(4, 9))
+            table = box_table(generate_boxes(int(local.integers(1, 120)), 4 * omega, local))
+            knobs = {"min_dim": int(local.integers(1, 3)), "padding": int(local.integers(0, 2))}
+            cases.append((table, omega, int(local.integers(1, 100)), knobs))
+        # Two 9 x 9 boxes pass both tests in a 16 x 16 atlas at every
+        # scale, but need two rows: every candidate folds and fails.
+        cases.append((box_table([box(9, 9, 0), box(9, 9, 1)]), 16, 4, {"min_dim": 9}))
+        outcomes = set()
+        for seed, (table, omega, n_scales, knobs) in enumerate(cases):
+            ordered = oriented_order(table)
+            folds.clear()
+            want = None
+            for i in range(n_scales, 0, -1):
+                want = pack_at_scale(table, ordered, Fraction(i, n_scales), omega, **knobs)
+                if want is not None:
+                    break
+            want_folds = len(folds)
+            folds.clear()
+            try:
+                got = pack(table, omega, n_scales=n_scales, **knobs)
+            except PackFailure:
+                got = None
+            assert len(folds) == want_folds, f"seed {seed}"
+            assert (got is None) == (want is None), f"seed {seed}"
+            if got is not None:
+                assert got.scale == want.scale and np.array_equal(got.table, want.table)
+            outcomes.add((got is None, want_folds > 1))
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_box_table_checked(self):
         with pytest.raises(ValueError, match="4 columns"):
