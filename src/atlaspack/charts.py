@@ -9,10 +9,11 @@ root hooking and pointer jumping (Shiloach and Vishkin 1982), which takes
 about a dozen rounds on a randomly numbered strip of 100,000 triangles.
 
 Both passes draw their samples from one batched sampler, ``_samples``. It
-projects every triangle with one matmul, clips only the triangles that leave
-the frustum, and evaluates top-left edge functions (Pineda 1988) over
-groups of polygons at once, in chunks of at most max(_CHUNK, width)
-candidate samples, so memory stays bounded whatever the screen size. The
+projects every triangle with one matmul, clips all the triangles that leave
+the frustum at once, one plane after another (Sutherland and Hodgman 1974),
+and evaluates top-left edge functions (Pineda 1988) over groups of
+polygons at once, in chunks of at most max(_CHUNK, width) candidate
+samples, so memory stays bounded whatever the screen size. The
 depth pass keeps the minimum depth per pixel; the visibility pass reruns
 the sampler and flags each triangle with a sample at or in front of the
 stored depth. Identical arithmetic in both passes keeps the visibility
@@ -187,25 +188,6 @@ class ChartSet:
 _CHUNK = 1 << 14
 
 
-def _clip_triangle_frustum(clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of one homogeneous triangle to the frustum."""
-    poly = clip
-    d = poly[:, 3] - W_EPSILON
-    if not np.any(d > 0):
-        return np.empty((0, 4))
-    if np.any(d <= 0):
-        poly = clip_halfspace(poly, d, d >= 0)
-    for plane in FRUSTUM_PLANES:
-        if len(poly) == 0:
-            break
-        d = plane_distances(poly, plane)
-        keep = d >= 0
-        if np.all(keep):
-            continue
-        poly = clip_halfspace(poly, d, keep)
-    return poly
-
-
 def _samples(mesh: Mesh, cam: CameraFrame, width: int, height: int, cull: bool):
     """Yield chunks of covered pixel-center samples as (t, iy, ix, z) arrays.
 
@@ -224,20 +206,40 @@ def _clip_groups(mesh: Mesh, cam: CameraFrame) -> list[tuple[np.ndarray, np.ndar
     """Frustum-clipped triangles: (triangle ids, (G, n, 4) polygons) per vertex count n.
 
     All triangles are projected with one matmul. Those inside every frustum
-    plane are used as they are; only the rest are clipped, one at a time.
+    plane are used as they are. The rest are clipped in seven batched
+    Sutherland-Hodgman stages, w - W_EPSILON >= 0 and then the six
+    FRUSTUM_PLANES in order, each applied only to the polygons with a vertex
+    outside it, so every polygon equals a one-triangle-at-a-time clip. A
+    triangle with no vertex at w - W_EPSILON > 0 is dropped first. Groups
+    and their ids keep the order of that per-triangle loop: triangles as
+    they are, then the clipped ones by id, and groups by first id.
     """
     clip = clip_coords(mesh.triangle_corners(), cam)
-    inside = np.all(clip[:, :, 3] - W_EPSILON > 0, axis=1)
-    for plane in FRUSTUM_PLANES:
-        inside &= np.all(plane_distances(clip, plane) >= 0, axis=1)
-    groups = {3: ([np.flatnonzero(inside)], [clip[inside]])}
-    for t in np.flatnonzero(~inside):
-        poly = _clip_triangle_frustum(clip[t])
-        if len(poly) >= 3:
-            ts, polys = groups.setdefault(len(poly), ([], []))
-            ts.append([t])
-            polys.append(poly[None])
-    return [(np.concatenate(ts), np.concatenate(polys)) for ts, polys in groups.values()]
+    d = clip[:, :, 3] - W_EPSILON
+    # w + v >= 0 and w - v >= 0 hold iff -w <= v <= w, since a float sum
+    # is zero only for opposite operands: one test for all six planes.
+    inside = np.all(d > 0, axis=1)
+    inside &= np.all(np.abs(clip[:, :, :3]) <= clip[:, :, 3:], axis=(1, 2))
+    leaving = np.flatnonzero(~inside & np.any(d > 0, axis=1))
+    groups = [(leaving, clip[leaving])]
+    for plane in (None, *FRUSTUM_PLANES):  # None: the camera plane
+        by_count: dict[int, list] = {}
+        for ids, poly in groups:
+            dist = poly[:, :, 3] - W_EPSILON if plane is None else plane_distances(poly, plane)
+            keep = dist >= 0
+            cut = ~np.all(keep, axis=1)
+            parts = [(ids[~cut], poly[~cut])]
+            parts += [(ids[cut][r], p) for r, p in clip_halfspace(poly[cut], dist[cut], keep[cut])]
+            for part in parts:
+                if len(part[0]):
+                    by_count.setdefault(part[1].shape[1], []).append(part)
+        groups = [tuple(map(np.concatenate, zip(*parts))) for parts in by_count.values()]
+    ordered = {3: [(np.flatnonzero(inside), clip[inside])]}
+    for ids, poly in sorted(groups, key=lambda g: g[0].min()):
+        if poly.shape[1] >= 3:
+            order = np.argsort(ids)
+            ordered.setdefault(poly.shape[1], []).append((ids[order], poly[order]))
+    return [tuple(map(np.concatenate, zip(*parts))) for parts in ordered.values()]
 
 
 def _screen_polygons(t, poly, width: int, height: int, cull: bool):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import colorsys
 import csv
+import itertools
 import math
 import os
 import sys
@@ -551,11 +552,10 @@ def _scene_stretch_report(cfg, mesh, cam, cs, layout, chart_px) -> StretchReport
 
 
 def write_charts_file(cs: ChartSet, path) -> None:
+    t = np.flatnonzero(cs.chart_of_triangle >= 0)
     lines = ["# chart assignments v1", "# t <triangle> <chart>  /  v <vertex> <chart>"]
-    for t in np.flatnonzero(cs.chart_of_triangle >= 0):
-        lines.append(f"t {t} {cs.chart_of_triangle[t]}")
-    for v in sorted(cs.vertex_to_chart):
-        lines.append(f"v {v} {cs.vertex_to_chart[v]}")
+    lines += map("t {} {}".format, t.tolist(), cs.chart_of_triangle[t].tolist())
+    lines += itertools.starmap("v {} {}".format, sorted(cs.vertex_to_chart.items()))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

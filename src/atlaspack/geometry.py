@@ -7,12 +7,15 @@ front of the camera iff w > W_EPSILON, which sidesteps division instability
 at w == 0.
 
 ``clip_halfspace`` is the one Sutherland-Hodgman step of the package and
-``FRUSTUM_PLANES`` its one plane table. Both the rasterizer and
-``chart_bbox`` test all triangles against the planes at once and clip only
-those that need it: the rasterizer clips a triangle leaving the frustum
-against all six planes, and ``chart_bbox`` clips one crossing the near
-plane or a side plane against that plane. Each caller passes its own
-boundary rule.
+``FRUSTUM_PLANES`` its one plane table. The step clips a whole batch of
+polygons at once, each against one half-space, and returns them grouped by
+vertex count; every coordinate equals that of a one-polygon step. Both the
+rasterizer and ``chart_bbox`` test all triangles against the planes at once
+and pass only those that need it to the step, in batches: the rasterizer
+clips every triangle leaving the frustum against the camera plane and then
+each of the six planes it leaves, and ``chart_bbox`` clips each triangle
+crossing the near plane against it and each one crossing side planes
+against every such plane. Each caller passes its own boundary rule.
 """
 
 from __future__ import annotations
@@ -149,24 +152,6 @@ def clip_coords(triangles, cam: CameraFrame) -> np.ndarray:
     return np.concatenate([tris, np.ones((len(tris), 3, 1))], axis=2) @ cam.view_proj.T
 
 
-def blinn_clamped_ndc(p) -> tuple[float, float]:
-    """Clamp a clip-space vertex to the screen square and divide.
-
-    Total over all finite inputs, including w <= 0: coordinates are clamped
-    to [-|w|, |w|] before dividing by |w|, and w == 0 maps to the corner
-    (sign(x), sign(y)) with sign(0) = +1. The result is always in [-1, 1]^2.
-    """
-    x, y, _, w = (float(v) for v in p)
-    aw = abs(w)
-    if aw == 0.0:
-        sx = -1.0 if x < 0 else 1.0
-        sy = -1.0 if y < 0 else 1.0
-        return sx, sy
-    cx = min(max(x, -aw), aw) / aw
-    cy = min(max(y, -aw), aw) / aw
-    return cx, cy
-
-
 def plane_distances(v: np.ndarray, plane: str) -> np.ndarray:
     """Signed distance w + sign * v[axis] of each homogeneous vertex to a plane.
 
@@ -177,56 +162,51 @@ def plane_distances(v: np.ndarray, plane: str) -> np.ndarray:
     return v[..., 3] + sign * v[..., axis]
 
 
-def clip_halfspace(vertices: np.ndarray, d: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Clip a convex homogeneous polygon against one half-space.
+def clip_halfspace(
+    vertices: np.ndarray, d: np.ndarray, keep: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Clip a batch of G convex homogeneous polygons, each against one half-space.
 
-    ``d`` holds the signed distance of each vertex and ``keep`` the
-    caller's boundary rule on it (``d > 0`` or ``d >= 0``). Kept vertices
-    stay; each edge between a kept and a dropped vertex gets a vertex
-    interpolated at d == 0. Returns an (m, 4) array, possibly empty.
+    ``vertices`` is (G, m, 4), ``d`` the (G, m) signed distance of each
+    vertex and ``keep`` the caller's boundary rule on it (``d > 0`` or
+    ``d >= 0``). Each polygon keeps its kept vertex i, then the point
+    interpolated at d == 0 on edge i -> i + 1 where that edge joins a kept and
+    a dropped vertex. Interpolation runs only on such edges, with the
+    arithmetic of a one-polygon step. Returns (rows, (k, n, 4) polygons) for
+    each vertex count n >= 1 in ascending order; rows index the batch, and
+    polygons clipped away appear in no group.
     """
-    n = len(vertices)
-    out: list[np.ndarray] = []
-    for i in range(n):
-        j = (i + 1) % n
-        a = vertices[i]
-        if keep[i]:
-            out.append(a)
-        if keep[i] != keep[j]:
-            t = d[i] / (d[i] - d[j])
-            out.append(a + t * (vertices[j] - a))
-    return np.array(out, dtype=np.float64).reshape(-1, 4)
+    g, m = keep.shape
+    nxt = (np.arange(m) + 1) % m
+    cross = keep != keep[:, nxt]
+    gi, i = np.nonzero(cross)
+    di, dj = d[gi, i], d[gi, nxt[i]]
+    a = vertices[gi, i]
+    t = di / (di - dj)
+    # Slot 2i holds vertex i, slot 2i + 1 the crossing on edge i -> i + 1.
+    slots = np.empty((g, m, 2, 4))
+    slots[:, :, 0] = vertices
+    slots[gi, i, 1] = a + t[:, None] * (vertices[gi, nxt[i]] - a)
+    slots = slots.reshape(g, 2 * m, 4)
+    used = np.stack([keep, cross], axis=2).reshape(g, 2 * m)
+    count = used.sum(axis=1)
+    groups = []
+    for n in sorted(set(count.tolist()) - {0}):
+        rows = np.flatnonzero(count == n)
+        groups.append((rows, slots[rows][used[rows]].reshape(-1, n, 4)))
+    return groups
 
 
-def _blinn_box_of(vertices: np.ndarray) -> NdcBox:
-    pts = [blinn_clamped_ndc(v) for v in vertices]
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    return NdcBox(min(xs), min(ys), max(xs), max(ys))
+def _blinn_clamped_ndc(p: np.ndarray) -> np.ndarray:
+    """Clamp homogeneous vertices (..., 4) to the screen square and divide: (..., 2).
 
-
-def select_side_plane(tri) -> str | None:
-    """Pick the frustum side plane whose single clip shrinks the box most.
-
-    Only planes the triangle genuinely crosses (vertices strictly on both
-    sides) are candidates; ties resolve in the fixed order left < right <
-    bottom < top. Returns None when no side plane is crossed. The triangle
-    must not intersect the near half-space boundary.
+    Total over all finite inputs, including w <= 0: x and y are clamped to
+    [-|w|, |w|] before dividing by |w|, and w == 0 maps to the corner
+    (sign(x), sign(y)) with sign(0) = +1. The result is always in [-1, 1]^2.
     """
-    v = np.asarray(tri, dtype=np.float64).reshape(3, 4)
-    best: tuple[float, int] | None = None
-    best_plane: str | None = None
-    for idx, plane in enumerate(SIDE_PLANES):
-        d = plane_distances(v, plane)
-        if not (np.any(d > 0) and np.any(d < 0)):
-            continue
-        clipped = clip_halfspace(v, d, d > 0)
-        area = _blinn_box_of(clipped).area
-        key = (area, idx)
-        if best is None or key < best:
-            best = key
-            best_plane = plane
-    return best_plane
+    aw = np.abs(p[..., 3:])
+    xy = np.minimum(np.maximum(p[..., :2], -aw), aw)
+    return np.divide(xy, aw, out=np.where(p[..., :2] < 0, -1.0, 1.0), where=aw != 0)
 
 
 def chart_bbox(triangles, cam: CameraFrame) -> NdcBox:
@@ -235,37 +215,49 @@ def chart_bbox(triangles, cam: CameraFrame) -> NdcBox:
     ``triangles`` is an (n, 3, 3) array of world-space triangles. All are
     projected at once. A triangle fully in front of the camera plane that
     crosses no side plane takes the fast path: the clamped divide of its
-    three vertices, for all such triangles in one step. The rest take the
-    per-triangle path: a triangle crossing the near half-space is clipped
-    against it, and one fully in front is clipped against the one best side
-    plane; the clamped divide then runs on the clipped polygon. The box is
-    the componentwise min/max over every point and contains the exact NDC
-    projection of the in-frustum portion of the chart.
+    three vertices. The rest are clipped in batches, then clamped and
+    divided: a triangle crossing the near half-space is clipped against it,
+    and one fully in front against each side plane it crosses (vertices
+    strictly on both sides), keeping the clip with the smallest box, ties
+    going to the earlier plane in SIDE_PLANES. The box is the componentwise
+    min/max over every point and contains the exact NDC projection of the
+    in-frustum portion of the chart.
 
     Raises DegenerateChart when no triangle survives clipping.
     """
     clip = clip_coords(triangles, cam)
     if len(clip) == 0:
         raise DegenerateChart("chart has no triangles")
-    in_front = np.all(clip[:, :, 3] - W_EPSILON > 0, axis=1)
-    side = np.stack([plane_distances(clip, plane) for plane in SIDE_PLANES], axis=2)
-    crosses = np.any(side > 0, axis=1) & np.any(side < 0, axis=1)
-    fast = in_front & ~np.any(crosses, axis=1)
+    d = clip[:, :, 3] - W_EPSILON
+    in_front = np.all(d > 0, axis=1)
+    side = np.stack([plane_distances(clip, plane) for plane in SIDE_PLANES])
+    crosses = np.any(side > 0, axis=2) & np.any(side < 0, axis=2)
+    fast = in_front & ~np.any(crosses, axis=0)
     # w > W_EPSILON > 0 on the fast path, so |w| = w in the clamped divide.
     xy, w = clip[fast, :, :2], clip[fast, :, 3:]
     np.maximum(xy, -w, out=xy)
     np.minimum(xy, w, out=xy)
     xy /= w
-    points = [xy.reshape(-1, 2)]
-    for clip_tri, front in zip(clip[~fast], in_front[~fast]):
-        d = clip_tri[:, 3] - W_EPSILON
-        if front:
-            d = plane_distances(clip_tri, select_side_plane(clip_tri))
-        elif not np.any(d > 0):
-            continue
-        poly = clip_halfspace(clip_tri, d, d > 0)
-        points.append(np.array([blinn_clamped_ndc(p) for p in poly]).reshape(-1, 2))
-    points = np.concatenate(points)
+    points = xy.reshape(-1, 2)
+    if not fast.all():
+        # The smallest clipped box so far of each other triangle, by area.
+        # A triangle crossing the near plane has that clip as its one box.
+        best = np.full(len(clip), np.inf)
+        best_lo, best_hi = np.zeros((len(clip), 2)), np.zeros((len(clip), 2))
+        near = ~in_front & np.any(d > 0, axis=1)
+        for dist, clipped in zip([d, *side], [near, *(crosses & in_front)]):
+            if not clipped.any():
+                continue
+            tris = np.flatnonzero(clipped)
+            for rows, poly in clip_halfspace(clip[tris], dist[tris], dist[tris] > 0):
+                xy = _blinn_clamped_ndc(poly)
+                lo, hi = xy.min(axis=1), xy.max(axis=1)
+                area = (hi[:, 0] - lo[:, 0]) * (hi[:, 1] - lo[:, 1])
+                win = area < best[tris[rows]]
+                t = tris[rows[win]]
+                best[t], best_lo[t], best_hi[t] = area[win], lo[win], hi[win]
+        boxed = best < np.inf
+        points = np.concatenate([points, best_lo[boxed], best_hi[boxed]])
     if len(points) == 0:
         raise DegenerateChart("no triangle survives clipping")
     lo, hi = points.min(axis=0), points.max(axis=0)

@@ -1,10 +1,12 @@
 """Independent reference implementations used to check the library.
 
-Everything here deliberately avoids the code paths under test: the frustum
-clipper is a plain Sutherland-Hodgman loop over all six planes, the
-clamp-only box skips clipping altogether, the reference rasterizer and the
-per-triangle chart box are the package's earlier one-triangle-at-a-time
-loops, which the batched code must match bit for bit, the stretch report
+Everything here deliberately avoids the code paths under test: the exact
+frustum box is a plain Sutherland-Hodgman loop over all six planes, the
+clamp-only box skips clipping altogether, the one-polygon clip step, the
+per-triangle frustum clip, the scalar Blinn clamp and side-plane choice,
+the reference rasterizer and the per-triangle chart box are the package's
+earlier one-triangle-at-a-time loops, which the batched code must match
+bit for bit, the stretch report
 is the earlier per-triangle pair loop with one SVD per triangle, which the
 per-chart rule must match to rounding, components come from
 breadth-first search over an edge adjacency built with a dict, the fold
@@ -39,14 +41,18 @@ from atlaspack import (
     NoValidTriangles,
     Placement,
     StretchReport,
-    blinn_clamped_ndc,
     fold,
     push_up,
-    select_side_plane,
     triangle_stretch,
 )
-from atlaspack.charts import DEPTH_EPSILON, _clip_triangle_frustum
-from atlaspack.geometry import W_EPSILON, clip_coords, clip_halfspace, plane_distances
+from atlaspack.charts import DEPTH_EPSILON
+from atlaspack.geometry import (
+    FRUSTUM_PLANES,
+    SIDE_PLANES,
+    W_EPSILON,
+    clip_coords,
+    plane_distances,
+)
 from atlaspack.packing import MAX_BOX_DIM
 
 _PLANES = (
@@ -57,6 +63,98 @@ _PLANES = (
     (2, 1.0),
     (2, -1.0),
 )
+
+
+def clip_halfspace_step(vertices: np.ndarray, d: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """One Sutherland-Hodgman step on one convex homogeneous polygon.
+
+    ``d`` holds the signed distance of each vertex and ``keep`` the boundary
+    rule on it. Kept vertices stay; each edge between a kept and a dropped
+    vertex gets a vertex interpolated at d == 0. Returns an (m, 4) array,
+    possibly empty. The package's batched clip must match it bit for bit.
+    """
+    n = len(vertices)
+    out: list[np.ndarray] = []
+    for i in range(n):
+        j = (i + 1) % n
+        a = vertices[i]
+        if keep[i]:
+            out.append(a)
+        if keep[i] != keep[j]:
+            t = d[i] / (d[i] - d[j])
+            out.append(a + t * (vertices[j] - a))
+    return np.array(out, dtype=np.float64).reshape(-1, 4)
+
+
+def clip_triangle_frustum(clip: np.ndarray) -> np.ndarray:
+    """Clip one homogeneous triangle to w > W_EPSILON and the six planes.
+
+    A triangle with no vertex at w - W_EPSILON > 0 vanishes; otherwise it is
+    clipped to w - W_EPSILON >= 0 and then to each plane it leaves, in
+    FRUSTUM_PLANES order, one step at a time.
+    """
+    poly = clip
+    d = poly[:, 3] - W_EPSILON
+    if not np.any(d > 0):
+        return np.empty((0, 4))
+    if np.any(d <= 0):
+        poly = clip_halfspace_step(poly, d, d >= 0)
+    for plane in FRUSTUM_PLANES:
+        if len(poly) == 0:
+            break
+        d = plane_distances(poly, plane)
+        keep = d >= 0
+        if np.all(keep):
+            continue
+        poly = clip_halfspace_step(poly, d, keep)
+    return poly
+
+
+def blinn_clamped_ndc(p) -> tuple[float, float]:
+    """Clamp one clip-space vertex to the screen square and divide.
+
+    Coordinates are clamped to [-|w|, |w|] before dividing by |w|, and
+    w == 0 maps to the corner (sign(x), sign(y)) with sign(0) = +1.
+    """
+    x, y, _, w = (float(v) for v in p)
+    aw = abs(w)
+    if aw == 0.0:
+        sx = -1.0 if x < 0 else 1.0
+        sy = -1.0 if y < 0 else 1.0
+        return sx, sy
+    cx = min(max(x, -aw), aw) / aw
+    cy = min(max(y, -aw), aw) / aw
+    return cx, cy
+
+
+def blinn_box_of(vertices: np.ndarray) -> NdcBox:
+    pts = [blinn_clamped_ndc(v) for v in vertices]
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    return NdcBox(min(xs), min(ys), max(xs), max(ys))
+
+
+def select_side_plane(tri) -> str | None:
+    """Pick the frustum side plane whose single clip shrinks the box most.
+
+    Only planes the triangle genuinely crosses (vertices strictly on both
+    sides) are candidates; ties resolve in the fixed order left < right <
+    bottom < top. Returns None when no side plane is crossed. The triangle
+    must lie in front of the camera plane.
+    """
+    v = np.asarray(tri, dtype=np.float64).reshape(3, 4)
+    best: tuple[float, int] | None = None
+    best_plane: str | None = None
+    for idx, plane in enumerate(SIDE_PLANES):
+        d = plane_distances(v, plane)
+        if not (np.any(d > 0) and np.any(d < 0)):
+            continue
+        area = blinn_box_of(clip_halfspace_step(v, d, d > 0)).area
+        key = (area, idx)
+        if best is None or key < best:
+            best = key
+            best_plane = plane
+    return best_plane
 
 
 def frustum_clip_box(clip_tri: np.ndarray) -> NdcBox | None:
@@ -164,9 +262,9 @@ def per_triangle_chart_bbox(triangles, cam) -> NdcBox:
                 poly = clip
             else:
                 d = plane_distances(clip, plane)
-                poly = clip_halfspace(clip, d, d > 0)
+                poly = clip_halfspace_step(clip, d, d > 0)
         elif np.any(d > 0):
-            poly = clip_halfspace(clip, d, d > 0)
+            poly = clip_halfspace_step(clip, d, d > 0)
         else:
             continue
         survived = True
@@ -268,7 +366,7 @@ def _each_screen_polygon(mesh: Mesh, cam, width: int, height: int, cull: bool):
     homo = np.concatenate([corners, np.ones((len(corners), 3, 1))], axis=2)
     clip_all = homo @ cam.view_proj.T
     for t in range(len(corners)):
-        poly = _clip_triangle_frustum(clip_all[t])
+        poly = clip_triangle_frustum(clip_all[t])
         if len(poly) < 3:
             continue
         screen = _polygon_to_screen(poly, width, height)

@@ -1,10 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
 from atlaspack import (
-    CameraFrame,
     ChartSet,
     Mesh,
     VisibilityBuffer,
@@ -15,11 +12,12 @@ from atlaspack import (
     merge_shared_vertices,
 )
 
-from atlaspack.charts import _CHUNK, _samples
-from atlaspack.geometry import clip_coords, perspective_matrix
+from atlaspack.charts import _CHUNK, _clip_groups, _samples
+from atlaspack.geometry import W_EPSILON, clip_coords
 
 from oracles import (
     bfs_chart_labels,
+    clip_triangle_frustum,
     delaunay_mesh,
     dict_adjacency,
     reference_depth_and_flags,
@@ -208,19 +206,8 @@ class TestMarkVisible:
         assert mark_visible(mesh, cam90, depth_nc, backface_cull=False).flags[0]
 
 
-def exact_camera():
-    """fov 90, square aspect, identity view, with x_clip = x and y_clip = y.
-
-    A world point (X, Y, Z) with Z < 0 lands at NDC (X / -Z, Y / -Z), so
-    points built on a dyadic pixel lattice project onto it exactly.
-    """
-    proj = perspective_matrix(math.radians(90), 1.0, 0.1, 100.0)
-    proj[0, 0] = proj[1, 1] = 1.0
-    return CameraFrame(math.radians(90), 1.0, 0.1, 100.0, view=np.eye(4), proj=proj)
-
-
 def at_pixel(px, py, depth, res):
-    """World points that exact_camera projects to pixel (px, py) at a depth.
+    """World points that the exact_cam fixture projects to pixel (px, py) at a depth.
 
     Exact for a power-of-two resolution and dyadic pixel coordinates.
     """
@@ -265,9 +252,9 @@ def random_soup(rng, res):
 class TestBatchedSampler:
     RESOLUTIONS = [(1, 1), (1, 7), (5, 1), (8, 8), (16, 8), (13, 29), (32, 16), (48, 27)]
 
-    def test_matches_per_triangle_reference_on_random_soups(self, cam90):
+    def test_matches_per_triangle_reference_on_random_soups(self, cam90, exact_cam):
         rng = np.random.default_rng(5)
-        cams = [cam90, exact_camera()]
+        cams = [cam90, exact_cam]
         for case in range(200):
             res = self.RESOLUTIONS[case % len(self.RESOLUTIONS)]
             mesh = random_soup(rng, res)
@@ -279,7 +266,7 @@ class TestBatchedSampler:
                 assert np.array_equal(depth, ref_depth), (case, cull)
                 assert np.array_equal(flags, ref_flags), (case, cull)
 
-    def test_flat_polygon_takes_mean_depth(self):
+    def test_flat_polygon_takes_mean_depth(self, exact_cam):
         # Screen triangle (3.5, 0.5), (0.5, 0.5), (2, 0.5 - 1e-13) at 8x8: its
         # top edge runs left along the pixel-center row y = 0.5, so it
         # covers samples although |det| < 1e-12 leaves no depth plane.
@@ -287,7 +274,7 @@ class TestBatchedSampler:
         py = np.array([0.5, 0.5, 0.5 - 1e-13])
         positions = at_pixel(px, py, np.array([1.0, 2.0, 4.0]), (8, 8))
         mesh = Mesh(positions=positions, triangles=[[0, 1, 2]])
-        cam = exact_camera()
+        cam = exact_cam
         depth = depth_prepass(mesh, cam, (8, 8))
         ref_depth, ref_flags = reference_depth_and_flags(mesh, cam, (8, 8), True)
         clip = clip_coords(positions[None], cam)[0]
@@ -313,6 +300,54 @@ class TestBatchedSampler:
         assert len(sizes) > 1
         assert max(sizes) <= max(_CHUNK, res[0])
         assert sum(sizes) == res[0] * res[1]
+
+
+class TestClipGroups:
+    def assert_matches_per_triangle_clip(self, mesh, cam):
+        clip = clip_coords(mesh.triangle_corners(), cam)
+        got = {}
+        for ids, polys in _clip_groups(mesh, cam):
+            assert len(ids) == len(polys) and polys.shape[1] >= 3
+            for t, poly in zip(ids.tolist(), polys):
+                assert t not in got
+                got[t] = poly
+        for t in range(mesh.n_triangles):
+            want = clip_triangle_frustum(clip[t])
+            if len(want) >= 3:
+                assert got.pop(t).tobytes() == want.tobytes(), t
+        assert not got
+        return clip
+
+    def test_matches_per_triangle_clip_on_random_soups(self, cam90, exact_cam):
+        rng = np.random.default_rng(8)
+        counts = set()
+        for case in range(150):
+            mesh = random_soup(rng, (16, 8))
+            # Push some triangles past the far plane at 100 as well.
+            far = rng.random(mesh.n_triangles) < 0.1
+            mesh.positions[mesh.triangles[far].ravel(), 2] *= 40.0
+            clip = self.assert_matches_per_triangle_clip(mesh, (cam90, exact_cam)[case % 2])
+            counts.update(len(clip_triangle_frustum(c)) for c in clip)
+        # Clipping gave empty polygons and polygons of 3 to at least 7 vertices.
+        assert {0, 3, 4, 5, 6, 7} <= counts, counts
+
+    def test_vertex_on_the_camera_plane(self, exact_cam):
+        # The camera maps world (x, y, z) to clip (x, y, 0, -z), so a vertex
+        # at z = -W_EPSILON sits at w - W_EPSILON == 0, and only the camera
+        # plane can drop the first triangle: clipped to w - W_EPSILON >= 0,
+        # it would keep a sliver at that vertex inside every other plane.
+        exact_cam.proj[2] = 0.0
+        e = W_EPSILON
+        positions = [
+            (0.0, 0.0, -e), (1.0, 0.0, 1.0), (0.0, 1.0, 2.0),  # d <= 0 and one d == 0
+            (0.0, 0.0, -e), (0.5, 0.0, -1.0), (0.0, 0.5, 1.0),  # d == 0, d > 0, d < 0
+            (-0.5, -0.5, -2.0), (3.0, -0.5, -2.0), (-0.5, 0.5, -2.0),  # leaves the right plane
+        ]
+        mesh = Mesh(positions=positions, triangles=np.arange(9).reshape(3, 3))
+        clip = self.assert_matches_per_triangle_clip(mesh, exact_cam)
+        assert (clip[0, :, 3] - e).tolist() == [0.0, -1.0 - e, -2.0 - e]
+        ids = np.concatenate([ids for ids, _ in _clip_groups(mesh, exact_cam)])
+        assert sorted(ids.tolist()) == [1, 2]
 
 
 def all_visible(mesh):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,18 +8,27 @@ from atlaspack import (
     CameraFrame,
     DegenerateChart,
     NdcBox,
-    blinn_clamped_ndc,
     chart_bbox,
-    select_side_plane,
     viewport_box,
 )
-from atlaspack.geometry import SIDE_PLANES, W_EPSILON, clip_halfspace, plane_distances
+from atlaspack.geometry import (
+    FRUSTUM_PLANES,
+    SIDE_PLANES,
+    W_EPSILON,
+    _blinn_clamped_ndc,
+    clip_coords,
+    clip_halfspace,
+    plane_distances,
+)
 
 from oracles import (
+    blinn_clamped_ndc,
     box_contains,
     chart_frustum_box,
+    clip_halfspace_step,
     conservative_blinn_box,
     per_triangle_chart_bbox,
+    select_side_plane,
 )
 
 
@@ -34,7 +44,16 @@ def ndc(h):
 def clip_near(tri):
     """Clip a homogeneous triangle against the near half-space w > W_EPSILON."""
     d = tri[:, 3] - W_EPSILON
-    return clip_halfspace(tri, d, d > 0)
+    groups = clip_halfspace(tri[None], d[None], (d > 0)[None])
+    return groups[0][1][0] if groups else np.empty((0, 4))
+
+
+def blinn(p):
+    return tuple(_blinn_clamped_ndc(np.array(p, dtype=np.float64)).tolist())
+
+
+def bits(box: NdcBox) -> bytes:
+    return struct.pack("4d", box.min_x, box.min_y, box.max_x, box.max_y)
 
 
 class TestCameraFrame:
@@ -73,25 +92,34 @@ class TestProjectVertex:
 
 class TestBlinnClampedNdc:
     def test_inside_frustum_is_plain_divide(self):
-        assert blinn_clamped_ndc((0.5, -0.5, 0.0, 1.0)) == (0.5, -0.5)
+        assert blinn((0.5, -0.5, 0.0, 1.0)) == (0.5, -0.5)
 
     def test_clamp_then_divide(self):
         # clamp x to [-2, 2] then divide by 2
-        assert blinn_clamped_ndc((5.0, 0.0, 0.0, 2.0)) == (1.0, 0.0)
+        assert blinn((5.0, 0.0, 0.0, 2.0)) == (1.0, 0.0)
 
     def test_negative_w_uses_magnitude(self):
         # clamp to [-2, 2] using |w|, divide by |w|
-        assert blinn_clamped_ndc((3.0, -7.0, 0.0, -2.0)) == (1.0, -1.0)
+        assert blinn((3.0, -7.0, 0.0, -2.0)) == (1.0, -1.0)
 
     def test_zero_w_maps_to_signed_corner(self):
-        assert blinn_clamped_ndc((2.0, -0.1, 0.0, 0.0)) == (1.0, -1.0)
-        assert blinn_clamped_ndc((0.0, 0.0, 0.0, 0.0)) == (1.0, 1.0)
+        assert blinn((2.0, -0.1, 0.0, 0.0)) == (1.0, -1.0)
+        assert blinn((0.0, 0.0, 0.0, 0.0)) == (1.0, 1.0)
 
     def test_total_over_random_inputs(self, rng):
-        for _ in range(2000):
-            p = rng.normal(scale=5.0, size=4)
-            x, y = blinn_clamped_ndc(p)
-            assert -1.0 <= x <= 1.0 and -1.0 <= y <= 1.0
+        xy = _blinn_clamped_ndc(rng.normal(scale=5.0, size=(2000, 4)))
+        assert np.all((-1.0 <= xy) & (xy <= 1.0))
+
+    def test_batch_matches_scalar_oracle(self, rng):
+        p = rng.normal(scale=5.0, size=(2000, 4))
+        p[::7, 3] = 0.0
+        p[::11, 3] = -0.0
+        p[::13, :2] = -0.0
+        p[::5, 0] = p[::5, 3]  # on the clamp bound
+        p[::3, 3] *= -1.0
+        want = np.array([blinn_clamped_ndc(v) for v in p])
+        assert _blinn_clamped_ndc(p).tobytes() == want.tobytes()
+        assert _blinn_clamped_ndc(p.reshape(40, 50, 4)).tobytes() == want.tobytes()
 
 
 class TestClipNear:
@@ -132,6 +160,56 @@ class TestClipNear:
             cand1 = a + t_ab * (b - a)
             cand2 = c + t_cb * (b - c)
             assert np.allclose(v, cand1, atol=1e-12) or np.allclose(v, cand2, atol=1e-12)
+
+
+class TestClipHalfspace:
+    @pytest.mark.parametrize("m", range(3, 10))
+    def test_matches_scalar_step_on_random_polygons(self, m, rng):
+        seen = {"on_plane": 0, "all_in": 0, "all_out": 0, "w_zero": 0, "w_negative": 0}
+        for plane in ("camera", *FRUSTUM_PLANES):
+            for strict in (False, True):
+                poly = rng.normal(scale=2.0, size=(120, m, 4))
+                poly[:, :, 3] += 0.5
+                poly[:, :, 3][rng.random((120, m)) < 0.1] = 0.0
+                # Rows 20 on get vertices exactly on the plane; rows 0-9 lie
+                # inside every plane and rows 10-19 outside.
+                on = rng.random((120, m)) < 0.15
+                on[:20] = False
+                if plane == "camera":
+                    poly[:, :, 3][on] = W_EPSILON
+                else:
+                    axis, sign = FRUSTUM_PLANES[plane]
+                    poly[:, :, axis][on] = -sign * poly[:, :, 3][on]
+                poly[:20, :, :3] *= 0.01
+                poly[:10, :, 3], poly[10:20, :, 3] = 10.0, -10.0
+                if plane == "camera":
+                    d = poly[:, :, 3] - W_EPSILON
+                else:
+                    d = plane_distances(poly, plane)
+                keep = d > 0 if strict else d >= 0
+                seen["on_plane"] += int(np.sum(np.any(d == 0, axis=1)))
+                seen["all_in"] += int(np.sum(np.all(keep, axis=1)))
+                seen["all_out"] += int(np.sum(~np.any(keep, axis=1)))
+                seen["w_zero"] += int(np.sum(np.any(poly[:, :, 3] == 0, axis=1)))
+                seen["w_negative"] += int(np.sum(np.any(poly[:, :, 3] < 0, axis=1)))
+                got = {}
+                counts = []
+                for rows, polys in clip_halfspace(poly, d, keep):
+                    assert len(rows) == len(polys) > 0
+                    counts.append(polys.shape[1])
+                    for r, p in zip(rows.tolist(), polys):
+                        assert r not in got
+                        got[r] = p
+                assert counts == sorted(set(counts)) and 0 not in counts
+                for r in range(len(poly)):
+                    want = clip_halfspace_step(poly[r], d[r], keep[r])
+                    if len(want):
+                        assert got.pop(r).tobytes() == want.tobytes(), (plane, strict, r)
+                assert not got
+        assert min(seen.values()) > 20, seen
+
+    def test_empty_batch(self):
+        assert clip_halfspace(np.zeros((0, 3, 4)), np.zeros((0, 3)), np.zeros((0, 3), bool)) == []
 
 
 class TestSelectSidePlane:
@@ -244,9 +322,40 @@ class TestChartBbox:
                     chart_bbox(tris, cam90)
                 continue
             box = chart_bbox(tris, cam90)
-            assert box == expected
+            assert bits(box) == bits(expected)
             assert all(type(v) is float for v in (box.min_x, box.min_y, box.max_x, box.max_y))
         assert min(kinds.values()) > 50, kinds
+
+    def test_one_chart_of_every_kind_matches_per_triangle_path(self, cam90):
+        tris = np.array(
+            [
+                [[-0.2, -0.1, -1.0], [0.3, -0.1, -1.0], [0.0, 0.25, -1.0]],  # inside
+                [[0.5, 0.0, -1.0], [1.5, 0.1, -1.0], [0.6, 0.3, -1.0]],  # across right
+                [[0.2, 0.5, -1.0], [2.0, 0.9, -1.0], [0.4, -2.0, -1.0]],  # right and bottom
+                [[-0.5, -0.4, -1.0], [0.3, -0.5, -1.0], [0.6, -0.8, 0.5]],  # across near
+                [[-3.0, 2.0, -1.0], [-1.0, 1.5, 0.5], [-2.0, 3.0, 1.0]],  # near and left
+                [[0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [0.0, 1.0, 1.5]],  # behind
+            ]
+        )
+        box = chart_bbox(tris, cam90)
+        assert bits(box) == bits(per_triangle_chart_bbox(tris, cam90))
+        for order in ([5, 4, 3, 2, 1, 0], [3, 0, 5, 1, 4, 2]):
+            assert box == chart_bbox(tris[order], cam90)
+        for tri in tris[:5]:
+            expected = per_triangle_chart_bbox(tri[None], cam90)
+            assert bits(chart_bbox(tri[None], cam90)) == bits(expected)
+
+    def test_side_plane_tie_goes_to_the_earlier_plane(self, exact_cam):
+        # In front at w = 1, the triangle crosses all four side planes.
+        # Clipping left leaves the box [-1, 1] x [-0.5, 1] and clipping top
+        # [-1, 0.5] x [-1, 1], both of area 3; right and bottom leave 4.
+        tri = np.array([[[-3.0, 0.5, -1.0], [1.75, 2.25, -1.0], [-2.5, -2.0, -1.0]]])
+        clip = clip_coords(tri, exact_cam)[0]
+        assert clip[:, 3].tolist() == [1.0, 1.0, 1.0]
+        assert select_side_plane(clip) == "left"
+        box = chart_bbox(tri, exact_cam)
+        assert box == NdcBox(-1.0, -0.5, 1.0, 1.0)
+        assert bits(box) == bits(per_triangle_chart_bbox(tri, exact_cam))
 
     def test_all_behind_raises(self, cam90):
         tri = np.array([[[0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [0.0, 1.0, 1.5]]])
