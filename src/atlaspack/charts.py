@@ -11,15 +11,21 @@ about a dozen rounds on a randomly numbered strip of 100,000 triangles.
 Both passes draw their samples from one batched sampler, ``_samples``. It
 projects every triangle with one matmul, clips all the triangles that leave
 the frustum at once, one plane after another (Sutherland and Hodgman 1974),
-and evaluates top-left edge functions (Pineda 1988) over groups of
-polygons at once, in chunks of at most max(_CHUNK, width) candidate
-samples, so memory stays bounded whatever the screen size. The
-depth pass keeps the minimum depth per pixel; the visibility pass reruns
-the sampler and flags each triangle with a sample at or in front of the
-stored depth. Identical arithmetic in both passes keeps the visibility
-predicate self-consistent, and every sample is computed with the same
-operations as a one-triangle-at-a-time rasterizer, so results do not
-depend on batching.
+and evaluates top-left edge functions (Pineda 1988) only at the samples a
+polygon covers. On a fixed row, an edge's value
+``row_term - ey * ((ix + 0.5) - sx)`` is weakly monotone in the column ix,
+because float subtraction and multiplication by a constant are monotone.
+So the top-left test passes on a prefix of the row when ey > 0, on a
+suffix when ey < 0, and on all or none of it when ey == 0, and a convex
+polygon covers one span [lo, hi] of each row of its pixel box, the
+intersection of these. Each bound comes from the edge's estimated crossing,
+confirmed by the exact test on both sides of it, or from a bisection with
+the exact test where the estimate is not finite or misses. The depth pass
+keeps the minimum depth per pixel; the visibility pass reruns the sampler
+and flags each triangle with a sample at or in front of the stored depth.
+Identical arithmetic in both passes keeps the visibility predicate
+self-consistent, and every sample is computed with the same operations as
+a one-triangle-at-a-time rasterizer, so results do not depend on batching.
 """
 
 from __future__ import annotations
@@ -182,9 +188,9 @@ class ChartSet:
 
 # --- rasterization ---------------------------------------------------------
 
-# Candidate pixel-center samples evaluated at once. A polygon is split into
-# row bands that fit, except that one row is never split, so a chunk holds
-# at most max(_CHUNK, width) candidates.
+# Box rows whose spans are set up at once, and covered samples per chunk.
+# A chunk holds whole rows, so at most max(_CHUNK, width) samples, and the
+# memory of a pass stays bounded whatever the screen size.
 _CHUNK = 1 << 14
 
 
@@ -276,57 +282,107 @@ def _screen_polygons(t, poly, width: int, height: int, cull: bool):
 
 
 def _chunks(t, screen, box, edges, planes):
-    """Covered samples of screen polygons, in chunks of at most _CHUNK candidates.
+    """Covered samples of screen polygons, in chunks of whole rows.
 
-    Boundary samples follow the top-left rule, so polygons meeting along an
-    edge never both claim the shared samples. Every per-sample value is
-    computed with the same operations, in the same order, as a
-    one-polygon-at-a-time rasterizer would use, so results do not depend on
-    how polygons are batched.
+    Rows of the polygons' boxes are taken _CHUNK at a time, in polygon
+    order. Each row is narrowed to the span of samples its polygon covers
+    (_row_spans), and the spans are cut into chunks of at most _CHUNK
+    samples, or one row where a row alone holds more. Boundary samples
+    follow the top-left rule, so polygons meeting along an edge never both
+    claim the shared samples. Samples come out by polygon, then row, then
+    column, and every per-sample value is computed with the same
+    operations, in the same order, as a one-polygon-at-a-time rasterizer
+    would use, so results do not depend on how polygons are batched.
     """
     x0, x1, y0, y1 = box
-    ex, ey, top_left = edges
     z0, gx, gy, flat = planes
-    # Bands of whole rows of each polygon's box, each of at most _CHUNK
-    # candidates unless one row alone is wider; chunks are runs of bands.
-    nx = x1 - x0 + 1
-    rows = np.maximum(1, _CHUNK // nx)
-    n_bands = -(-(y1 - y0 + 1) // rows)
-    band_g = np.repeat(np.arange(len(t)), n_bands)
-    band_y0 = y0[band_g] + _ranks(n_bands) * rows[band_g]
-    band_rows = np.minimum(rows[band_g], y1[band_g] + 1 - band_y0)
-    band_end = np.cumsum(band_rows * nx[band_g])
-    start = 0
-    while start < len(band_end):
-        base = band_end[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(band_end, base + _CHUNK, side="right")))
-        bands = slice(start, stop)
-        g_b, rows_b, cols_b = band_g[bands], band_rows[bands], nx[band_g[bands]]
-        # The edge function (bx - ax) * (py - ay) - (by - ay) * (px - ax) is
-        # a row term minus a column term: evaluate each once per band row or
-        # band column, then form every candidate's difference.
-        row_b = np.repeat(np.arange(len(g_b)), rows_b)
-        row_g, row_y = g_b[row_b], band_y0[bands][row_b] + _ranks(rows_b)
-        col_b = np.repeat(np.arange(len(g_b)), cols_b)
-        col_g, col_x = g_b[col_b], x0[g_b][col_b] + _ranks(cols_b)
-        row_len = cols_b[row_b]
-        col_of = _ranks(row_len) + np.repeat((np.cumsum(cols_b) - cols_b)[row_b], row_len)
-        py, px = row_y + 0.5, col_x + 0.5
-        covered = np.ones(len(col_of), dtype=bool)
-        for i in range(screen.shape[1]):
-            row_term = ex[row_g, i] * (py - screen[row_g, i, 1])
-            col_term = ey[col_g, i] * (px - screen[col_g, i, 0])
-            e = np.repeat(row_term, row_len) - col_term[col_of]
-            covered &= (e > 0) | ((e == 0) & np.repeat(top_left[row_g, i], row_len))
-        row = np.repeat(np.arange(len(row_g)), row_len)[covered]
-        g, iy, ix = row_g[row], row_y[row], col_x[col_of[covered]]
-        z = z0[g] + gx[g] * (ix + 0.5 - screen[g, 0, 0]) + gy[g] * (iy + 0.5 - screen[g, 0, 1])
-        # Flat polygons take z0 as it is: adding the zero terms could
-        # change the sign of a zero depth.
-        on_flat = flat[g]
-        z[on_flat] = z0[g[on_flat]]
-        yield t[g], iy, ix, z
-        start = stop
+    n_rows = y1 - y0 + 1
+    row_end = np.cumsum(n_rows)
+    total = int(row_end[-1]) if len(row_end) else 0
+    for first_row in range(0, total, _CHUNK):
+        r = np.arange(first_row, min(first_row + _CHUNK, total))
+        g = np.searchsorted(row_end, r, side="right")
+        iy = y0[g] + (r - row_end[g] + n_rows[g])
+        lo, hi = _row_spans(screen, edges, g, iy, x0[g], x1[g])
+        rows = np.flatnonzero(lo <= hi)
+        g, iy, lo, count = g[rows], iy[rows], lo[rows], hi[rows] - lo[rows] + 1
+        end = np.cumsum(count)
+        start = 0
+        while start < len(end):
+            base = end[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(end, base + _CHUNK, side="right")))
+            n = count[start:stop]
+            gs, iys = np.repeat(g[start:stop], n), np.repeat(iy[start:stop], n)
+            ixs = np.repeat(lo[start:stop], n) + _ranks(n)
+            z = (
+                z0[gs]
+                + gx[gs] * (ixs + 0.5 - screen[gs, 0, 0])
+                + gy[gs] * (iys + 0.5 - screen[gs, 0, 1])
+            )
+            # Flat polygons take z0 as it is: adding the zero terms could
+            # change the sign of a zero depth.
+            on_flat = flat[gs]
+            z[on_flat] = z0[gs[on_flat]]
+            yield t[gs], iys, ixs, z
+            start = stop
+
+
+def _row_spans(screen, edges, g, iy, lo, hi):
+    """Narrow each row's [lo, hi] to the samples that polygon g covers on row iy.
+
+    Each edge's test passes on a prefix of the row where ey >= 0 and on a
+    suffix where ey < 0 (see the module docstring). Its boundary is the
+    estimated crossing, confirmed by the exact test on both sides of it;
+    where the estimate is not finite or misses, _search_boundary finds it.
+    A row whose span is empty gets lo > hi.
+    """
+    ex, ey, top_left = edges
+    py = iy + 0.5
+    for i in range(screen.shape[1]):
+        sx, e_y, tl = screen[g, i, 0], ey[g, i], top_left[g, i]
+        row_term = ex[g, i] * (py - screen[g, i, 1])
+        suffix = e_y < 0
+        # b is the last column of [lo - 1, hi] where the test differs from
+        # suffix: the last passing one of a prefix, the last failing one
+        # before a suffix.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            est = np.floor(sx + row_term / e_y - 0.5)
+        finite = np.isfinite(est)
+        b = np.where(finite, np.clip(est, lo - 1, hi), lo - 1).astype(np.int64)
+        ok = finite & ((b < lo) | (_edge_passes(row_term, e_y, sx, tl, b) != suffix))
+        ok &= (b >= hi) | (_edge_passes(row_term, e_y, sx, tl, b + 1) == suffix)
+        miss = np.flatnonzero(~ok)
+        if len(miss):
+            b[miss] = _search_boundary(
+                row_term[miss], e_y[miss], sx[miss], tl[miss], suffix[miss],
+                lo[miss] - 1, hi[miss] + 1,
+            )
+        lo = np.where(suffix, np.maximum(lo, b + 1), lo)
+        hi = np.where(suffix, hi, np.minimum(hi, b))
+    return lo, hi
+
+
+def _edge_passes(row_term, ey, sx, top_left, ix):
+    """The top-left test of one edge at samples ix of their rows."""
+    e = row_term - ey * ((ix + 0.5) - sx)
+    return (e > 0) | ((e == 0) & top_left)
+
+
+def _search_boundary(row_term, ey, sx, top_left, suffix, below, above):
+    """Last column in [below, above) where the exact edge test differs from suffix, by bisection.
+
+    The test differs from suffix at below, or below is left of the row, and
+    agrees with it at above, or above is right of the row; in between it
+    flips once, since the edge value is monotone along the row.
+    """
+    while True:
+        open_ = above - below > 1
+        if not open_.any():
+            return below
+        mid = (below + above) // 2
+        flips = _edge_passes(row_term, ey, sx, top_left, mid) != suffix
+        below = np.where(open_ & flips, mid, below)
+        above = np.where(open_ & ~flips, mid, above)
 
 
 def _ranks(counts: np.ndarray) -> np.ndarray:

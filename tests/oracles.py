@@ -6,9 +6,11 @@ clamp-only box skips clipping altogether, the one-polygon clip step, the
 per-triangle frustum clip, the scalar Blinn clamp and side-plane choice,
 the reference rasterizer and the per-triangle chart box are the package's
 earlier one-triangle-at-a-time loops, which the batched code must match
-bit for bit, the stretch report
-is the earlier per-triangle pair loop with one SVD per triangle, which the
-per-chart rule must match to rounding, components come from
+bit for bit, the box sampler is the earlier batched sampler that tested
+every pixel center of each polygon's box, whose sample stream the span
+sampler must match bit for bit, the stretch report is the earlier
+per-triangle pair loop with one SVD per triangle, which the per-chart rule
+must match to rounding, components come from
 breadth-first search over an edge adjacency built with a dict, the fold
 reference walks boxes one at a time along the folded line, the exhaustive
 packer backtracks over every placement of a tiny instance, the object
@@ -45,7 +47,7 @@ from atlaspack import (
     push_up,
     triangle_stretch,
 )
-from atlaspack.charts import DEPTH_EPSILON
+from atlaspack.charts import _CHUNK, DEPTH_EPSILON
 from atlaspack.geometry import (
     FRUSTUM_PLANES,
     SIDE_PLANES,
@@ -392,6 +394,64 @@ def reference_depth_and_flags(mesh: Mesh, cam, res, cull: bool):
         if np.any(zs <= stored + slack):
             flags[t] = True
     return depth, flags
+
+
+def box_samples(t, screen, box, edges, planes):
+    """Covered samples of screen polygons, tested at every pixel center of their boxes.
+
+    The package's batched sampler before it computed per-row spans: it
+    takes the (t, screen, box, edges, planes) of ``charts._screen_polygons``
+    and yields (t, iy, ix, z) chunks of at most _CHUNK candidates. Its
+    ordered stream of samples is the one the span sampler must reproduce.
+    """
+    x0, x1, y0, y1 = box
+    ex, ey, top_left = edges
+    z0, gx, gy, flat = planes
+    # Bands of whole rows of each polygon's box, each of at most _CHUNK
+    # candidates unless one row alone is wider; chunks are runs of bands.
+    nx = x1 - x0 + 1
+    rows = np.maximum(1, _CHUNK // nx)
+    n_bands = -(-(y1 - y0 + 1) // rows)
+    band_g = np.repeat(np.arange(len(t)), n_bands)
+    band_y0 = y0[band_g] + _ranks(n_bands) * rows[band_g]
+    band_rows = np.minimum(rows[band_g], y1[band_g] + 1 - band_y0)
+    band_end = np.cumsum(band_rows * nx[band_g])
+    start = 0
+    while start < len(band_end):
+        base = band_end[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(band_end, base + _CHUNK, side="right")))
+        bands = slice(start, stop)
+        g_b, rows_b, cols_b = band_g[bands], band_rows[bands], nx[band_g[bands]]
+        # The edge function (bx - ax) * (py - ay) - (by - ay) * (px - ax) is
+        # a row term minus a column term: evaluate each once per band row or
+        # band column, then form every candidate's difference.
+        row_b = np.repeat(np.arange(len(g_b)), rows_b)
+        row_g, row_y = g_b[row_b], band_y0[bands][row_b] + _ranks(rows_b)
+        col_b = np.repeat(np.arange(len(g_b)), cols_b)
+        col_g, col_x = g_b[col_b], x0[g_b][col_b] + _ranks(cols_b)
+        row_len = cols_b[row_b]
+        col_of = _ranks(row_len) + np.repeat((np.cumsum(cols_b) - cols_b)[row_b], row_len)
+        py, px = row_y + 0.5, col_x + 0.5
+        covered = np.ones(len(col_of), dtype=bool)
+        for i in range(screen.shape[1]):
+            row_term = ex[row_g, i] * (py - screen[row_g, i, 1])
+            col_term = ey[col_g, i] * (px - screen[col_g, i, 0])
+            e = np.repeat(row_term, row_len) - col_term[col_of]
+            covered &= (e > 0) | ((e == 0) & np.repeat(top_left[row_g, i], row_len))
+        row = np.repeat(np.arange(len(row_g)), row_len)[covered]
+        g, iy, ix = row_g[row], row_y[row], col_x[col_of[covered]]
+        z = z0[g] + gx[g] * (ix + 0.5 - screen[g, 0, 0]) + gy[g] * (iy + 0.5 - screen[g, 0, 1])
+        # Flat polygons take z0 as it is: adding the zero terms could
+        # change the sign of a zero depth.
+        on_flat = flat[g]
+        z[on_flat] = z0[g[on_flat]]
+        yield t[g], iy, ix, z
+        start = stop
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def dict_adjacency(triangles) -> np.ndarray:

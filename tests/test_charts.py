@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,13 @@ from atlaspack import (
     merge_shared_vertices,
 )
 
-from atlaspack.charts import _CHUNK, _clip_groups, _samples
+from atlaspack import charts
+from atlaspack.charts import _CHUNK, _chunks, _clip_groups, _samples, _screen_polygons
 from atlaspack.geometry import W_EPSILON, clip_coords
 
 from oracles import (
     bfs_chart_labels,
+    box_samples,
     clip_triangle_frustum,
     delaunay_mesh,
     dict_adjacency,
@@ -284,22 +288,113 @@ class TestBatchedSampler:
         assert np.array_equal(depth, ref_depth)
         assert np.array_equal(mark_visible(mesh, cam, depth).flags, ref_flags)
 
+    def test_sample_stream_matches_box_sampler(self, cam90, exact_cam):
+        # The span sampler and the box sampler cut their chunks in different
+        # places, but the ordered stream of samples is the same, bit for bit.
+        rng = np.random.default_rng(9)
+        cams = [cam90, exact_cam]
+        screens = [tuple(rng.integers(50, 401, size=2)) for _ in range(40)]
+        samples = 0
+        for case, res in enumerate(self.RESOLUTIONS * 20 + screens):
+            mesh = random_soup(rng, res)
+            for cull in (True, False):
+                got, want = [], []
+                for t, poly in _clip_groups(mesh, cams[case % 2]):
+                    polygons = _screen_polygons(t, poly, *res, cull)
+                    got += _chunks(*polygons)
+                    want += box_samples(*polygons)
+                got, want = sample_stream(got), sample_stream(want)
+                assert got == want, (case, res, cull)
+                samples += len(got[0][0]) // 8
+        assert samples > 1_000_000
+
+    def test_fallback_search_is_exact(self, monkeypatch, exact_cam):
+        # Where an edge's estimated crossing is not finite or misses, the
+        # boundary comes from _search_boundary; count its rows by kind.
+        searched = {"horizontal": 0, "missed": 0}
+        search = charts._search_boundary
+
+        def counting(row_term, ey, *args):
+            searched["horizontal"] += int(np.sum(ey == 0))
+            searched["missed"] += int(np.sum(ey != 0))
+            return search(row_term, ey, *args)
+
+        monkeypatch.setattr(charts, "_search_boundary", counting)
+        rng = np.random.default_rng(4)
+        res, n = (64, 64), 240
+        # Vertices on pixel centers, so edges pass through samples and
+        # top-left ties decide them. Depths of 0.7 do not project exactly,
+        # which puts some estimated crossings on the wrong side of a tie.
+        px = rng.integers(0, 64, size=(n, 3)) + 0.5
+        py = rng.integers(0, 64, size=(n, 3)) + 0.5
+        depth = rng.choice([0.7, 3.0], size=(n, 3))
+        # Exactly horizontal edges, running either way once flipped or
+        # culled: ey == 0 makes the estimate infinite or NaN.
+        py[: n // 3, 1] = py[: n // 3, 0]
+        depth[: n // 3] = 1.0
+        # Row slivers: |ey| a few ulps, on a pixel-center row.
+        slivers = slice(n // 3, n // 2)
+        py[slivers] = py[slivers, :1]
+        py[slivers, 2] += rng.integers(-4, 5, size=n // 2 - n // 3) * 2.0**-50
+        depth[slivers] = 1.0
+        positions = at_pixel(px, py, depth, res).reshape(-1, 3)
+        mesh = Mesh(positions=positions, triangles=np.arange(3 * n).reshape(-1, 3))
+        for cull in (True, False):
+            ref_depth, ref_flags = reference_depth_and_flags(mesh, exact_cam, res, cull)
+            depth_buffer = depth_prepass(mesh, exact_cam, res, backface_cull=cull)
+            flags = mark_visible(mesh, exact_cam, depth_buffer, backface_cull=cull).flags
+            assert np.array_equal(depth_buffer, ref_depth), cull
+            assert np.array_equal(flags, ref_flags), cull
+        assert searched["horizontal"] and searched["missed"], searched
+
     @pytest.mark.parametrize(
         "mesh, res",
         [
             (screen_quad(z=-1.0), (512, 512)),
-            # Clipped to the screen square, it covers every candidate sample.
+            # Clipped to the screen square, it covers every sample.
             (flat_mesh([(0, 1, 2)], z=-1.0, coords=[(-9, -9), (30, -9), (-9, 30)]), (512, 512)),
             (screen_quad(z=-1.0), (1 << 15, 2)),
+            (screen_quad(z=-1.0), (2, 1 << 15)),
         ],
-        ids=["quad_512x512", "big_triangle_512x512", "quad_wide_rows"],
+        ids=["quad_512x512", "big_triangle_512x512", "quad_wide_rows", "quad_tall"],
     )
     def test_chunks_stay_within_bound(self, cam90, mesh, res):
-        # Either mesh covers every pixel exactly once.
+        # A chunk holds whole rows of covered samples: at most _CHUNK of
+        # them, or one row when a row alone is wider. Either mesh covers
+        # every pixel exactly once.
         sizes = [len(t) for t, _, _, _ in _samples(mesh, cam90, *res, True)]
         assert len(sizes) > 1
         assert max(sizes) <= max(_CHUNK, res[0])
         assert sum(sizes) == res[0] * res[1]
+
+    def test_tall_slivers_stay_in_bounded_memory(self, exact_cam):
+        # 32 slivers half a pixel wide and 2^16 rows tall, 2M box rows in
+        # all, each covering the pixel-center column it straddles. Spans
+        # are set up _CHUNK rows at a time, so the sampler's peak
+        # allocation (about 4 MB) does not grow with the rows.
+        res, n = (64, 1 << 16), 32
+        x = 2.0 * np.arange(n) + 0.25
+        px = np.stack([x, x + 0.5, x + 0.25], axis=1)
+        py = np.tile([0.25, 0.25, res[1] - 0.25], (n, 1))
+        positions = at_pixel(px, py, 1.0, res).reshape(-1, 3)
+        mesh = Mesh(positions=positions, triangles=np.arange(3 * n).reshape(-1, 3))
+        tracemalloc.start()
+        try:
+            covered = sum(len(t) for t, _, _, _ in _samples(mesh, exact_cam, *res, True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert covered == n * res[1]
+        assert peak < 8 << 20, peak
+
+
+def sample_stream(chunks):
+    """Bytes and dtype of each of (t, iy, ix, z), over the chunks in order."""
+    chunks = [c for c in chunks if len(c[0])]
+    return [
+        (b"".join(c[k].tobytes() for c in chunks), {c[k].dtype.str for c in chunks})
+        for k in range(4)
+    ]
 
 
 class TestClipGroups:
