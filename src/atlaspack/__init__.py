@@ -3,9 +3,7 @@
 from .geometry import (
     CameraFrame,
     DegenerateChart,
-    NdcBox,
     chart_bbox,
-    viewport_box,
 )
 from .charts import (
     ChartSet,
@@ -61,7 +59,6 @@ __all__ = [
     "HeightOverflow",
     "LayoutDigest",
     "Mesh",
-    "NdcBox",
     "NoValidTriangles",
     "PackFailure",
     "Placement",
@@ -87,5 +84,4 @@ __all__ = [
     "sequential_scale_search",
     "superblock_pack",
     "triangle_stretch",
-    "viewport_box",
 ]

@@ -31,7 +31,7 @@ a one-triangle-at-a-time rasterizer, so results do not depend on batching.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,29 +52,17 @@ DEPTH_EPSILON = 1e-6
 
 @dataclass
 class Mesh:
-    """Indexed triangle soup with per-triangle edge adjacency.
-
-    ``adjacency[t, e]`` is the triangle sharing edge e of triangle t, or -1.
-    Edges shared by more than two triangles stay unlinked, which keeps the
-    adjacency symmetric with degree <= 3. A given adjacency must have shape
-    (n_triangles, 3) and entries in [-1, n_triangles); else ValueError.
-    """
+    """Indexed triangle soup: (n, 3) float64 positions, (m, 3) int64 triangles."""
 
     positions: np.ndarray
     triangles: np.ndarray
-    adjacency: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
         self.triangles = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
-        n = len(self.triangles)
-        if n and (self.triangles.min() < 0 or self.triangles.max() >= len(self.positions)):
+        tris = self.triangles
+        if len(tris) and (tris.min() < 0 or tris.max() >= len(self.positions)):
             raise ValueError("triangle indices out of range")
-        if self.adjacency is None:
-            self.adjacency = build_adjacency(self.triangles)
-        adj = self.adjacency = np.asarray(self.adjacency, dtype=np.int64)
-        if adj.shape != (n, 3) or n and not -1 <= adj.min() <= adj.max() < n:
-            raise ValueError(f"adjacency must be ({n}, 3) with entries in [-1, {n})")
 
     @property
     def n_triangles(self) -> int:
@@ -87,8 +75,11 @@ class Mesh:
 
 
 def build_adjacency(triangles: np.ndarray) -> np.ndarray:
-    """Mesh adjacency: one stable lexsort groups the edges 3t + e by their
-    end vertices, and groups of exactly two are linked both ways."""
+    """Edge adjacency: ``adjacency[t, e]`` is the triangle sharing edge e of
+    triangle t, or -1. One stable lexsort groups the edges 3t + e by their
+    end vertices, and groups of exactly two are linked both ways; edges
+    shared by more than two triangles stay unlinked, so the adjacency is
+    symmetric with degree <= 3."""
     tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     u, v = tris.ravel(), np.roll(tris, -1, axis=1).ravel()
     lo, hi = np.minimum(u, v), np.maximum(u, v)
@@ -156,10 +147,9 @@ def load_obj(path) -> Mesh:
 
 @dataclass
 class VisibilityBuffer:
-    """One visibility flag per triangle plus the sampling resolution."""
+    """One visibility flag per triangle."""
 
     flags: np.ndarray
-    sample_res: tuple[int, int]
 
     def __post_init__(self):
         self.flags = np.asarray(self.flags, dtype=bool)
@@ -167,23 +157,26 @@ class VisibilityBuffer:
 
 @dataclass
 class ChartSet:
-    """Partition of visible triangles into charts.
+    """Partition of visible triangles into charts, as arrays.
 
-    Chart ids equal the minimum member triangle index; ``charts`` maps them
-    in ascending order to their ascending members. ``vertex_to_chart`` is
-    populated after shared-vertex merging.
+    ``chart_of_triangle`` labels each triangle with its chart id, or -1 when
+    it is not visible; a chart's id is its minimum member triangle. ``ids``
+    holds the chart ids in ascending order, and ``members`` the visible
+    triangles grouped by chart in that order, ascending within each chart;
+    chart i's members start at ``starts[i]``. ``vertex_to_chart`` gives each
+    vertex's chart, or -1 for a vertex that no visible triangle uses; it is
+    all -1 until merge_shared_vertices fills it.
     """
 
     chart_of_triangle: np.ndarray
-    charts: dict[int, np.ndarray]
-    vertex_to_chart: dict[int, int]
-
-    def __post_init__(self):
-        self.chart_of_triangle = np.asarray(self.chart_of_triangle, dtype=np.int64)
+    ids: np.ndarray
+    starts: np.ndarray
+    members: np.ndarray
+    vertex_to_chart: np.ndarray
 
     @property
     def n_charts(self) -> int:
-        return len(self.charts)
+        return len(self.ids)
 
 
 # --- rasterization ---------------------------------------------------------
@@ -464,7 +457,7 @@ def mark_visible(
         stored = depth[iy, ix]
         slack = DEPTH_EPSILON * np.maximum(1.0, np.abs(stored))
         flags[t[z <= stored + slack]] = True
-    return VisibilityBuffer(flags=flags, sample_res=(width, height))
+    return VisibilityBuffer(flags=flags)
 
 
 # --- chartification --------------------------------------------------------
@@ -481,37 +474,37 @@ def connected_charts(mesh: Mesh, vis: VisibilityBuffer) -> ChartSet:
     flags = vis.flags
     if len(flags) != mesh.n_triangles:
         raise ValueError("visibility buffer does not match the mesh")
-    t, nb = np.repeat(np.arange(mesh.n_triangles), 3), mesh.adjacency.ravel()
+    t, nb = np.repeat(np.arange(mesh.n_triangles), 3), build_adjacency(mesh.triangles).ravel()
     linked = (nb >= 0) & flags[t] & flags[nb]
     labels = _min_labels(mesh.n_triangles, t[linked], nb[linked])
     labels[~flags] = -1
-    return _chart_set(labels, vertex_to_chart={})
+    return _chart_set(labels, np.full(len(mesh.positions), -1, dtype=np.int64))
 
 
 def merge_shared_vertices(cs: ChartSet, mesh: Mesh) -> ChartSet:
     """Transitively merge charts that share any vertex.
 
-    Labels the graph that links each chart id to its members and each
-    visible triangle to its vertices, numbered n_triangles + v. The merged
-    chart id is the minimum member. Populates vertex_to_chart so every
+    Labels the graph that links each visible triangle t to its label and to
+    its vertices, numbered n_triangles + v. The merged chart id is the
+    minimum member, and a vertex takes the chart of its component, so every
     vertex of a visible triangle maps to exactly one chart. Raises
-    ValueError when the chart set does not match the mesh or its charts
-    list an invisible triangle.
+    ValueError when the labels do not fit the mesh or name an invisible
+    triangle.
     """
     n, labels = mesh.n_triangles, cs.chart_of_triangle
-    ids = np.repeat(np.array(list(cs.charts), dtype=np.int64), list(map(len, cs.charts.values())))
-    members = np.concatenate([np.zeros(0, np.int64), *cs.charts.values()]).astype(np.int64)
-    listed = np.r_[ids, members]
-    if len(labels) != n or np.any((listed < 0) | (listed >= n)) or np.any(labels[listed] < 0):
-        raise ValueError("chart set does not match the mesh")
     visible = np.flatnonzero(labels >= 0)
-    corners = mesh.triangles[visible].ravel()
-    # Vertex nodes come after the triangles, so every root is a triangle.
-    a, b = np.r_[ids, np.repeat(visible, 3)], np.r_[members, n + corners]
-    merged = _min_labels(n + len(mesh.positions), a, b)[:n]
-    merged[labels < 0] = -1
-    vertices, where = np.unique(corners, return_index=True)
-    return _chart_set(merged, dict(zip(vertices.tolist(), merged[visible[where // 3]].tolist())))
+    bad = len(labels) != n or np.any((labels < -1) | (labels >= n))
+    if bad or np.any(labels[labels[visible]] < 0):
+        raise ValueError("chart set does not match the mesh")
+    # Vertex nodes come after the triangles, so every root is a triangle,
+    # and a vertex no visible triangle uses stays its own root.
+    a = np.r_[labels[visible], np.repeat(visible, 3)]
+    b = np.r_[visible, n + mesh.triangles[visible].ravel()]
+    merged = _min_labels(n + len(mesh.positions), a, b)
+    merged[:n][labels < 0] = -1
+    vertex_to_chart = merged[n:]
+    vertex_to_chart[vertex_to_chart >= n] = -1
+    return _chart_set(merged[:n], vertex_to_chart)
 
 
 def _min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -536,10 +529,9 @@ def _min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             parent, jumped = jumped, jumped[jumped]
 
 
-def _chart_set(labels: np.ndarray, vertex_to_chart: dict[int, int]) -> ChartSet:
-    """A ChartSet from canonical labels: one stable argsort, split per chart."""
+def _chart_set(labels: np.ndarray, vertex_to_chart: np.ndarray) -> ChartSet:
+    """A ChartSet from canonical labels: one stable argsort groups the visible triangles."""
     visible = np.flatnonzero(labels >= 0)
-    order = visible[np.argsort(labels[visible], kind="stable")]
-    ids, starts = np.unique(labels[order], return_index=True)
-    charts = dict(zip(ids.tolist(), np.split(order, starts[1:])))
-    return ChartSet(chart_of_triangle=labels, charts=charts, vertex_to_chart=vertex_to_chart)
+    members = visible[np.argsort(labels[visible], kind="stable")]
+    ids, starts = np.unique(labels[members], return_index=True)
+    return ChartSet(labels, ids, starts, members, vertex_to_chart)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import colorsys
 import csv
-import itertools
 import math
 import os
 import sys
@@ -46,14 +45,7 @@ from .charts import (
     mark_visible,
     merge_shared_vertices,
 )
-from .geometry import (
-    CameraFrame,
-    DegenerateChart,
-    W_EPSILON,
-    chart_bbox,
-    clip_coords,
-    viewport_box,
-)
+from .geometry import CameraFrame, W_EPSILON, chart_bbox, clip_coords
 from .metrics import (
     DIGEST_ALGORITHM,
     LayoutDigest,
@@ -431,14 +423,15 @@ class Frame:
     """One frame's work before packing: visible charts and one box per chart.
 
     ``boxes`` is the (n, 4) box table of the charts with a screen box, in
-    chart order; ``chart_px`` maps each of their ids to its box in pixels.
+    chart order, and row i of the (n, 2) ``chart_px`` is the width and
+    height in pixels of box i's screen box.
     """
 
     config: SceneConfig
     mesh: Mesh
     chart_set: ChartSet
     boxes: np.ndarray
-    chart_px: dict[int, tuple[int, int]]
+    chart_px: np.ndarray
     screen_fragments: int
     n_visible: int
 
@@ -466,27 +459,26 @@ def frame_charts(cfg: SceneConfig) -> Frame:
     if n_visible == 0:
         raise NothingVisible("no triangle covers a depth-passing sample")
     cs = merge_shared_vertices(connected_charts(mesh, vis), mesh)
-
-    rows: list[tuple[int, int, int, int]] = []
-    chart_px: dict[int, tuple[int, int]] = {}
-    for root, members in cs.charts.items():
-        try:
-            box = chart_bbox(mesh.triangle_corners(members), cam)
-        except DegenerateChart:
-            continue
-        w_px, h_px = viewport_box(box, cfg.screen[0], cfg.screen[1])
-        tw = max(1, math.ceil(cfg.prescale * w_px))
-        th = max(1, math.ceil(cfg.prescale * h_px))
-        if max(tw, th) > MAX_BOX_DIM:
-            raise HeightOverflow(f"box height {max(tw, th)} exceeds capacity {MAX_BOX_DIM}")
-        chart_px[root] = (w_px, h_px)
-        rows.append((root, root, tw, th))
+    lo, hi = chart_bbox(mesh.triangle_corners(cs.members), cam, cs.starts)
+    # A chart none of whose triangles survives clipping has lo > hi.
+    boxed = np.all(lo <= hi, axis=1)
+    # The viewport transform maps [-1, 1]^2 to the screen; every extent is
+    # rounded up, and a degenerate box still claims one pixel per axis.
+    chart_px = np.maximum(1, np.ceil((hi[boxed] - lo[boxed]) / 2.0 * cfg.screen))
+    # Compared as floats: a huge prescale gives sides past the int64 range.
+    with np.errstate(over="ignore"):
+        sides = np.maximum(1, np.ceil(cfg.prescale * chart_px))
+    if np.any(sides > MAX_BOX_DIM):
+        raise HeightOverflow(
+            f"box height exceeds capacity {MAX_BOX_DIM} at prescale {cfg.prescale:g}"
+        )
+    ids = cs.ids[boxed]
     return Frame(
         config=cfg,
         mesh=mesh,
         chart_set=cs,
-        boxes=np.array(rows, dtype=np.int64).reshape(-1, 4),
-        chart_px=chart_px,
+        boxes=np.column_stack([ids, ids, sides.astype(np.int64)]),
+        chart_px=chart_px.astype(np.int64),
         screen_fragments=int(np.isfinite(depth).sum()),
         n_visible=n_visible,
     )
@@ -497,9 +489,7 @@ def pack_frame(frame: Frame, packer: str = "fastatlas") -> SceneResult:
     cfg = frame.config
     packer_fn = make_packer(packer, cfg.n_scales, cfg.min_dim, cfg.padding)
     layout = packer_fn(frame.boxes, cfg.omega)
-    stretch = _scene_stretch_report(
-        cfg, frame.mesh, cfg.camera(), frame.chart_set, layout, frame.chart_px
-    )
+    stretch = _scene_stretch_report(frame, layout)
     texels = int(np.prod(_content_sides(layout, cfg.padding), axis=1).sum())
     return SceneResult(**vars(frame), layout=layout, stretch=stretch, texels_allocated=texels)
 
@@ -521,7 +511,7 @@ def _content_sides(layout: AtlasLayout, padding: int) -> np.ndarray:
     return sides - 2 * padding
 
 
-def _scene_stretch_report(cfg, mesh, cam, cs, layout, chart_px) -> StretchReport | None:
+def _scene_stretch_report(frame: Frame, layout: AtlasLayout) -> StretchReport | None:
     """Stretch of each placed chart's atlas-to-screen scaling.
 
     A chart of w_px x h_px screen pixels fills its placement's content
@@ -530,8 +520,9 @@ def _scene_stretch_report(cfg, mesh, cam, cs, layout, chart_px) -> StretchReport
     its triangles that lie fully in front of the camera plane; a triangle
     with a vertex at or behind it has no well-defined projection.
     """
+    cfg, cs = frame.config, frame.chart_set
     tris = np.flatnonzero(cs.chart_of_triangle >= 0)
-    clip = clip_coords(mesh.triangle_corners(tris), cam)
+    clip = clip_coords(frame.mesh.triangle_corners(tris), cfg.camera())
     front = np.all(clip[:, :, 3] > W_EPSILON, axis=1)
     screen = (clip[front, :, :2] / clip[front, :, 3:4] + 1.0) * 0.5 * np.array(cfg.screen)
     e1 = screen[:, 1] - screen[:, 0]
@@ -543,7 +534,7 @@ def _scene_stretch_report(cfg, mesh, cam, cs, layout, chart_px) -> StretchReport
     ids = layout.table[:, 0]
     try:
         return scene_stretch(
-            [chart_px[i] for i in ids.tolist()],
+            frame.chart_px[np.searchsorted(frame.boxes[:, 0], ids)],
             _content_sides(layout, cfg.padding),
             chart_area[ids],
         )
@@ -553,9 +544,10 @@ def _scene_stretch_report(cfg, mesh, cam, cs, layout, chart_px) -> StretchReport
 
 def write_charts_file(cs: ChartSet, path) -> None:
     t = np.flatnonzero(cs.chart_of_triangle >= 0)
+    v = np.flatnonzero(cs.vertex_to_chart >= 0)
     lines = ["# chart assignments v1", "# t <triangle> <chart>  /  v <vertex> <chart>"]
     lines += map("t {} {}".format, t.tolist(), cs.chart_of_triangle[t].tolist())
-    lines += itertools.starmap("v {} {}".format, sorted(cs.vertex_to_chart.items()))
+    lines += map("v {} {}".format, v.tolist(), cs.vertex_to_chart[v].tolist())
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -16,6 +16,10 @@ clips every triangle leaving the frustum against the camera plane and then
 each of the six planes it leaves, and ``chart_bbox`` clips each triangle
 crossing the near plane against it and each one crossing side planes
 against every such plane. Each caller passes its own boundary rule.
+
+``chart_bbox`` boxes all of a frame's charts in one call: every triangle
+gets its own box, and each chart's box is a ``reduceat`` min/max over its
+run of the label-sorted triangles, so no step loops over charts.
 """
 
 from __future__ import annotations
@@ -43,7 +47,10 @@ SIDE_PLANES = ("left", "right", "bottom", "top")
 
 
 class DegenerateChart(Exception):
-    """No triangle of the chart survives clipping."""
+    """No triangle of the chart survives clipping.
+
+    chart_bbox raises nothing: it gives such a chart lo > hi.
+    """
 
 
 @dataclass
@@ -128,24 +135,6 @@ def look_at_matrix(position, target, up) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class NdcBox:
-    """Axis-aligned box in NDC, all coordinates clamped to [-1, 1]."""
-
-    min_x: float
-    min_y: float
-    max_x: float
-    max_y: float
-
-    def __post_init__(self):
-        if self.min_x > self.max_x or self.min_y > self.max_y:
-            raise ValueError("NdcBox requires min <= max componentwise")
-
-    @property
-    def area(self) -> float:
-        return (self.max_x - self.min_x) * (self.max_y - self.min_y)
-
-
 def clip_coords(triangles, cam: CameraFrame) -> np.ndarray:
     """Homogeneous clip coordinates of (n, 3, 3) world-space triangles: (n, 3, 4)."""
     tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 3)
@@ -209,25 +198,26 @@ def _blinn_clamped_ndc(p: np.ndarray) -> np.ndarray:
     return np.divide(xy, aw, out=np.where(p[..., :2] < 0, -1.0, 1.0), where=aw != 0)
 
 
-def chart_bbox(triangles, cam: CameraFrame) -> NdcBox:
-    """Conservative NDC bounding box of a chart's visible sub-region.
+def chart_bbox(triangles, cam: CameraFrame, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Conservative NDC bounding boxes of a frame's charts, as (n, 2) lo and hi.
 
-    ``triangles`` is an (n, 3, 3) array of world-space triangles. All are
-    projected at once. A triangle fully in front of the camera plane that
-    crosses no side plane takes the fast path: the clamped divide of its
-    three vertices. The rest are clipped in batches, then clamped and
-    divided: a triangle crossing the near half-space is clipped against it,
-    and one fully in front against each side plane it crosses (vertices
-    strictly on both sides), keeping the clip with the smallest box, ties
-    going to the earlier plane in SIDE_PLANES. The box is the componentwise
-    min/max over every point and contains the exact NDC projection of the
-    in-frustum portion of the chart.
-
-    Raises DegenerateChart when no triangle survives clipping.
+    ``triangles`` is an (m, 3, 3) array of world-space triangles grouped by
+    chart; chart i's triangles start at ``starts[i]``, and no chart is
+    empty. All are projected at once, and each triangle gets its own box. A
+    triangle fully in front of the camera plane that crosses no side plane
+    takes the fast path: the clamped divide of its three vertices. The rest
+    are clipped in batches, then clamped and divided: a triangle crossing
+    the near half-space is clipped against it, and one fully in front
+    against each side plane it crosses (vertices strictly on both sides),
+    keeping the clip with the smallest box, ties going to the earlier plane
+    in SIDE_PLANES. A triangle that does not survive clipping gets lo = +inf
+    and hi = -inf. A chart's box is the componentwise min/max over its
+    triangles' boxes and contains the exact NDC projection of the
+    in-frustum portion of the chart; a chart with no surviving triangle has
+    lo > hi.
     """
     clip = clip_coords(triangles, cam)
-    if len(clip) == 0:
-        raise DegenerateChart("chart has no triangles")
+    lo, hi = np.full((len(clip), 2), np.inf), np.full((len(clip), 2), -np.inf)
     d = clip[:, :, 3] - W_EPSILON
     in_front = np.all(d > 0, axis=1)
     side = np.stack([plane_distances(clip, plane) for plane in SIDE_PLANES])
@@ -238,40 +228,20 @@ def chart_bbox(triangles, cam: CameraFrame) -> NdcBox:
     np.maximum(xy, -w, out=xy)
     np.minimum(xy, w, out=xy)
     xy /= w
-    points = xy.reshape(-1, 2)
-    if not fast.all():
-        # The smallest clipped box so far of each other triangle, by area.
-        # A triangle crossing the near plane has that clip as its one box.
-        best = np.full(len(clip), np.inf)
-        best_lo, best_hi = np.zeros((len(clip), 2)), np.zeros((len(clip), 2))
-        near = ~in_front & np.any(d > 0, axis=1)
-        for dist, clipped in zip([d, *side], [near, *(crosses & in_front)]):
-            if not clipped.any():
-                continue
-            tris = np.flatnonzero(clipped)
-            for rows, poly in clip_halfspace(clip[tris], dist[tris], dist[tris] > 0):
-                xy = _blinn_clamped_ndc(poly)
-                lo, hi = xy.min(axis=1), xy.max(axis=1)
-                area = (hi[:, 0] - lo[:, 0]) * (hi[:, 1] - lo[:, 1])
-                win = area < best[tris[rows]]
-                t = tris[rows[win]]
-                best[t], best_lo[t], best_hi[t] = area[win], lo[win], hi[win]
-        boxed = best < np.inf
-        points = np.concatenate([points, best_lo[boxed], best_hi[boxed]])
-    if len(points) == 0:
-        raise DegenerateChart("no triangle survives clipping")
-    lo, hi = points.min(axis=0), points.max(axis=0)
-    return NdcBox(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
-
-
-def viewport_box(box: NdcBox, screen_w: int, screen_h: int) -> tuple[int, int]:
-    """Integer pixel extent of an NDC box under the viewport transform.
-
-    Maps [-1, 1]^2 to [0, screen_w] x [0, screen_h] and rounds each extent
-    up; a degenerate box still yields at least one pixel per axis.
-    """
-    if screen_w < 1 or screen_h < 1:
-        raise ValueError("screen dimensions must be >= 1")
-    w = math.ceil((box.max_x - box.min_x) / 2.0 * screen_w)
-    h = math.ceil((box.max_y - box.min_y) / 2.0 * screen_h)
-    return max(1, w), max(1, h)
+    # Chained over the three vertices: a reduction along a length-3 axis is slower.
+    a, b, c = xy.swapaxes(0, 1)
+    lo[fast], hi[fast] = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+    # The area of the smallest clipped box so far of each other triangle. A
+    # triangle crossing the near plane has that clip as its one box.
+    best = np.full(len(clip), np.inf)
+    near = ~in_front & np.any(d > 0, axis=1)
+    for dist, clipped in zip([d, *side], [near, *(crosses & in_front)]):
+        tris = np.flatnonzero(clipped)
+        for rows, poly in clip_halfspace(clip[tris], dist[tris], dist[tris] > 0):
+            xy = _blinn_clamped_ndc(poly)
+            poly_lo, poly_hi = xy.min(axis=1), xy.max(axis=1)
+            area = (poly_hi[:, 0] - poly_lo[:, 0]) * (poly_hi[:, 1] - poly_lo[:, 1])
+            win = area < best[tris[rows]]
+            t = tris[rows[win]]
+            best[t], lo[t], hi[t] = area[win], poly_lo[win], poly_hi[win]
+    return np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)

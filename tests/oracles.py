@@ -16,8 +16,10 @@ reference walks boxes one at a time along the folded line, the exhaustive
 packer backtracks over every placement of a tiny instance, the object
 packer orients, orders and places one ChartBox object at a time as the
 package did before its box and layout tables, and layout validity is
-checked by occupancy grids or pairwise interval arithmetic. Only tests
-call this code, so it lives here rather than in the package.
+checked by occupancy grids or pairwise interval arithmetic. The box tests
+read chart boxes as ``NdcBox`` records, through a one-chart adapter over
+the package's frame-wide ``chart_bbox``. Only tests call this code, so it
+lives here rather than in the package.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from atlaspack import (
     DegenerateTriangle,
     HeightOverflow,
     Mesh,
-    NdcBox,
     NoValidTriangles,
     Placement,
     StretchReport,
@@ -52,6 +53,7 @@ from atlaspack.geometry import (
     FRUSTUM_PLANES,
     SIDE_PLANES,
     W_EPSILON,
+    chart_bbox,
     clip_coords,
     plane_distances,
 )
@@ -65,6 +67,44 @@ _PLANES = (
     (2, 1.0),
     (2, -1.0),
 )
+
+
+@dataclass(frozen=True)
+class NdcBox:
+    """Axis-aligned box in NDC, all coordinates clamped to [-1, 1]."""
+
+    min_x: float
+    min_y: float
+    max_x: float
+    max_y: float
+
+    def __post_init__(self):
+        if self.min_x > self.max_x or self.min_y > self.max_y:
+            raise ValueError("NdcBox requires min <= max componentwise")
+
+    @property
+    def area(self) -> float:
+        return (self.max_x - self.min_x) * (self.max_y - self.min_y)
+
+
+def one_chart_bbox(triangles, cam) -> NdcBox:
+    """The package's frame-wide chart_bbox on one chart, as an NdcBox.
+
+    Raises DegenerateChart when the chart is empty or none of its triangles
+    survives clipping (the package marks that chart with lo > hi).
+    """
+    tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 3)
+    if len(tris) == 0:
+        raise DegenerateChart("chart has no triangles")
+    lo, hi = chart_bbox(tris, cam, [0])
+    if not np.all(lo <= hi):
+        raise DegenerateChart("no triangle survives clipping")
+    return NdcBox(float(lo[0, 0]), float(lo[0, 1]), float(hi[0, 0]), float(hi[0, 1]))
+
+
+def chart_members(cs) -> dict[int, np.ndarray]:
+    """A ChartSet's charts as a dict from chart id to its member triangles."""
+    return dict(zip(cs.ids.tolist(), np.split(cs.members, cs.starts[1:])))
 
 
 def clip_halfspace_step(vertices: np.ndarray, d: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -819,8 +859,10 @@ def per_triangle_scene_stretch(pairs) -> StretchReport:
     return StretchReport(l2=l2, linf=linf)
 
 
-def per_triangle_stretch_report(cfg, mesh, cam, cs, layout, chart_ndc, chart_px):
+def per_triangle_stretch_report(cfg, mesh, cam, charts, layout, chart_ndc, chart_px):
     """Per-triangle screen-vs-atlas stretch over fully-projectable triangles.
+
+    ``charts`` maps each chart id to its member triangles.
 
     Triangles with any vertex at or behind the camera plane are skipped;
     their screen vertices have no well-defined projection.
@@ -832,7 +874,7 @@ def per_triangle_stretch_report(cfg, mesh, cam, cs, layout, chart_ndc, chart_px)
     clip = clip_coords(mesh.triangle_corners(), cam)
     if len(clip) == 0:
         return None
-    for root, members in cs.charts.items():
+    for root, members in charts.items():
         p = placements.get(root)
         if p is None or root not in chart_ndc:
             continue

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from atlaspack import (
-    ChartSet,
     Mesh,
     VisibilityBuffer,
     connected_charts,
@@ -15,12 +14,21 @@ from atlaspack import (
 )
 
 from atlaspack import charts
-from atlaspack.charts import _CHUNK, _chunks, _clip_groups, _samples, _screen_polygons
+from atlaspack.charts import (
+    _CHUNK,
+    _chart_set,
+    _chunks,
+    _clip_groups,
+    _samples,
+    _screen_polygons,
+    build_adjacency,
+)
 from atlaspack.geometry import W_EPSILON, clip_coords
 
 from oracles import (
     bfs_chart_labels,
     box_samples,
+    chart_members,
     clip_triangle_frustum,
     delaunay_mesh,
     dict_adjacency,
@@ -58,7 +66,7 @@ def soup_cases(seed, count=150):
     for _ in range(count):
         mesh = soup_mesh(rng, int(rng.integers(3, 60)), int(rng.integers(1, 120)))
         flags = rng.random(mesh.n_triangles) < rng.random()
-        yield mesh, VisibilityBuffer(flags=flags, sample_res=(8, 8))
+        yield mesh, VisibilityBuffer(flags=flags)
 
 
 def screen_quad(z=-1.0, half=2.0):
@@ -71,7 +79,7 @@ def screen_quad(z=-1.0, half=2.0):
 class TestMesh:
     def test_adjacency_symmetric_with_degree_cap(self, rng):
         mesh = delaunay_mesh(rng, 80)
-        adj = mesh.adjacency
+        adj = build_adjacency(mesh.triangles)
         assert adj.shape == (mesh.n_triangles, 3)
         for t in range(mesh.n_triangles):
             for nb in adj[t]:
@@ -82,35 +90,23 @@ class TestMesh:
         # three triangles share edge (0, 1)
         coords = [(0, 0), (1, 0), (0, 1), (1, 1), (0.5, -1)]
         mesh = flat_mesh([(0, 1, 2), (0, 1, 3), (0, 1, 4)], coords=coords)
-        assert np.all(mesh.adjacency == -1)
+        assert np.all(build_adjacency(mesh.triangles) == -1)
 
     def test_adjacency_matches_dict_oracle(self, rng):
         shared_by_three = 0
         for mesh, _ in soup_cases(1):
-            assert np.array_equal(mesh.adjacency, dict_adjacency(mesh.triangles))
+            assert np.array_equal(build_adjacency(mesh.triangles), dict_adjacency(mesh.triangles))
             edges = np.sort(np.stack([mesh.triangles, np.roll(mesh.triangles, -1, 1)], 2), 2)
             users = np.unique(edges.reshape(-1, 2), axis=0, return_counts=True)[1]
             shared_by_three += users.max() >= 3
         assert shared_by_three
         mesh = delaunay_mesh(rng, 200)
-        assert np.array_equal(mesh.adjacency, dict_adjacency(mesh.triangles))
+        assert np.array_equal(build_adjacency(mesh.triangles), dict_adjacency(mesh.triangles))
 
     def test_repeated_vertex_links_a_triangle_to_itself(self):
         # f 1 1 2: edges (0, 0), (0, 1) and (1, 0), so edge (0, 1) has two users
         mesh = flat_mesh([(0, 0, 1)], coords=[(0, 0), (1, 0)])
-        assert mesh.adjacency.tolist() == [[-1, 0, 0]]
-
-    @pytest.mark.parametrize(
-        "adjacency",
-        [np.full((1, 3), -1), np.full(6, -1), [[-1, -1, 5], [-1, -1, -1]],
-         [[-1, -1, -5], [-1, -1, -1]]],
-        ids=["one_row_for_two", "flat", "neighbour_past_end", "negative_neighbour"],
-    )
-    def test_mismatched_adjacency_rejected(self, adjacency):
-        coords = [(0, 0), (1, 0), (0, 1), (1, 1)]
-        positions = np.column_stack([coords, np.full(4, -2.0)])
-        with pytest.raises(ValueError, match="adjacency"):
-            Mesh(positions=positions, triangles=[(0, 1, 2), (1, 3, 2)], adjacency=adjacency)
+        assert build_adjacency(mesh.triangles).tolist() == [[-1, 0, 0]]
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -446,7 +442,35 @@ class TestClipGroups:
 
 
 def all_visible(mesh):
-    return VisibilityBuffer(flags=np.ones(mesh.n_triangles, dtype=bool), sample_res=(8, 8))
+    return VisibilityBuffer(flags=np.ones(mesh.n_triangles, dtype=bool))
+
+
+def label_set(labels, n_vertices):
+    """A ChartSet holding the given triangle labels and no vertex assignments."""
+    return _chart_set(np.array(labels, dtype=np.int64), np.full(n_vertices, -1, dtype=np.int64))
+
+
+def assert_charts_are(cs, labels):
+    """cs holds ``labels`` as ascending ids, start offsets and grouped members."""
+    assert np.array_equal(cs.chart_of_triangle, labels)
+    charts: dict[int, list[int]] = {}
+    for t in np.flatnonzero(labels >= 0).tolist():
+        charts.setdefault(int(labels[t]), []).append(t)
+    assert cs.ids.tolist() == sorted(charts) and cs.n_charts == len(charts)
+    ends = [*cs.starts[1:].tolist(), len(cs.members)]
+    for chart, start, end in zip(cs.ids.tolist(), cs.starts.tolist(), ends):
+        assert cs.members[start:end].tolist() == charts[chart]
+    assert len(cs.members) == sum(map(len, charts.values()))
+
+
+def vertex_charts(mesh, labels):
+    """Each vertex's chart, read off the visible triangles one at a time; -1 if unused."""
+    out = np.full(len(mesh.positions), -1, dtype=np.int64)
+    for t in np.flatnonzero(labels >= 0):
+        for v in mesh.triangles[t]:
+            assert out[v] in (-1, labels[t])
+            out[v] = labels[t]
+    return out
 
 
 class TestConnectedCharts:
@@ -454,7 +478,7 @@ class TestConnectedCharts:
         for _ in range(40):
             mesh = delaunay_mesh(rng, int(rng.integers(5, 120)))
             flags = rng.random(mesh.n_triangles) < 0.6
-            vis = VisibilityBuffer(flags=flags, sample_res=(8, 8))
+            vis = VisibilityBuffer(flags=flags)
             cs = connected_charts(mesh, vis)
             oracle = bfs_chart_labels(mesh, flags)
             assert np.array_equal(cs.chart_of_triangle, oracle)
@@ -462,10 +486,8 @@ class TestConnectedCharts:
     def test_matches_bfs_oracle_on_soups(self):
         for mesh, vis in soup_cases(2):
             cs = connected_charts(mesh, vis)
-            assert np.array_equal(cs.chart_of_triangle, bfs_chart_labels(mesh, vis.flags))
-            assert list(cs.charts) == sorted(set(cs.chart_of_triangle[vis.flags].tolist()))
-            for root, members in cs.charts.items():
-                assert members.tolist() == np.flatnonzero(cs.chart_of_triangle == root).tolist()
+            assert_charts_are(cs, bfs_chart_labels(mesh, vis.flags))
+            assert cs.vertex_to_chart.tolist() == [-1] * len(mesh.positions)
 
     def test_randomly_numbered_strip_is_one_chart(self):
         # Triangle i of the strip uses vertices i, i + 1 and i + 2, so the
@@ -477,13 +499,13 @@ class TestConnectedCharts:
         strip = rng.permutation(n + 2)[np.arange(n)[:, None] + np.arange(3)]
         mesh = Mesh(positions=np.zeros((n + 2, 3)), triangles=strip[rng.permutation(n)])
         cs = connected_charts(mesh, all_visible(mesh))
-        assert list(cs.charts) == [0] and len(cs.charts[0]) == n
+        assert cs.ids.tolist() == [0] and len(cs.members) == n
         merged = merge_shared_vertices(cs, mesh)
-        assert list(merged.charts) == [0] and set(merged.vertex_to_chart.values()) == {0}
+        assert merged.ids.tolist() == [0] and set(merged.vertex_to_chart.tolist()) == {0}
 
     def test_nothing_visible_gives_empty_set(self, rng):
         mesh = delaunay_mesh(rng, 20)
-        vis = VisibilityBuffer(flags=np.zeros(mesh.n_triangles, bool), sample_res=(8, 8))
+        vis = VisibilityBuffer(flags=np.zeros(mesh.n_triangles, bool))
         cs = connected_charts(mesh, vis)
         assert cs.n_charts == 0
         assert np.all(cs.chart_of_triangle == -1)
@@ -492,12 +514,12 @@ class TestConnectedCharts:
         coords = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
         mesh = flat_mesh([(0, 1, 2), (1, 3, 4)], coords=coords)  # share vertex 1
         cs = connected_charts(mesh, all_visible(mesh))
-        assert sorted(cs.charts) == [0, 1]
+        assert cs.ids.tolist() == [0, 1]
 
     def test_labels_are_minimum_members(self, rng):
         mesh = delaunay_mesh(rng, 60)
         cs = connected_charts(mesh, all_visible(mesh))
-        for root, members in cs.charts.items():
+        for root, members in chart_members(cs).items():
             assert root == members.min()
 
 
@@ -506,70 +528,66 @@ class TestMergeSharedVertices:
         coords = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
         mesh = flat_mesh([(0, 1, 2), (1, 3, 4)], coords=coords)
         merged = merge_shared_vertices(connected_charts(mesh, all_visible(mesh)), mesh)
-        assert sorted(merged.charts) == [0]
+        assert merged.ids.tolist() == [0]
         assert merged.chart_of_triangle.tolist() == [0, 0]
 
     def test_disjoint_charts_unchanged(self):
         coords = [(0, 0), (1, 0), (0, 1), (3, 3), (4, 3), (3, 4)]
         mesh = flat_mesh([(0, 1, 2), (3, 4, 5)], coords=coords)
         merged = merge_shared_vertices(connected_charts(mesh, all_visible(mesh)), mesh)
-        assert sorted(merged.charts) == [0, 1]
+        assert merged.ids.tolist() == [0, 1]
 
     def test_bow_tie_fans_collapse_to_one_chart(self):
         # three fans meeting only at the hub vertex 0
         coords = [(0, 0)] + [(np.cos(a), np.sin(a)) for a in np.linspace(0, 5.5, 6)]
         mesh = flat_mesh([(0, 1, 2), (0, 3, 4), (0, 5, 6)], coords=coords)
         merged = merge_shared_vertices(connected_charts(mesh, all_visible(mesh)), mesh)
-        assert sorted(merged.charts) == [0]
+        assert merged.ids.tolist() == [0]
 
     def test_vertex_map_unique_and_total(self, rng):
         for _ in range(20):
             mesh = delaunay_mesh(rng, int(rng.integers(5, 100)))
             flags = rng.random(mesh.n_triangles) < 0.5
-            vis = VisibilityBuffer(flags=flags, sample_res=(8, 8))
+            vis = VisibilityBuffer(flags=flags)
             merged = merge_shared_vertices(connected_charts(mesh, vis), mesh)
             for t in np.flatnonzero(flags):
                 chart = merged.chart_of_triangle[t]
                 for v in mesh.triangles[t]:
-                    assert merged.vertex_to_chart[int(v)] == chart
+                    assert merged.vertex_to_chart[v] == chart
 
     def test_matches_vertex_closure_oracle(self, rng):
         for _ in range(30):
             mesh = delaunay_mesh(rng, int(rng.integers(5, 120)))
             flags = rng.random(mesh.n_triangles) < 0.55
-            vis = VisibilityBuffer(flags=flags, sample_res=(8, 8))
+            vis = VisibilityBuffer(flags=flags)
             merged = merge_shared_vertices(connected_charts(mesh, vis), mesh)
             oracle = vertex_merge_labels(mesh, bfs_chart_labels(mesh, flags))
             assert np.array_equal(merged.chart_of_triangle, oracle)
 
     def test_matches_oracles_on_soups(self):
-        touching = 0
+        touching = unused = 0
         for mesh, vis in soup_cases(3):
             edge = connected_charts(mesh, vis)
             merged = merge_shared_vertices(edge, mesh)
             oracle = vertex_merge_labels(mesh, bfs_chart_labels(mesh, vis.flags))
-            assert np.array_equal(merged.chart_of_triangle, oracle)
+            assert_charts_are(merged, oracle)
             touching += merged.n_charts < edge.n_charts
-            for root, members in merged.charts.items():
-                assert members.tolist() == np.flatnonzero(oracle == root).tolist()
-            visible = mesh.triangles[vis.flags]
-            assert sorted(merged.vertex_to_chart) == np.unique(visible).tolist()
-            for tri, chart in zip(visible, merged.chart_of_triangle[vis.flags]):
-                assert {merged.vertex_to_chart[int(v)] for v in tri} == {chart}
-        assert touching
+            assert np.array_equal(merged.vertex_to_chart, vertex_charts(mesh, oracle))
+            unused += np.sum(merged.vertex_to_chart < 0)
+        assert touching and unused
 
     def test_non_canonical_chart_set_takes_minimum_member(self):
         # Three apart triangles listed as one chart under the id 2.
         coords = [(0, 0), (1, 0), (0, 1), (3, 3), (4, 3), (3, 4), (6, 6), (7, 6), (6, 7)]
         mesh = flat_mesh([(0, 1, 2), (3, 4, 5), (6, 7, 8)], coords=coords)
-        cs = ChartSet(np.array([-1, 2, 2]), {2: np.array([2, 1])}, {})
-        merged = merge_shared_vertices(cs, mesh)
+        merged = merge_shared_vertices(label_set([-1, 2, 2], 9), mesh)
         assert merged.chart_of_triangle.tolist() == [-1, 1, 1]
-        assert list(merged.charts) == [1] and merged.charts[1].tolist() == [1, 2]
-        assert merged.vertex_to_chart == {v: 1 for v in range(3, 9)}
-        for charts in ({2: np.array([0, 1, 2])}, {0: np.array([1, 2])}):
+        assert merged.ids.tolist() == [1] and merged.members.tolist() == [1, 2]
+        assert merged.vertex_to_chart.tolist() == [-1] * 3 + [1] * 6
+        # Labels naming an invisible triangle, past the last one, or below -1.
+        for labels in ([-1, 0, 0], [-1, 2, 3], [-1, 2, -2]):
             with pytest.raises(ValueError, match="does not match"):
-                merge_shared_vertices(ChartSet(np.array([-1, 2, 2]), charts, {}), mesh)
+                merge_shared_vertices(label_set(labels, 9), mesh)
 
     def test_chart_set_of_another_mesh_rejected(self):
         coords = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -578,33 +596,32 @@ class TestMergeSharedVertices:
         for built, used in ((large, small), (small, large)):
             with pytest.raises(ValueError, match="does not match"):
                 merge_shared_vertices(connected_charts(built, all_visible(built)), used)
-        for member in (5, -1):
-            cs = ChartSet(np.array([0, 0]), {0: np.array([0, member])}, {})
+        for label in (5, -2):
             with pytest.raises(ValueError, match="does not match"):
-                merge_shared_vertices(cs, small)
+                merge_shared_vertices(label_set([0, label], 4), small)
 
     def test_rerun_is_identical(self, rng):
         mesh = delaunay_mesh(rng, 80)
         flags = rng.random(mesh.n_triangles) < 0.5
-        vis = VisibilityBuffer(flags=flags, sample_res=(8, 8))
+        vis = VisibilityBuffer(flags=flags)
         a = merge_shared_vertices(connected_charts(mesh, vis), mesh)
         b = merge_shared_vertices(connected_charts(mesh, vis), mesh)
         assert np.array_equal(a.chart_of_triangle, b.chart_of_triangle)
-        assert a.vertex_to_chart == b.vertex_to_chart
-        assert list(a.charts) == list(b.charts)
+        for field in ("ids", "starts", "members", "vertex_to_chart"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_hiding_a_triangle_never_merges_charts(self, rng):
         for _ in range(20):
             mesh = delaunay_mesh(rng, 60)
             flags = rng.random(mesh.n_triangles) < 0.7
-            vis = VisibilityBuffer(flags=flags, sample_res=(8, 8))
+            vis = VisibilityBuffer(flags=flags)
             before = merge_shared_vertices(connected_charts(mesh, vis), mesh)
             victims = np.flatnonzero(flags)
             if victims.size == 0:
                 continue
             flags2 = flags.copy()
             flags2[victims[0]] = False
-            vis2 = VisibilityBuffer(flags=flags2, sample_res=(8, 8))
+            vis2 = VisibilityBuffer(flags=flags2)
             after = merge_shared_vertices(connected_charts(mesh, vis2), mesh)
             still = np.flatnonzero(flags2)
             for i in range(0, len(still), 7):

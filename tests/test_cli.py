@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atlaspack import PackFailure, box_table, chart_bbox, layouts_equal, pack
+from atlaspack import PackFailure, box_table, layouts_equal, pack
 from atlaspack.cli import (
     EXIT_BAD_INPUT,
     EXIT_NOTHING_VISIBLE,
@@ -22,12 +22,19 @@ from atlaspack.cli import (
     parse_scene_config,
     run_scene_pipeline,
     write_box_file,
+    write_charts_file,
     write_layout_file,
 )
-from atlaspack.charts import depth_prepass
+from atlaspack.charts import (
+    Mesh,
+    VisibilityBuffer,
+    connected_charts,
+    depth_prepass,
+    merge_shared_vertices,
+)
 from atlaspack.geometry import W_EPSILON, clip_coords
 
-from oracles import per_triangle_stretch_report
+from oracles import chart_members, one_chart_bbox, per_triangle_stretch_report
 
 QUAD_OBJ = """\
 v -2 -2 -2
@@ -403,6 +410,19 @@ class TestAtlasSceneCommand:
         assert err.startswith("pack failure: box height ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("prescale", ["1e300", "1e308"])
+    @pytest.mark.parametrize("given_as", ["flag", "scene_key"])
+    def test_box_side_past_float_range_exits_2(self, tmp_path, capsys, prescale, given_as):
+        # 1e308 times the chart's pixel extent overflows to inf.
+        if given_as == "flag":
+            argv = [str(write_scene(tmp_path, QUAD_OBJ)), "--prescale", prescale]
+        else:
+            argv = [str(write_scene(tmp_path, QUAD_OBJ, prescale=prescale))]
+        assert main(["atlas-scene", *argv]) == EXIT_PACK_FAILURE
+        err = capsys.readouterr().err
+        assert "exceeds capacity" in err and "Traceback" not in err
+        assert len(err) < 120
+
     @pytest.mark.parametrize(
         "bad_line",
         ["v 0 0 nan", "v 0 1 abc", "f 0 2 3", "f 1 2 x", "f 1 2 9", "f 1 2 -9"],
@@ -417,6 +437,24 @@ class TestAtlasSceneCommand:
         err = capsys.readouterr().err
         assert "scene.obj:5:" in err
         assert "Traceback" not in err
+
+
+class TestWriteChartsFile:
+    def test_used_vertices_only_in_vertex_order(self, tmp_path):
+        # Triangles 0 and 2 share vertex 2, so they form chart 0; triangle 3
+        # is chart 3. Vertex 5 belongs only to the hidden triangle 1, and
+        # vertex 9 to no triangle: neither is listed.
+        mesh = Mesh(
+            positions=np.zeros((10, 3)), triangles=[(6, 2, 1), (5, 4, 3), (3, 2, 4), (8, 0, 7)]
+        )
+        vis = VisibilityBuffer(flags=[True, False, True, True])
+        cs = merge_shared_vertices(connected_charts(mesh, vis), mesh)
+        write_charts_file(cs, tmp_path / "scene.charts.txt")
+        lines = (tmp_path / "scene.charts.txt").read_text().splitlines()
+        assert lines[2:] == [
+            "t 0 0", "t 2 0", "t 3 3",
+            "v 0 3", "v 1 0", "v 2 0", "v 3 0", "v 4 0", "v 6 0", "v 7 3", "v 8 3",
+        ]
 
 
 class TestCompareCommand:
@@ -563,12 +601,13 @@ class TestStretchReport:
                 result = run_scene_pipeline(cfg)
             except (NothingVisible, PackFailure):
                 continue
-            cam, charts = cfg.camera(), result.chart_set.charts
-            chart_ndc = {c: chart_bbox(result.mesh.triangle_corners(charts[c]), cam)
-                         for c in result.chart_px}
+            cam, charts = cfg.camera(), chart_members(result.chart_set)
+            boxed = result.boxes[:, 0].tolist()
+            chart_px = dict(zip(boxed, map(tuple, result.chart_px.tolist())))
+            chart_ndc = {c: one_chart_bbox(result.mesh.triangle_corners(charts[c]), cam)
+                         for c in boxed}
             want = per_triangle_stretch_report(
-                cfg, result.mesh, cam, result.chart_set, result.layout, chart_ndc,
-                result.chart_px,
+                cfg, result.mesh, cam, charts, result.layout, chart_ndc, chart_px
             )
             got = result.stretch
             assert (got is None) == (want is None)

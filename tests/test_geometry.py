@@ -4,13 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from atlaspack import (
-    CameraFrame,
-    DegenerateChart,
-    NdcBox,
-    chart_bbox,
-    viewport_box,
-)
+from atlaspack import CameraFrame, DegenerateChart, chart_bbox
+from atlaspack.cli import SceneConfig, frame_charts
 from atlaspack.geometry import (
     FRUSTUM_PLANES,
     SIDE_PLANES,
@@ -22,11 +17,13 @@ from atlaspack.geometry import (
 )
 
 from oracles import (
+    NdcBox,
     blinn_clamped_ndc,
     box_contains,
     chart_frustum_box,
     clip_halfspace_step,
     conservative_blinn_box,
+    one_chart_bbox,
     per_triangle_chart_bbox,
     select_side_plane,
 )
@@ -141,8 +138,8 @@ class TestClipNear:
         assert poly.shape == (3, 4)
 
     def test_all_behind_raises(self):
-        # Nothing survives: an empty polygon, where chart_bbox then skips
-        # the triangle (and raises DegenerateChart if no other survives).
+        # Nothing survives: an empty polygon, where chart_bbox then gives
+        # the triangle lo = +inf and hi = -inf.
         tri = np.array([[0, 0, 0, -1], [1, 0, 0, -2], [0, 1, 0, -0.5]], float)
         assert clip_near(tri).shape == (0, 4)
 
@@ -233,6 +230,22 @@ class TestSelectSidePlane:
         assert select_side_plane(tri) is None
 
 
+# Centres and spreads of triangles well inside the frustum of a fov-90
+# camera at the origin, across a side plane, grazing the right plane, across
+# the near plane and behind the camera.
+KIND_CENTERS = np.array(
+    [[0.0, 0.0, -5.0], [4.0, 0.0, -4.0], [5.0, 0.0, -5.0], [0.0, 0.0, 0.0], [0.0, 0.0, 3.0]]
+)
+KIND_SPREADS = np.array([0.5, 2.0, 0.002, 1.0, 0.5])
+BEHIND = np.array([0.0, 0.0, 5.0])
+
+
+def mixed_chart(rng, n):
+    """n world-space triangles, each of a random kind."""
+    kind = rng.integers(0, len(KIND_CENTERS), size=n)
+    return KIND_CENTERS[kind, None] + rng.normal(size=(n, 3, 3)) * KIND_SPREADS[kind, None, None]
+
+
 class TestChartBbox:
     def test_fully_inside_equals_projected_bbox(self, cam90):
         tris = np.array(
@@ -241,7 +254,7 @@ class TestChartBbox:
                 [[0.1, 0.1, -2.0], [0.5, 0.1, -2.0], [0.4, 0.6, -2.0]],
             ]
         )
-        box = chart_bbox(tris, cam90)
+        box = one_chart_bbox(tris, cam90)
         pts = []
         for tri in tris:
             for p in tri:
@@ -259,7 +272,7 @@ class TestChartBbox:
         # vertex C blows up only toward (+x, -y), so those two sides stay
         # conservative while the other two match the exact clip oracle.
         tri = np.array([[[-0.5, -0.4, -1.0], [0.3, -0.5, -1.0], [0.6, -0.8, 0.5]]])
-        box = chart_bbox(tri, cam90)
+        box = one_chart_bbox(tri, cam90)
         oracle = chart_frustum_box(tri, cam90)
         assert box.min_x == pytest.approx(oracle.min_x, abs=1e-6)
         assert box.max_y == pytest.approx(oracle.max_y, abs=1e-6)
@@ -272,7 +285,7 @@ class TestChartBbox:
             tri = rng.normal(scale=2.0, size=(1, 3, 3))
             oracle = chart_frustum_box(tri, cam90)
             try:
-                box = chart_bbox(tri, cam90)
+                box = one_chart_bbox(tri, cam90)
             except DegenerateChart:
                 assert oracle is None or oracle.area == 0
                 continue
@@ -286,7 +299,7 @@ class TestChartBbox:
         for _ in range(1500):
             tri = rng.normal(scale=2.0, size=(1, 3, 3))
             try:
-                box = chart_bbox(tri, cam90)
+                box = one_chart_bbox(tri, cam90)
             except DegenerateChart:
                 continue
             reference = conservative_blinn_box(tri, cam90)
@@ -297,15 +310,9 @@ class TestChartBbox:
         # plane, grazing the right plane, across the near plane and behind
         # the camera.
         kinds = {"inside": 0, "side": 0, "near": 0, "behind": 0}
-        centers = np.array(
-            [[0.0, 0.0, -5.0], [4.0, 0.0, -4.0], [5.0, 0.0, -5.0], [0.0, 0.0, 0.0], [0.0, 0.0, 3.0]]
-        )
-        spreads = np.array([0.5, 2.0, 0.002, 1.0, 0.5])
         for _ in range(200):
-            n = int(rng.integers(1, 10))
-            kind = rng.integers(0, len(centers), size=n)
-            tris = centers[kind, None] + rng.normal(size=(n, 3, 3)) * spreads[kind, None, None]
-            homo = np.concatenate([tris, np.ones((n, 3, 1))], axis=2) @ cam90.view_proj.T
+            tris = mixed_chart(rng, int(rng.integers(1, 10)))
+            homo = np.concatenate([tris, np.ones((len(tris), 3, 1))], axis=2) @ cam90.view_proj.T
             w = homo[:, :, 3]
             front = np.all(w > W_EPSILON, axis=1)
             kinds["behind"] += int(np.sum(np.all(w <= W_EPSILON, axis=1)))
@@ -319,12 +326,34 @@ class TestChartBbox:
                 expected = per_triangle_chart_bbox(tris, cam90)
             except DegenerateChart:
                 with pytest.raises(DegenerateChart):
-                    chart_bbox(tris, cam90)
+                    one_chart_bbox(tris, cam90)
                 continue
-            box = chart_bbox(tris, cam90)
+            box = one_chart_bbox(tris, cam90)
             assert bits(box) == bits(expected)
             assert all(type(v) is float for v in (box.min_x, box.min_y, box.max_x, box.max_y))
         assert min(kinds.values()) > 50, kinds
+
+    def test_frame_of_charts_matches_per_triangle_path(self, cam90, rng):
+        # Batches of mixed charts, with all-behind charts between them.
+        degenerate = 0
+        for _ in range(60):
+            charts = []
+            for _ in range(int(rng.integers(1, 12))):
+                n = int(rng.integers(1, 6))
+                behind = rng.random() < 0.25
+                charts.append(BEHIND + rng.normal(size=(n, 3, 3)) if behind else mixed_chart(rng, n))
+            starts = np.cumsum([0] + [len(c) for c in charts[:-1]])
+            lo, hi = chart_bbox(np.concatenate(charts), cam90, starts)
+            assert lo.shape == hi.shape == (len(charts), 2)
+            for i, tris in enumerate(charts):
+                try:
+                    expected = per_triangle_chart_bbox(tris, cam90)
+                except DegenerateChart:
+                    degenerate += 1
+                    assert np.all(lo[i] > hi[i])
+                    continue
+                assert bits(NdcBox(*lo[i], *hi[i])) == bits(expected)
+        assert degenerate > 50
 
     def test_one_chart_of_every_kind_matches_per_triangle_path(self, cam90):
         tris = np.array(
@@ -337,13 +366,13 @@ class TestChartBbox:
                 [[0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [0.0, 1.0, 1.5]],  # behind
             ]
         )
-        box = chart_bbox(tris, cam90)
+        box = one_chart_bbox(tris, cam90)
         assert bits(box) == bits(per_triangle_chart_bbox(tris, cam90))
         for order in ([5, 4, 3, 2, 1, 0], [3, 0, 5, 1, 4, 2]):
-            assert box == chart_bbox(tris[order], cam90)
+            assert box == one_chart_bbox(tris[order], cam90)
         for tri in tris[:5]:
             expected = per_triangle_chart_bbox(tri[None], cam90)
-            assert bits(chart_bbox(tri[None], cam90)) == bits(expected)
+            assert bits(one_chart_bbox(tri[None], cam90)) == bits(expected)
 
     def test_side_plane_tie_goes_to_the_earlier_plane(self, exact_cam):
         # In front at w = 1, the triangle crosses all four side planes.
@@ -353,26 +382,40 @@ class TestChartBbox:
         clip = clip_coords(tri, exact_cam)[0]
         assert clip[:, 3].tolist() == [1.0, 1.0, 1.0]
         assert select_side_plane(clip) == "left"
-        box = chart_bbox(tri, exact_cam)
+        box = one_chart_bbox(tri, exact_cam)
         assert box == NdcBox(-1.0, -0.5, 1.0, 1.0)
         assert bits(box) == bits(per_triangle_chart_bbox(tri, exact_cam))
 
     def test_all_behind_raises(self, cam90):
         tri = np.array([[[0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [0.0, 1.0, 1.5]]])
         with pytest.raises(DegenerateChart):
-            chart_bbox(tri, cam90)
+            one_chart_bbox(tri, cam90)
 
 
 class TestViewportBox:
-    def test_full_box_full_screen(self):
-        assert viewport_box(NdcBox(-1, -1, 1, 1), 1920, 1080) == (1920, 1080)
+    """Pixel extents of chart boxes in frame_charts, on a one-chart scene."""
 
-    def test_half_box(self):
-        assert viewport_box(NdcBox(0, 0, 1, 1), 256, 256) == (128, 128)
+    @staticmethod
+    def chart_px(tmp_path, monkeypatch, lo, hi, screen):
+        (tmp_path / "quad.obj").write_text("v -1 -1 -2\nv 1 -1 -2\nv 1 1 -2\nv -1 1 -2\nf 1 2 3 4\n")
+        box = (np.array([lo], dtype=np.float64), np.array([hi], dtype=np.float64))
+        monkeypatch.setattr("atlaspack.cli.chart_bbox", lambda *args: box)
+        cfg = SceneConfig(mesh_path=tmp_path / "quad.obj", fov_y_deg=90.0, screen=screen)
+        frame = frame_charts(cfg)
+        assert frame.boxes[:, 2:].tolist() == frame.chart_px.tolist()
+        return frame.chart_px.tolist()
 
-    def test_degenerate_box_claims_one_pixel(self):
-        assert viewport_box(NdcBox(0.25, -0.5, 0.25, -0.5), 640, 480) == (1, 1)
+    def test_full_box_full_screen(self, tmp_path, monkeypatch):
+        px = self.chart_px(tmp_path, monkeypatch, (-1, -1), (1, 1), (1920, 1080))
+        assert px == [[1920, 1080]]
 
-    def test_rejects_empty_screen(self):
+    def test_half_box(self, tmp_path, monkeypatch):
+        assert self.chart_px(tmp_path, monkeypatch, (0, 0), (1, 1), (256, 256)) == [[128, 128]]
+
+    def test_degenerate_box_claims_one_pixel(self, tmp_path, monkeypatch):
+        px = self.chart_px(tmp_path, monkeypatch, (0.25, -0.5), (0.25, -0.5), (640, 480))
+        assert px == [[1, 1]]
+
+    def test_rejects_empty_screen(self, tmp_path, monkeypatch):
         with pytest.raises(ValueError):
-            viewport_box(NdcBox(-1, -1, 1, 1), 0, 100)
+            self.chart_px(tmp_path, monkeypatch, (-1, -1), (1, 1), (0, 100))
