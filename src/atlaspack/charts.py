@@ -30,8 +30,10 @@ a one-triangle-at-a-time rasterizer, so results do not depend on batching.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -93,6 +95,11 @@ def build_adjacency(triangles: np.ndarray) -> np.ndarray:
     return adjacency.reshape(-1, 3)
 
 
+# The bytes of a plain OBJ file: numbers, the keywords v and f, spaces and
+# newlines.
+_PLAIN_OBJ = b"0123456789+-.eEvf \n"
+
+
 def load_obj(path) -> Mesh:
     """Load positions and faces from a Wavefront OBJ file.
 
@@ -101,44 +108,110 @@ def load_obj(path) -> Mesh:
     non-numeric or non-finite coordinate, a non-numeric face index, and a
     face index of 0 or past the vertices read so far raise ValueError
     naming the file and line.
+
+    A plain file, which holds only the bytes of ``_PLAIN_OBJ`` and whose
+    every non-blank line is a ``v`` or ``f`` and three tokens, is converted
+    whole: all coordinates as one column and all face indices as another,
+    each rule checked on a whole column. Any other file (comments, ``/``
+    tokens, quads, CR line ends, other keywords or bytes), or a plain one
+    that breaks a rule, goes to the line loop, which alone raises the
+    messages above.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    mesh = _plain_obj(data)
+    if mesh is None:
+        text = io.StringIO(data.decode("utf-8", errors="replace"), newline=None)
+        mesh = _obj_lines(path, text)
+    return mesh
+
+
+def tokens_per_line(data: bytes) -> np.ndarray:
+    """Whitespace-separated tokens on each line of ``data``, up to its last token.
+
+    ``data`` must hold no whitespace bytes other than space and newline.
+    """
+    b = np.frombuffer(data, dtype=np.uint8)
+    newline = b == ord("\n")
+    gap = newline | (b == ord(" "))
+    start = ~gap
+    start[1:] &= gap[:-1]
+    # Token k is event i in file order, after k tokens and so i - k newlines.
+    at = np.flatnonzero(~newline[np.flatnonzero(start | newline)])
+    return np.bincount(at - np.arange(len(at)))
+
+
+def _plain_obj(data: bytes) -> Mesh | None:
+    """The mesh of a plain OBJ file, or None if ``data`` is not plain or breaks a rule."""
+    if data.translate(None, _PLAIN_OBJ):
+        return None
+    tokens = data.split()
+    kinds = b"".join(tokens[::4])  # each line's first token when every line has 4
+    n = len(tokens) // 4
+    if (
+        not np.isin(tokens_per_line(data), (0, 4)).all()
+        or len(kinds) != n
+        or kinds.translate(None, b"vf")
+    ):
+        return None
+    is_f = np.frombuffer(kinds, dtype=np.uint8) == ord("f")
+    n_faces = int(is_f.sum())
+    del tokens[::4]
+    try:
+        positions = np.fromiter(
+            map(float, compress(tokens, np.repeat(~is_f, 3).tolist())),
+            dtype=np.float64, count=3 * (n - n_faces),
+        )
+        faces = np.fromiter(
+            map(int, compress(tokens, np.repeat(is_f, 3).tolist())),
+            dtype=np.int64, count=3 * n_faces,
+        ).reshape(-1, 3)
+    except (ValueError, OverflowError):  # a bad token, or an index outside int64
+        return None
+    seen = np.cumsum(~is_f)[is_f][:, None]  # vertices read before each face
+    if not np.isfinite(positions).all() or np.any((faces == 0) | (faces < -seen) | (faces > seen)):
+        return None
+    return Mesh(positions=positions, triangles=np.where(faces > 0, faces - 1, seen + faces))
+
+
+def _obj_lines(path, lines) -> Mesh:
+    """The mesh of an OBJ file given as text lines; raises ValueError on the first bad line."""
     positions: list[list[float]] = []
     faces: list[tuple[int, int, int]] = []
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise ValueError(f"{path}:{lineno}: vertex needs 3 coordinates")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "v":
+            if len(parts) < 4:
+                raise ValueError(f"{path}:{lineno}: vertex needs 3 coordinates")
+            try:
+                x, y, z = float(parts[1]), float(parts[2]), float(parts[3])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: vertex coordinates must be numbers"
+                ) from None
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise ValueError(f"{path}:{lineno}: vertex coordinates must be finite")
+            positions.append([x, y, z])
+        elif parts[0] == "f":
+            n = len(positions)
+            idx = []
+            for token in parts[1:]:
                 try:
-                    x, y, z = float(parts[1]), float(parts[2]), float(parts[3])
+                    i = int(token.split("/", 1)[0])
                 except ValueError:
+                    raise ValueError(f"{path}:{lineno}: bad face index '{token}'") from None
+                if i == 0 or not -n <= i <= n:
                     raise ValueError(
-                        f"{path}:{lineno}: vertex coordinates must be numbers"
-                    ) from None
-                if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-                    raise ValueError(f"{path}:{lineno}: vertex coordinates must be finite")
-                positions.append([x, y, z])
-            elif parts[0] == "f":
-                n = len(positions)
-                idx = []
-                for token in parts[1:]:
-                    try:
-                        i = int(token.split("/", 1)[0])
-                    except ValueError:
-                        raise ValueError(f"{path}:{lineno}: bad face index '{token}'") from None
-                    if i == 0 or not -n <= i <= n:
-                        raise ValueError(
-                            f"{path}:{lineno}: face index {i} out of range for {n} vertices"
-                        )
-                    idx.append(i - 1 if i > 0 else n + i)
-                if len(idx) < 3:
-                    raise ValueError(f"{path}:{lineno}: face needs >= 3 vertices")
-                for k in range(1, len(idx) - 1):
-                    faces.append((idx[0], idx[k], idx[k + 1]))
+                        f"{path}:{lineno}: face index {i} out of range for {n} vertices"
+                    )
+                idx.append(i - 1 if i > 0 else n + i)
+            if len(idx) < 3:
+                raise ValueError(f"{path}:{lineno}: face needs >= 3 vertices")
+            for k in range(1, len(idx) - 1):
+                faces.append((idx[0], idx[k], idx[k + 1]))
     return Mesh(
         positions=np.array(positions, dtype=np.float64).reshape(-1, 3),
         triangles=np.array(faces, dtype=np.int64).reshape(-1, 3),
@@ -214,12 +287,14 @@ def _clip_groups(mesh: Mesh, cam: CameraFrame) -> list[tuple[np.ndarray, np.ndar
     they are, then the clipped ones by id, and groups by first id.
     """
     clip = clip_coords(mesh.triangle_corners(), cam)
-    d = clip[:, :, 3] - W_EPSILON
+    front = clip[:, :, 3] - W_EPSILON > 0
     # w + v >= 0 and w - v >= 0 hold iff -w <= v <= w, since a float sum
     # is zero only for opposite operands: one test for all six planes.
-    inside = np.all(d > 0, axis=1)
-    inside &= np.all(np.abs(clip[:, :, :3]) <= clip[:, :, 3:], axis=(1, 2))
-    leaving = np.flatnonzero(~inside & np.any(d > 0, axis=1))
+    within = np.abs(clip[:, :, :3]) <= clip[:, :, 3:]
+    # Chained over the vertices and axes: a reduction along a length-3 axis is slower.
+    within = within[:, :, 0] & within[:, :, 1] & within[:, :, 2]
+    inside = front[:, 0] & front[:, 1] & front[:, 2] & within[:, 0] & within[:, 1] & within[:, 2]
+    leaving = np.flatnonzero(~inside & (front[:, 0] | front[:, 1] | front[:, 2]))
     groups = [(leaving, clip[leaving])]
     for plane in (None, *FRUSTUM_PLANES):  # None: the camera plane
         by_count: dict[int, list] = {}

@@ -17,8 +17,10 @@ from __future__ import annotations
 import argparse
 import colorsys
 import csv
+import functools
 import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -44,6 +46,7 @@ from .charts import (
     load_obj,
     mark_visible,
     merge_shared_vertices,
+    tokens_per_line,
 )
 from .geometry import CameraFrame, W_EPSILON, chart_bbox, clip_coords
 from .metrics import (
@@ -94,6 +97,28 @@ class NothingVisible(Exception):
 # --- box list files ---------------------------------------------------------
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of ``path``, with CRLF and CR line ends read as LF, as open() reads it.
+
+    Raises InputError naming the line of the first byte that is not UTF-8.
+    """
+    with open(path, "rb") as fh:
+        # No byte of a multi-byte UTF-8 character is CR or LF.
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(
+            f"{path}:{line}: not UTF-8 text (byte {data[exc.start]:#04x})"
+        ) from None
+
+
+# The bytes of a plain box file once its comments are cut: digits, spaces
+# and newlines.
+_PLAIN_BOXES = b"0123456789 \n"
+
+
 def parse_box_file(path) -> np.ndarray:
     """Read a box file into an (n, 4) int64 box table, ``chart_id min_tri w h``.
 
@@ -101,20 +126,25 @@ def parse_box_file(path) -> np.ndarray:
     distinct and in [0, 2^63), sides in [1, MAX_BOX_DIM]. The records are
     parsed as whole columns and each rule is checked on a whole column.
     Raises InputError naming the file and line of the first bad record in
-    file order, with the first rule that record breaks.
+    file order, with the first rule that record breaks, or the line of the
+    first byte that is not UTF-8.
+
+    A plain file, which holds only digits, spaces and newlines once its
+    comments are cut, is split as a whole: its field counts come from one
+    pass over its bytes. Any other file is split line by line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        fields = [line.partition("#")[0].split() for line in fh.read().split("\n")]
-    linenos = [n for n, f in enumerate(fields, start=1) if f]
-    fields = [f for f in fields if f]
+    text = _read_text(path)
+    records = _plain_box_records(text)
+    tokens, linenos, counts = _box_records(text) if records is None else records
     # (record index, rule rank, message): the earliest record wins, then the
     # rule listed first. Records from the first one that cannot be parsed
     # on are not checked further.
     problems = []
-    limit = next((i for i, f in enumerate(fields) if len(f) != 4), len(fields))
-    if limit < len(fields):
-        problems.append((limit, 0, f"expected 4 fields, got {len(fields[limit])}"))
-    tokens = [v for f in fields[:limit] for v in f]
+    short = np.flatnonzero(np.asarray(counts) != 4)
+    limit = int(short[0]) if short.size else len(counts)
+    if limit < len(counts):
+        problems.append((limit, 0, f"expected 4 fields, got {counts[limit]}"))
+    tokens = tokens[: 4 * limit]
     try:
         values = list(map(int, tokens))
     except ValueError:
@@ -154,6 +184,24 @@ def parse_box_file(path) -> np.ndarray:
         i, _, message = min(problems)
         raise InputError(f"{path}:{linenos[i]}: {message}")
     return table
+
+
+def _plain_box_records(text: str):
+    """(tokens, line numbers, field counts) of a plain box file's records, or None."""
+    data = re.sub("#[^\n]*", "", text).encode()
+    if data.translate(None, _PLAIN_BOXES):
+        return None
+    counts = tokens_per_line(data)
+    lines = np.flatnonzero(counts)
+    return data.split(), lines + 1, counts[lines]
+
+
+def _box_records(text: str):
+    """(tokens, line numbers, field counts) of a box file's records, line by line."""
+    fields = [line.partition("#")[0].split() for line in text.split("\n")]
+    linenos = [n for n, f in enumerate(fields, start=1) if f]
+    fields = [f for f in fields if f]
+    return [v for f in fields for v in f], linenos, [len(f) for f in fields]
 
 
 def write_box_file(boxes: Sequence[ChartBox], path) -> None:
@@ -212,25 +260,24 @@ def parse_layout_file(path) -> AtlasLayout:
     header: dict[str, str] = {}
     rows: list[tuple[int, ...]] = []
     linenos: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if not parts[0].isdigit() and len(parts) == 2:
-                header[parts[0]] = parts[1]
-                continue
-            if len(parts) != 8:
-                raise InputError(f"{path}:{lineno}: expected 8 placement fields")
-            try:
-                row = tuple(int(p) for p in parts)
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: placement fields must be integers") from None
-            if not all(v in _INT64_RANGE for v in row):
-                raise InputError(f"{path}:{lineno}: placement field outside the int64 range")
-            rows.append(row)
-            linenos.append(lineno)
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if not parts[0].isdigit() and len(parts) == 2:
+            header[parts[0]] = parts[1]
+            continue
+        if len(parts) != 8:
+            raise InputError(f"{path}:{lineno}: expected 8 placement fields")
+        try:
+            row = tuple(int(p) for p in parts)
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: placement fields must be integers") from None
+        if not all(v in _INT64_RANGE for v in row):
+            raise InputError(f"{path}:{lineno}: placement field outside the int64 range")
+        rows.append(row)
+        linenos.append(lineno)
     for key in ("omega", "scale", "count"):
         if key not in header:
             raise InputError(f"{path}: missing header key '{key}'")
@@ -351,17 +398,16 @@ def parse_scene_config(path) -> SceneConfig:
     """
     path = Path(path)
     values: dict[str, list[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, *rest = line.split()
-            if not rest:
-                raise InputError(f"{path}:{lineno}: key '{key}' has no value")
-            if key in values:
-                raise InputError(f"{path}:{lineno}: duplicate key '{key}'")
-            values[key] = rest
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, *rest = line.split()
+        if not rest:
+            raise InputError(f"{path}:{lineno}: key '{key}' has no value")
+        if key in values:
+            raise InputError(f"{path}:{lineno}: duplicate key '{key}'")
+        values[key] = rest
 
     if "mesh" not in values:
         raise InputError(f"{path}: missing required key 'mesh'")
@@ -545,10 +591,11 @@ def _scene_stretch_report(frame: Frame, layout: AtlasLayout) -> StretchReport | 
 def write_charts_file(cs: ChartSet, path) -> None:
     t = np.flatnonzero(cs.chart_of_triangle >= 0)
     v = np.flatnonzero(cs.vertex_to_chart >= 0)
-    lines = ["# chart assignments v1", "# t <triangle> <chart>  /  v <vertex> <chart>"]
-    lines += map("t {} {}".format, t.tolist(), cs.chart_of_triangle[t].tolist())
-    lines += map("v {} {}".format, v.tolist(), cs.vertex_to_chart[v].tolist())
-    _write_atomic(path, "\n".join(lines) + "\n")
+    text = "# chart assignments v1\n# t <triangle> <chart>  /  v <vertex> <chart>\n"
+    for kind, ids, chart in (("t", t, cs.chart_of_triangle), ("v", v, cs.vertex_to_chart)):
+        pairs = np.column_stack([ids, chart[ids]]).ravel().tolist()
+        text += (f"{kind} %d %d\n" * len(ids)) % tuple(pairs)
+    _write_atomic(path, text)
 
 
 # --- SVG rendering ----------------------------------------------------------
@@ -817,8 +864,9 @@ def _box_stretch_report(layout: AtlasLayout, padding: int) -> StretchReport | No
 
 
 def _looks_like_scene(path) -> bool:
+    """Whether the first record of ``path`` is not a box; its parser reports a bad byte."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -849,7 +897,9 @@ def _parse_res(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError("resolution must look like 1920x1080") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="atlaspack",
         description="Pack per-frame chart boxes into fixed-size texture atlases.",

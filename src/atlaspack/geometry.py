@@ -219,22 +219,24 @@ def chart_bbox(triangles, cam: CameraFrame, starts) -> tuple[np.ndarray, np.ndar
     clip = clip_coords(triangles, cam)
     lo, hi = np.full((len(clip), 2), np.inf), np.full((len(clip), 2), -np.inf)
     d = clip[:, :, 3] - W_EPSILON
-    in_front = np.all(d > 0, axis=1)
+    # Chained over the three vertices: a reduction along a length-3 axis is slower.
+    front = d > 0
+    in_front = front[:, 0] & front[:, 1] & front[:, 2]
     side = np.stack([plane_distances(clip, plane) for plane in SIDE_PLANES])
-    crosses = np.any(side > 0, axis=2) & np.any(side < 0, axis=2)
+    pos, neg = side > 0, side < 0
+    crosses = (pos[..., 0] | pos[..., 1] | pos[..., 2]) & (neg[..., 0] | neg[..., 1] | neg[..., 2])
     fast = in_front & ~np.any(crosses, axis=0)
     # w > W_EPSILON > 0 on the fast path, so |w| = w in the clamped divide.
     xy, w = clip[fast, :, :2], clip[fast, :, 3:]
     np.maximum(xy, -w, out=xy)
     np.minimum(xy, w, out=xy)
     xy /= w
-    # Chained over the three vertices: a reduction along a length-3 axis is slower.
     a, b, c = xy.swapaxes(0, 1)
     lo[fast], hi[fast] = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
     # The area of the smallest clipped box so far of each other triangle. A
     # triangle crossing the near plane has that clip as its one box.
     best = np.full(len(clip), np.inf)
-    near = ~in_front & np.any(d > 0, axis=1)
+    near = ~in_front & (front[:, 0] | front[:, 1] | front[:, 2])
     for dist, clipped in zip([d, *side], [near, *(crosses & in_front)]):
         tris = np.flatnonzero(clipped)
         for rows, poly in clip_halfspace(clip[tris], dist[tris], dist[tris] > 0):

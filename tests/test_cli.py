@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atlaspack import PackFailure, box_table, layouts_equal, pack
+from atlaspack import PackFailure, box_table, charts, cli, layouts_equal, pack
 from atlaspack.cli import (
     EXIT_BAD_INPUT,
     EXIT_NOTHING_VISIBLE,
@@ -15,6 +15,7 @@ from atlaspack.cli import (
     InputError,
     NothingVisible,
     SceneConfig,
+    build_parser,
     generate_boxes,
     main,
     parse_box_file,
@@ -30,6 +31,7 @@ from atlaspack.charts import (
     VisibilityBuffer,
     connected_charts,
     depth_prepass,
+    load_obj,
     merge_shared_vertices,
 )
 from atlaspack.geometry import W_EPSILON, clip_coords
@@ -668,3 +670,111 @@ class TestSceneConfig:
         scene = write_scene(tmp_path, QUAD_OBJ, **{key: value})
         with pytest.raises(InputError, match=rf"scene\.cfg: {key}"):
             parse_scene_config(scene)
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 exits 1 naming the file and its line, never a traceback."""
+
+    def test_box_file(self, tmp_path, capsys):
+        path = tmp_path / "boxes.txt"
+        path.write_bytes(b"# chart_id min_tri w h\r\n1 1 4 4\r\n2 2 \xff 5\r\n")
+        for argv in (["pack-boxes", str(path), "--omega", "64"],
+                     ["compare", str(path), "--omega", "64", "--out", str(tmp_path / "c.csv")]):
+            assert main(argv) == EXIT_BAD_INPUT
+            err = capsys.readouterr().err
+            assert f"{path}:3: not UTF-8 text (byte 0xff)" in err
+            assert "Traceback" not in err
+
+    def test_scene_file(self, tmp_path, capsys):
+        scene = write_scene(tmp_path, QUAD_OBJ)
+        lines = scene.read_bytes().split(b"\n")
+        lines[3] += b" # \xff"
+        scene.write_bytes(b"\r".join(lines))  # a lone CR ends a line too
+        for argv in (["atlas-scene", str(scene)],
+                     ["compare", str(scene), "--omega", "256", "--out", str(tmp_path / "c.csv")]):
+            assert main(argv) == EXIT_BAD_INPUT
+            err = capsys.readouterr().err
+            assert f"{scene}:4: not UTF-8 text" in err
+            assert "Traceback" not in err
+
+    def test_layout_file(self, tmp_path):
+        path = tmp_path / "bad.layout.txt"
+        path.write_bytes(b"omega 64\nscale 1/1\ncount 1\n0 0 0 8 8 0 8 \xc3\n")
+        with pytest.raises(InputError, match=r"bad.layout.txt:4: not UTF-8 text \(byte 0xc3\)"):
+            parse_layout_file(path)
+
+    def test_obj_file_keeps_number_message(self, tmp_path, capsys):
+        scene = write_scene(tmp_path, QUAD_OBJ)
+        obj = tmp_path / "scene.obj"
+        obj.write_bytes(obj.read_bytes().replace(b"v  2  2 -2", b"v  2  2 -2\xff"))
+        assert main(["atlas-scene", str(scene)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "scene.obj:3: vertex coordinates must be numbers" in err
+        assert "Traceback" not in err
+
+
+# Corners and outward triangles of a cube.
+CUBE_CORNERS = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], float)
+CUBE_TRIS = np.array([[0, 1, 3], [0, 3, 2], [4, 6, 7], [4, 7, 5], [0, 4, 5], [0, 5, 1],
+                      [2, 3, 7], [2, 7, 6], [0, 2, 6], [0, 6, 4], [1, 5, 7], [1, 7, 3]])
+
+
+def grid_mesh(rng, n=40):
+    """A bumpy n x n height field around the origin, as (positions, triangles)."""
+    xs = np.linspace(-n / 2, n / 2, n + 1)
+    gx, gz = np.meshgrid(xs, xs)
+    positions = np.column_stack([gx.ravel(), rng.normal(0.0, 1.0, gx.size), gz.ravel()])
+    idx = np.arange((n + 1) * (n + 1)).reshape(n + 1, n + 1)
+    a, b = idx[:-1, :-1].ravel(), idx[:-1, 1:].ravel()
+    c, d = idx[1:, :-1].ravel(), idx[1:, 1:].ravel()
+    return positions, np.concatenate([np.column_stack([a, c, b]), np.column_stack([b, c, d])])
+
+
+def cubes_mesh(rng, count=60):
+    """Scattered, turned cubes of mixed sizes, as (positions, triangles)."""
+    positions = [CUBE_CORNERS * rng.uniform(0.25, 1.5) @ np.linalg.qr(rng.normal(size=(3, 3)))[0]
+                 + rng.uniform(-18, 18, size=3) for _ in range(count)]
+    return np.concatenate(positions), np.concatenate([CUBE_TRIS + 8 * i for i in range(count)])
+
+
+def line_loop_called(*args):
+    raise AssertionError("a plain file went to the line loop")
+
+
+class TestWholeFileParsing:
+    """Benchmark-shaped files take the whole-file path and match the line loops."""
+
+    @pytest.mark.parametrize("make_mesh", [grid_mesh, cubes_mesh], ids=["grid", "cubes"])
+    def test_obj_as_the_benchmark_writes_it(self, tmp_path, monkeypatch, rng, make_mesh):
+        positions, triangles = make_mesh(rng)
+        lines = [f"v {x:.6f} {y:.6f} {z:.6f}" for x, y, z in positions]
+        lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in triangles]
+        path = tmp_path / "mesh.obj"
+        path.write_text("\n".join(lines) + "\n")
+        line_loop = charts._obj_lines
+        with open(path) as fh:
+            expected = line_loop(path, fh)
+        monkeypatch.setattr(charts, "_obj_lines", line_loop_called)
+        mesh = load_obj(path)
+        assert mesh.positions.tobytes() == expected.positions.tobytes()
+        assert mesh.triangles.tobytes() == expected.triangles.tobytes()
+        assert np.array_equal(mesh.triangles, triangles)
+
+    def test_box_file_as_the_benchmark_writes_it(self, tmp_path, monkeypatch, rng):
+        path = tmp_path / "boxes.txt"
+        write_box_file(generate_boxes(3000, 2048, rng), path)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_plain_box_records", lambda text: None)
+            expected = parse_box_file(path)
+        monkeypatch.setattr(cli, "_box_records", line_loop_called)
+        table = parse_box_file(path)
+        assert table.dtype == expected.dtype
+        assert table.tobytes() == expected.tobytes()
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    parser = build_parser()
+    assert build_parser() is parser
+    assert parser.parse_args(["pack-boxes", "a.txt", "--omega", "64", "--svg"]).svg
+    args = parser.parse_args(["pack-boxes", "b.txt", "--omega", "64"])
+    assert (args.input, args.svg) == ("b.txt", False)

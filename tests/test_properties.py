@@ -1,4 +1,4 @@
-"""Property tests of the packer, the chart box, and the box and layout files.
+"""Property tests of the packer, the chart box, and the box, layout and OBJ files.
 
 Examples are derived from the test source (``derandomize``) and no example
 database is kept, so every run checks the same bounded set of inputs.
@@ -8,8 +8,10 @@ import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,9 +23,18 @@ from atlaspack import (
     layout_digest,
     layouts_equal,
     box_table,
+    charts,
+    cli,
     pack,
 )
-from atlaspack.cli import parse_box_file, parse_layout_file, write_box_file, write_layout_file
+from atlaspack.charts import Mesh, load_obj
+from atlaspack.cli import (
+    InputError,
+    parse_box_file,
+    parse_layout_file,
+    write_box_file,
+    write_layout_file,
+)
 from atlaspack.packing import MAX_BOX_DIM
 
 from oracles import (
@@ -149,3 +160,141 @@ def test_chart_bbox_contains_frustum_clip_box(triangles):
         return
     if oracle is not None:
         assert box_contains(box, oracle, tol=1e-9)
+
+
+# --- whole-file parsing against the line loops -------------------------------
+
+# Each replaces one token: a non-finite or non-Python number, an int64
+# overflow, or syntax that Python's float and int accept or reject.
+MUTANT_TOKENS = ["nan", "1e400", "1_0", "+5", "x", "0", "12345678901234567890"]
+# Each replaces a keyword with one that is not v or f.
+MUTANT_KEYWORDS = ["vf", "ff", "e", "0"]
+# One mutation of one random record each, or none. "past" and "before" set a
+# token to the index one past the vertices read before the record, "shift"
+# moves a record's last token onto the next record, "tab" puts a tab before
+# a token, and "ff" inserts a \xff byte anywhere.
+MUTATIONS = [
+    "none",
+    *(f"token:{t}" for t in MUTANT_TOKENS),
+    *(f"keyword:{k}" for k in MUTANT_KEYWORDS),
+    "past", "before", "drop", "add", "shift", "tab", "crlf", "comment", "ff",
+]
+obj_coords = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3, allow_nan=False).map("{:.6f}".format),
+    st.sampled_from(["-0.0", "0", "-0", "+1.5", ".5", "5.", "1E-3", "-2e+2"]),
+)
+
+
+@st.composite
+def obj_records(draw):
+    """Interleaved v and f lines, and blank ones, as token lists; indices in range."""
+    records, n = [], 0
+    for kind in draw(st.lists(st.sampled_from("vvff "), min_size=1, max_size=14)):
+        if kind == "v" or (kind == "f" and n == 0):
+            records.append(["v", *draw(st.lists(obj_coords, min_size=3, max_size=3))])
+            n += 1
+        elif kind == "f":
+            picks = draw(st.lists(st.tuples(st.integers(1, n), st.booleans()),
+                                  min_size=3, max_size=3))
+            records.append(["f", *(str(i if pos else i - n - 1) for i, pos in picks)])
+        else:
+            records.append([])
+    return records
+
+
+@st.composite
+def box_records(draw):
+    """Box records as token lists, with blank lines."""
+    boxes = draw(box_files())
+    records = [[str(b.chart_id), str(b.min_tri), str(b.target_w), str(b.target_h)]
+               for b in boxes]
+    for at in draw(st.lists(st.integers(0, len(records)), max_size=3)):
+        records.insert(at, [])
+    return records
+
+
+def file_bytes(draw, records, mutation: str) -> bytes:
+    """Join records into a file and apply ``mutation``, one of MUTATIONS."""
+    sep = draw(st.sampled_from([" ", "  "]))
+    records = [list(r) for r in records]
+    ends = ["\n"] * len(records)
+    if records and not draw(st.booleans()):
+        ends[-1] = ""  # no final newline
+    kind, _, value = mutation.partition(":")
+    full = [i for i, r in enumerate(records) if r]
+    if kind not in ("none", "ff") and full:
+        i = draw(st.sampled_from(full))
+        j = draw(st.integers(1, len(records[i]) - 1))
+        record = records[i]
+        seen = sum(r[:1] == ["v"] for r in records[:i])  # vertices read before line i
+        if kind == "token":
+            record[j] = value
+        elif kind == "keyword":
+            record[0] = value
+        elif kind == "past":
+            record[j] = str(seen + 1)
+        elif kind == "before":
+            record[j] = str(-seen - 1)
+        elif kind == "drop":
+            del record[j]
+        elif kind == "add":
+            record.insert(j, "1")
+        elif kind == "shift" and i != full[-1]:
+            records[full[full.index(i) + 1]].insert(0, record.pop())
+        elif kind == "tab":
+            record[j - 1 : j + 1] = [record[j - 1] + "\t" + record[j]]
+        elif kind == "crlf":
+            ends[i] = "\r\n"
+        elif kind == "comment":
+            record.append(draw(st.sampled_from(["# note", "#", "#1 2 3"])))
+    data = "".join(sep.join(r) + end for r, end in zip(records, ends)).encode()
+    if kind == "ff":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def outcome(fn, *args):
+    """An array result as (dtype, shape, bytes), or a raised error's message."""
+    try:
+        result = fn(*args)
+    except (ValueError, InputError) as exc:
+        return type(exc), str(exc)
+    arrays = (result.positions, result.triangles) if isinstance(result, Mesh) else (result,)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def obj_line_loop(path):
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        return charts._obj_lines(path, fh)
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@settings(PROPERTY, max_examples=30)
+@given(records=obj_records(), data=st.data())
+def test_obj_whole_file_matches_line_loop(mutation, records, data):
+    raw = file_bytes(data.draw, records, mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mesh.obj"
+        path.write_bytes(raw)
+        whole, loop = outcome(load_obj, path), outcome(obj_line_loop, path)
+    assert whole == loop
+    if mutation == "none":
+        assert charts._plain_obj(raw) is not None
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@settings(PROPERTY, max_examples=20)
+@given(records=box_records(), data=st.data())
+def test_box_file_whole_file_matches_line_split(mutation, records, data):
+    raw = file_bytes(data.draw, records, mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "boxes.txt"
+        path.write_bytes(raw)
+        whole = outcome(parse_box_file, path)
+        with mock.patch.object(cli, "_plain_box_records", return_value=None):
+            lines = outcome(parse_box_file, path)
+        if mutation == "none":
+            assert cli._plain_box_records(path.read_text()) is not None
+    assert whole == lines
