@@ -1,4 +1,9 @@
-"""Per-frame visibility and chartification.
+"""Input reading, per-frame visibility and chartification.
+
+Every input file is split by one whole-file reader, ``records``: it cuts
+'#' comments, splits lines into tokens as str.split() would, and takes each
+non-blank line's number and token count from one pass over the bytes, so a
+parser checks its rules on whole columns and names the first bad line.
 
 A software depth prepass and a matching visibility pass mark triangles that
 cover at least one depth-passing pixel-center sample. Visible triangles are
@@ -19,10 +24,11 @@ So the top-left test passes on a prefix of the row when ey > 0, on a
 suffix when ey < 0, and on all or none of it when ey == 0, and a convex
 polygon covers one span [lo, hi] of each row of its pixel box, the
 intersection of these. Each bound comes from the edge's estimated crossing,
-confirmed by the exact test on both sides of it, or from a bisection with
-the exact test where the estimate is not finite or misses. The depth pass
-keeps the minimum depth per pixel; the visibility pass reruns the sampler
-and flags each triangle with a sample at or in front of the stored depth.
+confirmed by the exact test on both sides of it, from one exact test for
+an exactly horizontal edge, or from a bisection with the exact test where
+the estimate is not finite or misses. The depth pass keeps the minimum
+depth per pixel; the visibility pass reruns the sampler and flags each
+triangle with a sample at most DEPTH_EPSILON behind the stored depth.
 Identical arithmetic in both passes keeps the visibility predicate
 self-consistent, and every sample is computed with the same operations as
 a one-triangle-at-a-time rasterizer, so results do not depend on batching.
@@ -30,8 +36,7 @@ a one-triangle-at-a-time rasterizer, so results do not depend on batching.
 
 from __future__ import annotations
 
-import io
-import math
+import re
 from dataclasses import dataclass
 from itertools import compress
 
@@ -46,9 +51,10 @@ from .geometry import (
     plane_distances,
 )
 
-# Depth comparison slack, relative to the unit NDC depth range. The two
-# passes share all arithmetic, so any value >= 0 gives identical results;
-# kept small and explicit.
+# Depth comparison slack, relative to the unit NDC depth range: the
+# visibility pass also flags a sample up to DEPTH_EPSILON * max(1, |stored|)
+# behind its pixel's stored depth, such as one of a triangle just behind a
+# coplanar one. With 0, two of the 16 benchmark cube views flag one fewer.
 DEPTH_EPSILON = 1e-6
 
 
@@ -95,127 +101,152 @@ def build_adjacency(triangles: np.ndarray) -> np.ndarray:
     return adjacency.reshape(-1, 3)
 
 
-# The bytes of a plain OBJ file: numbers, the keywords v and f, spaces and
-# newlines.
-_PLAIN_OBJ = b"0123456789+-.eEvf \n"
-
-
 def load_obj(path) -> Mesh:
     """Load positions and faces from a Wavefront OBJ file.
 
-    Polygons are fan-triangulated; normals, texture coordinates, and
-    materials are ignored. Negative (relative) indices are supported. A
-    non-numeric or non-finite coordinate, a non-numeric face index, and a
-    face index of 0 or past the vertices read so far raise ValueError
-    naming the file and line.
-
-    A plain file, which holds only the bytes of ``_PLAIN_OBJ`` and whose
-    every non-blank line is a ``v`` or ``f`` and three tokens, is converted
-    whole: all coordinates as one column and all face indices as another,
-    each rule checked on a whole column. Any other file (comments, ``/``
-    tokens, quads, CR line ends, other keywords or bytes), or a plain one
-    that breaks a rule, goes to the line loop, which alone raises the
-    messages above.
+    Polygons are fan-triangulated; normals, texture coordinates, materials
+    and other keywords are ignored. Negative (relative) indices are
+    supported. A non-numeric or non-finite coordinate, a non-numeric face
+    index, and a face index of 0 or past the vertices read so far raise
+    ValueError naming the file and line. Bytes that are not UTF-8 read as
+    U+FFFD. Tokens 1-3 of the ``v`` records, and the tokens after ``f`` cut
+    at their first '/', are converted as two whole columns.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    mesh = _plain_obj(data)
-    if mesh is None:
-        text = io.StringIO(data.decode("utf-8", errors="replace"), newline=None)
-        mesh = _obj_lines(path, text)
-    return mesh
+    tokens, linenos, counts, heads = _records(data)
+    first = np.cumsum(counts) - counts  # each record's first token
+    is_v, is_f = heads == ord("v"), heads == ord("f")
+    vertex = np.flatnonzero(is_v & (counts >= 4))
+    in_v = np.zeros(len(tokens), dtype=bool)
+    in_v[(first[vertex, None] + np.arange(1, 4)).ravel()] = True
+    in_f = np.repeat(is_f, counts)
+    in_f[first] = False
+    coords, face_tokens = _pick(tokens, in_v), _pick(tokens, in_f)
+    positions = _column(float, coords, np.float64)
+    owner = np.repeat(vertex, 3)  # the record of each coordinate
+    cut = face_tokens
+    if face_tokens and b"/" in data:
+        slash = "/" if isinstance(tokens[0], str) else b"/"
+        cut = [t.split(slash, 1)[0] for t in face_tokens]
+    index = _column(int, cut, np.int64)
+    sides = counts[is_f] - 1
+    seen = np.repeat(np.cumsum(is_v)[is_f], sides)[: len(index)]  # vertices before each
+    wild = np.flatnonzero((index == 0) | (index < -seen) | (index > seen))
+    short = np.flatnonzero(is_v & (counts < 4))
+    few = np.flatnonzero(is_f & (counts < 4))
+    # (record, rank, message): the earliest record wins. Within a record,
+    # a vertex fails on its count, then its numbers, then their
+    # finiteness; a face on its leftmost bad index, then on its count.
+    problems = []
+    if short.size:
+        problems.append((short[0], 0, "vertex needs 3 coordinates"))
+    if len(positions) < len(coords):
+        problems.append((owner[len(positions)], 1, "vertex coordinates must be numbers"))
+    for k in np.flatnonzero(~np.isfinite(positions))[:1]:
+        problems.append((owner[k], 2, "vertex coordinates must be finite"))
+    if wild.size or len(index) < len(cut):  # the leftmost index out of range or not an int
+        k = wild[0] if wild.size else len(index)
+        if k < len(index):
+            message = f"face index {index[k]} out of range for {seen[k]} vertices"
+        else:
+            message = f"bad face index '{_text(face_tokens[k])}'"
+        problems.append((np.repeat(np.flatnonzero(is_f), sides)[k], _ranks(sides)[k], message))
+    if few.size:
+        problems.append((few[0], counts[few[0]], "face needs >= 3 vertices"))
+    if problems:
+        r, _, message = min(problems)
+        raise ValueError(f"{path}:{linenos[r]}: {message}")
+    resolved = np.where(index > 0, index - 1, seen + index)
+    if np.all(sides == 3):
+        return Mesh(positions=positions, triangles=resolved)
+    # Fan triangles (0, j, j + 1) of each polygon.
+    base = np.repeat(np.cumsum(sides) - sides, sides - 2)
+    second = base + 1 + _ranks(sides - 2)
+    return Mesh(positions=positions, triangles=resolved[np.stack([base, second, second + 1], 1)])
 
 
-def tokens_per_line(data: bytes) -> np.ndarray:
-    """Whitespace-separated tokens on each line of ``data``, up to its last token.
+# --- the reader --------------------------------------------------------------
 
-    ``data`` must hold no whitespace bytes other than space and newline.
+# ASCII whitespace within a line, as spaces: bytes.split() would keep the
+# last four, which str.split() splits on.
+_SPACES = bytes.maketrans(b"\t\v\f\x1c\x1d\x1e\x1f", b" " * 7)
+
+
+def records(data: bytes):
+    """(tokens, line numbers, token counts) of the non-blank lines of ``data``.
+
+    CRLF, CR and LF end lines, '#' starts a comment that runs to the end of
+    its line, and each line splits into tokens as str.split() splits it.
+    The tokens are bytes if the file is ASCII once its comments are cut,
+    else str, read as UTF-8 with U+FFFD for bytes that are not, so int and
+    float accept what they accept in text.
     """
-    b = np.frombuffer(data, dtype=np.uint8)
+    return _records(data)[:3]
+
+
+def _records(data: bytes):
+    """``records``, and the byte of each record's first token if one byte long, else 0."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if b"#" in data:
+        data = re.sub(rb"#[^\n]*", b"", data)
+    if data.isascii():
+        data = data.translate(_SPACES)
+        tokens = data.split()
+    else:
+        text = re.sub(r"[^\S\n]", " ", data.decode("utf-8", errors="replace"))
+        data = text.encode()
+        tokens = text.split()
+    # Only token bytes, spaces and newlines are left; one more newline ends
+    # every token before the last byte.
+    b = np.frombuffer(data + b"\n", dtype=np.uint8)
     newline = b == ord("\n")
-    gap = newline | (b == ord(" "))
-    start = ~gap
-    start[1:] &= gap[:-1]
-    # Token k is event i in file order, after k tokens and so i - k newlines.
-    at = np.flatnonzero(~newline[np.flatnonzero(start | newline)])
-    return np.bincount(at - np.arange(len(at)))
+    gap = (b == ord(" ")) | newline
+    starts = ~gap
+    starts[1:] &= gap[:-1]
+    starts |= newline
+    events = np.flatnonzero(starts)  # token starts and newlines, in file order
+    token = ~newline[events]
+    lead = token.copy()  # a record's first token: event 0 or after a newline
+    lead[1:] &= ~token[:-1]
+    at = np.flatnonzero(token)
+    first = np.flatnonzero(lead[at])
+    # Token k is event at[k], after k tokens and so at[k] - k newlines.
+    linenos = at[first] - first + 1
+    head = events[at[first]]
+    return tokens, linenos, np.diff(first, append=len(at)), np.where(gap[head + 1], b[head], 0)
 
 
-def _plain_obj(data: bytes) -> Mesh | None:
-    """The mesh of a plain OBJ file, or None if ``data`` is not plain or breaks a rule."""
-    if data.translate(None, _PLAIN_OBJ):
-        return None
-    tokens = data.split()
-    kinds = b"".join(tokens[::4])  # each line's first token when every line has 4
-    n = len(tokens) // 4
-    if (
-        not np.isin(tokens_per_line(data), (0, 4)).all()
-        or len(kinds) != n
-        or kinds.translate(None, b"vf")
-    ):
-        return None
-    is_f = np.frombuffer(kinds, dtype=np.uint8) == ord("f")
-    n_faces = int(is_f.sum())
-    del tokens[::4]
+def _text(token) -> str:
+    """A token of ``records`` as str."""
+    return token.decode() if isinstance(token, bytes) else token
+
+
+def _pick(tokens: list, mask: np.ndarray) -> list:
+    """The tokens where ``mask`` holds; its bytes give compress cached ints, faster than bools."""
+    return list(compress(tokens, mask.tobytes()))
+
+
+def _column(convert, tokens: list, dtype) -> np.ndarray:
+    """``convert`` of each token as an array, up to the first token it rejects.
+
+    The array is shorter than ``tokens`` when a token raises ValueError.
+    Integers outside ``dtype`` keep their values in an object array.
+    """
     try:
-        positions = np.fromiter(
-            map(float, compress(tokens, np.repeat(~is_f, 3).tolist())),
-            dtype=np.float64, count=3 * (n - n_faces),
-        )
-        faces = np.fromiter(
-            map(int, compress(tokens, np.repeat(is_f, 3).tolist())),
-            dtype=np.int64, count=3 * n_faces,
-        ).reshape(-1, 3)
-    except (ValueError, OverflowError):  # a bad token, or an index outside int64
-        return None
-    seen = np.cumsum(~is_f)[is_f][:, None]  # vertices read before each face
-    if not np.isfinite(positions).all() or np.any((faces == 0) | (faces < -seen) | (faces > seen)):
-        return None
-    return Mesh(positions=positions, triangles=np.where(faces > 0, faces - 1, seen + faces))
-
-
-def _obj_lines(path, lines) -> Mesh:
-    """The mesh of an OBJ file given as text lines; raises ValueError on the first bad line."""
-    positions: list[list[float]] = []
-    faces: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "v":
-            if len(parts) < 4:
-                raise ValueError(f"{path}:{lineno}: vertex needs 3 coordinates")
+        return np.fromiter(map(convert, tokens), dtype, len(tokens))
+    except (ValueError, OverflowError):
+        values = []
+        for token in tokens:
             try:
-                x, y, z = float(parts[1]), float(parts[2]), float(parts[3])
+                values.append(convert(token))
             except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: vertex coordinates must be numbers"
-                ) from None
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-                raise ValueError(f"{path}:{lineno}: vertex coordinates must be finite")
-            positions.append([x, y, z])
-        elif parts[0] == "f":
-            n = len(positions)
-            idx = []
-            for token in parts[1:]:
-                try:
-                    i = int(token.split("/", 1)[0])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad face index '{token}'") from None
-                if i == 0 or not -n <= i <= n:
-                    raise ValueError(
-                        f"{path}:{lineno}: face index {i} out of range for {n} vertices"
-                    )
-                idx.append(i - 1 if i > 0 else n + i)
-            if len(idx) < 3:
-                raise ValueError(f"{path}:{lineno}: face needs >= 3 vertices")
-            for k in range(1, len(idx) - 1):
-                faces.append((idx[0], idx[k], idx[k + 1]))
-    return Mesh(
-        positions=np.array(positions, dtype=np.float64).reshape(-1, 3),
-        triangles=np.array(faces, dtype=np.int64).reshape(-1, 3),
-    )
+                break
+        try:
+            return np.array(values, dtype=dtype)
+        except OverflowError:
+            return np.array(values, dtype=object)
 
 
 @dataclass
@@ -400,8 +431,10 @@ def _row_spans(screen, edges, g, iy, lo, hi):
 
     Each edge's test passes on a prefix of the row where ey >= 0 and on a
     suffix where ey < 0 (see the module docstring). Its boundary is the
-    estimated crossing, confirmed by the exact test on both sides of it;
-    where the estimate is not finite or misses, _search_boundary finds it.
+    estimated crossing, confirmed by the exact test on both sides of it.
+    Where ey == 0 the test is the same all along the row, so it passes on
+    all of it or none. Where the estimate is not finite or misses otherwise,
+    _search_boundary finds the boundary.
     A row whose span is empty gets lo > hi.
     """
     ex, ey, top_left = edges
@@ -418,8 +451,13 @@ def _row_spans(screen, edges, g, iy, lo, hi):
         finite = np.isfinite(est)
         b = np.where(finite, np.clip(est, lo - 1, hi), lo - 1).astype(np.int64)
         ok = finite & ((b < lo) | (_edge_passes(row_term, e_y, sx, tl, b) != suffix))
-        ok &= (b >= hi) | (_edge_passes(row_term, e_y, sx, tl, b + 1) == suffix)
-        miss = np.flatnonzero(~ok)
+        passes_next = _edge_passes(row_term, e_y, sx, tl, b + 1)
+        ok &= (b >= hi) | (passes_next == suffix)
+        # An exactly horizontal edge has the value row_term along its whole
+        # row, and b = lo - 1 there: one exact test at lo settles the row.
+        level = e_y == 0
+        b = np.where(level & passes_next, hi, b)
+        miss = np.flatnonzero(~(ok | level))
         if len(miss):
             b[miss] = _search_boundary(
                 row_term[miss], e_y[miss], sx[miss], tl[miss], suffix[miss],

@@ -6,8 +6,10 @@ Subcommands:
   compare      run several packers over a scene or box list
   gen-boxes    emit a seeded heavy-tailed synthetic box list
 
-File formats are line-oriented text with '#' comments; layouts round-trip
-losslessly and all outputs are written atomically (temp file + rename).
+File formats are line-oriented text with '#' comments, and every input
+file (box lists, layouts, scene files and OBJ meshes) is split by one
+reader, ``charts.records``. Layouts round-trip losslessly and all outputs
+are written atomically (temp file + rename).
 Exit codes: 0 success, 1 malformed input, 2 packing failure, 3 nothing
 visible in the scene.
 """
@@ -20,7 +22,6 @@ import csv
 import functools
 import math
 import os
-import re
 import sys
 import tempfile
 import time
@@ -41,12 +42,15 @@ from .baselines import (
 from .charts import (
     ChartSet,
     Mesh,
+    _column,
+    _pick,
+    _text,
     connected_charts,
     depth_prepass,
     load_obj,
     mark_visible,
     merge_shared_vertices,
-    tokens_per_line,
+    records,
 )
 from .geometry import CameraFrame, W_EPSILON, chart_bbox, clip_coords
 from .metrics import (
@@ -97,8 +101,8 @@ class NothingVisible(Exception):
 # --- box list files ---------------------------------------------------------
 
 
-def _read_text(path) -> str:
-    """The UTF-8 text of ``path``, with CRLF and CR line ends read as LF, as open() reads it.
+def _read_text(path) -> bytes:
+    """The bytes of ``path``, checked to be UTF-8 text, with CRLF and CR line ends read as LF.
 
     Raises InputError naming the line of the first byte that is not UTF-8.
     """
@@ -106,64 +110,42 @@ def _read_text(path) -> str:
         # No byte of a multi-byte UTF-8 character is CR or LF.
         data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        return data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise InputError(
             f"{path}:{line}: not UTF-8 text (byte {data[exc.start]:#04x})"
         ) from None
-
-
-# The bytes of a plain box file once its comments are cut: digits, spaces
-# and newlines.
-_PLAIN_BOXES = b"0123456789 \n"
+    return data
 
 
 def parse_box_file(path) -> np.ndarray:
     """Read a box file into an (n, 4) int64 box table, ``chart_id min_tri w h``.
 
     One record per line, in file order; '#' starts a comment. Ids must be
-    distinct and in [0, 2^63), sides in [1, MAX_BOX_DIM]. The records are
-    parsed as whole columns and each rule is checked on a whole column.
-    Raises InputError naming the file and line of the first bad record in
-    file order, with the first rule that record breaks, or the line of the
-    first byte that is not UTF-8.
-
-    A plain file, which holds only digits, spaces and newlines once its
-    comments are cut, is split as a whole: its field counts come from one
-    pass over its bytes. Any other file is split line by line.
+    distinct and in [0, 2^63), sides in [1, MAX_BOX_DIM]. The file is split
+    by ``records``, its fields are converted as one column, and each rule is
+    checked on a whole column. Raises InputError naming the file and line
+    of the first bad record in file order, with the first rule that record
+    breaks, or the line of the first byte that is not UTF-8.
     """
-    text = _read_text(path)
-    records = _plain_box_records(text)
-    tokens, linenos, counts = _box_records(text) if records is None else records
+    tokens, linenos, counts = records(_read_text(path))
     # (record index, rule rank, message): the earliest record wins, then the
     # rule listed first. Records from the first one that cannot be parsed
     # on are not checked further.
     problems = []
-    short = np.flatnonzero(np.asarray(counts) != 4)
+    short = np.flatnonzero(counts != 4)
     limit = int(short[0]) if short.size else len(counts)
     if limit < len(counts):
         problems.append((limit, 0, f"expected 4 fields, got {counts[limit]}"))
-    tokens = tokens[: 4 * limit]
-    try:
-        values = list(map(int, tokens))
-    except ValueError:
-        values = []
-        for v in tokens:
-            try:
-                values.append(int(v))
-            except ValueError:
-                break
+    values = _column(int, tokens[: 4 * limit], np.int64)
+    if len(values) < 4 * limit:
         limit = len(values) // 4
-        del values[4 * limit :]
         problems.append((limit, 1, "fields must be unsigned integers"))
-    try:
-        table = np.array(values, dtype=np.int64).reshape(-1, 4)
-        too_big = np.zeros(len(table), dtype=bool)
-    except OverflowError:  # checked as Python ints, then rejected below
-        table = np.array(values, dtype=object).reshape(-1, 4)
-        # Compared as Python ints: NumPy 1.x compares int64 with 2^63 in float64.
-        too_big = np.array([max(ids) >= 1 << 63 for ids in table[:, :2].tolist()], dtype=bool)
+    table = values[: 4 * limit].reshape(-1, 4)
+    too_big = np.zeros(len(table), dtype=bool)
+    if table.dtype == object:  # a value outside int64: Python ints, compared exactly
+        too_big = (table[:, :2] >= 1 << 63).any(axis=1)
     cid, tri, w, h = table.T
     rules = (
         ((cid < 0) | (tri < 0), lambda i: "ids must be non-negative"),
@@ -184,24 +166,6 @@ def parse_box_file(path) -> np.ndarray:
         i, _, message = min(problems)
         raise InputError(f"{path}:{linenos[i]}: {message}")
     return table
-
-
-def _plain_box_records(text: str):
-    """(tokens, line numbers, field counts) of a plain box file's records, or None."""
-    data = re.sub("#[^\n]*", "", text).encode()
-    if data.translate(None, _PLAIN_BOXES):
-        return None
-    counts = tokens_per_line(data)
-    lines = np.flatnonzero(counts)
-    return data.split(), lines + 1, counts[lines]
-
-
-def _box_records(text: str):
-    """(tokens, line numbers, field counts) of a box file's records, line by line."""
-    fields = [line.partition("#")[0].split() for line in text.split("\n")]
-    linenos = [n for n, f in enumerate(fields, start=1) if f]
-    fields = [f for f in fields if f]
-    return [v for f in fields for v in f], linenos, [len(f) for f in fields]
 
 
 def write_box_file(boxes: Sequence[ChartBox], path) -> None:
@@ -255,29 +219,33 @@ def write_layout_file(layout: AtlasLayout, path) -> LayoutDigest:
 def parse_layout_file(path) -> AtlasLayout:
     """Read a layout file, checking omega, containment, count and digest.
 
+    A record of two tokens whose first is not a number is a header line.
     Raises InputError naming the file (and line, for a placement).
     """
-    header: dict[str, str] = {}
-    rows: list[tuple[int, ...]] = []
-    linenos: list[int] = []
-    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if not parts[0].isdigit() and len(parts) == 2:
-            header[parts[0]] = parts[1]
-            continue
-        if len(parts) != 8:
-            raise InputError(f"{path}:{lineno}: expected 8 placement fields")
-        try:
-            row = tuple(int(p) for p in parts)
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: placement fields must be integers") from None
-        if not all(v in _INT64_RANGE for v in row):
-            raise InputError(f"{path}:{lineno}: placement field outside the int64 range")
-        rows.append(row)
-        linenos.append(lineno)
+    tokens, linenos, counts = records(_read_text(path))
+    first = np.cumsum(counts) - counts
+    is_header = np.array([not tokens[i].isdigit() for i in first.tolist()], dtype=bool)
+    is_header &= counts == 2
+    header = {_text(tokens[i]): _text(tokens[i + 1]) for i in first[is_header].tolist()}
+    placements = np.flatnonzero(~is_header)
+    # (placement, rule rank, message): the first bad placement in file
+    # order, with the first rule it breaks.
+    problems = []
+    wrong = np.flatnonzero(counts[placements] != 8)
+    if wrong.size:
+        problems.append((wrong[0], 0, "expected 8 placement fields"))
+    read = np.zeros(len(counts), dtype=bool)
+    read[placements[: wrong[0] if wrong.size else len(placements)]] = True
+    values = _column(int, _pick(tokens, np.repeat(read, counts)), np.int64)
+    if len(values) < 8 * read.sum():
+        problems.append((len(values) // 8, 1, "placement fields must be integers"))
+    table = values[: len(values) // 8 * 8].reshape(-1, 8)
+    if table.dtype == object:  # a value outside int64, kept as a Python int
+        wide = np.flatnonzero(((table < -(1 << 63)) | (table >= 1 << 63)).any(axis=1))
+        problems += [(i, 2, "placement field outside the int64 range") for i in wide[:1]]
+    if problems:
+        i, _, message = min(problems)
+        raise InputError(f"{path}:{linenos[placements[i]]}: {message}")
     for key in ("omega", "scale", "count"):
         if key not in header:
             raise InputError(f"{path}: missing header key '{key}'")
@@ -290,7 +258,6 @@ def parse_layout_file(path) -> AtlasLayout:
         count = int(header["count"])
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{path}: bad header value: {exc}") from None
-    table = np.array(rows, dtype=np.int64).reshape(-1, 8)
     table[:, 5] = table[:, 5] != 0
     x, y, w, h = table[:, 1:5].T
     # omega - w cannot wrap where w >= 1, and a row with w < 1 is bad anyway.
@@ -299,7 +266,7 @@ def parse_layout_file(path) -> AtlasLayout:
     if bad.size:
         i = bad[0]
         raise InputError(
-            f"{path}:{linenos[i]}: placement {w[i]}x{h[i]} at ({x[i]}, {y[i]}) is not "
+            f"{path}:{linenos[placements[i]]}: placement {w[i]}x{h[i]} at ({x[i]}, {y[i]}) is not "
             f"inside [0, {omega}]^2"
         )
     if len(table) != count:
@@ -397,31 +364,30 @@ def parse_scene_config(path) -> SceneConfig:
     Values are range-checked with scene_config_problem.
     """
     path = Path(path)
-    values: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, *rest = line.split()
+    tokens, linenos, counts = records(_read_text(path))
+    values: dict[str, tuple[int, list[str]]] = {}
+    for lineno, end, n in zip(linenos.tolist(), np.cumsum(counts).tolist(), counts.tolist()):
+        key, *rest = map(_text, tokens[end - n : end])
         if not rest:
             raise InputError(f"{path}:{lineno}: key '{key}' has no value")
         if key in values:
             raise InputError(f"{path}:{lineno}: duplicate key '{key}'")
-        values[key] = rest
+        values[key] = lineno, rest
 
     if "mesh" not in values:
         raise InputError(f"{path}: missing required key 'mesh'")
-    cfg = SceneConfig(mesh_path=(path.parent / values.pop("mesh")[0]).resolve())
-    for key, (name, n, conv) in _SCENE_KEYS.items():
+    cfg = SceneConfig(mesh_path=Path())
+    mesh = ("mesh_path", 1, lambda v: (path.parent / v).resolve())
+    for key, (name, n, conv) in {"mesh": mesh, **_SCENE_KEYS}.items():
         if key not in values:
             continue
-        rest = values.pop(key)
+        lineno, rest = values.pop(key)
         if len(rest) != n:
-            raise InputError(f"{path}: key '{key}' expects {n} values")
+            raise InputError(f"{path}:{lineno}: key '{key}' expects {n} values")
         try:
             out = tuple(conv(v) for v in rest)
         except ValueError as exc:
-            raise InputError(f"{path}: {exc}") from None
+            raise InputError(f"{path}:{lineno}: {exc}") from None
         setattr(cfg, name, out[0] if n == 1 else out)
     if values:
         raise InputError(f"{path}: unknown keys: {', '.join(sorted(values))}")
@@ -866,16 +832,11 @@ def _box_stretch_report(layout: AtlasLayout, padding: int) -> StretchReport | No
 def _looks_like_scene(path) -> bool:
     """Whether the first record of ``path`` is not a box; its parser reports a bad byte."""
     try:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                return not (len(parts) == 4 and all(p.isdigit() for p in parts))
+        with open(path, "rb") as fh:
+            tokens, _, counts = records(fh.read())
     except OSError:
-        pass
-    return False
+        return False
+    return len(counts) > 0 and not (counts[0] == 4 and all(t.isdigit() for t in tokens[:4]))
 
 
 def _cmd_gen_boxes(args) -> int:

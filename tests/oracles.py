@@ -16,7 +16,10 @@ reference walks boxes one at a time along the folded line, the exhaustive
 packer backtracks over every placement of a tiny instance, the object
 packer orients, orders and places one ChartBox object at a time as the
 package did before its box and layout tables, and layout validity is
-checked by occupancy grids or pairwise interval arithmetic. The box tests
+checked by occupancy grids or pairwise interval arithmetic. The OBJ loader
+and the box file split are the package's earlier line-by-line readers,
+which the whole-file reader must match token for token and message for
+message. The box tests
 read chart boxes as ``NdcBox`` records, through a one-chart adapter over
 the package's frame-wide ``chart_bbox``. Only tests call this code, so it
 lives here rather than in the package.
@@ -25,6 +28,7 @@ lives here rather than in the package.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import struct
 from collections import deque
@@ -915,3 +919,60 @@ def delaunay_mesh(rng: np.random.Generator, n_points: int, z: float = -5.0) -> M
     tri = Delaunay(pts)
     positions = np.column_stack([pts, np.full(len(pts), z)])
     return Mesh(positions=positions, triangles=np.asarray(tri.simplices, dtype=np.int64))
+
+
+def obj_line_loop(path) -> Mesh:
+    """The mesh of an OBJ file read one line at a time; ValueError on the first bad line."""
+    with open(path, "rb") as fh:
+        lines = io.StringIO(fh.read().decode("utf-8", errors="replace"), newline=None)
+    positions: list[list[float]] = []
+    faces: list[tuple[int, int, int]] = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "v":
+            if len(parts) < 4:
+                raise ValueError(f"{path}:{lineno}: vertex needs 3 coordinates")
+            try:
+                x, y, z = float(parts[1]), float(parts[2]), float(parts[3])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: vertex coordinates must be numbers"
+                ) from None
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise ValueError(f"{path}:{lineno}: vertex coordinates must be finite")
+            positions.append([x, y, z])
+        elif parts[0] == "f":
+            n = len(positions)
+            idx = []
+            for token in parts[1:]:
+                try:
+                    i = int(token.split("/", 1)[0])
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: bad face index '{token}'") from None
+                if i == 0 or not -n <= i <= n:
+                    raise ValueError(
+                        f"{path}:{lineno}: face index {i} out of range for {n} vertices"
+                    )
+                idx.append(i - 1 if i > 0 else n + i)
+            if len(idx) < 3:
+                raise ValueError(f"{path}:{lineno}: face needs >= 3 vertices")
+            for k in range(1, len(idx) - 1):
+                faces.append((idx[0], idx[k], idx[k + 1]))
+    return Mesh(
+        positions=np.array(positions, dtype=np.float64).reshape(-1, 3),
+        triangles=np.array(faces, dtype=np.int64).reshape(-1, 3),
+    )
+
+
+def box_line_split(text: str) -> tuple[list[str], list[int], list[int]]:
+    """(tokens, line numbers, field counts) of a box file's records, split line by line.
+
+    ``text`` has its CRLF and CR line ends read as LF.
+    """
+    fields = [line.partition("#")[0].split() for line in text.split("\n")]
+    linenos = [n for n, f in enumerate(fields, start=1) if f]
+    fields = [f for f in fields if f]
+    return [v for f in fields for v in f], linenos, [len(f) for f in fields]

@@ -179,6 +179,24 @@ class TestMarkVisible:
         vis = mark_visible(merged, cam90, depth)
         assert vis.flags.tolist() == [True, True, False]
 
+    @pytest.mark.parametrize("gap, visible", [(1e-6, True), (1e-3, False)])
+    def test_depth_slack_flags_a_triangle_just_behind(self, cam90, gap, visible):
+        # A triangle parallel to the screen quad and gap behind it has a
+        # larger depth at every sample it covers. Within DEPTH_EPSILON of
+        # the stored depth (about 2e-7 in NDC for gap 1e-6) it is flagged.
+        front = screen_quad(z=-1.0)
+        coords = [(-0.5, -0.5), (0.5, -0.5), (0.0, 0.5)]
+        behind = flat_mesh([(0, 1, 2)], z=-1.0 - gap, coords=coords)
+        merged = Mesh(
+            positions=np.vstack([front.positions, behind.positions]),
+            triangles=np.vstack([front.triangles, behind.triangles + 4]),
+        )
+        depth = depth_prepass(merged, cam90, (32, 32))
+        alone = depth_prepass(behind, cam90, (32, 32))
+        covered = np.isfinite(alone)
+        assert covered.any() and np.all(alone[covered] > depth[covered])
+        assert mark_visible(merged, cam90, depth).flags.tolist() == [True, True, visible]
+
     def test_subpixel_triangle_not_visible(self, cam90):
         # at 8x8 the pixel centers sit at NDC -1 + (i + 0.5) / 4; this
         # triangle fits between two of them
@@ -305,8 +323,9 @@ class TestBatchedSampler:
         assert samples > 1_000_000
 
     def test_fallback_search_is_exact(self, monkeypatch, exact_cam):
-        # Where an edge's estimated crossing is not finite or misses, the
-        # boundary comes from _search_boundary; count its rows by kind.
+        # Where an edge's estimated crossing misses, the boundary comes
+        # from _search_boundary; count its rows by kind. Rows of exactly
+        # horizontal edges are settled by one exact test instead.
         searched = {"horizontal": 0, "missed": 0}
         search = charts._search_boundary
 
@@ -341,7 +360,7 @@ class TestBatchedSampler:
             flags = mark_visible(mesh, exact_cam, depth_buffer, backface_cull=cull).flags
             assert np.array_equal(depth_buffer, ref_depth), cull
             assert np.array_equal(flags, ref_flags), cull
-        assert searched["horizontal"] and searched["missed"], searched
+        assert searched["missed"] and not searched["horizontal"], searched
 
     @pytest.mark.parametrize(
         "mesh, res",

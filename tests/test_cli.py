@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atlaspack import PackFailure, box_table, charts, cli, layouts_equal, pack
+from atlaspack import PackFailure, box_table, layouts_equal, pack
 from atlaspack.cli import (
     EXIT_BAD_INPUT,
     EXIT_NOTHING_VISIBLE,
@@ -33,10 +33,17 @@ from atlaspack.charts import (
     depth_prepass,
     load_obj,
     merge_shared_vertices,
+    records,
 )
 from atlaspack.geometry import W_EPSILON, clip_coords
 
-from oracles import chart_members, one_chart_bbox, per_triangle_stretch_report
+from oracles import (
+    box_line_split,
+    chart_members,
+    obj_line_loop,
+    one_chart_bbox,
+    per_triangle_stretch_report,
+)
 
 QUAD_OBJ = """\
 v -2 -2 -2
@@ -206,6 +213,26 @@ class TestLayoutFiles:
         if swapped != lines:
             with pytest.raises(InputError, match="digest mismatch"):
                 parse_layout_file(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0 0 0 8 8 0 8 8\n1 0 0 8 8 0 8", "5: expected 8 placement fields"),
+            ("0 0 0 8 8 0 8 x\n1 0 0 8", "4: placement fields must be integers"),
+            ("-99999999999999999999 0 0 8 8 0 8 8\n1 0 0 8 8 0 8 x",
+             "4: placement field outside the int64 range"),
+            ("99999999999999999999 x 0 8 8 0 8 8", "4: placement fields must be integers"),
+            ("0 0 0 8 8 0 8 8\nomega 64\n1 0 0 8 8 0 8", "6: expected 8 placement fields"),
+        ],
+        ids=["field_count", "non_integer", "past_int64", "past_int64_before_non_integer",
+             "after_header_line"],
+    )
+    def test_first_bad_placement_names_its_line(self, tmp_path, rows, message):
+        path = tmp_path / "bad.layout.txt"
+        path.write_text(f"omega 64\nscale 1/1\ncount 2\n{rows}\n")
+        with pytest.raises(InputError) as exc:
+            parse_layout_file(path)
+        assert str(exc.value) == f"{path}:{message}"
 
     def test_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.layout.txt"
@@ -672,6 +699,50 @@ class TestSceneConfig:
             parse_scene_config(scene)
 
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("fov_y", "abc", "2: could not convert string to float: 'abc'"),
+            ("position", "0 0", "5: key 'position' expects 3 values"),
+            ("mesh", "scene.obj extra", "1: key 'mesh' expects 1 values"),
+            ("mesh", "scene\x00.obj", "1: embedded null byte"),
+        ],
+        ids=["not_a_number", "too_few_values", "mesh_extra_token", "mesh_null_byte"],
+    )
+    def test_bad_value_names_the_line(self, tmp_path, key, value, message):
+        scene = write_scene(tmp_path, QUAD_OBJ, **{key: value})
+        with pytest.raises(InputError) as exc:
+            parse_scene_config(scene)
+        assert str(exc.value) == f"{scene}:{message}"
+
+
+class TestSvgOutput:
+    """--svg draws the atlas: a background, then one rectangle per layout row."""
+
+    @pytest.mark.parametrize("command", ["pack-boxes", "atlas-scene"])
+    def test_one_rect_per_placement(self, tmp_path, rng, command):
+        if command == "pack-boxes":
+            path = tmp_path / "boxes.txt"
+            write_box_file(generate_boxes(30, 256, rng), path)
+            argv = ["pack-boxes", str(path), "--omega", "256", "--svg"]
+        else:
+            path = write_scene(tmp_path, TWO_QUADS_OBJ)
+            argv = ["atlas-scene", str(path), "--svg"]
+        assert main(argv) == EXIT_OK
+        prefix = path.with_suffix("")
+        layout = parse_layout_file(f"{prefix}.layout.txt")
+        omega, table = layout.omega, layout.table
+        svg = ET.parse(f"{prefix}.atlas.svg").getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        assert svg.tag == f"{ns}svg"
+        assert svg.get("viewBox") == f"0 0 {omega} {omega}"
+        assert [r.tag for r in svg] == [f"{ns}rect"] * (1 + len(table))
+        sides = [[int(r.get(k)) for k in ("x", "y", "width", "height")] for r in svg]
+        assert sides[0] == [0, 0, omega, omega]
+        assert sides[1:] == table[:, 1:5].tolist()
+        assert len(table) == (30 if command == "pack-boxes" else 2)
+
+
 class TestNonUtf8Input:
     """A byte that is not UTF-8 exits 1 naming the file and its line, never a traceback."""
 
@@ -737,36 +808,31 @@ def cubes_mesh(rng, count=60):
     return np.concatenate(positions), np.concatenate([CUBE_TRIS + 8 * i for i in range(count)])
 
 
-def line_loop_called(*args):
-    raise AssertionError("a plain file went to the line loop")
-
-
 class TestWholeFileParsing:
-    """Benchmark-shaped files take the whole-file path and match the line loops."""
+    """Benchmark-shaped files read the same through the reader as through the line loops."""
 
     @pytest.mark.parametrize("make_mesh", [grid_mesh, cubes_mesh], ids=["grid", "cubes"])
-    def test_obj_as_the_benchmark_writes_it(self, tmp_path, monkeypatch, rng, make_mesh):
+    def test_obj_as_the_benchmark_writes_it(self, tmp_path, rng, make_mesh):
         positions, triangles = make_mesh(rng)
         lines = [f"v {x:.6f} {y:.6f} {z:.6f}" for x, y, z in positions]
         lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in triangles]
         path = tmp_path / "mesh.obj"
-        path.write_text("\n".join(lines) + "\n")
-        line_loop = charts._obj_lines
-        with open(path) as fh:
-            expected = line_loop(path, fh)
-        monkeypatch.setattr(charts, "_obj_lines", line_loop_called)
-        mesh = load_obj(path)
-        assert mesh.positions.tobytes() == expected.positions.tobytes()
-        assert mesh.triangles.tobytes() == expected.triangles.tobytes()
-        assert np.array_equal(mesh.triangles, triangles)
+        for header in ("", "# exported\n"):
+            path.write_text(header + "\n".join(lines) + "\n")
+            expected = obj_line_loop(path)
+            mesh = load_obj(path)
+            assert mesh.positions.tobytes() == expected.positions.tobytes()
+            assert mesh.triangles.tobytes() == expected.triangles.tobytes()
+            assert np.array_equal(mesh.triangles, triangles)
 
-    def test_box_file_as_the_benchmark_writes_it(self, tmp_path, monkeypatch, rng):
+    def test_box_file_as_the_benchmark_writes_it(self, tmp_path, rng):
         path = tmp_path / "boxes.txt"
         write_box_file(generate_boxes(3000, 2048, rng), path)
-        with monkeypatch.context() as m:
-            m.setattr(cli, "_plain_box_records", lambda text: None)
-            expected = parse_box_file(path)
-        monkeypatch.setattr(cli, "_box_records", line_loop_called)
+        tokens, linenos, counts = box_line_split(path.read_text())
+        got = records(path.read_bytes())
+        assert [t.decode() for t in got[0]] == tokens
+        assert (got[1].tolist(), got[2].tolist()) == (linenos, counts)
+        expected = np.array([int(t) for t in tokens], dtype=np.int64).reshape(-1, 4)
         table = parse_box_file(path)
         assert table.dtype == expected.dtype
         assert table.tobytes() == expected.tobytes()

@@ -8,7 +8,6 @@ import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from atlaspack import (
     layouts_equal,
     box_table,
     charts,
-    cli,
     pack,
 )
 from atlaspack.charts import Mesh, load_obj
@@ -39,9 +37,11 @@ from atlaspack.packing import MAX_BOX_DIM
 
 from oracles import (
     box_contains,
+    box_line_split,
     chart_frustum_box,
     exhaustive_optimal,
     layout_valid,
+    obj_line_loop,
     one_chart_bbox,
 )
 
@@ -162,67 +162,95 @@ def test_chart_bbox_contains_frustum_clip_box(triangles):
         assert box_contains(box, oracle, tol=1e-9)
 
 
-# --- whole-file parsing against the line loops -------------------------------
+# --- the whole-file reader against the line loops ----------------------------
 
 # Each replaces one token: a non-finite or non-Python number, an int64
-# overflow, or syntax that Python's float and int accept or reject.
-MUTANT_TOKENS = ["nan", "1e400", "1_0", "+5", "x", "0", "12345678901234567890"]
-# Each replaces a keyword with one that is not v or f.
-MUTANT_KEYWORDS = ["vf", "ff", "e", "0"]
+# overflow, Unicode digits that int and float accept or reject, or syntax
+# that Python's float and int accept or reject.
+MUTANT_TOKENS = [
+    "nan", "1e400", "1_0", "+5", "x", "0", "12345678901234567890", "\u0661\u0662", "\uff11",
+    "\u00b2", "1/2", "/1",
+]
+# Each replaces a keyword with another, or with one that is not v or f.
+MUTANT_KEYWORDS = ["vf", "ff", "e", "0", "vn", "o"]
+# Each joins two tokens of a record with one whitespace character other than
+# a space, ASCII or not.
+SEPARATORS = ["\v", "\f", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u3000"]
 # One mutation of one random record each, or none. "past" and "before" set a
 # token to the index one past the vertices read before the record, "shift"
-# moves a record's last token onto the next record, "tab" puts a tab before
-# a token, and "ff" inserts a \xff byte anywhere.
+# moves a record's last token onto the next record, "tab" and "sep" join two
+# tokens with a tab or another separator, "crlf" and "cr" end the record's
+# line with CRLF or a lone CR, and "ff" inserts a \xff byte anywhere.
 MUTATIONS = [
     "none",
     *(f"token:{t}" for t in MUTANT_TOKENS),
     *(f"keyword:{k}" for k in MUTANT_KEYWORDS),
-    "past", "before", "drop", "add", "shift", "tab", "crlf", "comment", "ff",
+    *(f"sep:{c}" for c in SEPARATORS),
+    "past", "before", "drop", "add", "shift", "tab", "crlf", "cr", "comment", "ff",
 ]
 obj_coords = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.floats(-1e3, 1e3, allow_nan=False).map("{:.6f}".format),
     st.sampled_from(["-0.0", "0", "-0", "+1.5", ".5", "5.", "1E-3", "-2e+2"]),
 )
+# Lines that an OBJ reader skips: comments, and keywords other than v and f.
+obj_other = st.sampled_from([
+    ["#", "exported"], ["#", "v", "1", "2", "3"], ["#f", "1"], ["vn", "0", "0", "1"],
+    ["vt", "0.5", "0.5"], ["o", "cube"], ["g", "side"], ["usemtl", "stone"], ["s", "off"],
+])
 
 
 @st.composite
 def obj_records(draw):
-    """Interleaved v and f lines, and blank ones, as token lists; indices in range."""
+    """Interleaved v, f, other and blank lines as token lists; indices in range.
+
+    Vertices have 3 or 4 coordinates, faces 3 to 6 indices in the forms
+    ``a``, ``a/b``, ``a/b/c`` and ``a//c``, and any line may end in a comment.
+    """
     records, n = [], 0
-    for kind in draw(st.lists(st.sampled_from("vvff "), min_size=1, max_size=14)):
+    for kind in draw(st.lists(st.sampled_from("vvffo "), min_size=1, max_size=14)):
         if kind == "v" or (kind == "f" and n == 0):
-            records.append(["v", *draw(st.lists(obj_coords, min_size=3, max_size=3))])
+            count = draw(st.sampled_from([3, 3, 4]))
+            records.append(["v", *draw(st.lists(obj_coords, min_size=count, max_size=count))])
             n += 1
         elif kind == "f":
             picks = draw(st.lists(st.tuples(st.integers(1, n), st.booleans()),
-                                  min_size=3, max_size=3))
-            records.append(["f", *(str(i if pos else i - n - 1) for i, pos in picks)])
+                                  min_size=3, max_size=draw(st.sampled_from([3, 3, 4, 6]))))
+            tails = st.sampled_from(["", "", "/1", "/1/2", "//3"])
+            indices = (str(i if pos else i - n - 1) + draw(tails) for i, pos in picks)
+            records.append(["f", *indices])
+        elif kind == "o":
+            records.append(list(draw(obj_other)))
         else:
             records.append([])
+        if records[-1] and draw(st.integers(0, 7)) == 0:
+            records[-1].append(draw(st.sampled_from(["# note", "#", "#1 2 3"])))
     return records
 
 
 @st.composite
 def box_records(draw):
-    """Box records as token lists, with blank lines."""
+    """Box records as token lists, with blank and comment lines and end-of-line comments."""
     boxes = draw(box_files())
     records = [[str(b.chart_id), str(b.min_tri), str(b.target_w), str(b.target_h)]
                for b in boxes]
     for at in draw(st.lists(st.integers(0, len(records)), max_size=3)):
-        records.insert(at, [])
+        records.insert(at, draw(st.sampled_from([[], ["#", "chart_id", "min_tri"], ["#1"]])))
+    for at in draw(st.lists(st.integers(0, len(records)), max_size=2)):
+        if at < len(records) and records[at]:
+            records[at].append("# tail")
     return records
 
 
 def file_bytes(draw, records, mutation: str) -> bytes:
-    """Join records into a file and apply ``mutation``, one of MUTATIONS."""
-    sep = draw(st.sampled_from([" ", "  "]))
+    """Join records into a file, apply ``mutation`` (one of MUTATIONS) and maybe a second edit."""
+    sep = draw(st.sampled_from([" ", "  ", " \t"]))
     records = [list(r) for r in records]
-    ends = ["\n"] * len(records)
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"]))] * len(records)
     if records and not draw(st.booleans()):
         ends[-1] = ""  # no final newline
     kind, _, value = mutation.partition(":")
-    full = [i for i, r in enumerate(records) if r]
+    full = [i for i, r in enumerate(records) if len(r) > 1]
     if kind not in ("none", "ff") and full:
         i = draw(st.sampled_from(full))
         j = draw(st.integers(1, len(records[i]) - 1))
@@ -242,12 +270,23 @@ def file_bytes(draw, records, mutation: str) -> bytes:
             record.insert(j, "1")
         elif kind == "shift" and i != full[-1]:
             records[full[full.index(i) + 1]].insert(0, record.pop())
-        elif kind == "tab":
-            record[j - 1 : j + 1] = [record[j - 1] + "\t" + record[j]]
+        elif kind in ("tab", "sep"):
+            record[j - 1 : j + 1] = [record[j - 1] + (value or "\t") + record[j]]
         elif kind == "crlf":
             ends[i] = "\r\n"
+        elif kind == "cr":
+            ends[i] = "\r"
         elif kind == "comment":
-            record.append(draw(st.sampled_from(["# note", "#", "#1 2 3"])))
+            record.append(draw(st.sampled_from(["# note", "#", "#1 2 3", "# \u00e9t\u00e9"])))
+        # Half the time a second problem in the same record, so the order of
+        # the rules within a record decides the message.
+        second = draw(st.sampled_from([None, None, "x", "nan", "1e400", "0", "drop"]))
+        if second and len(record) > 1:
+            k = draw(st.integers(1, len(record) - 1))
+            if second == "drop":
+                del record[k]
+            else:
+                record[k] = second
     data = "".join(sep.join(r) + end for r, end in zip(records, ends)).encode()
     if kind == "ff":
         at = draw(st.integers(0, len(data)))
@@ -265,11 +304,6 @@ def outcome(fn, *args):
     return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
-def obj_line_loop(path):
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return charts._obj_lines(path, fh)
-
-
 @pytest.mark.parametrize("mutation", MUTATIONS)
 @settings(PROPERTY, max_examples=30)
 @given(records=obj_records(), data=st.data())
@@ -278,10 +312,7 @@ def test_obj_whole_file_matches_line_loop(mutation, records, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mesh.obj"
         path.write_bytes(raw)
-        whole, loop = outcome(load_obj, path), outcome(obj_line_loop, path)
-    assert whole == loop
-    if mutation == "none":
-        assert charts._plain_obj(raw) is not None
+        assert outcome(load_obj, path) == outcome(obj_line_loop, path)
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
@@ -289,12 +320,19 @@ def test_obj_whole_file_matches_line_loop(mutation, records, data):
 @given(records=box_records(), data=st.data())
 def test_box_file_whole_file_matches_line_split(mutation, records, data):
     raw = file_bytes(data.draw, records, mutation)
+    text = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode("utf-8", errors="replace")
+    tokens, linenos, counts = charts.records(raw)
+    # Tokens are bytes when the file is ASCII once its comments are cut.
+    cut = "\n".join(line.partition("#")[0] for line in text.split("\n"))
+    assert all(isinstance(t, bytes if cut.isascii() else str) for t in tokens)
+    tokens = [t if isinstance(t, str) else t.decode() for t in tokens]
+    assert (tokens, linenos.tolist(), counts.tolist()) == box_line_split(text)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "boxes.txt"
         path.write_bytes(raw)
-        whole = outcome(parse_box_file, path)
-        with mock.patch.object(cli, "_plain_box_records", return_value=None):
-            lines = outcome(parse_box_file, path)
-        if mutation == "none":
-            assert cli._plain_box_records(path.read_text()) is not None
-    assert whole == lines
+        result = outcome(parse_box_file, path)
+    if mutation == "none":
+        assert result == outcome(box_table, [
+            ChartBox(target_w=int(w), target_h=int(h), chart_id=int(c), min_tri=int(t))
+            for c, t, w, h in (r[:4] for r in records if r and not r[0].startswith("#"))
+        ])
