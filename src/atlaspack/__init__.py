@@ -14,6 +14,7 @@ from .charts import (
     load_obj,
     mark_visible,
     merge_shared_vertices,
+    screen_setup,
 )
 from .packing import (
     AtlasLayout,
@@ -80,6 +81,7 @@ __all__ = [
     "packing_efficiency",
     "push_up",
     "scene_stretch",
+    "screen_setup",
     "sequential_fold",
     "sequential_scale_search",
     "superblock_pack",

@@ -13,11 +13,12 @@ visible triangle maps to exactly one chart. Both are array labellings by
 root hooking and pointer jumping (Shiloach and Vishkin 1982), which takes
 about a dozen rounds on a randomly numbered strip of 100,000 triangles.
 
-Both passes draw their samples from one batched sampler, ``_samples``. It
-projects every triangle with one matmul, clips all the triangles that leave
-the frustum at once, one plane after another (Sutherland and Hodgman 1974),
-and evaluates top-left edge functions (Pineda 1988) only at the samples a
-polygon covers. On a fixed row, an edge's value
+Both passes read one set-up, ``screen_setup``, made once a frame from the
+clip coordinates of every triangle, which the caller projects once and
+also hands to the chart boxes. It clips all the triangles that leave the
+frustum at once, one plane after another (Sutherland and Hodgman 1974),
+and sets up top-left edge functions (Pineda 1988) that each pass evaluates
+only at the samples a polygon covers. On a fixed row, an edge's value
 ``row_term - ey * ((ix + 0.5) - sx)`` is weakly monotone in the column ix,
 because float subtraction and multiplication by a constant are monotone.
 So the top-left test passes on a prefix of the row when ey > 0, on a
@@ -27,29 +28,23 @@ intersection of these. Each bound comes from the edge's estimated crossing,
 confirmed by the exact test on both sides of it, from one exact test for
 an exactly horizontal edge, or from a bisection with the exact test where
 the estimate is not finite or misses. The depth pass keeps the minimum
-depth per pixel; the visibility pass reruns the sampler and flags each
-triangle with a sample at most DEPTH_EPSILON behind the stored depth.
-Identical arithmetic in both passes keeps the visibility predicate
-self-consistent, and every sample is computed with the same operations as
-a one-triangle-at-a-time rasterizer, so results do not depend on batching.
+depth per pixel; the visibility pass forms the same samples from the same
+set-up and flags each triangle with a sample at most DEPTH_EPSILON behind
+the stored depth. Identical arithmetic in both passes keeps the visibility
+predicate self-consistent, and every sample is computed with the same
+operations as a one-triangle-at-a-time rasterizer, so results do not
+depend on batching.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
-from .geometry import (
-    FRUSTUM_PLANES,
-    W_EPSILON,
-    CameraFrame,
-    clip_coords,
-    clip_halfspace,
-    plane_distances,
-)
+from .geometry import FRUSTUM_PLANES, W_EPSILON, clip_halfspace, plane_distances
 
 # Depth comparison slack, relative to the unit NDC depth range: the
 # visibility pass also flags a sample up to DEPTH_EPSILON * max(1, |stored|)
@@ -76,10 +71,9 @@ class Mesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    def triangle_corners(self, indices=None) -> np.ndarray:
+    def triangle_corners(self) -> np.ndarray:
         """World-space corners, shape (n, 3, 3)."""
-        tris = self.triangles if indices is None else self.triangles[indices]
-        return self.positions[tris]
+        return self.positions[self.triangles]
 
 
 def build_adjacency(triangles: np.ndarray) -> np.ndarray:
@@ -291,33 +285,33 @@ class ChartSet:
 _CHUNK = 1 << 14
 
 
-def _samples(mesh: Mesh, cam: CameraFrame, width: int, height: int, cull: bool):
-    """Yield chunks of covered pixel-center samples as (t, iy, ix, z) arrays.
+def screen_setup(clip: np.ndarray, res: tuple[int, int], cull: bool) -> list[tuple]:
+    """A frame's triangles set up for rasterization, once for both passes.
 
-    Each sample is a triangle id, a pixel row and column, and an NDC depth.
-    Every polygon group is set up before the first chunk, so only what the
-    chunks read stays alive while they are generated.
+    ``clip`` holds the (n, 3, 4) clip coordinates of every triangle and
+    ``res`` is the screen's (width, height). Returns one group per clipped
+    vertex count, each the output of _screen_polygons: triangle ids, screen
+    polygons, pixel boxes, edges and depth planes.
     """
-    groups = [
-        _screen_polygons(t, poly, width, height, cull) for t, poly in _clip_groups(mesh, cam)
-    ]
-    for group in groups:
-        yield from _chunks(*group)
+    width, height = int(res[0]), int(res[1])
+    if width < 1 or height < 1:
+        raise ValueError("resolution must be at least 1x1")
+    return [_screen_polygons(t, poly, width, height, cull) for t, poly in _clip_groups(clip)]
 
 
-def _clip_groups(mesh: Mesh, cam: CameraFrame) -> list[tuple[np.ndarray, np.ndarray]]:
+def _clip_groups(clip: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Frustum-clipped triangles: (triangle ids, (G, n, 4) polygons) per vertex count n.
 
-    All triangles are projected with one matmul. Those inside every frustum
-    plane are used as they are. The rest are clipped in seven batched
-    Sutherland-Hodgman stages, w - W_EPSILON >= 0 and then the six
-    FRUSTUM_PLANES in order, each applied only to the polygons with a vertex
-    outside it, so every polygon equals a one-triangle-at-a-time clip. A
-    triangle with no vertex at w - W_EPSILON > 0 is dropped first. Groups
-    and their ids keep the order of that per-triangle loop: triangles as
-    they are, then the clipped ones by id, and groups by first id.
+    ``clip`` holds the clip coordinates of every triangle, from the frame's
+    one projection. Triangles inside every frustum plane are used as they
+    are. The rest are clipped in seven batched Sutherland-Hodgman stages,
+    w - W_EPSILON >= 0 and then the six FRUSTUM_PLANES in order, each
+    applied only to the polygons with a vertex outside it, so every polygon
+    equals a one-triangle-at-a-time clip. A triangle with no vertex at
+    w - W_EPSILON > 0 is dropped first. Groups and their ids keep the order
+    of that per-triangle loop: triangles as they are, then the clipped ones
+    by id, and groups by first id.
     """
-    clip = clip_coords(mesh.triangle_corners(), cam)
     front = clip[:, :, 3] - W_EPSILON > 0
     # w + v >= 0 and w - v >= 0 hold iff -w <= v <= w, since a float sum
     # is zero only for opposite operands: one test for all six planes.
@@ -543,30 +537,22 @@ def _depth_planes(screen: np.ndarray):
     return z0, gx, gy, flat
 
 
-def depth_prepass(
-    mesh: Mesh, cam: CameraFrame, res: tuple[int, int], backface_cull: bool = True
-) -> np.ndarray:
-    """Rasterize minimum NDC depth per pixel; uncovered pixels hold +inf.
+def depth_prepass(setup: list[tuple], res: tuple[int, int]) -> np.ndarray:
+    """Rasterize minimum NDC depth per pixel of a screen_setup; uncovered pixels hold +inf.
 
-    ``res`` is (width, height); the buffer has shape (height, width) with
-    row 0 along the NDC y = -1 edge.
+    ``res`` is the set-up's (width, height); the buffer has shape (height,
+    width) with row 0 along the NDC y = -1 edge.
     """
-    width, height = int(res[0]), int(res[1])
-    if width < 1 or height < 1:
-        raise ValueError("resolution must be at least 1x1")
-    depth = np.full((height, width), np.inf)
-    for _, iy, ix, z in _samples(mesh, cam, width, height, backface_cull):
+    depth = np.full((int(res[1]), int(res[0])), np.inf)
+    for _, iy, ix, z in chain.from_iterable(_chunks(*group) for group in setup):
         np.minimum.at(depth, (iy, ix), z)
     return depth
 
 
-def mark_visible(
-    mesh: Mesh, cam: CameraFrame, depth: np.ndarray, backface_cull: bool = True
-) -> VisibilityBuffer:
-    """Flag triangles covering at least one depth-passing pixel-center sample."""
-    height, width = depth.shape
-    flags = np.zeros(mesh.n_triangles, dtype=bool)
-    for t, iy, ix, z in _samples(mesh, cam, width, height, backface_cull):
+def mark_visible(setup: list[tuple], depth: np.ndarray, n_triangles: int) -> VisibilityBuffer:
+    """Flag the triangles of a screen_setup covering at least one depth-passing sample."""
+    flags = np.zeros(n_triangles, dtype=bool)
+    for t, iy, ix, z in chain.from_iterable(_chunks(*group) for group in setup):
         stored = depth[iy, ix]
         slack = DEPTH_EPSILON * np.maximum(1.0, np.abs(stored))
         flags[t[z <= stored + slack]] = True

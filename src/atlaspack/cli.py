@@ -10,8 +10,8 @@ File formats are line-oriented text with '#' comments, and every input
 file (box lists, layouts, scene files and OBJ meshes) is split by one
 reader, ``charts.records``. Layouts round-trip losslessly and all outputs
 are written atomically (temp file + rename).
-Exit codes: 0 success, 1 malformed input, 2 packing failure, 3 nothing
-visible in the scene.
+Exit codes: 0 success, 1 malformed input or an unwritable output, 2
+packing failure, 3 nothing visible in the scene.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import colorsys
 import csv
 import functools
+import io
 import math
 import os
 import sys
@@ -33,12 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .baselines import (
-    SUPERBLOCK_FLOOR,
-    SuperblockLayout,
-    sequential_scale_search,
-    superblock_pack,
-)
+from .baselines import SUPERBLOCK_FLOOR, SuperblockLayout, sequential_scale_search, superblock_pack
 from .charts import (
     ChartSet,
     Mesh,
@@ -51,6 +47,7 @@ from .charts import (
     mark_visible,
     merge_shared_vertices,
     records,
+    screen_setup,
 )
 from .geometry import CameraFrame, W_EPSILON, chart_bbox, clip_coords
 from .metrics import (
@@ -84,6 +81,9 @@ PACKER_NAMES = ("fastatlas", "sequential", "superblock")
 
 # Largest screen side; the depth buffer is a height x width float64 array.
 MAX_SCREEN = 1 << 14
+
+# Largest gen-boxes --count, far above the benchmark's 3,000-box sets.
+MAX_GEN_COUNT = 1 << 16
 
 # Box ids, layout fields and scale terms are stored or hashed as signed
 # 64-bit integers.
@@ -436,11 +436,13 @@ class Frame:
 
     ``boxes`` is the (n, 4) box table of the charts with a screen box, in
     chart order, and row i of the (n, 2) ``chart_px`` is the width and
-    height in pixels of box i's screen box.
+    height in pixels of box i's screen box. ``clip`` holds the (m, 3, 4)
+    clip coordinates of every triangle, the frame's one projection.
     """
 
     config: SceneConfig
     mesh: Mesh
+    clip: np.ndarray
     chart_set: ChartSet
     boxes: np.ndarray
     chart_px: np.ndarray
@@ -458,20 +460,21 @@ class SceneResult(Frame):
 
 
 def frame_charts(cfg: SceneConfig) -> Frame:
-    """Depth prepass, visibility, chartification and chart boxes.
+    """One projection, depth prepass, visibility, chartification and chart boxes.
 
     Raises NothingVisible when no triangle passes the depth test, and
     HeightOverflow when a chart box is taller than any packer takes.
     """
     mesh = load_obj(cfg.mesh_path)
-    cam = cfg.camera()
-    depth = depth_prepass(mesh, cam, cfg.screen, backface_cull=cfg.backface_cull)
-    vis = mark_visible(mesh, cam, depth, backface_cull=cfg.backface_cull)
+    clip = clip_coords(mesh.triangle_corners(), cfg.camera())
+    setup = screen_setup(clip, cfg.screen, cfg.backface_cull)
+    depth = depth_prepass(setup, cfg.screen)
+    vis = mark_visible(setup, depth, mesh.n_triangles)
     n_visible = int(vis.flags.sum())
     if n_visible == 0:
         raise NothingVisible("no triangle covers a depth-passing sample")
     cs = merge_shared_vertices(connected_charts(mesh, vis), mesh)
-    lo, hi = chart_bbox(mesh.triangle_corners(cs.members), cam, cs.starts)
+    lo, hi = chart_bbox(clip[cs.members], cs.starts)
     # A chart none of whose triangles survives clipping has lo > hi.
     boxed = np.all(lo <= hi, axis=1)
     # The viewport transform maps [-1, 1]^2 to the screen; every extent is
@@ -488,6 +491,7 @@ def frame_charts(cfg: SceneConfig) -> Frame:
     return Frame(
         config=cfg,
         mesh=mesh,
+        clip=clip,
         chart_set=cs,
         boxes=np.column_stack([ids, ids, sides.astype(np.int64)]),
         chart_px=chart_px.astype(np.int64),
@@ -534,7 +538,7 @@ def _scene_stretch_report(frame: Frame, layout: AtlasLayout) -> StretchReport | 
     """
     cfg, cs = frame.config, frame.chart_set
     tris = np.flatnonzero(cs.chart_of_triangle >= 0)
-    clip = clip_coords(frame.mesh.triangle_corners(tris), cfg.camera())
+    clip = frame.clip[tris]
     front = np.all(clip[:, :, 3] > W_EPSILON, axis=1)
     screen = (clip[front, :, :2] / clip[front, :, 3:4] + 1.0) * 0.5 * np.array(cfg.screen)
     e1 = screen[:, 1] - screen[:, 0]
@@ -614,8 +618,6 @@ def _write_atomic(path, text: str) -> None:
 
 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -630,27 +632,22 @@ def _scale_fields(layout: AtlasLayout):
 # --- subcommands ------------------------------------------------------------
 
 
-def _check_pack_flags(args) -> None:
-    """Raise ValueError naming the first out-of-range --scales, --min-dim or --padding.
+def _check_flags(**fields) -> None:
+    """Raise ValueError naming the first out-of-range flag of the SceneConfig ``fields``.
 
     The flags are checked by scene_config_problem on an otherwise default
     config, whose other values are all in range.
     """
-    cfg = SceneConfig(Path(), n_scales=args.scales, min_dim=args.min_dim, padding=args.padding)
-    problem = scene_config_problem(cfg)
+    problem = scene_config_problem(SceneConfig(Path(), **fields))
     if problem is not None:
         raise ValueError(f"--{problem[0].replace('_', '-')}: {problem[1]}")
 
 
 def _cmd_pack_boxes(args) -> int:
-    try:
-        boxes = parse_box_file(args.input)
-    except (OSError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     packer_fn = make_packer(args.packer, args.scales, args.min_dim, args.padding, args.block_size)
+    boxes = parse_box_file(args.input)
     try:
-        _check_pack_flags(args)
+        _check_flags(n_scales=args.scales, min_dim=args.min_dim, padding=args.padding)
         layout = packer_fn(boxes, args.omega)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -678,11 +675,7 @@ def _cmd_pack_boxes(args) -> int:
 
 
 def _cmd_atlas_scene(args) -> int:
-    try:
-        cfg = parse_scene_config(args.scene)
-    except (OSError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    cfg = parse_scene_config(args.scene)
     # Scene file key -> (flag, value given or None).
     overrides = {
         "omega": ("--omega", args.omega),
@@ -701,7 +694,7 @@ def _cmd_atlas_scene(args) -> int:
         return EXIT_BAD_INPUT
     try:
         result = run_scene_pipeline(cfg, packer=args.packer)
-    except (OSError, InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except PackingError as exc:
@@ -750,10 +743,10 @@ def _cmd_compare(args) -> int:
         print(f"error: --omega: expected comma-separated integers, got {args.omega!r}",
               file=sys.stderr)
         return EXIT_BAD_INPUT
-    is_scene = _looks_like_scene(args.input)
     frame = frame_error = None
     try:
-        _check_pack_flags(args)
+        _check_flags(n_scales=args.scales, min_dim=args.min_dim, padding=args.padding)
+        is_scene = _looks_like_scene(args.input)
         if is_scene:
             cfg = replace(
                 parse_scene_config(args.input),
@@ -769,7 +762,7 @@ def _cmd_compare(args) -> int:
                 frame_error = exc
         else:
             boxes = parse_box_file(args.input)
-    except (OSError, InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     rows = []
@@ -830,16 +823,25 @@ def _box_stretch_report(layout: AtlasLayout, padding: int) -> StretchReport | No
 
 
 def _looks_like_scene(path) -> bool:
-    """Whether the first record of ``path`` is not a box; its parser reports a bad byte."""
-    try:
-        with open(path, "rb") as fh:
-            tokens, _, counts = records(fh.read())
-    except OSError:
-        return False
-    return len(counts) > 0 and not (counts[0] == 4 and all(t.isdigit() for t in tokens[:4]))
+    """Whether the first record of ``path``, read up to its line end, is not a box."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for line in fh:
+            tokens, _, counts = records(line.encode())
+            if len(counts):
+                return not (counts[0] == 4 and all(t.isdigit() for t in tokens))
+    return False
 
 
 def _cmd_gen_boxes(args) -> int:
+    try:
+        if not 0 <= args.count <= MAX_GEN_COUNT:
+            raise ValueError(f"--count: count must be in [0, {MAX_GEN_COUNT}], got {args.count}")
+        _check_flags(omega=args.omega)
+        if args.seed < 0:
+            raise ValueError(f"--seed: seed must be non-negative, got {args.seed}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     rng = np.random.default_rng(args.seed)
     boxes = generate_boxes(args.count, args.omega, rng)
     write_box_file(boxes, args.out)
@@ -916,7 +918,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, InputError) as exc:  # a bad input file, or an output that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

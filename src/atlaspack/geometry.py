@@ -9,13 +9,15 @@ at w == 0.
 ``clip_halfspace`` is the one Sutherland-Hodgman step of the package and
 ``FRUSTUM_PLANES`` its one plane table. The step clips a whole batch of
 polygons at once, each against one half-space, and returns them grouped by
-vertex count; every coordinate equals that of a one-polygon step. Both the
-rasterizer and ``chart_bbox`` test all triangles against the planes at once
-and pass only those that need it to the step, in batches: the rasterizer
-clips every triangle leaving the frustum against the camera plane and then
-each of the six planes it leaves, and ``chart_bbox`` clips each triangle
-crossing the near plane against it and each one crossing side planes
-against every such plane. Each caller passes its own boundary rule.
+vertex count; every coordinate equals that of a one-polygon step. The
+rasterizer and ``chart_bbox`` both read the clip coordinates of one
+``clip_coords`` call a frame, and both test all triangles against the
+planes at once and pass only those that need it to the step, in batches:
+the rasterizer clips every triangle leaving the frustum against the camera
+plane and then each of the six planes it leaves, and ``chart_bbox`` clips
+each triangle crossing the near plane against it and each one crossing
+side planes against every such plane. Each caller passes its own boundary
+rule.
 
 ``chart_bbox`` boxes all of a frame's charts in one call: every triangle
 gets its own box, and each chart's box is a ``reduceat`` min/max over its
@@ -198,25 +200,24 @@ def _blinn_clamped_ndc(p: np.ndarray) -> np.ndarray:
     return np.divide(xy, aw, out=np.where(p[..., :2] < 0, -1.0, 1.0), where=aw != 0)
 
 
-def chart_bbox(triangles, cam: CameraFrame, starts) -> tuple[np.ndarray, np.ndarray]:
+def chart_bbox(clip: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     """Conservative NDC bounding boxes of a frame's charts, as (n, 2) lo and hi.
 
-    ``triangles`` is an (m, 3, 3) array of world-space triangles grouped by
-    chart; chart i's triangles start at ``starts[i]``, and no chart is
-    empty. All are projected at once, and each triangle gets its own box. A
-    triangle fully in front of the camera plane that crosses no side plane
-    takes the fast path: the clamped divide of its three vertices. The rest
-    are clipped in batches, then clamped and divided: a triangle crossing
-    the near half-space is clipped against it, and one fully in front
-    against each side plane it crosses (vertices strictly on both sides),
-    keeping the clip with the smallest box, ties going to the earlier plane
-    in SIDE_PLANES. A triangle that does not survive clipping gets lo = +inf
-    and hi = -inf. A chart's box is the componentwise min/max over its
+    ``clip`` is an (m, 3, 4) array of the clip coordinates of triangles
+    grouped by chart, as ``clip_coords`` gives them; chart i's triangles
+    start at ``starts[i]``, and no chart is empty. Each triangle gets its
+    own box. A triangle fully in front of the camera plane that crosses no
+    side plane takes the fast path: the clamped divide of its three
+    vertices. The rest are clipped in batches, then clamped and divided: a
+    triangle crossing the near half-space is clipped against it, and one
+    fully in front against each side plane it crosses (vertices strictly on
+    both sides), keeping the clip with the smallest box, ties going to the
+    earlier plane in SIDE_PLANES. A triangle that does not survive clipping
+    gets lo = +inf and hi = -inf. A chart's box is the componentwise min/max over its
     triangles' boxes and contains the exact NDC projection of the
     in-frustum portion of the chart; a chart with no surviving triangle has
     lo > hi.
     """
-    clip = clip_coords(triangles, cam)
     lo, hi = np.full((len(clip), 2), np.inf), np.full((len(clip), 2), -np.inf)
     d = clip[:, :, 3] - W_EPSILON
     # Chained over the three vertices: a reduction along a length-3 axis is slower.

@@ -21,8 +21,10 @@ and the box file split are the package's earlier line-by-line readers,
 which the whole-file reader must match token for token and message for
 message. The box tests
 read chart boxes as ``NdcBox`` records, through a one-chart adapter over
-the package's frame-wide ``chart_bbox``. Only tests call this code, so it
-lives here rather than in the package.
+the package's frame-wide ``chart_bbox``, and the raster tests run both
+passes from world-space meshes through ``depth_and_flags``, an adapter
+that projects and sets up a mesh as ``cli.frame_charts`` does. Only tests
+call this code, so it lives here rather than in the package.
 """
 
 from __future__ import annotations
@@ -52,7 +54,14 @@ from atlaspack import (
     push_up,
     triangle_stretch,
 )
-from atlaspack.charts import _CHUNK, DEPTH_EPSILON
+from atlaspack.charts import (
+    _CHUNK,
+    DEPTH_EPSILON,
+    _chunks,
+    depth_prepass,
+    mark_visible,
+    screen_setup,
+)
 from atlaspack.geometry import (
     FRUSTUM_PLANES,
     SIDE_PLANES,
@@ -100,10 +109,28 @@ def one_chart_bbox(triangles, cam) -> NdcBox:
     tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 3)
     if len(tris) == 0:
         raise DegenerateChart("chart has no triangles")
-    lo, hi = chart_bbox(tris, cam, [0])
+    lo, hi = chart_bbox(clip_coords(tris, cam), [0])
     if not np.all(lo <= hi):
         raise DegenerateChart("no triangle survives clipping")
     return NdcBox(float(lo[0, 0]), float(lo[0, 1]), float(hi[0, 0]), float(hi[0, 1]))
+
+
+def mesh_setup(mesh: Mesh, cam, res, cull: bool = True) -> list[tuple]:
+    """``charts.screen_setup`` of a mesh, projected as ``cli.frame_charts`` projects it."""
+    return screen_setup(clip_coords(mesh.triangle_corners(), cam), res, cull)
+
+
+def depth_and_flags(mesh: Mesh, cam, res, cull: bool = True):
+    """The depth buffer and visibility flags of both raster passes over one set-up."""
+    setup = mesh_setup(mesh, cam, res, cull)
+    depth = depth_prepass(setup, res)
+    return depth, mark_visible(setup, depth, mesh.n_triangles).flags
+
+
+def mesh_samples(mesh: Mesh, cam, res, cull: bool = True):
+    """The chunks of (t, iy, ix, z) samples that both passes read, in order."""
+    for group in mesh_setup(mesh, cam, res, cull):
+        yield from _chunks(*group)
 
 
 def chart_members(cs) -> dict[int, np.ndarray]:

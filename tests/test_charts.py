@@ -7,9 +7,7 @@ from atlaspack import (
     Mesh,
     VisibilityBuffer,
     connected_charts,
-    depth_prepass,
     load_obj,
-    mark_visible,
     merge_shared_vertices,
 )
 
@@ -19,7 +17,6 @@ from atlaspack.charts import (
     _chart_set,
     _chunks,
     _clip_groups,
-    _samples,
     _screen_polygons,
     build_adjacency,
 )
@@ -31,7 +28,9 @@ from oracles import (
     chart_members,
     clip_triangle_frustum,
     delaunay_mesh,
+    depth_and_flags,
     dict_adjacency,
+    mesh_samples,
     reference_depth_and_flags,
     vertex_merge_labels,
 )
@@ -145,12 +144,12 @@ class TestLoadObj(object):
 class TestDepthPrepass:
     def test_empty_mesh_all_infinite(self, cam90):
         mesh = Mesh(positions=np.zeros((0, 3)), triangles=np.zeros((0, 3), dtype=int))
-        depth = depth_prepass(mesh, cam90, (16, 8))
+        depth, _ = depth_and_flags(mesh, cam90, (16, 8))
         assert depth.shape == (8, 16)
         assert np.all(np.isinf(depth))
 
     def test_full_screen_quad_constant_depth(self, cam90):
-        depth = depth_prepass(screen_quad(z=-1.0), cam90, (32, 32))
+        depth, _ = depth_and_flags(screen_quad(z=-1.0), cam90, (32, 32))
         assert np.all(np.isfinite(depth))
         assert np.allclose(depth, depth[0, 0], atol=1e-12)
 
@@ -161,8 +160,8 @@ class TestDepthPrepass:
             positions=np.vstack([near_quad.positions, far_quad.positions]),
             triangles=np.vstack([near_quad.triangles, far_quad.triangles + 4]),
         )
-        depth = depth_prepass(merged, cam90, (16, 16))
-        near_only = depth_prepass(near_quad, cam90, (16, 16))
+        depth, _ = depth_and_flags(merged, cam90, (16, 16))
+        near_only, _ = depth_and_flags(near_quad, cam90, (16, 16))
         assert np.allclose(depth, near_only, atol=1e-12)
 
 
@@ -175,9 +174,8 @@ class TestMarkVisible:
             positions=np.vstack([occluder.positions, behind.positions]),
             triangles=np.vstack([occluder.triangles, behind.triangles + 4]),
         )
-        depth = depth_prepass(merged, cam90, (32, 32))
-        vis = mark_visible(merged, cam90, depth)
-        assert vis.flags.tolist() == [True, True, False]
+        _, flags = depth_and_flags(merged, cam90, (32, 32))
+        assert flags.tolist() == [True, True, False]
 
     @pytest.mark.parametrize("gap, visible", [(1e-6, True), (1e-3, False)])
     def test_depth_slack_flags_a_triangle_just_behind(self, cam90, gap, visible):
@@ -191,37 +189,33 @@ class TestMarkVisible:
             positions=np.vstack([front.positions, behind.positions]),
             triangles=np.vstack([front.triangles, behind.triangles + 4]),
         )
-        depth = depth_prepass(merged, cam90, (32, 32))
-        alone = depth_prepass(behind, cam90, (32, 32))
+        depth, flags = depth_and_flags(merged, cam90, (32, 32))
+        alone, _ = depth_and_flags(behind, cam90, (32, 32))
         covered = np.isfinite(alone)
         assert covered.any() and np.all(alone[covered] > depth[covered])
-        assert mark_visible(merged, cam90, depth).flags.tolist() == [True, True, visible]
+        assert flags.tolist() == [True, True, visible]
 
     def test_subpixel_triangle_not_visible(self, cam90):
         # at 8x8 the pixel centers sit at NDC -1 + (i + 0.5) / 4; this
         # triangle fits between two of them
         coords = [(0.02, 0.02), (0.05, 0.02), (0.03, 0.05)]
         mesh = flat_mesh([(0, 1, 2)], z=-1.0, coords=coords)
-        depth = depth_prepass(mesh, cam90, (8, 8))
-        vis = mark_visible(mesh, cam90, depth)
-        assert not vis.flags[0]
+        _, flags = depth_and_flags(mesh, cam90, (8, 8))
+        assert not flags[0]
 
     def test_partially_offscreen_single_sample_visible(self, cam90):
         # bulk of the triangle is left of the screen; one corner covers the
         # pixel center at NDC (-0.875, -0.875) on an 8x8 grid
         coords = [(-3.0, -0.9), (-0.8, -0.9), (-0.8, -0.8)]
         mesh = flat_mesh([(0, 1, 2)], z=-1.0, coords=coords)
-        depth = depth_prepass(mesh, cam90, (8, 8))
-        vis = mark_visible(mesh, cam90, depth)
-        assert vis.flags[0]
+        _, flags = depth_and_flags(mesh, cam90, (8, 8))
+        assert flags[0]
 
     def test_backface_never_flagged_by_default(self, cam90):
         coords = [(-1.0, -1.0), (0.0, 1.0), (1.0, -1.0)]  # clockwise on screen
         mesh = flat_mesh([(0, 1, 2)], z=-2.0, coords=coords)
-        depth = depth_prepass(mesh, cam90, (16, 16))
-        assert not mark_visible(mesh, cam90, depth).flags[0]
-        depth_nc = depth_prepass(mesh, cam90, (16, 16), backface_cull=False)
-        assert mark_visible(mesh, cam90, depth_nc, backface_cull=False).flags[0]
+        assert not depth_and_flags(mesh, cam90, (16, 16))[1][0]
+        assert depth_and_flags(mesh, cam90, (16, 16), cull=False)[1][0]
 
 
 def at_pixel(px, py, depth, res):
@@ -279,8 +273,7 @@ class TestBatchedSampler:
             cam = cams[case % 2]
             for cull in (True, False):
                 ref_depth, ref_flags = reference_depth_and_flags(mesh, cam, res, cull)
-                depth = depth_prepass(mesh, cam, res, backface_cull=cull)
-                flags = mark_visible(mesh, cam, depth, backface_cull=cull).flags
+                depth, flags = depth_and_flags(mesh, cam, res, cull)
                 assert np.array_equal(depth, ref_depth), (case, cull)
                 assert np.array_equal(flags, ref_flags), (case, cull)
 
@@ -293,14 +286,14 @@ class TestBatchedSampler:
         positions = at_pixel(px, py, np.array([1.0, 2.0, 4.0]), (8, 8))
         mesh = Mesh(positions=positions, triangles=[[0, 1, 2]])
         cam = exact_cam
-        depth = depth_prepass(mesh, cam, (8, 8))
+        depth, flags = depth_and_flags(mesh, cam, (8, 8))
         ref_depth, ref_flags = reference_depth_and_flags(mesh, cam, (8, 8), True)
         clip = clip_coords(positions[None], cam)[0]
         covered = np.isfinite(depth)
         assert covered.sum() >= 2
         assert np.all(depth[covered] == (clip[:, 2] / clip[:, 3]).mean())
         assert np.array_equal(depth, ref_depth)
-        assert np.array_equal(mark_visible(mesh, cam, depth).flags, ref_flags)
+        assert np.array_equal(flags, ref_flags)
 
     def test_sample_stream_matches_box_sampler(self, cam90, exact_cam):
         # The span sampler and the box sampler cut their chunks in different
@@ -313,7 +306,8 @@ class TestBatchedSampler:
             mesh = random_soup(rng, res)
             for cull in (True, False):
                 got, want = [], []
-                for t, poly in _clip_groups(mesh, cams[case % 2]):
+                clip = clip_coords(mesh.triangle_corners(), cams[case % 2])
+                for t, poly in _clip_groups(clip):
                     polygons = _screen_polygons(t, poly, *res, cull)
                     got += _chunks(*polygons)
                     want += box_samples(*polygons)
@@ -356,8 +350,7 @@ class TestBatchedSampler:
         mesh = Mesh(positions=positions, triangles=np.arange(3 * n).reshape(-1, 3))
         for cull in (True, False):
             ref_depth, ref_flags = reference_depth_and_flags(mesh, exact_cam, res, cull)
-            depth_buffer = depth_prepass(mesh, exact_cam, res, backface_cull=cull)
-            flags = mark_visible(mesh, exact_cam, depth_buffer, backface_cull=cull).flags
+            depth_buffer, flags = depth_and_flags(mesh, exact_cam, res, cull)
             assert np.array_equal(depth_buffer, ref_depth), cull
             assert np.array_equal(flags, ref_flags), cull
         assert searched["missed"] and not searched["horizontal"], searched
@@ -377,7 +370,7 @@ class TestBatchedSampler:
         # A chunk holds whole rows of covered samples: at most _CHUNK of
         # them, or one row when a row alone is wider. Either mesh covers
         # every pixel exactly once.
-        sizes = [len(t) for t, _, _, _ in _samples(mesh, cam90, *res, True)]
+        sizes = [len(t) for t, _, _, _ in mesh_samples(mesh, cam90, res)]
         assert len(sizes) > 1
         assert max(sizes) <= max(_CHUNK, res[0])
         assert sum(sizes) == res[0] * res[1]
@@ -395,7 +388,7 @@ class TestBatchedSampler:
         mesh = Mesh(positions=positions, triangles=np.arange(3 * n).reshape(-1, 3))
         tracemalloc.start()
         try:
-            covered = sum(len(t) for t, _, _, _ in _samples(mesh, exact_cam, *res, True))
+            covered = sum(len(t) for t, _, _, _ in mesh_samples(mesh, exact_cam, res))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -416,7 +409,7 @@ class TestClipGroups:
     def assert_matches_per_triangle_clip(self, mesh, cam):
         clip = clip_coords(mesh.triangle_corners(), cam)
         got = {}
-        for ids, polys in _clip_groups(mesh, cam):
+        for ids, polys in _clip_groups(clip):
             assert len(ids) == len(polys) and polys.shape[1] >= 3
             for t, poly in zip(ids.tolist(), polys):
                 assert t not in got
@@ -456,7 +449,7 @@ class TestClipGroups:
         mesh = Mesh(positions=positions, triangles=np.arange(9).reshape(3, 3))
         clip = self.assert_matches_per_triangle_clip(mesh, exact_cam)
         assert (clip[0, :, 3] - e).tolist() == [0.0, -1.0 - e, -2.0 - e]
-        ids = np.concatenate([ids for ids, _ in _clip_groups(mesh, exact_cam)])
+        ids = np.concatenate([ids for ids, _ in _clip_groups(clip)])
         assert sorted(ids.tolist()) == [1, 2]
 
 

@@ -6,15 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import atlaspack
 from atlaspack import PackFailure, box_table, layouts_equal, pack
 from atlaspack.cli import (
     EXIT_BAD_INPUT,
     EXIT_NOTHING_VISIBLE,
     EXIT_OK,
     EXIT_PACK_FAILURE,
+    MAX_GEN_COUNT,
     InputError,
     NothingVisible,
     SceneConfig,
+    _looks_like_scene,
     build_parser,
     generate_boxes,
     main,
@@ -373,6 +376,27 @@ class TestAtlasSceneCommand:
         layout = parse_layout_file(tmp_path / "scene.layout.txt")
         assert len(layout.placements) == 2
 
+    def test_one_projection_and_one_clip_per_frame(self, tmp_path, monkeypatch):
+        # clip_coords is counted under every name a package module resolves
+        # it by, so a projection anywhere in the run shows.
+        calls = {"clip_coords": 0, "_clip_groups": 0}
+
+        def counting(name, fn):
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return count
+
+        project, clip_groups = atlaspack.geometry.clip_coords, atlaspack.charts._clip_groups
+        for module in (atlaspack.cli, atlaspack.charts, atlaspack.geometry):
+            if hasattr(module, "clip_coords"):
+                monkeypatch.setattr(module, "clip_coords", counting("clip_coords", project))
+        monkeypatch.setattr(atlaspack.charts, "_clip_groups", counting("_clip_groups", clip_groups))
+        scene = write_scene(tmp_path, TWO_QUADS_OBJ)
+        assert main(["atlas-scene", str(scene)]) == EXIT_OK
+        assert calls == {"clip_coords": 1, "_clip_groups": 1}
+
     def test_superblock_texels_ignore_padding(self, tmp_path):
         scene = write_scene(tmp_path, TWO_QUADS_OBJ)
         texels = []
@@ -587,6 +611,51 @@ class TestCompareCommand:
         assert len(read_csv(out)) == 6  # 3 packers x 2 omegas
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"# boxes\n# chart_id min_tri w h\n0 0 4 4\n",
+            b"#" * 20000 + b"\r\n0 0 4 4\r\n",
+            b"\n\n \t\n0 0 4 4\n",
+            b"0 0 4 4\r1 1 2 2\r",
+            b"\r\r# scene\rmesh m.obj\r",
+            b"0 0 4 4\n1 1 \xff 2\n",
+            b"mesh m.obj\n\xff\n",
+            b"0 0 4 \xff\n",
+            b"0 0 4\xc2\x854\n",  # U+0085 splits tokens but does not end the line
+            b"0 0 4\xe2\x80\xa84\n",  # so does U+2028
+            b"0 0 4 \xd9\xa4\n",  # an Arabic-Indic digit
+            b"0 0 4\x0c4\n",
+            b"0 0 4\n",
+            b"",
+            b"\n# only comments\n",
+        ],
+        ids=["comments", "long_comment_crlf", "blank_lines", "cr_only", "scene_cr_only",
+             "bad_byte_after_boxes", "bad_byte_after_scene", "bad_byte_in_record", "nel",
+             "line_separator", "unicode_digit", "form_feed", "three_fields", "empty",
+             "no_record"],
+    )
+    def test_input_kind_comes_from_the_first_record(self, tmp_path, data):
+        # The first record decides as it would read out of the whole file.
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        tokens, _, counts = records(data)
+        whole = len(counts) > 0 and not (counts[0] == 4 and all(t.isdigit() for t in tokens[:4]))
+        assert _looks_like_scene(path) == whole
+
+    def test_sniff_reads_up_to_the_first_record(self, tmp_path, monkeypatch):
+        path = tmp_path / "boxes.txt"
+        path.write_bytes(b"# chart_id min_tri w h\n\n0 0 4 4\n" + b"1 1 2 2\n" * 50_000)
+        read = []
+
+        def reading(data):
+            read.append(data)
+            return records(data)
+
+        monkeypatch.setattr(atlaspack.cli, "records", reading)
+        assert not _looks_like_scene(path)
+        assert b"".join(read) == b"# chart_id min_tri w h\n\n0 0 4 4\n"
+
     def test_scene_with_nothing_visible_fails_every_row(self, tmp_path, capsys):
         scene = write_scene(tmp_path, QUAD_OBJ, look_at="0 0 1")
         out = tmp_path / "cmp.csv"
@@ -633,7 +702,7 @@ class TestStretchReport:
             cam, charts = cfg.camera(), chart_members(result.chart_set)
             boxed = result.boxes[:, 0].tolist()
             chart_px = dict(zip(boxed, map(tuple, result.chart_px.tolist())))
-            chart_ndc = {c: one_chart_bbox(result.mesh.triangle_corners(charts[c]), cam)
+            chart_ndc = {c: one_chart_bbox(result.mesh.triangle_corners()[charts[c]], cam)
                          for c in boxed}
             want = per_triangle_stretch_report(
                 cfg, result.mesh, cam, charts, result.layout, chart_ndc, chart_px
@@ -674,6 +743,50 @@ class TestGenBoxesCommand:
         boxes = parse_box_file(a)
         assert boxes.shape == (40, 4)
         assert ((boxes[:, 2:] >= 1) & (boxes[:, 2:] <= 512)).all()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--count", "-1"],
+            ["--count", str(MAX_GEN_COUNT + 1)],
+            ["--omega", "0"],
+            ["--omega", "100"],
+            ["--omega", "100000000000000000000"],
+            ["--seed", "-1"],
+        ],
+        ids=["count_negative", "count_above_bound", "omega_zero", "omega_not_power_of_two",
+             "omega_huge", "seed_negative"],
+    )
+    def test_bad_flag_exits_1_before_generating(self, tmp_path, capsys, monkeypatch, flags):
+        def fail(*args):
+            raise AssertionError("boxes were generated from a bad flag")
+
+        monkeypatch.setattr("atlaspack.cli.generate_boxes", fail)
+        out = tmp_path / "boxes.txt"
+        argv = ["gen-boxes", "--count", "4", "--omega", "64", *flags, "--out", str(out)]
+        assert main(argv) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags[0]}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pack-boxes", "atlas-scene", "compare", "gen-boxes"])
+def test_unwritable_output_exits_1(tmp_path, capsys, command):
+    (tmp_path / "notadir").write_text("a file, not a directory\n")
+    out = str(tmp_path / "notadir" / "x")
+    boxes = tmp_path / "boxes.txt"
+    boxes.write_text("0 0 4 4\n")
+    argv = {
+        "pack-boxes": ["pack-boxes", str(boxes), "--omega", "64", "--out", out],
+        "atlas-scene": ["atlas-scene", str(write_scene(tmp_path, QUAD_OBJ)), "--out", out],
+        "compare": ["compare", str(boxes), "--omega", "64", "--out", out],
+        "gen-boxes": ["gen-boxes", "--count", "4", "--omega", "64", "--out", out],
+    }[command]
+    assert main(argv) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "notadir" in err
+    assert "Traceback" not in err
 
 
 class TestSceneConfig:

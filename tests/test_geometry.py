@@ -343,7 +343,7 @@ class TestChartBbox:
                 behind = rng.random() < 0.25
                 charts.append(BEHIND + rng.normal(size=(n, 3, 3)) if behind else mixed_chart(rng, n))
             starts = np.cumsum([0] + [len(c) for c in charts[:-1]])
-            lo, hi = chart_bbox(np.concatenate(charts), cam90, starts)
+            lo, hi = chart_bbox(clip_coords(np.concatenate(charts), cam90), starts)
             assert lo.shape == hi.shape == (len(charts), 2)
             for i, tris in enumerate(charts):
                 try:

@@ -1,4 +1,4 @@
-"""Property tests of the packer, the chart box, and the box, layout and OBJ files.
+"""Property tests of the packer, the projection, the chart box, and the box, layout and OBJ files.
 
 Examples are derived from the test source (``derandomize``) and no example
 database is kept, so every run checks the same bounded set of inputs.
@@ -33,6 +33,7 @@ from atlaspack.cli import (
     write_box_file,
     write_layout_file,
 )
+from atlaspack.geometry import clip_coords
 from atlaspack.packing import MAX_BOX_DIM
 
 from oracles import (
@@ -146,6 +147,42 @@ def test_box_file_round_trips(boxes, random, comments, tails):
         path.write_text("\n".join(lines) + "\n")
         parsed = parse_box_file(path)
     assert np.array_equal(parsed, box_table(shuffled))
+
+
+@PROPERTY
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3000),
+    st.sampled_from([1e-3, 1.0, 40.0, 1e5]),
+    st.sampled_from(["shuffled", "repeated", "ascending", "label_ordered"]),
+)
+def test_projection_commutes_with_indexing(seed, n, spread, order):
+    # A frame projects all its triangles once; the chart boxes read them in
+    # label order and the stretch report in ascending order. Either must
+    # see the bits a projection of just those triangles would give.
+    rng = np.random.default_rng(seed)
+    mesh = Mesh(
+        positions=rng.normal(scale=spread, size=(n + 3, 3)),
+        triangles=rng.integers(0, n + 3, size=(n, 3)),
+    )
+    cam = CameraFrame.from_params(
+        math.radians(rng.uniform(20.0, 120.0)), rng.uniform(0.5, 2.0), 0.1, 1000.0,
+        position=rng.normal(scale=spread, size=3), look_at=rng.normal(scale=spread, size=3),
+    )
+    if order == "shuffled":
+        idx = rng.permutation(n)[: rng.integers(0, n + 1)]
+    elif order == "repeated":
+        idx = rng.integers(0, n, size=rng.integers(0, 2 * n))
+    elif order == "ascending":
+        idx = np.flatnonzero(rng.random(n) < rng.random())
+    else:
+        labels = rng.integers(-1, max(1, n // 8), size=n)
+        visible = np.flatnonzero(labels >= 0)
+        idx = visible[np.argsort(labels[visible], kind="stable")]
+    whole = clip_coords(mesh.triangle_corners(), cam)[idx]
+    alone = clip_coords(mesh.triangle_corners()[idx], cam)
+    assert whole.shape == alone.shape == (len(idx), 3, 4)
+    assert whole.tobytes() == alone.tobytes()
 
 
 @PROPERTY
