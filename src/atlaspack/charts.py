@@ -27,13 +27,21 @@ polygon covers one span [lo, hi] of each row of its pixel box, the
 intersection of these. Each bound comes from the edge's estimated crossing,
 confirmed by the exact test on both sides of it, from one exact test for
 an exactly horizontal edge, or from a bisection with the exact test where
-the estimate is not finite or misses. The depth pass keeps the minimum
-depth per pixel; the visibility pass forms the same samples from the same
-set-up and flags each triangle with a sample at most DEPTH_EPSILON behind
-the stored depth. Identical arithmetic in both passes keeps the visibility
-predicate self-consistent, and every sample is computed with the same
-operations as a one-triangle-at-a-time rasterizer, so results do not
+the estimate is not finite or misses. Every sample is computed with the
+same operations as a one-triangle-at-a-time rasterizer, so results do not
 depend on batching.
+
+The depth pass keeps the minimum depth per pixel. It scatters the samples
+in their stream order: np.minimum.at keeps the later of two equal values,
+so the order decides between +0 and -0 on a pixel. The visibility pass
+flags each triangle with a sample at most DEPTH_EPSILON behind the stored
+depth. A flag is an OR over the triangle's samples, so the pass stops at
+the first passing one: a probe forms the samples of each polygon's middle
+box row, and only the polygons it leaves unflagged are swept whole. The
+probe's samples are those the whole sweep forms on that row, from the same
+set-up with the same arithmetic, so the flags are the ones a sweep of every
+sample gives, bit for bit. Both passes index the depth buffer through a
+flat view, row * width + column.
 """
 
 from __future__ import annotations
@@ -404,19 +412,21 @@ def _chunks(t, screen, box, edges, planes):
         while start < len(end):
             base = end[start - 1] if start else 0
             stop = max(start + 1, int(np.searchsorted(end, base + _CHUNK, side="right")))
-            n = count[start:stop]
-            gs, iys = np.repeat(g[start:stop], n), np.repeat(iy[start:stop], n)
-            ixs = np.repeat(lo[start:stop], n) + _ranks(n)
+            r, n = slice(start, stop), count[start:stop]
+            # Per-polygon values and the depth's row term are taken once per
+            # row and repeated over its samples: the same operations per sample.
+            gr, iyr = g[r], iy[r]
+            ixs = np.repeat(lo[r], n) + _ranks(n)
             z = (
-                z0[gs]
-                + gx[gs] * (ixs + 0.5 - screen[gs, 0, 0])
-                + gy[gs] * (iys + 0.5 - screen[gs, 0, 1])
+                np.repeat(z0[gr], n)
+                + np.repeat(gx[gr], n) * (ixs + 0.5 - np.repeat(screen[gr, 0, 0], n))
+                + np.repeat(gy[gr] * (iyr + 0.5 - screen[gr, 0, 1]), n)
             )
             # Flat polygons take z0 as it is: adding the zero terms could
             # change the sign of a zero depth.
-            on_flat = flat[gs]
-            z[on_flat] = z0[gs[on_flat]]
-            yield t[gs], iys, ixs, z
+            on_flat = flat[gr]
+            z[np.repeat(on_flat, n)] = np.repeat(z0[gr[on_flat]], n[on_flat])
+            yield np.repeat(t[gr], n), np.repeat(iyr, n), ixs, z
             start = stop
 
 
@@ -541,22 +551,58 @@ def depth_prepass(setup: list[tuple], res: tuple[int, int]) -> np.ndarray:
     """Rasterize minimum NDC depth per pixel of a screen_setup; uncovered pixels hold +inf.
 
     ``res`` is the set-up's (width, height); the buffer has shape (height,
-    width) with row 0 along the NDC y = -1 edge.
+    width) with row 0 along the NDC y = -1 edge. Samples are scattered in
+    stream order, which decides between +0 and -0 on a pixel, into a flat
+    view of the buffer, for which np.minimum.at has a fast path.
     """
-    depth = np.full((int(res[1]), int(res[0])), np.inf)
+    width = int(res[0])
+    depth = np.full((int(res[1]), width), np.inf)
+    pixels = depth.reshape(-1)
     for _, iy, ix, z in chain.from_iterable(_chunks(*group) for group in setup):
-        np.minimum.at(depth, (iy, ix), z)
+        np.minimum.at(pixels, iy * width + ix, z)
     return depth
 
 
 def mark_visible(setup: list[tuple], depth: np.ndarray, n_triangles: int) -> VisibilityBuffer:
-    """Flag the triangles of a screen_setup covering at least one depth-passing sample."""
+    """Flag the triangles of a screen_setup covering at least one depth-passing sample.
+
+    A flag is an OR over a triangle's samples, so one passing sample
+    settles it. A probe first forms the samples of each polygon's middle
+    box row, which are the very samples the whole stream holds on that row,
+    and flags the triangles with a passing one. A second sweep then forms
+    every sample of only the polygons the probe left unflagged. The flags
+    equal those of one sweep over every sample. Raises ValueError when a
+    pixel box of the set-up lies outside ``depth``, which a flat index
+    would otherwise read from the wrong row.
+    """
+    height, width = depth.shape
+    if any(np.any(x1 >= width) or np.any(y1 >= height) for _, _, (_, x1, _, y1), _, _ in setup):
+        raise ValueError(f"depth buffer of shape {depth.shape} is smaller than the set-up's screen")
     flags = np.zeros(n_triangles, dtype=bool)
-    for t, iy, ix, z in chain.from_iterable(_chunks(*group) for group in setup):
-        stored = depth[iy, ix]
-        slack = DEPTH_EPSILON * np.maximum(1.0, np.abs(stored))
-        flags[t[z <= stored + slack]] = True
+    pixels = depth.reshape(-1)
+
+    def sweep(groups):
+        for t, iy, ix, z in chain.from_iterable(_chunks(*group) for group in groups):
+            stored = pixels[iy * width + ix]
+            slack = DEPTH_EPSILON * np.maximum(1.0, np.abs(stored))
+            flags[t[z <= stored + slack]] = True
+
+    sweep([_middle_row(group) for group in setup])
+    sweep([_select(group, ~flags[group[0]]) for group in setup])
     return VisibilityBuffer(flags=flags)
+
+
+def _middle_row(group):
+    """A screen_setup group with each pixel box narrowed to its middle row."""
+    t, screen, (x0, x1, y0, y1), edges, planes = group
+    mid = (y0 + y1) // 2
+    return t, screen, (x0, x1, mid, mid), edges, planes
+
+
+def _select(group, keep: np.ndarray):
+    """A screen_setup group narrowed to the polygons where ``keep`` holds."""
+    t, screen, box, edges, planes = group
+    return (t[keep], screen[keep], *(tuple(a[keep] for a in part) for part in (box, edges, planes)))
 
 
 # --- chartification --------------------------------------------------------

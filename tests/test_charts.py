@@ -19,6 +19,8 @@ from atlaspack.charts import (
     _clip_groups,
     _screen_polygons,
     build_adjacency,
+    depth_prepass,
+    mark_visible,
 )
 from atlaspack.geometry import W_EPSILON, clip_coords
 
@@ -31,6 +33,7 @@ from oracles import (
     depth_and_flags,
     dict_adjacency,
     mesh_samples,
+    mesh_setup,
     reference_depth_and_flags,
     vertex_merge_labels,
 )
@@ -216,6 +219,16 @@ class TestMarkVisible:
         mesh = flat_mesh([(0, 1, 2)], z=-2.0, coords=coords)
         assert not depth_and_flags(mesh, cam90, (16, 16))[1][0]
         assert depth_and_flags(mesh, cam90, (16, 16), cull=False)[1][0]
+
+    @pytest.mark.parametrize(
+        "shape", [(16, 15), (15, 16), (8, 8)], ids=["narrow", "short", "small"]
+    )
+    def test_depth_buffer_smaller_than_the_screen_raises(self, cam90, shape):
+        # Read through a flat index, a narrower buffer would alias the
+        # next row's pixels instead of failing.
+        setup = mesh_setup(screen_quad(z=-1.0), cam90, (16, 16))
+        with pytest.raises(ValueError, match="depth buffer"):
+            mark_visible(setup, np.zeros(shape), 2)
 
 
 def at_pixel(px, py, depth, res):
@@ -403,6 +416,150 @@ def sample_stream(chunks):
         (b"".join(c[k].tobytes() for c in chunks), {c[k].dtype.str for c in chunks})
         for k in range(4)
     ]
+
+
+def probe_outcomes(mesh, cam, res, cull):
+    """Per triangle: a sample on its middle box row, a depth-passing one there, one anywhere."""
+    setup = mesh_setup(mesh, cam, res, cull)
+    depth, _ = reference_depth_and_flags(mesh, cam, res, cull)
+    mid = np.full(mesh.n_triangles, -1)
+    for t, _, (_, _, y0, y1), _, _ in setup:
+        mid[t] = (y0 + y1) // 2
+    on_mid, mid_pass, passes = (np.zeros(mesh.n_triangles, dtype=bool) for _ in range(3))
+    for t, iy, ix, z in mesh_samples(mesh, cam, res, cull):
+        stored = depth[iy, ix]
+        ok = z <= stored + charts.DEPTH_EPSILON * np.maximum(1.0, np.abs(stored))
+        row = iy == mid[t]
+        on_mid[t[row]] = True
+        mid_pass[t[row & ok]] = True
+        passes[t[ok]] = True
+    return on_mid, mid_pass, passes
+
+
+def undecided_soup(rng, res):
+    """Triangles whose middle box row cannot settle their flag, over the exact_cam lattice.
+
+    A band in front hides the middle rows of tall triangles behind it whose
+    ends show above and below it, and slanted slivers under a pixel wide
+    often cover no sample centre on their middle row but some on others.
+    Half of each kind runs clockwise.
+    """
+    w, h = res
+    b0 = rng.integers(h // 4, h // 2)
+    b1 = b0 + rng.integers(4, h // 4)
+    px = np.array([[-1.0, w + 1.0, w + 1.0], [-1.0, w + 1.0, -1.0]])
+    py = np.array([[b0, b0, b1], [b0, b1, b1]], dtype=float)
+    band = at_pixel(px, py, 1.0, res)
+    n = int(rng.integers(4, 12))
+    c = rng.uniform(b0 + 1, b1 - 1, size=n)
+    reach = rng.uniform(b1 - b0, h / 2, size=(n, 1))
+    x = rng.uniform(0, w, size=(n, 1))
+    px = x + rng.uniform(-6, 6, size=(n, 3))
+    py = c[:, None] + reach * [-1.0, 1.0, 0.0]
+    py[:, 2] += rng.uniform(-1, 1, size=n)
+    tall = at_pixel(px, py, rng.uniform(2.0, 4.0, size=(n, 3)), res)
+    m = int(rng.integers(4, 16))
+    ax, ay = rng.uniform(0, w, size=m), rng.uniform(0, h / 2, size=m)
+    bx, by = ax + rng.uniform(-2 * h, 2 * h, size=m) / 4, ay + rng.uniform(6, h / 2, size=m)
+    width = rng.uniform(0.1, 0.9, size=m)
+    px = np.stack([ax, bx + width, bx], axis=1)
+    py = np.stack([ay, by, by], axis=1)
+    slivers = at_pixel(px, py, rng.uniform(0.5, 4.0, size=(m, 3)), res)
+    tris = np.concatenate([band, tall, slivers])
+    flip = rng.random(len(tris)) < 0.5
+    tris[flip] = tris[flip, ::-1]
+    positions = tris.reshape(-1, 3)
+    return Mesh(positions=positions, triangles=np.arange(len(positions)).reshape(-1, 3))
+
+
+def count_chunks(monkeypatch):
+    """Record (triangle ids, samples formed) of every _chunks call from here on, in order."""
+    calls = []
+    chunks = charts._chunks
+
+    def counting(t, *rest):
+        calls.append([t, 0])
+        for c in chunks(t, *rest):
+            calls[-1][1] += len(c[0])
+            yield c
+
+    monkeypatch.setattr(charts, "_chunks", counting)
+    return calls
+
+
+class TestVisibilityProbe:
+    RESOLUTIONS = [(64, 64), (32, 128), (128, 32)]
+
+    def test_flags_match_reference_where_the_probe_cannot_decide(self, exact_cam):
+        rng = np.random.default_rng(14)
+        undecided = {"no middle sample": 0, "middle hidden": 0}
+        for case in range(30):
+            res = self.RESOLUTIONS[case % len(self.RESOLUTIONS)]
+            mesh = undecided_soup(rng, res)
+            for cull in (True, False):
+                _, ref_flags = reference_depth_and_flags(mesh, exact_cam, res, cull)
+                _, flags = depth_and_flags(mesh, exact_cam, res, cull)
+                assert np.array_equal(flags, ref_flags), (case, cull)
+                on_mid, mid_pass, passes = probe_outcomes(mesh, exact_cam, res, cull)
+                undecided["no middle sample"] += int(np.sum(passes & ~on_mid))
+                undecided["middle hidden"] += int(np.sum(passes & on_mid & ~mid_pass))
+        assert min(undecided.values()) >= 100, undecided
+
+    def test_second_sweep_gets_nothing_when_every_middle_row_shows(self, cam90, monkeypatch):
+        # A 4 x 4 grid of quads inside the screen; every triangle is 12
+        # pixels on a side, so it covers samples on its middle row.
+        s = np.linspace(-0.75, 0.75, 5)
+        coords = np.stack(np.meshgrid(s, s), axis=-1).reshape(-1, 2)
+        a = (5 * np.arange(4)[:, None] + np.arange(4)).ravel()
+        tris = np.concatenate([np.stack([a, a + 1, a + 6], 1), np.stack([a, a + 6, a + 5], 1)])
+        mesh = flat_mesh(tris, z=-1.0, coords=coords)
+        res = (64, 64)
+        setup = mesh_setup(mesh, cam90, res)
+        depth = depth_prepass(setup, res)
+        calls = count_chunks(monkeypatch)
+        flags = mark_visible(setup, depth, mesh.n_triangles).flags
+        probe, rest = calls[: len(setup)], calls[len(setup) :]
+        assert flags.all()
+        assert len(rest) == len(setup)
+        assert sum(len(t) for t, _ in rest) == 0
+        assert 0 < sum(n for _, n in probe) < res[0] * res[1] // 8
+
+    def test_second_sweep_gets_only_what_the_probe_left(self, cam90, monkeypatch):
+        # Six tall quads at depth 2, a band at depth 1 that hides their
+        # middle rows, and one small triangle wholly behind the band.
+        s = np.linspace(-1.5, 1.5, 7)
+        coords = np.r_[np.stack([s, np.full(7, -1.5)], 1), np.stack([s, np.full(7, 1.5)], 1)]
+        a = np.arange(6)
+        tall = flat_mesh(
+            np.r_[np.stack([a, a + 1, a + 8], 1), np.stack([a, a + 8, a + 7], 1)],
+            z=-2.0,
+            coords=coords,
+        )
+        band = flat_mesh(
+            [(0, 1, 2), (0, 2, 3)], z=-1.0, coords=[(-2, -0.25), (2, -0.25), (2, 0.25), (-2, 0.25)]
+        )
+        hidden = flat_mesh([(0, 1, 2)], z=-2.0, coords=[(-0.2, -0.2), (0.2, -0.2), (0.0, 0.2)])
+        parts = [tall, band, hidden]
+        offsets = np.cumsum([0] + [len(m.positions) for m in parts])
+        mesh = Mesh(
+            positions=np.vstack([m.positions for m in parts]),
+            triangles=np.vstack([m.triangles + o for m, o in zip(parts, offsets)]),
+        )
+        res = (48, 48)
+        setup = mesh_setup(mesh, cam90, res)
+        depth = depth_prepass(setup, res)
+        calls = count_chunks(monkeypatch)
+        flags = mark_visible(setup, depth, mesh.n_triangles).flags
+        rest = calls[len(setup) :]
+        assert flags.tolist() == [True] * 14 + [False]
+        assert np.array_equal(flags, reference_depth_and_flags(mesh, cam90, res, True)[1])
+        _, mid_pass, _ = probe_outcomes(mesh, cam90, res, True)
+        swept = np.concatenate([t for t, _ in rest])
+        assert sorted(swept.tolist()) == [*range(12), 14]
+        assert np.array_equal(np.sort(swept), np.flatnonzero(~mid_pass))
+        stream = np.concatenate([t for t, _, _, _ in mesh_samples(mesh, cam90, res)])
+        per_triangle = np.bincount(stream, minlength=mesh.n_triangles)
+        assert sum(n for _, n in rest) == per_triangle[swept].sum() < len(stream)
 
 
 class TestClipGroups:
