@@ -1,9 +1,17 @@
 """Input reading, per-frame visibility and chartification.
 
 Every input file is split by one whole-file reader, ``records``: it cuts
-'#' comments, splits lines into tokens as str.split() would, and takes each
-non-blank line's number and token count from one pass over the bytes, so a
-parser checks its rules on whole columns and names the first bad line.
+'#' comments, splits lines into tokens as str.split() would, and finds each
+token's start and end and each non-blank line's number and token count in
+one numpy pass over the bytes, so a parser checks its rules on whole
+columns and names the first bad line. Numeric columns are converted from
+the bytes as well (``_column``), with no Python object per token: one loop
+over byte positions reads every plain token at once, an integer of at most
+18 digits or a decimal of at most 15 digits without an exponent, and only
+the others go to Python's int or float. A plain decimal's value is
+m / 10**k for its digits m and its k digits after the point. Both are
+exact doubles (m < 2^53, k <= 15), so the one IEEE division rounds the
+exact quotient correctly and equals float() (Clinger 1990; Lemire 2021).
 
 A software depth prepass and a matching visibility pass mark triangles that
 cover at least one depth-passing pixel-center sample. Visible triangles are
@@ -37,18 +45,19 @@ so the order decides between +0 and -0 on a pixel. The visibility pass
 flags each triangle with a sample at most DEPTH_EPSILON behind the stored
 depth. A flag is an OR over the triangle's samples, so the pass stops at
 the first passing one: a probe forms the samples of each polygon's middle
-box row, and only the polygons it leaves unflagged are swept whole. The
-probe's samples are those the whole sweep forms on that row, from the same
-set-up with the same arithmetic, so the flags are the ones a sweep of every
-sample gives, bit for bit. Both passes index the depth buffer through a
+box row, and only the polygons it leaves unflagged have their other rows
+swept. The probe's samples are those the whole sweep forms on that row,
+from the same set-up with the same arithmetic, so the flags are the ones a
+sweep of every sample gives, bit for bit. Both passes index the depth buffer through a
 flat view, row * width + column.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 
 import numpy as np
 
@@ -115,23 +124,21 @@ def load_obj(path) -> Mesh:
     at their first '/', are converted as two whole columns.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    tokens, linenos, counts, heads = _records(data)
+        data, starts, ends, linenos, counts, heads, _ = _records(fh.read())
     first = np.cumsum(counts) - counts  # each record's first token
     is_v, is_f = heads == ord("v"), heads == ord("f")
     vertex = np.flatnonzero(is_v & (counts >= 4))
-    in_v = np.zeros(len(tokens), dtype=bool)
-    in_v[(first[vertex, None] + np.arange(1, 4)).ravel()] = True
+    coords = (first[vertex, None] + np.arange(1, 4)).ravel()
+    positions = _column(float, data, starts[coords], ends[coords])
+    owner = np.repeat(vertex, 3)  # the record of each coordinate
     in_f = np.repeat(is_f, counts)
     in_f[first] = False
-    coords, face_tokens = _pick(tokens, in_v), _pick(tokens, in_f)
-    positions = _column(float, coords, np.float64)
-    owner = np.repeat(vertex, 3)  # the record of each coordinate
-    cut = face_tokens
-    if face_tokens and b"/" in data:
-        slash = "/" if isinstance(tokens[0], str) else b"/"
-        cut = [t.split(slash, 1)[0] for t in face_tokens]
-    index = _column(int, cut, np.int64)
+    face_starts, face_ends = starts[in_f], ends[in_f]
+    cut = face_ends
+    if b"/" in data:
+        slash = np.append(np.flatnonzero(np.frombuffer(data, np.uint8) == ord("/")), len(data))
+        cut = np.minimum(face_ends, slash[np.searchsorted(slash, face_starts)])
+    index = _column(int, data, face_starts, cut)
     sides = counts[is_f] - 1
     seen = np.repeat(np.cumsum(is_v)[is_f], sides)[: len(index)]  # vertices before each
     wild = np.flatnonzero((index == 0) | (index < -seen) | (index > seen))
@@ -152,7 +159,7 @@ def load_obj(path) -> Mesh:
         if k < len(index):
             message = f"face index {index[k]} out of range for {seen[k]} vertices"
         else:
-            message = f"bad face index '{_text(face_tokens[k])}'"
+            message = f"bad face index '{data[face_starts[k] : face_ends[k]].decode()}'"
         problems.append((np.repeat(np.flatnonzero(is_f), sides)[k], _ranks(sides)[k], message))
     if few.size:
         problems.append((few[0], counts[few[0]], "face needs >= 3 vertices"))
@@ -170,9 +177,10 @@ def load_obj(path) -> Mesh:
 
 # --- the reader --------------------------------------------------------------
 
-# ASCII whitespace within a line, as spaces: bytes.split() would keep the
-# last four, which str.split() splits on.
-_SPACES = bytes.maketrans(b"\t\v\f\x1c\x1d\x1e\x1f", b" " * 7)
+# ASCII whitespace within a line besides the space. str.split() splits on
+# all of it, so the reader makes it spaces.
+_TABS = b"\t\v\f\x1c\x1d\x1e\x1f"
+_SPACES = bytes.maketrans(_TABS, b" " * len(_TABS))
 
 
 def records(data: bytes):
@@ -184,40 +192,53 @@ def records(data: bytes):
     else str, read as UTF-8 with U+FFFD for bytes that are not, so int and
     float accept what they accept in text.
     """
-    return _records(data)[:3]
+    data, starts, ends, linenos, counts, _, text = _records(data)
+    tokens = [data[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+    return [t.decode() for t in tokens] if text else tokens, linenos, counts
 
 
 def _records(data: bytes):
-    """``records``, and the byte of each record's first token if one byte long, else 0."""
+    """The reader's split of ``data``: (data, starts, ends, linenos, counts, heads, text).
+
+    The returned data has its comments cut, its line ends LF, its
+    whitespace within lines spaces and one LF appended, and token k is
+    ``data[starts[k]:ends[k]]``. Per record: its line number, its token
+    count, and the byte of its first token if that is one byte long, else
+    0. ``text`` tells whether the tokens read as str (see ``records``).
+    """
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if b"#" in data:
         data = re.sub(rb"#[^\n]*", b"", data)
-    if data.isascii():
+    text = not data.isascii()
+    if text:
+        data = re.sub(r"[^\S\n]", " ", data.decode("utf-8", errors="replace")).encode()
+    elif any(c in data for c in _TABS):
         data = data.translate(_SPACES)
-        tokens = data.split()
-    else:
-        text = re.sub(r"[^\S\n]", " ", data.decode("utf-8", errors="replace"))
-        data = text.encode()
-        tokens = text.split()
     # Only token bytes, spaces and newlines are left; one more newline ends
     # every token before the last byte.
-    b = np.frombuffer(data + b"\n", dtype=np.uint8)
+    data += b"\n"
+    b = np.frombuffer(data, dtype=np.uint8)
     newline = b == ord("\n")
-    gap = (b == ord(" ")) | newline
-    starts = ~gap
-    starts[1:] &= gap[:-1]
-    starts |= newline
-    events = np.flatnonzero(starts)  # token starts and newlines, in file order
+    gap = b == ord(" ")
+    gap |= newline
+    mark = ~gap  # a token's first byte, or a newline
+    mark[1:] &= gap[:-1]
+    mark |= newline
+    events = np.flatnonzero(mark)  # token starts and newlines, in file order
+    np.greater(gap[1:], gap[:-1], out=mark[1:])  # now a gap after a token byte
+    mark[0] = False
+    ends = np.flatnonzero(mark)
     token = ~newline[events]
     lead = token.copy()  # a record's first token: event 0 or after a newline
     lead[1:] &= ~token[:-1]
-    at = np.flatnonzero(token)
-    first = np.flatnonzero(lead[at])
-    # Token k is event at[k], after k tokens and so at[k] - k newlines.
-    linenos = at[first] - first + 1
-    head = events[at[first]]
-    return tokens, linenos, np.diff(first, append=len(at)), np.where(gap[head + 1], b[head], 0)
+    starts = events[token]
+    first = np.flatnonzero(lead[token])
+    # Token first[r] is event e, after first[r] tokens and so e - first[r] newlines.
+    linenos = np.flatnonzero(lead) - first + 1
+    head = starts[first]
+    heads = np.where(ends[first] - head == 1, b[head], 0)
+    return data, starts, ends, linenos, np.diff(first, append=len(starts)), heads, text
 
 
 def _text(token) -> str:
@@ -225,30 +246,85 @@ def _text(token) -> str:
     return token.decode() if isinstance(token, bytes) else token
 
 
-def _pick(tokens: list, mask: np.ndarray) -> list:
-    """The tokens where ``mask`` holds; its bytes give compress cached ints, faster than bools."""
-    return list(compress(tokens, mask.tobytes()))
+# 10**i, exact in int64 and in float64.
+_POW10 = np.array([10**i for i in range(19)], dtype=np.int64)
 
 
-def _column(convert, tokens: list, dtype) -> np.ndarray:
-    """``convert`` of each token as an array, up to the first token it rejects.
+def _column(convert, data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``convert`` (int or float) of tokens ``data[starts[k]:ends[k]]``, up to the first it rejects.
 
-    The array is shorter than ``tokens`` when a token raises ValueError.
-    Integers outside ``dtype`` keep their values in an object array.
+    The array is shorter than the tokens when a token raises ValueError.
+    int gives int64, or an object array of Python ints when a value lies
+    outside int64; float gives float64. Plain tokens are read from their
+    bytes, all at once (_plain_digits). For int they match
+    ``[+-]?[0-9]{1,18}``, and the value is the exact digit sum. For float
+    they match ``[+-]?[0-9]+(\\.[0-9]*)?`` or ``[+-]?\\.[0-9]+`` with at most
+    15 digits, and the value is ``±(m / 10**k)`` for the digits m and the k
+    digits after the point: m < 2^53 and 10**k (k <= 15) are exact doubles,
+    so the one IEEE division rounds the exact quotient correctly, as
+    float() does, and -0.000 gives -0.0. The other tokens go to
+    ``convert`` as text, in token order: exponents, nan, inf, underscores,
+    Unicode digits, longer numbers and whatever ``convert`` rejects.
     """
-    try:
-        return np.fromiter(map(convert, tokens), dtype, len(tokens))
-    except (ValueError, OverflowError):
-        values = []
-        for token in tokens:
-            try:
-                values.append(convert(token))
-            except ValueError:
-                break
+    b = np.frombuffer(data, dtype=np.uint8)
+    neg, m, k, plain = _plain_digits(b, starts, ends, convert is float)
+    values = m / _POW10[k].astype(np.float64) if convert is float else m
+    np.negative(values, out=values, where=neg)
+    slow, stop = [], len(starts)
+    rest = np.flatnonzero(~plain).tolist()
+    for i in rest:
         try:
-            return np.array(values, dtype=dtype)
-        except OverflowError:
-            return np.array(values, dtype=object)
+            slow.append(convert(data[starts[i] : ends[i]].decode()))
+        except ValueError:
+            stop = i
+            break
+    values = values[:stop]
+    if slow and convert is int and not all(-(1 << 63) <= v < 1 << 63 for v in slow):
+        values = values.astype(object)
+    values[rest[: len(slow)]] = slow
+    return values
+
+
+def _plain_digits(b: np.ndarray, starts, ends, decimal: bool):
+    """(negative, digits m, digits after the point k, plain) of the tokens b[starts:ends].
+
+    One loop over byte positions converts all tokens at once. A point
+    (allowed if ``decimal``) counts as a zero digit, which is taken out at
+    the end. m and k are garbage where a token is not plain.
+    """
+    lead = b[starts]
+    neg = lead == ord("-")
+    width = 16 if decimal else 18  # the most digits and points of a plain token
+    # The bytes after a sign; a span past width, clipped to fit int8, is not plain.
+    span = np.minimum(ends - starts, width + 2).astype(np.int8) - (neg | (lead == ord("+")))
+    bad = (span < 1) | (span > width)
+    m = np.zeros(len(starts), dtype=np.int64)
+    points = np.zeros(len(starts), dtype=np.int8)
+    point_at = np.minimum(span, width)  # the point's position from the right, else past the digits
+    # Horner's rule over the widest plain token's positions, each token
+    # right-aligned: the positions left of a token read as leading zeros.
+    n_pos = int(span[~bad].max(initial=0))
+    pos = ends - n_pos
+    for j in range(n_pos - 1, -1, -1):
+        byte = b[pos]
+        c = byte - ord("0")  # uint8: bytes below '0' wrap past 9
+        live = span > j
+        digit = c < 10
+        c *= digit & live
+        m *= 10
+        m += c
+        if decimal:
+            point = live & (byte == ord("."))
+            points += point
+            point_at[point] = j
+            digit |= point
+        bad |= live & ~digit
+        pos += 1
+    if decimal:
+        bad |= (points > 1) | (span - points > 15) | (span == points)
+        p = _POW10[point_at]
+        m = m % p + m // (10 * p) * p  # drop the point's zero digit
+    return neg, m, np.where(points > 0, point_at, 0), ~bad
 
 
 @dataclass
@@ -365,20 +441,23 @@ def _screen_polygons(t, poly, width: int, height: int, cull: bool):
     t, screen, flip = t[keep], screen[keep], area2[keep] < 0.0
     screen[flip] = screen[flip, ::-1]
 
-    x, y = screen[:, :, 0], screen[:, :, 1]
-    x0 = np.maximum(0, np.floor(x.min(axis=1) - 0.5).astype(np.int64))
-    x1 = np.minimum(width - 1, np.ceil(x.max(axis=1)).astype(np.int64))
-    y0 = np.maximum(0, np.floor(y.min(axis=1) - 0.5).astype(np.int64))
-    y1 = np.minimum(height - 1, np.ceil(y.max(axis=1)).astype(np.int64))
+    # Chained over the vertices: a reduction along a short axis is slower.
+    x, y = screen[:, :, 0].T, screen[:, :, 1].T
+    x0 = np.maximum(0, np.floor(functools.reduce(np.minimum, x) - 0.5).astype(np.int64))
+    x1 = np.minimum(width - 1, np.ceil(functools.reduce(np.maximum, x)).astype(np.int64))
+    y0 = np.maximum(0, np.floor(functools.reduce(np.minimum, y) - 0.5).astype(np.int64))
+    y1 = np.minimum(height - 1, np.ceil(functools.reduce(np.maximum, y)).astype(np.int64))
     keep = (x0 <= x1) & (y0 <= y1)
     t, screen, x0, x1, y0, y1 = t[keep], screen[keep], x0[keep], x1[keep], y0[keep], y1[keep]
 
     # Edge i runs from vertex i to vertex i + 1. In y-up coordinates the
     # interior lies below edges running left, so "top-left" means edges
-    # going up or exactly-horizontal-left; samples on them are covered.
+    # going up or exactly-horizontal-left; samples on them are covered. A
+    # zero-length edge, from a vertex the clipper repeated, is 0 at every
+    # sample and passes them all.
     ex = np.roll(screen[:, :, 0], -1, axis=1) - screen[:, :, 0]
     ey = np.roll(screen[:, :, 1], -1, axis=1) - screen[:, :, 1]
-    top_left = (ey > 0) | ((ey == 0) & (ex < 0))
+    top_left = (ey > 0) | ((ey == 0) & (ex <= 0))
     return t, screen, (x0, x1, y0, y1), (ex, ey, top_left), _depth_planes(screen)
 
 
@@ -570,10 +649,10 @@ def mark_visible(setup: list[tuple], depth: np.ndarray, n_triangles: int) -> Vis
     settles it. A probe first forms the samples of each polygon's middle
     box row, which are the very samples the whole stream holds on that row,
     and flags the triangles with a passing one. A second sweep then forms
-    every sample of only the polygons the probe left unflagged. The flags
-    equal those of one sweep over every sample. Raises ValueError when a
-    pixel box of the set-up lies outside ``depth``, which a flat index
-    would otherwise read from the wrong row.
+    the samples of the other rows of only the polygons the probe left
+    unflagged. The flags equal those of one sweep over every sample. Raises
+    ValueError when a pixel box of the set-up lies outside ``depth``, which
+    a flat index would otherwise read from the wrong row.
     """
     height, width = depth.shape
     if any(np.any(x1 >= width) or np.any(y1 >= height) for _, _, (_, x1, _, y1), _, _ in setup):
@@ -587,16 +666,18 @@ def mark_visible(setup: list[tuple], depth: np.ndarray, n_triangles: int) -> Vis
             slack = DEPTH_EPSILON * np.maximum(1.0, np.abs(stored))
             flags[t[z <= stored + slack]] = True
 
-    sweep([_middle_row(group) for group in setup])
-    sweep([_select(group, ~flags[group[0]]) for group in setup])
+    sweep([_bands(group)[0] for group in setup])
+    sweep([band for group in setup for band in _bands(_select(group, ~flags[group[0]]))[1:]])
     return VisibilityBuffer(flags=flags)
 
 
-def _middle_row(group):
-    """A screen_setup group with each pixel box narrowed to its middle row."""
+def _bands(group):
+    """A screen_setup group three times, its pixel boxes narrowed to their
+    middle rows, to the rows before those, and to the rows after them."""
     t, screen, (x0, x1, y0, y1), edges, planes = group
     mid = (y0 + y1) // 2
-    return t, screen, (x0, x1, mid, mid), edges, planes
+    rows = ((mid, mid), (y0, mid - 1), (mid + 1, y1))
+    return [(t, screen, (x0, x1, a, b), edges, planes) for a, b in rows]
 
 
 def _select(group, keep: np.ndarray):

@@ -39,7 +39,7 @@ from .charts import (
     ChartSet,
     Mesh,
     _column,
-    _pick,
+    _records,
     _text,
     connected_charts,
     depth_prepass,
@@ -129,7 +129,7 @@ def parse_box_file(path) -> np.ndarray:
     of the first bad record in file order, with the first rule that record
     breaks, or the line of the first byte that is not UTF-8.
     """
-    tokens, linenos, counts = records(_read_text(path))
+    data, starts, ends, linenos, counts, _, _ = _records(_read_text(path))
     # (record index, rule rank, message): the earliest record wins, then the
     # rule listed first. Records from the first one that cannot be parsed
     # on are not checked further.
@@ -138,7 +138,7 @@ def parse_box_file(path) -> np.ndarray:
     limit = int(short[0]) if short.size else len(counts)
     if limit < len(counts):
         problems.append((limit, 0, f"expected 4 fields, got {counts[limit]}"))
-    values = _column(int, tokens[: 4 * limit], np.int64)
+    values = _column(int, data, starts[: 4 * limit], ends[: 4 * limit])
     if len(values) < 4 * limit:
         limit = len(values) // 4
         problems.append((limit, 1, "fields must be unsigned integers"))
@@ -222,11 +222,14 @@ def parse_layout_file(path) -> AtlasLayout:
     A record of two tokens whose first is not a number is a header line.
     Raises InputError naming the file (and line, for a placement).
     """
-    tokens, linenos, counts = records(_read_text(path))
+    data, starts, ends, linenos, counts, _, _ = _records(_read_text(path))
     first = np.cumsum(counts) - counts
-    is_header = np.array([not tokens[i].isdigit() for i in first.tolist()], dtype=bool)
-    is_header &= counts == 2
-    header = {_text(tokens[i]): _text(tokens[i + 1]) for i in first[is_header].tolist()}
+    pairs = np.flatnonzero(counts == 2)
+    # Only spaces lie between the two tokens of a record.
+    words = [data[starts[k] : ends[k + 1]].decode().split() for k in first[pairs].tolist()]
+    is_header = np.zeros(len(counts), dtype=bool)
+    is_header[pairs] = [not key.isdigit() for key, _ in words]
+    header = {key: value for key, value in words if not key.isdigit()}
     placements = np.flatnonzero(~is_header)
     # (placement, rule rank, message): the first bad placement in file
     # order, with the first rule it breaks.
@@ -236,7 +239,9 @@ def parse_layout_file(path) -> AtlasLayout:
         problems.append((wrong[0], 0, "expected 8 placement fields"))
     read = np.zeros(len(counts), dtype=bool)
     read[placements[: wrong[0] if wrong.size else len(placements)]] = True
-    values = _column(int, _pick(tokens, np.repeat(read, counts)), np.int64)
+    fields = np.repeat(read, counts)
+    starts, ends = starts[fields], ends[fields]  # which frees the offsets of the rest
+    values = _column(int, data, starts, ends)
     if len(values) < 8 * read.sum():
         problems.append((len(values) // 8, 1, "placement fields must be integers"))
     table = values[: len(values) // 8 * 8].reshape(-1, 8)

@@ -400,8 +400,9 @@ def _raster_samples(screen_poly: np.ndarray, width: int, height: int, cull: bool
         e = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
         dy = by - ay
         # In y-up coordinates the interior lies below edges running left,
-        # so "top-left" means edges going up or exactly-horizontal-left.
-        if dy > 0 or (dy == 0 and bx - ax < 0):
+        # so "top-left" means edges going up or exactly-horizontal-left; a
+        # zero-length edge is 0 everywhere and passes.
+        if dy > 0 or (dy == 0 and bx - ax <= 0):
             inside &= e >= 0
         else:
             inside &= e > 0

@@ -220,6 +220,22 @@ class TestMarkVisible:
         assert not depth_and_flags(mesh, cam90, (16, 16))[1][0]
         assert depth_and_flags(mesh, cam90, (16, 16), cull=False)[1][0]
 
+    @pytest.mark.parametrize("cull", [True, False])
+    def test_zero_length_edge_passes_every_sample(self, cam90, cull):
+        # x = -1 projects one ulp outside x = -w, so the clipper emits the
+        # intersection point equal to that vertex: the polygon repeats it,
+        # and the edge between the copies is 0 at every sample.
+        positions = [(-1.0, -1.0, -1.0), (-0.5, -1.0, -1.0), (-0.5, -0.5, -1.0)]
+        mesh = Mesh(positions=positions, triangles=[(0, 1, 2)])
+        res = (64, 64)
+        setup = mesh_setup(mesh, cam90, res, cull)
+        assert any(np.any((ex == 0) & (ey == 0)) for _, _, _, (ex, ey, _), _ in setup)
+        depth, flags = depth_and_flags(mesh, cam90, res, cull)
+        assert flags[0]
+        assert np.isfinite(depth).sum() > 100  # about half of the 16 x 16 pixels it spans
+        ref_depth, ref_flags = reference_depth_and_flags(mesh, cam90, res, cull)
+        assert ref_flags[0] and depth.tobytes() == ref_depth.tobytes()
+
     @pytest.mark.parametrize(
         "shape", [(16, 15), (15, 16), (8, 8)], ids=["narrow", "short", "small"]
     )
@@ -487,6 +503,20 @@ def count_chunks(monkeypatch):
     return calls
 
 
+def record_samples(monkeypatch):
+    """Collect the (t, iy, ix) rows of every sample _chunks forms from here on."""
+    formed = []
+    chunks = charts._chunks
+
+    def recording(*args):
+        for c in chunks(*args):
+            formed.append(np.stack(c[:3], 1))
+            yield c
+
+    monkeypatch.setattr(charts, "_chunks", recording)
+    return formed
+
+
 class TestVisibilityProbe:
     RESOLUTIONS = [(64, 64), (32, 128), (128, 32)]
 
@@ -520,7 +550,7 @@ class TestVisibilityProbe:
         flags = mark_visible(setup, depth, mesh.n_triangles).flags
         probe, rest = calls[: len(setup)], calls[len(setup) :]
         assert flags.all()
-        assert len(rest) == len(setup)
+        assert len(rest) == 2 * len(setup)  # the rows before and after the middle ones
         assert sum(len(t) for t, _ in rest) == 0
         assert 0 < sum(n for _, n in probe) < res[0] * res[1] // 8
 
@@ -549,17 +579,29 @@ class TestVisibilityProbe:
         setup = mesh_setup(mesh, cam90, res)
         depth = depth_prepass(setup, res)
         calls = count_chunks(monkeypatch)
+        formed = record_samples(monkeypatch)
         flags = mark_visible(setup, depth, mesh.n_triangles).flags
         rest = calls[len(setup) :]
         assert flags.tolist() == [True] * 14 + [False]
         assert np.array_equal(flags, reference_depth_and_flags(mesh, cam90, res, True)[1])
         _, mid_pass, _ = probe_outcomes(mesh, cam90, res, True)
-        swept = np.concatenate([t for t, _ in rest])
-        assert sorted(swept.tolist()) == [*range(12), 14]
-        assert np.array_equal(np.sort(swept), np.flatnonzero(~mid_pass))
-        stream = np.concatenate([t for t, _, _, _ in mesh_samples(mesh, cam90, res)])
-        per_triangle = np.bincount(stream, minlength=mesh.n_triangles)
-        assert sum(n for _, n in rest) == per_triangle[swept].sum() < len(stream)
+        assert len(rest) == 2 * len(setup)  # the rows before and after the middle ones
+        swept = np.unique(np.concatenate([t for t, _ in rest]))
+        assert swept.tolist() == [*range(12), 14]
+        assert np.array_equal(swept, np.flatnonzero(~mid_pass))
+        # Each sample is formed at most once: the middle rows of every
+        # polygon, then the other rows of the swept ones.
+        stream = np.concatenate([np.stack(c[:3], 1) for c in mesh_samples(mesh, cam90, res)])
+        mid = np.full(mesh.n_triangles, -1)
+        for t, _, (_, _, y0, y1), _, _ in setup:
+            mid[t] = (y0 + y1) // 2
+        on_mid = stream[:, 1] == mid[stream[:, 0]]
+        off_mid_swept = ~on_mid & np.isin(stream[:, 0], swept)
+        formed = np.concatenate(formed)
+        assert len(np.unique(formed, axis=0)) == len(formed)
+        want = stream[on_mid | off_mid_swept]
+        assert np.array_equal(np.unique(formed, axis=0), np.unique(want, axis=0))
+        assert sum(n for _, n in rest) == off_mid_swept.sum() < len(stream) - on_mid.sum()
 
 
 class TestClipGroups:

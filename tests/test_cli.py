@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -937,6 +938,24 @@ class TestWholeFileParsing:
             assert mesh.positions.tobytes() == expected.positions.tobytes()
             assert mesh.triangles.tobytes() == expected.triangles.tobytes()
             assert np.array_equal(mesh.triangles, triangles)
+
+    def test_layout_parse_holds_no_token_objects(self, tmp_path, rng):
+        # A 3,000-row layout holds 24,000 numbers. Read from the file's
+        # bytes, none becomes a Python object, and the parse peaks near
+        # 1.3 MB of traced heap; holding a bytes object per token took it
+        # to about 2 MB.
+        path = tmp_path / "a.layout.txt"
+        layout = pack(generate_boxes(3000, 2048, rng), 8192)
+        write_layout_file(layout, path)
+        parse_layout_file(path)  # one-time caches are not the parse's
+        tracemalloc.start()
+        try:
+            parsed = parse_layout_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert layouts_equal(parsed, layout) and len(layout.table) == 3000
+        assert peak < 1_500_000, peak
 
     def test_box_file_as_the_benchmark_writes_it(self, tmp_path, rng):
         path = tmp_path / "boxes.txt"

@@ -5,6 +5,7 @@ database is kept, so every run checks the same bounded set of inputs.
 """
 
 import math
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -373,3 +374,84 @@ def test_box_file_whole_file_matches_line_split(mutation, records, data):
             ChartBox(target_w=int(w), target_h=int(h), chart_id=int(c), min_tri=int(t))
             for c, t, w, h in (r[:4] for r in records if r and not r[0].startswith("#"))
         ])
+
+
+# Tokens at the edges of the converter's fast path (charts._column): signs,
+# leading zeros, a bare point at either end, 19-digit integers and the
+# neighbours of +-2^63, and what only Python's int or float reads.
+EDGE_TOKENS = [
+    "0", "-0", "+0", "-0.000000", "+5", "007", ".5", "5.", "-.5", "+.5", "-5.", ".", "-", "+",
+    "-.", "+-1", "--1", "1.2.3", "1e5", "-2E-3", "nan", "-nan", "inf", "-Infinity", "1_0",
+    "1_000.5", "0x10", "٤", "１２", "١.٥", "²",
+    # 16 digits whose m is past 2^53: m / 10**k rounds twice and misses float().
+    "96.48064786969077",
+    *(str(sign * (2**63 + d)) for sign in (1, -1) for d in (-2, -1, 0, 1)),
+]
+
+
+@st.composite
+def numeric_tokens(draw):
+    """1 to 20 digits with a sign and a point at random, or an edge token."""
+    kind = draw(st.sampled_from(["int", "decimal", "edge"]))
+    if kind == "edge":
+        return draw(st.sampled_from(EDGE_TOKENS))
+    n = draw(st.sampled_from([1, 2, 6, 14, 15, 16, 17, 18, 19, 20]))
+    digits = str(draw(st.integers(0, 10**n - 1))).zfill(n)
+    if kind == "decimal":
+        at = draw(st.integers(0, n))
+        digits = f"{digits[:at]}.{digits[at:]}"
+    return draw(st.sampled_from(["", "", "-", "+"])) + digits
+
+
+def python_column(convert, tokens):
+    """The converter's contract, one token at a time: up to the first rejected token, int64
+    or float64, and an object array when an int lies outside int64."""
+    values = []
+    for token in tokens:
+        try:
+            values.append(convert(token))
+        except ValueError:
+            break
+    try:
+        return np.array(values, dtype=np.int64 if convert is int else np.float64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def plain(convert, token) -> bool:
+    """Whether the converter reads ``token`` from its digits, without Python's int or float."""
+    if convert is int:
+        return re.fullmatch(r"[+-]?[0-9]{1,18}", token) is not None
+    digits = sum(c in "0123456789" for c in token)
+    return re.fullmatch(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)", token) is not None and digits <= 15
+
+
+@pytest.mark.parametrize("convert", [int, float])
+@settings(PROPERTY, max_examples=300)
+@given(tokens=st.lists(numeric_tokens(), max_size=10))
+def test_column_matches_python_conversion(convert, tokens):
+    data = " ".join(tokens).encode() + b"\n"
+    lengths = np.array([len(t.encode()) for t in tokens], dtype=np.int64)
+    ends = np.cumsum(lengths + 1) - 1
+    starts = ends - lengths
+    got, want = charts._column(convert, data, starts, ends), python_column(convert, tokens)
+    assert got.dtype == want.dtype
+    if got.dtype == object:
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+    else:
+        assert got.tobytes() == want.tobytes()  # the same length, and -0.0 and nan bits too
+    fast = charts._plain_digits(np.frombuffer(data, np.uint8), starts, ends, convert is float)[3]
+    assert fast.tolist() == [plain(convert, t) for t in tokens]
+
+
+@settings(PROPERTY, max_examples=150)
+@given(indices=st.lists(st.tuples(st.one_of(numeric_tokens(), st.sampled_from(["1", "-3", "+2"])),
+                                  st.sampled_from(["", "/", "/2", "/1/2", "//3"])),
+                        min_size=1, max_size=5))
+def test_face_tokens_cut_at_their_first_slash(indices):
+    # The face column reads each token up to its first '/', as the line loop does.
+    face = " ".join(index + tail for index, tail in indices)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mesh.obj"
+        path.write_bytes(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nf {face}\n".encode())
+        assert outcome(load_obj, path) == outcome(obj_line_loop, path)
