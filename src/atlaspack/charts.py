@@ -5,13 +5,8 @@ Every input file is split by one whole-file reader, ``records``: it cuts
 token's start and end and each non-blank line's number and token count in
 one numpy pass over the bytes, so a parser checks its rules on whole
 columns and names the first bad line. Numeric columns are converted from
-the bytes as well (``_column``), with no Python object per token: one loop
-over byte positions reads every plain token at once, an integer of at most
-18 digits or a decimal of at most 15 digits without an exponent, and only
-the others go to Python's int or float. A plain decimal's value is
-m / 10**k for its digits m and its k digits after the point. Both are
-exact doubles (m < 2^53, k <= 15), so the one IEEE division rounds the
-exact quotient correctly and equals float() (Clinger 1990; Lemire 2021).
+the bytes as well, with no Python object per plain token (``_column``,
+after Clinger 1990 and Lemire 2021).
 
 A software depth prepass and a matching visibility pass mark triangles that
 cover at least one depth-passing pixel-center sample. Visible triangles are
@@ -22,34 +17,30 @@ root hooking and pointer jumping (Shiloach and Vishkin 1982), which takes
 about a dozen rounds on a randomly numbered strip of 100,000 triangles.
 
 Both passes read one set-up, ``screen_setup``, made once a frame from the
-clip coordinates of every triangle, which the caller projects once and
-also hands to the chart boxes. It clips all the triangles that leave the
-frustum at once, one plane after another (Sutherland and Hodgman 1974),
-and sets up top-left edge functions (Pineda 1988) that each pass evaluates
-only at the samples a polygon covers. On a fixed row, an edge's value
+clip coordinates of every triangle, which the caller gathers from one
+projection of the vertices and also hands to the chart boxes. It clips all
+the triangles that leave the frustum at once, one plane after another
+(Sutherland and Hodgman 1974), and sets up top-left edge functions (Pineda
+1988), each edge as contiguous columns of its start, vector and top-left
+flag, which a pass gathers by polygon. On a fixed row, an edge's value
 ``row_term - ey * ((ix + 0.5) - sx)`` is weakly monotone in the column ix,
 because float subtraction and multiplication by a constant are monotone.
 So the top-left test passes on a prefix of the row when ey > 0, on a
 suffix when ey < 0, and on all or none of it when ey == 0, and a convex
 polygon covers one span [lo, hi] of each row of its pixel box, the
-intersection of these. Each bound comes from the edge's estimated crossing,
-confirmed by the exact test on both sides of it, from one exact test for
-an exactly horizontal edge, or from a bisection with the exact test where
-the estimate is not finite or misses. Every sample is computed with the
-same operations as a one-triangle-at-a-time rasterizer, so results do not
-depend on batching.
+intersection of these. Each bound is the edge's estimated crossing, clamped
+to the row and confirmed by the exact test on both sides of it, or found by
+a bisection with the exact test where that fails. Every sample is computed
+with the same operations as a one-triangle-at-a-time rasterizer, so results
+do not depend on batching.
 
-The depth pass keeps the minimum depth per pixel. It scatters the samples
-in their stream order: np.minimum.at keeps the later of two equal values,
-so the order decides between +0 and -0 on a pixel. The visibility pass
-flags each triangle with a sample at most DEPTH_EPSILON behind the stored
-depth. A flag is an OR over the triangle's samples, so the pass stops at
-the first passing one: a probe forms the samples of each polygon's middle
-box row, and only the polygons it leaves unflagged have their other rows
-swept. The probe's samples are those the whole sweep forms on that row,
-from the same set-up with the same arithmetic, so the flags are the ones a
-sweep of every sample gives, bit for bit. Both passes index the depth buffer through a
-flat view, row * width + column.
+The depth pass keeps the minimum depth per pixel. Its stream holds each
+sample's flat pixel index, row * width + column, and depth, and no
+triangle ids. It scatters the samples in stream order: np.minimum.at keeps
+the later of two equal values, so the order decides between +0 and -0 on a
+pixel. The visibility pass flags each triangle with a sample at most
+DEPTH_EPSILON behind the stored depth, and stops at the first such sample
+of each triangle (see mark_visible).
 """
 
 from __future__ import annotations
@@ -87,10 +78,6 @@ class Mesh:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
-
-    def triangle_corners(self) -> np.ndarray:
-        """World-space corners, shape (n, 3, 3)."""
-        return self.positions[self.triangles]
 
 
 def build_adjacency(triangles: np.ndarray) -> np.ndarray:
@@ -363,9 +350,11 @@ class ChartSet:
 
 # --- rasterization ---------------------------------------------------------
 
-# Box rows whose spans are set up at once, and covered samples per chunk.
-# A chunk holds whole rows, so at most max(_CHUNK, width) samples, and the
-# memory of a pass stays bounded whatever the screen size.
+# Box rows whose spans are set up at once, gathering their polygons' edge
+# columns, and covered samples per chunk, each a flat pixel index and a
+# depth, plus a triangle id where a pass reads it. A chunk holds whole
+# rows, so at most max(_CHUNK, width) samples, and the memory of a pass
+# stays bounded whatever the screen size.
 _CHUNK = 1 << 14
 
 
@@ -374,8 +363,8 @@ def screen_setup(clip: np.ndarray, res: tuple[int, int], cull: bool) -> list[tup
 
     ``clip`` holds the (n, 3, 4) clip coordinates of every triangle and
     ``res`` is the screen's (width, height). Returns one group per clipped
-    vertex count, each the output of _screen_polygons: triangle ids, screen
-    polygons, pixel boxes, edges and depth planes.
+    vertex count, each the output of _screen_polygons: triangle ids, pixel
+    boxes, edge columns and depth planes.
     """
     width, height = int(res[0]), int(res[1])
     if width < 1 or height < 1:
@@ -430,8 +419,9 @@ def _screen_polygons(t, poly, width: int, height: int, cull: bool):
 
     Counter-clockwise polygons (in y-up pixel coordinates) are front-facing;
     with culling disabled, clockwise polygons are flipped. Returns the
-    triangle ids and (n, 3) screen polygons that survive, their pixel boxes,
-    edge vectors, top-left flags and depth planes.
+    triangle ids, pixel boxes, edges and depth planes of the polygons that
+    survive. Edge i, from vertex i to i + 1, is the columns (sx, sy, ex, ey,
+    top_left): its start, vector and top-left flag per polygon.
     """
     screen = poly[:, :, :3] / poly[:, :, 3:4]  # NDC, then x and y to pixels
     screen[:, :, 0] = (screen[:, :, 0] + 1.0) * 0.5 * width
@@ -450,111 +440,109 @@ def _screen_polygons(t, poly, width: int, height: int, cull: bool):
     keep = (x0 <= x1) & (y0 <= y1)
     t, screen, x0, x1, y0, y1 = t[keep], screen[keep], x0[keep], x1[keep], y0[keep], y1[keep]
 
-    # Edge i runs from vertex i to vertex i + 1. In y-up coordinates the
-    # interior lies below edges running left, so "top-left" means edges
-    # going up or exactly-horizontal-left; samples on them are covered. A
-    # zero-length edge, from a vertex the clipper repeated, is 0 at every
-    # sample and passes them all.
-    ex = np.roll(screen[:, :, 0], -1, axis=1) - screen[:, :, 0]
-    ey = np.roll(screen[:, :, 1], -1, axis=1) - screen[:, :, 1]
+    # In y-up coordinates the interior lies below edges running left, so
+    # "top-left" means edges going up or exactly-horizontal-left; samples
+    # on them are covered. A zero-length edge, from a vertex the clipper
+    # repeated, is 0 at every sample and passes them all.
+    sx, sy = np.ascontiguousarray(screen[:, :, 0].T), np.ascontiguousarray(screen[:, :, 1].T)
+    ex, ey = np.roll(sx, -1, axis=0) - sx, np.roll(sy, -1, axis=0) - sy
     top_left = (ey > 0) | ((ey == 0) & (ex <= 0))
-    return t, screen, (x0, x1, y0, y1), (ex, ey, top_left), _depth_planes(screen)
+    return t, (x0, x1, y0, y1), tuple(zip(sx, sy, ex, ey, top_left)), _depth_planes(screen)
 
 
-def _chunks(t, screen, box, edges, planes):
-    """Covered samples of screen polygons, in chunks of whole rows.
+def _chunks(group, width: int, ids: bool = True):
+    """Covered samples of a screen_setup group, in chunks of whole rows.
 
     Rows of the polygons' boxes are taken _CHUNK at a time, in polygon
-    order. Each row is narrowed to the span of samples its polygon covers
-    (_row_spans), and the spans are cut into chunks of at most _CHUNK
-    samples, or one row where a row alone holds more. Boundary samples
-    follow the top-left rule, so polygons meeting along an edge never both
-    claim the shared samples. Samples come out by polygon, then row, then
-    column, and every per-sample value is computed with the same
-    operations, in the same order, as a one-polygon-at-a-time rasterizer
-    would use, so results do not depend on how polygons are batched.
+    order, narrowed to the span of samples the polygon covers (_row_spans),
+    and cut into chunks of at most _CHUNK samples, or one row where a row
+    alone holds more. Polygons meeting along an edge never both claim the
+    shared samples. Samples come out by polygon, row and column, as (t,
+    pixel, z): triangle id, flat pixel index row * ``width`` + column and
+    depth, or as (pixel, z) without ``ids``. Each depth takes the
+    operations, in order, of a one-polygon-at-a-time rasterizer.
     """
-    x0, x1, y0, y1 = box
-    z0, gx, gy, flat = planes
-    n_rows = y1 - y0 + 1
-    row_end = np.cumsum(n_rows)
-    total = int(row_end[-1]) if len(row_end) else 0
-    for first_row in range(0, total, _CHUNK):
-        r = np.arange(first_row, min(first_row + _CHUNK, total))
-        g = np.searchsorted(row_end, r, side="right")
-        iy = y0[g] + (r - row_end[g] + n_rows[g])
-        lo, hi = _row_spans(screen, edges, g, iy, x0[g], x1[g])
-        rows = np.flatnonzero(lo <= hi)
+    t, (x0, x1, y0, y1), edges, (z0, gx, gy, flat) = group
+    sx, sy = edges[0][:2]  # vertex 0, where the depth planes are anchored
+    bounds = np.r_[0, (y1 - y0 + 1).cumsum()]  # polygon i has the rows [bounds[i], bounds[i + 1])
+    for first in range(0, bounds[-1], _CHUNK):
+        r = np.arange(first, min(first + _CHUNK, bounds[-1]))
+        # The chunk's polygons p..q, repeated by their rows in it: cheaper than a search per row.
+        p, q = bounds.searchsorted(r[[0, -1]], side="right") - 1
+        g = np.arange(p, q + 1).repeat(np.diff(np.clip(bounds[p : q + 2], first, r[-1] + 1)))
+        iy = y0[g] + (r - bounds[g])
+        lo, hi = _row_spans(edges, g, iy, x0[g], x1[g])
+        rows = (lo <= hi).nonzero()[0]
         g, iy, lo, count = g[rows], iy[rows], lo[rows], hi[rows] - lo[rows] + 1
-        end = np.cumsum(count)
+        end = count.cumsum()
         start = 0
         while start < len(end):
             base = end[start - 1] if start else 0
-            stop = max(start + 1, int(np.searchsorted(end, base + _CHUNK, side="right")))
+            stop = max(start + 1, int(end.searchsorted(base + _CHUNK, side="right")))
             r, n = slice(start, stop), count[start:stop]
-            # Per-polygon values and the depth's row term are taken once per
-            # row and repeated over its samples: the same operations per sample.
+            # Sample k lies in column k + shift of its row. Per-row values are
+            # formed once and repeated over the row: the same operations per sample.
             gr, iyr = g[r], iy[r]
-            ixs = np.repeat(lo[r], n) + _ranks(n)
+            k = np.arange(end[stop - 1] - base)
+            shift = lo[r] - (end[r] - n - base)
+            pixel = k + (iyr * width + shift).repeat(n)
             z = (
-                np.repeat(z0[gr], n)
-                + np.repeat(gx[gr], n) * (ixs + 0.5 - np.repeat(screen[gr, 0, 0], n))
-                + np.repeat(gy[gr] * (iyr + 0.5 - screen[gr, 0, 1]), n)
+                z0[gr].repeat(n)
+                + gx[gr].repeat(n) * (k + shift.repeat(n) + 0.5 - sx[gr].repeat(n))
+                + (gy[gr] * (iyr + 0.5 - sy[gr])).repeat(n)
             )
             # Flat polygons take z0 as it is: adding the zero terms could
             # change the sign of a zero depth.
             on_flat = flat[gr]
-            z[np.repeat(on_flat, n)] = np.repeat(z0[gr[on_flat]], n[on_flat])
-            yield np.repeat(t[gr], n), np.repeat(iyr, n), ixs, z
+            if on_flat.any():
+                z[on_flat.repeat(n)] = z0[gr[on_flat]].repeat(n[on_flat])
+            yield (t[gr].repeat(n), pixel, z) if ids else (pixel, z)
             start = stop
 
 
-def _row_spans(screen, edges, g, iy, lo, hi):
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _row_spans(edges, g, iy, lo, hi):
     """Narrow each row's [lo, hi] to the samples that polygon g covers on row iy.
 
     Each edge's test passes on a prefix of the row where ey >= 0 and on a
-    suffix where ey < 0 (see the module docstring). Its boundary is the
-    estimated crossing, confirmed by the exact test on both sides of it.
-    Where ey == 0 the test is the same all along the row, so it passes on
-    all of it or none. Where the estimate is not finite or misses otherwise,
-    _search_boundary finds the boundary.
-    A row whose span is empty gets lo > hi.
+    suffix where ey < 0 (see the module docstring), up to the estimated
+    crossing where the exact tests confirm it, else as _search_boundary
+    finds. A row whose span is empty gets lo > hi. Columns are floats here.
     """
-    ex, ey, top_left = edges
     py = iy + 0.5
-    for i in range(screen.shape[1]):
-        sx, e_y, tl = screen[g, i, 0], ey[g, i], top_left[g, i]
-        row_term = ex[g, i] * (py - screen[g, i, 1])
+    lo, hi = lo.astype(np.float64), hi.astype(np.float64)
+    for sx, sy, ex, ey, top_left in edges:
+        sx, e_y, tl = sx[g], ey[g], top_left[g]
+        row_term = ex[g] * (py - sy[g])
         suffix = e_y < 0
         # b is the last column of [lo - 1, hi] where the test differs from
         # suffix: the last passing one of a prefix, the last failing one
-        # before a suffix.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            est = np.floor(sx + row_term / e_y - 0.5)
-        finite = np.isfinite(est)
-        b = np.where(finite, np.clip(est, lo - 1, hi), lo - 1).astype(np.int64)
-        ok = finite & ((b < lo) | (_edge_passes(row_term, e_y, sx, tl, b) != suffix))
-        passes_next = _edge_passes(row_term, e_y, sx, tl, b + 1)
+        # before a suffix. The test is monotone along the row, so the exact
+        # tests at b and b + 1 confirm any b; a NaN estimate gives lo - 1.
+        b = np.fmin(np.fmax(np.floor(sx + row_term / e_y - 0.5), lo - 1.0), hi)
+        c = b + 0.5
+        ok = (b < lo) | (_passes(row_term, e_y * (c - sx), tl) != suffix)
+        passes_next = _passes(row_term, e_y * ((c + 1.0) - sx), tl)
         ok &= (b >= hi) | (passes_next == suffix)
-        # An exactly horizontal edge has the value row_term along its whole
-        # row, and b = lo - 1 there: one exact test at lo settles the row.
-        level = e_y == 0
-        b = np.where(level & passes_next, hi, b)
-        miss = np.flatnonzero(~(ok | level))
+        # An exactly horizontal edge has the same value all along its row.
+        level = (passes_next & (e_y == 0)).nonzero()[0]
+        b[level], ok[level] = hi[level], True
+        miss = (~ok).nonzero()[0]
         if len(miss):
-            b[miss] = _search_boundary(
-                row_term[miss], e_y[miss], sx[miss], tl[miss], suffix[miss],
-                lo[miss] - 1, hi[miss] + 1,
-            )
-        lo = np.where(suffix, np.maximum(lo, b + 1), lo)
-        hi = np.where(suffix, hi, np.minimum(hi, b))
-    return lo, hi
+            b[miss] = _search_boundary(row_term[miss], e_y[miss], sx[miss], tl[miss],
+                                       suffix[miss], lo[miss] - 1.0, hi[miss] + 1.0)
+        # b lies in [lo - 1, hi]: it replaces one bound, and an empty row stays empty.
+        np.copyto(lo, b + 1.0, where=suffix)
+        np.copyto(hi, b, where=~suffix)
+    return lo.astype(np.int64), hi.astype(np.int64)
 
 
-def _edge_passes(row_term, ey, sx, top_left, ix):
-    """The top-left test of one edge at samples ix of their rows."""
-    e = row_term - ey * ((ix + 0.5) - sx)
-    return (e > 0) | ((e == 0) & top_left)
+def _passes(row_term, col_term, top_left):
+    """The top-left test of edge values row_term - col_term, compared directly:
+    for finite doubles, a - b > 0 iff a > b and a - b == 0 iff a == b."""
+    passes = row_term > col_term
+    passes |= top_left & (row_term == col_term)
+    return passes
 
 
 def _search_boundary(row_term, ey, sx, top_left, suffix, below, above):
@@ -569,7 +557,7 @@ def _search_boundary(row_term, ey, sx, top_left, suffix, below, above):
         if not open_.any():
             return below
         mid = (below + above) // 2
-        flips = _edge_passes(row_term, ey, sx, top_left, mid) != suffix
+        flips = _passes(row_term, ey * ((mid + 0.5) - sx), top_left) != suffix
         below = np.where(open_ & flips, mid, below)
         above = np.where(open_ & ~flips, mid, above)
 
@@ -589,13 +577,13 @@ def _orientation(screen: np.ndarray) -> np.ndarray:
     x, y = screen[:, :, 0], screen[:, :, 1]
     xy = x * np.roll(y, -1, axis=1)
     yx = y * np.roll(x, -1, axis=1)
-    area2 = xy.sum(axis=1) - yx.sum(axis=1)
-    # Any evaluation order of the two sums of n <= 9 products, fused or
-    # not, lies within 9 * 2^-53 of the sum of their magnitudes from the
-    # exact value, so beyond 1e-12 of that sum the order cannot flip the
-    # sign. np.dot's order depends on the strides, so each recomputation
-    # reads the columns of an (n, 3) polygon, as the per-triangle code did.
-    close = np.abs(area2) <= 1e-12 * (np.abs(xy).sum(axis=1) + np.abs(yx).sum(axis=1))
+    area2 = functools.reduce(np.add, xy.T) - functools.reduce(np.add, yx.T)
+    # Chained over the vertices, faster than a sum along a short axis. Any
+    # order of the two sums of n <= 9 products, fused or not, lies within
+    # 9 * 2^-53 of their magnitudes' sum from the exact value, so beyond
+    # 1e-12 of that sum it cannot flip the sign. np.dot's order depends on
+    # the strides, so a recomputation reads an (n, 3) polygon's columns.
+    close = np.abs(area2) <= 1e-12 * functools.reduce(np.add, [*np.abs(xy).T, *np.abs(yx).T])
     for g in np.flatnonzero(close):
         px, py = screen[g, :, 0], screen[g, :, 1]
         area2[g] = np.dot(px, np.roll(py, -1)) - np.dot(py, np.roll(px, -1))
@@ -618,8 +606,8 @@ def _depth_planes(screen: np.ndarray):
         d1, d2 = screen[:, j] - p0, screen[:, j + 1] - p0
         det = d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1]
         solve = flat & (np.abs(det) > 1e-12)
-        gx[solve] = (d1[solve, 2] * d2[solve, 1] - d2[solve, 2] * d1[solve, 1]) / det[solve]
-        gy[solve] = (d2[solve, 2] * d1[solve, 0] - d1[solve, 2] * d2[solve, 0]) / det[solve]
+        np.divide(d1[:, 2] * d2[:, 1] - d2[:, 2] * d1[:, 1], det, out=gx, where=solve)
+        np.divide(d2[:, 2] * d1[:, 0] - d1[:, 2] * d2[:, 0], det, out=gy, where=solve)
         flat &= ~solve
     for g in np.flatnonzero(flat):
         z0[g] = screen[g, :, 2].mean()
@@ -637,8 +625,8 @@ def depth_prepass(setup: list[tuple], res: tuple[int, int]) -> np.ndarray:
     width = int(res[0])
     depth = np.full((int(res[1]), width), np.inf)
     pixels = depth.reshape(-1)
-    for _, iy, ix, z in chain.from_iterable(_chunks(*group) for group in setup):
-        np.minimum.at(pixels, iy * width + ix, z)
+    for pixel, z in chain.from_iterable(_chunks(group, width, ids=False) for group in setup):
+        np.minimum.at(pixels, pixel, z)
     return depth
 
 
@@ -655,14 +643,14 @@ def mark_visible(setup: list[tuple], depth: np.ndarray, n_triangles: int) -> Vis
     a flat index would otherwise read from the wrong row.
     """
     height, width = depth.shape
-    if any(np.any(x1 >= width) or np.any(y1 >= height) for _, _, (_, x1, _, y1), _, _ in setup):
+    if any(np.any(x1 >= width) or np.any(y1 >= height) for _, (_, x1, _, y1), _, _ in setup):
         raise ValueError(f"depth buffer of shape {depth.shape} is smaller than the set-up's screen")
     flags = np.zeros(n_triangles, dtype=bool)
     pixels = depth.reshape(-1)
 
     def sweep(groups):
-        for t, iy, ix, z in chain.from_iterable(_chunks(*group) for group in groups):
-            stored = pixels[iy * width + ix]
+        for t, pixel, z in chain.from_iterable(_chunks(group, width) for group in groups):
+            stored = pixels[pixel]
             slack = DEPTH_EPSILON * np.maximum(1.0, np.abs(stored))
             flags[t[z <= stored + slack]] = True
 
@@ -674,16 +662,15 @@ def mark_visible(setup: list[tuple], depth: np.ndarray, n_triangles: int) -> Vis
 def _bands(group):
     """A screen_setup group three times, its pixel boxes narrowed to their
     middle rows, to the rows before those, and to the rows after them."""
-    t, screen, (x0, x1, y0, y1), edges, planes = group
+    t, (x0, x1, y0, y1), edges, planes = group
     mid = (y0 + y1) // 2
     rows = ((mid, mid), (y0, mid - 1), (mid + 1, y1))
-    return [(t, screen, (x0, x1, a, b), edges, planes) for a, b in rows]
+    return [(t, (x0, x1, a, b), edges, planes) for a, b in rows]
 
 
 def _select(group, keep: np.ndarray):
-    """A screen_setup group narrowed to the polygons where ``keep`` holds."""
-    t, screen, box, edges, planes = group
-    return (t[keep], screen[keep], *(tuple(a[keep] for a in part) for part in (box, edges, planes)))
+    """A screen_setup group, or a part of it, narrowed to the polygons where ``keep`` holds."""
+    return group[keep] if isinstance(group, np.ndarray) else tuple(_select(a, keep) for a in group)
 
 
 # --- chartification --------------------------------------------------------

@@ -79,8 +79,10 @@ EXIT_NOTHING_VISIBLE = 3
 
 PACKER_NAMES = ("fastatlas", "sequential", "superblock")
 
-# Largest screen side; the depth buffer is a height x width float64 array.
+# Largest screen side and pixel count. The depth buffer is a height x
+# width float64 array, 256 MiB at 2^25 pixels, which still admits 7680x4320.
 MAX_SCREEN = 1 << 14
+MAX_SCREEN_PIXELS = 1 << 25
 
 # Largest gen-boxes --count, far above the benchmark's 3,000-box sets.
 MAX_GEN_COUNT = 1 << 16
@@ -358,6 +360,8 @@ def scene_config_problem(cfg: SceneConfig) -> tuple[str, str] | None:
     w, h = cfg.screen
     if not (1 <= w <= MAX_SCREEN and 1 <= h <= MAX_SCREEN):
         return "screen", f"screen sides must be in [1, {MAX_SCREEN}], got {w}x{h}"
+    if w * h > MAX_SCREEN_PIXELS:
+        return "screen", f"screen must have at most {MAX_SCREEN_PIXELS} pixels, got {w}x{h}"
     if not cfg.near < cfg.far:
         return "near", "near must be less than far"
     return None
@@ -442,7 +446,8 @@ class Frame:
     ``boxes`` is the (n, 4) box table of the charts with a screen box, in
     chart order, and row i of the (n, 2) ``chart_px`` is the width and
     height in pixels of box i's screen box. ``clip`` holds the (m, 3, 4)
-    clip coordinates of every triangle, the frame's one projection.
+    clip coordinates of every triangle, gathered from the frame's one
+    projection of the mesh's vertices.
     """
 
     config: SceneConfig
@@ -467,11 +472,13 @@ class SceneResult(Frame):
 def frame_charts(cfg: SceneConfig) -> Frame:
     """One projection, depth prepass, visibility, chartification and chart boxes.
 
-    Raises NothingVisible when no triangle passes the depth test, and
-    HeightOverflow when a chart box is taller than any packer takes.
+    The vertices are projected once, as one (n, 4) @ (4, 4) product, and the
+    triangles' clip array is gathered from them. Raises NothingVisible when
+    no triangle passes the depth test, and HeightOverflow when a chart box
+    is taller than any packer takes.
     """
     mesh = load_obj(cfg.mesh_path)
-    clip = clip_coords(mesh.triangle_corners(), cfg.camera())
+    clip = clip_coords(mesh.positions, cfg.camera())[mesh.triangles]
     setup = screen_setup(clip, cfg.screen, cfg.backface_cull)
     depth = depth_prepass(setup, cfg.screen)
     vis = mark_visible(setup, depth, mesh.n_triangles)
@@ -652,7 +659,8 @@ def _cmd_pack_boxes(args) -> int:
     packer_fn = make_packer(args.packer, args.scales, args.min_dim, args.padding, args.block_size)
     boxes = parse_box_file(args.input)
     try:
-        _check_flags(n_scales=args.scales, min_dim=args.min_dim, padding=args.padding)
+        _check_flags(omega=args.omega, n_scales=args.scales, min_dim=args.min_dim,
+                     padding=args.padding)
         layout = packer_fn(boxes, args.omega)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -751,16 +759,14 @@ def _cmd_compare(args) -> int:
     frame = frame_error = None
     try:
         _check_flags(n_scales=args.scales, min_dim=args.min_dim, padding=args.padding)
+        for omega in omegas:
+            _check_flags(omega=omega)
         is_scene = _looks_like_scene(args.input)
         if is_scene:
             cfg = replace(
                 parse_scene_config(args.input),
                 n_scales=args.scales, min_dim=args.min_dim, padding=args.padding,
             )
-            for omega in omegas:
-                problem = scene_config_problem(replace(cfg, omega=omega))
-                if problem is not None:
-                    raise ValueError(problem[1])
             try:
                 frame = frame_charts(cfg)
             except (PackingError, NothingVisible) as exc:
@@ -927,6 +933,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (OSError, InputError) as exc:  # a bad input file, or an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except MemoryError as exc:  # a frame or input too large for the memory at hand
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

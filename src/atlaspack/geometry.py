@@ -10,9 +10,10 @@ at w == 0.
 ``FRUSTUM_PLANES`` its one plane table. The step clips a whole batch of
 polygons at once, each against one half-space, and returns them grouped by
 vertex count; every coordinate equals that of a one-polygon step. The
-rasterizer and ``chart_bbox`` both read the clip coordinates of one
-``clip_coords`` call a frame, and both test all triangles against the
-planes at once and pass only those that need it to the step, in batches:
+rasterizer and ``chart_bbox`` both read the triangles' clip coordinates,
+gathered from one ``clip_coords`` call a frame over the vertices, and both
+test all triangles against the planes at once and pass only those that
+need it to the step, in batches:
 the rasterizer clips every triangle leaving the frustum against the camera
 plane and then each of the six planes it leaves, and ``chart_bbox`` clips
 each triangle crossing the near plane against it and each one crossing
@@ -137,10 +138,13 @@ def look_at_matrix(position, target, up) -> np.ndarray:
     return m
 
 
-def clip_coords(triangles, cam: CameraFrame) -> np.ndarray:
-    """Homogeneous clip coordinates of (n, 3, 3) world-space triangles: (n, 3, 4)."""
-    tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 3)
-    return np.concatenate([tris, np.ones((len(tris), 3, 1))], axis=2) @ cam.view_proj.T
+def clip_coords(points, cam: CameraFrame) -> np.ndarray:
+    """Clip coordinates of world points, (..., 3) -> (..., 4), as one 2-D product of two rows
+    at least: numpy multiplies a single row by another BLAS kernel, with other rounding."""
+    p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    homo = np.ones((max(len(p), 2), 4))
+    homo[: len(p), :3] = p
+    return (homo @ cam.view_proj.T)[: len(p)].reshape(*np.shape(points)[:-1], 4)
 
 
 def plane_distances(v: np.ndarray, plane: str) -> np.ndarray:
@@ -204,7 +208,7 @@ def chart_bbox(clip: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     """Conservative NDC bounding boxes of a frame's charts, as (n, 2) lo and hi.
 
     ``clip`` is an (m, 3, 4) array of the clip coordinates of triangles
-    grouped by chart, as ``clip_coords`` gives them; chart i's triangles
+    grouped by chart, gathered from ``clip_coords``; chart i's triangles
     start at ``starts[i]``, and no chart is empty. Each triangle gets its
     own box. A triangle fully in front of the camera plane that crosses no
     side plane takes the fast path: the clamped divide of its three

@@ -23,8 +23,12 @@ message. The box tests
 read chart boxes as ``NdcBox`` records, through a one-chart adapter over
 the package's frame-wide ``chart_bbox``, and the raster tests run both
 passes from world-space meshes through ``depth_and_flags``, an adapter
-that projects and sets up a mesh as ``cli.frame_charts`` does. Only tests
-call this code, so it lives here rather than in the package.
+that projects and sets up a mesh as ``cli.frame_charts`` does. The
+stacked projection is the package's earlier per-triangle product, which
+the one projection of a frame's vertices must match bit for bit, and
+``sample_rows`` reads the raster's flat pixel indices as rows and columns
+for the samplers that give them so. Only tests call this code, so it
+lives here rather than in the package.
 """
 
 from __future__ import annotations
@@ -115,9 +119,20 @@ def one_chart_bbox(triangles, cam) -> NdcBox:
     return NdcBox(float(lo[0, 0]), float(lo[0, 1]), float(hi[0, 0]), float(hi[0, 1]))
 
 
+def triangle_corners(mesh: Mesh) -> np.ndarray:
+    """World-space corners of a mesh's triangles, shape (m, 3, 3)."""
+    return mesh.positions[mesh.triangles]
+
+
+def stacked_clip_coords(corners: np.ndarray, cam) -> np.ndarray:
+    """The package's earlier projection of (m, 3, 3) corners: a stacked (m, 3, 4) @ (4, 4)."""
+    corners = np.asarray(corners, dtype=np.float64).reshape(-1, 3, 3)
+    return np.concatenate([corners, np.ones((len(corners), 3, 1))], axis=2) @ cam.view_proj.T
+
+
 def mesh_setup(mesh: Mesh, cam, res, cull: bool = True) -> list[tuple]:
     """``charts.screen_setup`` of a mesh, projected as ``cli.frame_charts`` projects it."""
-    return screen_setup(clip_coords(mesh.triangle_corners(), cam), res, cull)
+    return screen_setup(clip_coords(mesh.positions, cam)[mesh.triangles], res, cull)
 
 
 def depth_and_flags(mesh: Mesh, cam, res, cull: bool = True):
@@ -128,9 +143,15 @@ def depth_and_flags(mesh: Mesh, cam, res, cull: bool = True):
 
 
 def mesh_samples(mesh: Mesh, cam, res, cull: bool = True):
-    """The chunks of (t, iy, ix, z) samples that both passes read, in order."""
+    """The chunks of (t, pixel, z) samples of a mesh's set-up, in order."""
     for group in mesh_setup(mesh, cam, res, cull):
-        yield from _chunks(*group)
+        yield from _chunks(group, int(res[0]))
+
+
+def sample_rows(chunks, width: int):
+    """Chunks of (t, pixel, z) samples as (t, iy, ix, z), each pixel index as row and column."""
+    for t, pixel, z in chunks:
+        yield t, pixel // width, pixel % width, z
 
 
 def chart_members(cs) -> dict[int, np.ndarray]:
@@ -434,11 +455,10 @@ def _interp_depth(poly: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarra
 
 
 def _each_screen_polygon(mesh: Mesh, cam, width: int, height: int, cull: bool):
-    corners = mesh.triangle_corners()
+    corners = triangle_corners(mesh)
     if len(corners) == 0:
         return
-    homo = np.concatenate([corners, np.ones((len(corners), 3, 1))], axis=2)
-    clip_all = homo @ cam.view_proj.T
+    clip_all = stacked_clip_coords(corners, cam)
     for t in range(len(corners)):
         poly = clip_triangle_frustum(clip_all[t])
         if len(poly) < 3:
@@ -468,17 +488,15 @@ def reference_depth_and_flags(mesh: Mesh, cam, res, cull: bool):
     return depth, flags
 
 
-def box_samples(t, screen, box, edges, planes):
+def box_samples(group):
     """Covered samples of screen polygons, tested at every pixel center of their boxes.
 
     The package's batched sampler before it computed per-row spans: it
-    takes the (t, screen, box, edges, planes) of ``charts._screen_polygons``
+    takes a (t, box, edges, planes) group of ``charts._screen_polygons``
     and yields (t, iy, ix, z) chunks of at most _CHUNK candidates. Its
     ordered stream of samples is the one the span sampler must reproduce.
     """
-    x0, x1, y0, y1 = box
-    ex, ey, top_left = edges
-    z0, gx, gy, flat = planes
+    t, (x0, x1, y0, y1), edges, (z0, gx, gy, flat) = group
     # Bands of whole rows of each polygon's box, each of at most _CHUNK
     # candidates unless one row alone is wider; chunks are runs of bands.
     nx = x1 - x0 + 1
@@ -505,14 +523,15 @@ def box_samples(t, screen, box, edges, planes):
         col_of = _ranks(row_len) + np.repeat((np.cumsum(cols_b) - cols_b)[row_b], row_len)
         py, px = row_y + 0.5, col_x + 0.5
         covered = np.ones(len(col_of), dtype=bool)
-        for i in range(screen.shape[1]):
-            row_term = ex[row_g, i] * (py - screen[row_g, i, 1])
-            col_term = ey[col_g, i] * (px - screen[col_g, i, 0])
+        for sx, sy, ex, ey, top_left in edges:
+            row_term = ex[row_g] * (py - sy[row_g])
+            col_term = ey[col_g] * (px - sx[col_g])
             e = np.repeat(row_term, row_len) - col_term[col_of]
-            covered &= (e > 0) | ((e == 0) & np.repeat(top_left[row_g, i], row_len))
+            covered &= (e > 0) | ((e == 0) & np.repeat(top_left[row_g], row_len))
         row = np.repeat(np.arange(len(row_g)), row_len)[covered]
         g, iy, ix = row_g[row], row_y[row], col_x[col_of[covered]]
-        z = z0[g] + gx[g] * (ix + 0.5 - screen[g, 0, 0]) + gy[g] * (iy + 0.5 - screen[g, 0, 1])
+        sx, sy = edges[0][:2]
+        z = z0[g] + gx[g] * (ix + 0.5 - sx[g]) + gy[g] * (iy + 0.5 - sy[g])
         # Flat polygons take z0 as it is: adding the zero terms could
         # change the sign of a zero depth.
         on_flat = flat[g]
@@ -903,7 +922,7 @@ def per_triangle_stretch_report(cfg, mesh, cam, charts, layout, chart_ndc, chart
     w_screen, h_screen = cfg.screen
     pad = cfg.padding
     pairs = []
-    clip = clip_coords(mesh.triangle_corners(), cam)
+    clip = clip_coords(triangle_corners(mesh), cam)
     if len(clip) == 0:
         return None
     for root, members in charts.items():

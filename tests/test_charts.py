@@ -35,6 +35,8 @@ from oracles import (
     mesh_samples,
     mesh_setup,
     reference_depth_and_flags,
+    sample_rows,
+    triangle_corners,
     vertex_merge_labels,
 )
 
@@ -229,7 +231,9 @@ class TestMarkVisible:
         mesh = Mesh(positions=positions, triangles=[(0, 1, 2)])
         res = (64, 64)
         setup = mesh_setup(mesh, cam90, res, cull)
-        assert any(np.any((ex == 0) & (ey == 0)) for _, _, _, (ex, ey, _), _ in setup)
+        assert any(
+            np.any((ex == 0) & (ey == 0)) for _, _, edges, _ in setup for _, _, ex, ey, _ in edges
+        )
         depth, flags = depth_and_flags(mesh, cam90, res, cull)
         assert flags[0]
         assert np.isfinite(depth).sum() > 100  # about half of the 16 x 16 pixels it spans
@@ -326,7 +330,10 @@ class TestBatchedSampler:
 
     def test_sample_stream_matches_box_sampler(self, cam90, exact_cam):
         # The span sampler and the box sampler cut their chunks in different
-        # places, but the ordered stream of samples is the same, bit for bit.
+        # places, but the ordered stream of samples is the same, bit for bit,
+        # once the span sampler's flat pixel indices are read as rows and
+        # columns. The depth pass's stream, which forms no triangle ids,
+        # holds the same pixels and depths.
         rng = np.random.default_rng(9)
         cams = [cam90, exact_cam]
         screens = [tuple(rng.integers(50, 401, size=2)) for _ in range(40)]
@@ -334,13 +341,15 @@ class TestBatchedSampler:
         for case, res in enumerate(self.RESOLUTIONS * 20 + screens):
             mesh = random_soup(rng, res)
             for cull in (True, False):
-                got, want = [], []
-                clip = clip_coords(mesh.triangle_corners(), cams[case % 2])
+                got, want, bare = [], [], []
+                clip = clip_coords(mesh.positions, cams[case % 2])[mesh.triangles]
                 for t, poly in _clip_groups(clip):
-                    polygons = _screen_polygons(t, poly, *res, cull)
-                    got += _chunks(*polygons)
-                    want += box_samples(*polygons)
-                got, want = sample_stream(got), sample_stream(want)
+                    group = _screen_polygons(t, poly, *res, cull)
+                    got += _chunks(group, res[0])
+                    want += box_samples(group)
+                    bare += _chunks(group, res[0], ids=False)
+                assert sample_stream(bare, 2) == sample_stream(got, 3)[1:], (case, res, cull)
+                got, want = sample_stream(sample_rows(got, res[0])), sample_stream(want)
                 assert got == want, (case, res, cull)
                 samples += len(got[0][0]) // 8
         assert samples > 1_000_000
@@ -399,7 +408,7 @@ class TestBatchedSampler:
         # A chunk holds whole rows of covered samples: at most _CHUNK of
         # them, or one row when a row alone is wider. Either mesh covers
         # every pixel exactly once.
-        sizes = [len(t) for t, _, _, _ in mesh_samples(mesh, cam90, res)]
+        sizes = [len(t) for t, _, _ in mesh_samples(mesh, cam90, res)]
         assert len(sizes) > 1
         assert max(sizes) <= max(_CHUNK, res[0])
         assert sum(sizes) == res[0] * res[1]
@@ -417,7 +426,7 @@ class TestBatchedSampler:
         mesh = Mesh(positions=positions, triangles=np.arange(3 * n).reshape(-1, 3))
         tracemalloc.start()
         try:
-            covered = sum(len(t) for t, _, _, _ in mesh_samples(mesh, exact_cam, res))
+            covered = sum(len(t) for t, _, _ in mesh_samples(mesh, exact_cam, res))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -425,12 +434,12 @@ class TestBatchedSampler:
         assert peak < 8 << 20, peak
 
 
-def sample_stream(chunks):
-    """Bytes and dtype of each of (t, iy, ix, z), over the chunks in order."""
+def sample_stream(chunks, arrays: int = 4):
+    """Bytes and dtype of each of the ``arrays`` per-sample arrays, over the chunks in order."""
     chunks = [c for c in chunks if len(c[0])]
     return [
         (b"".join(c[k].tobytes() for c in chunks), {c[k].dtype.str for c in chunks})
-        for k in range(4)
+        for k in range(arrays)
     ]
 
 
@@ -439,10 +448,10 @@ def probe_outcomes(mesh, cam, res, cull):
     setup = mesh_setup(mesh, cam, res, cull)
     depth, _ = reference_depth_and_flags(mesh, cam, res, cull)
     mid = np.full(mesh.n_triangles, -1)
-    for t, _, (_, _, y0, y1), _, _ in setup:
+    for t, (_, _, y0, y1), _, _ in setup:
         mid[t] = (y0 + y1) // 2
     on_mid, mid_pass, passes = (np.zeros(mesh.n_triangles, dtype=bool) for _ in range(3))
-    for t, iy, ix, z in mesh_samples(mesh, cam, res, cull):
+    for t, iy, ix, z in sample_rows(mesh_samples(mesh, cam, res, cull), res[0]):
         stored = depth[iy, ix]
         ok = z <= stored + charts.DEPTH_EPSILON * np.maximum(1.0, np.abs(stored))
         row = iy == mid[t]
@@ -493,10 +502,10 @@ def count_chunks(monkeypatch):
     calls = []
     chunks = charts._chunks
 
-    def counting(t, *rest):
-        calls.append([t, 0])
-        for c in chunks(t, *rest):
-            calls[-1][1] += len(c[0])
+    def counting(group, *rest):
+        calls.append([group[0], 0])
+        for c in chunks(group, *rest):
+            calls[-1][1] += len(c[-1])
             yield c
 
     monkeypatch.setattr(charts, "_chunks", counting)
@@ -504,13 +513,14 @@ def count_chunks(monkeypatch):
 
 
 def record_samples(monkeypatch):
-    """Collect the (t, iy, ix) rows of every sample _chunks forms from here on."""
+    """Collect the (t, iy, ix) rows of every sample _chunks forms with ids from here on."""
     formed = []
     chunks = charts._chunks
 
-    def recording(*args):
-        for c in chunks(*args):
-            formed.append(np.stack(c[:3], 1))
+    def recording(group, width, *rest):
+        for c in chunks(group, width, *rest):
+            t, iy, ix, _ = next(sample_rows([c], width))
+            formed.append(np.stack([t, iy, ix], 1))
             yield c
 
     monkeypatch.setattr(charts, "_chunks", recording)
@@ -591,9 +601,10 @@ class TestVisibilityProbe:
         assert np.array_equal(swept, np.flatnonzero(~mid_pass))
         # Each sample is formed at most once: the middle rows of every
         # polygon, then the other rows of the swept ones.
-        stream = np.concatenate([np.stack(c[:3], 1) for c in mesh_samples(mesh, cam90, res)])
+        samples = sample_rows(mesh_samples(mesh, cam90, res), res[0])
+        stream = np.concatenate([np.stack(c[:3], 1) for c in samples])
         mid = np.full(mesh.n_triangles, -1)
-        for t, _, (_, _, y0, y1), _, _ in setup:
+        for t, (_, _, y0, y1), _, _ in setup:
             mid[t] = (y0 + y1) // 2
         on_mid = stream[:, 1] == mid[stream[:, 0]]
         off_mid_swept = ~on_mid & np.isin(stream[:, 0], swept)
@@ -606,7 +617,7 @@ class TestVisibilityProbe:
 
 class TestClipGroups:
     def assert_matches_per_triangle_clip(self, mesh, cam):
-        clip = clip_coords(mesh.triangle_corners(), cam)
+        clip = clip_coords(triangle_corners(mesh), cam)
         got = {}
         for ids, polys in _clip_groups(clip):
             assert len(ids) == len(polys) and polys.shape[1] >= 3

@@ -15,6 +15,7 @@ from atlaspack.cli import (
     EXIT_OK,
     EXIT_PACK_FAILURE,
     MAX_GEN_COUNT,
+    MAX_SCREEN_PIXELS,
     InputError,
     NothingVisible,
     SceneConfig,
@@ -26,6 +27,7 @@ from atlaspack.cli import (
     parse_layout_file,
     parse_scene_config,
     run_scene_pipeline,
+    scene_config_problem,
     write_box_file,
     write_charts_file,
     write_layout_file,
@@ -47,6 +49,7 @@ from oracles import (
     obj_line_loop,
     one_chart_bbox,
     per_triangle_stretch_report,
+    triangle_corners,
 )
 
 QUAD_OBJ = """\
@@ -379,12 +382,15 @@ class TestAtlasSceneCommand:
 
     def test_one_projection_and_one_clip_per_frame(self, tmp_path, monkeypatch):
         # clip_coords is counted under every name a package module resolves
-        # it by, so a projection anywhere in the run shows.
+        # it by, so a projection anywhere in the run shows. The one
+        # projection takes the mesh's 8 vertices, not its 4 triangles' corners.
         calls = {"clip_coords": 0, "_clip_groups": 0}
+        shapes = []
 
         def counting(name, fn):
             def count(*args, **kwargs):
                 calls[name] += 1
+                shapes.append(np.shape(args[0]))
                 return fn(*args, **kwargs)
 
             return count
@@ -397,6 +403,7 @@ class TestAtlasSceneCommand:
         scene = write_scene(tmp_path, TWO_QUADS_OBJ)
         assert main(["atlas-scene", str(scene)]) == EXIT_OK
         assert calls == {"clip_coords": 1, "_clip_groups": 1}
+        assert shapes == [(8, 3), (4, 3, 4)]
 
     def test_superblock_texels_ignore_padding(self, tmp_path):
         scene = write_scene(tmp_path, TWO_QUADS_OBJ)
@@ -434,9 +441,10 @@ class TestAtlasSceneCommand:
             (["--prescale", "nan"], "--prescale"),
             (["--res", "16385x8"], "--res"),
             (["--res", "8x0"], "--res"),
+            (["--res", "8192x4097"], "--res"),
         ],
         ids=["omega", "scales", "min_dim", "padding", "padding_above_bound", "prescale_zero",
-             "prescale_nan", "res_above_bound", "res_zero"],
+             "prescale_nan", "res_above_bound", "res_zero", "res_too_many_pixels"],
     )
     def test_bad_override_exits_1_before_raster(self, tmp_path, capsys, monkeypatch, flags, named):
         monkeypatch.setattr("atlaspack.cli.depth_prepass", fail_if_called)
@@ -451,6 +459,31 @@ class TestAtlasSceneCommand:
         scene = write_scene(tmp_path, QUAD_OBJ, screen="8 16385")
         assert main(["atlas-scene", str(scene)]) == EXIT_BAD_INPUT
         assert "scene.cfg: screen sides must be in [1, 16384]" in capsys.readouterr().err
+
+    def test_screen_over_pixel_limit_in_file_exits_1_before_raster(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 7680x4320 is within MAX_SCREEN_PIXELS; one row more than 2^25
+        # pixels is not. Neither is rasterized.
+        monkeypatch.setattr("atlaspack.cli.depth_prepass", fail_if_called)
+        assert 7680 * 4320 <= MAX_SCREEN_PIXELS < 8192 * 4097
+        assert scene_config_problem(SceneConfig(Path(), screen=(7680, 4320))) is None
+        scene = write_scene(tmp_path, QUAD_OBJ, screen="8192 4097")
+        assert main(["atlas-scene", str(scene)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "scene.cfg: screen must have at most 33554432 pixels" in err
+        assert "Traceback" not in err
+
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+        monkeypatch.setattr("atlaspack.cli.depth_prepass", no_memory)
+        scene = write_scene(tmp_path, QUAD_OBJ)
+        assert main(["atlas-scene", str(scene)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 2.00 GiB for an array\n"
 
     def test_box_taller_than_packer_capacity_exits_2(self, tmp_path, capsys):
         scene = write_scene(tmp_path, QUAD_OBJ)
@@ -703,7 +736,7 @@ class TestStretchReport:
             cam, charts = cfg.camera(), chart_members(result.chart_set)
             boxed = result.boxes[:, 0].tolist()
             chart_px = dict(zip(boxed, map(tuple, result.chart_px.tolist())))
-            chart_ndc = {c: one_chart_bbox(result.mesh.triangle_corners()[charts[c]], cam)
+            chart_ndc = {c: one_chart_bbox(triangle_corners(result.mesh)[charts[c]], cam)
                          for c in boxed}
             want = per_triangle_stretch_report(
                 cfg, result.mesh, cam, charts, result.layout, chart_ndc, chart_px
@@ -714,7 +747,7 @@ class TestStretchReport:
                 continue
             assert got.l2 == pytest.approx(want.l2, rel=1e-9)
             assert got.linf == pytest.approx(want.linf, rel=1e-9)
-            clip = clip_coords(result.mesh.triangle_corners(), cam)
+            clip = clip_coords(triangle_corners(result.mesh), cam)
             placed = [p.chart_id for p in result.layout.placements]
             seen["rotated"] += any(p.rotated for p in result.layout.placements)
             seen["padded"] += cfg.padding > 0
@@ -770,6 +803,23 @@ class TestGenBoxesCommand:
         assert err.startswith(f"error: {flags[0]}: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["atlas-scene", "pack-boxes", "compare", "compare-scene"])
+def test_bad_omega_names_the_flag(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("atlaspack.cli.depth_prepass", fail_if_called)
+    boxes = tmp_path / "boxes.txt"
+    boxes.write_text("0 0 4 4\n")
+    scene = write_scene(tmp_path, QUAD_OBJ)
+    out = ["--out", str(tmp_path / "cmp.csv")]
+    argv = {
+        "atlas-scene": ["atlas-scene", str(scene)],
+        "pack-boxes": ["pack-boxes", str(boxes)],
+        "compare": ["compare", str(boxes), *out],
+        "compare-scene": ["compare", str(scene), *out],
+    }[command]
+    assert main([*argv, "--omega", "3"]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: --omega: omega must be a power of two")
 
 
 @pytest.mark.parametrize("command", ["pack-boxes", "atlas-scene", "compare", "gen-boxes"])

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atlaspack import (
@@ -45,6 +45,8 @@ from oracles import (
     layout_valid,
     obj_line_loop,
     one_chart_bbox,
+    stacked_clip_coords,
+    triangle_corners,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -154,17 +156,23 @@ def test_box_file_round_trips(boxes, random, comments, tails):
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 3000),
-    st.sampled_from([1e-3, 1.0, 40.0, 1e5]),
+    st.integers(1, 3000),
+    st.sampled_from([1e-3, 1e-2, 1.0, 40.0, 1e3, 1e5]),
     st.sampled_from(["shuffled", "repeated", "ascending", "label_ordered"]),
 )
-def test_projection_commutes_with_indexing(seed, n, spread, order):
-    # A frame projects all its triangles once; the chart boxes read them in
-    # label order and the stretch report in ascending order. Either must
-    # see the bits a projection of just those triangles would give.
+@example(seed=0, n=4, n_vertices=1, spread=1e3, order="repeated")
+@example(seed=1, n=1, n_vertices=2, spread=1e-2, order="shuffled")
+def test_projection_commutes_with_indexing(seed, n, n_vertices, spread, order):
+    # A frame projects each vertex once and gathers its triangles, whose
+    # vertices may be shared, repeated within a triangle or unused: the
+    # bits must be those of the earlier per-triangle product, even for a
+    # one-vertex mesh. The chart boxes read the triangles in label order
+    # and the stretch report in ascending order; either must see the bits
+    # a projection of just those triangles would give.
     rng = np.random.default_rng(seed)
     mesh = Mesh(
-        positions=rng.normal(scale=spread, size=(n + 3, 3)),
-        triangles=rng.integers(0, n + 3, size=(n, 3)),
+        positions=rng.normal(scale=spread, size=(n_vertices, 3)),
+        triangles=rng.integers(0, n_vertices, size=(n, 3)),
     )
     cam = CameraFrame.from_params(
         math.radians(rng.uniform(20.0, 120.0)), rng.uniform(0.5, 2.0), 0.1, 1000.0,
@@ -180,8 +188,10 @@ def test_projection_commutes_with_indexing(seed, n, spread, order):
         labels = rng.integers(-1, max(1, n // 8), size=n)
         visible = np.flatnonzero(labels >= 0)
         idx = visible[np.argsort(labels[visible], kind="stable")]
-    whole = clip_coords(mesh.triangle_corners(), cam)[idx]
-    alone = clip_coords(mesh.triangle_corners()[idx], cam)
+    gathered = clip_coords(mesh.positions, cam)[mesh.triangles]
+    assert gathered.tobytes() == stacked_clip_coords(triangle_corners(mesh), cam).tobytes()
+    whole = gathered[idx]
+    alone = clip_coords(triangle_corners(mesh)[idx], cam)
     assert whole.shape == alone.shape == (len(idx), 3, 4)
     assert whole.tobytes() == alone.tobytes()
 
