@@ -20,19 +20,22 @@ Both passes read one set-up, ``screen_setup``, made once a frame from the
 clip coordinates of every triangle, which the caller gathers from one
 projection of the vertices and also hands to the chart boxes. It clips all
 the triangles that leave the frustum at once, one plane after another
-(Sutherland and Hodgman 1974), and sets up top-left edge functions (Pineda
-1988), each edge as contiguous columns of its start, vector and top-left
-flag, which a pass gathers by polygon. On a fixed row, an edge's value
-``row_term - ey * ((ix + 0.5) - sx)`` is weakly monotone in the column ix,
-because float subtraction and multiplication by a constant are monotone.
-So the top-left test passes on a prefix of the row when ey > 0, on a
-suffix when ey < 0, and on all or none of it when ey == 0, and a convex
-polygon covers one span [lo, hi] of each row of its pixel box, the
-intersection of these. Each bound is the edge's estimated crossing, clamped
-to the row and confirmed by the exact test on both sides of it, or found by
-a bisection with the exact test where that fails. Every sample is computed
-with the same operations as a one-triangle-at-a-time rasterizer, so results
-do not depend on batching.
+(Sutherland and Hodgman 1974), snaps the screen vertices to 1/256 pixel as
+hardware rasterizers do, and sets up top-left edge functions (Pineda 1988)
+on them, each edge as contiguous columns that a pass gathers by polygon.
+So coverage is decided on integers, held exactly in float64: snapped
+coordinates lie within [-128, 2^22] at MAX_SCREEN, twice an area below 2^49
+and an edge value below 2^47. With the top-left rule folded into the
+edge's constant, column ix of row iy passes iff 256 ey * ix <= C(iy), and a
+polygon covers one span [lo, hi] of each row of its box: hi <= floor(C /
+(256 ey)) where ey >= 0, lo >= ceil(C / (256 ey)) where ey < 0, and ey == 0
+gives +inf, NaN or -inf, which keeps or empties the row. The floor of the
+rounded quotient is exact wherever it can bind, |q| <= 2^15: the rounding
+error is below 2^-38, and a non-integer quotient lies at least 1 / |256
+ey| >= 2^-30 from every integer. A larger one stays beyond the row. An ey
+of -0 would give the wrong infinity. np.rint rounds a tiny negative to -0,
+but the snapped values are then taken from the center of pixel (0, 0), and
+x - 128 is never -0. Depth is not snapped: it lies on the float plane.
 
 The depth pass keeps the minimum depth per pixel. Its stream holds each
 sample's flat pixel index, row * width + column, and depth, and no
@@ -57,7 +60,8 @@ from .geometry import FRUSTUM_PLANES, W_EPSILON, clip_halfspace, plane_distances
 # Depth comparison slack, relative to the unit NDC depth range: the
 # visibility pass also flags a sample up to DEPTH_EPSILON * max(1, |stored|)
 # behind its pixel's stored depth, such as one of a triangle just behind a
-# coplanar one. With 0, two of the 16 benchmark cube views flag one fewer.
+# coplanar one. With 0, cube views 9 and 15 of the benchmark flag one
+# triangle fewer each, and the other 18 views do not change.
 DEPTH_EPSILON = 1e-6
 
 
@@ -357,6 +361,10 @@ class ChartSet:
 # stays bounded whatever the screen size.
 _CHUNK = 1 << 14
 
+# Screen vertices snap to 1/_SUBPIXEL pixel, as the 8 fractional bits of
+# the Direct3D 11 rasterization rules.
+_SUBPIXEL = 256
+
 
 def screen_setup(clip: np.ndarray, res: tuple[int, int], cull: bool) -> list[tuple]:
     """A frame's triangles set up for rasterization, once for both passes.
@@ -415,39 +423,47 @@ def _clip_groups(clip: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _screen_polygons(t, poly, width: int, height: int, cull: bool):
-    """Project, cull, flip and box convex homogeneous polygons, shape (G, n, 4).
+    """Project, snap, cull, flip and box convex homogeneous polygons, shape (G, n, 4).
 
     Counter-clockwise polygons (in y-up pixel coordinates) are front-facing;
-    with culling disabled, clockwise polygons are flipped. Returns the
-    triangle ids, pixel boxes, edges and depth planes of the polygons that
-    survive. Edge i, from vertex i to i + 1, is the columns (sx, sy, ex, ey,
-    top_left): its start, vector and top-left flag per polygon.
+    with culling disabled, clockwise polygons are flipped. Orientation, boxes
+    and edges come from the vertices snapped to 1/256 pixel, the depth
+    planes from the float vertices. Returns the triangle ids, pixel boxes,
+    edges and depth planes of the polygons that survive. Edge i, from vertex
+    i to i + 1, is the columns (a, b, c) per polygon, 256 ey, 256 ex and a
+    constant: the sample in column ix of row iy passes its top-left test iff
+    a * ix <= b * iy + c.
     """
     screen = poly[:, :, :3] / poly[:, :, 3:4]  # NDC, then x and y to pixels
     screen[:, :, 0] = (screen[:, :, 0] + 1.0) * 0.5 * width
     screen[:, :, 1] = (screen[:, :, 1] + 1.0) * 0.5 * height
-    area2 = _orientation(screen)
+    # From the center of pixel (0, 0), so sample (ix, iy) lies at (256 * ix,
+    # 256 * iy); the subtraction turns the -0 of np.rint into +0.
+    q = np.rint(screen[:, :, :2] * _SUBPIXEL) - _SUBPIXEL // 2
+    # Twice the signed area, exact, chained over the vertices (faster than a sum).
+    x, y = q[:, :, 0].T, q[:, :, 1].T
+    area2 = functools.reduce(np.add, x * (np.roll(y, -1, axis=0) - np.roll(y, 1, axis=0)))
     keep = area2 > 0.0 if cull else area2 != 0.0
-    t, screen, flip = t[keep], screen[keep], area2[keep] < 0.0
-    screen[flip] = screen[flip, ::-1]
+    t, screen, q, flip = t[keep], screen[keep], q[keep], area2[keep] < 0.0
+    screen[flip], q[flip] = screen[flip, ::-1], q[flip, ::-1]
 
-    # Chained over the vertices: a reduction along a short axis is slower.
-    x, y = screen[:, :, 0].T, screen[:, :, 1].T
-    x0 = np.maximum(0, np.floor(functools.reduce(np.minimum, x) - 0.5).astype(np.int64))
-    x1 = np.minimum(width - 1, np.ceil(functools.reduce(np.maximum, x)).astype(np.int64))
-    y0 = np.maximum(0, np.floor(functools.reduce(np.minimum, y) - 0.5).astype(np.int64))
-    y1 = np.minimum(height - 1, np.ceil(functools.reduce(np.maximum, y)).astype(np.int64))
-    keep = (x0 <= x1) & (y0 <= y1)
-    t, screen, x0, x1, y0, y1 = t[keep], screen[keep], x0[keep], x1[keep], y0[keep], y1[keep]
+    # The box: the samples within the snapped vertices' range, on the screen.
+    x, y = q[:, :, 0].T, q[:, :, 1].T
+    low = np.divide([functools.reduce(np.minimum, v) for v in (x, y)], _SUBPIXEL)
+    high = np.divide([functools.reduce(np.maximum, v) for v in (x, y)], _SUBPIXEL)
+    x0, y0 = np.maximum(0, np.ceil(low)).astype(np.int64)
+    x1, y1 = np.minimum([[width - 1], [height - 1]], np.floor(high)).astype(np.int64)
 
     # In y-up coordinates the interior lies below edges running left, so
     # "top-left" means edges going up or exactly-horizontal-left; samples
-    # on them are covered. A zero-length edge, from a vertex the clipper
-    # repeated, is 0 at every sample and passes them all.
-    sx, sy = np.ascontiguousarray(screen[:, :, 0].T), np.ascontiguousarray(screen[:, :, 1].T)
-    ex, ey = np.roll(sx, -1, axis=0) - sx, np.roll(sy, -1, axis=0) - sy
+    # on them are covered: the edge value ex * (py - sy) - ey * (px - sx) is
+    # at least 1 - top_left. A zero-length edge, from a vertex the clipper
+    # repeated or two that snap together, is 0 and passes every sample.
+    ex, ey = np.roll(x, -1, axis=0) - x, np.roll(y, -1, axis=0) - y
     top_left = (ey > 0) | ((ey == 0) & (ex <= 0))
-    return t, (x0, x1, y0, y1), tuple(zip(sx, sy, ex, ey, top_left)), _depth_planes(screen)
+    edges = tuple(zip(_SUBPIXEL * ey, _SUBPIXEL * ex, ey * x - ex * y + (top_left - 1.0)))
+    group = (t, (x0, x1, y0, y1), edges, _depth_planes(screen))
+    return _select(group, (x0 <= x1) & (y0 <= y1))
 
 
 def _chunks(group, width: int, ids: bool = True):
@@ -460,10 +476,10 @@ def _chunks(group, width: int, ids: bool = True):
     shared samples. Samples come out by polygon, row and column, as (t,
     pixel, z): triangle id, flat pixel index row * ``width`` + column and
     depth, or as (pixel, z) without ``ids``. Each depth takes the
-    operations, in order, of a one-polygon-at-a-time rasterizer.
+    operations, in order, of a one-polygon-at-a-time rasterizer, on the
+    plane anchored at the polygon's float vertex 0.
     """
-    t, (x0, x1, y0, y1), edges, (z0, gx, gy, flat) = group
-    sx, sy = edges[0][:2]  # vertex 0, where the depth planes are anchored
+    t, (x0, x1, y0, y1), edges, (ax, ay, z0, gx, gy, flat) = group
     bounds = np.r_[0, (y1 - y0 + 1).cumsum()]  # polygon i has the rows [bounds[i], bounds[i + 1])
     for first in range(0, bounds[-1], _CHUNK):
         r = np.arange(first, min(first + _CHUNK, bounds[-1]))
@@ -488,8 +504,8 @@ def _chunks(group, width: int, ids: bool = True):
             pixel = k + (iyr * width + shift).repeat(n)
             z = (
                 z0[gr].repeat(n)
-                + gx[gr].repeat(n) * (k + shift.repeat(n) + 0.5 - sx[gr].repeat(n))
-                + (gy[gr] * (iyr + 0.5 - sy[gr])).repeat(n)
+                + gx[gr].repeat(n) * (k + shift.repeat(n) + 0.5 - ax[gr].repeat(n))
+                + (gy[gr] * (iyr + 0.5 - ay[gr])).repeat(n)
             )
             # Flat polygons take z0 as it is: adding the zero terms could
             # change the sign of a zero depth.
@@ -500,66 +516,22 @@ def _chunks(group, width: int, ids: bool = True):
             start = stop
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore")
 def _row_spans(edges, g, iy, lo, hi):
     """Narrow each row's [lo, hi] to the samples that polygon g covers on row iy.
 
-    Each edge's test passes on a prefix of the row where ey >= 0 and on a
-    suffix where ey < 0 (see the module docstring), up to the estimated
-    crossing where the exact tests confirm it, else as _search_boundary
-    finds. A row whose span is empty gets lo > hi. Columns are floats here.
+    Edge (a, b, c) passes the columns ix with a * ix <= b * iy + c: up to
+    floor(q) where a >= 0 and from ceil(q) where a < 0, for q = (b * iy +
+    c) / a (see the module docstring). A row whose span is empty gets lo > hi.
     """
-    py = iy + 0.5
-    lo, hi = lo.astype(np.float64), hi.astype(np.float64)
-    for sx, sy, ex, ey, top_left in edges:
-        sx, e_y, tl = sx[g], ey[g], top_left[g]
-        row_term = ex[g] * (py - sy[g])
-        suffix = e_y < 0
-        # b is the last column of [lo - 1, hi] where the test differs from
-        # suffix: the last passing one of a prefix, the last failing one
-        # before a suffix. The test is monotone along the row, so the exact
-        # tests at b and b + 1 confirm any b; a NaN estimate gives lo - 1.
-        b = np.fmin(np.fmax(np.floor(sx + row_term / e_y - 0.5), lo - 1.0), hi)
-        c = b + 0.5
-        ok = (b < lo) | (_passes(row_term, e_y * (c - sx), tl) != suffix)
-        passes_next = _passes(row_term, e_y * ((c + 1.0) - sx), tl)
-        ok &= (b >= hi) | (passes_next == suffix)
-        # An exactly horizontal edge has the same value all along its row.
-        level = (passes_next & (e_y == 0)).nonzero()[0]
-        b[level], ok[level] = hi[level], True
-        miss = (~ok).nonzero()[0]
-        if len(miss):
-            b[miss] = _search_boundary(row_term[miss], e_y[miss], sx[miss], tl[miss],
-                                       suffix[miss], lo[miss] - 1.0, hi[miss] + 1.0)
-        # b lies in [lo - 1, hi]: it replaces one bound, and an empty row stays empty.
-        np.copyto(lo, b + 1.0, where=suffix)
-        np.copyto(hi, b, where=~suffix)
-    return lo.astype(np.int64), hi.astype(np.int64)
-
-
-def _passes(row_term, col_term, top_left):
-    """The top-left test of edge values row_term - col_term, compared directly:
-    for finite doubles, a - b > 0 iff a > b and a - b == 0 iff a == b."""
-    passes = row_term > col_term
-    passes |= top_left & (row_term == col_term)
-    return passes
-
-
-def _search_boundary(row_term, ey, sx, top_left, suffix, below, above):
-    """Last column in [below, above) where the exact edge test differs from suffix, by bisection.
-
-    The test differs from suffix at below, or below is left of the row, and
-    agrees with it at above, or above is right of the row; in between it
-    flips once, since the edge value is monotone along the row.
-    """
-    while True:
-        open_ = above - below > 1
-        if not open_.any():
-            return below
-        mid = (below + above) // 2
-        flips = _passes(row_term, ey * ((mid + 0.5) - sx), top_left) != suffix
-        below = np.where(open_ & flips, mid, below)
-        above = np.where(open_ & ~flips, mid, above)
+    iy, lo, hi = (v.astype(np.float64) for v in (iy, lo, hi))
+    for a, b, c in edges:
+        a = a[g]
+        q = (b[g] * iy + c[g]) / a
+        np.fmin(hi, np.floor(q), out=hi, where=a >= 0)
+        np.fmax(lo, np.ceil(q), out=lo, where=a < 0)
+    # hi may be -inf, from a row that one horizontal edge excludes.
+    return lo.astype(np.int64), np.maximum(hi, lo - 1.0).astype(np.int64)
 
 
 def _ranks(counts: np.ndarray) -> np.ndarray:
@@ -567,40 +539,17 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _orientation(screen: np.ndarray) -> np.ndarray:
-    """Twice the signed screen area of each polygon; only its sign is used.
-
-    Where the summation order could decide the sign, the polygon's area is
-    recomputed with np.dot, as the per-triangle rasterizer computed it, so
-    culling and flipping do not depend on the batch.
-    """
-    x, y = screen[:, :, 0], screen[:, :, 1]
-    xy = x * np.roll(y, -1, axis=1)
-    yx = y * np.roll(x, -1, axis=1)
-    area2 = functools.reduce(np.add, xy.T) - functools.reduce(np.add, yx.T)
-    # Chained over the vertices, faster than a sum along a short axis. Any
-    # order of the two sums of n <= 9 products, fused or not, lies within
-    # 9 * 2^-53 of their magnitudes' sum from the exact value, so beyond
-    # 1e-12 of that sum it cannot flip the sign. np.dot's order depends on
-    # the strides, so a recomputation reads an (n, 3) polygon's columns.
-    close = np.abs(area2) <= 1e-12 * functools.reduce(np.add, [*np.abs(xy).T, *np.abs(yx).T])
-    for g in np.flatnonzero(close):
-        px, py = screen[g, :, 0], screen[g, :, 1]
-        area2[g] = np.dot(px, np.roll(py, -1)) - np.dot(py, np.roll(px, -1))
-    return area2
-
-
 def _depth_planes(screen: np.ndarray):
-    """Affine NDC depth z0 + gx * (x - x0) + gy * (y - y0) of each polygon.
+    """Affine NDC depth planes (ax, ay, z0, gx, gy, flat) of polygons.
 
-    NDC z is screen-affine. The plane is solved on the first fan triangle
-    (0, j, j + 1) with |det| > 1e-12. Polygons with none are ``flat``: their
-    depth is the mean vertex depth, returned in z0.
+    NDC z is screen-affine: z0 + gx * (x - ax) + gy * (y - ay), anchored at
+    the float vertex 0 (ax, ay) and solved on the first fan triangle (0, j,
+    j + 1) with |det| > 1e-12. Polygons with none are ``flat``: their depth
+    is the mean vertex depth, returned in z0.
     """
     p0 = screen[:, 0]
     z0 = p0[:, 2].copy()
-    gx = np.zeros(len(screen))
-    gy = np.zeros(len(screen))
+    gx, gy = np.zeros((2, len(screen)))
     flat = np.ones(len(screen), dtype=bool)
     for j in range(1, screen.shape[1] - 1):
         d1, d2 = screen[:, j] - p0, screen[:, j + 1] - p0
@@ -611,7 +560,7 @@ def _depth_planes(screen: np.ndarray):
         flat &= ~solve
     for g in np.flatnonzero(flat):
         z0[g] = screen[g, :, 2].mean()
-    return z0, gx, gy, flat
+    return p0[:, 0], p0[:, 1], z0, gx, gy, flat
 
 
 def depth_prepass(setup: list[tuple], res: tuple[int, int]) -> np.ndarray:

@@ -6,12 +6,14 @@ clamp-only box skips clipping altogether, the one-polygon clip step, the
 per-triangle frustum clip, the scalar Blinn clamp and side-plane choice,
 the reference rasterizer and the per-triangle chart box are the package's
 earlier one-triangle-at-a-time loops, which the batched code must match
-bit for bit, the box sampler is the earlier batched sampler that tested
-every pixel center of each polygon's box, whose sample stream the span
-sampler must match bit for bit, the stretch report is the earlier
-per-triangle pair loop with one SVD per triangle, which the per-chart rule
-must match to rounding, components come from
-breadth-first search over an edge adjacency built with a dict, the fold
+bit for bit (the rasterizer snaps vertices to 1/256 pixel as the package
+does and tests each edge in exact integers with ``exact_cover``, which
+tests every sample of whole screen rows), the box sampler is the earlier batched
+sampler that tested every pixel center of each polygon's box, whose sample
+stream the span sampler must match bit for bit, the stretch report is the
+earlier per-triangle pair loop with one SVD per triangle, which the
+per-chart rule must match to rounding, components come from breadth-first
+search over an edge adjacency built with a dict, the fold
 reference walks boxes one at a time along the folded line, the exhaustive
 packer backtracks over every placement of a tiny instance, the object
 packer orients, orders and places one ChartBox object at a time as the
@@ -392,53 +394,29 @@ def _polygon_to_screen(poly: np.ndarray, width: int, height: int) -> np.ndarray:
 def _raster_samples(screen_poly: np.ndarray, width: int, height: int, cull: bool):
     """Yield (ys, xs, zs) covered pixel-center samples of a convex polygon.
 
-    Counter-clockwise polygons (in y-up pixel coordinates) are front-facing;
-    with culling disabled, clockwise polygons are flipped and rasterized.
-    Boundary samples follow a top-left rule so triangles meeting along an
-    edge never both claim the shared samples.
+    The vertices snap to 1/256 pixel, and exact_cover tests every sample of
+    the rows they span on the snapped vertices, in int64, which holds every
+    value exactly. Counter-clockwise polygons (in y-up pixel coordinates)
+    are front-facing; with culling disabled, clockwise polygons are flipped
+    and rasterized. Depth lies on the float polygon's plane.
     """
-    area2 = _signed_area2(screen_poly)
-    if area2 == 0.0:
+    q = snap_vertices(screen_poly)
+    area2 = _signed_area2(q)
+    if area2 == 0 or (area2 < 0 and cull):
         return None
-    if area2 < 0.0:
-        if cull:
-            return None
-        screen_poly = screen_poly[::-1]
-    min_x = max(0, int(np.floor(screen_poly[:, 0].min() - 0.5)))
-    max_x = min(width - 1, int(np.ceil(screen_poly[:, 0].max())))
-    min_y = max(0, int(np.floor(screen_poly[:, 1].min() - 0.5)))
-    max_y = min(height - 1, int(np.ceil(screen_poly[:, 1].max())))
-    if min_x > max_x or min_y > max_y:
+    if area2 < 0:
+        screen_poly, q = screen_poly[::-1], q[::-1]
+    ys = [y for _, y in q]
+    rows = range(max(0, min(ys) // 256 - 1), min(height, max(ys) // 256 + 2))
+    iy, ix = exact_cover(q, rows, width, cull, np.int64)
+    if not len(iy):
         return None
-    xs = np.arange(min_x, max_x + 1) + 0.5
-    ys = np.arange(min_y, max_y + 1) + 0.5
-    px, py = np.meshgrid(xs, ys)
-    inside = np.ones(px.shape, dtype=bool)
-    n = len(screen_poly)
-    for i in range(n):
-        ax, ay = screen_poly[i, 0], screen_poly[i, 1]
-        bx, by = screen_poly[(i + 1) % n, 0], screen_poly[(i + 1) % n, 1]
-        e = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        dy = by - ay
-        # In y-up coordinates the interior lies below edges running left,
-        # so "top-left" means edges going up or exactly-horizontal-left; a
-        # zero-length edge is 0 everywhere and passes.
-        if dy > 0 or (dy == 0 and bx - ax <= 0):
-            inside &= e >= 0
-        else:
-            inside &= e > 0
-    if not inside.any():
-        return None
-    iy, ix = np.nonzero(inside)
-    sx = px[iy, ix]
-    sy = py[iy, ix]
-    zs = _interp_depth(screen_poly, sx, sy)
-    return iy + min_y, ix + min_x, zs
+    return iy, ix, _interp_depth(screen_poly, ix + 0.5, iy + 0.5)
 
 
-def _signed_area2(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _signed_area2(q: list[tuple[int, int]]) -> int:
+    """Twice the signed area of a polygon with integer vertices, exactly."""
+    return sum(q[i - 1][0] * q[i][1] - q[i][0] * q[i - 1][1] for i in range(len(q)))
 
 
 def _interp_depth(poly: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
@@ -454,16 +432,58 @@ def _interp_depth(poly: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarra
     return np.full(len(sx), poly[:, 2].mean())
 
 
-def _each_screen_polygon(mesh: Mesh, cam, width: int, height: int, cull: bool):
+def snap_vertices(screen_poly: np.ndarray) -> list[tuple[int, int]]:
+    """A screen polygon's x and y in 1/256 pixel, as Python ints.
+
+    round() rounds halves to even, as np.rint does."""
+    return [(round(x * 256), round(y * 256)) for x, y in screen_poly[:, :2].tolist()]
+
+
+def exact_cover(q: list[tuple[int, int]], rows, width: int, cull: bool, dtype=object):
+    """(iy, ix) of every sample of ``rows`` and columns [0, width) that a snapped polygon covers.
+
+    Brute force, in Python ints by default: every edge function of every
+    sample, with the top-left rule, after culling or flipping by the exact
+    area. int64 also holds every value exactly up to MAX_SCREEN."""
+    area2 = _signed_area2(q)
+    if area2 == 0 or (area2 < 0 and cull):
+        return np.zeros((2, 0), dtype=np.int64)
+    if area2 < 0:
+        q = q[::-1]
+    iy, ix = (a.ravel() for a in np.meshgrid(np.asarray(rows), np.arange(width), indexing="ij"))
+    py, px = 256 * iy.astype(dtype) + 128, 256 * ix.astype(dtype) + 128
+    inside = np.ones(len(px), dtype=bool)
+    for (ax, ay), (bx, by) in zip(q, q[1:] + q[:1]):
+        e = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        top_left = by > ay or (by == ay and bx <= ax)
+        inside &= (e >= 0) if top_left else (e > 0)
+    return np.stack([iy[inside], ix[inside]])
+
+
+def exact_samples(mesh: Mesh, cam, res, cull: bool) -> np.ndarray:
+    """(t, iy, ix) of every covered sample, by triangle, from exact_cover over the whole screen."""
+    width, height = int(res[0]), int(res[1])
+    out = [np.zeros((3, 0), dtype=np.int64)]
+    for t, screen in _each_clipped_screen(mesh, cam, width, height):
+        cover = exact_cover(snap_vertices(screen), range(height), width, cull)
+        out.append(np.vstack([np.full(cover.shape[1], t), cover]))
+    return np.concatenate(out, axis=1)
+
+
+def _each_clipped_screen(mesh: Mesh, cam, width: int, height: int):
+    """(t, (n, 3) screen polygon) of each triangle, clipped and projected on its own."""
     corners = triangle_corners(mesh)
     if len(corners) == 0:
         return
     clip_all = stacked_clip_coords(corners, cam)
     for t in range(len(corners)):
         poly = clip_triangle_frustum(clip_all[t])
-        if len(poly) < 3:
-            continue
-        screen = _polygon_to_screen(poly, width, height)
+        if len(poly) >= 3:
+            yield t, _polygon_to_screen(poly, width, height)
+
+
+def _each_screen_polygon(mesh: Mesh, cam, width: int, height: int, cull: bool):
+    for t, screen in _each_clipped_screen(mesh, cam, width, height):
         samples = _raster_samples(screen, width, height, cull)
         if samples is not None:
             yield t, samples
@@ -492,11 +512,12 @@ def box_samples(group):
     """Covered samples of screen polygons, tested at every pixel center of their boxes.
 
     The package's batched sampler before it computed per-row spans: it
-    takes a (t, box, edges, planes) group of ``charts._screen_polygons``
-    and yields (t, iy, ix, z) chunks of at most _CHUNK candidates. Its
-    ordered stream of samples is the one the span sampler must reproduce.
+    takes a (t, box, edges, planes) group of ``charts._screen_polygons``,
+    tests its integer edges at every sample and yields (t, iy, ix, z)
+    chunks of at most _CHUNK candidates. Its ordered stream of samples is
+    the one the span sampler must reproduce.
     """
-    t, (x0, x1, y0, y1), edges, (z0, gx, gy, flat) = group
+    t, (x0, x1, y0, y1), edges, (ax, ay, z0, gx, gy, flat) = group
     # Bands of whole rows of each polygon's box, each of at most _CHUNK
     # candidates unless one row alone is wider; chunks are runs of bands.
     nx = x1 - x0 + 1
@@ -512,26 +533,24 @@ def box_samples(group):
         stop = max(start + 1, int(np.searchsorted(band_end, base + _CHUNK, side="right")))
         bands = slice(start, stop)
         g_b, rows_b, cols_b = band_g[bands], band_rows[bands], nx[band_g[bands]]
-        # The edge function (bx - ax) * (py - ay) - (by - ay) * (px - ax) is
-        # a row term minus a column term: evaluate each once per band row or
-        # band column, then form every candidate's difference.
+        # Edge (a, b, c) passes where a * ix <= b * iy + c, all integers:
+        # evaluate b * iy + c once per band row and a * ix once per band
+        # column, in int64, then compare every candidate's pair.
         row_b = np.repeat(np.arange(len(g_b)), rows_b)
         row_g, row_y = g_b[row_b], band_y0[bands][row_b] + _ranks(rows_b)
         col_b = np.repeat(np.arange(len(g_b)), cols_b)
         col_g, col_x = g_b[col_b], x0[g_b][col_b] + _ranks(cols_b)
         row_len = cols_b[row_b]
         col_of = _ranks(row_len) + np.repeat((np.cumsum(cols_b) - cols_b)[row_b], row_len)
-        py, px = row_y + 0.5, col_x + 0.5
         covered = np.ones(len(col_of), dtype=bool)
-        for sx, sy, ex, ey, top_left in edges:
-            row_term = ex[row_g] * (py - sy[row_g])
-            col_term = ey[col_g] * (px - sx[col_g])
-            e = np.repeat(row_term, row_len) - col_term[col_of]
-            covered &= (e > 0) | ((e == 0) & np.repeat(top_left[row_g], row_len))
+        for a, b, c in edges:
+            a, b, c = (v.astype(np.int64) for v in (a, b, c))
+            row_term = b[row_g] * row_y + c[row_g]
+            col_term = a[col_g] * col_x
+            covered &= col_term[col_of] <= np.repeat(row_term, row_len)
         row = np.repeat(np.arange(len(row_g)), row_len)[covered]
         g, iy, ix = row_g[row], row_y[row], col_x[col_of[covered]]
-        sx, sy = edges[0][:2]
-        z = z0[g] + gx[g] * (ix + 0.5 - sx[g]) + gy[g] * (iy + 0.5 - sy[g])
+        z = z0[g] + gx[g] * (ix + 0.5 - ax[g]) + gy[g] * (iy + 0.5 - ay[g])
         # Flat polygons take z0 as it is: adding the zero terms could
         # change the sign of a zero depth.
         on_flat = flat[g]

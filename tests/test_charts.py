@@ -17,14 +17,17 @@ from atlaspack.charts import (
     _chart_set,
     _chunks,
     _clip_groups,
+    _row_spans,
     _screen_polygons,
     build_adjacency,
     depth_prepass,
     mark_visible,
 )
+from atlaspack.cli import MAX_SCREEN
 from atlaspack.geometry import W_EPSILON, clip_coords
 
 from oracles import (
+    _polygon_to_screen,
     bfs_chart_labels,
     box_samples,
     chart_members,
@@ -32,10 +35,13 @@ from oracles import (
     delaunay_mesh,
     depth_and_flags,
     dict_adjacency,
+    exact_cover,
+    exact_samples,
     mesh_samples,
     mesh_setup,
     reference_depth_and_flags,
     sample_rows,
+    snap_vertices,
     triangle_corners,
     vertex_merge_labels,
 )
@@ -232,7 +238,7 @@ class TestMarkVisible:
         res = (64, 64)
         setup = mesh_setup(mesh, cam90, res, cull)
         assert any(
-            np.any((ex == 0) & (ey == 0)) for _, _, edges, _ in setup for _, _, ex, ey, _ in edges
+            np.any((a == 0) & (b == 0)) for _, _, edges, _ in setup for a, b, _ in edges
         )
         depth, flags = depth_and_flags(mesh, cam90, res, cull)
         assert flags[0]
@@ -311,19 +317,25 @@ class TestBatchedSampler:
                 assert np.array_equal(flags, ref_flags), (case, cull)
 
     def test_flat_polygon_takes_mean_depth(self, exact_cam):
-        # Screen triangle (3.5, 0.5), (0.5, 0.5), (2, 0.5 - 1e-13) at 8x8: its
-        # top edge runs left along the pixel-center row y = 0.5, so it
-        # covers samples although |det| < 1e-12 leaves no depth plane.
-        px = np.array([3.5, 0.5, 2.0])
-        py = np.array([0.5, 0.5, 0.5 - 1e-13])
+        # Screen triangle C = (0, 1), A = (6, 3) and B = C + t (A - C) at
+        # 8x8, with t = 1/2 + 5/4096: exactly collinear in float, so
+        # _depth_planes finds no plane. Snapped to 1/256 pixel, B lands at
+        # (770, 513), a third of a step above the line through C and A, so
+        # the triangle is counter-clockwise. Its edge C -> A runs up through
+        # the pixel centers (1.5, 1.5) and (4.5, 2.5) and covers them.
+        t = 0.5 + 5 / 4096
+        px = np.array([0.0, 6.0, 6.0 * t])
+        py = np.array([1.0, 3.0, 1.0 + 2.0 * t])
         positions = at_pixel(px, py, np.array([1.0, 2.0, 4.0]), (8, 8))
         mesh = Mesh(positions=positions, triangles=[[0, 1, 2]])
         cam = exact_cam
+        (_, _, _, (_, _, _, _, _, flat)), = mesh_setup(mesh, cam, (8, 8))
+        assert flat.tolist() == [True]
         depth, flags = depth_and_flags(mesh, cam, (8, 8))
         ref_depth, ref_flags = reference_depth_and_flags(mesh, cam, (8, 8), True)
         clip = clip_coords(positions[None], cam)[0]
         covered = np.isfinite(depth)
-        assert covered.sum() >= 2
+        assert np.argwhere(covered).tolist() == [[1, 1], [2, 4]]
         assert np.all(depth[covered] == (clip[:, 2] / clip[:, 3]).mean())
         assert np.array_equal(depth, ref_depth)
         assert np.array_equal(flags, ref_flags)
@@ -354,29 +366,29 @@ class TestBatchedSampler:
                 samples += len(got[0][0]) // 8
         assert samples > 1_000_000
 
-    def test_fallback_search_is_exact(self, monkeypatch, exact_cam):
-        # Where an edge's estimated crossing misses, the boundary comes
-        # from _search_boundary; count its rows by kind. Rows of exactly
-        # horizontal edges are settled by one exact test instead.
-        searched = {"horizontal": 0, "missed": 0}
-        search = charts._search_boundary
+    def test_coverage_is_exact_on_random_soups(self, cam90, exact_cam):
+        # Every sample the raster covers, and no other, passes a brute-force
+        # Python-int test of every pixel of the screen.
+        rng = np.random.default_rng(12)
+        cams = [cam90, exact_cam]
+        for case in range(160):
+            res = self.RESOLUTIONS[case % len(self.RESOLUTIONS)]
+            mesh = random_soup(rng, res)
+            for cull in (True, False):
+                want = exact_samples(mesh, cams[case % 2], res, cull)
+                assert np.array_equal(raster_cover(mesh, cams[case % 2], res, cull), want), case
 
-        def counting(row_term, ey, *args):
-            searched["horizontal"] += int(np.sum(ey == 0))
-            searched["missed"] += int(np.sum(ey != 0))
-            return search(row_term, ey, *args)
-
-        monkeypatch.setattr(charts, "_search_boundary", counting)
+    def test_spans_are_exact_on_ties_and_slivers(self, exact_cam):
         rng = np.random.default_rng(4)
         res, n = (64, 64), 240
         # Vertices on pixel centers, so edges pass through samples and
         # top-left ties decide them. Depths of 0.7 do not project exactly,
-        # which puts some estimated crossings on the wrong side of a tie.
+        # which puts some vertices a rounding error off the centers.
         px = rng.integers(0, 64, size=(n, 3)) + 0.5
         py = rng.integers(0, 64, size=(n, 3)) + 0.5
         depth = rng.choice([0.7, 3.0], size=(n, 3))
         # Exactly horizontal edges, running either way once flipped or
-        # culled: ey == 0 makes the estimate infinite or NaN.
+        # culled: ey == 0 makes the quotient infinite or NaN.
         py[: n // 3, 1] = py[: n // 3, 0]
         depth[: n // 3] = 1.0
         # Row slivers: |ey| a few ulps, on a pixel-center row.
@@ -387,11 +399,78 @@ class TestBatchedSampler:
         positions = at_pixel(px, py, depth, res).reshape(-1, 3)
         mesh = Mesh(positions=positions, triangles=np.arange(3 * n).reshape(-1, 3))
         for cull in (True, False):
+            setup = mesh_setup(mesh, exact_cam, res, cull)
+            assert any(np.any(a == 0) for _, _, edges, _ in setup for a, _, _ in edges)
+            want = exact_samples(mesh, exact_cam, res, cull)
+            assert np.array_equal(raster_cover(mesh, exact_cam, res, cull), want), cull
             ref_depth, ref_flags = reference_depth_and_flags(mesh, exact_cam, res, cull)
             depth_buffer, flags = depth_and_flags(mesh, exact_cam, res, cull)
             assert np.array_equal(depth_buffer, ref_depth), cull
             assert np.array_equal(flags, ref_flags), cull
-        assert searched["missed"] and not searched["horizontal"], searched
+
+    @pytest.mark.parametrize("origin", [0.0, 0.5], ids=["pixel_corner", "pixel_center"])
+    @pytest.mark.parametrize("cull", [True, False])
+    def test_negative_zero_vertex_keeps_its_samples(self, cull, origin):
+        # Vertices 1e-9 px left of and below a pixel corner, or a pixel
+        # center, round to -0 there, as rint rounds a tiny negative. A
+        # horizontal edge from +0 to such a vertex, running right, has the
+        # interior above it; with ey = -0 its quotients would be -inf on
+        # every row and cover nothing. The other triangle is the clockwise
+        # one that becomes this one when flipped.
+        assert np.signbit(np.rint(-1e-9 * 256))
+        res = (8, 8)
+        a, b, c = (origin - 1e-9, origin), (6.0, origin - 1e-9), (3.0, 6.0)
+        for corners, clockwise in (((a, b, c), False), ((b, a, c), True)):
+            ndc = np.array(corners) / np.array(res) * 2.0 - 1.0
+            poly = np.column_stack([ndc, np.full(3, 0.5), np.ones(3)])[None]
+            group = _screen_polygons(np.arange(1), poly, *res, cull)
+            pixels = [pixel for pixel, _ in _chunks(group, res[0], ids=False)]
+            pixels = np.concatenate(pixels) if pixels else np.zeros(0, dtype=np.int64)
+            q = snap_vertices(_polygon_to_screen(poly[0], *res))
+            iy, ix = exact_cover(q, range(res[1]), res[0], cull)
+            assert pixels.tolist() == (iy * res[0] + ix).tolist(), corners
+            assert len(pixels) == 0 if cull and clockwise else len(pixels) > 10
+
+    @pytest.mark.parametrize("cull", [True, False])
+    def test_row_spans_are_exact_on_a_max_screen(self, cull):
+        # Triangles across a MAX_SCREEN-sided screen put snapped coordinates
+        # near 2^22 and edge values near 2^46. Their vertices lie on the
+        # 1/256 pixel grid, half of them on pixel centers, so crossings fall
+        # on columns or within 1 / |256 ey| of one, where a quotient rounded
+        # less finely than float64 picks the wrong column. Rows go through
+        # _row_spans directly, with no depth buffer: the box's first and last
+        # rows, random ones, and for each edge the rows whose crossings lie
+        # nearest a column. Each span holds exactly the columns of the screen
+        # that pass every edge, tested in int64, which holds these values
+        # exactly; the rows just outside the box hold none.
+        side = MAX_SCREEN
+        rng = np.random.default_rng(7)
+        n = 16
+        grid = rng.integers(-32 * side, 288 * side, size=(n, 3, 2))  # past every side
+        grid[::2] = grid[::2] // 256 * 256 + 128  # pixel centers
+        grid[:4, 1] = grid[:4, 0] + rng.integers(-300, 300, size=(4, 2))  # slivers
+        grid[4:8, 1, 1] = grid[4:8, 0, 1] + rng.integers(-2, 3, size=4)  # near-horizontal
+        ndc = grid / (128.0 * side) - 1.0
+        clip = np.concatenate([ndc, rng.uniform(-0.5, 0.5, (n, 3, 1)), np.ones((n, 3, 1))], axis=2)
+        checked = 0
+        for t, poly in _clip_groups(clip):
+            kept, (x0, x1, y0, y1), edges, _ = _screen_polygons(t, poly, side, side, cull)
+            for g, tid in enumerate(kept):
+                a, b, c = (np.array([e[k][g] for e in edges], np.int64)[:, None] for k in range(3))
+                box_rows = np.arange(y0[g], y1[g] + 1)
+                r = (b * box_rows + c) % np.maximum(np.abs(a), 1)
+                tie = np.where(a == 0, np.inf, np.minimum(r, np.abs(a) - r))
+                near = box_rows[np.argsort(tie, axis=1, kind="stable")[:, :3]].ravel()
+                rows = np.unique(np.r_[y0[g], y1[g], rng.integers(y0[g], y1[g] + 1, size=4), near])
+                g_rows = np.full(len(rows), g)
+                lo, hi = _row_spans(edges, g_rows, rows, x0[g_rows], x1[g_rows])
+                q = snap_vertices(_polygon_to_screen(poly[list(t).index(tid)], side, side))
+                iy, ix = exact_cover(q, np.r_[rows, y0[g] - 1, y1[g] + 1], side, cull, np.int64)
+                for row, first, last in zip(rows, lo, hi):
+                    assert ix[iy == row].tolist() == list(range(first, last + 1)), (tid, row)
+                assert np.isin(iy, rows).all()
+                checked += 1
+        assert checked >= n // 3
 
     @pytest.mark.parametrize(
         "mesh, res",
@@ -432,6 +511,15 @@ class TestBatchedSampler:
             tracemalloc.stop()
         assert covered == n * res[1]
         assert peak < 8 << 20, peak
+
+
+def raster_cover(mesh, cam, res, cull):
+    """(t, iy, ix) of the samples the raster covers, sorted by triangle, row and column."""
+    chunks = list(sample_rows(mesh_samples(mesh, cam, res, cull), res[0]))
+    if not chunks:
+        return np.zeros((3, 0), dtype=np.int64)
+    got = np.stack([np.concatenate(column) for column in list(zip(*chunks))[:3]])
+    return got[:, np.lexsort(got[::-1])]
 
 
 def sample_stream(chunks, arrays: int = 4):

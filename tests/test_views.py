@@ -20,26 +20,26 @@ SEED = 5
 
 # sha256 of each view's depth, flags, labels, boxes, box pixels and layout digest.
 PINNED = {
-    "grid-view0.cfg": "48db1220a8df9140fb1cbc211eb5df552b86a11100aec029e378804e70184579",
-    "grid-view1.cfg": "1151b75099a2af6cc7c7b450423dd4755c7159717d350a6eed332f32c18276ac",
-    "grid-view2.cfg": "8f083405048efb1d593daec6ab60a51d2bb830f23d8aefdc26e2585c9369808b",
-    "grid-view3.cfg": "6bd831df0aa9c3dbf3f74c3ce23e8913e57dd467481edfa78b0177f935c8f44d",
-    "cubes-view0.cfg": "7188e295c0d69de3d88c0dfc544841da5b6f8503e68751f6109ead78d9ccd063",
-    "cubes-view1.cfg": "ed8243018013be6bc1fc06b83c3a21aa2da227d5e5f1ddc70c9aa089e9f19779",
-    "cubes-view2.cfg": "aae317ebf65beb4fb7a7500b0ba70100eafdb492cc68d99a226adb1edaba5c86",
-    "cubes-view3.cfg": "601d3f7bce7473b533b9bf245ef7e0ee3d831bc47c21f8026aef35cd81ee3490",
-    "cubes-view4.cfg": "c7f26d83e3873eb21f2f0e262b0c048cabc197bbbec6bcd831ca161a1d72b245",
-    "cubes-view5.cfg": "78be0cd9624e07be5818cb34856525d42314ecd3885f4a603148d2345aaf1e52",
-    "cubes-view6.cfg": "cbc5b2b5b916bd82c2a0c1d02e40f47e1c2916617abe95c86d8e0276cf392d83",
-    "cubes-view7.cfg": "bfbd28580f2f60774f7a2689fb92a1a657979aee8178b7a4dab22269e226ba44",
-    "cubes-view8.cfg": "8028a183c5602535300893eb06ea18938a53f2fb2c1f8aac1f109b235123b79f",
-    "cubes-view9.cfg": "c1f5597779da5328586c960b0c7d259ea4916f492da9ab95b8eb564af1d4873d",
-    "cubes-view10.cfg": "e097260cb476b91f2d1291c1e06be0efd1d3674b05db55a179b7775daf219558",
-    "cubes-view11.cfg": "1c8cb1448a7e178c80104927a45647cd186a8456c55b4f1456a18dec221c5a3c",
-    "cubes-view12.cfg": "29600c59a2a5d659b6158c3c60cf9341c74bf179992f3efe95063535201d9baf",
-    "cubes-view13.cfg": "57b28fe0f15b530be18c338f8ba27dc197a5e4c886197d3fcc37ca43e58d6b79",
-    "cubes-view14.cfg": "bda42c703c80d50b547931ac78efa4111449cb865844fa7af2eb69b733ffb2df",
-    "cubes-view15.cfg": "43adbc2ddedef3b7ba0dbdbc5ef3bfbc73ad0f79ef8013549123585770d83ab8",
+    "grid-view0.cfg": "00e1986addc96b4cb8711ff009796b3a818d26900956fe95154090a47aaa9c3d",
+    "grid-view1.cfg": "34694ff74f741aaeafe328e9bb3b5eac91b981370487b2491b89a790ba84eeaa",
+    "grid-view2.cfg": "057cdd78391c5006934fe27f6e5ac3f01bcc9de710562744f8f6faedd0e34552",
+    "grid-view3.cfg": "9d5cdaabaae3b23a6623e32efb9b9eea9e3a5f030084a3126f512fe7f376fa78",
+    "cubes-view0.cfg": "54cb9ceee6b2e584a96f96047db51ec24b93194bdc5e0d48f7a2f68bd78a9d6e",
+    "cubes-view1.cfg": "54ce914c5d1f99cba1a47dabecd9ce66d50c4aa2d5feb9927e68ac8d04dd006c",
+    "cubes-view2.cfg": "c1cc3b42194a81b2ea4fbf52a7c9622dbd48b2cecd483b52173ae25a6e6dd786",
+    "cubes-view3.cfg": "6cb64b6d886d196e4c2e770bad84a8f742bf6b8760fa2844bf05444c3159e587",
+    "cubes-view4.cfg": "a28ddd6f60e88614345fb892dbeeb54a7c33acbda70e131d3bfb7311675de55f",
+    "cubes-view5.cfg": "01c2326fa2d3c8e6f626d40e888452aca43891beea0fe70e85732f9af007a6fc",
+    "cubes-view6.cfg": "9f9d6455a1101942a13ca75c03d5431255b353e5b54d7583bdbd48b6e8bf3bde",
+    "cubes-view7.cfg": "e250716a3dbe5436943fbe0e8f6eabefbbbb7060adacf9521464669fb1754a37",
+    "cubes-view8.cfg": "afede7ea41b53bd6efac80cdba1a1357616e12cfd20c198ab1d7597f2e030fa3",
+    "cubes-view9.cfg": "18439c51cd6d2ee49aad74e03a2be26ea88bf7f2d11e71a8494da84ae5beeab9",
+    "cubes-view10.cfg": "cf6995f0fe104d4261f89b678970361fa596ca2c1bf5bcc37e8b0d3df9cf78eb",
+    "cubes-view11.cfg": "edfa64b995a653967ada4b666d75514cd35c8b2a0440ba718c98271ad1275445",
+    "cubes-view12.cfg": "3941031aef617b0afd3cb9b07115f7a610230ed869e0f80196218f9ac0fcbc4d",
+    "cubes-view13.cfg": "842e24a15a7e9ceb5d2822605978a6bc37114190eaae5a35505cea13e003c8cb",
+    "cubes-view14.cfg": "84a8c8a3e71c4a9103053fddd30aded8595b223f1545146b29ae33e191bc09ea",
+    "cubes-view15.cfg": "e67bf35966f552ec4e05f75903e57ec69720f2ef86803e3f7d709beb95b01133",
 }
 
 
