@@ -3,12 +3,12 @@
 from .geometry import (
     CameraFrame,
     DegenerateChart,
-    chart_bbox,
 )
 from .charts import (
     ChartSet,
     Mesh,
     VisibilityBuffer,
+    chart_bbox,
     connected_charts,
     depth_prepass,
     load_obj,

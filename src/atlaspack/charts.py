@@ -16,13 +16,14 @@ visible triangle maps to exactly one chart. Both are array labellings by
 root hooking and pointer jumping (Shiloach and Vishkin 1982), which takes
 about a dozen rounds on a randomly numbered strip of 100,000 triangles.
 
-Both passes read one set-up, ``screen_setup``, made once a frame from the
-clip coordinates of every triangle, which the caller gathers from one
-projection of the vertices and also hands to the chart boxes. It clips all
-the triangles that leave the frustum at once, one plane after another
-(Sutherland and Hodgman 1974), snaps the screen vertices to 1/256 pixel as
-hardware rasterizers do, and sets up top-left edge functions (Pineda 1988)
-on them, each edge as contiguous columns that a pass gathers by polygon.
+Both passes and the chart boxes read one set-up, ``screen_setup``, made
+once a frame from the clip coordinates of every triangle, which the caller
+gathers from one projection of the vertices. It clips all the triangles
+that leave the frustum at once, one plane after another (Sutherland and
+Hodgman 1974), keeps each polygon's NDC extent, snaps the screen vertices
+to 1/256 pixel as hardware rasterizers do, and sets up top-left edge
+functions (Pineda 1988) on them, each edge as contiguous columns that a
+pass gathers by polygon.
 So coverage is decided on integers, held exactly in float64: snapped
 coordinates lie within [-128, 2^22] at MAX_SCREEN, twice an area below 2^49
 and an edge value below 2^47. With the top-left rule folded into the
@@ -43,7 +44,9 @@ triangle ids. It scatters the samples in stream order: np.minimum.at keeps
 the later of two equal values, so the order decides between +0 and -0 on a
 pixel. The visibility pass flags each triangle with a sample at most
 DEPTH_EPSILON behind the stored depth, and stops at the first such sample
-of each triangle (see mark_visible).
+of each triangle (see mark_visible). FastAtlas parameterizes each chart by
+its screen projection, so a chart's box is the extent of what is
+rasterized: ``chart_bbox`` reduces the polygons' NDC extents by chart.
 """
 
 from __future__ import annotations
@@ -372,7 +375,7 @@ def screen_setup(clip: np.ndarray, res: tuple[int, int], cull: bool) -> list[tup
     ``clip`` holds the (n, 3, 4) clip coordinates of every triangle and
     ``res`` is the screen's (width, height). Returns one group per clipped
     vertex count, each the output of _screen_polygons: triangle ids, pixel
-    boxes, edge columns and depth planes.
+    boxes, edge columns, depth planes and NDC extents.
     """
     width, height = int(res[0]), int(res[1])
     if width < 1 or height < 1:
@@ -429,12 +432,13 @@ def _screen_polygons(t, poly, width: int, height: int, cull: bool):
     with culling disabled, clockwise polygons are flipped. Orientation, boxes
     and edges come from the vertices snapped to 1/256 pixel, the depth
     planes from the float vertices. Returns the triangle ids, pixel boxes,
-    edges and depth planes of the polygons that survive. Edge i, from vertex
-    i to i + 1, is the columns (a, b, c) per polygon, 256 ey, 256 ex and a
-    constant: the sample in column ix of row iy passes its top-left test iff
-    a * ix <= b * iy + c.
+    edges, depth planes and NDC extents (x min, y min, x max, y max) of the
+    polygons that survive. Edge i, from vertex i to i + 1, is the columns
+    (a, b, c) per polygon, 256 ey, 256 ex and a constant: the sample in
+    column ix of row iy passes its top-left test iff a * ix <= b * iy + c.
     """
     screen = poly[:, :, :3] / poly[:, :, 3:4]  # NDC, then x and y to pixels
+    ndc = [functools.reduce(f, v) for f in (np.minimum, np.maximum) for v in screen[:, :, :2].T]
     screen[:, :, 0] = (screen[:, :, 0] + 1.0) * 0.5 * width
     screen[:, :, 1] = (screen[:, :, 1] + 1.0) * 0.5 * height
     # From the center of pixel (0, 0), so sample (ix, iy) lies at (256 * ix,
@@ -445,6 +449,7 @@ def _screen_polygons(t, poly, width: int, height: int, cull: bool):
     area2 = functools.reduce(np.add, x * (np.roll(y, -1, axis=0) - np.roll(y, 1, axis=0)))
     keep = area2 > 0.0 if cull else area2 != 0.0
     t, screen, q, flip = t[keep], screen[keep], q[keep], area2[keep] < 0.0
+    ndc = tuple(v[keep] for v in ndc)
     screen[flip], q[flip] = screen[flip, ::-1], q[flip, ::-1]
 
     # The box: the samples within the snapped vertices' range, on the screen.
@@ -462,7 +467,7 @@ def _screen_polygons(t, poly, width: int, height: int, cull: bool):
     ex, ey = np.roll(x, -1, axis=0) - x, np.roll(y, -1, axis=0) - y
     top_left = (ey > 0) | ((ey == 0) & (ex <= 0))
     edges = tuple(zip(_SUBPIXEL * ey, _SUBPIXEL * ex, ey * x - ex * y + (top_left - 1.0)))
-    group = (t, (x0, x1, y0, y1), edges, _depth_planes(screen))
+    group = (t, (x0, x1, y0, y1), edges, _depth_planes(screen), ndc)
     return _select(group, (x0 <= x1) & (y0 <= y1))
 
 
@@ -479,7 +484,7 @@ def _chunks(group, width: int, ids: bool = True):
     operations, in order, of a one-polygon-at-a-time rasterizer, on the
     plane anchored at the polygon's float vertex 0.
     """
-    t, (x0, x1, y0, y1), edges, (ax, ay, z0, gx, gy, flat) = group
+    t, (x0, x1, y0, y1), edges, (ax, ay, z0, gx, gy, flat), _ = group
     bounds = np.r_[0, (y1 - y0 + 1).cumsum()]  # polygon i has the rows [bounds[i], bounds[i + 1])
     for first in range(0, bounds[-1], _CHUNK):
         r = np.arange(first, min(first + _CHUNK, bounds[-1]))
@@ -592,7 +597,7 @@ def mark_visible(setup: list[tuple], depth: np.ndarray, n_triangles: int) -> Vis
     a flat index would otherwise read from the wrong row.
     """
     height, width = depth.shape
-    if any(np.any(x1 >= width) or np.any(y1 >= height) for _, (_, x1, _, y1), _, _ in setup):
+    if any(np.any(x1 >= width) or np.any(y1 >= height) for _, (_, x1, _, y1), *_ in setup):
         raise ValueError(f"depth buffer of shape {depth.shape} is smaller than the set-up's screen")
     flags = np.zeros(n_triangles, dtype=bool)
     pixels = depth.reshape(-1)
@@ -611,10 +616,10 @@ def mark_visible(setup: list[tuple], depth: np.ndarray, n_triangles: int) -> Vis
 def _bands(group):
     """A screen_setup group three times, its pixel boxes narrowed to their
     middle rows, to the rows before those, and to the rows after them."""
-    t, (x0, x1, y0, y1), edges, planes = group
+    t, (x0, x1, y0, y1), *rest = group
     mid = (y0 + y1) // 2
     rows = ((mid, mid), (y0, mid - 1), (mid + 1, y1))
-    return [(t, (x0, x1, a, b), edges, planes) for a, b in rows]
+    return [(t, (x0, x1, a, b), *rest) for a, b in rows]
 
 
 def _select(group, keep: np.ndarray):
@@ -623,6 +628,23 @@ def _select(group, keep: np.ndarray):
 
 
 # --- chartification --------------------------------------------------------
+
+
+def chart_bbox(setup: list[tuple], cs: ChartSet) -> tuple[np.ndarray, np.ndarray]:
+    """NDC boxes of a frame's charts, as (n, 2) lo and hi, clamped to [-1, 1].
+
+    Chart i's box is the min/max of the NDC x and y of its triangles'
+    frustum-clipped polygons in the screen_setup ``setup``. A triangle the
+    set-up does not hold adds nothing; every visible triangle is held, and
+    a chart with none gets lo > hi.
+    """
+    n = len(cs.chart_of_triangle)
+    lo, hi = np.full((n, 2), np.inf), np.full((n, 2), -np.inf)
+    for t, *_, (x0, y0, x1, y1) in setup:
+        lo[t, 0], lo[t, 1], hi[t, 0], hi[t, 1] = x0, y0, x1, y1
+    lo = np.minimum.reduceat(lo[cs.members], cs.starts)
+    hi = np.maximum.reduceat(hi[cs.members], cs.starts)
+    return np.clip(lo, -1.0, 1.0, out=lo), np.clip(hi, -1.0, 1.0, out=hi)
 
 
 def connected_charts(mesh: Mesh, vis: VisibilityBuffer) -> ChartSet:

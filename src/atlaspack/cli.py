@@ -41,6 +41,7 @@ from .charts import (
     _column,
     _records,
     _text,
+    chart_bbox,
     connected_charts,
     depth_prepass,
     load_obj,
@@ -49,7 +50,7 @@ from .charts import (
     records,
     screen_setup,
 )
-from .geometry import CameraFrame, W_EPSILON, chart_bbox, clip_coords
+from .geometry import CameraFrame, W_EPSILON, clip_coords
 from .metrics import (
     DIGEST_ALGORITHM,
     LayoutDigest,
@@ -320,6 +321,17 @@ class SceneConfig:
         )
 
 
+# The words of an on/off scene value, in any case.
+_ON, _OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def _switch(word: str) -> bool:
+    """An on/off scene value; any other word raises ValueError."""
+    if word.lower() not in _ON + _OFF:
+        raise ValueError(f"expected one of {', '.join(_ON + _OFF)}, got '{word}'")
+    return word.lower() in _ON
+
+
 # Scene file key -> (SceneConfig field, value count, converter), in the
 # order the values are converted.
 _SCENE_KEYS = {
@@ -335,7 +347,7 @@ _SCENE_KEYS = {
     "scales": ("n_scales", 1, int),
     "min_dim": ("min_dim", 1, int),
     "padding": ("padding", 1, int),
-    "backface_cull": ("backface_cull", 1, lambda v: v.lower() in ("1", "true", "yes", "on")),
+    "backface_cull": ("backface_cull", 1, _switch),
     "prescale": ("prescale", 1, float),
 }
 
@@ -345,6 +357,11 @@ def scene_config_problem(cfg: SceneConfig) -> tuple[str, str] | None:
 
     Run before any raster work, so a bad value costs no depth pass.
     """
+    return _knob_problem(cfg) or _camera_problem(cfg)
+
+
+def _knob_problem(cfg: SceneConfig) -> tuple[str, str] | None:
+    """scene_config_problem of the values a flag can also give: packing and screen."""
     try:
         _check_omega(cfg.omega)
     except ValueError as exc:
@@ -362,8 +379,27 @@ def scene_config_problem(cfg: SceneConfig) -> tuple[str, str] | None:
         return "screen", f"screen sides must be in [1, {MAX_SCREEN}], got {w}x{h}"
     if w * h > MAX_SCREEN_PIXELS:
         return "screen", f"screen must have at most {MAX_SCREEN_PIXELS} pixels, got {w}x{h}"
+    return None
+
+
+def _camera_problem(cfg: SceneConfig) -> tuple[str, str] | None:
+    """scene_config_problem of the camera: finite values that meet CameraFrame's conditions."""
+    for key in ("fov_y", "aspect", "near", "far", "position", "look_at", "up"):
+        value = getattr(cfg, _SCENE_KEYS[key][0])
+        if value is not None and not np.all(np.isfinite(value)):
+            return key, f"{key} must be finite, got {' '.join(map(str, np.ravel(value)))}"
+    if not 0 < math.radians(cfg.fov_y_deg) < math.pi:
+        return "fov_y", f"fov_y must be in (0, 180) degrees, got {cfg.fov_y_deg}"
+    if cfg.aspect is not None and not cfg.aspect > 0:
+        return "aspect", f"aspect must be positive, got {cfg.aspect}"
+    if not cfg.near > 0:
+        return "near", f"near must be positive, got {cfg.near}"
     if not cfg.near < cfg.far:
         return "near", "near must be less than far"
+    try:
+        cfg.camera()
+    except ValueError as exc:  # look_at on position, or up along the view direction
+        return "look_at", str(exc)
     return None
 
 
@@ -443,11 +479,11 @@ def make_packer(
 class Frame:
     """One frame's work before packing: visible charts and one box per chart.
 
-    ``boxes`` is the (n, 4) box table of the charts with a screen box, in
-    chart order, and row i of the (n, 2) ``chart_px`` is the width and
-    height in pixels of box i's screen box. ``clip`` holds the (m, 3, 4)
-    clip coordinates of every triangle, gathered from the frame's one
-    projection of the mesh's vertices.
+    ``boxes`` is the (n, 4) box table of every chart, in chart order, and
+    row i of the (n, 2) ``chart_px`` is the width and height in pixels of
+    box i's screen box. ``clip`` holds the (m, 3, 4) clip coordinates of
+    every triangle, gathered from the frame's one projection of the mesh's
+    vertices.
     """
 
     config: SceneConfig
@@ -473,9 +509,10 @@ def frame_charts(cfg: SceneConfig) -> Frame:
     """One projection, depth prepass, visibility, chartification and chart boxes.
 
     The vertices are projected once, as one (n, 4) @ (4, 4) product, and the
-    triangles' clip array is gathered from them. Raises NothingVisible when
-    no triangle passes the depth test, and HeightOverflow when a chart box
-    is taller than any packer takes.
+    triangles' clip array is gathered from them. One set-up clips them, and
+    the raster passes and the chart boxes read its polygons. Raises
+    NothingVisible when no triangle passes the depth test, and
+    HeightOverflow when a chart box is taller than any packer takes.
     """
     mesh = load_obj(cfg.mesh_path)
     clip = clip_coords(mesh.positions, cfg.camera())[mesh.triangles]
@@ -486,12 +523,10 @@ def frame_charts(cfg: SceneConfig) -> Frame:
     if n_visible == 0:
         raise NothingVisible("no triangle covers a depth-passing sample")
     cs = merge_shared_vertices(connected_charts(mesh, vis), mesh)
-    lo, hi = chart_bbox(clip[cs.members], cs.starts)
-    # A chart none of whose triangles survives clipping has lo > hi.
-    boxed = np.all(lo <= hi, axis=1)
+    lo, hi = chart_bbox(setup, cs)
     # The viewport transform maps [-1, 1]^2 to the screen; every extent is
     # rounded up, and a degenerate box still claims one pixel per axis.
-    chart_px = np.maximum(1, np.ceil((hi[boxed] - lo[boxed]) / 2.0 * cfg.screen))
+    chart_px = np.maximum(1, np.ceil((hi - lo) / 2.0 * cfg.screen))
     # Compared as floats: a huge prescale gives sides past the int64 range.
     with np.errstate(over="ignore"):
         sides = np.maximum(1, np.ceil(cfg.prescale * chart_px))
@@ -499,13 +534,12 @@ def frame_charts(cfg: SceneConfig) -> Frame:
         raise HeightOverflow(
             f"box height exceeds capacity {MAX_BOX_DIM} at prescale {cfg.prescale:g}"
         )
-    ids = cs.ids[boxed]
     return Frame(
         config=cfg,
         mesh=mesh,
         clip=clip,
         chart_set=cs,
-        boxes=np.column_stack([ids, ids, sides.astype(np.int64)]),
+        boxes=np.column_stack([cs.ids, cs.ids, sides.astype(np.int64)]),
         chart_px=chart_px.astype(np.int64),
         screen_fragments=int(np.isfinite(depth).sum()),
         n_visible=n_visible,
@@ -647,10 +681,10 @@ def _scale_fields(layout: AtlasLayout):
 def _check_flags(**fields) -> None:
     """Raise ValueError naming the first out-of-range flag of the SceneConfig ``fields``.
 
-    The flags are checked by scene_config_problem on an otherwise default
-    config, whose other values are all in range.
+    The flags are checked by _knob_problem on an otherwise default config,
+    whose other values are all in range.
     """
-    problem = scene_config_problem(SceneConfig(Path(), **fields))
+    problem = _knob_problem(SceneConfig(Path(), **fields))
     if problem is not None:
         raise ValueError(f"--{problem[0].replace('_', '-')}: {problem[1]}")
 
@@ -658,16 +692,8 @@ def _check_flags(**fields) -> None:
 def _cmd_pack_boxes(args) -> int:
     packer_fn = make_packer(args.packer, args.scales, args.min_dim, args.padding, args.block_size)
     boxes = parse_box_file(args.input)
-    try:
-        _check_flags(omega=args.omega, n_scales=args.scales, min_dim=args.min_dim,
-                     padding=args.padding)
-        layout = packer_fn(boxes, args.omega)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except PackingError as exc:
-        print(f"pack failure: {exc}", file=sys.stderr)
-        return EXIT_PACK_FAILURE
+    _check_flags(omega=args.omega, n_scales=args.scales, min_dim=args.min_dim, padding=args.padding)
+    layout = packer_fn(boxes, args.omega)
     prefix = Path(args.out or Path(args.input).with_suffix(""))
     digest = write_layout_file(layout, _out_path(prefix, ".layout.txt"))
     efficiency = packing_efficiency(layout)
@@ -703,19 +729,8 @@ def _cmd_atlas_scene(args) -> int:
     problem = scene_config_problem(cfg)
     if problem is not None:
         key, message = problem
-        print(f"error: {given.get(key, args.scene)}: {message}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        result = run_scene_pipeline(cfg, packer=args.packer)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except PackingError as exc:
-        print(f"pack failure: {exc}", file=sys.stderr)
-        return EXIT_PACK_FAILURE
-    except NothingVisible as exc:
-        print(f"nothing visible: {exc}", file=sys.stderr)
-        return EXIT_NOTHING_VISIBLE
+        raise InputError(f"{given.get(key, args.scene)}: {message}")
+    result = run_scene_pipeline(cfg, packer=args.packer)
     prefix = Path(args.out or Path(args.scene).with_suffix(""))
     layout = result.layout
     digest = write_layout_file(layout, _out_path(prefix, ".layout.txt"))
@@ -748,34 +763,26 @@ def _cmd_compare(args) -> int:
     packers = [p.strip() for p in args.packer.split(",") if p.strip()]
     for p in packers:
         if p not in PACKER_NAMES:
-            print(f"error: unknown packer '{p}'", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise InputError(f"unknown packer '{p}'")
     try:
         omegas = [int(o) for o in args.omega.split(",")]
     except ValueError:
-        print(f"error: --omega: expected comma-separated integers, got {args.omega!r}",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
+        message = f"--omega: expected comma-separated integers, got {args.omega!r}"
+        raise InputError(message) from None
+    _check_flags(n_scales=args.scales, min_dim=args.min_dim, padding=args.padding)
+    for omega in omegas:
+        _check_flags(omega=omega)
     frame = frame_error = None
-    try:
-        _check_flags(n_scales=args.scales, min_dim=args.min_dim, padding=args.padding)
-        for omega in omegas:
-            _check_flags(omega=omega)
-        is_scene = _looks_like_scene(args.input)
-        if is_scene:
-            cfg = replace(
-                parse_scene_config(args.input),
-                n_scales=args.scales, min_dim=args.min_dim, padding=args.padding,
-            )
-            try:
-                frame = frame_charts(cfg)
-            except (PackingError, NothingVisible) as exc:
-                frame_error = exc
-        else:
-            boxes = parse_box_file(args.input)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    is_scene = _looks_like_scene(args.input)
+    if is_scene:
+        cfg = parse_scene_config(args.input)
+        cfg = replace(cfg, n_scales=args.scales, min_dim=args.min_dim, padding=args.padding)
+        try:
+            frame = frame_charts(cfg)
+        except (PackingError, NothingVisible) as exc:  # a failure row per packer and omega
+            frame_error = exc
+    else:
+        boxes = parse_box_file(args.input)
     rows = []
     any_ok = False
     for omega in omegas:
@@ -795,9 +802,6 @@ def _cmd_compare(args) -> int:
                     layout = packer_fn(boxes, omega)
                     stretch = _box_stretch_report(layout, args.padding)
                     n_boxes = len(boxes)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_BAD_INPUT
             except (PackingError, NothingVisible) as exc:
                 print(f"{name}@{omega}: {exc}", file=sys.stderr)
                 rows.append([name, omega, "failed", "", "", "", "", "", "", ""])
@@ -844,15 +848,11 @@ def _looks_like_scene(path) -> bool:
 
 
 def _cmd_gen_boxes(args) -> int:
-    try:
-        if not 0 <= args.count <= MAX_GEN_COUNT:
-            raise ValueError(f"--count: count must be in [0, {MAX_GEN_COUNT}], got {args.count}")
-        _check_flags(omega=args.omega)
-        if args.seed < 0:
-            raise ValueError(f"--seed: seed must be non-negative, got {args.seed}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if not 0 <= args.count <= MAX_GEN_COUNT:
+        raise ValueError(f"--count: count must be in [0, {MAX_GEN_COUNT}], got {args.count}")
+    _check_flags(omega=args.omega)
+    if args.seed < 0:
+        raise ValueError(f"--seed: seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     boxes = generate_boxes(args.count, args.omega, rng)
     write_box_file(boxes, args.out)
@@ -928,12 +928,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand; each error it raises maps to its exit code here."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, InputError) as exc:  # a bad input file, or an output that cannot be written
+    except (OSError, InputError, ValueError) as exc:  # bad input, or an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except PackingError as exc:
+        print(f"pack failure: {exc}", file=sys.stderr)
+        return EXIT_PACK_FAILURE
+    except NothingVisible as exc:
+        print(f"nothing visible: {exc}", file=sys.stderr)
+        return EXIT_NOTHING_VISIBLE
     except MemoryError as exc:  # a frame or input too large for the memory at hand
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_BAD_INPUT

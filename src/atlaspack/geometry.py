@@ -1,4 +1,4 @@
-"""Homogeneous projection, frustum-plane clipping, and conservative NDC boxes.
+"""Homogeneous projection and frustum-plane clipping.
 
 Conventions: right-handed view space looking down -z, NDC z in [-1, 1].
 All clipping happens in homogeneous clip space, before the perspective
@@ -9,20 +9,11 @@ at w == 0.
 ``clip_halfspace`` is the one Sutherland-Hodgman step of the package and
 ``FRUSTUM_PLANES`` its one plane table. The step clips a whole batch of
 polygons at once, each against one half-space, and returns them grouped by
-vertex count; every coordinate equals that of a one-polygon step. The
-rasterizer and ``chart_bbox`` both read the triangles' clip coordinates,
-gathered from one ``clip_coords`` call a frame over the vertices, and both
-test all triangles against the planes at once and pass only those that
-need it to the step, in batches:
-the rasterizer clips every triangle leaving the frustum against the camera
-plane and then each of the six planes it leaves, and ``chart_bbox`` clips
-each triangle crossing the near plane against it and each one crossing
-side planes against every such plane. Each caller passes its own boundary
-rule.
-
-``chart_bbox`` boxes all of a frame's charts in one call: every triangle
-gets its own box, and each chart's box is a ``reduceat`` min/max over its
-run of the label-sorted triangles, so no step loops over charts.
+vertex count; every coordinate equals that of a one-polygon step. Its one
+caller is the frame's raster set-up (``charts.screen_setup``), which clips
+every triangle leaving the frustum against the camera plane and then each
+of the six planes it leaves. The rasterizer and the chart boxes both read
+those clipped polygons, so a frame is clipped once, by one rule.
 """
 
 from __future__ import annotations
@@ -46,13 +37,12 @@ FRUSTUM_PLANES = {
     "far": (2, -1.0),
 }
 
-SIDE_PLANES = ("left", "right", "bottom", "top")
-
 
 class DegenerateChart(Exception):
     """No triangle of the chart survives clipping.
 
-    chart_bbox raises nothing: it gives such a chart lo > hi.
+    Nothing raises it: every chart holds a visible triangle, which the set-up
+    holds clipped. It stays only as long as the benchmark's tracer imports it.
     """
 
 
@@ -190,65 +180,3 @@ def clip_halfspace(
         rows = np.flatnonzero(count == n)
         groups.append((rows, slots[rows][used[rows]].reshape(-1, n, 4)))
     return groups
-
-
-def _blinn_clamped_ndc(p: np.ndarray) -> np.ndarray:
-    """Clamp homogeneous vertices (..., 4) to the screen square and divide: (..., 2).
-
-    Total over all finite inputs, including w <= 0: x and y are clamped to
-    [-|w|, |w|] before dividing by |w|, and w == 0 maps to the corner
-    (sign(x), sign(y)) with sign(0) = +1. The result is always in [-1, 1]^2.
-    """
-    aw = np.abs(p[..., 3:])
-    xy = np.minimum(np.maximum(p[..., :2], -aw), aw)
-    return np.divide(xy, aw, out=np.where(p[..., :2] < 0, -1.0, 1.0), where=aw != 0)
-
-
-def chart_bbox(clip: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
-    """Conservative NDC bounding boxes of a frame's charts, as (n, 2) lo and hi.
-
-    ``clip`` is an (m, 3, 4) array of the clip coordinates of triangles
-    grouped by chart, gathered from ``clip_coords``; chart i's triangles
-    start at ``starts[i]``, and no chart is empty. Each triangle gets its
-    own box. A triangle fully in front of the camera plane that crosses no
-    side plane takes the fast path: the clamped divide of its three
-    vertices. The rest are clipped in batches, then clamped and divided: a
-    triangle crossing the near half-space is clipped against it, and one
-    fully in front against each side plane it crosses (vertices strictly on
-    both sides), keeping the clip with the smallest box, ties going to the
-    earlier plane in SIDE_PLANES. A triangle that does not survive clipping
-    gets lo = +inf and hi = -inf. A chart's box is the componentwise min/max over its
-    triangles' boxes and contains the exact NDC projection of the
-    in-frustum portion of the chart; a chart with no surviving triangle has
-    lo > hi.
-    """
-    lo, hi = np.full((len(clip), 2), np.inf), np.full((len(clip), 2), -np.inf)
-    d = clip[:, :, 3] - W_EPSILON
-    # Chained over the three vertices: a reduction along a length-3 axis is slower.
-    front = d > 0
-    in_front = front[:, 0] & front[:, 1] & front[:, 2]
-    side = np.stack([plane_distances(clip, plane) for plane in SIDE_PLANES])
-    pos, neg = side > 0, side < 0
-    crosses = (pos[..., 0] | pos[..., 1] | pos[..., 2]) & (neg[..., 0] | neg[..., 1] | neg[..., 2])
-    fast = in_front & ~np.any(crosses, axis=0)
-    # w > W_EPSILON > 0 on the fast path, so |w| = w in the clamped divide.
-    xy, w = clip[fast, :, :2], clip[fast, :, 3:]
-    np.maximum(xy, -w, out=xy)
-    np.minimum(xy, w, out=xy)
-    xy /= w
-    a, b, c = xy.swapaxes(0, 1)
-    lo[fast], hi[fast] = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
-    # The area of the smallest clipped box so far of each other triangle. A
-    # triangle crossing the near plane has that clip as its one box.
-    best = np.full(len(clip), np.inf)
-    near = ~in_front & (front[:, 0] | front[:, 1] | front[:, 2])
-    for dist, clipped in zip([d, *side], [near, *(crosses & in_front)]):
-        tris = np.flatnonzero(clipped)
-        for rows, poly in clip_halfspace(clip[tris], dist[tris], dist[tris] > 0):
-            xy = _blinn_clamped_ndc(poly)
-            poly_lo, poly_hi = xy.min(axis=1), xy.max(axis=1)
-            area = (poly_hi[:, 0] - poly_lo[:, 0]) * (poly_hi[:, 1] - poly_lo[:, 1])
-            win = area < best[tris[rows]]
-            t = tris[rows[win]]
-            best[t], lo[t], hi[t] = area[win], poly_lo[win], poly_hi[win]
-    return np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)

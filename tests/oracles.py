@@ -21,9 +21,12 @@ package did before its box and layout tables, and layout validity is
 checked by occupancy grids or pairwise interval arithmetic. The OBJ loader
 and the box file split are the package's earlier line-by-line readers,
 which the whole-file reader must match token for token and message for
-message. The box tests
-read chart boxes as ``NdcBox`` records, through a one-chart adapter over
-the package's frame-wide ``chart_bbox``, and the raster tests run both
+message. ``conservative_chart_bbox`` is the package's earlier chart box,
+which clipped each triangle again with a policy of its own (the near
+plane, or the side plane giving the smallest box, then a Blinn clamp): the
+bound that the chart boxes of the one set-up clip must stay within. The
+box tests read it as ``NdcBox`` records through a one-chart adapter, and
+compare it with its per-triangle loop; the raster tests run both
 passes from world-space meshes through ``depth_and_flags``, an adapter
 that projects and sets up a mesh as ``cli.frame_charts`` does. The
 stacked projection is the package's earlier per-triangle product, which
@@ -70,10 +73,9 @@ from atlaspack.charts import (
 )
 from atlaspack.geometry import (
     FRUSTUM_PLANES,
-    SIDE_PLANES,
     W_EPSILON,
-    chart_bbox,
     clip_coords,
+    clip_halfspace,
     plane_distances,
 )
 from atlaspack.packing import MAX_BOX_DIM
@@ -86,6 +88,8 @@ _PLANES = (
     (2, 1.0),
     (2, -1.0),
 )
+
+SIDE_PLANES = ("left", "right", "bottom", "top")
 
 
 @dataclass(frozen=True)
@@ -106,19 +110,80 @@ class NdcBox:
         return (self.max_x - self.min_x) * (self.max_y - self.min_y)
 
 
-def one_chart_bbox(triangles, cam) -> NdcBox:
-    """The package's frame-wide chart_bbox on one chart, as an NdcBox.
+def one_conservative_bbox(triangles, cam) -> NdcBox:
+    """conservative_chart_bbox on one chart, as an NdcBox.
 
     Raises DegenerateChart when the chart is empty or none of its triangles
-    survives clipping (the package marks that chart with lo > hi).
+    survives clipping (conservative_chart_bbox marks that chart with lo > hi).
     """
     tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 3)
     if len(tris) == 0:
         raise DegenerateChart("chart has no triangles")
-    lo, hi = chart_bbox(clip_coords(tris, cam), [0])
+    lo, hi = conservative_chart_bbox(clip_coords(tris, cam), [0])
     if not np.all(lo <= hi):
         raise DegenerateChart("no triangle survives clipping")
     return NdcBox(float(lo[0, 0]), float(lo[0, 1]), float(hi[0, 0]), float(hi[0, 1]))
+
+
+def batch_blinn_clamped_ndc(p: np.ndarray) -> np.ndarray:
+    """Clamp homogeneous vertices (..., 4) to the screen square and divide: (..., 2).
+
+    Total over all finite inputs, including w <= 0: x and y are clamped to
+    [-|w|, |w|] before dividing by |w|, and w == 0 maps to the corner
+    (sign(x), sign(y)) with sign(0) = +1. The result is always in [-1, 1]^2.
+    """
+    aw = np.abs(p[..., 3:])
+    xy = np.minimum(np.maximum(p[..., :2], -aw), aw)
+    return np.divide(xy, aw, out=np.where(p[..., :2] < 0, -1.0, 1.0), where=aw != 0)
+
+
+def conservative_chart_bbox(clip: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
+    """The package's earlier conservative NDC boxes of a frame's charts, as (n, 2) lo and hi.
+
+    ``clip`` is an (m, 3, 4) array of the clip coordinates of triangles
+    grouped by chart, gathered from ``clip_coords``; chart i's triangles
+    start at ``starts[i]``, and no chart is empty. Each triangle gets its
+    own box. A triangle fully in front of the camera plane that crosses no
+    side plane takes the fast path: the clamped divide of its three
+    vertices. The rest are clipped in batches, then clamped and divided: a
+    triangle crossing the near half-space is clipped against it, and one
+    fully in front against each side plane it crosses (vertices strictly on
+    both sides), keeping the clip with the smallest box, ties going to the
+    earlier plane in SIDE_PLANES. A triangle that does not survive clipping
+    gets lo = +inf and hi = -inf. A chart's box is the componentwise min/max over its
+    triangles' boxes and contains the exact NDC projection of the
+    in-frustum portion of the chart; a chart with no surviving triangle has
+    lo > hi.
+    """
+    lo, hi = np.full((len(clip), 2), np.inf), np.full((len(clip), 2), -np.inf)
+    d = clip[:, :, 3] - W_EPSILON
+    front = d > 0
+    in_front = front[:, 0] & front[:, 1] & front[:, 2]
+    side = np.stack([plane_distances(clip, plane) for plane in SIDE_PLANES])
+    pos, neg = side > 0, side < 0
+    crosses = (pos[..., 0] | pos[..., 1] | pos[..., 2]) & (neg[..., 0] | neg[..., 1] | neg[..., 2])
+    fast = in_front & ~np.any(crosses, axis=0)
+    # w > W_EPSILON > 0 on the fast path, so |w| = w in the clamped divide.
+    xy, w = clip[fast, :, :2], clip[fast, :, 3:]
+    np.maximum(xy, -w, out=xy)
+    np.minimum(xy, w, out=xy)
+    xy /= w
+    a, b, c = xy.swapaxes(0, 1)
+    lo[fast], hi[fast] = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+    # The area of the smallest clipped box so far of each other triangle. A
+    # triangle crossing the near plane has that clip as its one box.
+    best = np.full(len(clip), np.inf)
+    near = ~in_front & (front[:, 0] | front[:, 1] | front[:, 2])
+    for dist, clipped in zip([d, *side], [near, *(crosses & in_front)]):
+        tris = np.flatnonzero(clipped)
+        for rows, poly in clip_halfspace(clip[tris], dist[tris], dist[tris] > 0):
+            xy = batch_blinn_clamped_ndc(poly)
+            poly_lo, poly_hi = xy.min(axis=1), xy.max(axis=1)
+            area = (poly_hi[:, 0] - poly_lo[:, 0]) * (poly_hi[:, 1] - poly_lo[:, 1])
+            win = area < best[tris[rows]]
+            t = tris[rows[win]]
+            best[t], lo[t], hi[t] = area[win], poly_lo[win], poly_hi[win]
+    return np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
 
 
 def triangle_corners(mesh: Mesh) -> np.ndarray:
@@ -337,10 +402,10 @@ def conservative_blinn_box(triangles, cam) -> NdcBox:
 
 
 def per_triangle_chart_bbox(triangles, cam) -> NdcBox:
-    """chart_bbox one triangle at a time: near clip, else best side plane.
+    """conservative_chart_bbox one triangle at a time: near clip, else best side plane.
 
-    Every triangle takes the per-triangle branch that the package keeps only
-    for triangles crossing the near plane or a side plane.
+    Every triangle takes the per-triangle branch that conservative_chart_bbox
+    keeps only for triangles crossing the near plane or a side plane.
     """
     tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 3)
     if tris.shape[0] == 0:
@@ -517,7 +582,7 @@ def box_samples(group):
     chunks of at most _CHUNK candidates. Its ordered stream of samples is
     the one the span sampler must reproduce.
     """
-    t, (x0, x1, y0, y1), edges, (ax, ay, z0, gx, gy, flat) = group
+    t, (x0, x1, y0, y1), edges, (ax, ay, z0, gx, gy, flat), _ = group
     # Bands of whole rows of each polygon's box, each of at most _CHUNK
     # candidates unless one row alone is wider; chunks are runs of bands.
     nx = x1 - x0 + 1

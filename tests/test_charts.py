@@ -20,8 +20,10 @@ from atlaspack.charts import (
     _row_spans,
     _screen_polygons,
     build_adjacency,
+    chart_bbox,
     depth_prepass,
     mark_visible,
+    screen_setup,
 )
 from atlaspack.cli import MAX_SCREEN
 from atlaspack.geometry import W_EPSILON, clip_coords
@@ -32,6 +34,7 @@ from oracles import (
     box_samples,
     chart_members,
     clip_triangle_frustum,
+    conservative_chart_bbox,
     delaunay_mesh,
     depth_and_flags,
     dict_adjacency,
@@ -238,7 +241,7 @@ class TestMarkVisible:
         res = (64, 64)
         setup = mesh_setup(mesh, cam90, res, cull)
         assert any(
-            np.any((a == 0) & (b == 0)) for _, _, edges, _ in setup for a, b, _ in edges
+            np.any((a == 0) & (b == 0)) for _, _, edges, *_ in setup for a, b, _ in edges
         )
         depth, flags = depth_and_flags(mesh, cam90, res, cull)
         assert flags[0]
@@ -329,7 +332,7 @@ class TestBatchedSampler:
         positions = at_pixel(px, py, np.array([1.0, 2.0, 4.0]), (8, 8))
         mesh = Mesh(positions=positions, triangles=[[0, 1, 2]])
         cam = exact_cam
-        (_, _, _, (_, _, _, _, _, flat)), = mesh_setup(mesh, cam, (8, 8))
+        (_, _, _, (_, _, _, _, _, flat), _), = mesh_setup(mesh, cam, (8, 8))
         assert flat.tolist() == [True]
         depth, flags = depth_and_flags(mesh, cam, (8, 8))
         ref_depth, ref_flags = reference_depth_and_flags(mesh, cam, (8, 8), True)
@@ -400,7 +403,7 @@ class TestBatchedSampler:
         mesh = Mesh(positions=positions, triangles=np.arange(3 * n).reshape(-1, 3))
         for cull in (True, False):
             setup = mesh_setup(mesh, exact_cam, res, cull)
-            assert any(np.any(a == 0) for _, _, edges, _ in setup for a, _, _ in edges)
+            assert any(np.any(a == 0) for _, _, edges, *_ in setup for a, _, _ in edges)
             want = exact_samples(mesh, exact_cam, res, cull)
             assert np.array_equal(raster_cover(mesh, exact_cam, res, cull), want), cull
             ref_depth, ref_flags = reference_depth_and_flags(mesh, exact_cam, res, cull)
@@ -454,7 +457,7 @@ class TestBatchedSampler:
         clip = np.concatenate([ndc, rng.uniform(-0.5, 0.5, (n, 3, 1)), np.ones((n, 3, 1))], axis=2)
         checked = 0
         for t, poly in _clip_groups(clip):
-            kept, (x0, x1, y0, y1), edges, _ = _screen_polygons(t, poly, side, side, cull)
+            kept, (x0, x1, y0, y1), edges, *_ = _screen_polygons(t, poly, side, side, cull)
             for g, tid in enumerate(kept):
                 a, b, c = (np.array([e[k][g] for e in edges], np.int64)[:, None] for k in range(3))
                 box_rows = np.arange(y0[g], y1[g] + 1)
@@ -536,7 +539,7 @@ def probe_outcomes(mesh, cam, res, cull):
     setup = mesh_setup(mesh, cam, res, cull)
     depth, _ = reference_depth_and_flags(mesh, cam, res, cull)
     mid = np.full(mesh.n_triangles, -1)
-    for t, (_, _, y0, y1), _, _ in setup:
+    for t, (_, _, y0, y1), *_ in setup:
         mid[t] = (y0 + y1) // 2
     on_mid, mid_pass, passes = (np.zeros(mesh.n_triangles, dtype=bool) for _ in range(3))
     for t, iy, ix, z in sample_rows(mesh_samples(mesh, cam, res, cull), res[0]):
@@ -692,7 +695,7 @@ class TestVisibilityProbe:
         samples = sample_rows(mesh_samples(mesh, cam90, res), res[0])
         stream = np.concatenate([np.stack(c[:3], 1) for c in samples])
         mid = np.full(mesh.n_triangles, -1)
-        for t, (_, _, y0, y1), _, _ in setup:
+        for t, (_, _, y0, y1), *_ in setup:
             mid[t] = (y0 + y1) // 2
         on_mid = stream[:, 1] == mid[stream[:, 0]]
         off_mid_swept = ~on_mid & np.isin(stream[:, 0], swept)
@@ -749,6 +752,52 @@ class TestClipGroups:
         assert (clip[0, :, 3] - e).tolist() == [0.0, -1.0 - e, -2.0 - e]
         ids = np.concatenate([ids for ids, _ in _clip_groups(clip)])
         assert sorted(ids.tolist()) == [1, 2]
+
+
+class TestChartBbox:
+    """Chart boxes from the set-up's clipped polygons, on random soups."""
+
+    @pytest.mark.parametrize("cull", [True, False])
+    def test_boxes_are_the_extent_of_the_clipped_polygons(self, cull, cam90, exact_cam):
+        rng = np.random.default_rng(31 + cull)
+        res = (16, 8)
+        seen = {"clipped": 0, "inside": 0, "shrunk": 0, "several": 0}
+        for case in range(150):
+            mesh = random_soup(rng, res)
+            far = rng.random(mesh.n_triangles) < 0.1
+            mesh.positions[mesh.triangles[far].ravel(), 2] *= 40.0
+            cam = (cam90, exact_cam)[case % 2]
+            clip = clip_coords(mesh.positions, cam)[mesh.triangles]
+            setup = screen_setup(clip, res, cull)
+            flags = mark_visible(setup, depth_prepass(setup, res), mesh.n_triangles).flags
+            visible = np.flatnonzero(flags)
+            if not len(visible):
+                continue
+            # Random charts of the visible triangles, each labelled by its least member.
+            group = rng.integers(0, rng.integers(1, len(visible) + 1), size=len(visible))
+            labels = np.full(mesh.n_triangles, -1)
+            for g in np.unique(group):
+                labels[visible[group == g]] = visible[group == g].min()
+            cs = _chart_set(labels, np.full(len(mesh.positions), -1))
+            lo, hi = chart_bbox(setup, cs)
+            bound_lo, bound_hi = conservative_chart_bbox(clip[cs.members], cs.starts)
+            for i, members in enumerate(chart_members(cs).values()):
+                polys = [clip_triangle_frustum(clip[t]) for t in members]
+                xy = np.concatenate([poly[:, :2] / poly[:, 3:] for poly in polys])
+                want_lo = np.clip(xy.min(axis=0), -1.0, 1.0)
+                want_hi = np.clip(xy.max(axis=0), -1.0, 1.0)
+                assert lo[i].tobytes() == want_lo.tobytes() and hi[i].tobytes() == want_hi.tobytes()
+                assert np.all(lo[i] >= bound_lo[i] - 1e-12) and np.all(hi[i] <= bound_hi[i] + 1e-12)
+                v = clip[members].reshape(-1, 4)
+                inside = bool(np.all(np.abs(v[:, :3]) <= v[:, 3:]) & np.all(v[:, 3] > W_EPSILON))
+                if inside:
+                    assert lo[i].tobytes() == bound_lo[i].tobytes()
+                    assert hi[i].tobytes() == bound_hi[i].tobytes()
+                seen["inside"] += inside
+                seen["clipped"] += not inside
+                seen["shrunk"] += bool(np.any(lo[i] > bound_lo[i]) or np.any(hi[i] < bound_hi[i]))
+                seen["several"] += len(members) > 1
+        assert min(seen.values()) > 30, seen
 
 
 def all_visible(mesh):

@@ -1,5 +1,7 @@
 import csv
+import sys
 import tracemalloc
+from collections import Counter
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -47,7 +49,7 @@ from oracles import (
     box_line_split,
     chart_members,
     obj_line_loop,
-    one_chart_bbox,
+    one_conservative_bbox,
     per_triangle_stretch_report,
     triangle_corners,
 )
@@ -71,6 +73,15 @@ v  1.8  0.4 -2
 v  0.4  0.4 -2
 f 1 2 3 4
 f 5 6 7 8
+"""
+
+# A quad from in front of the camera to behind it, far wider than the view.
+ACROSS_OBJ = """\
+v -5 -0.5 -2
+v  5 -0.5 -2
+v  5  0.5  1
+v -5  0.5  1
+f 1 2 3 4
 """
 
 
@@ -381,11 +392,14 @@ class TestAtlasSceneCommand:
         assert len(layout.placements) == 2
 
     def test_one_projection_and_one_clip_per_frame(self, tmp_path, monkeypatch):
-        # clip_coords is counted under every name a package module resolves
-        # it by, so a projection anywhere in the run shows. The one
-        # projection takes the mesh's 8 vertices, not its 4 triangles' corners.
+        # clip_coords and clip_halfspace are counted under every name a
+        # package module resolves them by, so a projection or a clip
+        # anywhere in the run shows. The one projection takes the mesh's 8
+        # vertices, not its 4 triangles' corners, and every clip step is
+        # called by the set-up's _clip_groups.
         calls = {"clip_coords": 0, "_clip_groups": 0}
         shapes = []
+        clippers = Counter()
 
         def counting(name, fn):
             def count(*args, **kwargs):
@@ -395,15 +409,28 @@ class TestAtlasSceneCommand:
 
             return count
 
+        def halfspace(*args):
+            caller = sys._getframe(1)
+            clippers[f"{caller.f_globals['__name__']}.{caller.f_code.co_name}"] += 1
+            return clip_halfspace(*args)
+
         project, clip_groups = atlaspack.geometry.clip_coords, atlaspack.charts._clip_groups
+        clip_halfspace = atlaspack.geometry.clip_halfspace
         for module in (atlaspack.cli, atlaspack.charts, atlaspack.geometry):
             if hasattr(module, "clip_coords"):
                 monkeypatch.setattr(module, "clip_coords", counting("clip_coords", project))
+            if hasattr(module, "clip_halfspace"):
+                monkeypatch.setattr(module, "clip_halfspace", halfspace)
         monkeypatch.setattr(atlaspack.charts, "_clip_groups", counting("_clip_groups", clip_groups))
         scene = write_scene(tmp_path, TWO_QUADS_OBJ)
         assert main(["atlas-scene", str(scene)]) == EXIT_OK
         assert calls == {"clip_coords": 1, "_clip_groups": 1}
         assert shapes == [(8, 3), (4, 3, 4)]
+        # A quad across the side planes, the near plane and the camera plane.
+        scene = write_scene(tmp_path, ACROSS_OBJ, backface_cull="0")
+        assert main(["atlas-scene", str(scene)]) == EXIT_OK
+        assert calls == {"clip_coords": 2, "_clip_groups": 2}
+        assert list(clippers) == ["atlaspack.charts._clip_groups"] and clippers.total() >= 4
 
     def test_superblock_texels_ignore_padding(self, tmp_path):
         scene = write_scene(tmp_path, TWO_QUADS_OBJ)
@@ -736,7 +763,7 @@ class TestStretchReport:
             cam, charts = cfg.camera(), chart_members(result.chart_set)
             boxed = result.boxes[:, 0].tolist()
             chart_px = dict(zip(boxed, map(tuple, result.chart_px.tolist())))
-            chart_ndc = {c: one_chart_bbox(triangle_corners(result.mesh)[charts[c]], cam)
+            chart_ndc = {c: one_conservative_bbox(triangle_corners(result.mesh)[charts[c]], cam)
                          for c in boxed}
             want = per_triangle_stretch_report(
                 cfg, result.mesh, cam, charts, result.layout, chart_ndc, chart_px
@@ -870,14 +897,40 @@ class TestSceneConfig:
             ("position", "0 0", "5: key 'position' expects 3 values"),
             ("mesh", "scene.obj extra", "1: key 'mesh' expects 1 values"),
             ("mesh", "scene\x00.obj", "1: embedded null byte"),
+            ("backface_cull", "maybe", "10: expected one of 1, true, yes, on, 0, false, no, "
+             "off, got 'maybe'"),
         ],
-        ids=["not_a_number", "too_few_values", "mesh_extra_token", "mesh_null_byte"],
+        ids=["not_a_number", "too_few_values", "mesh_extra_token", "mesh_null_byte",
+             "switch_word"],
     )
     def test_bad_value_names_the_line(self, tmp_path, key, value, message):
         scene = write_scene(tmp_path, QUAD_OBJ, **{key: value})
         with pytest.raises(InputError) as exc:
             parse_scene_config(scene)
         assert str(exc.value) == f"{scene}:{message}"
+
+    @pytest.mark.parametrize("word", ["1", "0", "true", "FALSE", "Yes", "no", "on", "OFF"])
+    def test_backface_cull_words(self, tmp_path, word):
+        scene = write_scene(tmp_path, QUAD_OBJ, backface_cull=word)
+        want = word.lower() in ("1", "true", "yes", "on")
+        assert parse_scene_config(scene).backface_cull is want
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("aspect", "nan"), ("far", "inf"), ("position", "nan 0 0"), ("fov_y", "nan"),
+         ("look_at", "0 0 0"), ("fov_y", "180"), ("fov_y", "-5"), ("aspect", "0"),
+         ("near", "0"), ("near", "-inf"), ("up", "0 0 1"), ("up", "0 nan 1")],
+        ids=["aspect_nan", "far_inf", "position_nan", "fov_y_nan", "look_at_on_position",
+             "fov_y_180", "fov_y_negative", "aspect_zero", "near_zero", "near_minus_inf",
+             "up_along_view", "up_nan"],
+    )
+    def test_bad_camera_exits_1_before_raster(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.setattr("atlaspack.cli.depth_prepass", fail_if_called)
+        scene = write_scene(tmp_path, QUAD_OBJ, **{key: value})
+        assert main(["atlas-scene", str(scene)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scene}: {key}")
+        assert "Traceback" not in err
 
 
 class TestSvgOutput:

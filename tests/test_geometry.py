@@ -4,26 +4,27 @@ import struct
 import numpy as np
 import pytest
 
-from atlaspack import CameraFrame, DegenerateChart, chart_bbox
+from atlaspack import CameraFrame, DegenerateChart
 from atlaspack.cli import SceneConfig, frame_charts
 from atlaspack.geometry import (
     FRUSTUM_PLANES,
-    SIDE_PLANES,
     W_EPSILON,
-    _blinn_clamped_ndc,
     clip_coords,
     clip_halfspace,
     plane_distances,
 )
 
 from oracles import (
+    SIDE_PLANES,
     NdcBox,
+    batch_blinn_clamped_ndc,
     blinn_clamped_ndc,
     box_contains,
     chart_frustum_box,
     clip_halfspace_step,
     conservative_blinn_box,
-    one_chart_bbox,
+    conservative_chart_bbox,
+    one_conservative_bbox,
     per_triangle_chart_bbox,
     select_side_plane,
 )
@@ -46,7 +47,7 @@ def clip_near(tri):
 
 
 def blinn(p):
-    return tuple(_blinn_clamped_ndc(np.array(p, dtype=np.float64)).tolist())
+    return tuple(batch_blinn_clamped_ndc(np.array(p, dtype=np.float64)).tolist())
 
 
 def bits(box: NdcBox) -> bytes:
@@ -104,7 +105,7 @@ class TestBlinnClampedNdc:
         assert blinn((0.0, 0.0, 0.0, 0.0)) == (1.0, 1.0)
 
     def test_total_over_random_inputs(self, rng):
-        xy = _blinn_clamped_ndc(rng.normal(scale=5.0, size=(2000, 4)))
+        xy = batch_blinn_clamped_ndc(rng.normal(scale=5.0, size=(2000, 4)))
         assert np.all((-1.0 <= xy) & (xy <= 1.0))
 
     def test_batch_matches_scalar_oracle(self, rng):
@@ -115,8 +116,8 @@ class TestBlinnClampedNdc:
         p[::5, 0] = p[::5, 3]  # on the clamp bound
         p[::3, 3] *= -1.0
         want = np.array([blinn_clamped_ndc(v) for v in p])
-        assert _blinn_clamped_ndc(p).tobytes() == want.tobytes()
-        assert _blinn_clamped_ndc(p.reshape(40, 50, 4)).tobytes() == want.tobytes()
+        assert batch_blinn_clamped_ndc(p).tobytes() == want.tobytes()
+        assert batch_blinn_clamped_ndc(p.reshape(40, 50, 4)).tobytes() == want.tobytes()
 
 
 class TestClipNear:
@@ -138,8 +139,8 @@ class TestClipNear:
         assert poly.shape == (3, 4)
 
     def test_all_behind_raises(self):
-        # Nothing survives: an empty polygon, where chart_bbox then gives
-        # the triangle lo = +inf and hi = -inf.
+        # Nothing survives: an empty polygon, where conservative_chart_bbox
+        # then gives the triangle lo = +inf and hi = -inf.
         tri = np.array([[0, 0, 0, -1], [1, 0, 0, -2], [0, 1, 0, -0.5]], float)
         assert clip_near(tri).shape == (0, 4)
 
@@ -247,6 +248,8 @@ def mixed_chart(rng, n):
 
 
 class TestChartBbox:
+    """The conservative chart box of ``oracles``, the bound of the package's boxes."""
+
     def test_fully_inside_equals_projected_bbox(self, cam90):
         tris = np.array(
             [
@@ -254,7 +257,7 @@ class TestChartBbox:
                 [[0.1, 0.1, -2.0], [0.5, 0.1, -2.0], [0.4, 0.6, -2.0]],
             ]
         )
-        box = one_chart_bbox(tris, cam90)
+        box = one_conservative_bbox(tris, cam90)
         pts = []
         for tri in tris:
             for p in tri:
@@ -272,7 +275,7 @@ class TestChartBbox:
         # vertex C blows up only toward (+x, -y), so those two sides stay
         # conservative while the other two match the exact clip oracle.
         tri = np.array([[[-0.5, -0.4, -1.0], [0.3, -0.5, -1.0], [0.6, -0.8, 0.5]]])
-        box = one_chart_bbox(tri, cam90)
+        box = one_conservative_bbox(tri, cam90)
         oracle = chart_frustum_box(tri, cam90)
         assert box.min_x == pytest.approx(oracle.min_x, abs=1e-6)
         assert box.max_y == pytest.approx(oracle.max_y, abs=1e-6)
@@ -285,7 +288,7 @@ class TestChartBbox:
             tri = rng.normal(scale=2.0, size=(1, 3, 3))
             oracle = chart_frustum_box(tri, cam90)
             try:
-                box = one_chart_bbox(tri, cam90)
+                box = one_conservative_bbox(tri, cam90)
             except DegenerateChart:
                 assert oracle is None or oracle.area == 0
                 continue
@@ -299,7 +302,7 @@ class TestChartBbox:
         for _ in range(1500):
             tri = rng.normal(scale=2.0, size=(1, 3, 3))
             try:
-                box = one_chart_bbox(tri, cam90)
+                box = one_conservative_bbox(tri, cam90)
             except DegenerateChart:
                 continue
             reference = conservative_blinn_box(tri, cam90)
@@ -326,9 +329,9 @@ class TestChartBbox:
                 expected = per_triangle_chart_bbox(tris, cam90)
             except DegenerateChart:
                 with pytest.raises(DegenerateChart):
-                    one_chart_bbox(tris, cam90)
+                    one_conservative_bbox(tris, cam90)
                 continue
-            box = one_chart_bbox(tris, cam90)
+            box = one_conservative_bbox(tris, cam90)
             assert bits(box) == bits(expected)
             assert all(type(v) is float for v in (box.min_x, box.min_y, box.max_x, box.max_y))
         assert min(kinds.values()) > 50, kinds
@@ -343,7 +346,7 @@ class TestChartBbox:
                 behind = rng.random() < 0.25
                 charts.append(BEHIND + rng.normal(size=(n, 3, 3)) if behind else mixed_chart(rng, n))
             starts = np.cumsum([0] + [len(c) for c in charts[:-1]])
-            lo, hi = chart_bbox(clip_coords(np.concatenate(charts), cam90), starts)
+            lo, hi = conservative_chart_bbox(clip_coords(np.concatenate(charts), cam90), starts)
             assert lo.shape == hi.shape == (len(charts), 2)
             for i, tris in enumerate(charts):
                 try:
@@ -366,13 +369,13 @@ class TestChartBbox:
                 [[0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [0.0, 1.0, 1.5]],  # behind
             ]
         )
-        box = one_chart_bbox(tris, cam90)
+        box = one_conservative_bbox(tris, cam90)
         assert bits(box) == bits(per_triangle_chart_bbox(tris, cam90))
         for order in ([5, 4, 3, 2, 1, 0], [3, 0, 5, 1, 4, 2]):
-            assert box == one_chart_bbox(tris[order], cam90)
+            assert box == one_conservative_bbox(tris[order], cam90)
         for tri in tris[:5]:
             expected = per_triangle_chart_bbox(tri[None], cam90)
-            assert bits(one_chart_bbox(tri[None], cam90)) == bits(expected)
+            assert bits(one_conservative_bbox(tri[None], cam90)) == bits(expected)
 
     def test_side_plane_tie_goes_to_the_earlier_plane(self, exact_cam):
         # In front at w = 1, the triangle crosses all four side planes.
@@ -382,14 +385,14 @@ class TestChartBbox:
         clip = clip_coords(tri, exact_cam)[0]
         assert clip[:, 3].tolist() == [1.0, 1.0, 1.0]
         assert select_side_plane(clip) == "left"
-        box = one_chart_bbox(tri, exact_cam)
+        box = one_conservative_bbox(tri, exact_cam)
         assert box == NdcBox(-1.0, -0.5, 1.0, 1.0)
         assert bits(box) == bits(per_triangle_chart_bbox(tri, exact_cam))
 
     def test_all_behind_raises(self, cam90):
         tri = np.array([[[0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [0.0, 1.0, 1.5]]])
         with pytest.raises(DegenerateChart):
-            one_chart_bbox(tri, cam90)
+            one_conservative_bbox(tri, cam90)
 
 
 class TestViewportBox:

@@ -44,7 +44,7 @@ from oracles import (
     exhaustive_optimal,
     layout_valid,
     obj_line_loop,
-    one_chart_bbox,
+    one_conservative_bbox,
     stacked_clip_coords,
     triangle_corners,
 )
@@ -202,7 +202,7 @@ def test_chart_bbox_contains_frustum_clip_box(triangles):
     tris = np.array(triangles).reshape(-1, 3, 3)
     oracle = chart_frustum_box(tris, CAM90)
     try:
-        box = one_chart_bbox(tris, CAM90)
+        box = one_conservative_bbox(tris, CAM90)
     except DegenerateChart:
         assert oracle is None or oracle.area == 0
         return
