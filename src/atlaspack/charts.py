@@ -404,7 +404,7 @@ def _clip_groups(clip: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     within = within[:, :, 0] & within[:, :, 1] & within[:, :, 2]
     inside = front[:, 0] & front[:, 1] & front[:, 2] & within[:, 0] & within[:, 1] & within[:, 2]
     leaving = np.flatnonzero(~inside & (front[:, 0] | front[:, 1] | front[:, 2]))
-    groups = [(leaving, clip[leaving])]
+    groups = [(leaving, clip[leaving])] if len(leaving) else []
     for plane in (None, *FRUSTUM_PLANES):  # None: the camera plane
         by_count: dict[int, list] = {}
         for ids, poly in groups:

@@ -10,6 +10,13 @@ File formats are line-oriented text with '#' comments, and every input
 file (box lists, layouts, scene files and OBJ meshes) is split by one
 reader, ``charts.records``. Layouts round-trip losslessly and all outputs
 are written atomically (temp file + rename).
+
+Settings have one path. Each scene key that a flag can also set (``--omega``,
+``--scales``, ``--min-dim``, ``--padding``, ``--res``, ``--prescale``) is a row
+of ``_SCENE_KEYS``, and every subcommand applies its flags in one checked
+step, ``_with_flags``: a flag that is given replaces its scene key, and one
+not given leaves the scene's value, in ``atlas-scene`` and ``compare``
+alike. ``pack-boxes`` and ``gen-boxes`` start from the SceneConfig defaults.
 Exit codes: 0 success, 1 malformed input or an unwritable output, 2
 packing failure, 3 nothing visible in the scene.
 """
@@ -332,23 +339,24 @@ def _switch(word: str) -> bool:
     return word.lower() in _ON
 
 
-# Scene file key -> (SceneConfig field, value count, converter), in the
-# order the values are converted.
+# Scene file key -> (SceneConfig field, value count, converter, the flag
+# that overrides it and its help, or None), in the order the values are
+# converted.
 _SCENE_KEYS = {
-    "fov_y": ("fov_y_deg", 1, float),
-    "aspect": ("aspect", 1, float),
-    "near": ("near", 1, float),
-    "far": ("far", 1, float),
-    "position": ("position", 3, float),
-    "look_at": ("look_at", 3, float),
-    "up": ("up", 3, float),
-    "screen": ("screen", 2, int),
-    "omega": ("omega", 1, int),
-    "scales": ("n_scales", 1, int),
-    "min_dim": ("min_dim", 1, int),
-    "padding": ("padding", 1, int),
-    "backface_cull": ("backface_cull", 1, _switch),
-    "prescale": ("prescale", 1, float),
+    "fov_y": ("fov_y_deg", 1, float, None, None),
+    "aspect": ("aspect", 1, float, None, None),
+    "near": ("near", 1, float, None, None),
+    "far": ("far", 1, float, None, None),
+    "position": ("position", 3, float, None, None),
+    "look_at": ("look_at", 3, float, None, None),
+    "up": ("up", 3, float, None, None),
+    "screen": ("screen", 2, int, "--res", "screen size in pixels"),
+    "omega": ("omega", 1, int, "--omega", "atlas side (power of two)"),
+    "scales": ("n_scales", 1, int, "--scales", "number of scale candidates"),
+    "min_dim": ("min_dim", 1, int, "--min-dim", "minimum placed dimension"),
+    "padding": ("padding", 1, int, "--padding", "gutter texels per side"),
+    "backface_cull": ("backface_cull", 1, _switch, None, None),
+    "prescale": ("prescale", 1, float, "--prescale", "shading-rate box prescale"),
 }
 
 
@@ -383,23 +391,24 @@ def _knob_problem(cfg: SceneConfig) -> tuple[str, str] | None:
 
 
 def _camera_problem(cfg: SceneConfig) -> tuple[str, str] | None:
-    """scene_config_problem of the camera: finite values that meet CameraFrame's conditions."""
+    """scene_config_problem of the camera: finite values that make a finite CameraFrame.
+
+    CameraFrame states the lens and pose rules, and each of its messages
+    starts with the scene key it names.
+    """
     for key in ("fov_y", "aspect", "near", "far", "position", "look_at", "up"):
         value = getattr(cfg, _SCENE_KEYS[key][0])
         if value is not None and not np.all(np.isfinite(value)):
             return key, f"{key} must be finite, got {' '.join(map(str, np.ravel(value)))}"
-    if not 0 < math.radians(cfg.fov_y_deg) < math.pi:
-        return "fov_y", f"fov_y must be in (0, 180) degrees, got {cfg.fov_y_deg}"
-    if cfg.aspect is not None and not cfg.aspect > 0:
-        return "aspect", f"aspect must be positive, got {cfg.aspect}"
-    if not cfg.near > 0:
-        return "near", f"near must be positive, got {cfg.near}"
-    if not cfg.near < cfg.far:
-        return "near", "near must be less than far"
-    try:
-        cfg.camera()
-    except ValueError as exc:  # look_at on position, or up along the view direction
-        return "look_at", str(exc)
+    with np.errstate(all="ignore"):  # a matrix that overflows is reported, not warned of
+        try:
+            cam = cfg.camera()
+        except ValueError as exc:
+            return str(exc).split()[0], str(exc)
+        if not np.all(np.isfinite(cam.view)):
+            return "position", "position and look_at give a view matrix that is not finite"
+        if not np.all(np.isfinite(cam.view_proj)):
+            return "fov_y", "fov_y and the other camera values give a non-finite projection"
     return None
 
 
@@ -423,7 +432,7 @@ def parse_scene_config(path) -> SceneConfig:
         raise InputError(f"{path}: missing required key 'mesh'")
     cfg = SceneConfig(mesh_path=Path())
     mesh = ("mesh_path", 1, lambda v: (path.parent / v).resolve())
-    for key, (name, n, conv) in {"mesh": mesh, **_SCENE_KEYS}.items():
+    for key, (name, n, conv, *_) in {"mesh": mesh, **_SCENE_KEYS}.items():
         if key not in values:
             continue
         lineno, rest = values.pop(key)
@@ -450,20 +459,18 @@ def default_block_size(omega: int) -> int:
 
 
 def make_packer(
-    name: str, n_scales: int, min_dim: int, padding: int, block_size: int | None = None
-) -> Callable[[Sequence[ChartBox], int], AtlasLayout]:
+    name: str, cfg: SceneConfig, block_size: int | None = None
+) -> Callable[[Sequence[ChartBox]], AtlasLayout]:
+    """The packer ``name`` as a function of the boxes, with ``cfg``'s omega and packing knobs."""
+    knobs = dict(n_scales=cfg.n_scales, min_dim=cfg.min_dim, padding=cfg.padding)
     if name == "fastatlas":
-        return lambda boxes, omega: pack(
-            boxes, omega, n_scales=n_scales, min_dim=min_dim, padding=padding
-        )
+        return lambda boxes: pack(boxes, cfg.omega, **knobs)
     if name == "sequential":
-        return lambda boxes, omega: sequential_scale_search(
-            boxes, omega, n_scales=n_scales, min_dim=min_dim, padding=padding
-        )
+        return lambda boxes: sequential_scale_search(boxes, cfg.omega, **knobs)
     if name == "superblock":
 
-        def run(boxes, omega):
-            layout = superblock_pack(boxes, omega, block_size or default_block_size(omega))
+        def run(boxes):
+            layout = superblock_pack(boxes, cfg.omega, block_size or default_block_size(cfg.omega))
             if layout is None:
                 raise PackFailure("superblock allocation failed at the halving floor")
             return layout
@@ -549,8 +556,7 @@ def frame_charts(cfg: SceneConfig) -> Frame:
 def pack_frame(frame: Frame, packer: str = "fastatlas") -> SceneResult:
     """Pack a frame's boxes with its config's knobs, then report stretch and texels."""
     cfg = frame.config
-    packer_fn = make_packer(packer, cfg.n_scales, cfg.min_dim, cfg.padding)
-    layout = packer_fn(frame.boxes, cfg.omega)
+    layout = make_packer(packer, cfg)(frame.boxes)
     stretch = _scene_stretch_report(frame, layout)
     texels = int(np.prod(_content_sides(layout, cfg.padding), axis=1).sum())
     return SceneResult(**vars(frame), layout=layout, stretch=stretch, texels_allocated=texels)
@@ -678,22 +684,29 @@ def _scale_fields(layout: AtlasLayout):
 # --- subcommands ------------------------------------------------------------
 
 
-def _check_flags(**fields) -> None:
-    """Raise ValueError naming the first out-of-range flag of the SceneConfig ``fields``.
+def _with_flags(cfg: SceneConfig, values: dict, source) -> SceneConfig:
+    """``cfg`` with each scene key whose flag was given set to the flag's value, then checked.
 
-    The flags are checked by _knob_problem on an otherwise default config,
-    whose other values are all in range.
+    ``values`` maps names to values, as ``vars`` of the parsed arguments: each
+    flag of _SCENE_KEYS is stored under its scene key, None when not given,
+    and other names are ignored. Raises InputError with the first
+    _knob_problem, or _camera_problem after a new screen, naming the flag
+    that gave the bad value, or ``source`` when ``cfg`` did.
     """
-    problem = _knob_problem(SceneConfig(Path(), **fields))
+    given = {key: values[key] for key in _SCENE_KEYS if values.get(key) is not None}
+    cfg = replace(cfg, **{_SCENE_KEYS[key][0]: value for key, value in given.items()})
+    problem = _knob_problem(cfg)
+    if problem is None and "screen" in given:  # a camera without an aspect takes the screen's
+        problem = _camera_problem(cfg)
     if problem is not None:
-        raise ValueError(f"--{problem[0].replace('_', '-')}: {problem[1]}")
+        key, message = problem
+        raise InputError(f"{_SCENE_KEYS[key][3] if key in given else source}: {message}")
+    return cfg
 
 
 def _cmd_pack_boxes(args) -> int:
-    packer_fn = make_packer(args.packer, args.scales, args.min_dim, args.padding, args.block_size)
-    boxes = parse_box_file(args.input)
-    _check_flags(omega=args.omega, n_scales=args.scales, min_dim=args.min_dim, padding=args.padding)
-    layout = packer_fn(boxes, args.omega)
+    cfg = _with_flags(SceneConfig(Path()), vars(args), "defaults")
+    layout = make_packer(args.packer, cfg, args.block_size)(parse_box_file(args.input))
     prefix = Path(args.out or Path(args.input).with_suffix(""))
     digest = write_layout_file(layout, _out_path(prefix, ".layout.txt"))
     efficiency = packing_efficiency(layout)
@@ -714,22 +727,7 @@ def _cmd_pack_boxes(args) -> int:
 
 
 def _cmd_atlas_scene(args) -> int:
-    cfg = parse_scene_config(args.scene)
-    # Scene file key -> (flag, value given or None).
-    overrides = {
-        "omega": ("--omega", args.omega),
-        "scales": ("--scales", args.scales),
-        "min_dim": ("--min-dim", args.min_dim),
-        "padding": ("--padding", args.padding),
-        "screen": ("--res", args.res),
-        "prescale": ("--prescale", args.prescale),
-    }
-    given = {key: flag for key, (flag, value) in overrides.items() if value is not None}
-    cfg = replace(cfg, **{_SCENE_KEYS[key][0]: overrides[key][1] for key in given})
-    problem = scene_config_problem(cfg)
-    if problem is not None:
-        key, message = problem
-        raise InputError(f"{given.get(key, args.scene)}: {message}")
+    cfg = _with_flags(parse_scene_config(args.scene), vars(args), args.scene)
     result = run_scene_pipeline(cfg, packer=args.packer)
     prefix = Path(args.out or Path(args.scene).with_suffix(""))
     layout = result.layout
@@ -765,18 +763,16 @@ def _cmd_compare(args) -> int:
         if p not in PACKER_NAMES:
             raise InputError(f"unknown packer '{p}'")
     try:
-        omegas = [int(o) for o in args.omega.split(",")]
+        omegas = [int(o) for o in args.omegas.split(",")]
     except ValueError:
-        message = f"--omega: expected comma-separated integers, got {args.omega!r}"
+        message = f"--omega: expected comma-separated integers, got {args.omegas!r}"
         raise InputError(message) from None
-    _check_flags(n_scales=args.scales, min_dim=args.min_dim, padding=args.padding)
-    for omega in omegas:
-        _check_flags(omega=omega)
-    frame = frame_error = None
     is_scene = _looks_like_scene(args.input)
+    cfg = parse_scene_config(args.input) if is_scene else SceneConfig(Path())
+    cfg = _with_flags(cfg, vars(args), args.input)
+    runs = [_with_flags(cfg, {"omega": omega}, args.input) for omega in omegas]
+    frame = frame_error = None
     if is_scene:
-        cfg = parse_scene_config(args.input)
-        cfg = replace(cfg, n_scales=args.scales, min_dim=args.min_dim, padding=args.padding)
         try:
             frame = frame_charts(cfg)
         except (PackingError, NothingVisible) as exc:  # a failure row per packer and omega
@@ -785,32 +781,29 @@ def _cmd_compare(args) -> int:
         boxes = parse_box_file(args.input)
     rows = []
     any_ok = False
-    for omega in omegas:
+    for run in runs:
         for name in packers:
             t0 = time.perf_counter()
             try:
                 if frame_error is not None:
                     raise frame_error
                 if is_scene:
-                    result = pack_frame(replace(frame, config=replace(cfg, omega=omega)), name)
+                    result = pack_frame(replace(frame, config=run), name)
                     layout, stretch = result.layout, result.stretch
                     n_boxes = len(frame.boxes)
                 else:
-                    packer_fn = make_packer(
-                        name, args.scales, args.min_dim, args.padding, args.block_size
-                    )
-                    layout = packer_fn(boxes, omega)
-                    stretch = _box_stretch_report(layout, args.padding)
+                    layout = make_packer(name, run, args.block_size)(boxes)
+                    stretch = _box_stretch_report(layout, run.padding)
                     n_boxes = len(boxes)
             except (PackingError, NothingVisible) as exc:
-                print(f"{name}@{omega}: {exc}", file=sys.stderr)
-                rows.append([name, omega, "failed", "", "", "", "", "", "", ""])
+                print(f"{name}@{run.omega}: {exc}", file=sys.stderr)
+                rows.append([name, run.omega, "failed", "", "", "", "", "", "", ""])
                 continue
             wall_ms = (time.perf_counter() - t0) * 1000.0
             any_ok = True
             block = layout.block_size if isinstance(layout, SuperblockLayout) else ""
             rows.append(
-                [name, omega, "ok", n_boxes, float(layout.scale),
+                [name, run.omega, "ok", n_boxes, float(layout.scale),
                  packing_efficiency(layout),
                  stretch.l2 if stretch else "", stretch.linf if stretch else "",
                  block, f"{wall_ms:.3f}"]
@@ -850,11 +843,11 @@ def _looks_like_scene(path) -> bool:
 def _cmd_gen_boxes(args) -> int:
     if not 0 <= args.count <= MAX_GEN_COUNT:
         raise ValueError(f"--count: count must be in [0, {MAX_GEN_COUNT}], got {args.count}")
-    _check_flags(omega=args.omega)
+    omega = _with_flags(SceneConfig(Path()), vars(args), "defaults").omega
     if args.seed < 0:
         raise ValueError(f"--seed: seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
-    boxes = generate_boxes(args.count, args.omega, rng)
+    boxes = generate_boxes(args.count, omega, rng)
     write_box_file(boxes, args.out)
     print(f"wrote {len(boxes)} boxes to {args.out}")
     return EXIT_OK
@@ -871,6 +864,14 @@ def _parse_res(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError("resolution must look like 1920x1080") from None
 
 
+def _add_flags(parser: argparse.ArgumentParser, *keys: str, required: bool = False) -> None:
+    """Declare the flag of each scene key in ``keys``, stored under the key, None if not given."""
+    for key in keys:
+        _, n, conv, flag, help = _SCENE_KEYS[key]
+        kind = dict(type=conv) if n == 1 else dict(type=_parse_res, metavar="WxH")
+        parser.add_argument(flag, dest=key, required=required, help=help, **kind)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parse_args keeps no state in it."""
@@ -883,10 +884,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("pack-boxes", help="pack a box list file")
     pb.add_argument("input", help="box list file: chart_id min_tri w h per line")
-    pb.add_argument("--omega", type=int, required=True, help="atlas side (power of two)")
-    pb.add_argument("--scales", type=int, default=64, help="number of scale candidates")
-    pb.add_argument("--min-dim", type=int, default=1, help="minimum placed dimension")
-    pb.add_argument("--padding", type=int, default=0, help="gutter texels per side")
+    _add_flags(pb, "omega", required=True)
+    _add_flags(pb, "scales", "min_dim", "padding")
     pb.add_argument("--packer", choices=PACKER_NAMES, default="fastatlas")
     pb.add_argument("--block-size", type=int, default=None, help="superblock size override")
     pb.add_argument("--svg", action="store_true", help="also render the atlas as SVG")
@@ -895,12 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser("atlas-scene", help="run the full pipeline on a scene")
     sc.add_argument("scene", help="scene config file (key value lines)")
-    sc.add_argument("--omega", type=int, default=None)
-    sc.add_argument("--scales", type=int, default=None)
-    sc.add_argument("--min-dim", type=int, default=None)
-    sc.add_argument("--padding", type=int, default=None)
-    sc.add_argument("--res", type=_parse_res, default=None, metavar="WxH")
-    sc.add_argument("--prescale", type=float, default=None, help="shading-rate box prescale")
+    _add_flags(sc, "omega", "scales", "min_dim", "padding", "screen", "prescale")
     sc.add_argument("--packer", choices=PACKER_NAMES, default="fastatlas")
     sc.add_argument("--svg", action="store_true")
     sc.add_argument("--out", default=None)
@@ -909,17 +903,15 @@ def build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("compare", help="compare packers on a scene or box list")
     cp.add_argument("input", help="scene config or box list file")
     cp.add_argument("--packer", default=",".join(PACKER_NAMES), help="comma-separated packers")
-    cp.add_argument("--omega", required=True, help="comma-separated atlas sides")
-    cp.add_argument("--scales", type=int, default=64)
-    cp.add_argument("--min-dim", type=int, default=1)
-    cp.add_argument("--padding", type=int, default=0)
+    cp.add_argument("--omega", dest="omegas", required=True, help="comma-separated atlas sides")
+    _add_flags(cp, "scales", "min_dim", "padding")
     cp.add_argument("--block-size", type=int, default=None)
     cp.add_argument("--out", default="compare.csv")
     cp.set_defaults(func=_cmd_compare)
 
     gb = sub.add_parser("gen-boxes", help="generate a seeded heavy-tailed box list")
     gb.add_argument("--count", type=int, required=True)
-    gb.add_argument("--omega", type=int, required=True)
+    _add_flags(gb, "omega", required=True)
     gb.add_argument("--seed", type=int, default=0)
     gb.add_argument("--out", required=True)
     gb.set_defaults(func=_cmd_gen_boxes)

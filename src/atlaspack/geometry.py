@@ -59,11 +59,21 @@ class CameraFrame:
     near: float
     far: float
     view: np.ndarray = field(repr=False)
-    proj: np.ndarray = field(repr=False)
+    proj: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not (self.near > 0 and self.far > self.near):
-            raise ValueError("camera requires 0 < near < far")
+        """Check the lens, and make ``proj`` its perspective matrix when none is given.
+
+        Each message starts with the name of the parameter it rejects.
+        """
+        if not 0 < self.fov_y < math.pi:
+            raise ValueError("fov_y must be in (0, pi)")
+        if not self.aspect > 0:
+            raise ValueError("aspect must be positive")
+        if not 0 < self.near < self.far:
+            raise ValueError("near must be positive and less than far")
+        if self.proj is None:
+            self.proj = perspective_matrix(self.fov_y, self.aspect, self.near, self.far)
         self.view = np.asarray(self.view, dtype=np.float64).reshape(4, 4)
         self.proj = np.asarray(self.proj, dtype=np.float64).reshape(4, 4)
 
@@ -83,13 +93,7 @@ class CameraFrame:
         ``fov_y`` is the full vertical field of view in radians and
         ``aspect`` is width/height.
         """
-        if not (0 < fov_y < math.pi):
-            raise ValueError("fov_y must be in (0, pi)")
-        if aspect <= 0:
-            raise ValueError("aspect must be positive")
-        view = look_at_matrix(position, look_at, up)
-        proj = perspective_matrix(fov_y, aspect, near, far)
-        return cls(fov_y=fov_y, aspect=aspect, near=near, far=far, view=view, proj=proj)
+        return cls(fov_y, aspect, near, far, view=look_at_matrix(position, look_at, up))
 
     @property
     def view_proj(self) -> np.ndarray:

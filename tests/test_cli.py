@@ -1,3 +1,4 @@
+import argparse
 import csv
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ from atlaspack.cli import (
     EXIT_PACK_FAILURE,
     MAX_GEN_COUNT,
     MAX_SCREEN_PIXELS,
+    PACKER_NAMES,
     InputError,
     NothingVisible,
     SceneConfig,
@@ -426,6 +428,7 @@ class TestAtlasSceneCommand:
         assert main(["atlas-scene", str(scene)]) == EXIT_OK
         assert calls == {"clip_coords": 1, "_clip_groups": 1}
         assert shapes == [(8, 3), (4, 3, 4)]
+        assert not clippers  # every triangle lies inside the frustum: nothing to clip
         # A quad across the side planes, the near plane and the camera plane.
         scene = write_scene(tmp_path, ACROSS_OBJ, backface_cull="0")
         assert main(["atlas-scene", str(scene)]) == EXIT_OK
@@ -725,6 +728,32 @@ class TestCompareCommand:
         assert [r["status"] for r in read_csv(out)] == ["failed"] * 6
         assert capsys.readouterr().err.count("no triangle covers a depth-passing sample") == 6
 
+    def test_scene_rows_use_atlas_scene_settings(self, tmp_path):
+        # Each compare row packs as atlas-scene does with the same packer:
+        # with the scene's keys, and a flag given to both replaces its key
+        # in both.
+        scene = write_scene(tmp_path, TWO_QUADS_OBJ, screen="256 256", omega="64", scales="8",
+                            min_dim="2", padding="3")
+        columns = ("scale", "efficiency", "l2_stretch", "linf_stretch")
+
+        def rows(*flags):
+            out = tmp_path / "cmp.csv"
+            argv = ["compare", str(scene), "--packer", ",".join(PACKER_NAMES), "--omega", "64",
+                    *flags, "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            got = [[float(row[c]) for c in columns] for row in read_csv(out)]
+            for name, row in zip(PACKER_NAMES, got):
+                prefix = tmp_path / name
+                argv = ["atlas-scene", str(scene), "--packer", name, *flags, "--out", str(prefix)]
+                assert main(argv) == EXIT_OK
+                (metrics,) = read_csv(f"{prefix}.metrics.csv")
+                assert row == [float(metrics[c]) for c in columns], name
+            return got
+
+        own = rows()
+        flagged = rows("--scales", "64", "--min-dim", "1", "--padding", "0")
+        assert own[0] != flagged[0]  # the flags change the fastatlas pack
+
     def test_scene_input(self, tmp_path):
         scene = write_scene(tmp_path, TWO_QUADS_OBJ)
         out = tmp_path / "cmp.csv"
@@ -916,21 +945,34 @@ class TestSceneConfig:
         assert parse_scene_config(scene).backface_cull is want
 
     @pytest.mark.parametrize(
-        "key, value",
-        [("aspect", "nan"), ("far", "inf"), ("position", "nan 0 0"), ("fov_y", "nan"),
-         ("look_at", "0 0 0"), ("fov_y", "180"), ("fov_y", "-5"), ("aspect", "0"),
-         ("near", "0"), ("near", "-inf"), ("up", "0 0 1"), ("up", "0 nan 1")],
+        "values",
+        [{"aspect": "nan"}, {"far": "inf"}, {"position": "nan 0 0"}, {"fov_y": "nan"},
+         {"look_at": "0 0 0"}, {"fov_y": "180"}, {"fov_y": "-5"}, {"aspect": "0"},
+         {"near": "0"}, {"near": "-inf"}, {"near": "100"}, {"up": "0 0 1"}, {"up": "0 nan 1"},
+         {"position": "1e308 0 0", "look_at": "-1e308 0 0"}, {"fov_y": "1e-310"}],
         ids=["aspect_nan", "far_inf", "position_nan", "fov_y_nan", "look_at_on_position",
              "fov_y_180", "fov_y_negative", "aspect_zero", "near_zero", "near_minus_inf",
-             "up_along_view", "up_nan"],
+             "near_at_far", "up_along_view", "up_nan", "view_overflows", "projection_overflows"],
     )
-    def test_bad_camera_exits_1_before_raster(self, tmp_path, capsys, monkeypatch, key, value):
+    def test_bad_camera_exits_1_before_raster(self, tmp_path, capsys, monkeypatch, values):
+        # The error names the first key of ``values``.
+        key = next(iter(values))
         monkeypatch.setattr("atlaspack.cli.depth_prepass", fail_if_called)
-        scene = write_scene(tmp_path, QUAD_OBJ, **{key: value})
+        scene = write_scene(tmp_path, QUAD_OBJ, **values)
         assert main(["atlas-scene", str(scene)]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert err.startswith(f"error: {scene}: {key}")
         assert "Traceback" not in err
+
+
+    def test_res_that_overflows_the_projection_exits_1(self, tmp_path, capsys, monkeypatch):
+        # A scene without an aspect takes the screen's, so --res can overflow
+        # a projection that the scene's own screen keeps finite.
+        monkeypatch.setattr("atlaspack.cli.depth_prepass", fail_if_called)
+        scene = write_scene(tmp_path, QUAD_OBJ, fov_y="1e-303")
+        parse_scene_config(scene)
+        assert main(["atlas-scene", str(scene), "--res", "1x16384"]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {scene}: fov_y")
 
 
 class TestSvgOutput:
@@ -1071,6 +1113,42 @@ class TestWholeFileParsing:
         table = parse_box_file(path)
         assert table.dtype == expected.dtype
         assert table.tobytes() == expected.tobytes()
+
+
+# Each subcommand's options as (option strings, or a positional's name,
+# default). A flag given as None defaults to its scene key's value, or to
+# the SceneConfig default where no scene is read.
+SUBCOMMAND_OPTIONS = {
+    "pack-boxes": [
+        ("-h --help", argparse.SUPPRESS), ("input", None), ("--omega", None), ("--scales", None),
+        ("--min-dim", None), ("--padding", None), ("--packer", "fastatlas"),
+        ("--block-size", None), ("--svg", False), ("--out", None),
+    ],
+    "atlas-scene": [
+        ("-h --help", argparse.SUPPRESS), ("scene", None), ("--omega", None), ("--scales", None),
+        ("--min-dim", None), ("--padding", None), ("--res", None), ("--prescale", None),
+        ("--packer", "fastatlas"), ("--svg", False), ("--out", None),
+    ],
+    "compare": [
+        ("-h --help", argparse.SUPPRESS), ("input", None),
+        ("--packer", "fastatlas,sequential,superblock"), ("--omega", None), ("--scales", None),
+        ("--min-dim", None), ("--padding", None), ("--block-size", None),
+        ("--out", "compare.csv"),
+    ],
+    "gen-boxes": [
+        ("-h --help", argparse.SUPPRESS), ("--count", None), ("--omega", None), ("--seed", 0),
+        ("--out", None),
+    ],
+}
+
+
+def test_no_option_added_or_removed():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [(" ".join(a.option_strings) or a.dest, a.default) for a in parser._actions]
+        for name, parser in sub.choices.items()
+    }
+    assert options == SUBCOMMAND_OPTIONS
 
 
 def test_parser_is_built_once_and_keeps_no_state():
