@@ -412,7 +412,9 @@ def _clip_groups(clip: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
             keep = dist >= 0
             cut = ~np.all(keep, axis=1)
             parts = [(ids[~cut], poly[~cut])]
-            parts += [(ids[cut][r], p) for r, p in clip_halfspace(poly[cut], dist[cut], keep[cut])]
+            if cut.any():
+                split = clip_halfspace(poly[cut], dist[cut], keep[cut])
+                parts += [(ids[cut][r], p) for r, p in split]
             for part in parts:
                 if len(part[0]):
                     by_count.setdefault(part[1].shape[1], []).append(part)

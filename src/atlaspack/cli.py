@@ -17,8 +17,8 @@ of ``_SCENE_KEYS``, and every subcommand applies its flags in one checked
 step, ``_with_flags``: a flag that is given replaces its scene key, and one
 not given leaves the scene's value, in ``atlas-scene`` and ``compare``
 alike. ``pack-boxes`` and ``gen-boxes`` start from the SceneConfig defaults.
-Exit codes: 0 success, 1 malformed input or an unwritable output, 2
-packing failure, 3 nothing visible in the scene.
+Exit codes: 0 success, 1 malformed input (a file or a flag) or an
+unwritable output, 2 packing failure, 3 nothing visible in the scene.
 """
 
 from __future__ import annotations
@@ -486,21 +486,26 @@ def make_packer(
 class Frame:
     """One frame's work before packing: visible charts and one box per chart.
 
-    ``boxes`` is the (n, 4) box table of every chart, in chart order, and
-    row i of the (n, 2) ``chart_px`` is the width and height in pixels of
-    box i's screen box. ``clip`` holds the (m, 3, 4) clip coordinates of
-    every triangle, gathered from the frame's one projection of the mesh's
-    vertices.
+    ``boxes`` is the (n, 4) box table of every chart, in chart order. Row i
+    of the (n, 2) ``chart_px`` is the width and height in pixels of box i's
+    screen box, and ``chart_area[i]`` the screen area of box i's triangles
+    that lie fully in front of the camera plane: the weight of its stretch.
+    Both are computed once per frame, whatever the number of packs.
     """
 
     config: SceneConfig
     mesh: Mesh
-    clip: np.ndarray
     chart_set: ChartSet
     boxes: np.ndarray
     chart_px: np.ndarray
+    chart_area: np.ndarray
     screen_fragments: int
     n_visible: int
+
+    def placed(self, layout: AtlasLayout) -> tuple[np.ndarray, np.ndarray]:
+        """``chart_px`` and ``chart_area`` of each placement of ``layout``, looked up by chart id."""
+        i = np.searchsorted(self.boxes[:, 0], layout.table[:, 0])
+        return self.chart_px[i], self.chart_area[i]
 
 
 @dataclass
@@ -513,7 +518,7 @@ class SceneResult(Frame):
 
 
 def frame_charts(cfg: SceneConfig) -> Frame:
-    """One projection, depth prepass, visibility, chartification and chart boxes.
+    """One projection, depth prepass, visibility, chartification, chart boxes and areas.
 
     The vertices are projected once, as one (n, 4) @ (4, 4) product, and the
     triangles' clip array is gathered from them. One set-up clips them, and
@@ -541,30 +546,42 @@ def frame_charts(cfg: SceneConfig) -> Frame:
         raise HeightOverflow(
             f"box height exceeds capacity {MAX_BOX_DIM} at prescale {cfg.prescale:g}"
         )
+    # A triangle with a vertex at or behind the camera plane has no
+    # well-defined projection, and adds no area.
+    tris = np.flatnonzero(cs.chart_of_triangle >= 0)
+    corners = clip[tris]
+    front = np.all(corners[:, :, 3] > W_EPSILON, axis=1)
+    screen = (corners[front, :, :2] / corners[front, :, 3:4] + 1.0) * 0.5 * np.array(cfg.screen)
+    e1 = screen[:, 1] - screen[:, 0]
+    e2 = screen[:, 2] - screen[:, 0]
+    area = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]) / 2.0
+    chart_area = np.bincount(
+        cs.chart_of_triangle[tris[front]], weights=area, minlength=len(cs.chart_of_triangle)
+    )
     return Frame(
         config=cfg,
         mesh=mesh,
-        clip=clip,
         chart_set=cs,
         boxes=np.column_stack([cs.ids, cs.ids, sides.astype(np.int64)]),
         chart_px=chart_px.astype(np.int64),
+        chart_area=chart_area[cs.ids],
         screen_fragments=int(np.isfinite(depth).sum()),
         n_visible=n_visible,
     )
 
 
-def pack_frame(frame: Frame, packer: str = "fastatlas") -> SceneResult:
-    """Pack a frame's boxes with its config's knobs, then report stretch and texels."""
-    cfg = frame.config
-    layout = make_packer(packer, cfg)(frame.boxes)
-    stretch = _scene_stretch_report(frame, layout)
-    texels = int(np.prod(_content_sides(layout, cfg.padding), axis=1).sum())
-    return SceneResult(**vars(frame), layout=layout, stretch=stretch, texels_allocated=texels)
-
-
 def run_scene_pipeline(cfg: SceneConfig, packer: str = "fastatlas") -> SceneResult:
-    """Depth prepass, visibility, chartification, boxes, pack, stretch."""
-    return pack_frame(frame_charts(cfg), packer)
+    """frame_charts, then one pack of its boxes with ``cfg``'s knobs, the stretch and the texels."""
+    frame = frame_charts(cfg)
+    layout = make_packer(packer, cfg)(frame.boxes)
+    content = _content_sides(layout, cfg.padding)
+    screen, area = frame.placed(layout)
+    return SceneResult(
+        **vars(frame),
+        layout=layout,
+        stretch=_stretch_report(screen, content, area),
+        texels_allocated=int(np.prod(content, axis=1).sum()),
+    )
 
 
 def _content_sides(layout: AtlasLayout, padding: int) -> np.ndarray:
@@ -579,33 +596,16 @@ def _content_sides(layout: AtlasLayout, padding: int) -> np.ndarray:
     return sides - 2 * padding
 
 
-def _scene_stretch_report(frame: Frame, layout: AtlasLayout) -> StretchReport | None:
-    """Stretch of each placed chart's atlas-to-screen scaling.
+def _stretch_report(screen_wh, content_wh, area) -> StretchReport | None:
+    """Stretch of placements onto their screen rectangles, or None when no row has area.
 
-    A chart of w_px x h_px screen pixels fills its placement's content
-    rectangle by one axis-aligned scaling, so all of its triangles share
-    the two singular values. Each chart is weighted by the screen area of
-    its triangles that lie fully in front of the camera plane; a triangle
-    with a vertex at or behind it has no well-defined projection.
+    Row i fills a content rectangle of ``content_wh[i]`` texels from a
+    screen rectangle of ``screen_wh[i]`` pixels by one axis-aligned
+    scaling, so all of its triangles share the two singular values, and
+    ``area[i]`` weighs the row.
     """
-    cfg, cs = frame.config, frame.chart_set
-    tris = np.flatnonzero(cs.chart_of_triangle >= 0)
-    clip = frame.clip[tris]
-    front = np.all(clip[:, :, 3] > W_EPSILON, axis=1)
-    screen = (clip[front, :, :2] / clip[front, :, 3:4] + 1.0) * 0.5 * np.array(cfg.screen)
-    e1 = screen[:, 1] - screen[:, 0]
-    e2 = screen[:, 2] - screen[:, 0]
-    area = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]) / 2.0
-    chart_area = np.bincount(
-        cs.chart_of_triangle[tris[front]], weights=area, minlength=len(cs.chart_of_triangle)
-    )
-    ids = layout.table[:, 0]
     try:
-        return scene_stretch(
-            frame.chart_px[np.searchsorted(frame.boxes[:, 0], ids)],
-            _content_sides(layout, cfg.padding),
-            chart_area[ids],
-        )
+        return scene_stretch(screen_wh, content_wh, area)
     except NoValidTriangles:
         return None
 
@@ -775,6 +775,7 @@ def _cmd_compare(args) -> int:
     if is_scene:
         try:
             frame = frame_charts(cfg)
+            boxes = frame.boxes
         except (PackingError, NothingVisible) as exc:  # a failure row per packer and omega
             frame_error = exc
     else:
@@ -787,23 +788,22 @@ def _cmd_compare(args) -> int:
             try:
                 if frame_error is not None:
                     raise frame_error
-                if is_scene:
-                    result = pack_frame(replace(frame, config=run), name)
-                    layout, stretch = result.layout, result.stretch
-                    n_boxes = len(frame.boxes)
-                else:
-                    layout = make_packer(name, run, args.block_size)(boxes)
-                    stretch = _box_stretch_report(layout, run.padding)
-                    n_boxes = len(boxes)
+                layout = make_packer(name, run, args.block_size)(boxes)
             except (PackingError, NothingVisible) as exc:
                 print(f"{name}@{run.omega}: {exc}", file=sys.stderr)
                 rows.append([name, run.omega, "failed", "", "", "", "", "", "", ""])
                 continue
+            if frame is None:  # a box is its own screen rectangle, weighted by half its area
+                screen = layout.table[:, 6:8]
+                area = screen.prod(axis=1) / 2.0
+            else:
+                screen, area = frame.placed(layout)
+            stretch = _stretch_report(screen, _content_sides(layout, run.padding), area)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             any_ok = True
             block = layout.block_size if isinstance(layout, SuperblockLayout) else ""
             rows.append(
-                [name, run.omega, "ok", n_boxes, float(layout.scale),
+                [name, run.omega, "ok", len(boxes), float(layout.scale),
                  packing_efficiency(layout),
                  stretch.l2 if stretch else "", stretch.linf if stretch else "",
                  block, f"{wall_ms:.3f}"]
@@ -816,18 +816,6 @@ def _cmd_compare(args) -> int:
     )
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK if any_ok else EXIT_PACK_FAILURE
-
-
-def _box_stretch_report(layout: AtlasLayout, padding: int) -> StretchReport | None:
-    """Stretch of box-list packs: each target rectangle vs its placed content.
-
-    Each box is weighted by the area of half its target rectangle.
-    """
-    target = layout.table[:, 6:8]
-    try:
-        return scene_stretch(target, _content_sides(layout, padding), target.prod(axis=1) / 2.0)
-    except NoValidTriangles:
-        return None
 
 
 def _looks_like_scene(path) -> bool:
@@ -872,10 +860,18 @@ def _add_flags(parser: argparse.ArgumentParser, *keys: str, required: bool = Fal
         parser.add_argument(flag, dest=key, required=required, help=help, **kind)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, whose usage errors
+    raise InputError, so a malformed or missing flag exits 1, not argparse's 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parse_args keeps no state in it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="atlaspack",
         description="Pack per-frame chart boxes into fixed-size texture atlases.",
     )
@@ -921,8 +917,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand; each error it raises maps to its exit code here."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, InputError, ValueError) as exc:  # bad input, or an unwritable output
         print(f"error: {exc}", file=sys.stderr)

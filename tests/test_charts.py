@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from atlaspack import (
     merge_shared_vertices,
 )
 
-from atlaspack import charts
+from atlaspack import charts, cli
 from atlaspack.charts import (
     _CHUNK,
     _chart_set,
@@ -798,6 +799,51 @@ class TestChartBbox:
                 seen["shrunk"] += bool(np.any(lo[i] > bound_lo[i]) or np.any(hi[i] < bound_hi[i]))
                 seen["several"] += len(members) > 1
         assert min(seen.values()) > 30, seen
+
+    def test_pixel_box_holds_the_chart_samples(self, cam90, exact_cam, monkeypatch):
+        # The columns and rows of the samples each chart's triangles cover,
+        # occluded or not, span no more than the pixel box frame_charts
+        # derives from chart_bbox.
+        setups = []
+
+        def keep_setup(*args):
+            setups.append(screen_setup(*args))
+            return setups[-1]
+
+        monkeypatch.setattr(cli, "screen_setup", keep_setup)
+        rng = np.random.default_rng(17)
+        seen = {"charts": 0, "joined": 0, "tight": 0}
+        for case in range(240):
+            res = TestBatchedSampler.RESOLUTIONS[case % len(TestBatchedSampler.RESOLUTIONS)]
+            mesh = random_soup(rng, res)
+            if case % 2:  # weld some triangles to the one before, so that charts join
+                weld = np.flatnonzero(rng.random(mesh.n_triangles) < 0.4)
+                weld = weld[weld > 0]
+                mesh.triangles[weld, 0] = mesh.triangles[weld - 1, 2]
+            monkeypatch.setattr(cli, "load_obj", lambda path: mesh)
+            for cull in (True, False):
+                cfg = cli.SceneConfig(Path("soup.obj"), screen=res, backface_cull=cull)
+                cfg.camera = lambda: (cam90, exact_cam)[case % 4 // 2]
+                try:
+                    frame = cli.frame_charts(cfg)
+                except cli.NothingVisible:
+                    continue
+                labels, n = frame.chart_set.chart_of_triangle, len(frame.boxes)
+                lo, hi = np.full((n, 2), res[0] + res[1]), np.full((n, 2), -1)
+                for group in setups[-1]:
+                    for t, pixel, _ in _chunks(group, res[0]):
+                        on = labels[t] >= 0
+                        i = np.searchsorted(frame.boxes[:, 0], labels[t[on]])
+                        for axis, v in enumerate((pixel[on] % res[0], pixel[on] // res[0])):
+                            np.minimum.at(lo[:, axis], i, v)
+                            np.maximum.at(hi[:, axis], i, v)
+                covered = hi[:, 0] >= 0
+                span = (hi - lo + 1)[covered]
+                assert np.all(span <= frame.chart_px[covered]), (case, cull)
+                seen["charts"] += int(covered.sum())
+                seen["joined"] += int(np.sum(np.diff(frame.chart_set.starts) > 1))
+                seen["tight"] += int(np.all(span == frame.chart_px[covered], axis=1).sum())
+        assert min(seen.values()) > 50, seen
 
 
 def all_visible(mesh):

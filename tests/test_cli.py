@@ -411,9 +411,12 @@ class TestAtlasSceneCommand:
 
             return count
 
+        batches = []
+
         def halfspace(*args):
             caller = sys._getframe(1)
             clippers[f"{caller.f_globals['__name__']}.{caller.f_code.co_name}"] += 1
+            batches.append(len(args[0]))
             return clip_halfspace(*args)
 
         project, clip_groups = atlaspack.geometry.clip_coords, atlaspack.charts._clip_groups
@@ -434,6 +437,7 @@ class TestAtlasSceneCommand:
         assert main(["atlas-scene", str(scene)]) == EXIT_OK
         assert calls == {"clip_coords": 2, "_clip_groups": 2}
         assert list(clippers) == ["atlaspack.charts._clip_groups"] and clippers.total() >= 4
+        assert min(batches) >= 1  # no clip step is called on an empty batch
 
     def test_superblock_texels_ignore_padding(self, tmp_path):
         scene = write_scene(tmp_path, TWO_QUADS_OBJ)
@@ -753,6 +757,24 @@ class TestCompareCommand:
         own = rows()
         flagged = rows("--scales", "64", "--min-dim", "1", "--padding", "0")
         assert own[0] != flagged[0]  # the flags change the fastatlas pack
+
+    def test_scene_rows_take_the_block_size_flag(self, tmp_path):
+        # A scene's boxes pack as the same boxes read from a box file do.
+        scene = write_scene(tmp_path, TWO_QUADS_OBJ, screen="256 256")
+        boxes = tmp_path / "boxes.txt"
+        table = run_scene_pipeline(parse_scene_config(scene)).boxes
+        boxes.write_text("".join("%d %d %d %d\n" % tuple(row) for row in table.tolist()))
+        rows = []
+        for path in (scene, boxes):
+            out = tmp_path / "cmp.csv"
+            argv = ["compare", str(path), "--packer", "superblock", "--omega", "2048",
+                    "--block-size", "16", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            (row,) = read_csv(out)
+            rows.append(row)
+        assert [r["block_size"] for r in rows] == ["16", "16"]
+        for column in ("status", "n_boxes", "scale", "efficiency"):
+            assert rows[0][column] == rows[1][column], column
 
     def test_scene_input(self, tmp_path):
         scene = write_scene(tmp_path, TWO_QUADS_OBJ)
@@ -1140,6 +1162,50 @@ SUBCOMMAND_OPTIONS = {
         ("--out", None),
     ],
 }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pack-boxes", "{boxes}", "--omega", "abc"],
+        ["pack-boxes", "{boxes}", "--omega", "64", "--scales", "x"],
+        ["pack-boxes", "{boxes}"],
+        ["atlas-scene", "{scene}", "--omega", "abc"],
+        ["atlas-scene", "{scene}", "--res", "12by9"],
+        ["atlas-scene"],
+        ["compare", "{boxes}", "--omega", "64", "--padding", "x"],
+        ["compare", "{scene}", "--omega", "64", "--block-size", "1.5"],
+        ["compare", "{boxes}"],
+        ["gen-boxes", "--count", "4", "--omega", "64", "--seed", "zz", "--out", "{out}"],
+        ["gen-boxes", "--count", "x", "--omega", "64", "--out", "{out}"],
+        ["gen-boxes", "--omega", "64", "--out", "{out}"],
+        [],
+        ["pack-all", "{boxes}"],
+    ],
+    ids=["pack_boxes_omega", "pack_boxes_scales", "pack_boxes_no_omega", "atlas_scene_omega",
+         "atlas_scene_res", "atlas_scene_no_scene", "compare_padding", "compare_block_size",
+         "compare_no_omega", "gen_boxes_seed", "gen_boxes_count", "gen_boxes_no_count",
+         "no_command", "unknown_command"],
+)
+def test_malformed_or_missing_flag_exits_1(tmp_path, capsys, monkeypatch, argv):
+    # Left to argparse, a usage error would exit 2, the code of a pack failure.
+    monkeypatch.setattr("atlaspack.cli.depth_prepass", fail_if_called)
+    boxes = tmp_path / "boxes.txt"
+    boxes.write_text("0 0 4 4\n")
+    paths = dict(boxes=boxes, scene=write_scene(tmp_path, QUAD_OBJ), out=tmp_path / "out.txt")
+    assert main([a.format(**paths) for a in argv]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: atlaspack")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["compare", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_no_option_added_or_removed():
