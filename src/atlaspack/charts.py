@@ -17,13 +17,11 @@ root hooking and pointer jumping (Shiloach and Vishkin 1982), which takes
 about a dozen rounds on a randomly numbered strip of 100,000 triangles.
 
 Both passes and the chart boxes read one set-up, ``screen_setup``, made
-once a frame from the clip coordinates of every triangle, which the caller
-gathers from one projection of the vertices. It clips all the triangles
-that leave the frustum at once, one plane after another (Sutherland and
-Hodgman 1974), keeps each polygon's NDC extent, snaps the screen vertices
-to 1/256 pixel as hardware rasterizers do, and sets up top-left edge
-functions (Pineda 1988) on them, each edge as contiguous columns that a
-pass gathers by polygon.
+once a frame from the vertices' clip coordinates and the triangles. It
+tests, divides and snaps each vertex once, to 1/256 pixel as hardware
+rasterizers do, clips the triangles that leave the frustum (Sutherland and
+Hodgman 1974), keeps each polygon's NDC extent, and sets up top-left edge
+functions (Pineda 1988), each edge as columns that a pass gathers.
 So coverage is decided on integers, held exactly in float64: snapped
 coordinates lie within [-128, 2^22] at MAX_SCREEN, twice an area below 2^49
 and an edge value below 2^47. With the top-left rule folded into the
@@ -58,7 +56,7 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import FRUSTUM_PLANES, W_EPSILON, clip_halfspace, plane_distances
+from .geometry import FRUSTUM_PLANES, W_EPSILON, clip_halfspace
 
 # Depth comparison slack, relative to the unit NDC depth range: the
 # visibility pass also flags a sample up to DEPTH_EPSILON * max(1, |stored|)
@@ -369,66 +367,83 @@ _CHUNK = 1 << 14
 _SUBPIXEL = 256
 
 
-def screen_setup(clip: np.ndarray, res: tuple[int, int], cull: bool) -> list[tuple]:
+def screen_setup(vclip: np.ndarray, triangles: np.ndarray, res, cull: bool) -> tuple:
     """A frame's triangles set up for rasterization, once for both passes.
 
-    ``clip`` holds the (n, 3, 4) clip coordinates of every triangle and
-    ``res`` is the screen's (width, height). Returns one group per clipped
-    vertex count, each the output of _screen_polygons: triangle ids, pixel
-    boxes, edge columns, depth planes and NDC extents.
+    ``vclip`` holds the (n, 4) clip coordinates of the vertices, ``triangles``
+    their (m, 3) ids and ``res`` the screen's (width, height). Returns (setup,
+    front, pixels): one _screen_polygons group per clipped vertex count, and
+    each vertex's w - W_EPSILON > 0 and (n, 2) pixel position.
     """
     width, height = int(res[0]), int(res[1])
     if width < 1 or height < 1:
         raise ValueError("resolution must be at least 1x1")
-    return [_screen_polygons(t, poly, width, height, cull) for t, poly in _clip_groups(clip)]
+    front = vclip[:, 3] - W_EPSILON > 0
+    # w + v >= 0 and w - v >= 0 hold iff -w <= v <= w, since a float sum
+    # is zero only for opposite operands: one test for all six planes.
+    within = np.abs(vclip[:, :3]) <= vclip[:, 3:]
+    # Chained over the corners and axes: a reduction along a length-3 axis is slower.
+    inside = (front & within[:, 0] & within[:, 1] & within[:, 2])[triangles]
+    inside = inside[:, 0] & inside[:, 1] & inside[:, 2]
+    ahead = front[triangles]
+    leaving = np.flatnonzero(~inside & (ahead[:, 0] | ahead[:, 1] | ahead[:, 2]))
+    clipped = _clip_groups(vclip[triangles[leaving]]) if len(leaving) else []
+    # As a one-triangle-at-a-time loop: inside, then clipped by id, and groups by first id.
+    groups, n = {3: [(np.flatnonzero(inside), triangles.compress(inside, axis=0))]}, len(vclip)
+    for rows, poly in clipped:
+        g, k = poly.shape[:2]
+        groups.setdefault(k, []).append((leaving[rows], np.arange(n, n + g * k).reshape(g, k)))
+        n += g * k
+    table = np.concatenate([vclip, *(poly.reshape(-1, 4) for _, poly in clipped)])
+    records = _vertex_records(table, width, height)
+    parts = [map(np.concatenate, zip(*group)) for group in groups.values()]
+    setup = [_screen_polygons(t, c, records, width, height, cull) for t, c in parts]
+    return setup, front, records[3:5, : len(vclip)].T
+
+
+def _vertex_records(clip: np.ndarray, width: int, height: int) -> np.ndarray:
+    """(7, n) records of n homogeneous vertices, gathered by polygon in one step: NDC x, y,
+    z, pixel x, y, and pixel x, y snapped to 1/256 pixel from the center of pixel (0, 0),
+    where subtracting turns np.rint's -0 into +0. w <= 0 gives junk, and no warning."""
+    records = np.empty((7, len(clip)))
+    ndc, pixel, snapped = records[:3], records[3:5], records[5:]
+    with np.errstate(all="ignore"):
+        np.divide(clip[:, :3].T, clip[:, 3], out=ndc)
+        np.multiply((ndc[:2] + 1.0) * 0.5, [[width], [height]], out=pixel)
+        np.subtract(np.rint(pixel * _SUBPIXEL), _SUBPIXEL // 2, out=snapped)
+    return records
 
 
 def _clip_groups(clip: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Frustum-clipped triangles: (triangle ids, (G, n, 4) polygons) per vertex count n.
+    """(rows, (G, n, 4) polygons) per vertex count n >= 3 of clipped (L, 3, 4) triangles.
 
-    ``clip`` holds the clip coordinates of every triangle, from the frame's
-    one projection. Triangles inside every frustum plane are used as they
-    are. The rest are clipped in seven batched Sutherland-Hodgman stages,
-    w - W_EPSILON >= 0 and then the six FRUSTUM_PLANES in order, each
-    applied only to the polygons with a vertex outside it, so every polygon
-    equals a one-triangle-at-a-time clip. A triangle with no vertex at
-    w - W_EPSILON > 0 is dropped first. Groups and their ids keep the order
-    of that per-triangle loop: triangles as they are, then the clipped ones
-    by id, and groups by first id.
+    ``clip`` holds triangles that leave the frustum with a vertex at w - W_EPSILON > 0.
+    Seven batched Sutherland-Hodgman stages, w - W_EPSILON >= 0 and then the six
+    FRUSTUM_PLANES in order, each clip only the polygons with a vertex outside, so every
+    polygon equals a one-triangle-at-a-time clip. Groups come by first row, rows ascending.
     """
-    front = clip[:, :, 3] - W_EPSILON > 0
-    # w + v >= 0 and w - v >= 0 hold iff -w <= v <= w, since a float sum
-    # is zero only for opposite operands: one test for all six planes.
-    within = np.abs(clip[:, :, :3]) <= clip[:, :, 3:]
-    # Chained over the vertices and axes: a reduction along a length-3 axis is slower.
-    within = within[:, :, 0] & within[:, :, 1] & within[:, :, 2]
-    inside = front[:, 0] & front[:, 1] & front[:, 2] & within[:, 0] & within[:, 1] & within[:, 2]
-    leaving = np.flatnonzero(~inside & (front[:, 0] | front[:, 1] | front[:, 2]))
-    groups = [(leaving, clip[leaving])] if len(leaving) else []
-    for plane in (None, *FRUSTUM_PLANES):  # None: the camera plane
+    groups = [(np.arange(len(clip)), clip)]
+    for plane in (None, *FRUSTUM_PLANES.values()):  # None: the camera plane
         by_count: dict[int, list] = {}
         for ids, poly in groups:
-            dist = poly[:, :, 3] - W_EPSILON if plane is None else plane_distances(poly, plane)
+            w = poly[:, :, 3]
+            dist = w - W_EPSILON if plane is None else w + plane[1] * poly[:, :, plane[0]]
             keep = dist >= 0
-            cut = ~np.all(keep, axis=1)
-            parts = [(ids[~cut], poly[~cut])]
-            if cut.any():
+            parts = [(ids, poly)]
+            if not keep.all():
+                cut = ~keep.all(axis=1)
                 split = clip_halfspace(poly[cut], dist[cut], keep[cut])
-                parts += [(ids[cut][r], p) for r, p in split]
+                parts = [(ids[~cut], poly[~cut])] + [(ids[cut][r], p) for r, p in split]
             for part in parts:
                 if len(part[0]):
                     by_count.setdefault(part[1].shape[1], []).append(part)
-        groups = [tuple(map(np.concatenate, zip(*parts))) for parts in by_count.values()]
-    ordered = {3: [(np.flatnonzero(inside), clip[inside])]}
-    for ids, poly in sorted(groups, key=lambda g: g[0].min()):
-        if poly.shape[1] >= 3:
-            order = np.argsort(ids)
-            ordered.setdefault(poly.shape[1], []).append((ids[order], poly[order]))
-    return [tuple(map(np.concatenate, zip(*parts))) for parts in ordered.values()]
+        groups = [tuple(map(np.concatenate, zip(*p))) if p[1:] else p[0] for p in by_count.values()]
+    groups = sorted((g for g in groups if g[1].shape[1] >= 3), key=lambda g: g[0].min())
+    return [_select(g, np.argsort(g[0])) for g in groups]
 
 
-def _screen_polygons(t, poly, width: int, height: int, cull: bool):
-    """Project, snap, cull, flip and box convex homogeneous polygons, shape (G, n, 4).
+def _screen_polygons(t, corners, records, width: int, height: int, cull: bool):
+    """Cull, flip and box convex polygons, (G, n) vertex ids into _vertex_records ``records``.
 
     Counter-clockwise polygons (in y-up pixel coordinates) are front-facing;
     with culling disabled, clockwise polygons are flipped. Orientation, boxes
@@ -439,23 +454,18 @@ def _screen_polygons(t, poly, width: int, height: int, cull: bool):
     (a, b, c) per polygon, 256 ey, 256 ex and a constant: the sample in
     column ix of row iy passes its top-left test iff a * ix <= b * iy + c.
     """
-    screen = poly[:, :, :3] / poly[:, :, 3:4]  # NDC, then x and y to pixels
-    ndc = [functools.reduce(f, v) for f in (np.minimum, np.maximum) for v in screen[:, :, :2].T]
-    screen[:, :, 0] = (screen[:, :, 0] + 1.0) * 0.5 * width
-    screen[:, :, 1] = (screen[:, :, 1] + 1.0) * 0.5 * height
-    # From the center of pixel (0, 0), so sample (ix, iy) lies at (256 * ix,
-    # 256 * iy); the subtraction turns the -0 of np.rint into +0.
-    q = np.rint(screen[:, :, :2] * _SUBPIXEL) - _SUBPIXEL // 2
+    after, before = (np.roll(np.arange(corners.shape[1]), k) for k in (-1, 1))  # i + 1, i - 1
     # Twice the signed area, exact, chained over the vertices (faster than a sum).
-    x, y = q[:, :, 0].T, q[:, :, 1].T
-    area2 = functools.reduce(np.add, x * (np.roll(y, -1, axis=0) - np.roll(y, 1, axis=0)))
-    keep = area2 > 0.0 if cull else area2 != 0.0
-    t, screen, q, flip = t[keep], screen[keep], q[keep], area2[keep] < 0.0
-    ndc = tuple(v[keep] for v in ndc)
-    screen[flip], q[flip] = screen[flip, ::-1], q[flip, ::-1]
+    x, y = np.take(records[5:], corners.T, axis=1)
+    area2 = functools.reduce(np.add, x * (y[after] - y[before]))
+    keep = np.flatnonzero(area2 > 0.0 if cull else area2 != 0.0)
+    t, flip = t[keep], area2[keep] < 0.0
+    rec = np.take(records, corners[keep].T, axis=1)  # (7, n, G)
+    ndc = tuple(functools.reduce(f, rec[i]) for f in (np.minimum, np.maximum) for i in (0, 1))
+    rec[:, :, flip] = rec[:, ::-1, flip]
 
     # The box: the samples within the snapped vertices' range, on the screen.
-    x, y = q[:, :, 0].T, q[:, :, 1].T
+    x, y = rec[5], rec[6]
     low = np.divide([functools.reduce(np.minimum, v) for v in (x, y)], _SUBPIXEL)
     high = np.divide([functools.reduce(np.maximum, v) for v in (x, y)], _SUBPIXEL)
     x0, y0 = np.maximum(0, np.ceil(low)).astype(np.int64)
@@ -466,11 +476,11 @@ def _screen_polygons(t, poly, width: int, height: int, cull: bool):
     # on them are covered: the edge value ex * (py - sy) - ey * (px - sx) is
     # at least 1 - top_left. A zero-length edge, from a vertex the clipper
     # repeated or two that snap together, is 0 and passes every sample.
-    ex, ey = np.roll(x, -1, axis=0) - x, np.roll(y, -1, axis=0) - y
+    ex, ey = x[after] - x, y[after] - y
     top_left = (ey > 0) | ((ey == 0) & (ex <= 0))
     edges = tuple(zip(_SUBPIXEL * ey, _SUBPIXEL * ex, ey * x - ex * y + (top_left - 1.0)))
-    group = (t, (x0, x1, y0, y1), edges, _depth_planes(screen), ndc)
-    return _select(group, (x0 <= x1) & (y0 <= y1))
+    planes = _depth_planes(rec[3], rec[4], rec[2])
+    return _select((t, (x0, x1, y0, y1), edges, planes, ndc), (x0 <= x1) & (y0 <= y1))
 
 
 def _chunks(group, width: int, ids: bool = True):
@@ -546,28 +556,27 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _depth_planes(screen: np.ndarray):
+def _depth_planes(x: np.ndarray, y: np.ndarray, z: np.ndarray):
     """Affine NDC depth planes (ax, ay, z0, gx, gy, flat) of polygons.
 
-    NDC z is screen-affine: z0 + gx * (x - ax) + gy * (y - ay), anchored at
-    the float vertex 0 (ax, ay) and solved on the first fan triangle (0, j,
-    j + 1) with |det| > 1e-12. Polygons with none are ``flat``: their depth
-    is the mean vertex depth, returned in z0.
+    ``x``, ``y`` and ``z`` are the (n, G) pixel x, y and NDC z of their vertices. NDC z
+    is screen-affine: z0 + gx * (x - ax) + gy * (y - ay), anchored at the float vertex 0
+    (ax, ay) and solved on the first fan triangle (0, j, j + 1) with |det| > 1e-12.
+    Polygons with none are ``flat``, with the mean vertex depth in z0.
     """
-    p0 = screen[:, 0]
-    z0 = p0[:, 2].copy()
-    gx, gy = np.zeros((2, len(screen)))
-    flat = np.ones(len(screen), dtype=bool)
-    for j in range(1, screen.shape[1] - 1):
-        d1, d2 = screen[:, j] - p0, screen[:, j + 1] - p0
-        det = d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1]
+    z0 = z[0].copy()
+    gx, gy = np.zeros((2, x.shape[1]))
+    flat = np.ones(x.shape[1], dtype=bool)
+    for j in range(1, len(x) - 1):
+        (d1x, d2x), (d1y, d2y), (d1z, d2z) = (v[j : j + 2] - v[0] for v in (x, y, z))
+        det = d1x * d2y - d2x * d1y
         solve = flat & (np.abs(det) > 1e-12)
-        np.divide(d1[:, 2] * d2[:, 1] - d2[:, 2] * d1[:, 1], det, out=gx, where=solve)
-        np.divide(d2[:, 2] * d1[:, 0] - d1[:, 2] * d2[:, 0], det, out=gy, where=solve)
+        np.divide(d1z * d2y - d2z * d1y, det, out=gx, where=solve)
+        np.divide(d2z * d1x - d1z * d2x, det, out=gy, where=solve)
         flat &= ~solve
     for g in np.flatnonzero(flat):
-        z0[g] = screen[g, :, 2].mean()
-    return p0[:, 0], p0[:, 1], z0, gx, gy, flat
+        z0[g] = z[:, g].mean()
+    return x[0], y[0], z0, gx, gy, flat
 
 
 def depth_prepass(setup: list[tuple], res: tuple[int, int]) -> np.ndarray:

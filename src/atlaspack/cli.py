@@ -57,7 +57,7 @@ from .charts import (
     records,
     screen_setup,
 )
-from .geometry import CameraFrame, W_EPSILON, clip_coords
+from .geometry import CameraFrame, clip_coords
 from .metrics import (
     DIGEST_ALGORITHM,
     LayoutDigest,
@@ -468,9 +468,13 @@ def make_packer(
     if name == "sequential":
         return lambda boxes: sequential_scale_search(boxes, cfg.omega, **knobs)
     if name == "superblock":
+        size = default_block_size(cfg.omega) if block_size is None else block_size
 
         def run(boxes):
-            layout = superblock_pack(boxes, cfg.omega, block_size or default_block_size(cfg.omega))
+            try:
+                layout = superblock_pack(boxes, cfg.omega, size)
+            except ValueError as exc:  # a size that is not a power of two or exceeds omega
+                raise ValueError(f"--block-size: {exc}") from None
             if layout is None:
                 raise PackFailure("superblock allocation failed at the halving floor")
             return layout
@@ -520,15 +524,14 @@ class SceneResult(Frame):
 def frame_charts(cfg: SceneConfig) -> Frame:
     """One projection, depth prepass, visibility, chartification, chart boxes and areas.
 
-    The vertices are projected once, as one (n, 4) @ (4, 4) product, and the
-    triangles' clip array is gathered from them. One set-up clips them, and
-    the raster passes and the chart boxes read its polygons. Raises
-    NothingVisible when no triangle passes the depth test, and
-    HeightOverflow when a chart box is taller than any packer takes.
+    One set-up of the vertices, projected once, gives the raster passes and chart boxes
+    its polygons, and the chart areas its vertices' front flags and pixel positions.
+    Raises NothingVisible when no triangle passes the depth test, and HeightOverflow when
+    a chart box is taller than any packer takes.
     """
     mesh = load_obj(cfg.mesh_path)
-    clip = clip_coords(mesh.positions, cfg.camera())[mesh.triangles]
-    setup = screen_setup(clip, cfg.screen, cfg.backface_cull)
+    vclip = clip_coords(mesh.positions, cfg.camera())
+    setup, front, pixels = screen_setup(vclip, mesh.triangles, cfg.screen, cfg.backface_cull)
     depth = depth_prepass(setup, cfg.screen)
     vis = mark_visible(setup, depth, mesh.n_triangles)
     n_visible = int(vis.flags.sum())
@@ -548,16 +551,11 @@ def frame_charts(cfg: SceneConfig) -> Frame:
         )
     # A triangle with a vertex at or behind the camera plane has no
     # well-defined projection, and adds no area.
-    tris = np.flatnonzero(cs.chart_of_triangle >= 0)
-    corners = clip[tris]
-    front = np.all(corners[:, :, 3] > W_EPSILON, axis=1)
-    screen = (corners[front, :, :2] / corners[front, :, 3:4] + 1.0) * 0.5 * np.array(cfg.screen)
-    e1 = screen[:, 1] - screen[:, 0]
-    e2 = screen[:, 2] - screen[:, 0]
-    area = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]) / 2.0
-    chart_area = np.bincount(
-        cs.chart_of_triangle[tris[front]], weights=area, minlength=len(cs.chart_of_triangle)
-    )
+    labels = cs.chart_of_triangle
+    shown = np.flatnonzero((labels >= 0) & np.all(front[mesh.triangles], axis=1))
+    a, b, c = pixels[mesh.triangles[shown]].transpose(1, 2, 0)
+    area = np.abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])) / 2.0
+    chart_area = np.bincount(labels[shown], weights=area, minlength=len(labels))
     return Frame(
         config=cfg,
         mesh=mesh,
@@ -757,11 +755,15 @@ def _cmd_atlas_scene(args) -> int:
     return EXIT_OK
 
 
+def _packer_list(text: str) -> list[str]:
+    """compare's --packer: comma-separated packer names, at least one."""
+    packers = [p.strip() for p in text.split(",") if p.strip()]
+    if packers and set(packers) <= set(PACKER_NAMES):
+        return packers
+    raise argparse.ArgumentTypeError(f"expected names from {', '.join(PACKER_NAMES)}, got {text!r}")
+
+
 def _cmd_compare(args) -> int:
-    packers = [p.strip() for p in args.packer.split(",") if p.strip()]
-    for p in packers:
-        if p not in PACKER_NAMES:
-            raise InputError(f"unknown packer '{p}'")
     try:
         omegas = [int(o) for o in args.omegas.split(",")]
     except ValueError:
@@ -783,7 +785,7 @@ def _cmd_compare(args) -> int:
     rows = []
     any_ok = False
     for run in runs:
-        for name in packers:
+        for name in args.packer:
             t0 = time.perf_counter()
             try:
                 if frame_error is not None:
@@ -898,7 +900,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("compare", help="compare packers on a scene or box list")
     cp.add_argument("input", help="scene config or box list file")
-    cp.add_argument("--packer", default=",".join(PACKER_NAMES), help="comma-separated packers")
+    packers = ",".join(PACKER_NAMES)
+    cp.add_argument("--packer", type=_packer_list, default=packers, help="comma-separated packers")
     cp.add_argument("--omega", dest="omegas", required=True, help="comma-separated atlas sides")
     _add_flags(cp, "scales", "min_dim", "padding")
     cp.add_argument("--block-size", type=int, default=None)

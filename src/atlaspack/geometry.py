@@ -7,13 +7,11 @@ front of the camera iff w > W_EPSILON, which sidesteps division instability
 at w == 0.
 
 ``clip_halfspace`` is the one Sutherland-Hodgman step of the package and
-``FRUSTUM_PLANES`` its one plane table. The step clips a whole batch of
-polygons at once, each against one half-space, and returns them grouped by
-vertex count; every coordinate equals that of a one-polygon step. Its one
-caller is the frame's raster set-up (``charts.screen_setup``), which clips
-every triangle leaving the frustum against the camera plane and then each
-of the six planes it leaves. The rasterizer and the chart boxes both read
-those clipped polygons, so a frame is clipped once, by one rule.
+``FRUSTUM_PLANES`` its one plane table. The step clips a batch of polygons,
+each against one half-space, as a one-polygon step would. Its one caller,
+the frame's raster set-up (``charts.screen_setup``), clips only the
+triangles that leave the frustum, against the camera plane and then each
+plane they leave; the rasterizer and the chart boxes read those polygons.
 """
 
 from __future__ import annotations
@@ -139,16 +137,6 @@ def clip_coords(points, cam: CameraFrame) -> np.ndarray:
     homo = np.ones((max(len(p), 2), 4))
     homo[: len(p), :3] = p
     return (homo @ cam.view_proj.T)[: len(p)].reshape(*np.shape(points)[:-1], 4)
-
-
-def plane_distances(v: np.ndarray, plane: str) -> np.ndarray:
-    """Signed distance w + sign * v[axis] of each homogeneous vertex to a plane.
-
-    ``v`` holds vertices along its last axis: one polygon (m, 4) or a batch
-    of them (n, m, 4).
-    """
-    axis, sign = FRUSTUM_PLANES[plane]
-    return v[..., 3] + sign * v[..., axis]
 
 
 def clip_halfspace(

@@ -29,6 +29,10 @@ box tests read it as ``NdcBox`` records through a one-chart adapter, and
 compare it with its per-triangle loop; the raster tests run both
 passes from world-space meshes through ``depth_and_flags``, an adapter
 that projects and sets up a mesh as ``cli.frame_charts`` does. The
+per-corner set-up (``corner_setup``, with ``corner_split`` and
+``corner_polygons``) is the package's earlier ``screen_setup``, which
+tested, divided, viewport-transformed and snapped every triangle corner:
+the per-vertex set-up's groups must equal its arrays byte for byte. The
 stacked projection is the package's earlier per-triangle product, which
 the one projection of a frame's vertices must match bit for bit, and
 ``sample_rows`` reads the raster's flat pixel indices as rows and columns
@@ -38,6 +42,7 @@ lives here rather than in the package.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import math
@@ -65,8 +70,12 @@ from atlaspack import (
 )
 from atlaspack.charts import (
     _CHUNK,
+    _SUBPIXEL,
     DEPTH_EPSILON,
     _chunks,
+    _clip_groups,
+    _depth_planes,
+    _select,
     depth_prepass,
     mark_visible,
     screen_setup,
@@ -76,7 +85,6 @@ from atlaspack.geometry import (
     W_EPSILON,
     clip_coords,
     clip_halfspace,
-    plane_distances,
 )
 from atlaspack.packing import MAX_BOX_DIM
 
@@ -186,6 +194,16 @@ def conservative_chart_bbox(clip: np.ndarray, starts) -> tuple[np.ndarray, np.nd
     return np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
 
 
+def plane_distances(v: np.ndarray, plane: str) -> np.ndarray:
+    """Signed distance w + sign * v[axis] of each homogeneous vertex to a frustum plane.
+
+    ``v`` holds vertices along its last axis: one polygon (m, 4) or a batch
+    of them (n, m, 4).
+    """
+    axis, sign = FRUSTUM_PLANES[plane]
+    return v[..., 3] + sign * v[..., axis]
+
+
 def triangle_corners(mesh: Mesh) -> np.ndarray:
     """World-space corners of a mesh's triangles, shape (m, 3, 3)."""
     return mesh.positions[mesh.triangles]
@@ -198,8 +216,67 @@ def stacked_clip_coords(corners: np.ndarray, cam) -> np.ndarray:
 
 
 def mesh_setup(mesh: Mesh, cam, res, cull: bool = True) -> list[tuple]:
-    """``charts.screen_setup`` of a mesh, projected as ``cli.frame_charts`` projects it."""
-    return screen_setup(clip_coords(mesh.positions, cam)[mesh.triangles], res, cull)
+    """The groups of ``charts.screen_setup`` of a mesh, projected as ``cli.frame_charts`` does."""
+    return screen_setup(clip_coords(mesh.positions, cam), mesh.triangles, res, cull)[0]
+
+
+def corner_split(clip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The package's earlier per-corner frustum test of (m, 3, 4) triangles: (inside, leaving).
+
+    ``inside`` flags the triangles with every corner at w - W_EPSILON > 0
+    and inside the six planes; ``leaving`` holds the ids of the others with
+    a corner at w - W_EPSILON > 0.
+    """
+    front = clip[:, :, 3] - W_EPSILON > 0
+    within = np.abs(clip[:, :, :3]) <= clip[:, :, 3:]
+    within = within[:, :, 0] & within[:, :, 1] & within[:, :, 2]
+    inside = front[:, 0] & front[:, 1] & front[:, 2] & within[:, 0] & within[:, 1] & within[:, 2]
+    return inside, np.flatnonzero(~inside & (front[:, 0] | front[:, 1] | front[:, 2]))
+
+
+def corner_setup(clip: np.ndarray, res, cull: bool) -> list[tuple]:
+    """The package's earlier ``screen_setup`` groups of (m, 3, 4) triangles, set up per corner.
+
+    The triangles are split by ``corner_split``, the leaving ones clipped by
+    ``charts._clip_groups``, and each group of polygons set up by
+    ``corner_polygons``, in the order of a one-triangle-at-a-time loop.
+    """
+    inside, leaving = corner_split(clip)
+    ordered = {3: [(np.flatnonzero(inside), clip[inside])]}
+    for rows, poly in _clip_groups(clip[leaving]) if len(leaving) else []:
+        ordered.setdefault(poly.shape[1], []).append((leaving[rows], poly))
+    width, height = int(res[0]), int(res[1])
+    groups = [tuple(map(np.concatenate, zip(*parts))) for parts in ordered.values()]
+    return [corner_polygons(t, poly, width, height, cull) for t, poly in groups]
+
+
+def corner_polygons(t, poly, width: int, height: int, cull: bool):
+    """The package's earlier ``_screen_polygons``: (G, n, 4) polygons set up corner by corner.
+
+    Each corner of each polygon is divided, viewport-transformed and
+    snapped on its own; the rest is the package's set-up.
+    """
+    screen = poly[:, :, :3] / poly[:, :, 3:4]  # NDC, then x and y to pixels
+    ndc = [functools.reduce(f, v) for f in (np.minimum, np.maximum) for v in screen[:, :, :2].T]
+    screen[:, :, 0] = (screen[:, :, 0] + 1.0) * 0.5 * width
+    screen[:, :, 1] = (screen[:, :, 1] + 1.0) * 0.5 * height
+    q = np.rint(screen[:, :, :2] * _SUBPIXEL) - _SUBPIXEL // 2
+    x, y = q[:, :, 0].T, q[:, :, 1].T
+    area2 = functools.reduce(np.add, x * (np.roll(y, -1, axis=0) - np.roll(y, 1, axis=0)))
+    keep = area2 > 0.0 if cull else area2 != 0.0
+    t, screen, q, flip = t[keep], screen[keep], q[keep], area2[keep] < 0.0
+    ndc = tuple(v[keep] for v in ndc)
+    screen[flip], q[flip] = screen[flip, ::-1], q[flip, ::-1]
+    x, y = q[:, :, 0].T, q[:, :, 1].T
+    low = np.divide([functools.reduce(np.minimum, v) for v in (x, y)], _SUBPIXEL)
+    high = np.divide([functools.reduce(np.maximum, v) for v in (x, y)], _SUBPIXEL)
+    x0, y0 = np.maximum(0, np.ceil(low)).astype(np.int64)
+    x1, y1 = np.minimum([[width - 1], [height - 1]], np.floor(high)).astype(np.int64)
+    ex, ey = np.roll(x, -1, axis=0) - x, np.roll(y, -1, axis=0) - y
+    top_left = (ey > 0) | ((ey == 0) & (ex <= 0))
+    edges = tuple(zip(_SUBPIXEL * ey, _SUBPIXEL * ex, ey * x - ex * y + (top_left - 1.0)))
+    group = (t, (x0, x1, y0, y1), edges, _depth_planes(*screen.transpose(2, 1, 0)), ndc)
+    return _select(group, (x0 <= x1) & (y0 <= y1))
 
 
 def depth_and_flags(mesh: Mesh, cam, res, cull: bool = True):

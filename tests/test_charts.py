@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from atlaspack.charts import (
     _clip_groups,
     _row_spans,
     _screen_polygons,
+    _vertex_records,
     build_adjacency,
     chart_bbox,
     depth_prepass,
@@ -36,6 +38,8 @@ from oracles import (
     chart_members,
     clip_triangle_frustum,
     conservative_chart_bbox,
+    corner_setup,
+    corner_split,
     delaunay_mesh,
     depth_and_flags,
     dict_adjacency,
@@ -358,9 +362,7 @@ class TestBatchedSampler:
             mesh = random_soup(rng, res)
             for cull in (True, False):
                 got, want, bare = [], [], []
-                clip = clip_coords(mesh.positions, cams[case % 2])[mesh.triangles]
-                for t, poly in _clip_groups(clip):
-                    group = _screen_polygons(t, poly, *res, cull)
+                for group in mesh_setup(mesh, cams[case % 2], res, cull):
                     got += _chunks(group, res[0])
                     want += box_samples(group)
                     bare += _chunks(group, res[0], ids=False)
@@ -427,7 +429,8 @@ class TestBatchedSampler:
         for corners, clockwise in (((a, b, c), False), ((b, a, c), True)):
             ndc = np.array(corners) / np.array(res) * 2.0 - 1.0
             poly = np.column_stack([ndc, np.full(3, 0.5), np.ones(3)])[None]
-            group = _screen_polygons(np.arange(1), poly, *res, cull)
+            records = _vertex_records(poly[0], *res)
+            group = _screen_polygons(np.arange(1), np.arange(3)[None], records, *res, cull)
             pixels = [pixel for pixel, _ in _chunks(group, res[0], ids=False)]
             pixels = np.concatenate(pixels) if pixels else np.zeros(0, dtype=np.int64)
             q = snap_vertices(_polygon_to_screen(poly[0], *res))
@@ -457,8 +460,9 @@ class TestBatchedSampler:
         ndc = grid / (128.0 * side) - 1.0
         clip = np.concatenate([ndc, rng.uniform(-0.5, 0.5, (n, 3, 1)), np.ones((n, 3, 1))], axis=2)
         checked = 0
-        for t, poly in _clip_groups(clip):
-            kept, (x0, x1, y0, y1), edges, *_ = _screen_polygons(t, poly, side, side, cull)
+        triangles = np.arange(3 * n).reshape(n, 3)
+        setup, *_ = screen_setup(clip.reshape(-1, 4), triangles, (side, side), cull)
+        for kept, (x0, x1, y0, y1), edges, *_ in setup:
             for g, tid in enumerate(kept):
                 a, b, c = (np.array([e[k][g] for e in edges], np.int64)[:, None] for k in range(3))
                 box_rows = np.arange(y0[g], y1[g] + 1)
@@ -468,7 +472,7 @@ class TestBatchedSampler:
                 rows = np.unique(np.r_[y0[g], y1[g], rng.integers(y0[g], y1[g] + 1, size=4), near])
                 g_rows = np.full(len(rows), g)
                 lo, hi = _row_spans(edges, g_rows, rows, x0[g_rows], x1[g_rows])
-                q = snap_vertices(_polygon_to_screen(poly[list(t).index(tid)], side, side))
+                q = snap_vertices(_polygon_to_screen(clip_triangle_frustum(clip[tid]), side, side))
                 iy, ix = exact_cover(q, np.r_[rows, y0[g] - 1, y1[g] + 1], side, cull, np.int64)
                 for row, first, last in zip(rows, lo, hi):
                     assert ix[iy == row].tolist() == list(range(first, last + 1)), (tid, row)
@@ -709,19 +713,24 @@ class TestVisibilityProbe:
 
 class TestClipGroups:
     def assert_matches_per_triangle_clip(self, mesh, cam):
+        # The triangles inside the frustum as they are, and the leaving ones
+        # as _clip_groups clips them, equal the per-triangle clip.
         clip = clip_coords(triangle_corners(mesh), cam)
-        got = {}
-        for ids, polys in _clip_groups(clip):
-            assert len(ids) == len(polys) and polys.shape[1] >= 3
-            for t, poly in zip(ids.tolist(), polys):
+        inside, leaving = corner_split(clip)
+        got = dict(zip(np.flatnonzero(inside).tolist(), clip[inside]))
+        for rows, polys in _clip_groups(clip[leaving]) if len(leaving) else []:
+            assert len(rows) == len(polys) and polys.shape[1] >= 3
+            assert np.all(np.diff(rows) > 0)
+            for t, poly in zip(leaving[rows].tolist(), polys):
                 assert t not in got
                 got[t] = poly
+        kept = sorted(got)
         for t in range(mesh.n_triangles):
             want = clip_triangle_frustum(clip[t])
             if len(want) >= 3:
                 assert got.pop(t).tobytes() == want.tobytes(), t
         assert not got
-        return clip
+        return clip, kept
 
     def test_matches_per_triangle_clip_on_random_soups(self, cam90, exact_cam):
         rng = np.random.default_rng(8)
@@ -731,7 +740,7 @@ class TestClipGroups:
             # Push some triangles past the far plane at 100 as well.
             far = rng.random(mesh.n_triangles) < 0.1
             mesh.positions[mesh.triangles[far].ravel(), 2] *= 40.0
-            clip = self.assert_matches_per_triangle_clip(mesh, (cam90, exact_cam)[case % 2])
+            clip, _ = self.assert_matches_per_triangle_clip(mesh, (cam90, exact_cam)[case % 2])
             counts.update(len(clip_triangle_frustum(c)) for c in clip)
         # Clipping gave empty polygons and polygons of 3 to at least 7 vertices.
         assert {0, 3, 4, 5, 6, 7} <= counts, counts
@@ -749,10 +758,93 @@ class TestClipGroups:
             (-0.5, -0.5, -2.0), (3.0, -0.5, -2.0), (-0.5, 0.5, -2.0),  # leaves the right plane
         ]
         mesh = Mesh(positions=positions, triangles=np.arange(9).reshape(3, 3))
-        clip = self.assert_matches_per_triangle_clip(mesh, exact_cam)
+        clip, kept = self.assert_matches_per_triangle_clip(mesh, exact_cam)
         assert (clip[0, :, 3] - e).tolist() == [0.0, -1.0 - e, -2.0 - e]
-        ids = np.concatenate([ids for ids, _ in _clip_groups(clip)])
-        assert sorted(ids.tolist()) == [1, 2]
+        assert kept == [1, 2]
+        # The set-up, which tests each vertex once, splits them the same way.
+        vclip = clip_coords(mesh.positions, exact_cam)
+        for cull in (True, False):
+            setup, *_ = screen_setup(vclip, mesh.triangles, (16, 16), cull)
+            assert setup_arrays(setup) == setup_arrays(corner_setup(clip, (16, 16), cull))
+
+
+def flat_soup(rng, res):
+    """Triangles C, A, B with B = C + t (A - C), t = 1/2 + k / 4096, as in
+    test_flat_polygon_takes_mean_depth: collinear in float under exact_cam,
+    so _depth_planes finds no plane, but snapped off the line."""
+    n = 8
+    c = rng.integers(0, min(res), size=(n, 1, 2)).astype(np.float64)
+    d = rng.integers(-6, 7, size=(n, 1, 2))
+    t = 0.5 + rng.integers(1, 16, size=(n, 1, 1)) / 4096
+    pxy = np.concatenate([c, c + d, c + t * d], axis=1)
+    positions = at_pixel(pxy[..., 0], pxy[..., 1], np.array([1.0, 2.0, 4.0]), res)
+    return Mesh(positions=positions.reshape(-1, 3), triangles=np.arange(3 * n).reshape(n, 3))
+
+
+def joined(a, b):
+    """One mesh of the triangles of meshes a and b."""
+    positions = np.concatenate([a.positions, b.positions])
+    return Mesh(positions=positions, triangles=np.r_[a.triangles, b.triangles + len(a.positions)])
+
+
+def setup_arrays(setup) -> list[tuple]:
+    """(dtype, shape, bytes) of every array of a set-up's groups, in order."""
+    if isinstance(setup, np.ndarray):
+        return [(setup.dtype, setup.shape, setup.tobytes())]
+    return [leaf for part in setup for leaf in setup_arrays(part)]
+
+
+class TestScreenSetup:
+    """The per-vertex set-up against the earlier per-corner one, oracles.corner_setup."""
+
+    def test_groups_match_the_per_corner_setup(self, cam90, exact_cam):
+        rng = np.random.default_rng(29)
+        seen = {"clipped": 0, "flipped": 0, "flat": 0, "repeated": 0, "shared": 0}
+        for case in range(240):
+            res = TestBatchedSampler.RESOLUTIONS[case % len(TestBatchedSampler.RESOLUTIONS)]
+            mesh = random_soup(rng, res)
+            if case % 2:  # weld some triangles to the one before, so that they share a vertex
+                weld = np.flatnonzero(rng.random(mesh.n_triangles) < 0.4)
+                weld = weld[weld > 0]
+                mesh.triangles[weld, 0] = mesh.triangles[weld - 1, 2]
+                seen["shared"] += len(weld)
+            if case % 4 >= 2 and res in ((8, 8), (16, 8), (32, 16)):
+                mesh = joined(mesh, flat_soup(rng, res))
+            vclip = clip_coords(mesh.positions, (cam90, exact_cam)[case % 4 // 2])
+            clip = vclip[mesh.triangles]
+            kept = {}
+            for cull in (True, False):
+                setup, front, pixels = screen_setup(vclip, mesh.triangles, res, cull)
+                want = corner_setup(clip, res, cull)
+                assert setup_arrays(setup) == setup_arrays(want), (case, cull)
+                assert np.array_equal(front, vclip[:, 3] > W_EPSILON)
+                xy = (vclip[front, :2] / vclip[front, 3:] + 1.0) * 0.5 * np.array(res)
+                assert pixels[front].tobytes() == xy.tobytes()
+                kept[cull] = sum(len(t) for t, *_ in setup)
+                for t, _, edges, planes, _ in setup:
+                    seen["clipped"] += int(np.isin(t, corner_split(clip)[1]).sum())
+                    seen["flat"] += int(planes[5].sum())
+                    zero = [(a == 0) & (b == 0) for a, b, _ in edges]
+                    seen["repeated"] += int(np.sum(functools.reduce(np.logical_or, zero)))
+            seen["flipped"] += kept[False] - kept[True]
+        assert min(seen.values()) > 20, seen
+
+    def test_vertex_at_w_zero_or_behind_the_camera_warns_nothing(self, exact_cam):
+        # exact_cam maps world (x, y, z) to w = -z. Vertex 3, which no
+        # triangle uses, lies at w = 0 with x = y = 0, where a divide gives
+        # NaN, and vertex 2 lies behind the camera. pytest turns a
+        # RuntimeWarning into an error.
+        positions = [(-1.0, -1.0, -2.0), (1.0, -1.0, -2.0), (0.0, 2.0, 2.0), (0.0, 0.0, 0.0)]
+        mesh = Mesh(positions=positions, triangles=[[0, 1, 2]])
+        vclip = clip_coords(mesh.positions, exact_cam)
+        assert vclip[3, 3] == 0.0 and vclip[3, 0] == 0.0 and vclip[2, 3] < 0.0
+        for cull in (True, False):
+            setup, front, pixels = screen_setup(vclip, mesh.triangles, (16, 16), cull)
+            want = corner_setup(vclip[mesh.triangles], (16, 16), cull)
+            assert setup_arrays(setup) == setup_arrays(want)
+            assert [t.tolist() for t, *_ in setup] == [[], [0]]
+            assert front.tolist() == [True, True, False, False]
+            assert np.all(np.isfinite(pixels[front]))
 
 
 class TestChartBbox:
@@ -769,7 +861,7 @@ class TestChartBbox:
             mesh.positions[mesh.triangles[far].ravel(), 2] *= 40.0
             cam = (cam90, exact_cam)[case % 2]
             clip = clip_coords(mesh.positions, cam)[mesh.triangles]
-            setup = screen_setup(clip, res, cull)
+            setup = mesh_setup(mesh, cam, res, cull)
             flags = mark_visible(setup, depth_prepass(setup, res), mesh.n_triangles).flags
             visible = np.flatnonzero(flags)
             if not len(visible):
@@ -830,7 +922,7 @@ class TestChartBbox:
                     continue
                 labels, n = frame.chart_set.chart_of_triangle, len(frame.boxes)
                 lo, hi = np.full((n, 2), res[0] + res[1]), np.full((n, 2), -1)
-                for group in setups[-1]:
+                for group in setups[-1][0]:
                     for t, pixel, _ in _chunks(group, res[0]):
                         on = labels[t] >= 0
                         i = np.searchsorted(frame.boxes[:, 0], labels[t[on]])

@@ -396,17 +396,18 @@ class TestAtlasSceneCommand:
     def test_one_projection_and_one_clip_per_frame(self, tmp_path, monkeypatch):
         # clip_coords and clip_halfspace are counted under every name a
         # package module resolves them by, so a projection or a clip
-        # anywhere in the run shows. The one projection takes the mesh's 8
-        # vertices, not its 4 triangles' corners, and every clip step is
-        # called by the set-up's _clip_groups.
+        # anywhere in the run shows. The one projection takes the mesh's
+        # vertices, not its triangles' corners, every clip step is called by
+        # the set-up's _clip_groups, and _clip_groups receives only the
+        # triangles that leave the frustum.
         calls = {"clip_coords": 0, "_clip_groups": 0}
-        shapes = []
+        received = []
         clippers = Counter()
 
         def counting(name, fn):
             def count(*args, **kwargs):
                 calls[name] += 1
-                shapes.append(np.shape(args[0]))
+                received.append(args[0])
                 return fn(*args, **kwargs)
 
             return count
@@ -429,13 +430,16 @@ class TestAtlasSceneCommand:
         monkeypatch.setattr(atlaspack.charts, "_clip_groups", counting("_clip_groups", clip_groups))
         scene = write_scene(tmp_path, TWO_QUADS_OBJ)
         assert main(["atlas-scene", str(scene)]) == EXIT_OK
-        assert calls == {"clip_coords": 1, "_clip_groups": 1}
-        assert shapes == [(8, 3), (4, 3, 4)]
-        assert not clippers  # every triangle lies inside the frustum: nothing to clip
-        # A quad across the side planes, the near plane and the camera plane.
-        scene = write_scene(tmp_path, ACROSS_OBJ, backface_cull="0")
+        assert calls == {"clip_coords": 1, "_clip_groups": 0}  # every triangle lies inside
+        assert np.shape(received[0]) == (8, 3) and not clippers
+        # A quad across the side planes, the near plane and the camera plane,
+        # and a triangle inside the frustum.
+        inside = "v -0.5 -0.5 -3\nv 0.5 -0.5 -3\nv 0 0.5 -3\nf 5 6 7\n"
+        scene = write_scene(tmp_path, ACROSS_OBJ + inside, backface_cull="0")
         assert main(["atlas-scene", str(scene)]) == EXIT_OK
-        assert calls == {"clip_coords": 2, "_clip_groups": 2}
+        assert calls == {"clip_coords": 2, "_clip_groups": 1}
+        vclip = project(received[1], parse_scene_config(scene).camera())
+        assert received[2].tobytes() == vclip[[[0, 1, 2], [0, 2, 3]]].tobytes()
         assert list(clippers) == ["atlaspack.charts._clip_groups"] and clippers.total() >= 4
         assert min(batches) >= 1  # no clip step is called on an empty batch
 
@@ -900,6 +904,28 @@ def test_bad_omega_names_the_flag(tmp_path, capsys, monkeypatch, command):
     assert capsys.readouterr().err.startswith("error: --omega: omega must be a power of two")
 
 
+@pytest.mark.parametrize("size", ["0", "3", "-4", "128", "16"])
+@pytest.mark.parametrize("command", ["pack-boxes", "compare"])
+def test_block_size_names_the_flag(tmp_path, capsys, command, size):
+    # 0 is a block size like any other, not "no block size": it is not a
+    # power of two, as 3 and -4 are not, and 128 exceeds omega 64.
+    boxes = tmp_path / "boxes.txt"
+    boxes.write_text("0 0 4 4\n1 1 8 8\n")
+    out = tmp_path / "out.csv"
+    argv = [command, str(boxes), "--omega", "64", "--packer", "superblock",
+            f"--block-size={size}", "--out", str(out)]
+    if size == "16":
+        assert main(argv) == EXIT_OK
+        if command == "compare":
+            assert [r["block_size"] for r in read_csv(out)] == ["16"]
+        return
+    assert main(argv) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: --block-size: block_size must ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["pack-boxes", "atlas-scene", "compare", "gen-boxes"])
 def test_unwritable_output_exits_1(tmp_path, capsys, command):
     (tmp_path / "notadir").write_text("a file, not a directory\n")
@@ -1176,6 +1202,8 @@ SUBCOMMAND_OPTIONS = {
         ["compare", "{boxes}", "--omega", "64", "--padding", "x"],
         ["compare", "{scene}", "--omega", "64", "--block-size", "1.5"],
         ["compare", "{boxes}"],
+        ["compare", "{scene}", "--omega", "64", "--packer", ","],
+        ["compare", "{boxes}", "--omega", "64", "--packer", ""],
         ["gen-boxes", "--count", "4", "--omega", "64", "--seed", "zz", "--out", "{out}"],
         ["gen-boxes", "--count", "x", "--omega", "64", "--out", "{out}"],
         ["gen-boxes", "--omega", "64", "--out", "{out}"],
@@ -1184,8 +1212,8 @@ SUBCOMMAND_OPTIONS = {
     ],
     ids=["pack_boxes_omega", "pack_boxes_scales", "pack_boxes_no_omega", "atlas_scene_omega",
          "atlas_scene_res", "atlas_scene_no_scene", "compare_padding", "compare_block_size",
-         "compare_no_omega", "gen_boxes_seed", "gen_boxes_count", "gen_boxes_no_count",
-         "no_command", "unknown_command"],
+         "compare_no_omega", "compare_no_packer", "compare_empty_packer", "gen_boxes_seed",
+         "gen_boxes_count", "gen_boxes_no_count", "no_command", "unknown_command"],
 )
 def test_malformed_or_missing_flag_exits_1(tmp_path, capsys, monkeypatch, argv):
     # Left to argparse, a usage error would exit 2, the code of a pack failure.

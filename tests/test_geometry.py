@@ -11,7 +11,6 @@ from atlaspack.geometry import (
     W_EPSILON,
     clip_coords,
     clip_halfspace,
-    plane_distances,
 )
 
 from oracles import (
@@ -26,6 +25,7 @@ from oracles import (
     conservative_chart_bbox,
     one_conservative_bbox,
     per_triangle_chart_bbox,
+    plane_distances,
     select_side_plane,
 )
 
