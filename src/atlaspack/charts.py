@@ -45,6 +45,15 @@ DEPTH_EPSILON behind the stored depth, and stops at the first such sample
 of each triangle (see mark_visible). FastAtlas parameterizes each chart by
 its screen projection, so a chart's box is the extent of what is
 rasterized: ``chart_bbox`` reduces the polygons' NDC extents by chart.
+
+The set-up and both passes work in pieces of fixed size, runs of
+_POLYGONS polygons, batches of _ROWS box rows and chunks of _CHUNK samples,
+and keep few arrays of a piece's size at once, most of them updated in
+place. So their scratch memory, beyond the arrays they return, stays within
+a fixed budget whatever the mesh and screen size, about 0.75 MB on the
+benchmark views, while the depth pass still returns a full (height, width)
+buffer. The budgets decide how work is cut, never what the sample stream,
+the depth buffer or the flags hold.
 """
 
 from __future__ import annotations
@@ -355,12 +364,18 @@ class ChartSet:
 
 # --- rasterization ---------------------------------------------------------
 
-# Box rows whose spans are set up at once, gathering their polygons' edge
-# columns, and covered samples per chunk, each a flat pixel index and a
-# depth, plus a triangle id where a pass reads it. A chunk holds whole
-# rows, so at most max(_CHUNK, width) samples, and the memory of a pass
-# stays bounded whatever the screen size.
-_CHUNK = 1 << 14
+# Memory budgets of the raster, as counts. The set-up works on runs of at
+# most _POLYGONS polygons, about 170 bytes each. A pass narrows the spans of
+# at most _ROWS box rows at once, about 50 bytes a row while it does and 48
+# a covered row after, and forms whole rows of samples, at most
+# max(_CHUNK, width) a chunk, about 40 bytes each with the visibility test.
+# So the scratch memory of the set-up and of each pass, beyond the arrays it
+# returns, stays under about 0.75 MB on the benchmark views, and bounded
+# whatever the mesh and the screen. Smaller budgets cost numpy calls, about
+# 2 us each, and larger arrays cost cache misses.
+_POLYGONS = 1 << 12
+_ROWS = 3 << 11
+_CHUNK = 1 << 13
 
 # Screen vertices snap to 1/_SUBPIXEL pixel, as the 8 fractional bits of
 # the Direct3D 11 rasterization rules.
@@ -372,8 +387,9 @@ def screen_setup(vclip: np.ndarray, triangles: np.ndarray, res, cull: bool) -> t
 
     ``vclip`` holds the (n, 4) clip coordinates of the vertices, ``triangles``
     their (m, 3) ids and ``res`` the screen's (width, height). Returns (setup,
-    front, pixels): one _screen_polygons group per clipped vertex count, and
-    each vertex's w - W_EPSILON > 0 and (n, 2) pixel position.
+    front, pixels): one _screen_polygons group per run of at most _POLYGONS
+    polygons of one clipped vertex count, and each vertex's w - W_EPSILON > 0
+    and (n, 2) pixel position.
     """
     width, height = int(res[0]), int(res[1])
     if width < 1 or height < 1:
@@ -388,17 +404,25 @@ def screen_setup(vclip: np.ndarray, triangles: np.ndarray, res, cull: bool) -> t
     ahead = front[triangles]
     leaving = np.flatnonzero(~inside & (ahead[:, 0] | ahead[:, 1] | ahead[:, 2]))
     clipped = _clip_groups(vclip[triangles[leaving]]) if len(leaving) else []
-    # As a one-triangle-at-a-time loop: inside, then clipped by id, and groups by first id.
-    groups, n = {3: [(np.flatnonzero(inside), triangles.compress(inside, axis=0))]}, len(vclip)
+    inside = np.flatnonzero(inside)
+    del within, ahead
+    # As a one-triangle-at-a-time loop: inside, then clipped by id, and groups by
+    # first id. By vertex count, parts of (triangle ids, vertex id table, its rows).
+    groups, n = {3: [(inside, triangles, inside)]}, len(vclip)
     for rows, poly in clipped:
         g, k = poly.shape[:2]
-        groups.setdefault(k, []).append((leaving[rows], np.arange(n, n + g * k).reshape(g, k)))
+        table = np.arange(n, n + g * k).reshape(g, k)
+        groups.setdefault(k, []).append((leaving[rows], table, np.arange(g)))
         n += g * k
-    table = np.concatenate([vclip, *(poly.reshape(-1, 4) for _, poly in clipped)])
-    records = _vertex_records(table, width, height)
-    parts = [map(np.concatenate, zip(*group)) for group in groups.values()]
-    setup = [_screen_polygons(t, c, records, width, height, cull) for t, c in parts]
-    return setup, front, records[3:5, : len(vclip)].T
+    clip = np.concatenate([vclip, *(poly.reshape(-1, 4) for _, poly in clipped)])
+    records = _vertex_records(clip, width, height)
+    del clip
+    setup = [
+        _screen_polygons(t, corners, records, width, height, cull)
+        for parts in groups.values()
+        for t, corners in _runs(parts)
+    ]
+    return setup, front, records[3:5, : len(vclip)].T.copy()
 
 
 def _vertex_records(clip: np.ndarray, width: int, height: int) -> np.ndarray:
@@ -412,6 +436,24 @@ def _vertex_records(clip: np.ndarray, width: int, height: int) -> np.ndarray:
         np.multiply((ndc[:2] + 1.0) * 0.5, [[width], [height]], out=pixel)
         np.subtract(np.rint(pixel * _SUBPIXEL), _SUBPIXEL // 2, out=snapped)
     return records
+
+
+def _runs(parts):
+    """(triangle ids, (n, G) vertex ids) of each run of at most _POLYGONS polygons over
+    ``parts``, (triangle ids, vertex id table, its rows) of one vertex count, in order."""
+    total = sum(len(ids) for ids, _, _ in parts)
+    for start in range(0, total, _POLYGONS):
+        run, offset = [], 0
+        for ids, table, at in parts:
+            r = slice(max(start - offset, 0), max(start + _POLYGONS - offset, 0))
+            if len(ids[r]):
+                run.append((ids[r], np.take(table.T, at[r], axis=1)))
+            offset += len(ids)
+        if len(run) == 1:
+            yield run[0]
+        else:
+            t, corners = zip(*run)
+            yield np.concatenate(t), np.concatenate(corners, axis=1)
 
 
 def _clip_groups(clip: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -443,7 +485,7 @@ def _clip_groups(clip: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _screen_polygons(t, corners, records, width: int, height: int, cull: bool):
-    """Cull, flip and box convex polygons, (G, n) vertex ids into _vertex_records ``records``.
+    """Cull, flip and box convex polygons, (n, G) vertex ids into _vertex_records ``records``.
 
     Counter-clockwise polygons (in y-up pixel coordinates) are front-facing;
     with culling disabled, clockwise polygons are flipped. Orientation, boxes
@@ -453,102 +495,163 @@ def _screen_polygons(t, corners, records, width: int, height: int, cull: bool):
     polygons that survive. Edge i, from vertex i to i + 1, is the columns
     (a, b, c) per polygon, 256 ey, 256 ex and a constant: the sample in
     column ix of row iy passes its top-left test iff a * ix <= b * iy + c.
+    Each vertex field is gathered when it is needed, and only for the
+    polygons that survive once they are known; ``corners`` is reordered in
+    place.
     """
-    after, before = (np.roll(np.arange(corners.shape[1]), k) for k in (-1, 1))  # i + 1, i - 1
+    n = len(corners)
     # Twice the signed area, exact, chained over the vertices (faster than a sum).
-    x, y = np.take(records[5:], corners.T, axis=1)
-    area2 = functools.reduce(np.add, x * (y[after] - y[before]))
-    keep = np.flatnonzero(area2 > 0.0 if cull else area2 != 0.0)
-    t, flip = t[keep], area2[keep] < 0.0
-    rec = np.take(records, corners[keep].T, axis=1)  # (7, n, G)
-    ndc = tuple(functools.reduce(f, rec[i]) for f in (np.minimum, np.maximum) for i in (0, 1))
-    rec[:, :, flip] = rec[:, ::-1, flip]
+    x, y = records[5].take(corners), records[6].take(corners)
+    area2 = x[0] * (y[1] - y[n - 1])
+    for i in range(1, n):
+        area2 += x[i] * (y[(i + 1) % n] - y[i - 1])
 
     # The box: the samples within the snapped vertices' range, on the screen.
-    x, y = rec[5], rec[6]
-    low = np.divide([functools.reduce(np.minimum, v) for v in (x, y)], _SUBPIXEL)
-    high = np.divide([functools.reduce(np.maximum, v) for v in (x, y)], _SUBPIXEL)
-    x0, y0 = np.maximum(0, np.ceil(low)).astype(np.int64)
-    x1, y1 = np.minimum([[width - 1], [height - 1]], np.floor(high)).astype(np.int64)
+    # The snapped values are integers, never -0, so the order of the
+    # vertices, flipped or not, does not change their min and max.
+    x0, y0 = (np.maximum(0, np.ceil(functools.reduce(np.minimum, v) / _SUBPIXEL)) for v in (x, y))
+    x1 = np.minimum(width - 1, np.floor(functools.reduce(np.maximum, x) / _SUBPIXEL))
+    y1 = np.minimum(height - 1, np.floor(functools.reduce(np.maximum, y) / _SUBPIXEL))
+    keep = np.flatnonzero((area2 > 0.0 if cull else area2 != 0.0) & (x0 <= x1) & (y0 <= y1))
+    t, flip = t[keep], area2[keep] < 0.0
+    box = tuple(v[keep].astype(np.int64) for v in (x0, x1, y0, y1))
+    del x, y, x0, x1, y0, y1, area2
+    corners[:, : len(keep)] = corners[:, keep]  # the survivors, moved to the front in place
+    corners = corners[:, : len(keep)]
+    v = [records[i].take(corners) for i in (0, 1)]
+    ndc = tuple(functools.reduce(f, u) for f in (np.minimum, np.maximum) for u in v)
+    del v
+    corners[:, flip] = corners[::-1, flip]
 
     # In y-up coordinates the interior lies below edges running left, so
     # "top-left" means edges going up or exactly-horizontal-left; samples
     # on them are covered: the edge value ex * (py - sy) - ey * (px - sx) is
     # at least 1 - top_left. A zero-length edge, from a vertex the clipper
     # repeated or two that snap together, is 0 and passes every sample.
-    ex, ey = x[after] - x, y[after] - y
-    top_left = (ey > 0) | ((ey == 0) & (ex <= 0))
-    edges = tuple(zip(_SUBPIXEL * ey, _SUBPIXEL * ex, ey * x - ex * y + (top_left - 1.0)))
-    planes = _depth_planes(rec[3], rec[4], rec[2])
-    return _select((t, (x0, x1, y0, y1), edges, planes, ndc), (x0 <= x1) & (y0 <= y1))
+    x, y = records[5].take(corners), records[6].take(corners)
+    edges = []
+    for i in range(n):
+        ex, ey = x[(i + 1) % n] - x[i], y[(i + 1) % n] - y[i]
+        top_left = (ey > 0) | ((ey == 0) & (ex <= 0))
+        c = ey * x[i]
+        c -= ex * y[i]
+        c += top_left - 1.0
+        ey *= _SUBPIXEL
+        ex *= _SUBPIXEL
+        edges.append((ey, ex, c))
+    del x, y
+    planes = _depth_planes(*(records[f].take(corners) for f in (3, 4, 2)))
+    return t, box, tuple(edges), planes, ndc
 
 
-def _chunks(group, width: int, ids: bool = True):
+def _chunks(group, width: int, ids: bool = True, rows=None):
     """Covered samples of a screen_setup group, in chunks of whole rows.
 
-    Rows of the polygons' boxes are taken _CHUNK at a time, in polygon
-    order, narrowed to the span of samples the polygon covers (_row_spans),
-    and cut into chunks of at most _CHUNK samples, or one row where a row
-    alone holds more. Polygons meeting along an edge never both claim the
-    shared samples. Samples come out by polygon, row and column, as (t,
-    pixel, z): triangle id, flat pixel index row * ``width`` + column and
-    depth, or as (pixel, z) without ``ids``. Each depth takes the
-    operations, in order, of a one-polygon-at-a-time rasterizer, on the
-    plane anchored at the polygon's float vertex 0.
+    Rows of the polygons' boxes are taken _ROWS at a time, in polygon order,
+    narrowed to the span of samples the polygon covers (_row_spans), and cut
+    into chunks of at most _CHUNK samples, or one row where a row alone holds
+    more. ``rows``, as (polygons, first rows, last rows), takes those
+    polygons in that order, and only those rows of each, in place of every
+    polygon's box rows, with no copy of the group. Polygons meeting along an
+    edge never both claim the shared samples. Samples come out by polygon,
+    row and column, as (t, pixel, z): triangle id, flat pixel index row *
+    ``width`` + column and depth, or as (pixel, z) without ``ids``, in new
+    arrays. Each depth takes the operations, in order, of a
+    one-polygon-at-a-time rasterizer, on the plane anchored at the polygon's
+    float vertex 0.
     """
-    t, (x0, x1, y0, y1), edges, (ax, ay, z0, gx, gy, flat), _ = group
-    bounds = np.r_[0, (y1 - y0 + 1).cumsum()]  # polygon i has the rows [bounds[i], bounds[i + 1])
-    for first in range(0, bounds[-1], _CHUNK):
-        r = np.arange(first, min(first + _CHUNK, bounds[-1]))
-        # The chunk's polygons p..q, repeated by their rows in it: cheaper than a search per row.
-        p, q = bounds.searchsorted(r[[0, -1]], side="right") - 1
-        g = np.arange(p, q + 1).repeat(np.diff(np.clip(bounds[p : q + 2], first, r[-1] + 1)))
-        iy = y0[g] + (r - bounds[g])
-        lo, hi = _row_spans(edges, g, iy, x0[g], x1[g])
-        rows = (lo <= hi).nonzero()[0]
-        g, iy, lo, count = g[rows], iy[rows], lo[rows], hi[rows] - lo[rows] + 1
-        end = count.cumsum()
-        start = 0
-        while start < len(end):
-            base = end[start - 1] if start else 0
-            stop = max(start + 1, int(end.searchsorted(base + _CHUNK, side="right")))
-            r, n = slice(start, stop), count[start:stop]
-            # Sample k lies in column k + shift of its row. Per-row values are
-            # formed once and repeated over the row: the same operations per sample.
-            gr, iyr = g[r], iy[r]
-            k = np.arange(end[stop - 1] - base)
-            shift = lo[r] - (end[r] - n - base)
-            pixel = k + (iyr * width + shift).repeat(n)
-            z = (
-                z0[gr].repeat(n)
-                + gx[gr].repeat(n) * (k + shift.repeat(n) + 0.5 - ax[gr].repeat(n))
-                + (gy[gr] * (iyr + 0.5 - ay[gr])).repeat(n)
-            )
-            # Flat polygons take z0 as it is: adding the zero terms could
-            # change the sign of a zero depth.
-            on_flat = flat[gr]
-            if on_flat.any():
-                z[on_flat.repeat(n)] = z0[gr[on_flat]].repeat(n[on_flat])
-            yield (t[gr].repeat(n), pixel, z) if ids else (pixel, z)
-            start = stop
+    _, (_, _, y0, y1), *_ = group
+    polys, first, last = (np.arange(len(y0)), y0, y1) if rows is None else rows
+    # Polygon i has the rows [bounds[i], bounds[i + 1]).
+    bounds = np.r_[0, (last - first + 1).cumsum()]
+    for start in range(0, bounds[-1], _ROWS):
+        # A generator per batch frees its rows before the next batch forms its own.
+        yield from _batch(group, width, ids, polys, first, bounds, start)
+
+
+def _batch(group, width: int, ids: bool, polys, first, bounds, start: int):
+    """The chunks of _chunks from its rows [start, start + _ROWS) of ``bounds``."""
+    _, (x0, x1, _, _), edges, (_, ay, _, _, gy, _), _ = group
+    stop = min(start + _ROWS, bounds[-1])
+    # The batch's polygons p..q, repeated by their rows in it: cheaper than a search per row.
+    p, q = bounds.searchsorted((start, stop - 1), side="right") - 1
+    count = np.diff(np.clip(bounds[p : q + 2], start, stop))
+    sel = polys[p : q + 1]
+    iy = (first[p : q + 1] - bounds[p : q + 1]).astype(np.float64).repeat(count)
+    iy += np.arange(start, stop)
+    lo, hi = (v[sel].astype(np.float64).repeat(count) for v in (x0, x1))
+    _row_spans(edges, sel, count, iy, lo, hi)
+    keep = lo <= hi
+    g = sel.repeat(count)[keep]
+    iy, lo, hi = iy[keep], lo[keep], hi[keep]
+    hi -= lo
+    n = hi.astype(np.intp)
+    n += 1
+    end = n.cumsum()
+    del keep, hi
+    # Per row, in place: the depth plane's row term gy * (iy + 0.5 - ay), and
+    # from the row's first sample, index end - n in the batch, the sample
+    # index k's pixel less k and its column + 0.5 less k. All but the row
+    # term are integers or halves, held exactly in float64.
+    lo -= end
+    lo += n
+    pixel0 = (iy * width + lo).astype(np.int64)
+    lo += 0.5
+    iy += 0.5
+    iy -= ay[g]
+    iy *= gy[g]
+    row_term, column0 = iy, lo
+    begin = 0
+    while begin < len(end):
+        base = end[begin - 1] if begin else 0
+        stop = max(begin + 1, int(end.searchsorted(base + _CHUNK, side="right")))
+        r = slice(begin, stop)
+        yield _samples(group, ids, g[r], n[r], pixel0[r], column0[r], row_term[r], base)
+        begin = stop
+
+
+def _samples(group, ids: bool, g, n, pixel0, column0, row_term, base):
+    """The samples of rows of polygons g, n[i] on row i, from sample index ``base``
+    of their batch: (t, pixel, z) or (pixel, z), as _chunks yields them. Per-row
+    values are repeated over the row: the same operations per sample."""
+    t, _, _, (ax, _, z0, gx, _, flat), _ = group
+    k = np.arange(base, base + n.sum())
+    z = column0.repeat(n)
+    z += k  # the column + 0.5, exactly
+    pixel = pixel0.repeat(n)
+    pixel += k
+    del k
+    z -= ax[g].repeat(n)
+    z *= gx[g].repeat(n)
+    z += z0[g].repeat(n)
+    z += row_term.repeat(n)
+    # Flat polygons take z0 as it is: adding the zero terms could
+    # change the sign of a zero depth.
+    on_flat = flat[g]
+    if on_flat.any():
+        z[on_flat.repeat(n)] = z0[g[on_flat]].repeat(n[on_flat])
+    return (t[g].repeat(n), pixel, z) if ids else (pixel, z)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _row_spans(edges, g, iy, lo, hi):
-    """Narrow each row's [lo, hi] to the samples that polygon g covers on row iy.
+def _row_spans(edges, polys, count, iy, lo, hi) -> None:
+    """Narrow the float64 rows [lo, hi] in place to the samples their polygons cover on rows iy.
 
-    Edge (a, b, c) passes the columns ix with a * ix <= b * iy + c: up to
-    floor(q) where a >= 0 and from ceil(q) where a < 0, for q = (b * iy +
-    c) / a (see the module docstring). A row whose span is empty gets lo > hi.
+    The rows come from the polygons ``polys``, count[i] rows from polys[i]
+    in turn. Edge (a, b, c) passes the columns ix with a * ix <= b * iy +
+    c: up to floor(q) where a >= 0 and from ceil(q) where a < 0, for q = (b
+    * iy + c) / a (see the module docstring). A row whose span is empty gets
+    lo > hi, and hi may be -inf, from a row that one horizontal edge excludes.
     """
-    iy, lo, hi = (v.astype(np.float64) for v in (iy, lo, hi))
     for a, b, c in edges:
-        a = a[g]
-        q = (b[g] * iy + c[g]) / a
-        np.fmin(hi, np.floor(q), out=hi, where=a >= 0)
-        np.fmax(lo, np.ceil(q), out=lo, where=a < 0)
-    # hi may be -inf, from a row that one horizontal edge excludes.
-    return lo.astype(np.int64), np.maximum(hi, lo - 1.0).astype(np.int64)
+        q = b[polys].repeat(count)
+        q *= iy
+        q += c[polys].repeat(count)
+        a = a[polys].repeat(count)
+        q /= a
+        right, left = a >= 0, a < 0
+        np.fmin(hi, np.floor(q, out=a), out=hi, where=right)
+        np.fmax(lo, np.ceil(q, out=a), out=lo, where=left)
 
 
 def _ranks(counts: np.ndarray) -> np.ndarray:
@@ -562,21 +665,29 @@ def _depth_planes(x: np.ndarray, y: np.ndarray, z: np.ndarray):
     ``x``, ``y`` and ``z`` are the (n, G) pixel x, y and NDC z of their vertices. NDC z
     is screen-affine: z0 + gx * (x - ax) + gy * (y - ay), anchored at the float vertex 0
     (ax, ay) and solved on the first fan triangle (0, j, j + 1) with |det| > 1e-12.
-    Polygons with none are ``flat``, with the mean vertex depth in z0.
+    Polygons with none are ``flat``, with the mean vertex depth in z0. Rows 1.. of ``x``
+    and ``y`` become their differences from row 0, in place.
     """
-    z0 = z[0].copy()
+    ax, ay, z0 = x[0].copy(), y[0].copy(), z[0].copy()
+    x[1:] -= ax
+    y[1:] -= ay
     gx, gy = np.zeros((2, x.shape[1]))
     flat = np.ones(x.shape[1], dtype=bool)
     for j in range(1, len(x) - 1):
-        (d1x, d2x), (d1y, d2y), (d1z, d2z) = (v[j : j + 2] - v[0] for v in (x, y, z))
-        det = d1x * d2y - d2x * d1y
+        (d1x, d2x), (d1y, d2y), (d1z, d2z) = x[j : j + 2], y[j : j + 2], z[j : j + 2] - z[0]
+        det = d1x * d2y
+        det -= d2x * d1y
         solve = flat & (np.abs(det) > 1e-12)
-        np.divide(d1z * d2y - d2z * d1y, det, out=gx, where=solve)
-        np.divide(d2z * d1x - d1z * d2x, det, out=gy, where=solve)
+        num = d1z * d2y
+        num -= d2z * d1y
+        np.divide(num, det, out=gx, where=solve)
+        np.multiply(d2z, d1x, out=num)
+        num -= d1z * d2x
+        np.divide(num, det, out=gy, where=solve)
         flat &= ~solve
     for g in np.flatnonzero(flat):
         z0[g] = z[:, g].mean()
-    return x[0], y[0], z0, gx, gy, flat
+    return ax, ay, z0, gx, gy, flat
 
 
 def depth_prepass(setup: list[tuple], res: tuple[int, int]) -> np.ndarray:
@@ -585,13 +696,16 @@ def depth_prepass(setup: list[tuple], res: tuple[int, int]) -> np.ndarray:
     ``res`` is the set-up's (width, height); the buffer has shape (height,
     width) with row 0 along the NDC y = -1 edge. Samples are scattered in
     stream order, which decides between +0 and -0 on a pixel, into a flat
-    view of the buffer, for which np.minimum.at has a fast path.
+    view of the buffer, for which np.minimum.at has a fast path. Raises
+    ValueError when a pixel box of the set-up lies outside the buffer.
     """
-    width = int(res[0])
-    depth = np.full((int(res[1]), width), np.inf)
+    width, height = int(res[0]), int(res[1])
+    _check_screen(setup, (height, width))
+    depth = np.full((height, width), np.inf)
     pixels = depth.reshape(-1)
     for pixel, z in chain.from_iterable(_chunks(group, width, ids=False) for group in setup):
         np.minimum.at(pixels, pixel, z)
+        del pixel, z  # freed before the next chunk is formed
     return depth
 
 
@@ -604,37 +718,56 @@ def mark_visible(setup: list[tuple], depth: np.ndarray, n_triangles: int) -> Vis
     and flags the triangles with a passing one. A second sweep then forms
     the samples of the other rows of only the polygons the probe left
     unflagged. The flags equal those of one sweep over every sample. Raises
-    ValueError when a pixel box of the set-up lies outside ``depth``, which
-    a flat index would otherwise read from the wrong row.
+    ValueError when a pixel box of the set-up lies outside ``depth``.
     """
-    height, width = depth.shape
-    if any(np.any(x1 >= width) or np.any(y1 >= height) for _, (_, x1, _, y1), *_ in setup):
-        raise ValueError(f"depth buffer of shape {depth.shape} is smaller than the set-up's screen")
+    width = depth.shape[1]
+    _check_screen(setup, depth.shape)
     flags = np.zeros(n_triangles, dtype=bool)
     pixels = depth.reshape(-1)
 
-    def sweep(groups):
-        for t, pixel, z in chain.from_iterable(_chunks(group, width) for group in groups):
+    def sweep(chunks):
+        for t, pixel, z in chunks:
             stored = pixels[pixel]
-            slack = DEPTH_EPSILON * np.maximum(1.0, np.abs(stored))
-            flags[t[z <= stored + slack]] = True
+            del pixel
+            slack = np.abs(stored)
+            np.maximum(1.0, slack, out=slack)
+            slack *= DEPTH_EPSILON
+            slack += stored
+            del stored
+            flags[t[z <= slack]] = True
+            del t, z, slack  # freed before the next chunk is formed
 
-    sweep([_bands(group)[0] for group in setup])
-    sweep([band for group in setup for band in _bands(_select(group, ~flags[group[0]]))[1:]])
+    for group in setup:
+        y0, y1 = group[1][2:]
+        mid = (y0 + y1) // 2
+        sweep(_chunks(group, width, rows=(np.arange(len(mid)), mid, mid)))
+    for group in setup:
+        t, (_, _, y0, y1), *_ = group
+        left = np.flatnonzero(~flags[t])
+        y0, y1 = y0[left], y1[left]
+        mid = (y0 + y1) // 2
+        # The rows before the middle ones, then those after them.
+        rows = np.r_[left, left], np.r_[y0, mid + 1], np.r_[mid - 1, y1]
+        sweep(_chunks(group, width, rows=rows))
     return VisibilityBuffer(flags=flags)
 
 
-def _bands(group):
-    """A screen_setup group three times, its pixel boxes narrowed to their
-    middle rows, to the rows before those, and to the rows after them."""
-    t, (x0, x1, y0, y1), *rest = group
-    mid = (y0 + y1) // 2
-    rows = ((mid, mid), (y0, mid - 1), (mid + 1, y1))
-    return [(t, (x0, x1, a, b), *rest) for a, b in rows]
+def _check_screen(setup: list[tuple], shape) -> None:
+    """Raise ValueError unless a (height, width) buffer of ``shape`` holds every pixel box
+    of the set-up: through a flat index, a box past its width would reach the next row."""
+    need = (0, 0)
+    for _, (_, x1, _, y1), *_ in setup:
+        if len(x1):
+            need = max(need[0], int(y1.max()) + 1), max(need[1], int(x1.max()) + 1)
+    if need[0] > shape[0] or need[1] > shape[1]:
+        raise ValueError(
+            f"depth buffer of shape {tuple(shape)} is smaller than the set-up's pixel boxes, "
+            f"which need shape {need}"
+        )
 
 
 def _select(group, keep: np.ndarray):
-    """A screen_setup group, or a part of it, narrowed to the polygons where ``keep`` holds."""
+    """A group of arrays, or nested tuples of them, narrowed to the rows where ``keep`` holds."""
     return group[keep] if isinstance(group, np.ndarray) else tuple(_select(a, keep) for a in group)
 
 

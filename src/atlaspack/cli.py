@@ -534,6 +534,8 @@ def frame_charts(cfg: SceneConfig) -> Frame:
     setup, front, pixels = screen_setup(vclip, mesh.triangles, cfg.screen, cfg.backface_cull)
     depth = depth_prepass(setup, cfg.screen)
     vis = mark_visible(setup, depth, mesh.n_triangles)
+    screen_fragments = int(np.isfinite(depth).sum())
+    del depth  # the frame's largest array, not needed past visibility
     n_visible = int(vis.flags.sum())
     if n_visible == 0:
         raise NothingVisible("no triangle covers a depth-passing sample")
@@ -563,7 +565,7 @@ def frame_charts(cfg: SceneConfig) -> Frame:
         boxes=np.column_stack([cs.ids, cs.ids, sides.astype(np.int64)]),
         chart_px=chart_px.astype(np.int64),
         chart_area=chart_area[cs.ids],
-        screen_fragments=int(np.isfinite(depth).sum()),
+        screen_fragments=screen_fragments,
         n_visible=n_visible,
     )
 

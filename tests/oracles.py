@@ -70,6 +70,7 @@ from atlaspack import (
 )
 from atlaspack.charts import (
     _CHUNK,
+    _POLYGONS,
     _SUBPIXEL,
     DEPTH_EPSILON,
     _chunks,
@@ -238,8 +239,9 @@ def corner_setup(clip: np.ndarray, res, cull: bool) -> list[tuple]:
     """The package's earlier ``screen_setup`` groups of (m, 3, 4) triangles, set up per corner.
 
     The triangles are split by ``corner_split``, the leaving ones clipped by
-    ``charts._clip_groups``, and each group of polygons set up by
-    ``corner_polygons``, in the order of a one-triangle-at-a-time loop.
+    ``charts._clip_groups``, and each run of at most ``charts._POLYGONS``
+    polygons of a vertex count set up by ``corner_polygons``, in the order
+    of a one-triangle-at-a-time loop.
     """
     inside, leaving = corner_split(clip)
     ordered = {3: [(np.flatnonzero(inside), clip[inside])]}
@@ -247,7 +249,11 @@ def corner_setup(clip: np.ndarray, res, cull: bool) -> list[tuple]:
         ordered.setdefault(poly.shape[1], []).append((leaving[rows], poly))
     width, height = int(res[0]), int(res[1])
     groups = [tuple(map(np.concatenate, zip(*parts))) for parts in ordered.values()]
-    return [corner_polygons(t, poly, width, height, cull) for t, poly in groups]
+    return [
+        corner_polygons(t[s : s + _POLYGONS], poly[s : s + _POLYGONS], width, height, cull)
+        for t, poly in groups
+        for s in range(0, len(t), _POLYGONS)
+    ]
 
 
 def corner_polygons(t, poly, width: int, height: int, cull: bool):

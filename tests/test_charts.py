@@ -1,4 +1,5 @@
 import functools
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -85,6 +86,11 @@ def soup_cases(seed, count=150):
         mesh = soup_mesh(rng, int(rng.integers(3, 60)), int(rng.integers(1, 120)))
         flags = rng.random(mesh.n_triangles) < rng.random()
         yield mesh, VisibilityBuffer(flags=flags)
+
+
+def too_small_for_16x16(shape) -> str:
+    """The error of a (height, width) depth buffer too small for a 16 x 16 set-up, as a pattern."""
+    return re.escape(f"depth buffer of shape {tuple(shape)}") + ".*" + re.escape("(16, 16)")
 
 
 def screen_quad(z=-1.0, half=2.0):
@@ -183,6 +189,15 @@ class TestDepthPrepass:
         near_only, _ = depth_and_flags(near_quad, cam90, (16, 16))
         assert np.allclose(depth, near_only, atol=1e-12)
 
+    @pytest.mark.parametrize("res", [(8, 32), (8, 8)], ids=["narrow_and_tall", "small"])
+    def test_screen_smaller_than_the_setup_raises(self, cam90, res):
+        # Written through a flat index, a (32, 8) buffer would take the
+        # samples of columns 8-15 on the next rows, and an (8, 8) one would
+        # index past its end.
+        setup = mesh_setup(screen_quad(z=-1.0), cam90, (16, 16))
+        with pytest.raises(ValueError, match=too_small_for_16x16((res[1], res[0]))):
+            depth_prepass(setup, res)
+
 
 class TestMarkVisible:
     def test_occluded_triangle_not_visible(self, cam90):
@@ -261,7 +276,7 @@ class TestMarkVisible:
         # Read through a flat index, a narrower buffer would alias the
         # next row's pixels instead of failing.
         setup = mesh_setup(screen_quad(z=-1.0), cam90, (16, 16))
-        with pytest.raises(ValueError, match="depth buffer"):
+        with pytest.raises(ValueError, match=too_small_for_16x16(shape)):
             mark_visible(setup, np.zeros(shape), 2)
 
 
@@ -306,6 +321,15 @@ def random_soup(rng, res):
     tris[slivers, 2] = (base + rng.normal(scale=1e-9, size=(n, 3)))[slivers]
     positions = tris.reshape(-1, 3)
     return Mesh(positions=positions, triangles=np.arange(len(positions)).reshape(-1, 3))
+
+
+def weld_some(rng, mesh) -> int:
+    """Weld about 40% of a mesh's triangles to the one before, in place, so that they
+    share a vertex; the number welded."""
+    weld = np.flatnonzero(rng.random(mesh.n_triangles) < 0.4)
+    weld = weld[weld > 0]
+    mesh.triangles[weld, 0] = mesh.triangles[weld - 1, 2]
+    return len(weld)
 
 
 class TestBatchedSampler:
@@ -430,7 +454,7 @@ class TestBatchedSampler:
             ndc = np.array(corners) / np.array(res) * 2.0 - 1.0
             poly = np.column_stack([ndc, np.full(3, 0.5), np.ones(3)])[None]
             records = _vertex_records(poly[0], *res)
-            group = _screen_polygons(np.arange(1), np.arange(3)[None], records, *res, cull)
+            group = _screen_polygons(np.arange(1), np.arange(3)[:, None], records, *res, cull)
             pixels = [pixel for pixel, _ in _chunks(group, res[0], ids=False)]
             pixels = np.concatenate(pixels) if pixels else np.zeros(0, dtype=np.int64)
             q = snap_vertices(_polygon_to_screen(poly[0], *res))
@@ -470,8 +494,10 @@ class TestBatchedSampler:
                 tie = np.where(a == 0, np.inf, np.minimum(r, np.abs(a) - r))
                 near = box_rows[np.argsort(tie, axis=1, kind="stable")[:, :3]].ravel()
                 rows = np.unique(np.r_[y0[g], y1[g], rng.integers(y0[g], y1[g] + 1, size=4), near])
-                g_rows = np.full(len(rows), g)
-                lo, hi = _row_spans(edges, g_rows, rows, x0[g_rows], x1[g_rows])
+                lo, hi = np.full((2, len(rows)), [[x0[g]], [x1[g]]], dtype=np.float64)
+                _row_spans(edges, np.array([g]), [len(rows)], rows.astype(np.float64), lo, hi)
+                hi = np.maximum(hi, lo - 1).astype(np.int64)  # hi may be -inf on an empty row
+                lo = lo.astype(np.int64)
                 q = snap_vertices(_polygon_to_screen(clip_triangle_frustum(clip[tid]), side, side))
                 iy, ix = exact_cover(q, np.r_[rows, y0[g] - 1, y1[g] + 1], side, cull, np.int64)
                 for row, first, last in zip(rows, lo, hi):
@@ -503,8 +529,8 @@ class TestBatchedSampler:
     def test_tall_slivers_stay_in_bounded_memory(self, exact_cam):
         # 32 slivers half a pixel wide and 2^16 rows tall, 2M box rows in
         # all, each covering the pixel-center column it straddles. Spans
-        # are set up _CHUNK rows at a time, so the sampler's peak
-        # allocation (about 4 MB) does not grow with the rows.
+        # are set up _ROWS rows at a time, so the sampler's peak
+        # allocation (about 0.82 MB) does not grow with the rows.
         res, n = (64, 1 << 16), 32
         x = 2.0 * np.arange(n) + 0.25
         px = np.stack([x, x + 0.5, x + 0.25], axis=1)
@@ -518,7 +544,7 @@ class TestBatchedSampler:
         finally:
             tracemalloc.stop()
         assert covered == n * res[1]
-        assert peak < 8 << 20, peak
+        assert peak < 950_000, peak
 
 
 def raster_cover(mesh, cam, res, cull):
@@ -598,9 +624,9 @@ def count_chunks(monkeypatch):
     calls = []
     chunks = charts._chunks
 
-    def counting(group, *rest):
-        calls.append([group[0], 0])
-        for c in chunks(group, *rest):
+    def counting(group, width, ids=True, rows=None):
+        calls.append([group[0] if rows is None else group[0][rows[0]], 0])
+        for c in chunks(group, width, ids, rows):
             calls[-1][1] += len(c[-1])
             yield c
 
@@ -613,8 +639,8 @@ def record_samples(monkeypatch):
     formed = []
     chunks = charts._chunks
 
-    def recording(group, width, *rest):
-        for c in chunks(group, width, *rest):
+    def recording(group, width, ids=True, rows=None):
+        for c in chunks(group, width, ids, rows):
             t, iy, ix, _ = next(sample_rows([c], width))
             formed.append(np.stack([t, iy, ix], 1))
             yield c
@@ -656,7 +682,7 @@ class TestVisibilityProbe:
         flags = mark_visible(setup, depth, mesh.n_triangles).flags
         probe, rest = calls[: len(setup)], calls[len(setup) :]
         assert flags.all()
-        assert len(rest) == 2 * len(setup)  # the rows before and after the middle ones
+        assert len(rest) == len(setup)  # the rows before and after the middle ones, at once
         assert sum(len(t) for t, _ in rest) == 0
         assert 0 < sum(n for _, n in probe) < res[0] * res[1] // 8
 
@@ -691,7 +717,7 @@ class TestVisibilityProbe:
         assert flags.tolist() == [True] * 14 + [False]
         assert np.array_equal(flags, reference_depth_and_flags(mesh, cam90, res, True)[1])
         _, mid_pass, _ = probe_outcomes(mesh, cam90, res, True)
-        assert len(rest) == 2 * len(setup)  # the rows before and after the middle ones
+        assert len(rest) == len(setup)  # the rows before and after the middle ones, at once
         swept = np.unique(np.concatenate([t for t, _ in rest]))
         assert swept.tolist() == [*range(12), 14]
         assert np.array_equal(swept, np.flatnonzero(~mid_pass))
@@ -709,6 +735,35 @@ class TestVisibilityProbe:
         want = stream[on_mid | off_mid_swept]
         assert np.array_equal(np.unique(formed, axis=0), np.unique(want, axis=0))
         assert sum(n for _, n in rest) == off_mid_swept.sum() < len(stream) - on_mid.sum()
+
+
+class TestBudgets:
+    """The raster's memory budgets bound how much it forms at once, never what it forms."""
+
+    @pytest.mark.parametrize("budget", [1, 3, 64])
+    def test_stream_depth_and_flags_do_not_depend_on_the_budgets(
+        self, cam90, exact_cam, monkeypatch, budget
+    ):
+        rng = np.random.default_rng(43)
+        frames = []
+        for case in range(48):
+            res = TestBatchedSampler.RESOLUTIONS[case % len(TestBatchedSampler.RESOLUTIONS)]
+            mesh = random_soup(rng, res)
+            if case % 2:
+                weld_some(rng, mesh)
+            cam = (cam90, exact_cam)[case % 4 // 2]
+            frames += [(mesh, cam, res, cull) for cull in (True, False)]
+
+        def raster(mesh, cam, res, cull):
+            stream = sample_stream(mesh_samples(mesh, cam, res, cull), 3)
+            depth, flags = depth_and_flags(mesh, cam, res, cull)
+            return stream, depth.tobytes(), flags.tobytes()
+
+        want = [raster(*frame) for frame in frames]
+        for name in ("_POLYGONS", "_ROWS", "_CHUNK"):
+            monkeypatch.setattr(charts, name, budget)
+        for frame, expected in zip(frames, want):
+            assert raster(*frame) == expected, frame[2:]
 
 
 class TestClipGroups:
@@ -803,11 +858,8 @@ class TestScreenSetup:
         for case in range(240):
             res = TestBatchedSampler.RESOLUTIONS[case % len(TestBatchedSampler.RESOLUTIONS)]
             mesh = random_soup(rng, res)
-            if case % 2:  # weld some triangles to the one before, so that they share a vertex
-                weld = np.flatnonzero(rng.random(mesh.n_triangles) < 0.4)
-                weld = weld[weld > 0]
-                mesh.triangles[weld, 0] = mesh.triangles[weld - 1, 2]
-                seen["shared"] += len(weld)
+            if case % 2:  # so that triangles share a vertex
+                seen["shared"] += weld_some(rng, mesh)
             if case % 4 >= 2 and res in ((8, 8), (16, 8), (32, 16)):
                 mesh = joined(mesh, flat_soup(rng, res))
             vclip = clip_coords(mesh.positions, (cam90, exact_cam)[case % 4 // 2])
@@ -842,7 +894,7 @@ class TestScreenSetup:
             setup, front, pixels = screen_setup(vclip, mesh.triangles, (16, 16), cull)
             want = corner_setup(vclip[mesh.triangles], (16, 16), cull)
             assert setup_arrays(setup) == setup_arrays(want)
-            assert [t.tolist() for t, *_ in setup] == [[], [0]]
+            assert [t.tolist() for t, *_ in setup] == [[0]]  # clipped, and no empty group
             assert front.tolist() == [True, True, False, False]
             assert np.all(np.isfinite(pixels[front]))
 
@@ -908,10 +960,8 @@ class TestChartBbox:
         for case in range(240):
             res = TestBatchedSampler.RESOLUTIONS[case % len(TestBatchedSampler.RESOLUTIONS)]
             mesh = random_soup(rng, res)
-            if case % 2:  # weld some triangles to the one before, so that charts join
-                weld = np.flatnonzero(rng.random(mesh.n_triangles) < 0.4)
-                weld = weld[weld > 0]
-                mesh.triangles[weld, 0] = mesh.triangles[weld - 1, 2]
+            if case % 2:  # so that charts join
+                weld_some(rng, mesh)
             monkeypatch.setattr(cli, "load_obj", lambda path: mesh)
             for cull in (True, False):
                 cfg = cli.SceneConfig(Path("soup.obj"), screen=res, backface_cull=cull)

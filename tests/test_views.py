@@ -6,15 +6,20 @@ chart boxes and layout digest must equal the value the pipeline gave when
 it was pinned. A change to the raster passes, the charts or the packer that
 moves a single bit of a frame shows here. The 66 files that the CLI writes
 for the same inputs, the layout, charts and metrics of each view and the
-layout and metrics of each box set, are pinned by their sha256 as well.
+layout and metrics of each box set, are pinned by their sha256 as well, and
+so is each view's raster sample stream. Two views also bound the raster's
+scratch memory and show that its memory budgets change none of its output.
 """
 
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from atlaspack import cli
+from atlaspack import charts, cli
+from atlaspack.charts import _chunks, depth_prepass, load_obj, mark_visible, screen_setup
+from atlaspack.geometry import clip_coords
 from atlaspack.metrics import layout_digest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -42,6 +47,31 @@ PINNED = {
     "cubes-view13.cfg": "842e24a15a7e9ceb5d2822605978a6bc37114190eaae5a35505cea13e003c8cb",
     "cubes-view14.cfg": "84a8c8a3e71c4a9103053fddd30aded8595b223f1545146b29ae33e191bc09ea",
     "cubes-view15.cfg": "e67bf35966f552ec4e05f75903e57ec69720f2ef86803e3f7d709beb95b01133",
+}
+
+# sha256 of each view's raster sample stream (sample_stream_digest), pinned before the
+# raster's working set was bounded: chunks may be cut anywhere, the stream may not move.
+PINNED_STREAMS = {
+    "grid-view0.cfg": "49943388206fa6f63f737aa9d6b1b56690d0b9a40da51fcd362f710d5cf49b23",
+    "grid-view1.cfg": "77481f56224ecd7138b326c662bfff3f254430dbb76a978c1c75810db3f9383e",
+    "grid-view2.cfg": "a039b3a43444167067df87c81a5fa66906864ed6fe20e9e42d01e6f3940d1591",
+    "grid-view3.cfg": "892ae63622a5705b6fa6d02822e479937fec2b1250060164938ae567d4a4712b",
+    "cubes-view0.cfg": "8ba43587d186df354e5e2fcf611c5ff0116d9da29ad8af4eb6eed5f5ab240c80",
+    "cubes-view1.cfg": "f35142b6bc4722e969a68b50591d073cd3b7135f0197c03e8e0f8a8bada912de",
+    "cubes-view2.cfg": "c2aa1cf8aafb2cad28428dc4376b4cf273b2aa14d9741ae839cacb97e9a24b48",
+    "cubes-view3.cfg": "d9401e5c46abc369937e12104061dd7b103adafce590dbdab7172b5a740791b6",
+    "cubes-view4.cfg": "621d76273289488b86fe37bd71970b4b72cd0e3ceedd5ce6a3c75536ab020499",
+    "cubes-view5.cfg": "0f8e9b7098068c4ff635820790760b9a4d4327a8b94e07b1830d6a2d6f73bb46",
+    "cubes-view6.cfg": "a95e3053e20a5c36019c75fa38626000a70cd86f8a4f7dce5702efeddc3fe2b9",
+    "cubes-view7.cfg": "0c207247502c1162fc84cbb10d7757f1dbd0ef4ccec04b2cd203b76e8fc1dbc1",
+    "cubes-view8.cfg": "e477a7a31fd66960f7b1ecb0d90383521fe065d370e2d2bc236fd51679164d5c",
+    "cubes-view9.cfg": "d2ce1ce4f7978090ac32a89eea9707be8880cbea6952b6d4ff2155ff034123c9",
+    "cubes-view10.cfg": "d3f74b356753ab6e5f921f83996caed16a206c42e5724a7d521f4da57745b16c",
+    "cubes-view11.cfg": "2d2300339337262be446b81a8980364986c96930b4b3eaff26f5099717bae6b5",
+    "cubes-view12.cfg": "663cdbaeaff4dada77e0b1a8adc34f0c52b9e4a42a7a415a2b8d7c5472b8149c",
+    "cubes-view13.cfg": "0728c10aab49727545b3939b6a93c8dec074400bf1540055a44b091e3e321465",
+    "cubes-view14.cfg": "7228ed418cc887da7e877ab24a7b650f47480020e613cbf07a278e77ba193ab2",
+    "cubes-view15.cfg": "da721c83fc4f3bc3fccb0b7bec4a6307a34f8ef9c52b7837b9107d9c93280c18",
 }
 
 # sha256 of each output file of the benchmark's CLI calls, by file name.
@@ -115,8 +145,9 @@ PINNED_OUTPUTS = {
 }
 
 
-def view_digests(workdir: Path, monkeypatch) -> dict[str, str]:
-    """The digest of every scene view of the benchmark, by its config's file name."""
+def view_digests(workdir: Path, monkeypatch) -> tuple[dict[str, str], dict[str, str]]:
+    """The digest and sample-stream digest of every scene view of the benchmark, by its
+    config's file name."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
@@ -129,12 +160,14 @@ def view_digests(workdir: Path, monkeypatch) -> dict[str, str]:
 
         monkeypatch.setattr(cli, name, run)
 
+    keep("screen_setup", cli.screen_setup)
     keep("depth_prepass", cli.depth_prepass)
     keep("mark_visible", cli.mark_visible)
-    digests = {}
+    digests, streams = {}, {}
     for name in ("scene-grid", "scene-cubes"):
         for inp in workloads.WRITERS[name](workdir, SEED):
-            result = cli.run_scene_pipeline(cli.parse_scene_config(inp.argv[1]))
+            cfg = cli.parse_scene_config(inp.argv[1])
+            result = cli.run_scene_pipeline(cfg)
             h = hashlib.sha256()
             for a in (
                 passes["depth_prepass"],
@@ -146,13 +179,27 @@ def view_digests(workdir: Path, monkeypatch) -> dict[str, str]:
                 h.update(np.ascontiguousarray(a).tobytes())
             h.update(layout_digest(result.layout).digest.encode())
             digests[inp.key] = h.hexdigest()
-    return digests
+            streams[inp.key] = sample_stream_digest(passes["screen_setup"][0], cfg.screen[0])
+    return digests, streams
+
+
+def sample_stream_digest(setup, width: int) -> str:
+    """sha256 of the (t, pixel, z) samples that _chunks yields over a set-up's groups: the
+    triangle ids, then the flat pixel indices, then the depths, each concatenated in
+    stream order, so where the chunks are cut does not matter."""
+    columns = [hashlib.sha256() for _ in range(3)]
+    for group in setup:
+        for chunk in _chunks(group, int(width)):
+            for h, a in zip(columns, chunk):
+                h.update(a.tobytes())
+    return hashlib.sha256("".join(h.hexdigest() for h in columns).encode()).hexdigest()
 
 
 def test_benchmark_views_are_pinned(tmp_path, monkeypatch):
-    digests = view_digests(tmp_path, monkeypatch)
+    digests, streams = view_digests(tmp_path, monkeypatch)
     assert len(digests) == 20
     assert digests == PINNED
+    assert streams == PINNED_STREAMS
 
 
 def test_benchmark_outputs_are_pinned(tmp_path, monkeypatch, capsys):
@@ -168,3 +215,69 @@ def test_benchmark_outputs_are_pinned(tmp_path, monkeypatch, capsys):
                     digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert len(digests) == 66
     assert digests == PINNED_OUTPUTS
+
+
+def benchmark_frame(workdir: Path, monkeypatch, scene: str, key: str):
+    """(clip coordinates, mesh, config) of one seed-5 view of the benchmark."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    inp = next(inp for inp in workloads.WRITERS[scene](workdir, SEED) if inp.key == key)
+    cfg = cli.parse_scene_config(inp.argv[1])
+    mesh = load_obj(cfg.mesh_path)
+    return clip_coords(mesh.positions, cfg.camera()), mesh, cfg
+
+
+def traced(fn, *args):
+    """fn(*args), and the peak of the memory it allocated, as tracemalloc traces it."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_cube_view_does_not_depend_on_the_budgets(tmp_path, monkeypatch):
+    vclip, mesh, cfg = benchmark_frame(tmp_path, monkeypatch, "scene-cubes", "cubes-view0.cfg")
+
+    def raster():
+        setup = screen_setup(vclip, mesh.triangles, cfg.screen, cfg.backface_cull)[0]
+        depth = depth_prepass(setup, cfg.screen)
+        return depth.tobytes(), mark_visible(setup, depth, mesh.n_triangles).flags.tobytes()
+
+    want = raster()
+    for budget in (1, 3, 64):
+        for name in ("_POLYGONS", "_ROWS", "_CHUNK"):
+            monkeypatch.setattr(charts, name, budget)
+        assert raster() == want, budget
+
+
+# Bounds on the raster's scratch memory, the traced peak beyond the arrays a
+# step returns, about 15% over what each step takes on its view.
+DEPTH_SCRATCH = 600_000  # depth_prepass on cubes-view0, beyond its depth buffer
+VISIBILITY_SCRATCH = 750_000  # mark_visible on cubes-view0, its flags included
+SETUP_SCRATCH = 900_000  # screen_setup on grid-view0, beyond the set-up it returns
+
+
+def test_raster_passes_stay_within_their_budget(tmp_path, monkeypatch):
+    vclip, mesh, cfg = benchmark_frame(tmp_path, monkeypatch, "scene-cubes", "cubes-view0.cfg")
+    setup = screen_setup(vclip, mesh.triangles, cfg.screen, cfg.backface_cull)[0]
+    depth, peak = traced(depth_prepass, setup, cfg.screen)
+    assert peak - depth.nbytes < DEPTH_SCRATCH, peak - depth.nbytes
+    _, peak = traced(mark_visible, setup, depth, mesh.n_triangles)
+    assert peak < VISIBILITY_SCRATCH, peak
+
+
+def test_screen_setup_stays_within_its_budget(tmp_path, monkeypatch):
+    vclip, mesh, cfg = benchmark_frame(tmp_path, monkeypatch, "scene-grid", "grid-view0.cfg")
+    out, peak = traced(screen_setup, vclip, mesh.triangles, cfg.screen, cfg.backface_cull)
+    kept = sum(a.nbytes for a in arrays(out))
+    assert peak - kept < SETUP_SCRATCH, peak - kept
+
+
+def arrays(nested):
+    """The arrays of nested tuples and lists of them."""
+    if isinstance(nested, np.ndarray):
+        return [nested]
+    return [a for part in nested for a in arrays(part)]
