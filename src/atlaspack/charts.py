@@ -37,8 +37,8 @@ but the snapped values are then taken from the center of pixel (0, 0), and
 x - 128 is never -0. Depth is not snapped: it lies on the float plane.
 
 The depth pass keeps the minimum depth per pixel. Its stream holds each
-sample's flat pixel index, row * width + column, and depth, and no
-triangle ids. It scatters the samples in stream order: np.minimum.at keeps
+sample's flat pixel index in the band, row * width + column, and depth, and
+no triangle ids. It scatters the samples in stream order: np.minimum.at keeps
 the later of two equal values, so the order decides between +0 and -0 on a
 pixel. The visibility pass flags each triangle with a sample at most
 DEPTH_EPSILON behind the stored depth, and stops at the first such sample
@@ -49,11 +49,13 @@ rasterized: ``chart_bbox`` reduces the polygons' NDC extents by chart.
 The set-up and both passes work in pieces of fixed size, runs of
 _POLYGONS polygons, batches of _ROWS box rows and chunks of _CHUNK samples,
 and keep few arrays of a piece's size at once, most of them updated in
-place. So their scratch memory, beyond the arrays they return, stays within
-a fixed budget whatever the mesh and screen size, about 0.75 MB on the
-benchmark views, while the depth pass still returns a full (height, width)
-buffer. The budgets decide how work is cut, never what the sample stream,
-the depth buffer or the flags hold.
+place. Both passes run once per band of screen rows (screen_bands), on the
+polygons whose box meets the band, and the depth pass returns that band's
+rows alone, at most _BAND pixels. So the raster's memory, the band's depth
+included, stays within a fixed budget whatever the mesh and screen size,
+about 0.75 MB of scratch on the benchmark views besides at most 2 MiB of
+depth. The budgets decide how work is cut, never what the sample stream,
+the depth of a pixel or the flags hold.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -371,11 +372,14 @@ class ChartSet:
 # max(_CHUNK, width) a chunk, about 40 bytes each with the visibility test.
 # So the scratch memory of the set-up and of each pass, beyond the arrays it
 # returns, stays under about 0.75 MB on the benchmark views, and bounded
-# whatever the mesh and the screen. Smaller budgets cost numpy calls, about
-# 2 us each, and larger arrays cost cache misses.
+# whatever the mesh and the screen. The passes go over the screen in bands
+# of whole rows, at most _BAND pixels (2 MiB of depth) or else one row.
+# Smaller budgets cost numpy calls, about 2 us each, and larger arrays cost
+# cache misses.
 _POLYGONS = 1 << 12
 _ROWS = 3 << 11
 _CHUNK = 1 << 13
+_BAND = 1 << 18
 
 # Screen vertices snap to 1/_SUBPIXEL pixel, as the 8 fractional bits of
 # the Direct3D 11 rasterization rules.
@@ -544,7 +548,7 @@ def _screen_polygons(t, corners, records, width: int, height: int, cull: bool):
     return t, box, tuple(edges), planes, ndc
 
 
-def _chunks(group, width: int, ids: bool = True, rows=None):
+def _chunks(group, width: int, ids: bool = True, rows=None, top: int = 0):
     """Covered samples of a screen_setup group, in chunks of whole rows.
 
     Rows of the polygons' boxes are taken _ROWS at a time, in polygon order,
@@ -554,9 +558,9 @@ def _chunks(group, width: int, ids: bool = True, rows=None):
     polygons in that order, and only those rows of each, in place of every
     polygon's box rows, with no copy of the group. Polygons meeting along an
     edge never both claim the shared samples. Samples come out by polygon,
-    row and column, as (t, pixel, z): triangle id, flat pixel index row *
-    ``width`` + column and depth, or as (pixel, z) without ``ids``, in new
-    arrays. Each depth takes the operations, in order, of a
+    row and column, as (t, pixel, z): triangle id, flat pixel index (row -
+    ``top``) * ``width`` + column and depth, or as (pixel, z) without
+    ``ids``, in new arrays. Each depth takes the operations, in order, of a
     one-polygon-at-a-time rasterizer, on the plane anchored at the polygon's
     float vertex 0.
     """
@@ -566,10 +570,10 @@ def _chunks(group, width: int, ids: bool = True, rows=None):
     bounds = np.r_[0, (last - first + 1).cumsum()]
     for start in range(0, bounds[-1], _ROWS):
         # A generator per batch frees its rows before the next batch forms its own.
-        yield from _batch(group, width, ids, polys, first, bounds, start)
+        yield from _batch(group, width, ids, polys, first, bounds, start, top)
 
 
-def _batch(group, width: int, ids: bool, polys, first, bounds, start: int):
+def _batch(group, width: int, ids: bool, polys, first, bounds, start: int, top: int):
     """The chunks of _chunks from its rows [start, start + _ROWS) of ``bounds``."""
     _, (x0, x1, _, _), edges, (_, ay, _, _, gy, _), _ = group
     stop = min(start + _ROWS, bounds[-1])
@@ -595,7 +599,7 @@ def _batch(group, width: int, ids: bool, polys, first, bounds, start: int):
     # term are integers or halves, held exactly in float64.
     lo -= end
     lo += n
-    pixel0 = (iy * width + lo).astype(np.int64)
+    pixel0 = ((iy - top) * width + lo).astype(np.int64)
     lo += 0.5
     iy += 0.5
     iy -= ay[g]
@@ -690,43 +694,60 @@ def _depth_planes(x: np.ndarray, y: np.ndarray, z: np.ndarray):
     return ax, ay, z0, gx, gy, flat
 
 
-def depth_prepass(setup: list[tuple], res: tuple[int, int]) -> np.ndarray:
-    """Rasterize minimum NDC depth per pixel of a screen_setup; uncovered pixels hold +inf.
+def screen_bands(res: tuple[int, int]) -> list[range]:
+    """The screen rows of each band of a (width, height) screen, in order: _BAND // width
+    rows a band, or one row where a row alone holds more than _BAND pixels."""
+    width, height = int(res[0]), int(res[1])
+    step = max(1, _BAND // width)
+    return [range(top, min(top + step, height)) for top in range(0, height, step)]
 
-    ``res`` is the set-up's (width, height); the buffer has shape (height,
-    width) with row 0 along the NDC y = -1 edge. Samples are scattered in
-    stream order, which decides between +0 and -0 on a pixel, into a flat
-    view of the buffer, for which np.minimum.at has a fast path. Raises
-    ValueError when a pixel box of the set-up lies outside the buffer.
+
+def depth_prepass(setup: list[tuple], res: tuple[int, int], rows: range) -> np.ndarray:
+    """Minimum NDC depth per pixel of the screen rows ``rows`` of a screen_setup.
+
+    ``res`` is the set-up's (width, height), and ``rows`` a range of
+    consecutive screen rows, row 0 along the NDC y = -1 edge. The buffer has
+    shape (len(rows), width), and uncovered pixels hold +inf. Samples are
+    scattered in stream order, which decides between +0 and -0 on a pixel,
+    into a flat view of the buffer, for which np.minimum.at has a fast path.
+    So a band's buffer equals those rows of the whole frame's. Raises
+    ValueError when a pixel box of the set-up lies outside the screen.
     """
     width, height = int(res[0]), int(res[1])
     _check_screen(setup, (height, width))
-    depth = np.full((height, width), np.inf)
+    depth = np.full((len(rows), width), np.inf)
     pixels = depth.reshape(-1)
-    for pixel, z in chain.from_iterable(_chunks(group, width, ids=False) for group in setup):
-        np.minimum.at(pixels, pixel, z)
-        del pixel, z  # freed before the next chunk is formed
+    for group, spans in _in_band(setup, rows):
+        for pixel, z in _chunks(group, width, ids=False, rows=spans, top=rows.start):
+            np.minimum.at(pixels, pixel, z)
+            del pixel, z  # freed before the next chunk is formed
     return depth
 
 
-def mark_visible(setup: list[tuple], depth: np.ndarray, n_triangles: int) -> VisibilityBuffer:
-    """Flag the triangles of a screen_setup covering at least one depth-passing sample.
+def mark_visible(
+    setup: list[tuple], depth: np.ndarray, rows: range, visible: np.ndarray
+) -> VisibilityBuffer:
+    """Flag the triangles of a screen_setup with a depth-passing sample on the screen rows
+    ``rows``, whose depth_prepass buffer is ``depth``, and not flagged in ``visible``.
 
     A flag is an OR over a triangle's samples, so one passing sample
-    settles it. A probe first forms the samples of each polygon's middle
-    box row, which are the very samples the whole stream holds on that row,
+    settles it, and a triangle ``visible`` already flags is not formed
+    again. A probe first forms the samples of each polygon's middle row in
+    the band, which are the very samples the whole stream holds on that row,
     and flags the triangles with a passing one. A second sweep then forms
     the samples of the other rows of only the polygons the probe left
-    unflagged. The flags equal those of one sweep over every sample. Raises
-    ValueError when a pixel box of the set-up lies outside ``depth``.
+    unflagged. The flags returned are the newly flagged triangles, so the
+    bands' flags are disjoint and their OR equals one sweep over every
+    sample of the frame. Raises ValueError when ``depth`` does not hold the
+    band's rows of every pixel box of the set-up.
     """
     width = depth.shape[1]
-    _check_screen(setup, depth.shape)
-    flags = np.zeros(n_triangles, dtype=bool)
+    _check_screen(setup, depth.shape, rows)
+    flags = np.zeros(len(visible), dtype=bool)
     pixels = depth.reshape(-1)
 
-    def sweep(chunks):
-        for t, pixel, z in chunks:
+    def sweep(group, spans):
+        for t, pixel, z in _chunks(group, width, rows=spans, top=rows.start):
             stored = pixels[pixel]
             del pixel
             slack = np.abs(stored)
@@ -737,28 +758,49 @@ def mark_visible(setup: list[tuple], depth: np.ndarray, n_triangles: int) -> Vis
             flags[t[z <= slack]] = True
             del t, z, slack  # freed before the next chunk is formed
 
-    for group in setup:
-        y0, y1 = group[1][2:]
-        mid = (y0 + y1) // 2
-        sweep(_chunks(group, width, rows=(np.arange(len(mid)), mid, mid)))
-    for group in setup:
-        t, (_, _, y0, y1), *_ = group
-        left = np.flatnonzero(~flags[t])
-        y0, y1 = y0[left], y1[left]
-        mid = (y0 + y1) // 2
+    flagged = visible if visible.any() else None  # None: no triangle to leave out
+    for group, (polys, first, last) in _in_band(setup, rows, flagged):
+        mid = (first + last) // 2
+        sweep(group, (polys, mid, mid))
+    for group, (polys, first, last) in _in_band(setup, rows, flagged):
+        left = np.flatnonzero(~flags[group[0][polys]])
+        polys, first, last = polys[left], first[left], last[left]
+        mid = (first + last) // 2
         # The rows before the middle ones, then those after them.
-        rows = np.r_[left, left], np.r_[y0, mid + 1], np.r_[mid - 1, y1]
-        sweep(_chunks(group, width, rows=rows))
+        sweep(group, (np.r_[polys, polys], np.r_[first, mid + 1], np.r_[mid - 1, last]))
     return VisibilityBuffer(flags=flags)
 
 
-def _check_screen(setup: list[tuple], shape) -> None:
+def _in_band(setup: list[tuple], rows: range, flagged: np.ndarray | None = None):
+    """(group, (polygons, first rows, last rows)) of each group of a set-up with polygons
+    whose box meets the screen rows ``rows``, in order, each narrowed to its rows there;
+    a triangle that ``flagged`` flags is left out."""
+    for group in setup:
+        t, (_, _, y0, y1), *_ = group
+        if flagged is None and len(t) and rows.start <= y0.min() and y1.max() < rows.stop:
+            yield group, (np.arange(len(t)), y0, y1)  # the band holds every box: no copy
+            continue
+        meets = y0 < rows.stop
+        meets &= y1 >= rows.start
+        if flagged is not None:
+            meets &= ~flagged[t]
+        polys = np.flatnonzero(meets)
+        if len(polys):
+            first, last = np.maximum(y0[polys], rows.start), np.minimum(y1[polys], rows.stop - 1)
+            yield group, (polys, first, last)
+
+
+def _check_screen(setup: list[tuple], shape, rows: range | None = None) -> None:
     """Raise ValueError unless a (height, width) buffer of ``shape`` holds every pixel box
-    of the set-up: through a flat index, a box past its width would reach the next row."""
+    of the set-up, or its screen rows ``rows`` when given: through a flat index, a box
+    past its width would reach the next row."""
     need = (0, 0)
     for _, (_, x1, _, y1), *_ in setup:
         if len(x1):
-            need = max(need[0], int(y1.max()) + 1), max(need[1], int(x1.max()) + 1)
+            reach = int(y1.max()) + 1
+            if rows is not None:
+                reach = min(reach, rows.stop) - rows.start
+            need = max(need[0], reach), max(need[1], int(x1.max()) + 1)
     if need[0] > shape[0] or need[1] > shape[1]:
         raise ValueError(
             f"depth buffer of shape {tuple(shape)} is smaller than the set-up's pixel boxes, "

@@ -45,6 +45,7 @@ from .baselines import SUPERBLOCK_FLOOR, SuperblockLayout, sequential_scale_sear
 from .charts import (
     ChartSet,
     Mesh,
+    VisibilityBuffer,
     _column,
     _records,
     _text,
@@ -55,6 +56,7 @@ from .charts import (
     mark_visible,
     merge_shared_vertices,
     records,
+    screen_bands,
     screen_setup,
 )
 from .geometry import CameraFrame, clip_coords
@@ -87,8 +89,10 @@ EXIT_NOTHING_VISIBLE = 3
 
 PACKER_NAMES = ("fastatlas", "sequential", "superblock")
 
-# Largest screen side and pixel count. The depth buffer is a height x
-# width float64 array, 256 MiB at 2^25 pixels, which still admits 7680x4320.
+# Largest screen side and pixel count, which still admits 7680x4320. The
+# raster holds one band of depth at a time (charts.screen_bands), so its
+# memory does not grow with the screen; the limit bounds time instead, as
+# every pixel is filled, tested and counted once a frame.
 MAX_SCREEN = 1 << 14
 MAX_SCREEN_PIXELS = 1 << 25
 
@@ -526,20 +530,24 @@ def frame_charts(cfg: SceneConfig) -> Frame:
 
     One set-up of the vertices, projected once, gives the raster passes and chart boxes
     its polygons, and the chart areas its vertices' front flags and pixel positions.
-    Raises NothingVisible when no triangle passes the depth test, and HeightOverflow when
-    a chart box is taller than any packer takes.
+    Both passes run band by band (charts.screen_bands): each band's depth is counted
+    and freed before the next band's is made, and its visibility pass flags only the
+    triangles no earlier band flagged. Raises NothingVisible when no triangle passes the
+    depth test, and HeightOverflow when a chart box is taller than any packer takes.
     """
     mesh = load_obj(cfg.mesh_path)
     vclip = clip_coords(mesh.positions, cfg.camera())
     setup, front, pixels = screen_setup(vclip, mesh.triangles, cfg.screen, cfg.backface_cull)
-    depth = depth_prepass(setup, cfg.screen)
-    vis = mark_visible(setup, depth, mesh.n_triangles)
-    screen_fragments = int(np.isfinite(depth).sum())
-    del depth  # the frame's largest array, not needed past visibility
-    n_visible = int(vis.flags.sum())
+    flags, screen_fragments = np.zeros(mesh.n_triangles, dtype=bool), 0
+    for rows in screen_bands(cfg.screen):
+        depth = depth_prepass(setup, cfg.screen, rows)
+        flags |= mark_visible(setup, depth, rows, flags).flags
+        screen_fragments += int(np.isfinite(depth).sum())
+        del depth  # freed before the next band's is filled
+    n_visible = int(flags.sum())
     if n_visible == 0:
         raise NothingVisible("no triangle covers a depth-passing sample")
-    cs = merge_shared_vertices(connected_charts(mesh, vis), mesh)
+    cs = merge_shared_vertices(connected_charts(mesh, VisibilityBuffer(flags)), mesh)
     lo, hi = chart_bbox(setup, cs)
     # The viewport transform maps [-1, 1]^2 to the screen; every extent is
     # rounded up, and a degenerate box still claims one pixel per axis.

@@ -79,6 +79,7 @@ from atlaspack.charts import (
     _select,
     depth_prepass,
     mark_visible,
+    screen_bands,
     screen_setup,
 )
 from atlaspack.geometry import (
@@ -287,9 +288,18 @@ def corner_polygons(t, poly, width: int, height: int, cull: bool):
 
 def depth_and_flags(mesh: Mesh, cam, res, cull: bool = True):
     """The depth buffer and visibility flags of both raster passes over one set-up."""
-    setup = mesh_setup(mesh, cam, res, cull)
-    depth = depth_prepass(setup, res)
-    return depth, mark_visible(setup, depth, mesh.n_triangles).flags
+    return banded_raster(mesh_setup(mesh, cam, res, cull), res, mesh.n_triangles)
+
+
+def banded_raster(setup: list[tuple], res, n_triangles: int):
+    """The depth buffer and flags of both passes over the bands of ``charts.screen_bands``,
+    as ``cli.frame_charts`` runs them: the bands' depth joined and their flags OR-ed."""
+    depths, flags = [], np.zeros(n_triangles, dtype=bool)
+    for rows in screen_bands(res):
+        depth = depth_prepass(setup, res, rows)
+        flags |= mark_visible(setup, depth, rows, flags).flags
+        depths.append(depth)
+    return np.concatenate(depths), flags
 
 
 def mesh_samples(mesh: Mesh, cam, res, cull: bool = True):

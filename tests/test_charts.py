@@ -34,6 +34,7 @@ from atlaspack.geometry import W_EPSILON, clip_coords
 
 from oracles import (
     _polygon_to_screen,
+    banded_raster,
     bfs_chart_labels,
     box_samples,
     chart_members,
@@ -196,7 +197,7 @@ class TestDepthPrepass:
         # index past its end.
         setup = mesh_setup(screen_quad(z=-1.0), cam90, (16, 16))
         with pytest.raises(ValueError, match=too_small_for_16x16((res[1], res[0]))):
-            depth_prepass(setup, res)
+            depth_prepass(setup, res, range(res[1]))
 
 
 class TestMarkVisible:
@@ -277,7 +278,7 @@ class TestMarkVisible:
         # next row's pixels instead of failing.
         setup = mesh_setup(screen_quad(z=-1.0), cam90, (16, 16))
         with pytest.raises(ValueError, match=too_small_for_16x16(shape)):
-            mark_visible(setup, np.zeros(shape), 2)
+            mark_visible(setup, np.zeros(shape), range(16), np.zeros(2, dtype=bool))
 
 
 def at_pixel(px, py, depth, res):
@@ -624,9 +625,9 @@ def count_chunks(monkeypatch):
     calls = []
     chunks = charts._chunks
 
-    def counting(group, width, ids=True, rows=None):
+    def counting(group, width, ids=True, rows=None, top=0):
         calls.append([group[0] if rows is None else group[0][rows[0]], 0])
-        for c in chunks(group, width, ids, rows):
+        for c in chunks(group, width, ids, rows, top):
             calls[-1][1] += len(c[-1])
             yield c
 
@@ -639,8 +640,8 @@ def record_samples(monkeypatch):
     formed = []
     chunks = charts._chunks
 
-    def recording(group, width, ids=True, rows=None):
-        for c in chunks(group, width, ids, rows):
+    def recording(group, width, ids=True, rows=None, top=0):
+        for c in chunks(group, width, ids, rows, top):
             t, iy, ix, _ = next(sample_rows([c], width))
             formed.append(np.stack([t, iy, ix], 1))
             yield c
@@ -677,9 +678,10 @@ class TestVisibilityProbe:
         mesh = flat_mesh(tris, z=-1.0, coords=coords)
         res = (64, 64)
         setup = mesh_setup(mesh, cam90, res)
-        depth = depth_prepass(setup, res)
+        rows, unflagged = range(res[1]), np.zeros(mesh.n_triangles, dtype=bool)
+        depth = depth_prepass(setup, res, rows)
         calls = count_chunks(monkeypatch)
-        flags = mark_visible(setup, depth, mesh.n_triangles).flags
+        flags = mark_visible(setup, depth, rows, unflagged).flags
         probe, rest = calls[: len(setup)], calls[len(setup) :]
         assert flags.all()
         assert len(rest) == len(setup)  # the rows before and after the middle ones, at once
@@ -709,10 +711,11 @@ class TestVisibilityProbe:
         )
         res = (48, 48)
         setup = mesh_setup(mesh, cam90, res)
-        depth = depth_prepass(setup, res)
+        rows, unflagged = range(res[1]), np.zeros(mesh.n_triangles, dtype=bool)
+        depth = depth_prepass(setup, res, rows)
         calls = count_chunks(monkeypatch)
         formed = record_samples(monkeypatch)
-        flags = mark_visible(setup, depth, mesh.n_triangles).flags
+        flags = mark_visible(setup, depth, rows, unflagged).flags
         rest = calls[len(setup) :]
         assert flags.tolist() == [True] * 14 + [False]
         assert np.array_equal(flags, reference_depth_and_flags(mesh, cam90, res, True)[1])
@@ -760,7 +763,7 @@ class TestBudgets:
             return stream, depth.tobytes(), flags.tobytes()
 
         want = [raster(*frame) for frame in frames]
-        for name in ("_POLYGONS", "_ROWS", "_CHUNK"):
+        for name in ("_POLYGONS", "_ROWS", "_CHUNK", "_BAND"):  # _BAND: bands of one row
             monkeypatch.setattr(charts, name, budget)
         for frame, expected in zip(frames, want):
             assert raster(*frame) == expected, frame[2:]
@@ -914,7 +917,7 @@ class TestChartBbox:
             cam = (cam90, exact_cam)[case % 2]
             clip = clip_coords(mesh.positions, cam)[mesh.triangles]
             setup = mesh_setup(mesh, cam, res, cull)
-            flags = mark_visible(setup, depth_prepass(setup, res), mesh.n_triangles).flags
+            flags = banded_raster(setup, res, mesh.n_triangles)[1]
             visible = np.flatnonzero(flags)
             if not len(visible):
                 continue

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import sys
+import time
 import tracemalloc
 from collections import Counter
 import xml.etree.ElementTree as ET
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import atlaspack
-from atlaspack import PackFailure, box_table, layouts_equal, pack
+from atlaspack import PackFailure, box_table, charts, layouts_equal, pack
 from atlaspack.cli import (
     EXIT_BAD_INPUT,
     EXIT_NOTHING_VISIBLE,
@@ -25,6 +26,7 @@ from atlaspack.cli import (
     SceneConfig,
     _looks_like_scene,
     build_parser,
+    frame_charts,
     generate_boxes,
     main,
     parse_box_file,
@@ -44,6 +46,7 @@ from atlaspack.charts import (
     load_obj,
     merge_shared_vertices,
     records,
+    screen_bands,
 )
 from atlaspack.geometry import W_EPSILON, clip_coords
 
@@ -512,6 +515,36 @@ class TestAtlasSceneCommand:
         assert err.startswith("error: ")
         assert "scene.cfg: screen must have at most 33554432 pixels" in err
         assert "Traceback" not in err
+
+    def test_max_screen_rasterizes_one_band_at_a_time(self, tmp_path):
+        # Three small triangles in every band of a 16384x2048 screen,
+        # MAX_SCREEN_PIXELS in all. The raster holds one band of depth at a
+        # time, 2 MiB, where a whole-screen buffer would take 256 MiB.
+        width, height = 16384, 2048
+        assert width * height == MAX_SCREEN_PIXELS
+        lines, n = [], 0
+        for top in range(0, height, charts._BAND // width):
+            for x, y in ((100, top + 5), (width // 2, top + 5), (width - 100, top + 5)):
+                for px, py in ((x, y), (x + 4, y), (x, y + 4)):
+                    # fov 90 at aspect 8: the plane z = -1 spans x in [-8, 8].
+                    lines.append(f"v {8 * (2 * px / width - 1)!r} {2 * py / height - 1!r} -1")
+                lines.append(f"f {n + 1} {n + 2} {n + 3}")
+                n += 3
+        scene = write_scene(tmp_path, "\n".join(lines) + "\n", screen=f"{width} {height}")
+        cfg = parse_scene_config(scene)
+        tracemalloc.start()
+        try:
+            frame = frame_charts(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        start = time.perf_counter()
+        frame_charts(cfg)
+        elapsed = time.perf_counter() - start
+        assert frame.n_visible == n // 3 == 3 * len(screen_bands(cfg.screen))
+        assert frame.screen_fragments == 10 * frame.n_visible  # 4 + 3 + 2 + 1 samples each
+        assert peak < 8 * charts._BAND + 750_000, peak  # about 2.6 MB
+        assert elapsed < 1.0, elapsed  # about 0.1 s
 
     def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args, **kwargs):

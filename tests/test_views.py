@@ -7,8 +7,10 @@ it was pinned. A change to the raster passes, the charts or the packer that
 moves a single bit of a frame shows here. The 66 files that the CLI writes
 for the same inputs, the layout, charts and metrics of each view and the
 layout and metrics of each box set, are pinned by their sha256 as well, and
-so is each view's raster sample stream. Two views also bound the raster's
-scratch memory and show that its memory budgets change none of its output.
+so is each view's raster sample stream; the harness joins the depth of a
+frame's bands and ORs their flags. Two views also bound the raster's
+scratch memory and show that its memory budgets and bands change none of
+its output.
 """
 
 import hashlib
@@ -18,9 +20,17 @@ from pathlib import Path
 import numpy as np
 
 from atlaspack import charts, cli
-from atlaspack.charts import _chunks, depth_prepass, load_obj, mark_visible, screen_setup
+from atlaspack.charts import (
+    _chunks,
+    depth_prepass,
+    load_obj,
+    mark_visible,
+    screen_bands,
+    screen_setup,
+)
 from atlaspack.geometry import clip_coords
 from atlaspack.metrics import layout_digest
+from oracles import banded_raster
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEED = 5
@@ -155,7 +165,8 @@ def view_digests(workdir: Path, monkeypatch) -> tuple[dict[str, str], dict[str, 
 
     def keep(name, fn):
         def run(*args):
-            passes[name] = out = fn(*args)
+            out = fn(*args)
+            passes.setdefault(name, []).append(out)
             return out
 
         monkeypatch.setattr(cli, name, run)
@@ -167,11 +178,12 @@ def view_digests(workdir: Path, monkeypatch) -> tuple[dict[str, str], dict[str, 
     for name in ("scene-grid", "scene-cubes"):
         for inp in workloads.WRITERS[name](workdir, SEED):
             cfg = cli.parse_scene_config(inp.argv[1])
+            passes.clear()
             result = cli.run_scene_pipeline(cfg)
             h = hashlib.sha256()
             for a in (
-                passes["depth_prepass"],
-                passes["mark_visible"].flags,
+                np.concatenate(passes["depth_prepass"]),  # the bands' depth, joined
+                np.logical_or.reduce([vis.flags for vis in passes["mark_visible"]]),
                 result.chart_set.chart_of_triangle,
                 result.boxes,
                 result.chart_px,
@@ -179,7 +191,7 @@ def view_digests(workdir: Path, monkeypatch) -> tuple[dict[str, str], dict[str, 
                 h.update(np.ascontiguousarray(a).tobytes())
             h.update(layout_digest(result.layout).digest.encode())
             digests[inp.key] = h.hexdigest()
-            streams[inp.key] = sample_stream_digest(passes["screen_setup"][0], cfg.screen[0])
+            streams[inp.key] = sample_stream_digest(passes["screen_setup"][0][0], cfg.screen[0])
     return digests, streams
 
 
@@ -240,33 +252,77 @@ def traced(fn, *args):
 
 def test_a_cube_view_does_not_depend_on_the_budgets(tmp_path, monkeypatch):
     vclip, mesh, cfg = benchmark_frame(tmp_path, monkeypatch, "scene-cubes", "cubes-view0.cfg")
+    width, height = cfg.screen
 
     def raster():
         setup = screen_setup(vclip, mesh.triangles, cfg.screen, cfg.backface_cull)[0]
-        depth = depth_prepass(setup, cfg.screen)
-        return depth.tobytes(), mark_visible(setup, depth, mesh.n_triangles).flags.tobytes()
+        depth, flags = banded_raster(setup, cfg.screen, mesh.n_triangles)
+        return depth.tobytes(), flags.tobytes()
 
     want = raster()
+    assert len(screen_bands(cfg.screen)) > 1
     for budget in (1, 3, 64):
-        for name in ("_POLYGONS", "_ROWS", "_CHUNK"):
-            monkeypatch.setattr(charts, name, budget)
-        assert raster() == want, budget
+        with monkeypatch.context() as m:
+            for name in ("_POLYGONS", "_ROWS", "_CHUNK"):
+                m.setattr(charts, name, budget)
+            assert raster() == want, budget
+    for rows in (1, 3, height):  # bands of 1 row, 3 rows and the whole frame
+        monkeypatch.setattr(charts, "_BAND", rows * width)
+        assert raster() == want, rows
+
+
+def test_the_bands_split_a_frame_exactly(tmp_path, monkeypatch):
+    # The passes wrapped where cli looks them up, as perfbench's tracer
+    # wraps them: the pixels each band covers and the triangles each band
+    # newly flags sum to the frame's totals, so per-call counters read them.
+    _, _, cfg = benchmark_frame(tmp_path, monkeypatch, "scene-cubes", "cubes-view0.cfg")
+    want = cli.frame_charts(cfg)  # two bands
+    monkeypatch.setattr(charts, "_BAND", 100 * cfg.screen[0])
+    bands, covered, flags = [], [], []
+    depth_prepass, mark_visible = cli.depth_prepass, cli.mark_visible
+
+    def counted_depth(setup, res, rows):
+        depth = depth_prepass(setup, res, rows)
+        bands.append(rows)
+        covered.append(int(np.isfinite(depth).sum()))
+        assert depth.shape == (len(rows), res[0])
+        return depth
+
+    def counted_visible(*args):
+        vis = mark_visible(*args)
+        flags.append(vis.flags)
+        return vis
+
+    monkeypatch.setattr(cli, "depth_prepass", counted_depth)
+    monkeypatch.setattr(cli, "mark_visible", counted_visible)
+    frame = cli.frame_charts(cfg)
+    assert len(bands) == len(flags) == 6
+    assert [r for band in bands for r in band] == list(range(cfg.screen[1]))
+    assert sum(covered) == frame.screen_fragments == want.screen_fragments
+    assert sum(int(f.sum()) for f in flags) == frame.n_visible == want.n_visible
+    assert np.array_equal(np.logical_or.reduce(flags), want.chart_set.chart_of_triangle >= 0)
 
 
 # Bounds on the raster's scratch memory, the traced peak beyond the arrays a
 # step returns, about 15% over what each step takes on its view.
-DEPTH_SCRATCH = 600_000  # depth_prepass on cubes-view0, beyond its depth buffer
-VISIBILITY_SCRATCH = 750_000  # mark_visible on cubes-view0, its flags included
+DEPTH_SCRATCH = 600_000  # depth_prepass on a band of cubes-view0, beyond its depth
+VISIBILITY_SCRATCH = 750_000  # mark_visible on a band of cubes-view0, its flags included
 SETUP_SCRATCH = 900_000  # screen_setup on grid-view0, beyond the set-up it returns
 
 
 def test_raster_passes_stay_within_their_budget(tmp_path, monkeypatch):
     vclip, mesh, cfg = benchmark_frame(tmp_path, monkeypatch, "scene-cubes", "cubes-view0.cfg")
     setup = screen_setup(vclip, mesh.triangles, cfg.screen, cfg.backface_cull)[0]
-    depth, peak = traced(depth_prepass, setup, cfg.screen)
-    assert peak - depth.nbytes < DEPTH_SCRATCH, peak - depth.nbytes
-    _, peak = traced(mark_visible, setup, depth, mesh.n_triangles)
-    assert peak < VISIBILITY_SCRATCH, peak
+    flags = np.zeros(mesh.n_triangles, dtype=bool)
+    bands = screen_bands(cfg.screen)
+    assert len(bands) > 1
+    for rows in bands:
+        depth, peak = traced(depth_prepass, setup, cfg.screen, rows)
+        assert depth.nbytes <= 8 * charts._BAND
+        assert peak - depth.nbytes < DEPTH_SCRATCH, (rows, peak - depth.nbytes)
+        vis, peak = traced(mark_visible, setup, depth, rows, flags)
+        assert peak < VISIBILITY_SCRATCH, (rows, peak)
+        flags |= vis.flags
 
 
 def test_screen_setup_stays_within_its_budget(tmp_path, monkeypatch):
