@@ -63,8 +63,7 @@ def sequential_fold(widths: Sequence[int], omega: int) -> FoldResult:
         rows[i] = row
         xs[i] = used if row % _DIRECTION_PERIOD == 0 else omega - used - w
         used += w
-    left = (np.arange(row + 1, dtype=np.int64) % _DIRECTION_PERIOD) == 0
-    return FoldResult(row_of_box=rows, x_of_box=xs, row_direction_left=left, overflow_m=0)
+    return FoldResult(row_of_box=rows, x_of_box=xs, overflow_m=0)
 
 
 def sequential_scale_search(

@@ -19,8 +19,9 @@ about a dozen rounds on a randomly numbered strip of 100,000 triangles.
 Both passes and the chart boxes read one set-up, ``screen_setup``, made
 once a frame from the vertices' clip coordinates and the triangles. It
 tests, divides and snaps each vertex once, to 1/256 pixel as hardware
-rasterizers do, clips the triangles that leave the frustum (Sutherland and
-Hodgman 1974), keeps each polygon's NDC extent, and sets up top-left edge
+rasterizers do, clips the triangles that leave the frustum as one ragged
+batch (Sutherland and Hodgman 1974) and pads the clipped polygons to one
+vertex count, keeps each polygon's NDC extent, and sets up top-left edge
 functions (Pineda 1988), each edge as columns that a pass gathers.
 So coverage is decided on integers, held exactly in float64: snapped
 coordinates lie within [-128, 2^22] at MAX_SCREEN, twice an area below 2^49
@@ -126,7 +127,7 @@ def load_obj(path) -> Mesh:
     at their first '/', are converted as two whole columns.
     """
     with open(path, "rb") as fh:
-        data, starts, ends, linenos, counts, heads, _ = _records(fh.read())
+        data, starts, ends, linenos, counts, heads = _records(fh.read())
     first = np.cumsum(counts) - counts  # each record's first token
     is_v, is_f = heads == ord("v"), heads == ord("f")
     vertex = np.flatnonzero(is_v & (counts >= 4))
@@ -190,30 +191,26 @@ def records(data: bytes):
 
     CRLF, CR and LF end lines, '#' starts a comment that runs to the end of
     its line, and each line splits into tokens as str.split() splits it.
-    The tokens are bytes if the file is ASCII once its comments are cut,
-    else str, read as UTF-8 with U+FFFD for bytes that are not, so int and
-    float accept what they accept in text.
+    The tokens are str, read as UTF-8 with U+FFFD for bytes that are not.
     """
-    data, starts, ends, linenos, counts, _, text = _records(data)
-    tokens = [data[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
-    return [t.decode() for t in tokens] if text else tokens, linenos, counts
+    data, starts, ends, linenos, counts, _ = _records(data)
+    return [data[s:e].decode() for s, e in zip(starts.tolist(), ends.tolist())], linenos, counts
 
 
 def _records(data: bytes):
-    """The reader's split of ``data``: (data, starts, ends, linenos, counts, heads, text).
+    """The reader's split of ``data``: (data, starts, ends, linenos, counts, heads).
 
     The returned data has its comments cut, its line ends LF, its
-    whitespace within lines spaces and one LF appended, and token k is
-    ``data[starts[k]:ends[k]]``. Per record: its line number, its token
-    count, and the byte of its first token if that is one byte long, else
-    0. ``text`` tells whether the tokens read as str (see ``records``).
+    whitespace within lines spaces, bytes that are not UTF-8 U+FFFD and one
+    LF appended, and token k is ``data[starts[k]:ends[k]]``. Per record: its
+    line number, its token count, and the byte of its first token if that
+    is one byte long, else 0.
     """
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if b"#" in data:
         data = re.sub(rb"#[^\n]*", b"", data)
-    text = not data.isascii()
-    if text:
+    if not data.isascii():
         data = re.sub(r"[^\S\n]", " ", data.decode("utf-8", errors="replace")).encode()
     elif any(c in data for c in _TABS):
         data = data.translate(_SPACES)
@@ -240,12 +237,7 @@ def _records(data: bytes):
     linenos = np.flatnonzero(lead) - first + 1
     head = starts[first]
     heads = np.where(ends[first] - head == 1, b[head], 0)
-    return data, starts, ends, linenos, np.diff(first, append=len(starts)), heads, text
-
-
-def _text(token) -> str:
-    """A token of ``records`` as str."""
-    return token.decode() if isinstance(token, bytes) else token
+    return data, starts, ends, linenos, np.diff(first, append=len(starts)), heads
 
 
 # 10**i, exact in int64 and in float64.
@@ -391,9 +383,14 @@ def screen_setup(vclip: np.ndarray, triangles: np.ndarray, res, cull: bool) -> t
 
     ``vclip`` holds the (n, 4) clip coordinates of the vertices, ``triangles``
     their (m, 3) ids and ``res`` the screen's (width, height). Returns (setup,
-    front, pixels): one _screen_polygons group per run of at most _POLYGONS
-    polygons of one clipped vertex count, and each vertex's w - W_EPSILON > 0
-    and (n, 2) pixel position.
+    front, pixels): the _screen_polygons groups, and each vertex's w -
+    W_EPSILON > 0 and (n, 2) pixel position. The groups are two kinds of
+    polygon, each cut into runs of at most _POLYGONS: the triangles inside
+    the frustum, then the clipped polygons of the triangles that leave it,
+    each kind by triangle id. A clipped polygon is padded to the largest
+    vertex count by repeating its last vertex id: a zero-length edge passes
+    every sample, and a repeated vertex adds nothing to the exact area, the
+    pixel box, the NDC extent or the depth plane.
     """
     width, height = int(res[0]), int(res[1])
     if width < 1 or height < 1:
@@ -407,25 +404,22 @@ def screen_setup(vclip: np.ndarray, triangles: np.ndarray, res, cull: bool) -> t
     inside = inside[:, 0] & inside[:, 1] & inside[:, 2]
     ahead = front[triangles]
     leaving = np.flatnonzero(~inside & (ahead[:, 0] | ahead[:, 1] | ahead[:, 2]))
-    clipped = _clip_groups(vclip[triangles[leaving]]) if len(leaving) else []
+    rows, counts, clipped = _clip_polygons(vclip[triangles[leaving]])
     inside = np.flatnonzero(inside)
     del within, ahead
-    # As a one-triangle-at-a-time loop: inside, then clipped by id, and groups by
-    # first id. By vertex count, parts of (triangle ids, vertex id table, its rows).
-    groups, n = {3: [(inside, triangles, inside)]}, len(vclip)
-    for rows, poly in clipped:
-        g, k = poly.shape[:2]
-        table = np.arange(n, n + g * k).reshape(g, k)
-        groups.setdefault(k, []).append((leaving[rows], table, np.arange(g)))
-        n += g * k
-    clip = np.concatenate([vclip, *(poly.reshape(-1, 4) for _, poly in clipped)])
-    records = _vertex_records(clip, width, height)
-    del clip
-    setup = [
-        _screen_polygons(t, corners, records, width, height, cull)
-        for parts in groups.values()
-        for t, corners in _runs(parts)
-    ]
+    # The (n, G) vertex ids of the clipped polygons, after the mesh's, each padded with its last.
+    first = len(vclip) + np.cumsum(counts) - counts
+    padded = first + np.minimum(np.arange(counts.max(initial=3))[:, None], counts - 1)
+    records = _vertex_records(np.concatenate([vclip, clipped]), width, height)
+    del clipped
+    setup = []
+    # Per kind: the triangle ids, a table of vertex ids by column, and their columns.
+    kinds = (inside, triangles.T, inside), (leaving[rows], padded, np.arange(len(rows)))
+    for t, table, at in kinds:
+        for s in range(0, len(t), _POLYGONS):
+            r = slice(s, s + _POLYGONS)
+            corners = np.take(table, at[r], axis=1)
+            setup.append(_screen_polygons(t[r], corners, records, width, height, cull))
     return setup, front, records[3:5, : len(vclip)].T.copy()
 
 
@@ -442,50 +436,26 @@ def _vertex_records(clip: np.ndarray, width: int, height: int) -> np.ndarray:
     return records
 
 
-def _runs(parts):
-    """(triangle ids, (n, G) vertex ids) of each run of at most _POLYGONS polygons over
-    ``parts``, (triangle ids, vertex id table, its rows) of one vertex count, in order."""
-    total = sum(len(ids) for ids, _, _ in parts)
-    for start in range(0, total, _POLYGONS):
-        run, offset = [], 0
-        for ids, table, at in parts:
-            r = slice(max(start - offset, 0), max(start + _POLYGONS - offset, 0))
-            if len(ids[r]):
-                run.append((ids[r], np.take(table.T, at[r], axis=1)))
-            offset += len(ids)
-        if len(run) == 1:
-            yield run[0]
-        else:
-            t, corners = zip(*run)
-            yield np.concatenate(t), np.concatenate(corners, axis=1)
-
-
-def _clip_groups(clip: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(rows, (G, n, 4) polygons) per vertex count n >= 3 of clipped (L, 3, 4) triangles.
+def _clip_polygons(clip: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, counts, vertices) of (L, 3, 4) triangles clipped to the frustum.
 
     ``clip`` holds triangles that leave the frustum with a vertex at w - W_EPSILON > 0.
-    Seven batched Sutherland-Hodgman stages, w - W_EPSILON >= 0 and then the six
-    FRUSTUM_PLANES in order, each clip only the polygons with a vertex outside, so every
-    polygon equals a one-triangle-at-a-time clip. Groups come by first row, rows ascending.
+    Seven Sutherland-Hodgman stages, w - W_EPSILON >= 0 and then the six
+    FRUSTUM_PLANES in order, each clip the whole batch, skipping a stage that
+    drops no vertex; a polygon inside a plane comes through its stage
+    unchanged, so every polygon equals a one-triangle-at-a-time clip. Returns
+    the rows left with at least 3 vertices, ascending, their vertex counts
+    and their vertices, polygon after polygon.
     """
-    groups = [(np.arange(len(clip)), clip)]
+    vertices, counts = clip.reshape(-1, 4), np.full(len(clip), 3)
     for plane in (None, *FRUSTUM_PLANES.values()):  # None: the camera plane
-        by_count: dict[int, list] = {}
-        for ids, poly in groups:
-            w = poly[:, :, 3]
-            dist = w - W_EPSILON if plane is None else w + plane[1] * poly[:, :, plane[0]]
-            keep = dist >= 0
-            parts = [(ids, poly)]
-            if not keep.all():
-                cut = ~keep.all(axis=1)
-                split = clip_halfspace(poly[cut], dist[cut], keep[cut])
-                parts = [(ids[~cut], poly[~cut])] + [(ids[cut][r], p) for r, p in split]
-            for part in parts:
-                if len(part[0]):
-                    by_count.setdefault(part[1].shape[1], []).append(part)
-        groups = [tuple(map(np.concatenate, zip(*p))) if p[1:] else p[0] for p in by_count.values()]
-    groups = sorted((g for g in groups if g[1].shape[1] >= 3), key=lambda g: g[0].min())
-    return [_select(g, np.argsort(g[0])) for g in groups]
+        w = vertices[:, 3]
+        d = w - W_EPSILON if plane is None else w + plane[1] * vertices[:, plane[0]]
+        keep = d >= 0
+        if not keep.all():
+            vertices, counts = clip_halfspace(vertices, counts, d, keep)
+    polygon = counts >= 3
+    return np.flatnonzero(polygon), counts[polygon], vertices[polygon.repeat(counts)]
 
 
 def _screen_polygons(t, corners, records, width: int, height: int, cull: bool):
@@ -544,7 +514,7 @@ def _screen_polygons(t, corners, records, width: int, height: int, cull: bool):
         ex *= _SUBPIXEL
         edges.append((ey, ex, c))
     del x, y
-    planes = _depth_planes(*(records[f].take(corners) for f in (3, 4, 2)))
+    planes = _depth_planes(*(records[f].take(corners) for f in (3, 4, 2)), corners)
     return t, box, tuple(edges), planes, ndc
 
 
@@ -663,14 +633,17 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _depth_planes(x: np.ndarray, y: np.ndarray, z: np.ndarray):
+def _depth_planes(x: np.ndarray, y: np.ndarray, z: np.ndarray, ids: np.ndarray):
     """Affine NDC depth planes (ax, ay, z0, gx, gy, flat) of polygons.
 
-    ``x``, ``y`` and ``z`` are the (n, G) pixel x, y and NDC z of their vertices. NDC z
-    is screen-affine: z0 + gx * (x - ax) + gy * (y - ay), anchored at the float vertex 0
-    (ax, ay) and solved on the first fan triangle (0, j, j + 1) with |det| > 1e-12.
-    Polygons with none are ``flat``, with the mean vertex depth in z0. Rows 1.. of ``x``
-    and ``y`` become their differences from row 0, in place.
+    ``x``, ``y`` and ``z`` are the (n, G) pixel x, y and NDC z of their vertices, and
+    ``ids`` their (n, G) vertex ids. NDC z is screen-affine: z0 + gx * (x - ax) + gy *
+    (y - ay), anchored at the float vertex 0 (ax, ay) and solved on the first fan
+    triangle (0, j, j + 1) with |det| > 1e-12; a fan with a padding slot has det 0.
+    Polygons with none are ``flat``, with the mean depth of their vertices in z0. A
+    padding slot repeats the id of the slot before it, which no real vertex does, and
+    is left out of the mean. Rows 1.. of ``x`` and ``y`` become their differences from
+    row 0, in place.
     """
     ax, ay, z0 = x[0].copy(), y[0].copy(), z[0].copy()
     x[1:] -= ax
@@ -690,7 +663,7 @@ def _depth_planes(x: np.ndarray, y: np.ndarray, z: np.ndarray):
         np.divide(num, det, out=gy, where=solve)
         flat &= ~solve
     for g in np.flatnonzero(flat):
-        z0[g] = z[:, g].mean()
+        z0[g] = z[np.r_[True, ids[1:, g] != ids[:-1, g]], g].mean()
     return ax, ay, z0, gx, gy, flat
 
 
@@ -732,13 +705,13 @@ def mark_visible(
 
     A flag is an OR over a triangle's samples, so one passing sample
     settles it, and a triangle ``visible`` already flags is not formed
-    again. A probe first forms the samples of each polygon's middle row in
-    the band, which are the very samples the whole stream holds on that row,
-    and flags the triangles with a passing one. A second sweep then forms
-    the samples of the other rows of only the polygons the probe left
-    unflagged. The flags returned are the newly flagged triangles, so the
-    bands' flags are disjoint and their OR equals one sweep over every
-    sample of the frame. Raises ValueError when ``depth`` does not hold the
+    again. Group by group, a probe first forms the samples of each polygon's
+    middle row in the band, which are the very samples the whole stream
+    holds on that row, and flags the triangles with a passing one. A second
+    sweep then forms the samples of the other rows of only the polygons the
+    probe left unflagged. The flags returned are the newly flagged
+    triangles, so the bands' flags are disjoint and their OR equals one
+    sweep over every sample of the frame. Raises ValueError when ``depth`` does not hold the
     band's rows of every pixel box of the set-up.
     """
     width = depth.shape[1]
@@ -758,14 +731,12 @@ def mark_visible(
             flags[t[z <= slack]] = True
             del t, z, slack  # freed before the next chunk is formed
 
-    flagged = visible if visible.any() else None  # None: no triangle to leave out
-    for group, (polys, first, last) in _in_band(setup, rows, flagged):
+    # A triangle lies in one group, so a group's sweep cannot flag another's triangles.
+    for group, (polys, first, last) in _in_band(setup, rows, visible):
         mid = (first + last) // 2
         sweep(group, (polys, mid, mid))
-    for group, (polys, first, last) in _in_band(setup, rows, flagged):
         left = np.flatnonzero(~flags[group[0][polys]])
-        polys, first, last = polys[left], first[left], last[left]
-        mid = (first + last) // 2
+        polys, first, last, mid = polys[left], first[left], last[left], mid[left]
         # The rows before the middle ones, then those after them.
         sweep(group, (np.r_[polys, polys], np.r_[first, mid + 1], np.r_[mid - 1, last]))
     return VisibilityBuffer(flags=flags)
@@ -777,17 +748,13 @@ def _in_band(setup: list[tuple], rows: range, flagged: np.ndarray | None = None)
     a triangle that ``flagged`` flags is left out."""
     for group in setup:
         t, (_, _, y0, y1), *_ = group
-        if flagged is None and len(t) and rows.start <= y0.min() and y1.max() < rows.stop:
-            yield group, (np.arange(len(t)), y0, y1)  # the band holds every box: no copy
-            continue
-        meets = y0 < rows.stop
-        meets &= y1 >= rows.start
+        first, last = np.maximum(y0, rows.start), np.minimum(y1, rows.stop - 1)
+        meets = first <= last  # a box holds a row, y0 <= y1
         if flagged is not None:
             meets &= ~flagged[t]
         polys = np.flatnonzero(meets)
         if len(polys):
-            first, last = np.maximum(y0[polys], rows.start), np.minimum(y1[polys], rows.stop - 1)
-            yield group, (polys, first, last)
+            yield group, (polys, first[polys], last[polys])
 
 
 def _check_screen(setup: list[tuple], shape, rows: range | None = None) -> None:
@@ -806,11 +773,6 @@ def _check_screen(setup: list[tuple], shape, rows: range | None = None) -> None:
             f"depth buffer of shape {tuple(shape)} is smaller than the set-up's pixel boxes, "
             f"which need shape {need}"
         )
-
-
-def _select(group, keep: np.ndarray):
-    """A group of arrays, or nested tuples of them, narrowed to the rows where ``keep`` holds."""
-    return group[keep] if isinstance(group, np.ndarray) else tuple(_select(a, keep) for a in group)
 
 
 # --- chartification --------------------------------------------------------

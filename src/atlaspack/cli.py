@@ -48,7 +48,6 @@ from .charts import (
     VisibilityBuffer,
     _column,
     _records,
-    _text,
     chart_bbox,
     connected_charts,
     depth_prepass,
@@ -143,7 +142,7 @@ def parse_box_file(path) -> np.ndarray:
     of the first bad record in file order, with the first rule that record
     breaks, or the line of the first byte that is not UTF-8.
     """
-    data, starts, ends, linenos, counts, _, _ = _records(_read_text(path))
+    data, starts, ends, linenos, counts, _ = _records(_read_text(path))
     # (record index, rule rank, message): the earliest record wins, then the
     # rule listed first. Records from the first one that cannot be parsed
     # on are not checked further.
@@ -233,17 +232,17 @@ def write_layout_file(layout: AtlasLayout, path) -> LayoutDigest:
 def parse_layout_file(path) -> AtlasLayout:
     """Read a layout file, checking omega, containment, count and digest.
 
-    A record of two tokens whose first is not a number is a header line.
-    Raises InputError naming the file (and line, for a placement).
+    A record of two tokens whose first is not a number, signed or not, is a
+    header line. Raises InputError naming the file (and line, for a placement).
     """
-    data, starts, ends, linenos, counts, _, _ = _records(_read_text(path))
+    data, starts, ends, linenos, counts, _ = _records(_read_text(path))
     first = np.cumsum(counts) - counts
     pairs = np.flatnonzero(counts == 2)
     # Only spaces lie between the two tokens of a record.
     words = [data[starts[k] : ends[k + 1]].decode().split() for k in first[pairs].tolist()]
     is_header = np.zeros(len(counts), dtype=bool)
-    is_header[pairs] = [not key.isdigit() for key, _ in words]
-    header = {key: value for key, value in words if not key.isdigit()}
+    is_header[pairs] = [not (key[1:] if key[0] in "+-" else key).isdigit() for key, _ in words]
+    header = dict(word for word, head in zip(words, is_header[pairs]) if head)
     placements = np.flatnonzero(~is_header)
     # (placement, rule rank, message): the first bad placement in file
     # order, with the first rule it breaks.
@@ -425,7 +424,7 @@ def parse_scene_config(path) -> SceneConfig:
     tokens, linenos, counts = records(_read_text(path))
     values: dict[str, tuple[int, list[str]]] = {}
     for lineno, end, n in zip(linenos.tolist(), np.cumsum(counts).tolist(), counts.tolist()):
-        key, *rest = map(_text, tokens[end - n : end])
+        key, *rest = tokens[end - n : end]
         if not rest:
             raise InputError(f"{path}:{lineno}: key '{key}' has no value")
         if key in values:

@@ -7,11 +7,12 @@ front of the camera iff w > W_EPSILON, which sidesteps division instability
 at w == 0.
 
 ``clip_halfspace`` is the one Sutherland-Hodgman step of the package and
-``FRUSTUM_PLANES`` its one plane table. The step clips a batch of polygons,
-each against one half-space, as a one-polygon step would. Its one caller,
-the frame's raster set-up (``charts.screen_setup``), clips only the
-triangles that leave the frustum, against the camera plane and then each
-plane they leave; the rasterizer and the chart boxes read those polygons.
+``FRUSTUM_PLANES`` its one plane table. The step clips a ragged batch of
+polygons, consecutive vertex rows with a vertex count each, each against
+one half-space, as a one-polygon step would. Its one caller, the frame's
+raster set-up (``charts.screen_setup``), clips the triangles that leave the
+frustum as one batch, against the camera plane and then each plane that
+one of them leaves; the rasterizer and the chart boxes read those polygons.
 """
 
 from __future__ import annotations
@@ -140,35 +141,31 @@ def clip_coords(points, cam: CameraFrame) -> np.ndarray:
 
 
 def clip_halfspace(
-    vertices: np.ndarray, d: np.ndarray, keep: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Clip a batch of G convex homogeneous polygons, each against one half-space.
+    vertices: np.ndarray, counts: np.ndarray, d: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clip a ragged batch of convex homogeneous polygons, each against one half-space.
 
-    ``vertices`` is (G, m, 4), ``d`` the (G, m) signed distance of each
-    vertex and ``keep`` the caller's boundary rule on it (``d > 0`` or
-    ``d >= 0``). Each polygon keeps its kept vertex i, then the point
-    interpolated at d == 0 on edge i -> i + 1 where that edge joins a kept and
-    a dropped vertex. Interpolation runs only on such edges, with the
-    arithmetic of a one-polygon step. Returns (rows, (k, n, 4) polygons) for
-    each vertex count n >= 1 in ascending order; rows index the batch, and
-    polygons clipped away appear in no group.
+    Polygon p holds ``counts[p]`` consecutive (V, 4) rows of ``vertices``;
+    ``d`` is the signed distance of each vertex and ``keep`` the caller's
+    boundary rule on it (``d > 0`` or ``d >= 0``). Each polygon keeps its
+    kept vertex i, then the point interpolated at d == 0 on edge i -> i + 1
+    where that edge joins a kept and a dropped vertex. Interpolation runs
+    only on such edges, with the arithmetic of a one-polygon step. Returns
+    (vertices, counts) in the same layout; a polygon clipped away has count 0.
     """
-    g, m = keep.shape
-    nxt = (np.arange(m) + 1) % m
-    cross = keep != keep[:, nxt]
-    gi, i = np.nonzero(cross)
-    di, dj = d[gi, i], d[gi, nxt[i]]
-    a = vertices[gi, i]
+    ends = np.cumsum(counts)
+    nxt = np.arange(1, len(vertices) + 1)
+    last = ends[counts > 0] - 1
+    nxt[last] = last - counts[counts > 0] + 1  # the last vertex wraps to the first
+    cross = keep != keep[nxt]
+    i = np.flatnonzero(cross)
+    di, dj = d[i], d[nxt[i]]
+    a = vertices[i]
     t = di / (di - dj)
     # Slot 2i holds vertex i, slot 2i + 1 the crossing on edge i -> i + 1.
-    slots = np.empty((g, m, 2, 4))
-    slots[:, :, 0] = vertices
-    slots[gi, i, 1] = a + t[:, None] * (vertices[gi, nxt[i]] - a)
-    slots = slots.reshape(g, 2 * m, 4)
-    used = np.stack([keep, cross], axis=2).reshape(g, 2 * m)
-    count = used.sum(axis=1)
-    groups = []
-    for n in sorted(set(count.tolist()) - {0}):
-        rows = np.flatnonzero(count == n)
-        groups.append((rows, slots[rows][used[rows]].reshape(-1, n, 4)))
-    return groups
+    slots = np.empty((len(vertices), 2, 4))
+    slots[:, 0] = vertices
+    slots[i, 1] = a + t[:, None] * (vertices[nxt[i]] - a)
+    used = np.stack([keep, cross], axis=1)
+    total = np.r_[0, (keep.astype(np.int64) + cross).cumsum()]
+    return slots[used], total[ends] - total[ends - counts]

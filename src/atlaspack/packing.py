@@ -132,7 +132,6 @@ class FoldResult:
 
     row_of_box: np.ndarray
     x_of_box: np.ndarray
-    row_direction_left: np.ndarray  # per row, True when the row starts left
     overflow_m: int
 
 
@@ -223,7 +222,7 @@ def fold(widths, omega: int) -> FoldResult:
     left = (np.arange(starts.size, dtype=np.int64) % _DIRECTION_PERIOD) == 0
     x = np.where(left[rows], q, omega - q - w)
     m = int(max(0, int((q + w - omega).max())))
-    return FoldResult(row_of_box=rows, x_of_box=x, row_direction_left=left, overflow_m=m)
+    return FoldResult(row_of_box=rows, x_of_box=x, overflow_m=m)
 
 
 def push_up(fold_result: FoldResult, dims, omega: int) -> tuple[np.ndarray, int]:

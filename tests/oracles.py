@@ -74,9 +74,8 @@ from atlaspack.charts import (
     _SUBPIXEL,
     DEPTH_EPSILON,
     _chunks,
-    _clip_groups,
+    _clip_polygons,
     _depth_planes,
-    _select,
     depth_prepass,
     mark_visible,
     screen_bands,
@@ -186,13 +185,18 @@ def conservative_chart_bbox(clip: np.ndarray, starts) -> tuple[np.ndarray, np.nd
     near = ~in_front & (front[:, 0] | front[:, 1] | front[:, 2])
     for dist, clipped in zip([d, *side], [near, *(crosses & in_front)]):
         tris = np.flatnonzero(clipped)
-        for rows, poly in clip_halfspace(clip[tris], dist[tris], dist[tris] > 0):
-            xy = batch_blinn_clamped_ndc(poly)
-            poly_lo, poly_hi = xy.min(axis=1), xy.max(axis=1)
-            area = (poly_hi[:, 0] - poly_lo[:, 0]) * (poly_hi[:, 1] - poly_lo[:, 1])
-            win = area < best[tris[rows]]
-            t = tris[rows[win]]
-            best[t], lo[t], hi[t] = area[win], poly_lo[win], poly_hi[win]
+        dist, three = dist[tris].ravel(), np.full(len(tris), 3)
+        poly, counts = clip_halfspace(clip[tris].reshape(-1, 4), three, dist, dist > 0)
+        rows = np.flatnonzero(counts)
+        if not len(rows):
+            continue
+        xy = batch_blinn_clamped_ndc(poly)
+        first = (np.cumsum(counts) - counts)[rows]
+        poly_lo, poly_hi = np.minimum.reduceat(xy, first), np.maximum.reduceat(xy, first)
+        area = (poly_hi[:, 0] - poly_lo[:, 0]) * (poly_hi[:, 1] - poly_lo[:, 1])
+        win = area < best[tris[rows]]
+        t = tris[rows[win]]
+        best[t], lo[t], hi[t] = area[win], poly_lo[win], poly_hi[win]
     return np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
 
 
@@ -240,28 +244,35 @@ def corner_setup(clip: np.ndarray, res, cull: bool) -> list[tuple]:
     """The package's earlier ``screen_setup`` groups of (m, 3, 4) triangles, set up per corner.
 
     The triangles are split by ``corner_split``, the leaving ones clipped by
-    ``charts._clip_groups``, and each run of at most ``charts._POLYGONS``
-    polygons of a vertex count set up by ``corner_polygons``, in the order
-    of a one-triangle-at-a-time loop.
+    ``charts._clip_polygons`` and padded to the largest vertex count with
+    their last vertex, and each run of at most ``charts._POLYGONS`` polygons
+    of the inside triangles, then of the clipped polygons, set up by
+    ``corner_polygons``.
     """
     inside, leaving = corner_split(clip)
-    ordered = {3: [(np.flatnonzero(inside), clip[inside])]}
-    for rows, poly in _clip_groups(clip[leaving]) if len(leaving) else []:
-        ordered.setdefault(poly.shape[1], []).append((leaving[rows], poly))
+    rows, counts, vertices = _clip_polygons(clip[leaving])
+    # The vertex of each slot, within its polygon: a padding slot repeats the one before it.
+    slots = np.minimum(np.arange(counts.max(initial=3)), counts[:, None] - 1)
+    padded = vertices[(np.cumsum(counts) - counts)[:, None] + slots]
+    inside = np.flatnonzero(inside)
+    kinds = [
+        (inside, clip[inside], np.tile(np.arange(3), (len(inside), 1))),
+        (leaving[rows], padded, slots),
+    ]
     width, height = int(res[0]), int(res[1])
-    groups = [tuple(map(np.concatenate, zip(*parts))) for parts in ordered.values()]
     return [
-        corner_polygons(t[s : s + _POLYGONS], poly[s : s + _POLYGONS], width, height, cull)
-        for t, poly in groups
-        for s in range(0, len(t), _POLYGONS)
+        corner_polygons(*(a[s : s + _POLYGONS] for a in kind), width, height, cull)
+        for kind in kinds
+        for s in range(0, len(kind[0]), _POLYGONS)
     ]
 
 
-def corner_polygons(t, poly, width: int, height: int, cull: bool):
+def corner_polygons(t, poly, slots, width: int, height: int, cull: bool):
     """The package's earlier ``_screen_polygons``: (G, n, 4) polygons set up corner by corner.
 
     Each corner of each polygon is divided, viewport-transformed and
-    snapped on its own; the rest is the package's set-up.
+    snapped on its own; the rest is the package's set-up. ``slots`` holds
+    each corner's vertex within its polygon, which tells padding apart.
     """
     screen = poly[:, :, :3] / poly[:, :, 3:4]  # NDC, then x and y to pixels
     ndc = [functools.reduce(f, v) for f in (np.minimum, np.maximum) for v in screen[:, :, :2].T]
@@ -271,9 +282,9 @@ def corner_polygons(t, poly, width: int, height: int, cull: bool):
     x, y = q[:, :, 0].T, q[:, :, 1].T
     area2 = functools.reduce(np.add, x * (np.roll(y, -1, axis=0) - np.roll(y, 1, axis=0)))
     keep = area2 > 0.0 if cull else area2 != 0.0
-    t, screen, q, flip = t[keep], screen[keep], q[keep], area2[keep] < 0.0
+    t, screen, q, slots, flip = t[keep], screen[keep], q[keep], slots[keep], area2[keep] < 0.0
     ndc = tuple(v[keep] for v in ndc)
-    screen[flip], q[flip] = screen[flip, ::-1], q[flip, ::-1]
+    screen[flip], q[flip], slots[flip] = screen[flip, ::-1], q[flip, ::-1], slots[flip, ::-1]
     x, y = q[:, :, 0].T, q[:, :, 1].T
     low = np.divide([functools.reduce(np.minimum, v) for v in (x, y)], _SUBPIXEL)
     high = np.divide([functools.reduce(np.maximum, v) for v in (x, y)], _SUBPIXEL)
@@ -282,8 +293,14 @@ def corner_polygons(t, poly, width: int, height: int, cull: bool):
     ex, ey = np.roll(x, -1, axis=0) - x, np.roll(y, -1, axis=0) - y
     top_left = (ey > 0) | ((ey == 0) & (ex <= 0))
     edges = tuple(zip(_SUBPIXEL * ey, _SUBPIXEL * ex, ey * x - ex * y + (top_left - 1.0)))
-    group = (t, (x0, x1, y0, y1), edges, _depth_planes(*screen.transpose(2, 1, 0)), ndc)
+    planes = _depth_planes(*screen.transpose(2, 1, 0), slots.T)
+    group = (t, (x0, x1, y0, y1), edges, planes, ndc)
     return _select(group, (x0 <= x1) & (y0 <= y1))
+
+
+def _select(group, keep: np.ndarray):
+    """A group of arrays, or nested tuples of them, narrowed to the rows where ``keep`` holds."""
+    return group[keep] if isinstance(group, np.ndarray) else tuple(_select(a, keep) for a in group)
 
 
 def depth_and_flags(mesh: Mesh, cam, res, cull: bool = True):

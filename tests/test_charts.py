@@ -19,7 +19,8 @@ from atlaspack.charts import (
     _CHUNK,
     _chart_set,
     _chunks,
-    _clip_groups,
+    _clip_polygons,
+    _depth_planes,
     _row_spans,
     _screen_polygons,
     _vertex_records,
@@ -373,6 +374,33 @@ class TestBatchedSampler:
         assert np.array_equal(depth, ref_depth)
         assert np.array_equal(flags, ref_flags)
 
+    @pytest.mark.parametrize("flipped", [False, True])
+    def test_padded_flat_polygon_keeps_its_mean_depth(self, flipped):
+        # Flat polygons of 3 to 9 vertices, padded to 9 slots by repeating
+        # their last vertex id as the set-up pads the clipped polygons, and
+        # reversed as the set-up flips a clockwise one. z0 must be the mean
+        # that the unpadded (n, G) group of each count gave, bit for bit:
+        # the real vertices only, summed in their order. Depths of mixed
+        # magnitude make the sum depend on that order.
+        rng = np.random.default_rng(31)
+        counts = np.arange(3, 10).repeat(5)
+        z = rng.normal(size=(9, len(counts))) * 10.0 ** rng.integers(-8, 9, size=(9, len(counts)))
+        slots = np.minimum(np.arange(9)[:, None], counts - 1)
+        ids = slots + 9 * np.arange(len(counts))
+        padded = np.take_along_axis(z, slots, axis=0)
+        want = np.empty(len(counts))
+        for n in range(3, 10):
+            group = np.flatnonzero(counts == n)
+            unpadded = z[:n, group][::-1] if flipped else z[:n, group]
+            want[group] = [unpadded[:, g].mean() for g in range(len(group))]
+        if flipped:
+            padded, ids = padded[::-1].copy(), ids[::-1].copy()
+        x, y = np.zeros((2, 9, len(counts)))  # every vertex at one point: no fan has a plane
+        _, _, z0, _, _, flat = _depth_planes(x, y, padded, ids)
+        assert flat.all()
+        assert z0.tobytes() == want.tobytes()
+        assert z0.tobytes() != padded.mean(axis=0).tobytes()
+
     def test_sample_stream_matches_box_sampler(self, cam90, exact_cam):
         # The span sampler and the box sampler cut their chunks in different
         # places, but the ordered stream of samples is the same, bit for bit,
@@ -635,6 +663,17 @@ def count_chunks(monkeypatch):
     return calls
 
 
+def paired_probes_and_sweeps(setup, calls):
+    """The probe calls and the sweep calls of count_chunks over one mark_visible of a band
+    that holds every polygon: group by group, a probe of all its polygons, then one sweep
+    of the rows before and after their middle ones, of some of them."""
+    probe, rest = calls[0::2], calls[1::2]
+    assert len(calls) == 2 * len(setup)
+    for (t, *_), (probed, _), (swept, _) in zip(setup, probe, rest):
+        assert np.array_equal(probed, t) and np.isin(swept, t).all()
+    return probe, rest
+
+
 def record_samples(monkeypatch):
     """Collect the (t, iy, ix) rows of every sample _chunks forms with ids from here on."""
     formed = []
@@ -682,9 +721,8 @@ class TestVisibilityProbe:
         depth = depth_prepass(setup, res, rows)
         calls = count_chunks(monkeypatch)
         flags = mark_visible(setup, depth, rows, unflagged).flags
-        probe, rest = calls[: len(setup)], calls[len(setup) :]
+        probe, rest = paired_probes_and_sweeps(setup, calls)
         assert flags.all()
-        assert len(rest) == len(setup)  # the rows before and after the middle ones, at once
         assert sum(len(t) for t, _ in rest) == 0
         assert 0 < sum(n for _, n in probe) < res[0] * res[1] // 8
 
@@ -716,11 +754,10 @@ class TestVisibilityProbe:
         calls = count_chunks(monkeypatch)
         formed = record_samples(monkeypatch)
         flags = mark_visible(setup, depth, rows, unflagged).flags
-        rest = calls[len(setup) :]
+        _, rest = paired_probes_and_sweeps(setup, calls)
         assert flags.tolist() == [True] * 14 + [False]
         assert np.array_equal(flags, reference_depth_and_flags(mesh, cam90, res, True)[1])
         _, mid_pass, _ = probe_outcomes(mesh, cam90, res, True)
-        assert len(rest) == len(setup)  # the rows before and after the middle ones, at once
         swept = np.unique(np.concatenate([t for t, _ in rest]))
         assert swept.tolist() == [*range(12), 14]
         assert np.array_equal(swept, np.flatnonzero(~mid_pass))
@@ -772,16 +809,16 @@ class TestBudgets:
 class TestClipGroups:
     def assert_matches_per_triangle_clip(self, mesh, cam):
         # The triangles inside the frustum as they are, and the leaving ones
-        # as _clip_groups clips them, equal the per-triangle clip.
+        # as _clip_polygons clips them, equal the per-triangle clip.
         clip = clip_coords(triangle_corners(mesh), cam)
         inside, leaving = corner_split(clip)
         got = dict(zip(np.flatnonzero(inside).tolist(), clip[inside]))
-        for rows, polys in _clip_groups(clip[leaving]) if len(leaving) else []:
-            assert len(rows) == len(polys) and polys.shape[1] >= 3
-            assert np.all(np.diff(rows) > 0)
-            for t, poly in zip(leaving[rows].tolist(), polys):
-                assert t not in got
-                got[t] = poly
+        rows, counts, vertices = _clip_polygons(clip[leaving])
+        assert len(rows) == len(counts) and counts.sum() == len(vertices)
+        assert np.all(np.diff(rows) > 0) and np.all(counts >= 3)
+        for t, poly in zip(leaving[rows].tolist(), np.split(vertices, np.cumsum(counts)[:-1])):
+            assert t not in got
+            got[t] = poly
         kept = sorted(got)
         for t in range(mesh.n_triangles):
             want = clip_triangle_frustum(clip[t])

@@ -246,9 +246,11 @@ class TestLayoutFiles:
              "4: placement field outside the int64 range"),
             ("99999999999999999999 x 0 8 8 0 8 8", "4: placement fields must be integers"),
             ("0 0 0 8 8 0 8 8\nomega 64\n1 0 0 8 8 0 8", "6: expected 8 placement fields"),
+            ("0 0 0 8 8 0 8 8\n-1 2", "5: expected 8 placement fields"),
+            ("0 0 0 8 8 0 8 8\n+3 4", "5: expected 8 placement fields"),
         ],
         ids=["field_count", "non_integer", "past_int64", "past_int64_before_non_integer",
-             "after_header_line"],
+             "after_header_line", "negative_two_tokens", "plus_two_tokens"],
     )
     def test_first_bad_placement_names_its_line(self, tmp_path, rows, message):
         path = tmp_path / "bad.layout.txt"
@@ -401,9 +403,10 @@ class TestAtlasSceneCommand:
         # package module resolves them by, so a projection or a clip
         # anywhere in the run shows. The one projection takes the mesh's
         # vertices, not its triangles' corners, every clip step is called by
-        # the set-up's _clip_groups, and _clip_groups receives only the
-        # triangles that leave the frustum.
-        calls = {"clip_coords": 0, "_clip_groups": 0}
+        # the set-up's _clip_polygons, once for each plane that drops a
+        # vertex, and _clip_polygons receives only the triangles that leave
+        # the frustum.
+        calls = {"clip_coords": 0, "_clip_polygons": 0}
         received = []
         clippers = Counter()
 
@@ -423,27 +426,32 @@ class TestAtlasSceneCommand:
             batches.append(len(args[0]))
             return clip_halfspace(*args)
 
-        project, clip_groups = atlaspack.geometry.clip_coords, atlaspack.charts._clip_groups
+        project, clip_polygons = atlaspack.geometry.clip_coords, atlaspack.charts._clip_polygons
         clip_halfspace = atlaspack.geometry.clip_halfspace
         for module in (atlaspack.cli, atlaspack.charts, atlaspack.geometry):
             if hasattr(module, "clip_coords"):
                 monkeypatch.setattr(module, "clip_coords", counting("clip_coords", project))
             if hasattr(module, "clip_halfspace"):
                 monkeypatch.setattr(module, "clip_halfspace", halfspace)
-        monkeypatch.setattr(atlaspack.charts, "_clip_groups", counting("_clip_groups", clip_groups))
+        monkeypatch.setattr(
+            atlaspack.charts, "_clip_polygons", counting("_clip_polygons", clip_polygons)
+        )
         scene = write_scene(tmp_path, TWO_QUADS_OBJ)
         assert main(["atlas-scene", str(scene)]) == EXIT_OK
-        assert calls == {"clip_coords": 1, "_clip_groups": 0}  # every triangle lies inside
-        assert np.shape(received[0]) == (8, 3) and not clippers
+        assert calls == {"clip_coords": 1, "_clip_polygons": 1}
+        # Every triangle lies inside: the batch is empty and no plane clips it.
+        assert np.shape(received[0]) == (8, 3) and np.shape(received[1]) == (0, 3, 4)
+        assert not clippers
         # A quad across the side planes, the near plane and the camera plane,
         # and a triangle inside the frustum.
         inside = "v -0.5 -0.5 -3\nv 0.5 -0.5 -3\nv 0 0.5 -3\nf 5 6 7\n"
         scene = write_scene(tmp_path, ACROSS_OBJ + inside, backface_cull="0")
         assert main(["atlas-scene", str(scene)]) == EXIT_OK
-        assert calls == {"clip_coords": 2, "_clip_groups": 1}
-        vclip = project(received[1], parse_scene_config(scene).camera())
-        assert received[2].tobytes() == vclip[[[0, 1, 2], [0, 2, 3]]].tobytes()
-        assert list(clippers) == ["atlaspack.charts._clip_groups"] and clippers.total() >= 4
+        assert calls == {"clip_coords": 2, "_clip_polygons": 2}
+        vclip = project(received[2], parse_scene_config(scene).camera())
+        assert received[3].tobytes() == vclip[[[0, 1, 2], [0, 2, 3]]].tobytes()
+        # One step each for the camera, left, right and top planes.
+        assert clippers == {"atlaspack.charts._clip_polygons": 4}
         assert min(batches) >= 1  # no clip step is called on an empty batch
 
     def test_superblock_texels_ignore_padding(self, tmp_path):
@@ -1188,7 +1196,7 @@ class TestWholeFileParsing:
         write_box_file(generate_boxes(3000, 2048, rng), path)
         tokens, linenos, counts = box_line_split(path.read_text())
         got = records(path.read_bytes())
-        assert [t.decode() for t in got[0]] == tokens
+        assert got[0] == tokens
         assert (got[1].tolist(), got[2].tolist()) == (linenos, counts)
         expected = np.array([int(t) for t in tokens], dtype=np.int64).reshape(-1, 4)
         table = parse_box_file(path)

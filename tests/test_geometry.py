@@ -42,8 +42,7 @@ def ndc(h):
 def clip_near(tri):
     """Clip a homogeneous triangle against the near half-space w > W_EPSILON."""
     d = tri[:, 3] - W_EPSILON
-    groups = clip_halfspace(tri[None], d[None], (d > 0)[None])
-    return groups[0][1][0] if groups else np.empty((0, 4))
+    return clip_halfspace(tri, np.array([3]), d, d > 0)[0]
 
 
 def blinn(p):
@@ -190,24 +189,20 @@ class TestClipHalfspace:
                 seen["all_out"] += int(np.sum(~np.any(keep, axis=1)))
                 seen["w_zero"] += int(np.sum(np.any(poly[:, :, 3] == 0, axis=1)))
                 seen["w_negative"] += int(np.sum(np.any(poly[:, :, 3] < 0, axis=1)))
-                got = {}
-                counts = []
-                for rows, polys in clip_halfspace(poly, d, keep):
-                    assert len(rows) == len(polys) > 0
-                    counts.append(polys.shape[1])
-                    for r, p in zip(rows.tolist(), polys):
-                        assert r not in got
-                        got[r] = p
-                assert counts == sorted(set(counts)) and 0 not in counts
+                out, counts = clip_halfspace(
+                    poly.reshape(-1, 4), np.full(len(poly), m), d.ravel(), keep.ravel()
+                )
+                assert len(counts) == len(poly) and counts.sum() == len(out)
+                got = np.split(out, np.cumsum(counts)[:-1])
                 for r in range(len(poly)):
                     want = clip_halfspace_step(poly[r], d[r], keep[r])
-                    if len(want):
-                        assert got.pop(r).tobytes() == want.tobytes(), (plane, strict, r)
-                assert not got
+                    assert got[r].tobytes() == want.tobytes(), (plane, strict, r)
         assert min(seen.values()) > 20, seen
 
     def test_empty_batch(self):
-        assert clip_halfspace(np.zeros((0, 3, 4)), np.zeros((0, 3)), np.zeros((0, 3), bool)) == []
+        none = np.zeros(0, int)
+        out, counts = clip_halfspace(np.zeros((0, 4)), none, np.zeros(0), none.astype(bool))
+        assert out.shape == (0, 4) and counts.shape == (0,)
 
 
 class TestSelectSidePlane:

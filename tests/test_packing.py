@@ -96,7 +96,7 @@ class TestFold:
         assert list(f.row_of_box) == [0, 0, 1, 1]
         assert list(f.x_of_box) == [0, 4, 4, 0]
         assert f.overflow_m == 0
-        assert list(f.row_direction_left) == [True, False]
+        assert f.x_of_box.tolist() == [0, 4, 4, 0]  # row 1 starts at the right
 
     def test_overflow_is_recorded(self):
         # the second box would cross the edge, so it starts a mirrored row
@@ -112,8 +112,10 @@ class TestFold:
         assert f.overflow_m == 0
 
     def test_direction_pattern_left_right_right(self):
-        f = fold([8] * 7, 8)
-        assert list(f.row_direction_left) == [True, False, False, True, False, False, True]
+        # Boxes narrower than omega, one a row: a row starting right puts its box at 8 - 5.
+        f = fold([5] * 7, 8)
+        assert f.row_of_box.tolist() == list(range(7))
+        assert f.x_of_box.tolist() == [0, 3, 3, 0, 3, 3, 0]
 
     def test_matches_sequential_line_reference(self, rng):
         for _ in range(300):
@@ -165,7 +167,6 @@ class TestPushUp:
         f = FoldResult(
             row_of_box=np.array([0, 0]),
             x_of_box=np.array([0, 5]),
-            row_direction_left=np.array([True]),
             overflow_m=2,
         )
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Property tests of the packer, the projection, the chart box, and the box, layout and OBJ files.
+"""Property tests of the packer, the projection, the clip, the chart box, and the box, layout and
+OBJ files.
 
 Examples are derived from the test source (``derandomize``) and no example
 database is kept, so every run checks the same bounded set of inputs.
@@ -34,13 +35,14 @@ from atlaspack.cli import (
     write_box_file,
     write_layout_file,
 )
-from atlaspack.geometry import clip_coords
+from atlaspack.geometry import clip_coords, clip_halfspace
 from atlaspack.packing import MAX_BOX_DIM
 
 from oracles import (
     box_contains,
     box_line_split,
     chart_frustum_box,
+    clip_halfspace_step,
     exhaustive_optimal,
     layout_valid,
     obj_line_loop,
@@ -210,6 +212,40 @@ def test_chart_bbox_contains_frustum_clip_box(triangles):
         assert box_contains(box, oracle, tol=1e-9)
 
 
+# Signed distances of a polygon's vertices: mixed, all kept or all dropped, any of them 0.
+DISTANCES = {
+    "mixed": st.floats(-2.0, 2.0),
+    "kept": st.floats(0.25, 2.0),
+    "dropped": st.floats(-2.0, -0.25),
+}
+
+
+@st.composite
+def ragged_polygons(draw):
+    """Polygons of 0 to 9 vertices, each as ((n, 4) vertices, (n,) signed distances)."""
+    polygons = []
+    for _ in range(draw(st.integers(0, 8))):
+        n = draw(st.integers(0, 9))
+        side = DISTANCES[draw(st.sampled_from(sorted(DISTANCES)))]
+        d = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), side), min_size=n, max_size=n))
+        v = draw(st.lists(coords, min_size=4 * n, max_size=4 * n))
+        polygons.append((np.array(v).reshape(n, 4), np.array(d, dtype=np.float64)))
+    return polygons
+
+
+@settings(PROPERTY, max_examples=200)
+@given(ragged_polygons(), st.booleans())
+def test_ragged_clip_matches_one_polygon_step(polygons, strict):
+    counts = np.array([len(d) for _, d in polygons], dtype=np.int64)
+    vertices = np.concatenate([np.empty((0, 4)), *(v for v, _ in polygons)])
+    d = np.concatenate([np.empty(0), *(d for _, d in polygons)])
+    out, got = clip_halfspace(vertices, counts, d, d > 0 if strict else d >= 0)
+    assert got.shape == counts.shape and got.sum() == len(out)
+    for (v, dv), poly in zip(polygons, np.split(out, np.cumsum(got)[:-1])):
+        want = clip_halfspace_step(v, dv, dv > 0 if strict else dv >= 0)
+        assert poly.tobytes() == want.tobytes()
+
+
 # --- the whole-file reader against the line loops ----------------------------
 
 # Each replaces one token: a non-finite or non-Python number, an int64
@@ -370,10 +406,7 @@ def test_box_file_whole_file_matches_line_split(mutation, records, data):
     raw = file_bytes(data.draw, records, mutation)
     text = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode("utf-8", errors="replace")
     tokens, linenos, counts = charts.records(raw)
-    # Tokens are bytes when the file is ASCII once its comments are cut.
-    cut = "\n".join(line.partition("#")[0] for line in text.split("\n"))
-    assert all(isinstance(t, bytes if cut.isascii() else str) for t in tokens)
-    tokens = [t if isinstance(t, str) else t.decode() for t in tokens]
+    assert all(isinstance(t, str) for t in tokens)
     assert (tokens, linenos.tolist(), counts.tolist()) == box_line_split(text)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "boxes.txt"

@@ -59,29 +59,31 @@ PINNED = {
     "cubes-view15.cfg": "e67bf35966f552ec4e05f75903e57ec69720f2ef86803e3f7d709beb95b01133",
 }
 
-# sha256 of each view's raster sample stream (sample_stream_digest), pinned before the
-# raster's working set was bounded: chunks may be cut anywhere, the stream may not move.
+# sha256 of each view's raster sample stream (sample_stream_digest): chunks may be cut
+# anywhere, the stream may not move. Re-pinned once when the clipped polygons became one
+# set-up group, so clipped triangles no longer stream ahead of clipped quads; the samples
+# sorted by (t, pixel, z) did not change on any view.
 PINNED_STREAMS = {
-    "grid-view0.cfg": "49943388206fa6f63f737aa9d6b1b56690d0b9a40da51fcd362f710d5cf49b23",
-    "grid-view1.cfg": "77481f56224ecd7138b326c662bfff3f254430dbb76a978c1c75810db3f9383e",
-    "grid-view2.cfg": "a039b3a43444167067df87c81a5fa66906864ed6fe20e9e42d01e6f3940d1591",
-    "grid-view3.cfg": "892ae63622a5705b6fa6d02822e479937fec2b1250060164938ae567d4a4712b",
-    "cubes-view0.cfg": "8ba43587d186df354e5e2fcf611c5ff0116d9da29ad8af4eb6eed5f5ab240c80",
-    "cubes-view1.cfg": "f35142b6bc4722e969a68b50591d073cd3b7135f0197c03e8e0f8a8bada912de",
-    "cubes-view2.cfg": "c2aa1cf8aafb2cad28428dc4376b4cf273b2aa14d9741ae839cacb97e9a24b48",
-    "cubes-view3.cfg": "d9401e5c46abc369937e12104061dd7b103adafce590dbdab7172b5a740791b6",
-    "cubes-view4.cfg": "621d76273289488b86fe37bd71970b4b72cd0e3ceedd5ce6a3c75536ab020499",
-    "cubes-view5.cfg": "0f8e9b7098068c4ff635820790760b9a4d4327a8b94e07b1830d6a2d6f73bb46",
-    "cubes-view6.cfg": "a95e3053e20a5c36019c75fa38626000a70cd86f8a4f7dce5702efeddc3fe2b9",
-    "cubes-view7.cfg": "0c207247502c1162fc84cbb10d7757f1dbd0ef4ccec04b2cd203b76e8fc1dbc1",
-    "cubes-view8.cfg": "e477a7a31fd66960f7b1ecb0d90383521fe065d370e2d2bc236fd51679164d5c",
-    "cubes-view9.cfg": "d2ce1ce4f7978090ac32a89eea9707be8880cbea6952b6d4ff2155ff034123c9",
-    "cubes-view10.cfg": "d3f74b356753ab6e5f921f83996caed16a206c42e5724a7d521f4da57745b16c",
-    "cubes-view11.cfg": "2d2300339337262be446b81a8980364986c96930b4b3eaff26f5099717bae6b5",
-    "cubes-view12.cfg": "663cdbaeaff4dada77e0b1a8adc34f0c52b9e4a42a7a415a2b8d7c5472b8149c",
-    "cubes-view13.cfg": "0728c10aab49727545b3939b6a93c8dec074400bf1540055a44b091e3e321465",
-    "cubes-view14.cfg": "7228ed418cc887da7e877ab24a7b650f47480020e613cbf07a278e77ba193ab2",
-    "cubes-view15.cfg": "da721c83fc4f3bc3fccb0b7bec4a6307a34f8ef9c52b7837b9107d9c93280c18",
+    "grid-view2.cfg": "0bbd2ca0570c321c2a3d141a0f17e72555e870e42e25629676360db0b4a0192e",
+    "grid-view0.cfg": "becedf7d4bf71d87a97b728aff1cc516f8d8690bd1b3a0e62cd5e5d8b89f27bd",
+    "grid-view3.cfg": "8ad86d84d00669b9260933a29dfac3cae31ddce82e0d68a3f25cff2f6be7f01c",
+    "grid-view1.cfg": "09707534d7095ae8baeb148126d5882b256badefb6e7f7270266b603df86fae3",
+    "cubes-view11.cfg": "d24d0b65690cd138118491c5734f4216d5d27d2d3cbb0797d2a2664afb295930",
+    "cubes-view12.cfg": "1429834288f1b003df71f8028302dcb37fa3dba8be64884086f52a023f606a1f",
+    "cubes-view7.cfg": "71f5d1b8f94331c882aa574a6bf6d76e15a1e777d48a8d9b472e54bc868ce33c",
+    "cubes-view10.cfg": "69414b3b655a78de06aa00dedc67183c1b871b185e291907b117cbea01aeed82",
+    "cubes-view9.cfg": "629b657b6f9b38619d25612d6514ad972197aa31794e8b05c310bb0017536ac6",
+    "cubes-view13.cfg": "d8a20a9ac9e02c9c6c27a418d2a0ee2f449c4f3dc2621d3bcb5c824ec11c5881",
+    "cubes-view5.cfg": "0eadae590cadb13ef81b901d45b873e5f301843fa50dd9b8e4c644d11cfb08d5",
+    "cubes-view2.cfg": "52c17f5a8994d70f9e3d0e8402affdb95a71a3cae754f72161b556a72f521a04",
+    "cubes-view4.cfg": "9ce70a8d13b1203b8b427aaa911f092cb40fa8de11c5a8d73b79dae5715b536b",
+    "cubes-view6.cfg": "8087c6e418dd4b9d1b59de21e65e18523ff52980fdd099f75f7d2d095eebdbf5",
+    "cubes-view8.cfg": "1d2c6b3f559e80801a89ffbe78ac7f8c375abbdf67772574f48987522b020058",
+    "cubes-view0.cfg": "85ea9637145278a551136e519d977567fe1bc97775b6e5b150d98698eab92824",
+    "cubes-view15.cfg": "2a7c95e1220b3a0a7d384363cb1762a3b8a2e3ec8866812145ad0741d215442c",
+    "cubes-view14.cfg": "e2011b0b3c0b9038d601350ae32115884c3509f249ac944ae194588307a1ff1e",
+    "cubes-view3.cfg": "d16a7b423bfd33274911f6907f8594c2efaee7f60c77b4e3dbedfca2328c0364",
+    "cubes-view1.cfg": "060b82503b5f0d3242d49db17c720f5313acefc61102da0e18e914d8b0443227",
 }
 
 # sha256 of each output file of the benchmark's CLI calls, by file name.
