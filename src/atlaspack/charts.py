@@ -47,16 +47,17 @@ of each triangle (see mark_visible). FastAtlas parameterizes each chart by
 its screen projection, so a chart's box is the extent of what is
 rasterized: ``chart_bbox`` reduces the polygons' NDC extents by chart.
 
-The set-up and both passes work in pieces of fixed size, runs of
-_POLYGONS polygons, batches of _ROWS box rows and chunks of _CHUNK samples,
-and keep few arrays of a piece's size at once, most of them updated in
-place. Both passes run once per band of screen rows (screen_bands), on the
-polygons whose box meets the band, and the depth pass returns that band's
+The set-up and both passes work in pieces of fixed size, runs of _POLYGONS
+polygons, batches of _ROWS box rows and chunks of _CHUNK samples, and keep
+few arrays of a piece's size at once, most of them updated in place. Both
+passes read one band of screen rows at a time: screen_bands checks the
+set-up against the screen once a frame and hands each band the polygons
+whose box meets it, cut to its rows, and the depth pass returns the band's
 rows alone, at most _BAND pixels. So the raster's memory, the band's depth
 included, stays within a fixed budget whatever the mesh and screen size,
 about 0.75 MB of scratch on the benchmark views besides at most 2 MiB of
-depth. The budgets decide how work is cut, never what the sample stream,
-the depth of a pixel or the flags hold.
+depth. The budgets decide how work is cut, never what the sample stream, the
+depth of a pixel or the flags hold.
 """
 
 from __future__ import annotations
@@ -518,24 +519,22 @@ def _screen_polygons(t, corners, records, width: int, height: int, cull: bool):
     return t, box, tuple(edges), planes, ndc
 
 
-def _chunks(group, width: int, ids: bool = True, rows=None, top: int = 0):
+def _chunks(group, width: int, rows, top: int, ids: bool = True):
     """Covered samples of a screen_setup group, in chunks of whole rows.
 
-    Rows of the polygons' boxes are taken _ROWS at a time, in polygon order,
-    narrowed to the span of samples the polygon covers (_row_spans), and cut
-    into chunks of at most _CHUNK samples, or one row where a row alone holds
-    more. ``rows``, as (polygons, first rows, last rows), takes those
-    polygons in that order, and only those rows of each, in place of every
-    polygon's box rows, with no copy of the group. Polygons meeting along an
-    edge never both claim the shared samples. Samples come out by polygon,
-    row and column, as (t, pixel, z): triangle id, flat pixel index (row -
-    ``top``) * ``width`` + column and depth, or as (pixel, z) without
+    ``rows``, as (polygons, first rows, last rows), takes those polygons in
+    that order, and only those rows of each, with no copy of the group. The
+    rows are taken _ROWS at a time, narrowed to the span of samples the
+    polygon covers (_row_spans), and cut into chunks of at most _CHUNK
+    samples, or one row where a row alone holds more. Polygons meeting along
+    an edge never both claim the shared samples. Samples come out by
+    polygon, row and column, as (t, pixel, z): triangle id, flat pixel index
+    (row - ``top``) * ``width`` + column and depth, or as (pixel, z) without
     ``ids``, in new arrays. Each depth takes the operations, in order, of a
     one-polygon-at-a-time rasterizer, on the plane anchored at the polygon's
     float vertex 0.
     """
-    _, (_, _, y0, y1), *_ = group
-    polys, first, last = (np.arange(len(y0)), y0, y1) if rows is None else rows
+    polys, first, last = rows
     # Polygon i has the rows [bounds[i], bounds[i + 1]).
     bounds = np.r_[0, (last - first + 1).cumsum()]
     for start in range(0, bounds[-1], _ROWS):
@@ -667,60 +666,77 @@ def _depth_planes(x: np.ndarray, y: np.ndarray, z: np.ndarray, ids: np.ndarray):
     return ax, ay, z0, gx, gy, flat
 
 
-def screen_bands(res: tuple[int, int]) -> list[range]:
-    """The screen rows of each band of a (width, height) screen, in order: _BAND // width
-    rows a band, or one row where a row alone holds more than _BAND pixels."""
-    width, height = int(res[0]), int(res[1])
-    step = max(1, _BAND // width)
-    return [range(top, min(top + step, height)) for top in range(0, height, step)]
-
-
-def depth_prepass(setup: list[tuple], res: tuple[int, int], rows: range) -> np.ndarray:
-    """Minimum NDC depth per pixel of the screen rows ``rows`` of a screen_setup.
-
-    ``res`` is the set-up's (width, height), and ``rows`` a range of
-    consecutive screen rows, row 0 along the NDC y = -1 edge. The buffer has
-    shape (len(rows), width), and uncovered pixels hold +inf. Samples are
-    scattered in stream order, which decides between +0 and -0 on a pixel,
-    into a flat view of the buffer, for which np.minimum.at has a fast path.
-    So a band's buffer equals those rows of the whole frame's. Raises
-    ValueError when a pixel box of the set-up lies outside the screen.
+def screen_bands(setup: list[tuple], res: tuple[int, int]):
+    """The bands of a screen_setup's (width, height) screen, in order, as (rows, width,
+    spans): _BAND // width screen rows, or one where a row alone holds more than _BAND
+    pixels, row 0 along the NDC y = -1 edge; the width; and (group, (polygons, first rows,
+    last rows)) of each group whose boxes meet the band, in polygon order, cut to the band's
+    rows, from one scan of the boxes a band. Raises ValueError before the first band when a
+    pixel box lies outside the screen: through a flat index, it would reach the next row.
     """
     width, height = int(res[0]), int(res[1])
-    _check_screen(setup, (height, width))
+    need = (0, 0)
+    for _, (_, x1, _, y1), *_ in setup:
+        if len(x1):
+            need = max(need[0], int(y1.max()) + 1), max(need[1], int(x1.max()) + 1)
+    if need[0] > height or need[1] > width:
+        raise ValueError(
+            f"screen of shape {(height, width)} is smaller than the set-up's pixel boxes, "
+            f"which need shape {need}"
+        )
+    step = max(1, _BAND // width)
+    for top in range(0, height, step):
+        rows, spans = range(top, min(top + step, height)), []
+        for group in setup:
+            _, (_, _, y0, y1), *_ = group
+            first, last = np.maximum(y0, top), np.minimum(y1, rows.stop - 1)
+            polys = np.flatnonzero(first <= last)  # a box holds a row, y0 <= y1
+            if len(polys):
+                spans.append((group, (polys, first[polys], last[polys])))
+        yield rows, width, spans
+
+
+def depth_prepass(band: tuple) -> np.ndarray:
+    """Minimum NDC depth per pixel of a band of screen_bands.
+
+    The buffer has shape (len(rows), width), and uncovered pixels hold +inf.
+    Samples are scattered in stream order, which decides between +0 and -0
+    on a pixel, into a flat view of the buffer, for which np.minimum.at has
+    a fast path. So a band's buffer equals those rows of the whole frame's.
+    """
+    rows, width, spans = band
     depth = np.full((len(rows), width), np.inf)
     pixels = depth.reshape(-1)
-    for group, spans in _in_band(setup, rows):
-        for pixel, z in _chunks(group, width, ids=False, rows=spans, top=rows.start):
+    for group, span in spans:
+        for pixel, z in _chunks(group, width, span, rows.start, ids=False):
             np.minimum.at(pixels, pixel, z)
             del pixel, z  # freed before the next chunk is formed
     return depth
 
 
-def mark_visible(
-    setup: list[tuple], depth: np.ndarray, rows: range, visible: np.ndarray
-) -> VisibilityBuffer:
-    """Flag the triangles of a screen_setup with a depth-passing sample on the screen rows
-    ``rows``, whose depth_prepass buffer is ``depth``, and not flagged in ``visible``.
+def mark_visible(band: tuple, depth: np.ndarray, visible: np.ndarray) -> VisibilityBuffer:
+    """Flag the triangles of a band of screen_bands with a depth-passing sample there,
+    whose depth_prepass buffer is ``depth``, and not flagged in ``visible``.
 
     A flag is an OR over a triangle's samples, so one passing sample
-    settles it, and a triangle ``visible`` already flags is not formed
-    again. Group by group, a probe first forms the samples of each polygon's
-    middle row in the band, which are the very samples the whole stream
-    holds on that row, and flags the triangles with a passing one. A second
-    sweep then forms the samples of the other rows of only the polygons the
-    probe left unflagged. The flags returned are the newly flagged
-    triangles, so the bands' flags are disjoint and their OR equals one
-    sweep over every sample of the frame. Raises ValueError when ``depth`` does not hold the
-    band's rows of every pixel box of the set-up.
+    settles it, and a triangle ``visible`` already flags is dropped from
+    the band's spans. Group by group, a probe first forms the samples of
+    each polygon's middle row in the band, which are the very samples the
+    whole stream holds on that row, and flags the triangles with a passing
+    one. A second sweep then forms the samples of the other rows of only
+    the polygons the probe left unflagged. The flags returned are the
+    newly flagged triangles, so the bands' flags are disjoint and their OR
+    equals one sweep over every sample of the frame. Raises ValueError
+    unless ``depth`` has the band's shape.
     """
-    width = depth.shape[1]
-    _check_screen(setup, depth.shape, rows)
+    rows, width, spans = band
+    if depth.shape != (len(rows), width):
+        raise ValueError(f"depth of shape {depth.shape} is not the band's {len(rows), width}")
     flags = np.zeros(len(visible), dtype=bool)
     pixels = depth.reshape(-1)
 
-    def sweep(group, spans):
-        for t, pixel, z in _chunks(group, width, rows=spans, top=rows.start):
+    def sweep(group, span):
+        for t, pixel, z in _chunks(group, width, span, rows.start):
             stored = pixels[pixel]
             del pixel
             slack = np.abs(stored)
@@ -732,7 +748,11 @@ def mark_visible(
             del t, z, slack  # freed before the next chunk is formed
 
     # A triangle lies in one group, so a group's sweep cannot flag another's triangles.
-    for group, (polys, first, last) in _in_band(setup, rows, visible):
+    for group, (polys, first, last) in spans:
+        left = np.flatnonzero(~visible[group[0][polys]])
+        if not len(left):
+            continue
+        polys, first, last = polys[left], first[left], last[left]
         mid = (first + last) // 2
         sweep(group, (polys, mid, mid))
         left = np.flatnonzero(~flags[group[0][polys]])
@@ -740,39 +760,6 @@ def mark_visible(
         # The rows before the middle ones, then those after them.
         sweep(group, (np.r_[polys, polys], np.r_[first, mid + 1], np.r_[mid - 1, last]))
     return VisibilityBuffer(flags=flags)
-
-
-def _in_band(setup: list[tuple], rows: range, flagged: np.ndarray | None = None):
-    """(group, (polygons, first rows, last rows)) of each group of a set-up with polygons
-    whose box meets the screen rows ``rows``, in order, each narrowed to its rows there;
-    a triangle that ``flagged`` flags is left out."""
-    for group in setup:
-        t, (_, _, y0, y1), *_ = group
-        first, last = np.maximum(y0, rows.start), np.minimum(y1, rows.stop - 1)
-        meets = first <= last  # a box holds a row, y0 <= y1
-        if flagged is not None:
-            meets &= ~flagged[t]
-        polys = np.flatnonzero(meets)
-        if len(polys):
-            yield group, (polys, first[polys], last[polys])
-
-
-def _check_screen(setup: list[tuple], shape, rows: range | None = None) -> None:
-    """Raise ValueError unless a (height, width) buffer of ``shape`` holds every pixel box
-    of the set-up, or its screen rows ``rows`` when given: through a flat index, a box
-    past its width would reach the next row."""
-    need = (0, 0)
-    for _, (_, x1, _, y1), *_ in setup:
-        if len(x1):
-            reach = int(y1.max()) + 1
-            if rows is not None:
-                reach = min(reach, rows.stop) - rows.start
-            need = max(need[0], reach), max(need[1], int(x1.max()) + 1)
-    if need[0] > shape[0] or need[1] > shape[1]:
-        raise ValueError(
-            f"depth buffer of shape {tuple(shape)} is smaller than the set-up's pixel boxes, "
-            f"which need shape {need}"
-        )
 
 
 # --- chartification --------------------------------------------------------

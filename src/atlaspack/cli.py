@@ -88,8 +88,8 @@ EXIT_NOTHING_VISIBLE = 3
 
 PACKER_NAMES = ("fastatlas", "sequential", "superblock")
 
-# Largest screen side and pixel count, which still admits 7680x4320. The
-# raster holds one band of depth at a time (charts.screen_bands), so its
+# Largest screen side and pixel count, which still admits 7680x4320. Both
+# raster passes read one band at a time (charts.screen_bands), so their
 # memory does not grow with the screen; the limit bounds time instead, as
 # every pixel is filled, tested and counted once a frame.
 MAX_SCREEN = 1 << 14
@@ -527,20 +527,20 @@ class SceneResult(Frame):
 def frame_charts(cfg: SceneConfig) -> Frame:
     """One projection, depth prepass, visibility, chartification, chart boxes and areas.
 
-    One set-up of the vertices, projected once, gives the raster passes and chart boxes
-    its polygons, and the chart areas its vertices' front flags and pixel positions.
-    Both passes run band by band (charts.screen_bands): each band's depth is counted
-    and freed before the next band's is made, and its visibility pass flags only the
-    triangles no earlier band flagged. Raises NothingVisible when no triangle passes the
-    depth test, and HeightOverflow when a chart box is taller than any packer takes.
+    One set-up of the vertices, projected once, gives the raster passes and chart boxes its
+    polygons, and the chart areas its vertices' front flags and pixel positions. Both passes
+    read the bands of charts.screen_bands, which checks the set-up once a frame: each band's
+    depth is counted and freed before the next band's is made, and its visibility pass flags
+    only the triangles no earlier band flagged. Raises NothingVisible when no triangle passes
+    the depth test, and HeightOverflow when a chart box is taller than any packer takes.
     """
     mesh = load_obj(cfg.mesh_path)
     vclip = clip_coords(mesh.positions, cfg.camera())
     setup, front, pixels = screen_setup(vclip, mesh.triangles, cfg.screen, cfg.backface_cull)
     flags, screen_fragments = np.zeros(mesh.n_triangles, dtype=bool), 0
-    for rows in screen_bands(cfg.screen):
-        depth = depth_prepass(setup, cfg.screen, rows)
-        flags |= mark_visible(setup, depth, rows, flags).flags
+    for band in screen_bands(setup, cfg.screen):
+        depth = depth_prepass(band)
+        flags |= mark_visible(band, depth, flags).flags
         screen_fragments += int(np.isfinite(depth).sum())
         del depth  # freed before the next band's is filled
     n_visible = int(flags.sum())

@@ -244,7 +244,7 @@ def push_up(fold_result: FoldResult, dims, omega: int) -> tuple[np.ndarray, int]
     if len(x) != n:
         raise ValueError("dims do not match the fold result")
     y = np.zeros(n, dtype=np.int64)
-    # Sentinel column keeps reduceat boundaries strictly inside the array.
+    # A sentinel column for reduceat: an end can equal omega. A row's boxes may come in any order.
     front = np.zeros(omega + 1, dtype=np.int64)
     starts = x
     ends = x + widths
@@ -254,10 +254,6 @@ def push_up(fold_result: FoldResult, dims, omega: int) -> tuple[np.ndarray, int]
     for seg in segments:
         s = starts[seg]
         e = ends[seg]
-        if s.size > 1 and s[0] > s[-1]:  # right-starting rows come mirrored
-            seg = seg[::-1]
-            s = s[::-1]
-            e = e[::-1]
         bounds = np.empty(2 * s.size, dtype=np.int64)
         bounds[0::2] = s
         bounds[1::2] = e

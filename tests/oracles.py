@@ -312,17 +312,24 @@ def banded_raster(setup: list[tuple], res, n_triangles: int):
     """The depth buffer and flags of both passes over the bands of ``charts.screen_bands``,
     as ``cli.frame_charts`` runs them: the bands' depth joined and their flags OR-ed."""
     depths, flags = [], np.zeros(n_triangles, dtype=bool)
-    for rows in screen_bands(res):
-        depth = depth_prepass(setup, res, rows)
-        flags |= mark_visible(setup, depth, rows, flags).flags
+    for band in screen_bands(setup, res):
+        depth = depth_prepass(band)
+        flags |= mark_visible(band, depth, flags).flags
         depths.append(depth)
     return np.concatenate(depths), flags
+
+
+def whole_rows(group):
+    """The (polygons, first rows, last rows) of every box row of a screen_setup group, in
+    polygon order, as ``charts._chunks`` takes them."""
+    _, (_, _, y0, y1), *_ = group
+    return np.arange(len(y0)), y0, y1
 
 
 def mesh_samples(mesh: Mesh, cam, res, cull: bool = True):
     """The chunks of (t, pixel, z) samples of a mesh's set-up, in order."""
     for group in mesh_setup(mesh, cam, res, cull):
-        yield from _chunks(group, int(res[0]))
+        yield from _chunks(group, int(res[0]), whole_rows(group), 0)
 
 
 def sample_rows(chunks, width: int):

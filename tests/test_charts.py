@@ -28,6 +28,7 @@ from atlaspack.charts import (
     chart_bbox,
     depth_prepass,
     mark_visible,
+    screen_bands,
     screen_setup,
 )
 from atlaspack.cli import MAX_SCREEN
@@ -55,6 +56,7 @@ from oracles import (
     snap_vertices,
     triangle_corners,
     vertex_merge_labels,
+    whole_rows,
 )
 
 
@@ -91,8 +93,9 @@ def soup_cases(seed, count=150):
 
 
 def too_small_for_16x16(shape) -> str:
-    """The error of a (height, width) depth buffer too small for a 16 x 16 set-up, as a pattern."""
-    return re.escape(f"depth buffer of shape {tuple(shape)}") + ".*" + re.escape("(16, 16)")
+    """The error of a (height, width) screen or depth buffer that does not fit a 16 x 16
+    set-up, as a pattern."""
+    return re.escape(f"of shape {tuple(shape)}") + ".*" + re.escape("(16, 16)")
 
 
 def screen_quad(z=-1.0, half=2.0):
@@ -198,7 +201,7 @@ class TestDepthPrepass:
         # index past its end.
         setup = mesh_setup(screen_quad(z=-1.0), cam90, (16, 16))
         with pytest.raises(ValueError, match=too_small_for_16x16((res[1], res[0]))):
-            depth_prepass(setup, res, range(res[1]))
+            depth_prepass(next(screen_bands(setup, res)))
 
 
 class TestMarkVisible:
@@ -278,8 +281,20 @@ class TestMarkVisible:
         # Read through a flat index, a narrower buffer would alias the
         # next row's pixels instead of failing.
         setup = mesh_setup(screen_quad(z=-1.0), cam90, (16, 16))
+        band = next(screen_bands(setup, (16, 16)))
         with pytest.raises(ValueError, match=too_small_for_16x16(shape)):
-            mark_visible(setup, np.zeros(shape), range(16), np.zeros(2, dtype=bool))
+            mark_visible(band, np.zeros(shape), np.zeros(2, dtype=bool))
+
+    @pytest.mark.parametrize(
+        "shape", [(16, 17), (17, 16), (32, 32)], ids=["wide", "tall", "large"]
+    )
+    def test_depth_buffer_larger_than_its_band_raises(self, cam90, shape):
+        # Read through a flat index, a wider buffer would shift every row
+        # after the first, and a taller one holds rows the band does not.
+        setup = mesh_setup(screen_quad(z=-1.0), cam90, (16, 16))
+        band = next(screen_bands(setup, (16, 16)))
+        with pytest.raises(ValueError, match=too_small_for_16x16(shape)):
+            mark_visible(band, np.zeros(shape), np.zeros(2, dtype=bool))
 
 
 def at_pixel(px, py, depth, res):
@@ -416,9 +431,9 @@ class TestBatchedSampler:
             for cull in (True, False):
                 got, want, bare = [], [], []
                 for group in mesh_setup(mesh, cams[case % 2], res, cull):
-                    got += _chunks(group, res[0])
+                    got += _chunks(group, res[0], whole_rows(group), 0)
                     want += box_samples(group)
-                    bare += _chunks(group, res[0], ids=False)
+                    bare += _chunks(group, res[0], whole_rows(group), 0, ids=False)
                 assert sample_stream(bare, 2) == sample_stream(got, 3)[1:], (case, res, cull)
                 got, want = sample_stream(sample_rows(got, res[0])), sample_stream(want)
                 assert got == want, (case, res, cull)
@@ -484,7 +499,7 @@ class TestBatchedSampler:
             poly = np.column_stack([ndc, np.full(3, 0.5), np.ones(3)])[None]
             records = _vertex_records(poly[0], *res)
             group = _screen_polygons(np.arange(1), np.arange(3)[:, None], records, *res, cull)
-            pixels = [pixel for pixel, _ in _chunks(group, res[0], ids=False)]
+            pixels = [p for p, _ in _chunks(group, res[0], whole_rows(group), 0, ids=False)]
             pixels = np.concatenate(pixels) if pixels else np.zeros(0, dtype=np.int64)
             q = snap_vertices(_polygon_to_screen(poly[0], *res))
             iy, ix = exact_cover(q, range(res[1]), res[0], cull)
@@ -653,9 +668,9 @@ def count_chunks(monkeypatch):
     calls = []
     chunks = charts._chunks
 
-    def counting(group, width, ids=True, rows=None, top=0):
-        calls.append([group[0] if rows is None else group[0][rows[0]], 0])
-        for c in chunks(group, width, ids, rows, top):
+    def counting(group, width, rows, top, ids=True):
+        calls.append([group[0][rows[0]], 0])
+        for c in chunks(group, width, rows, top, ids):
             calls[-1][1] += len(c[-1])
             yield c
 
@@ -679,8 +694,8 @@ def record_samples(monkeypatch):
     formed = []
     chunks = charts._chunks
 
-    def recording(group, width, ids=True, rows=None, top=0):
-        for c in chunks(group, width, ids, rows, top):
+    def recording(group, width, rows, top, ids=True):
+        for c in chunks(group, width, rows, top, ids):
             t, iy, ix, _ = next(sample_rows([c], width))
             formed.append(np.stack([t, iy, ix], 1))
             yield c
@@ -717,10 +732,10 @@ class TestVisibilityProbe:
         mesh = flat_mesh(tris, z=-1.0, coords=coords)
         res = (64, 64)
         setup = mesh_setup(mesh, cam90, res)
-        rows, unflagged = range(res[1]), np.zeros(mesh.n_triangles, dtype=bool)
-        depth = depth_prepass(setup, res, rows)
+        (band,), unflagged = screen_bands(setup, res), np.zeros(mesh.n_triangles, dtype=bool)
+        depth = depth_prepass(band)
         calls = count_chunks(monkeypatch)
-        flags = mark_visible(setup, depth, rows, unflagged).flags
+        flags = mark_visible(band, depth, unflagged).flags
         probe, rest = paired_probes_and_sweeps(setup, calls)
         assert flags.all()
         assert sum(len(t) for t, _ in rest) == 0
@@ -749,11 +764,11 @@ class TestVisibilityProbe:
         )
         res = (48, 48)
         setup = mesh_setup(mesh, cam90, res)
-        rows, unflagged = range(res[1]), np.zeros(mesh.n_triangles, dtype=bool)
-        depth = depth_prepass(setup, res, rows)
+        (band,), unflagged = screen_bands(setup, res), np.zeros(mesh.n_triangles, dtype=bool)
+        depth = depth_prepass(band)
         calls = count_chunks(monkeypatch)
         formed = record_samples(monkeypatch)
-        flags = mark_visible(setup, depth, rows, unflagged).flags
+        flags = mark_visible(band, depth, unflagged).flags
         _, rest = paired_probes_and_sweeps(setup, calls)
         assert flags.tolist() == [True] * 14 + [False]
         assert np.array_equal(flags, reference_depth_and_flags(mesh, cam90, res, True)[1])
@@ -775,6 +790,57 @@ class TestVisibilityProbe:
         want = stream[on_mid | off_mid_swept]
         assert np.array_equal(np.unique(formed, axis=0), np.unique(want, axis=0))
         assert sum(n for _, n in rest) == off_mid_swept.sum() < len(stream) - on_mid.sum()
+
+
+class TestScreenBands:
+    @pytest.mark.parametrize("band_rows", [1, 3, None], ids=["one_row", "three_rows", "frame"])
+    def test_bands_tile_the_screen_and_cut_each_box_to_its_rows(
+        self, cam90, exact_cam, monkeypatch, band_rows
+    ):
+        # Against a brute-force walk over every box of every group: each
+        # band holds (polygon, max(y0, top), min(y1, last)) of each box that
+        # meets it, in group order and polygon order. Runs of 4 polygons, in
+        # half the cases, make several groups.
+        rng = np.random.default_rng(27)
+        screens = TestBatchedSampler.RESOLUTIONS + [tuple(rng.integers(20, 90, 2)) for _ in "ab"]
+        spans = 0
+        for case in range(64):
+            res = screens[case % len(screens)]
+            monkeypatch.setattr(charts, "_BAND", (band_rows or res[1]) * res[0])
+            monkeypatch.setattr(charts, "_POLYGONS", 4 if case % 2 else 1 << 12)
+            setup = mesh_setup(random_soup(rng, res), (cam90, exact_cam)[case % 4 // 2], res)
+            bands = list(screen_bands(setup, res))
+            assert [r for rows, _, _ in bands for r in rows] == list(range(res[1])), case
+            assert {len(rows) for rows, _, _ in bands[:-1]} <= {band_rows or res[1]}, case
+            for rows, width, got in bands:
+                assert width == res[0]
+                top, last = rows[0], rows[-1]
+                want = []
+                for group in setup:
+                    _, (_, _, y0, y1), *_ = group
+                    meets = [
+                        (i, max(a, top), min(b, last))
+                        for i, (a, b) in enumerate(zip(y0.tolist(), y1.tolist()))
+                        if a <= last and b >= top
+                    ]
+                    if meets:
+                        want.append((group, meets))
+                assert [id(g) for g, _ in got] == [id(g) for g, _ in want], (case, rows)
+                for (_, span), (_, meets) in zip(got, want):
+                    assert list(zip(*(a.tolist() for a in span))) == meets, (case, rows)
+                    spans += len(meets)
+        assert spans > 100, spans
+
+    def test_screen_smaller_than_the_setup_raises_before_any_band(self, cam90, monkeypatch):
+        # Bands of one row on a 16 x 8 screen: the boxes reach rows 8-15,
+        # which no band holds, and the screen is checked before band 0.
+        monkeypatch.setattr(charts, "_BAND", 16)
+        setup = mesh_setup(screen_quad(z=-1.0), cam90, (16, 16))
+        yielded = []
+        with pytest.raises(ValueError, match=too_small_for_16x16((8, 16))):
+            for band in screen_bands(setup, (16, 8)):
+                yielded.append(band)
+        assert not yielded
 
 
 class TestBudgets:
@@ -1013,7 +1079,7 @@ class TestChartBbox:
                 labels, n = frame.chart_set.chart_of_triangle, len(frame.boxes)
                 lo, hi = np.full((n, 2), res[0] + res[1]), np.full((n, 2), -1)
                 for group in setups[-1][0]:
-                    for t, pixel, _ in _chunks(group, res[0]):
+                    for t, pixel, _ in _chunks(group, res[0], whole_rows(group), 0):
                         on = labels[t] >= 0
                         i = np.searchsorted(frame.boxes[:, 0], labels[t[on]])
                         for axis, v in enumerate((pixel[on] % res[0], pixel[on] // res[0])):

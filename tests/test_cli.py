@@ -549,7 +549,7 @@ class TestAtlasSceneCommand:
         start = time.perf_counter()
         frame_charts(cfg)
         elapsed = time.perf_counter() - start
-        assert frame.n_visible == n // 3 == 3 * len(screen_bands(cfg.screen))
+        assert frame.n_visible == n // 3 == 3 * len(list(screen_bands([], cfg.screen)))
         assert frame.screen_fragments == 10 * frame.n_visible  # 4 + 3 + 2 + 1 samples each
         assert peak < 8 * charts._BAND + 750_000, peak  # about 2.6 MB
         assert elapsed < 1.0, elapsed  # about 0.1 s

@@ -30,7 +30,7 @@ from atlaspack.charts import (
 )
 from atlaspack.geometry import clip_coords
 from atlaspack.metrics import layout_digest
-from oracles import banded_raster
+from oracles import banded_raster, whole_rows
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEED = 5
@@ -203,7 +203,7 @@ def sample_stream_digest(setup, width: int) -> str:
     stream order, so where the chunks are cut does not matter."""
     columns = [hashlib.sha256() for _ in range(3)]
     for group in setup:
-        for chunk in _chunks(group, int(width)):
+        for chunk in _chunks(group, int(width), whole_rows(group), 0):
             for h, a in zip(columns, chunk):
                 h.update(a.tobytes())
     return hashlib.sha256("".join(h.hexdigest() for h in columns).encode()).hexdigest()
@@ -262,7 +262,8 @@ def test_a_cube_view_does_not_depend_on_the_budgets(tmp_path, monkeypatch):
         return depth.tobytes(), flags.tobytes()
 
     want = raster()
-    assert len(screen_bands(cfg.screen)) > 1
+    setup = screen_setup(vclip, mesh.triangles, cfg.screen, cfg.backface_cull)[0]
+    assert len(list(screen_bands(setup, cfg.screen))) > 1
     for budget in (1, 3, 64):
         with monkeypatch.context() as m:
             for name in ("_POLYGONS", "_ROWS", "_CHUNK"):
@@ -283,11 +284,12 @@ def test_the_bands_split_a_frame_exactly(tmp_path, monkeypatch):
     bands, covered, flags = [], [], []
     depth_prepass, mark_visible = cli.depth_prepass, cli.mark_visible
 
-    def counted_depth(setup, res, rows):
-        depth = depth_prepass(setup, res, rows)
+    def counted_depth(band):
+        depth = depth_prepass(band)
+        rows = band[0]
         bands.append(rows)
         covered.append(int(np.isfinite(depth).sum()))
-        assert depth.shape == (len(rows), res[0])
+        assert depth.shape == (len(rows), cfg.screen[0])
         return depth
 
     def counted_visible(*args):
@@ -316,13 +318,14 @@ def test_raster_passes_stay_within_their_budget(tmp_path, monkeypatch):
     vclip, mesh, cfg = benchmark_frame(tmp_path, monkeypatch, "scene-cubes", "cubes-view0.cfg")
     setup = screen_setup(vclip, mesh.triangles, cfg.screen, cfg.backface_cull)[0]
     flags = np.zeros(mesh.n_triangles, dtype=bool)
-    bands = screen_bands(cfg.screen)
+    bands = list(screen_bands(setup, cfg.screen))
     assert len(bands) > 1
-    for rows in bands:
-        depth, peak = traced(depth_prepass, setup, cfg.screen, rows)
+    for band in bands:
+        rows = band[0]
+        depth, peak = traced(depth_prepass, band)
         assert depth.nbytes <= 8 * charts._BAND
         assert peak - depth.nbytes < DEPTH_SCRATCH, (rows, peak - depth.nbytes)
-        vis, peak = traced(mark_visible, setup, depth, rows, flags)
+        vis, peak = traced(mark_visible, band, depth, flags)
         assert peak < VISIBILITY_SCRATCH, (rows, peak)
         flags |= vis.flags
 
