@@ -3,10 +3,10 @@
 Two packers live here: a sequential row packer that places boxes one at a
 time and never overflows (it gives the same rows as the prefix-sum fold and
 serves as its per-box reference), and a superblock grid packer in the style
-of earlier atlasing systems (boxes are capped to a fixed block size and
-allocated into power-of-two shelf rows inside a block grid, halving the
-block size when they do not fit). Both take a box table or a ChartBox
-sequence and orient and order the boxes as ``packing.pack`` does.
+of earlier atlasing systems (boxes are capped to a block with the packer's
+exact scaling and go onto power-of-two shelf rows in a grid of blocks,
+halving the block when they do not fit). Both take a box table or a
+ChartBox sequence and orient and order the boxes as ``packing.pack`` does.
 """
 
 from __future__ import annotations
@@ -101,55 +101,20 @@ def sequential_scale_search(
 # --- superblock grid packer -------------------------------------------------
 
 
-class _Shelf:
-    __slots__ = ("y", "height", "cursor")
-
-    def __init__(self, y: int, height: int):
-        self.y = y
-        self.height = height
-        self.cursor = 0
-
-
-class _Block:
-    __slots__ = ("ox", "oy", "size", "shelves", "used_h")
-
-    def __init__(self, ox: int, oy: int, size: int):
-        self.ox = ox
-        self.oy = oy
-        self.size = size
-        self.shelves: list[_Shelf] = []
-        self.used_h = 0
-
-    def place(self, w: int, h: int) -> tuple[int, int] | None:
-        shelf_h = _next_pow2(h)
-        for shelf in self.shelves:
-            if shelf.height == shelf_h and shelf.cursor + w <= self.size:
-                x = self.ox + shelf.cursor
-                y = self.oy + shelf.y
-                shelf.cursor += w
-                return x, y
-        if self.used_h + shelf_h <= self.size:
-            shelf = _Shelf(self.used_h, shelf_h)
-            self.used_h += shelf_h
-            self.shelves.append(shelf)
-            shelf.cursor = w
-            return self.ox, self.oy + shelf.y
-        return None
-
-
-def _next_pow2(v: int) -> int:
-    return 1 << (v - 1).bit_length() if v > 1 else 1
+def default_block_size(omega: int) -> int:
+    """An eighth of the atlas, but at least SUPERBLOCK_FLOOR and at most ``omega``."""
+    return min(omega, max(SUPERBLOCK_FLOOR, omega // 8))
 
 
 def superblock_pack(boxes, omega: int, block_size: int) -> SuperblockLayout | None:
     """Allocate boxes into a grid of fixed-size superblocks.
 
-    Boxes larger than the block are uniformly downscaled until they fit
-    (the per-box downscale is visible in the placement target vs placed
-    dimensions). Inside each block, boxes go first-fit onto shelf rows of
-    power-of-two height, scanning blocks in row-major order. If any box
-    cannot be placed, the whole allocation restarts at half the block
-    size; below the SUPERBLOCK_FLOOR block size it gives up with None.
+    A box larger than the block is scaled by block / max(w, h) with the
+    packer's exact ceil, then goes first-fit onto a shelf row of its
+    power-of-two height, in the first block in row-major order with room.
+    If a box fits nowhere, all restart at half the block size; below
+    SUPERBLOCK_FLOOR it gives up with None. The scale is the least of 1 and
+    each placed side over its target, so each side is >= ceil(scale * target).
     """
     _check_omega(omega)
     if block_size < 1 or (block_size & (block_size - 1)) != 0:
@@ -158,13 +123,18 @@ def superblock_pack(boxes, omega: int, block_size: int) -> SuperblockLayout | No
         raise ValueError("block_size must not exceed omega")
     table = box_table(boxes)
     idx, w, h, rotated = oriented_order(table)
+    side = np.maximum(w, h)
     while True:
-        spots = _try_superblock(w.tolist(), h.tolist(), omega, block_size)
+        pw = _scaled_dims(w, np.minimum(side, block_size), side, 1, 0)
+        ph = _scaled_dims(h, np.minimum(side, block_size), side, 1, 0)
+        spots = _shelf_spots(pw.tolist(), ph.tolist(), omega, block_size)
         if spots is not None:
-            x, y, pw, ph = np.array(spots, dtype=np.int64).reshape(-1, 4).T
+            x, y = np.array(spots, dtype=np.int64).reshape(-1, 2).T
+            capped = side > block_size  # the others are placed at their target sides
+            placed, target = np.r_[pw[capped], ph[capped]], np.r_[w[capped], h[capped]]
             return SuperblockLayout(
                 omega=omega,
-                scale=min([Fraction(1), *map(Fraction, pw.tolist(), w.tolist())]),
+                scale=min([Fraction(1), *map(Fraction, placed.tolist(), target.tolist())]),
                 table=layout_table(table, idx, rotated, x, y, pw, ph),
                 block_size=block_size,
             )
@@ -173,24 +143,28 @@ def superblock_pack(boxes, omega: int, block_size: int) -> SuperblockLayout | No
         block_size //= 2
 
 
-def _try_superblock(
-    widths: Sequence[int], heights: Sequence[int], omega: int, block: int
-) -> list[tuple[int, int, int, int]] | None:
-    """(x, y, w, h) of each ordered box in a grid of ``block`` blocks, or None."""
+def _shelf_spots(widths: list[int], heights: list[int], omega: int, block: int):
+    """(x, y) of each capped box in a grid of ``block`` blocks, or None if one fits nowhere."""
     grid = omega // block
-    blocks = [_Block(bx * block, by * block, block) for by in range(grid) for bx in range(grid)]
-    spots = []
+    used, shelves, spots = [0], [[]], []  # per opened block: used height, [height, y, cursor]s
     for w, h in zip(widths, heights):
-        if w > block or h > block:
-            f = min(Fraction(block, w), Fraction(block, h))
-            w = max(1, -((-w * f.numerator) // f.denominator))
-            h = max(1, -((-h * f.numerator) // f.denominator))
-        spot = None
-        for blk in blocks:
-            spot = blk.place(w, h)
-            if spot is not None:
-                break
-        if spot is None:
+        height = 1 << (h - 1).bit_length()
+        for b, own in enumerate(shelves):
+            for shelf in own:
+                if shelf[0] == height and shelf[2] + w <= block:
+                    break
+            else:
+                if used[b] + height > block:
+                    continue
+                shelf = [height, used[b], 0]
+                own.append(shelf)
+                used[b] += height
+            break
+        else:
             return None
-        spots.append((spot[0], spot[1], w, h))
+        spots.append((b % grid * block + shelf[2], b // grid * block + shelf[1]))
+        shelf[2] += w
+        if shelves[-1] and len(shelves) < grid * grid:  # keep an empty block: it takes any box
+            used.append(0)
+            shelves.append([])
     return spots

@@ -41,7 +41,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .baselines import SUPERBLOCK_FLOOR, SuperblockLayout, sequential_scale_search, superblock_pack
+from .baselines import (
+    SuperblockLayout,
+    default_block_size,
+    sequential_scale_search,
+    superblock_pack,
+)
 from .charts import (
     ChartSet,
     Mesh,
@@ -457,10 +462,6 @@ def parse_scene_config(path) -> SceneConfig:
 # --- packer registry --------------------------------------------------------
 
 
-def default_block_size(omega: int) -> int:
-    return max(SUPERBLOCK_FLOOR, min(omega, omega // 8))
-
-
 def make_packer(
     name: str, cfg: SceneConfig, block_size: int | None = None
 ) -> Callable[[Sequence[ChartBox]], AtlasLayout]:
@@ -830,12 +831,16 @@ def _cmd_compare(args) -> int:
 
 
 def _looks_like_scene(path) -> bool:
-    """Whether the first record of ``path``, read up to its line end, is not a box."""
+    """Whether the first record of ``path``, read up to its line end, is not a
+    box: four fields that ``int`` reads, as ``parse_box_file`` reads them."""
     with open(path, encoding="utf-8", errors="replace") as fh:
         for line in fh:
             tokens, _, counts = records(line.encode())
             if len(counts):
-                return not (counts[0] == 4 and all(t.isdigit() for t in tokens))
+                try:
+                    return len([int(t) for t in tokens]) != 4
+                except ValueError:
+                    return True
     return False
 
 

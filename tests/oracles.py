@@ -17,7 +17,9 @@ search over an edge adjacency built with a dict, the fold
 reference walks boxes one at a time along the folded line, the exhaustive
 packer backtracks over every placement of a tiny instance, the object
 packer orients, orders and places one ChartBox object at a time as the
-package did before its box and layout tables, and layout validity is
+package did before its box and layout tables, the reference superblock
+packer is the package's earlier one, which capped each box with its own
+``Fraction`` and kept shelf and block objects, and layout validity is
 checked by occupancy grids or pairwise interval arithmetic. The OBJ loader
 and the box file split are the package's earlier line-by-line readers,
 which the whole-file reader must match token for token and message for
@@ -64,10 +66,13 @@ from atlaspack import (
     NoValidTriangles,
     Placement,
     StretchReport,
+    SuperblockLayout,
+    box_table,
     fold,
     push_up,
     triangle_stretch,
 )
+from atlaspack.baselines import SUPERBLOCK_FLOOR
 from atlaspack.charts import (
     _CHUNK,
     _POLYGONS,
@@ -87,7 +92,7 @@ from atlaspack.geometry import (
     clip_coords,
     clip_halfspace,
 )
-from atlaspack.packing import MAX_BOX_DIM
+from atlaspack.packing import MAX_BOX_DIM, _check_omega, layout_table, oriented_order
 
 _PLANES = (
     (0, 1.0),
@@ -1004,6 +1009,101 @@ def _placement_exists(dims: list[tuple[int, int]], omega: int) -> bool:
         return False
 
     return rec(0)
+
+
+class _Shelf:
+    __slots__ = ("y", "height", "cursor")
+
+    def __init__(self, y: int, height: int):
+        self.y = y
+        self.height = height
+        self.cursor = 0
+
+
+class _Block:
+    __slots__ = ("ox", "oy", "size", "shelves", "used_h")
+
+    def __init__(self, ox: int, oy: int, size: int):
+        self.ox = ox
+        self.oy = oy
+        self.size = size
+        self.shelves: list[_Shelf] = []
+        self.used_h = 0
+
+    def place(self, w: int, h: int) -> tuple[int, int] | None:
+        shelf_h = _next_pow2(h)
+        for shelf in self.shelves:
+            if shelf.height == shelf_h and shelf.cursor + w <= self.size:
+                x = self.ox + shelf.cursor
+                y = self.oy + shelf.y
+                shelf.cursor += w
+                return x, y
+        if self.used_h + shelf_h <= self.size:
+            shelf = _Shelf(self.used_h, shelf_h)
+            self.used_h += shelf_h
+            self.shelves.append(shelf)
+            shelf.cursor = w
+            return self.ox, self.oy + shelf.y
+        return None
+
+
+def _next_pow2(v: int) -> int:
+    return 1 << (v - 1).bit_length() if v > 1 else 1
+
+
+def reference_superblock_pack(boxes, omega: int, block_size: int) -> SuperblockLayout | None:
+    """Allocate boxes into a grid of fixed-size superblocks.
+
+    Boxes larger than the block are uniformly downscaled until they fit
+    (the per-box downscale is visible in the placement target vs placed
+    dimensions). Inside each block, boxes go first-fit onto shelf rows of
+    power-of-two height, scanning blocks in row-major order. If any box
+    cannot be placed, the whole allocation restarts at half the block
+    size; below the SUPERBLOCK_FLOOR block size it gives up with None.
+    """
+    _check_omega(omega)
+    if block_size < 1 or (block_size & (block_size - 1)) != 0:
+        raise ValueError("block_size must be a power of two")
+    if block_size > omega:
+        raise ValueError("block_size must not exceed omega")
+    table = box_table(boxes)
+    idx, w, h, rotated = oriented_order(table)
+    while True:
+        spots = _try_superblock(w.tolist(), h.tolist(), omega, block_size)
+        if spots is not None:
+            x, y, pw, ph = np.array(spots, dtype=np.int64).reshape(-1, 4).T
+            return SuperblockLayout(
+                omega=omega,
+                scale=min([Fraction(1), *map(Fraction, pw.tolist(), w.tolist())]),
+                table=layout_table(table, idx, rotated, x, y, pw, ph),
+                block_size=block_size,
+            )
+        if block_size // 2 < SUPERBLOCK_FLOOR:
+            return None
+        block_size //= 2
+
+
+def _try_superblock(
+    widths: Sequence[int], heights: Sequence[int], omega: int, block: int
+) -> list[tuple[int, int, int, int]] | None:
+    """(x, y, w, h) of each ordered box in a grid of ``block`` blocks, or None."""
+    grid = omega // block
+    blocks = [_Block(bx * block, by * block, block) for by in range(grid) for bx in range(grid)]
+    spots = []
+    for w, h in zip(widths, heights):
+        if w > block or h > block:
+            f = min(Fraction(block, w), Fraction(block, h))
+            w = max(1, -((-w * f.numerator) // f.denominator))
+            h = max(1, -((-h * f.numerator) // f.denominator))
+        spot = None
+        for blk in blocks:
+            spot = blk.place(w, h)
+            if spot is not None:
+                break
+        if spot is None:
+            return None
+        spots.append((spot[0], spot[1], w, h))
+    return spots
 
 
 def struct_layout_digest(layout: AtlasLayout) -> str:

@@ -140,6 +140,28 @@ class TestSuperblockPack:
         boxes = [box(100, 100, i) for i in range(5)]
         assert superblock_pack(boxes, 32, 32) is None
 
+    def test_scale_is_met_by_both_sides_of_a_capped_box(self):
+        # 10x100 capped to a 16 block is 2x16; ceil(100 / 5) = 20 > 16, so
+        # the width's 1/5 is not a scale both sides meet, the height's 4/25 is.
+        layout = superblock_pack([box(10, 100, 0)], 64, 16)
+        p = layout.placements[0]
+        assert (p.w, p.h) == (2, 16)
+        assert layout.scale == Fraction(4, 25)
+
+    def test_every_placed_side_meets_the_scale(self):
+        for seed in range(40):
+            local = np.random.default_rng(seed)
+            omega = 1 << int(local.integers(5, 10))
+            boxes = generate_boxes(int(local.integers(1, 80)), 2 * omega, local)
+            layout = superblock_pack(boxes, omega, omega // 4)
+            if layout is None:
+                continue
+            _, _, _, pw, ph, rot, tw, th = layout.table.T
+            num, den = layout.scale.numerator, layout.scale.denominator
+            tx, ty = np.where(rot == 1, th, tw), np.where(rot == 1, tw, th)
+            assert (pw >= -((-num * tx) // den)).all(), f"seed {seed}"
+            assert (ph >= -((-num * ty) // den)).all(), f"seed {seed}"
+
     def test_random_layouts_valid(self):
         for seed in range(30):
             boxes = generate_boxes(20, 256, np.random.default_rng(seed))

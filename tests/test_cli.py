@@ -694,6 +694,39 @@ class TestCompareCommand:
         assert rows[0]["status"] == "ok"
         assert rows[0] == rows[1]
 
+    def test_every_omega_packs_with_every_packer(self, tmp_path, capsys):
+        # The default superblock block fits every atlas, so no omega fails
+        # on a flag that was not given.
+        path = tmp_path / "boxes.txt"
+        path.write_text("0 0 1 1\n1 1 3 2\n2 2 9 40\n")
+        out = tmp_path / "cmp.csv"
+        omegas = [1 << e for e in range(13)]
+        argv = ["compare", str(path), "--omega", ",".join(map(str, omegas)),
+                "--packer", ",".join(PACKER_NAMES), "--out", str(out)]
+        assert main(argv) in (EXIT_OK, EXIT_PACK_FAILURE)
+        rows = read_csv(out)
+        assert [(r["packer"], int(r["omega"])) for r in rows] == [
+            (name, omega) for omega in omegas for name in PACKER_NAMES
+        ]
+        assert "error:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "first, plain",
+        [("0 0 +5 4", "0 0 5 4"), ("1_0 0 5 4", "10 0 5 4"), ("-0 0 5 4", "0 0 5 4")],
+        ids=["plus_sign", "underscore", "minus_zero"],
+    )
+    def test_box_file_kind_follows_the_box_reader(self, tmp_path, first, plain):
+        # A first record that int reads is a box, as pack-boxes reads it.
+        rows = []
+        for name, record in (("odd", first), ("plain", plain)):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(f"{record}\n3 3 2 7\n")
+            out = tmp_path / f"{name}.csv"
+            assert main(["compare", str(path), "--omega", "64", "--out", str(out)]) == EXIT_OK
+            rows.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in read_csv(out)])
+        assert rows[0] == rows[1]
+        assert [r["status"] for r in rows[0]] == ["ok"] * len(PACKER_NAMES)
+
     def test_box_above_max_dim_exits_1(self, tmp_path, capsys):
         path = tmp_path / "tall.txt"
         path.write_text("0 0 1 99999999999\n")

@@ -26,10 +26,12 @@ from atlaspack import (
     box_table,
     charts,
     pack,
+    superblock_pack,
 )
 from atlaspack.charts import Mesh, load_obj
 from atlaspack.cli import (
     InputError,
+    generate_boxes,
     parse_box_file,
     parse_layout_file,
     write_box_file,
@@ -47,6 +49,7 @@ from oracles import (
     layout_valid,
     obj_line_loop,
     one_conservative_bbox,
+    reference_superblock_pack,
     stacked_clip_coords,
     triangle_corners,
 )
@@ -83,6 +86,43 @@ def test_pack_layouts_are_valid(boxes, omega, n_scales, min_dim, padding):
     if layout is not None:
         assert layout_valid(layout)
         assert len(layout.placements) == len(boxes)
+
+
+@st.composite
+def superblock_cases(draw):
+    """(box table, omega, block): up to 300 boxes with sides up to 4 omega.
+
+    Blocks start at omega / 64, so that the reference's grid of block
+    objects stays at most 64 x 64.
+    """
+    e = draw(st.integers(0, 12))
+    n = draw(st.integers(0, 300))
+    sides = st.tuples(st.integers(1, 4 << e), st.integers(1, 4 << e))
+    wh = draw(st.lists(sides, min_size=n, max_size=n))
+    tris = draw(st.permutations(range(n)))
+    table = np.array([[i, t, w, h] for i, (t, (w, h)) in enumerate(zip(tris, wh))], dtype=np.int64)
+    return table.reshape(-1, 4), 1 << e, 1 << draw(st.integers(max(0, e - 6), e))
+
+
+def assert_superblock_matches_reference(table, omega, block):
+    got = superblock_pack(table, omega, block)
+    want = reference_superblock_pack(table, omega, block)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.table.tobytes() == want.table.tobytes()
+        assert got.block_size == want.block_size
+
+
+@settings(PROPERTY, max_examples=100)
+@given(superblock_cases())
+def test_superblock_places_as_the_reference(case):
+    assert_superblock_matches_reference(*case)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_superblock_places_heavy_sets_as_the_reference(seed):
+    boxes = generate_boxes(3000, 2048, np.random.default_rng(seed))
+    assert_superblock_matches_reference(box_table(boxes), 4096, 512)
 
 
 @PROPERTY
