@@ -6,7 +6,8 @@ token's start and end and each non-blank line's number and token count in
 one numpy pass over the bytes, so a parser checks its rules on whole
 columns and names the first bad line. Numeric columns are converted from
 the bytes as well, with no Python object per plain token (``_column``,
-after Clinger 1990 and Lemire 2021).
+after Clinger 1990 and Lemire 2021). For frame sequences ``load_obj`` keeps
+the last file's bytes and read-only mesh, and parses a file whose bytes differ.
 
 A software depth prepass and a matching visibility pass mark triangles that
 cover at least one depth-passing pixel-center sample. Visible triangles are
@@ -62,6 +63,7 @@ depth of a pixel or the flags hold.
 
 from __future__ import annotations
 
+import copy
 import functools
 import re
 from dataclasses import dataclass
@@ -80,7 +82,9 @@ DEPTH_EPSILON = 1e-6
 
 @dataclass
 class Mesh:
-    """Indexed triangle soup: (n, 3) float64 positions, (m, 3) int64 triangles."""
+    """Indexed triangle soup: (n, 3) float64 positions, (m, 3) int64 triangles.
+
+    load_obj's meshes have read-only arrays, shared by loads of equal bytes."""
 
     positions: np.ndarray
     triangles: np.ndarray
@@ -116,6 +120,9 @@ def build_adjacency(triangles: np.ndarray) -> np.ndarray:
     return adjacency.reshape(-1, 3)
 
 
+_last_obj: tuple = (None, None)  # the bytes and mesh of the last OBJ file load_obj parsed
+
+
 def load_obj(path) -> Mesh:
     """Load positions and faces from a Wavefront OBJ file.
 
@@ -126,9 +133,18 @@ def load_obj(path) -> Mesh:
     ValueError naming the file and line. Bytes that are not UTF-8 read as
     U+FFFD. Tokens 1-3 of the ``v`` records, and the tokens after ``f`` cut
     at their first '/', are converted as two whole columns.
+
+    The file is read on every call and parsed when its bytes differ from the
+    last file parsed without error, whose bytes and mesh alone are kept. The
+    arrays are read-only, and each call returns its own shallow copy.
     """
+    global _last_obj
     with open(path, "rb") as fh:
-        data, starts, ends, linenos, counts, heads = _records(fh.read())
+        raw = fh.read()
+    last_raw, last_mesh = _last_obj  # read once: a concurrent store cannot mix two entries
+    if raw == last_raw:
+        return copy.copy(last_mesh)
+    data, starts, ends, linenos, counts, heads = _records(raw)
     first = np.cumsum(counts) - counts  # each record's first token
     is_v, is_f = heads == ord("v"), heads == ord("f")
     vertex = np.flatnonzero(is_v & (counts >= 4))
@@ -171,12 +187,15 @@ def load_obj(path) -> Mesh:
         r, _, message = min(problems)
         raise ValueError(f"{path}:{linenos[r]}: {message}")
     resolved = np.where(index > 0, index - 1, seen + index)
-    if np.all(sides == 3):
-        return Mesh(positions=positions, triangles=resolved)
-    # Fan triangles (0, j, j + 1) of each polygon.
-    base = np.repeat(np.cumsum(sides) - sides, sides - 2)
-    second = base + 1 + _ranks(sides - 2)
-    return Mesh(positions=positions, triangles=resolved[np.stack([base, second, second + 1], 1)])
+    if not np.all(sides == 3):
+        # Fan triangles (0, j, j + 1) of each polygon.
+        base = np.repeat(np.cumsum(sides) - sides, sides - 2)
+        second = base + 1 + _ranks(sides - 2)
+        resolved = resolved[np.stack([base, second, second + 1], 1)]
+    mesh = Mesh(positions=positions, triangles=resolved)
+    mesh.positions.flags.writeable = mesh.triangles.flags.writeable = False
+    _last_obj = raw, mesh
+    return copy.copy(mesh)
 
 
 # --- the reader --------------------------------------------------------------
@@ -205,8 +224,9 @@ def _records(data: bytes):
     whitespace within lines spaces, bytes that are not UTF-8 U+FFFD and one
     LF appended, and token k is ``data[starts[k]:ends[k]]``. Per record: its
     line number, its token count, and the byte of its first token if that
-    is one byte long, else 0.
+    is one byte long, else 0. One leading UTF-8 byte order mark is dropped.
     """
+    data = data.removeprefix(b"\xef\xbb\xbf")
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if b"#" in data:

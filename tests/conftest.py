@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from atlaspack import CameraFrame
+from atlaspack import CameraFrame, charts
 from atlaspack.geometry import perspective_matrix
 
 
@@ -28,3 +28,17 @@ def exact_cam() -> CameraFrame:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def split_files(monkeypatch) -> list[bytes]:
+    """The bytes of each file that charts._records splits, with nothing that load_obj remembers."""
+    monkeypatch.setattr(charts, "_last_obj", (None, None))
+    split, files = charts._records, []
+
+    def spy(data):
+        files.append(data)
+        return split(data)
+
+    monkeypatch.setattr(charts, "_records", spy)
+    return files

@@ -1270,9 +1270,12 @@ def delaunay_mesh(rng: np.random.Generator, n_points: int, z: float = -5.0) -> M
 
 
 def obj_line_loop(path) -> Mesh:
-    """The mesh of an OBJ file read one line at a time; ValueError on the first bad line."""
+    """The mesh of an OBJ file read one line at a time; ValueError on the first bad line.
+
+    A leading byte order mark is dropped, as ``utf-8-sig`` drops it.
+    """
     with open(path, "rb") as fh:
-        lines = io.StringIO(fh.read().decode("utf-8", errors="replace"), newline=None)
+        lines = io.StringIO(fh.read().decode("utf-8-sig", errors="replace"), newline=None)
     positions: list[list[float]] = []
     faces: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(lines, start=1):

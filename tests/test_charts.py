@@ -1,4 +1,5 @@
 import functools
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -169,6 +170,67 @@ class TestLoadObj(object):
         obj.write_text("v 0 0 0\nf 1 1\n")
         with pytest.raises(ValueError):
             load_obj(obj)
+
+
+TRIANGLE_OBJ = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
+
+
+class TestLoadObjReuse:
+    """load_obj parses a file only when its bytes differ from the last file it parsed."""
+
+    def test_same_bytes_parse_once(self, tmp_path, split_files):
+        obj = tmp_path / "tri.obj"
+        obj.write_text(TRIANGLE_OBJ)
+        first, second = load_obj(obj), load_obj(obj)
+        assert len(split_files) == 1
+        assert np.array_equal(first.positions, second.positions)
+        assert np.array_equal(first.triangles, second.triangles)
+
+    def test_rewritten_bytes_parse_again(self, tmp_path, split_files):
+        # The same size and mtime: only the bytes tell the two files apart.
+        obj = tmp_path / "tri.obj"
+        obj.write_text(TRIANGLE_OBJ)
+        stat = obj.stat()
+        assert load_obj(obj).positions[1].tolist() == [1, 0, 0]
+        obj.write_text(TRIANGLE_OBJ.replace("v 1 0 0", "v 2 0 0"))
+        os.utime(obj, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert obj.stat().st_size == stat.st_size and obj.stat().st_mtime_ns == stat.st_mtime_ns
+        assert load_obj(obj).positions[1].tolist() == [2, 0, 0]
+        assert len(split_files) == 2
+
+    def test_other_path_same_bytes_is_not_parsed(self, tmp_path, split_files):
+        (tmp_path / "a.obj").write_text(TRIANGLE_OBJ)
+        (tmp_path / "b.obj").write_text(TRIANGLE_OBJ)
+        a, b = load_obj(tmp_path / "a.obj"), load_obj(tmp_path / "b.obj")
+        assert len(split_files) == 1
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert a.triangles.tobytes() == b.triangles.tobytes()
+
+    def test_bad_file_is_not_remembered(self, tmp_path, split_files):
+        good, bad = tmp_path / "good.obj", tmp_path / "bad.obj"
+        good.write_text(TRIANGLE_OBJ)
+        bad.write_text("v 0 0 0\nf 1 1\n")
+        expected = load_obj(good)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"bad\.obj:2: face needs >= 3 vertices"):
+                load_obj(bad)
+        mesh = load_obj(good)
+        assert len(split_files) == 3  # the good file once, the bad one each time
+        assert mesh.positions.tobytes() == expected.positions.tobytes()
+        assert mesh.triangles.tobytes() == expected.triangles.tobytes()
+
+    def test_arrays_are_read_only_and_results_independent(self, tmp_path, split_files):
+        obj = tmp_path / "tri.obj"
+        obj.write_text(TRIANGLE_OBJ)
+        mesh = load_obj(obj)
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.positions[0, 0] = 5
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.triangles[0, 0] = 2
+        mesh.positions = np.full((3, 3), 7.0)
+        again = load_obj(obj)
+        assert again is not mesh
+        assert again.positions.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
 
 
 class TestDepthPrepass:

@@ -454,6 +454,32 @@ class TestAtlasSceneCommand:
         assert clippers == {"atlaspack.charts._clip_polygons": 4}
         assert min(batches) >= 1  # no clip step is called on an empty batch
 
+    def test_frame_sequence_parses_the_mesh_once(self, tmp_path, rng, monkeypatch, split_files):
+        # Two views of one mesh; each op writes the same files as with nothing remembered.
+        mesh_text = patches_obj(rng, 12)
+        views = [write_scene(tmp_path, mesh_text, position=position).rename(tmp_path / name)
+                 for position, name in (("0 0 0", "front.cfg"), ("0.3 0.2 0.5", "turned.cfg"))]
+        obj = tmp_path / "scene.obj"
+
+        def op(scene, out) -> dict:
+            assert main(["atlas-scene", str(scene), "--out", str(tmp_path / out)]) == EXIT_OK
+            return {ext: (tmp_path / (out + ext)).read_bytes()
+                    for ext in (".layout.txt", ".charts.txt", ".metrics.csv")}
+
+        def fresh(scene, out) -> dict:
+            monkeypatch.setattr(charts, "_last_obj", (None, None))
+            return op(scene, out)
+
+        op(views[0], "a")
+        second = op(views[1], "b")
+        assert [data == obj.read_bytes() for data in split_files].count(True) == 1
+        assert second == fresh(views[1], "b_fresh")
+        obj.write_text(patches_obj(rng, 12))
+        rewritten = op(views[1], "c")
+        assert [data == obj.read_bytes() for data in split_files].count(True) == 1
+        assert rewritten[".charts.txt"] != second[".charts.txt"]
+        assert rewritten == fresh(views[1], "c_fresh")
+
     def test_superblock_texels_ignore_padding(self, tmp_path):
         scene = write_scene(tmp_path, TWO_QUADS_OBJ)
         texels = []
@@ -1163,6 +1189,66 @@ class TestNonUtf8Input:
         err = capsys.readouterr().err
         assert "scene.obj:3: vertex coordinates must be numbers" in err
         assert "Traceback" not in err
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte order mark is dropped; anywhere else it is token bytes."""
+
+    def test_obj_file(self, tmp_path):
+        plain = b"v 9 9 9\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\n"
+        obj = tmp_path / "mesh.obj"
+        obj.write_bytes(plain)
+        expected = load_obj(obj)
+        obj.write_bytes(BOM + plain)
+        mesh = load_obj(obj)
+        assert mesh.positions.tobytes() == expected.positions.tobytes()
+        assert mesh.triangles.tobytes() == expected.triangles.tobytes()
+        assert mesh.positions[0].tolist() == [9, 9, 9]
+        # At a line's start it joins the keyword, so the line is no vertex.
+        obj.write_bytes(plain.replace(b"\nv 1 0 0", b"\n" + BOM + b"v 1 0 0"))
+        mesh, expected = load_obj(obj), obj_line_loop(obj)
+        assert mesh.positions.tolist() == [[9, 9, 9], [0, 1, 0], [1, 1, 0]]
+        assert mesh.positions.tobytes() == expected.positions.tobytes()
+        obj.write_bytes(plain.replace(b"v 1 0 0", b"v 1 " + BOM + b"0 0"))
+        with pytest.raises(ValueError, match=r"mesh\.obj:2: vertex coordinates must be numbers"):
+            load_obj(obj)
+
+    def test_box_file(self, tmp_path):
+        plain = b"0 0 4 4\n1 1 2 2\n"
+        path = tmp_path / "boxes.txt"
+        path.write_bytes(BOM + plain)
+        assert parse_box_file(path).tolist() == [[0, 0, 4, 4], [1, 1, 2, 2]]
+        assert not _looks_like_scene(path)
+        path.write_bytes(plain.replace(b"\n1", b"\n" + BOM + b"1"))
+        with pytest.raises(InputError, match=r"boxes\.txt:2: fields must be unsigned integers"):
+            parse_box_file(path)
+
+    def test_layout_file(self, tmp_path, rng):
+        path = tmp_path / "a.layout.txt"
+        layout = pack(generate_boxes(20, 64, rng), 512)
+        write_layout_file(layout, path)
+        plain = path.read_bytes()
+        path.write_bytes(BOM + plain)
+        assert layouts_equal(parse_layout_file(path), layout)
+        last = plain.rstrip(b"\n").rsplit(b"\n", 1)[1]
+        path.write_bytes(plain.replace(last, last.replace(b" ", b" " + BOM, 1)))
+        lineno = plain.rstrip(b"\n").count(b"\n") + 1
+        with pytest.raises(InputError, match=f"layout.txt:{lineno}: placement fields must be"):
+            parse_layout_file(path)
+
+    def test_scene_file(self, tmp_path):
+        scene = write_scene(tmp_path, QUAD_OBJ)
+        plain = scene.read_bytes()
+        expected = parse_scene_config(scene)
+        scene.write_bytes(BOM + plain)
+        assert parse_scene_config(scene) == expected
+        assert _looks_like_scene(scene)
+        scene.write_bytes(plain.replace(b"\nfov_y", b"\n" + BOM + b"fov_y"))
+        with pytest.raises(InputError, match="scene\\.cfg: unknown keys: \ufefffov_y"):
+            parse_scene_config(scene)
 
 
 # Corners and outward triangles of a cube.

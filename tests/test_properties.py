@@ -304,13 +304,14 @@ SEPARATORS = ["\v", "\f", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u3000"]
 # token to the index one past the vertices read before the record, "shift"
 # moves a record's last token onto the next record, "tab" and "sep" join two
 # tokens with a tab or another separator, "crlf" and "cr" end the record's
-# line with CRLF or a lone CR, and "ff" inserts a \xff byte anywhere.
+# line with CRLF or a lone CR, "ff" inserts a \xff byte anywhere, and "bom"
+# a UTF-8 byte order mark at the start or anywhere.
 MUTATIONS = [
     "none",
     *(f"token:{t}" for t in MUTANT_TOKENS),
     *(f"keyword:{k}" for k in MUTANT_KEYWORDS),
     *(f"sep:{c}" for c in SEPARATORS),
-    "past", "before", "drop", "add", "shift", "tab", "crlf", "cr", "comment", "ff",
+    "past", "before", "drop", "add", "shift", "tab", "crlf", "cr", "comment", "ff", "bom",
 ]
 obj_coords = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -415,6 +416,9 @@ def file_bytes(draw, records, mutation: str) -> bytes:
     if kind == "ff":
         at = draw(st.integers(0, len(data)))
         data = data[:at] + b"\xff" + data[at:]
+    elif kind == "bom":
+        at = draw(st.one_of(st.just(0), st.integers(0, len(data))))
+        data = data[:at] + b"\xef\xbb\xbf" + data[at:]
     return data
 
 
@@ -444,7 +448,7 @@ def test_obj_whole_file_matches_line_loop(mutation, records, data):
 @given(records=box_records(), data=st.data())
 def test_box_file_whole_file_matches_line_split(mutation, records, data):
     raw = file_bytes(data.draw, records, mutation)
-    text = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode("utf-8", errors="replace")
+    text = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode("utf-8-sig", errors="replace")
     tokens, linenos, counts = charts.records(raw)
     assert all(isinstance(t, str) for t in tokens)
     assert (tokens, linenos.tolist(), counts.tolist()) == box_line_split(text)
