@@ -38,11 +38,11 @@ of -0 would give the wrong infinity. np.rint rounds a tiny negative to -0,
 but the snapped values are then taken from the center of pixel (0, 0), and
 x - 128 is never -0. Depth is not snapped: it lies on the float plane.
 
-The depth pass keeps the minimum depth per pixel. Its stream holds each
-sample's flat pixel index in the band, row * width + column, and depth, and
-no triangle ids. It scatters the samples in stream order: np.minimum.at keeps
-the later of two equal values, so the order decides between +0 and -0 on a
-pixel. The visibility pass flags each triangle with a sample at most
+The depth pass keeps each pixel's minimum sample depth, with zeros made +0,
+so the depth depends on the set of samples alone: no order of polygons,
+groups, bands or chunks can change it. Its stream holds each sample's flat
+pixel index in the band, row * width + column, and depth, and no triangle
+ids. The visibility pass flags each triangle with a sample at most
 DEPTH_EPSILON behind the stored depth, and stops at the first such sample
 of each triangle (see mark_visible). FastAtlas parameterizes each chart by
 its screen projection, so a chart's box is the extent of what is
@@ -552,7 +552,7 @@ def _chunks(group, width: int, rows, top: int, ids: bool = True):
     (row - ``top``) * ``width`` + column and depth, or as (pixel, z) without
     ``ids``, in new arrays. Each depth takes the operations, in order, of a
     one-polygon-at-a-time rasterizer, on the plane anchored at the polygon's
-    float vertex 0.
+    float vertex 0, and a zero depth is +0.
     """
     polys, first, last = rows
     # Polygon i has the rows [bounds[i], bounds[i + 1]).
@@ -564,7 +564,7 @@ def _chunks(group, width: int, rows, top: int, ids: bool = True):
 
 def _batch(group, width: int, ids: bool, polys, first, bounds, start: int, top: int):
     """The chunks of _chunks from its rows [start, start + _ROWS) of ``bounds``."""
-    _, (x0, x1, _, _), edges, (_, ay, _, _, gy, _), _ = group
+    _, (x0, x1, _, _), edges, (_, ay, _, _, gy), _ = group
     stop = min(start + _ROWS, bounds[-1])
     # The batch's polygons p..q, repeated by their rows in it: cheaper than a search per row.
     p, q = bounds.searchsorted((start, stop - 1), side="right") - 1
@@ -607,7 +607,7 @@ def _samples(group, ids: bool, g, n, pixel0, column0, row_term, base):
     """The samples of rows of polygons g, n[i] on row i, from sample index ``base``
     of their batch: (t, pixel, z) or (pixel, z), as _chunks yields them. Per-row
     values are repeated over the row: the same operations per sample."""
-    t, _, _, (ax, _, z0, gx, _, flat), _ = group
+    t, _, _, (ax, _, z0, gx, _), _ = group
     k = np.arange(base, base + n.sum())
     z = column0.repeat(n)
     z += k  # the column + 0.5, exactly
@@ -618,11 +618,7 @@ def _samples(group, ids: bool, g, n, pixel0, column0, row_term, base):
     z *= gx[g].repeat(n)
     z += z0[g].repeat(n)
     z += row_term.repeat(n)
-    # Flat polygons take z0 as it is: adding the zero terms could
-    # change the sign of a zero depth.
-    on_flat = flat[g]
-    if on_flat.any():
-        z[on_flat.repeat(n)] = z0[g[on_flat]].repeat(n[on_flat])
+    z += 0.0  # -0 becomes +0 and the rest stays, so equal depths have equal bits
     return (t[g].repeat(n), pixel, z) if ids else (pixel, z)
 
 
@@ -653,16 +649,16 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
 
 
 def _depth_planes(x: np.ndarray, y: np.ndarray, z: np.ndarray, ids: np.ndarray):
-    """Affine NDC depth planes (ax, ay, z0, gx, gy, flat) of polygons.
+    """Affine NDC depth planes (ax, ay, z0, gx, gy) of polygons.
 
     ``x``, ``y`` and ``z`` are the (n, G) pixel x, y and NDC z of their vertices, and
     ``ids`` their (n, G) vertex ids. NDC z is screen-affine: z0 + gx * (x - ax) + gy *
     (y - ay), anchored at the float vertex 0 (ax, ay) and solved on the first fan
     triangle (0, j, j + 1) with |det| > 1e-12; a fan with a padding slot has det 0.
-    Polygons with none are ``flat``, with the mean depth of their vertices in z0. A
-    padding slot repeats the id of the slot before it, which no real vertex does, and
-    is left out of the mean. Rows 1.. of ``x`` and ``y`` become their differences from
-    row 0, in place.
+    A flat polygon, with none, gets gx = gy = 0 and the mean depth of its vertices
+    in z0, which its samples take up to the sign of a zero. A padding slot repeats
+    the id of the slot before it, which no real vertex does, and is left out of the
+    mean. Rows 1.. of ``x`` and ``y`` become their differences from row 0, in place.
     """
     ax, ay, z0 = x[0].copy(), y[0].copy(), z[0].copy()
     x[1:] -= ax
@@ -683,7 +679,7 @@ def _depth_planes(x: np.ndarray, y: np.ndarray, z: np.ndarray, ids: np.ndarray):
         flat &= ~solve
     for g in np.flatnonzero(flat):
         z0[g] = z[np.r_[True, ids[1:, g] != ids[:-1, g]], g].mean()
-    return ax, ay, z0, gx, gy, flat
+    return ax, ay, z0, gx, gy
 
 
 def screen_bands(setup: list[tuple], res: tuple[int, int]):
@@ -720,9 +716,9 @@ def depth_prepass(band: tuple) -> np.ndarray:
     """Minimum NDC depth per pixel of a band of screen_bands.
 
     The buffer has shape (len(rows), width), and uncovered pixels hold +inf.
-    Samples are scattered in stream order, which decides between +0 and -0
-    on a pixel, into a flat view of the buffer, for which np.minimum.at has
-    a fast path. So a band's buffer equals those rows of the whole frame's.
+    A pixel holds the minimum of its samples, zeros made +0, in any order of
+    polygons, groups or chunks, so a band's buffer equals those rows of the
+    whole frame's. A flat view of the buffer gives np.minimum.at a fast path.
     """
     rows, width, spans = band
     depth = np.full((len(rows), width), np.inf)

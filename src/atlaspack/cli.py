@@ -238,7 +238,8 @@ def parse_layout_file(path) -> AtlasLayout:
     """Read a layout file, checking omega, containment, count and digest.
 
     A record of two tokens whose first is not a number, signed or not, is a
-    header line. Raises InputError naming the file (and line, for a placement).
+    header line. Raises InputError naming the file, and the line of a bad
+    placement or header value.
     """
     data, starts, ends, linenos, counts, _ = _records(_read_text(path))
     first = np.cumsum(counts) - counts
@@ -247,7 +248,9 @@ def parse_layout_file(path) -> AtlasLayout:
     words = [data[starts[k] : ends[k + 1]].decode().split() for k in first[pairs].tolist()]
     is_header = np.zeros(len(counts), dtype=bool)
     is_header[pairs] = [not (key[1:] if key[0] in "+-" else key).isdigit() for key, _ in words]
-    header = dict(word for word, head in zip(words, is_header[pairs]) if head)
+    # Header key -> (value, line); a later record of a key replaces an earlier one.
+    header = {key: (value, line) for (key, value), head, line
+              in zip(words, is_header[pairs], linenos[pairs].tolist()) if head}
     placements = np.flatnonzero(~is_header)
     # (placement, rule rank, message): the first bad placement in file
     # order, with the first rule it breaks.
@@ -272,15 +275,21 @@ def parse_layout_file(path) -> AtlasLayout:
     for key in ("omega", "scale", "count"):
         if key not in header:
             raise InputError(f"{path}: missing header key '{key}'")
+    key = "omega"  # the record read, which an error names
     try:
-        omega = int(header["omega"])
+        omega = int(header[key][0])
         _check_omega(omega)
-        scale = Fraction(header["scale"])
+        key = "scale"
+        scale = Fraction(header[key][0])
         if not (scale.numerator in _INT64_RANGE and scale.denominator in _INT64_RANGE):
             raise ValueError(f"scale {scale} has a term outside the int64 range")
-        count = int(header["count"])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{path}: bad header value: {exc}") from None
+        key = "count"
+        count = int(header[key][0])
+    except ZeroDivisionError:  # Fraction's, on a zero denominator
+        text, line = header[key]
+        raise InputError(f"{path}:{line}: scale {text} has a zero denominator") from None
+    except ValueError as exc:
+        raise InputError(f"{path}:{header[key][1]}: {exc}") from None
     table[:, 5] = table[:, 5] != 0
     x, y, w, h = table[:, 1:5].T
     # omega - w cannot wrap where w >= 1, and a row with w < 1 is bad anyway.
@@ -295,7 +304,7 @@ def parse_layout_file(path) -> AtlasLayout:
     if len(table) != count:
         raise InputError(f"{path}: count says {count} placements, found {len(table)}")
     layout = AtlasLayout(omega=omega, scale=scale, table=table)
-    if "digest" in header and layout_digest(layout).digest != header["digest"]:
+    if "digest" in header and layout_digest(layout).digest != header["digest"][0]:
         raise InputError(f"{path}: digest mismatch, file corrupted or edited")
     return layout
 
@@ -408,6 +417,9 @@ def _camera_problem(cfg: SceneConfig) -> tuple[str, str] | None:
         value = getattr(cfg, _SCENE_KEYS[key][0])
         if value is not None and not np.all(np.isfinite(value)):
             return key, f"{key} must be finite, got {' '.join(map(str, np.ravel(value)))}"
+    if not 0 < cfg.fov_y_deg < 180:  # in the scene file's degrees, not CameraFrame's radians
+        fov = str(cfg.fov_y_deg).removesuffix(".0")
+        return "fov_y", f"fov_y must be in (0, 180) degrees, got {fov}"
     with np.errstate(all="ignore"):  # a matrix that overflows is reported, not warned of
         try:
             cam = cfg.camera()
@@ -423,7 +435,8 @@ def _camera_problem(cfg: SceneConfig) -> tuple[str, str] | None:
 def parse_scene_config(path) -> SceneConfig:
     """Key-value scene file; unknown keys are rejected with their line.
 
-    Values are range-checked with scene_config_problem.
+    Values are range-checked with scene_config_problem, whose message names
+    the line of its key, or the file alone when the key took its default.
     """
     path = Path(path)
     tokens, linenos, counts = records(_read_text(path))
@@ -440,10 +453,12 @@ def parse_scene_config(path) -> SceneConfig:
         raise InputError(f"{path}: missing required key 'mesh'")
     cfg = SceneConfig(mesh_path=Path())
     mesh = ("mesh_path", 1, lambda v: (path.parent / v).resolve())
+    lines = {}  # the line of each key converted
     for key, (name, n, conv, *_) in {"mesh": mesh, **_SCENE_KEYS}.items():
         if key not in values:
             continue
         lineno, rest = values.pop(key)
+        lines[key] = lineno
         if len(rest) != n:
             raise InputError(f"{path}:{lineno}: key '{key}' expects {n} values")
         try:
@@ -452,10 +467,13 @@ def parse_scene_config(path) -> SceneConfig:
             raise InputError(f"{path}:{lineno}: {exc}") from None
         setattr(cfg, name, out[0] if n == 1 else out)
     if values:
-        raise InputError(f"{path}: unknown keys: {', '.join(sorted(values))}")
+        key, (lineno, _) = next(iter(values.items()))  # the first left, in file order
+        raise InputError(f"{path}:{lineno}: unknown key '{key}'")
     problem = scene_config_problem(cfg)
     if problem is not None:
-        raise InputError(f"{path}: {problem[1]}")
+        key, message = problem
+        where = f"{path}:{lines[key]}" if key in lines else path
+        raise InputError(f"{where}: {message}")
     return cfg
 
 

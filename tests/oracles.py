@@ -704,7 +704,7 @@ def box_samples(group):
     chunks of at most _CHUNK candidates. Its ordered stream of samples is
     the one the span sampler must reproduce.
     """
-    t, (x0, x1, y0, y1), edges, (ax, ay, z0, gx, gy, flat), _ = group
+    t, (x0, x1, y0, y1), edges, (ax, ay, z0, gx, gy), _ = group
     # Bands of whole rows of each polygon's box, each of at most _CHUNK
     # candidates unless one row alone is wider; chunks are runs of bands.
     nx = x1 - x0 + 1
@@ -737,11 +737,7 @@ def box_samples(group):
             covered &= col_term[col_of] <= np.repeat(row_term, row_len)
         row = np.repeat(np.arange(len(row_g)), row_len)[covered]
         g, iy, ix = row_g[row], row_y[row], col_x[col_of[covered]]
-        z = z0[g] + gx[g] * (ix + 0.5 - ax[g]) + gy[g] * (iy + 0.5 - ay[g])
-        # Flat polygons take z0 as it is: adding the zero terms could
-        # change the sign of a zero depth.
-        on_flat = flat[g]
-        z[on_flat] = z0[g[on_flat]]
+        z = z0[g] + gx[g] * (ix + 0.5 - ax[g]) + gy[g] * (iy + 0.5 - ay[g]) + 0.0  # -0 to +0
         yield t[g], iy, ix, z
         start = stop
 

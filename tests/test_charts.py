@@ -440,8 +440,8 @@ class TestBatchedSampler:
         positions = at_pixel(px, py, np.array([1.0, 2.0, 4.0]), (8, 8))
         mesh = Mesh(positions=positions, triangles=[[0, 1, 2]])
         cam = exact_cam
-        (_, _, _, (_, _, _, _, _, flat), _), = mesh_setup(mesh, cam, (8, 8))
-        assert flat.tolist() == [True]
+        (_, _, _, (_, _, _, gx, gy), _), = mesh_setup(mesh, cam, (8, 8))
+        assert gx.tolist() == gy.tolist() == [0.0]  # flat: vertex depths 1, 2 and 4 differ
         depth, flags = depth_and_flags(mesh, cam, (8, 8))
         ref_depth, ref_flags = reference_depth_and_flags(mesh, cam, (8, 8), True)
         clip = clip_coords(positions[None], cam)[0]
@@ -473,8 +473,8 @@ class TestBatchedSampler:
         if flipped:
             padded, ids = padded[::-1].copy(), ids[::-1].copy()
         x, y = np.zeros((2, 9, len(counts)))  # every vertex at one point: no fan has a plane
-        _, _, z0, _, _, flat = _depth_planes(x, y, padded, ids)
-        assert flat.all()
+        _, _, z0, gx, gy = _depth_planes(x, y, padded, ids)
+        assert not gx.any() and not gy.any()
         assert z0.tobytes() == want.tobytes()
         assert z0.tobytes() != padded.mean(axis=0).tobytes()
 
@@ -1041,9 +1041,14 @@ class TestScreenSetup:
                 xy = (vclip[front, :2] / vclip[front, 3:] + 1.0) * 0.5 * np.array(res)
                 assert pixels[front].tobytes() == xy.tobytes()
                 kept[cull] = sum(len(t) for t, *_ in setup)
-                for t, _, edges, planes, _ in setup:
+                for t, _, edges, (_, _, _, gx, gy), _ in setup:
                     seen["clipped"] += int(np.isin(t, corner_split(clip)[1]).sum())
-                    seen["flat"] += int(planes[5].sum())
+                    # Flat: in front, exactly collinear in float pixels, and with no gradient.
+                    corners = mesh.triangles[t]
+                    d = pixels[corners[:, 1:]] - pixels[corners[:, :1]]
+                    collinear = d[:, 0, 0] * d[:, 1, 1] == d[:, 1, 0] * d[:, 0, 1]
+                    flat = front[corners].all(axis=1) & collinear & (gx == 0) & (gy == 0)
+                    seen["flat"] += int(flat.sum())
                     zero = [(a == 0) & (b == 0) for a, b, _ in edges]
                     seen["repeated"] += int(np.sum(functools.reduce(np.logical_or, zero)))
             seen["flipped"] += kept[False] - kept[True]

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import math
 import sys
 import time
 import tracemalloc
@@ -48,7 +49,7 @@ from atlaspack.charts import (
     records,
     screen_bands,
 )
-from atlaspack.geometry import W_EPSILON, clip_coords
+from atlaspack.geometry import W_EPSILON, CameraFrame, clip_coords
 
 from oracles import (
     box_line_split,
@@ -108,6 +109,11 @@ def write_scene(tmp_path, obj_text, **overrides):
     path = tmp_path / "scene.cfg"
     path.write_text(text)
     return path
+
+
+def line_of(scene, key: str) -> int:
+    """The line of ``key`` in a scene file of write_scene."""
+    return [line.split()[0] for line in scene.read_text().splitlines()].index(key) + 1
 
 
 # Out-of-range --min-dim and --padding values, with the error's expected start.
@@ -289,6 +295,27 @@ class TestLayoutFiles:
         path.write_text(f"{header}\ncount 1\n{placement}\n")
         with pytest.raises(InputError, match="bad.layout.txt"):
             parse_layout_file(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("omega 64\nscale 9/0\ncount 1", "2: scale 9/0 has a zero denominator"),
+            ("omega 4095\nscale 1/1\ncount 1",
+             "1: omega must be a power of two in [1, 65536], got 4095"),
+            ("omega 64\nscale 1/x\ncount 1", "2: Invalid literal for Fraction: '1/x'"),
+            ("omega 64\nscale 1/1\ncount x", "3: invalid literal for int() with base 10: 'x'"),
+            ("omega 64\nscale 1/1\ncount 1\nomega 100",
+             "4: omega must be a power of two in [1, 65536], got 100"),
+        ],
+        ids=["scale_zero_den", "omega_not_pow2", "scale_not_fraction", "count_not_int",
+             "later_record_wins"],
+    )
+    def test_bad_header_value_names_its_line(self, tmp_path, header, message):
+        path = tmp_path / "bad.layout.txt"
+        path.write_text(f"{header}\n0 0 0 8 8 0 8 8\n")
+        with pytest.raises(InputError) as exc:
+            parse_layout_file(path)
+        assert str(exc.value) == f"{path}:{message}"
 
 
 class TestPackBoxesCommand:
@@ -533,7 +560,7 @@ class TestAtlasSceneCommand:
         monkeypatch.setattr("atlaspack.cli.depth_prepass", fail_if_called)
         scene = write_scene(tmp_path, QUAD_OBJ, screen="8 16385")
         assert main(["atlas-scene", str(scene)]) == EXIT_BAD_INPUT
-        assert "scene.cfg: screen sides must be in [1, 16384]" in capsys.readouterr().err
+        assert "scene.cfg:8: screen sides must be in [1, 16384]" in capsys.readouterr().err
 
     def test_screen_over_pixel_limit_in_file_exits_1_before_raster(
         self, tmp_path, capsys, monkeypatch
@@ -547,7 +574,7 @@ class TestAtlasSceneCommand:
         assert main(["atlas-scene", str(scene)]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert "scene.cfg: screen must have at most 33554432 pixels" in err
+        assert "scene.cfg:8: screen must have at most 33554432 pixels" in err
         assert "Traceback" not in err
 
     def test_max_screen_rasterizes_one_band_at_a_time(self, tmp_path):
@@ -1063,7 +1090,7 @@ class TestSceneConfig:
     )
     def test_out_of_range_value_names_the_file(self, tmp_path, key, value):
         scene = write_scene(tmp_path, QUAD_OBJ, **{key: value})
-        with pytest.raises(InputError, match=rf"scene\.cfg: {key}"):
+        with pytest.raises(InputError, match=rf"scene\.cfg:{line_of(scene, key)}: {key}"):
             parse_scene_config(scene)
 
 
@@ -1076,15 +1103,35 @@ class TestSceneConfig:
             ("mesh", "scene\x00.obj", "1: embedded null byte"),
             ("backface_cull", "maybe", "10: expected one of 1, true, yes, on, 0, false, no, "
              "off, got 'maybe'"),
+            ("bogus", "1", "10: unknown key 'bogus'"),
+            ("zeta", "1\nalpha 2", "10: unknown key 'zeta'"),  # the first in file order
+            ("near", "-1", "3: near must be positive and less than far"),
+            ("omega", "3000", "9: omega must be a power of two in [1, 65536], got 3000"),
+            ("fov_y", "180", "2: fov_y must be in (0, 180) degrees, got 180"),
+            ("fov_y", "-2.5", "2: fov_y must be in (0, 180) degrees, got -2.5"),
         ],
         ids=["not_a_number", "too_few_values", "mesh_extra_token", "mesh_null_byte",
-             "switch_word"],
+             "switch_word", "unknown_key", "first_unknown_key", "near_range", "omega_range",
+             "fov_y_180", "fov_y_negative"],
     )
     def test_bad_value_names_the_line(self, tmp_path, key, value, message):
         scene = write_scene(tmp_path, QUAD_OBJ, **{key: value})
         with pytest.raises(InputError) as exc:
             parse_scene_config(scene)
         assert str(exc.value) == f"{scene}:{message}"
+
+    def test_problem_with_a_default_names_the_file(self, tmp_path):
+        # far 0.05 is below the default near, which names no line.
+        (tmp_path / "scene.obj").write_text(QUAD_OBJ)
+        scene = tmp_path / "scene.cfg"
+        scene.write_text("mesh scene.obj\nfar 0.05\n")
+        with pytest.raises(InputError) as exc:
+            parse_scene_config(scene)
+        assert str(exc.value) == f"{scene}: near must be positive and less than far"
+
+    def test_camera_frame_keeps_radians(self):
+        with pytest.raises(ValueError, match=r"^fov_y must be in \(0, pi\)$"):
+            CameraFrame.from_params(math.pi, 1.0, 0.1, 100.0)
 
     @pytest.mark.parametrize("word", ["1", "0", "true", "FALSE", "Yes", "no", "on", "OFF"])
     def test_backface_cull_words(self, tmp_path, word):
@@ -1103,13 +1150,13 @@ class TestSceneConfig:
              "near_at_far", "up_along_view", "up_nan", "view_overflows", "projection_overflows"],
     )
     def test_bad_camera_exits_1_before_raster(self, tmp_path, capsys, monkeypatch, values):
-        # The error names the first key of ``values``.
+        # The error names the first key of ``values``, and its line.
         key = next(iter(values))
         monkeypatch.setattr("atlaspack.cli.depth_prepass", fail_if_called)
         scene = write_scene(tmp_path, QUAD_OBJ, **values)
         assert main(["atlas-scene", str(scene)]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {scene}: {key}")
+        assert err.startswith(f"error: {scene}:{line_of(scene, key)}: {key}")
         assert "Traceback" not in err
 
 
@@ -1247,7 +1294,7 @@ class TestByteOrderMark:
         assert parse_scene_config(scene) == expected
         assert _looks_like_scene(scene)
         scene.write_bytes(plain.replace(b"\nfov_y", b"\n" + BOM + b"fov_y"))
-        with pytest.raises(InputError, match="scene\\.cfg: unknown keys: \ufefffov_y"):
+        with pytest.raises(InputError, match="scene\\.cfg:2: unknown key '\ufefffov_y'"):
             parse_scene_config(scene)
 
 

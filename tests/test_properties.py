@@ -5,6 +5,7 @@ Examples are derived from the test source (``derandomize``) and no example
 database is kept, so every run checks the same bounded set of inputs.
 """
 
+import itertools
 import math
 import re
 import tempfile
@@ -28,7 +29,7 @@ from atlaspack import (
     pack,
     superblock_pack,
 )
-from atlaspack.charts import Mesh, load_obj
+from atlaspack.charts import Mesh, _chunks, load_obj, screen_setup
 from atlaspack.cli import (
     InputError,
     generate_boxes,
@@ -41,8 +42,11 @@ from atlaspack.geometry import clip_coords, clip_halfspace
 from atlaspack.packing import MAX_BOX_DIM
 
 from oracles import (
+    _select,
+    banded_raster,
     box_contains,
     box_line_split,
+    box_samples,
     chart_frustum_box,
     clip_halfspace_step,
     exhaustive_optimal,
@@ -52,6 +56,7 @@ from oracles import (
     reference_superblock_pack,
     stacked_clip_coords,
     triangle_corners,
+    whole_rows,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -284,6 +289,96 @@ def test_ragged_clip_matches_one_polygon_step(polygons, strict):
     for (v, dv), poly in zip(polygons, np.split(out, np.cumsum(got)[:-1])):
         want = clip_halfspace_step(v, dv, dv > 0 if strict else dv >= 0)
         assert poly.tobytes() == want.tobytes()
+
+
+# --- the depth buffer against the order of its samples ------------------------
+
+
+def min_depth_reference(setup, res):
+    """Each pixel's minimum over the box sampler's samples of a set-up, with zeros made +0."""
+    depth = np.full((res[1], res[0]), np.inf)
+    for group in setup:
+        for _, iy, ix, z in box_samples(group):
+            np.minimum.at(depth, (iy, ix), z)
+    return depth + 0.0
+
+
+def assert_order_free(setup, res, n_triangles: int, orders):
+    """The banded depth buffer of a set-up, and of each of ``orders`` of its polygons, is
+    bit-identical to min_depth_reference, and the flags are equal."""
+    want = min_depth_reference(setup, res).tobytes()
+    depth, flags = banded_raster(setup, res, n_triangles)
+    assert depth.tobytes() == want
+    for order in orders:
+        depth, got = banded_raster(list(order), res, n_triangles)
+        assert depth.tobytes() == want
+        assert np.array_equal(got, flags)
+
+
+@PROPERTY
+@given(
+    st.lists(st.lists(coords, min_size=9, max_size=9), min_size=1, max_size=12),
+    st.sampled_from([(8, 8), (17, 9), (32, 16)]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_depth_does_not_depend_on_sample_order(triangles, res, cull, seed):
+    # Three orders of the set-up: the polygons of each group shuffled, each
+    # group cut into one to three groups, and the groups shuffled.
+    positions = np.array(triangles).reshape(-1, 3)
+    tris = np.arange(len(positions)).reshape(-1, 3)
+    setup = screen_setup(clip_coords(positions, CAM90), tris, res, cull)[0]
+    rng = np.random.default_rng(seed)
+    orders = []
+    for _ in range(3):
+        groups = [
+            _select(group, part)
+            for group in setup
+            for part in np.array_split(rng.permutation(len(group[0])), rng.integers(1, 4))
+        ]
+        orders.append([groups[i] for i in rng.permutation(len(groups))])
+    assert_order_free(setup, res, len(tris), orders)
+
+
+def test_signed_zero_depths_do_not_depend_on_sample_order():
+    # On an 8x8 screen at w = 1: F, collinear in float but counter-clockwise
+    # once snapped, covering pixels (1, 1) and (2, 4), and Q, covering pixel
+    # (1, 1), inside the frustum; P, across the screen, clipped into a second
+    # group. Their planes (ax, ay, z0, gx, gy) are set by hand: F flat at
+    # z0 = -0, P zero at both pixels, and Q zero at (1, 1), where z0 + gx *
+    # dx + gy * dy sums three -0. Every sample there must be +0, and so each
+    # pixel in every order of the polygons and groups.
+    t = 0.5 + 5 / 4096
+    pixels = np.array([[0.0, 1.0], [6.0, 3.0], [6.0 * t, 1.0 + 2.0 * t],  # F
+                       [1.0, 1.0], [2.0, 1.0], [1.5, 2.0],  # Q
+                       [-4.0, -4.0], [24.0, -4.0], [-4.0, 24.0]])  # P
+    vclip = np.c_[pixels / 4.0 - 1.0, np.tile([0.1, 0.2, 0.4], 3), np.ones(9)]
+    hand = {0: (0.0, 1.0, -0.0, 0.0, 0.0), 1: (1.5, 1.5, -0.0, -1.0, -1.0),
+            2: (1.5, 1.5, 0.0, 1.0, -3.0)}
+    groups = screen_setup(vclip, np.arange(9).reshape(3, 3), (8, 8), True)[0]
+    assert [g[0].tolist() for g in groups] == [[0, 1], [2]]
+    gx, gy = groups[0][3][3:5]
+    assert gx[0] == gy[0] == 0.0  # F is flat: its vertex depths differ
+    setup = []
+    for tris, box, edges, planes, ndc in groups:
+        planes = [a.copy() for a in planes]
+        for a, column in zip(planes, zip(*(hand[i] for i in tris.tolist()))):
+            a[:] = column
+        setup.append((tris, box, edges, tuple(planes), ndc))
+    zeros = {9: [], 20: []}  # pixels (1, 1) and (2, 4), row * 8 + column
+    for group in setup:
+        for tri, pixel, z in _chunks(group, 8, whole_rows(group), 0):
+            for k, samples in zeros.items():
+                at = pixel == k
+                samples += zip(tri[at].tolist(), z[at].tolist(), np.signbit(z[at]).tolist())
+    assert sorted(zeros[9]) == [(0, 0.0, False), (1, 0.0, False), (2, 0.0, False)]
+    assert sorted(zeros[20]) == [(0, 0.0, False), (2, 0.0, False)]
+    inside, clipped = setup
+    singles = [_select(group, [i]) for group in setup for i in range(len(group[0]))]
+    swapped = _select(inside, [1, 0])
+    orders = [*itertools.permutations(singles), [clipped, inside], [swapped, clipped],
+              [clipped, swapped]]
+    assert_order_free(setup, (8, 8), 3, orders)
 
 
 # --- the whole-file reader against the line loops ----------------------------
